@@ -1,11 +1,17 @@
 //! The tiled execution engine.
 //!
 //! Executes a [`TiledProgram`] tile by tile in dispatch order on a
-//! simulated device, optionally delivering one [`StrikeSpec`] when
-//! execution reaches the strike instant. Execution is deterministic for a
-//! given program: a fault-free run reproduces the golden output exactly
-//! (the paper computes golden outputs "on the very same device used for
+//! simulated device, delivering [`StrikeSpec`]s when execution reaches
+//! their instants. Execution is deterministic for a given program: a
+//! fault-free run reproduces the golden output exactly (the paper
+//! computes golden outputs "on the very same device used for
 //! experiments" for the same reason, §IV-D).
+//!
+//! There is one injection entry point, [`Engine::run`]. It starts either
+//! from tile 0 (the reference path) or from a [`WarmState`] — golden
+//! machine state restored from a snapshot and rolled forward to the
+//! strike instant — and the two starts are bit-identical by the
+//! resumability contract.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -47,9 +53,10 @@ pub struct RunOutcome {
     /// How each strike was resolved against live machine state, in
     /// delivery order (empty for golden runs).
     pub resolutions: Vec<StrikeResolution>,
-    /// For differential (snapshot-resumed) runs: the output elements
-    /// that could differ from the golden output — everything outside is
-    /// bit-equal by the resume invariant. `None` for full runs.
+    /// For forked runs: the output elements that could differ from the
+    /// golden output — everything outside is bit-equal by the resume
+    /// invariant. `None` for runs from tile 0, which need a dense
+    /// compare.
     pub dirty: Option<DirtyRegion>,
     /// The engine proved mid-run that every strike died without touching
     /// any observable state (no pending flips, no observed corrupted
@@ -61,10 +68,10 @@ pub struct RunOutcome {
     pub golden_equivalent: bool,
 }
 
-/// Reusable per-worker state for repeated injections of one program on
-/// one engine: the post-setup memory template (so `setup` runs once, not
-/// per injection) and the previous run's memory image (so buffers are
-/// restored in place instead of reallocated).
+/// Reusable per-worker state for repeated forks of one program on one
+/// engine: the post-setup memory template (so `setup` runs once, not per
+/// bucket) and the previous fork's memory image and cache tables (so
+/// buffers are restored in place instead of reallocated).
 ///
 /// A scratch is only valid for the `(engine, program)` pair it was first
 /// used with; use a fresh one per campaign worker.
@@ -76,8 +83,7 @@ pub struct RunScratch {
     /// When the spare memory's written flags mirror a [`WarmState`]'s
     /// (identified by its unique generation), a fork can restore only
     /// the buffers either side has written since that sync instead of
-    /// every buffer. Cleared whenever the spare is filled from anything
-    /// other than that warm state.
+    /// every buffer.
     spare_origin: Option<u64>,
 }
 
@@ -101,24 +107,25 @@ impl RunScratch {
         Ok(())
     }
 
-    /// An owned memory image equal to the template, reusing the spare
-    /// allocation from the previous run when available.
-    fn image_of_template(&mut self) -> DeviceMemory {
-        self.spare_origin = None;
-        let RunScratch {
-            template, spare, ..
-        } = self;
-        let t = template.as_ref().expect("ensure_template ran");
-        Self::fill(spare, t)
-    }
-
-    fn fill(spare: &mut Option<DeviceMemory>, src: &DeviceMemory) -> DeviceMemory {
-        match spare.take() {
-            Some(mut m) => {
-                m.restore_from(src);
+    /// An owned memory image equal to `warm`'s, reusing the spare
+    /// allocation from the previous fork. When the spare last synced to
+    /// this same warm state, only buffers written on either side since
+    /// can differ, so the rest of the image copy is skipped.
+    fn memory_of(&mut self, warm: &WarmState) -> DeviceMemory {
+        match (self.spare_origin == Some(warm.gen), self.spare.take()) {
+            (true, Some(mut m)) => {
+                m.restore_written_from(&warm.mem);
                 m
             }
-            None => src.clone(),
+            (_, Some(mut m)) => {
+                self.spare_origin = Some(warm.gen);
+                m.restore_from(&warm.mem);
+                m
+            }
+            (_, None) => {
+                self.spare_origin = Some(warm.gen);
+                warm.mem.clone()
+            }
         }
     }
 
@@ -140,11 +147,10 @@ impl RunScratch {
 ///
 /// Built once per bucket by [`Engine::warm_restore`], rolled forward
 /// tile by tile with [`Engine::warm_advance`], and forked (copied into
-/// the scratch spares, never mutated) per strike by
-/// [`Engine::run_forked`]. Because golden execution is deterministic,
-/// the warm state at tile `t` is bit-equal to the state a per-injection
-/// snapshot resume would rebuild at `t` — which is what makes forked
-/// runs bit-identical to unbatched differential runs.
+/// the scratch spares, never mutated) per strike by [`Engine::run`].
+/// Because golden execution is deterministic, the warm state at tile `t`
+/// is bit-equal to a run from tile 0 at `t` — which is what makes forked
+/// runs bit-identical to reference runs.
 #[derive(Debug)]
 pub struct WarmState {
     mem: DeviceMemory,
@@ -153,6 +159,9 @@ pub struct WarmState {
     l2_resident_samples: f64,
     next_tile: usize,
     resume_tile: usize,
+    /// Golden output-store spans from `resume_tile` on. Unioned with a
+    /// fork's own store log they bound its dirty output region.
+    spans: Vec<(usize, usize)>,
     /// Unique id for the dirty-only fork restore (see
     /// [`RunScratch::spare_origin`]). `mem`'s write tracking is reset
     /// when the state is built, so its written flags name exactly the
@@ -248,15 +257,14 @@ impl Engine {
         program: &mut P,
     ) -> Result<RunOutcome, AccelError> {
         // The RNG is never consulted without a strike.
-        let mut rng = NoRng;
         Ok(self
-            .run_internal(program, RunRequest::plain(&[]), &mut rng, None)?
+            .run_internal(program, &[], None, None, &mut NoRng, None)?
             .0)
     }
 
     /// Like [`Engine::golden`], but additionally captures golden-prefix
-    /// machine snapshots per `policy` for later differential injection
-    /// runs (see [`Engine::run_from`]). The returned outcome is
+    /// machine snapshots per `policy` for later forked injection runs
+    /// (see [`Engine::warm_restore`]). The returned outcome is
     /// bit-identical to a plain golden run; the [`SnapshotSet`] is empty
     /// when the program is not [`TiledProgram::resumable`] or the byte
     /// budget admits no snapshot.
@@ -269,224 +277,64 @@ impl Engine {
         program: &mut P,
         policy: &SnapshotPolicy,
     ) -> Result<(RunOutcome, SnapshotSet), AccelError> {
-        let mut rng = NoRng;
-        let req = RunRequest {
-            capture: Some(*policy),
-            ..RunRequest::plain(&[])
-        };
-        self.run_internal(program, req, &mut rng, None)
+        self.run_internal(program, &[], Some(*policy), None, &mut NoRng, None)
     }
 
-    /// Like [`Engine::golden`], but also collects a per-tile
-    /// [`ExecutionTrace`] for workload analysis (operational intensity,
-    /// load balance).
+    /// Runs `program`, delivering each of `strikes` when dispatch reaches
+    /// its instant. `rng` resolves strike targets against live machine
+    /// state (choice of resident line, victim tile, redirect
+    /// destination); an empty `strikes` never consults it.
+    ///
+    /// `fork` picks the start. `None` is the reference path: setup and
+    /// execution from tile 0, with no dirty region (the caller compares
+    /// the whole output). `Some((warm, scratch))` copies `warm` into the
+    /// scratch spares (`warm` itself is untouched) and runs only the
+    /// suffix from `warm.next_tile()`; the outcome is bit-identical to
+    /// the reference path — output, resolutions and profile — and
+    /// carries the dirty output region (the run's own stores union the
+    /// bucket's golden suffix spans) for a sparse compare.
+    ///
+    /// `trace`, when given, receives one [`TileTrace`] per executed tile
+    /// — the join between a strike and the tiles that touched struck
+    /// state afterwards. Tracing never consults the RNG, so a traced run
+    /// resolves strikes exactly as an untraced one. A forked trace
+    /// covers only the suffix, which holds every tile a strike at or
+    /// after `warm.next_tile()` can touch.
+    ///
+    /// Several strikes in one execution model the regime the paper's
+    /// experimental design avoids (§IV-D keeps observed error rates below
+    /// 10⁻³/execution so at most one neutron corrupts a run); campaigns
+    /// pass exactly one.
     ///
     /// # Errors
     ///
-    /// Propagates program setup/execution errors.
-    pub fn golden_traced<P: TiledProgram + ?Sized>(
-        &self,
-        program: &mut P,
-    ) -> Result<(RunOutcome, ExecutionTrace), AccelError> {
-        let mut rng = NoRng;
-        let mut trace = ExecutionTrace::new();
-        let (outcome, _) =
-            self.run_internal(program, RunRequest::plain(&[]), &mut rng, Some(&mut trace))?;
-        Ok((outcome, trace))
-    }
-
-    /// Runs `program`, delivering `strike` when dispatch reaches its
-    /// instant. `rng` resolves strike targets against live machine state
-    /// (choice of resident line, victim tile, redirect destination).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccelError::StrikeOutOfRange`] if the strike instant is
-    /// past the last tile, and propagates program errors.
+    /// [`AccelError::StrikeOutOfRange`] if a strike instant is past the
+    /// last tile or, for a fork, before `warm.next_tile()` (the fork
+    /// would replay past the delivery instant); propagates program
+    /// errors.
     pub fn run<P, R>(
-        &self,
-        program: &mut P,
-        strike: &StrikeSpec,
-        rng: &mut R,
-    ) -> Result<RunOutcome, AccelError>
-    where
-        P: TiledProgram + ?Sized,
-        R: Rng + ?Sized,
-    {
-        Ok(self
-            .run_internal(
-                program,
-                RunRequest::plain(std::slice::from_ref(strike)),
-                rng,
-                None,
-            )?
-            .0)
-    }
-
-    /// Like [`Engine::run`], but also collects a per-tile
-    /// [`ExecutionTrace`]. The trace is what joins a strike to the tiles
-    /// that touched struck state afterwards (fault provenance); tracing
-    /// never consults the RNG, so a traced run resolves the strike — and
-    /// produces the output — exactly as the untraced run would.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccelError::StrikeOutOfRange`] if the strike instant is
-    /// past the last tile, and propagates program errors.
-    pub fn run_traced<P, R>(
-        &self,
-        program: &mut P,
-        strike: &StrikeSpec,
-        rng: &mut R,
-    ) -> Result<(RunOutcome, ExecutionTrace), AccelError>
-    where
-        P: TiledProgram + ?Sized,
-        R: Rng + ?Sized,
-    {
-        let mut trace = ExecutionTrace::new();
-        let (outcome, _) = self.run_internal(
-            program,
-            RunRequest::plain(std::slice::from_ref(strike)),
-            rng,
-            Some(&mut trace),
-        )?;
-        Ok((outcome, trace))
-    }
-
-    /// Differential variant of [`Engine::run`]: resumes from the nearest
-    /// snapshot in `snapshots` at or before `strike.at_tile` instead of
-    /// tile 0. Output, `resolutions` and profile are bit-identical to a
-    /// full run (the strike consumes the RNG identically), and the
-    /// outcome carries the dirty output region for sparse comparison.
-    /// Falls back to a full run when the program is not resumable or no
-    /// usable snapshot exists.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Engine::run`].
-    pub fn run_from<P, R>(
-        &self,
-        program: &mut P,
-        strike: &StrikeSpec,
-        rng: &mut R,
-        snapshots: &SnapshotSet,
-    ) -> Result<RunOutcome, AccelError>
-    where
-        P: TiledProgram + ?Sized,
-        R: Rng + ?Sized,
-    {
-        let mut scratch = RunScratch::new();
-        self.run_injection(program, strike, rng, Some(snapshots), &mut scratch)
-    }
-
-    /// [`Engine::run_from`] with a per-tile [`ExecutionTrace`]. A
-    /// resumed trace covers only the tiles from the resume point on —
-    /// exactly the tiles a strike at or after that point can touch.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Engine::run`].
-    pub fn run_from_traced<P, R>(
-        &self,
-        program: &mut P,
-        strike: &StrikeSpec,
-        rng: &mut R,
-        snapshots: &SnapshotSet,
-    ) -> Result<(RunOutcome, ExecutionTrace), AccelError>
-    where
-        P: TiledProgram + ?Sized,
-        R: Rng + ?Sized,
-    {
-        let mut scratch = RunScratch::new();
-        self.run_injection_traced(program, strike, rng, Some(snapshots), &mut scratch)
-    }
-
-    /// The campaign-facing injection entry point: differential when
-    /// `snapshots` provides a usable resume point, full otherwise, with
-    /// `scratch` amortizing setup and memory allocation across repeated
-    /// calls for the same program.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Engine::run`].
-    pub fn run_injection<P, R>(
-        &self,
-        program: &mut P,
-        strike: &StrikeSpec,
-        rng: &mut R,
-        snapshots: Option<&SnapshotSet>,
-        scratch: &mut RunScratch,
-    ) -> Result<RunOutcome, AccelError>
-    where
-        P: TiledProgram + ?Sized,
-        R: Rng + ?Sized,
-    {
-        let req = RunRequest {
-            snapshots,
-            scratch: Some(scratch),
-            ..RunRequest::plain(std::slice::from_ref(strike))
-        };
-        Ok(self.run_internal(program, req, rng, None)?.0)
-    }
-
-    /// [`Engine::run_injection`] with a per-tile [`ExecutionTrace`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Engine::run`].
-    pub fn run_injection_traced<P, R>(
-        &self,
-        program: &mut P,
-        strike: &StrikeSpec,
-        rng: &mut R,
-        snapshots: Option<&SnapshotSet>,
-        scratch: &mut RunScratch,
-    ) -> Result<(RunOutcome, ExecutionTrace), AccelError>
-    where
-        P: TiledProgram + ?Sized,
-        R: Rng + ?Sized,
-    {
-        let mut trace = ExecutionTrace::new();
-        let req = RunRequest {
-            snapshots,
-            scratch: Some(scratch),
-            ..RunRequest::plain(std::slice::from_ref(strike))
-        };
-        let (outcome, _) = self.run_internal(program, req, rng, Some(&mut trace))?;
-        Ok((outcome, trace))
-    }
-
-    /// Runs `program` under *several* strikes in one execution — the
-    /// regime the paper's experimental design explicitly avoids (§IV-D
-    /// keeps observed error rates below 10⁻³/execution so at most one
-    /// neutron corrupts a run). Exposed so that the single-strike design
-    /// rule itself can be studied: at high flux, per-strike statistics
-    /// become biased because strikes overlap.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccelError::StrikeOutOfRange`] if any strike instant is
-    /// past the last tile, and propagates program errors.
-    pub fn run_multi<P, R>(
         &self,
         program: &mut P,
         strikes: &[StrikeSpec],
         rng: &mut R,
+        fork: Option<(&WarmState, &mut RunScratch)>,
+        trace: Option<&mut ExecutionTrace>,
     ) -> Result<RunOutcome, AccelError>
     where
         P: TiledProgram + ?Sized,
         R: Rng + ?Sized,
     {
         Ok(self
-            .run_internal(program, RunRequest::plain(strikes), rng, None)?
+            .run_internal(program, strikes, None, fork, rng, trace)?
             .0)
     }
 
     /// Restores the nearest snapshot at or before `tile` into an owned
-    /// [`WarmState`] — the batch scheduler's once-per-bucket restore.
-    /// `reuse` recycles a previous bucket's allocations (memory image,
-    /// cache tables) instead of cloning fresh ones. Returns `None` when
-    /// the program is not resumable or no snapshot covers `tile`.
+    /// [`WarmState`] — the batch scheduler's once-per-bucket restore —
+    /// and indexes the bucket's golden suffix spans. `reuse` recycles a
+    /// previous bucket's allocations (memory image, cache tables, span
+    /// list) instead of cloning fresh ones. Returns `None` when the
+    /// program is not resumable or no snapshot covers `tile`.
     ///
     /// # Errors
     ///
@@ -510,20 +358,23 @@ impl Engine {
         };
         scratch.ensure_template(program)?;
         let template = scratch.template.as_ref().expect("ensure_template ran");
-        let (mut mem, caches) = match reuse {
+        let (mut mem, caches, mut spans) = match reuse {
             Some(w) => {
                 let mut m = w.mem;
                 m.restore_from(template);
                 let mut c = w.caches;
                 c.restore_from(&snap.caches);
-                (m, c)
+                let mut s = w.spans;
+                s.clear();
+                (m, c, s)
             }
-            None => (template.clone(), snap.caches.clone()),
+            None => (template.clone(), snap.caches.clone(), Vec::new()),
         };
         mem.apply_delta(&snap.mem_delta)?;
         // Baseline for the dirty-only fork restore: from here on the
         // written flags name the buffers golden advancement touches.
         mem.reset_write_tracking();
+        spans.extend(snapshots.golden_spans_from(snap.at_tile));
         Ok(Some(WarmState {
             mem,
             caches,
@@ -531,6 +382,7 @@ impl Engine {
             l2_resident_samples: snap.l2_resident_samples,
             next_tile: snap.at_tile,
             resume_tile: snap.at_tile,
+            spans,
             gen: NEXT_WARM_GEN.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         }))
     }
@@ -585,76 +437,12 @@ impl Engine {
         Ok(advanced)
     }
 
-    /// Forks `warm` (copy into the scratch spares; `warm` itself is
-    /// untouched) and runs the suffix from `warm.next_tile()` under
-    /// `strike`. `bucket_spans` is the bucket's precomputed golden
-    /// suffix span union (`SnapshotSet::golden_spans_from` at the
-    /// bucket's resume tile); the returned dirty region is the run's own
-    /// store log union those spans — exactly what an unbatched
-    /// differential run would report.
-    ///
-    /// # Errors
-    ///
-    /// [`AccelError::StrikeOutOfRange`] if the strike instant is past
-    /// the last tile or before `warm.next_tile()` (the fork would replay
-    /// past the delivery instant); propagates program errors.
-    pub fn run_forked<P, R>(
-        &self,
-        program: &mut P,
-        strike: &StrikeSpec,
-        rng: &mut R,
-        warm: &WarmState,
-        bucket_spans: &[(usize, usize)],
-        scratch: &mut RunScratch,
-    ) -> Result<RunOutcome, AccelError>
-    where
-        P: TiledProgram + ?Sized,
-        R: Rng + ?Sized,
-    {
-        let req = RunRequest {
-            scratch: Some(scratch),
-            warm: Some(warm),
-            bucket_spans: Some(bucket_spans),
-            ..RunRequest::plain(std::slice::from_ref(strike))
-        };
-        Ok(self.run_internal(program, req, rng, None)?.0)
-    }
-
-    /// [`Engine::run_forked`] with a per-tile [`ExecutionTrace`]
-    /// covering the forked suffix — the same tiles an unbatched resumed
-    /// trace covers once filtered to positions `>= strike.at_tile`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Engine::run_forked`].
-    pub fn run_forked_traced<P, R>(
-        &self,
-        program: &mut P,
-        strike: &StrikeSpec,
-        rng: &mut R,
-        warm: &WarmState,
-        bucket_spans: &[(usize, usize)],
-        scratch: &mut RunScratch,
-    ) -> Result<(RunOutcome, ExecutionTrace), AccelError>
-    where
-        P: TiledProgram + ?Sized,
-        R: Rng + ?Sized,
-    {
-        let mut trace = ExecutionTrace::new();
-        let req = RunRequest {
-            scratch: Some(scratch),
-            warm: Some(warm),
-            bucket_spans: Some(bucket_spans),
-            ..RunRequest::plain(std::slice::from_ref(strike))
-        };
-        let (outcome, _) = self.run_internal(program, req, rng, Some(&mut trace))?;
-        Ok((outcome, trace))
-    }
-
     fn run_internal<P, R>(
         &self,
         program: &mut P,
-        req: RunRequest<'_>,
+        strikes: &[StrikeSpec],
+        capture: Option<SnapshotPolicy>,
+        mut fork: Option<(&WarmState, &mut RunScratch)>,
         rng: &mut R,
         mut trace: Option<&mut ExecutionTrace>,
     ) -> Result<(RunOutcome, SnapshotSet), AccelError>
@@ -666,7 +454,7 @@ impl Engine {
         let launch_tiles = program.tiles_per_launch().min(tiles).max(1);
         let threads_per_tile = program.threads_per_tile();
         let local_mem = program.local_mem_per_tile();
-        for s in req.strikes {
+        for s in strikes {
             if s.at_tile >= tiles {
                 return Err(AccelError::StrikeOutOfRange {
                     tile: s.at_tile,
@@ -675,7 +463,7 @@ impl Engine {
             }
             // A fork replays tiles from `next_tile` on; a strike before
             // that instant could never be delivered.
-            if let Some(w) = req.warm {
+            if let Some((w, _)) = &fork {
                 if s.at_tile < w.next_tile {
                     return Err(AccelError::StrikeOutOfRange {
                         tile: s.at_tile,
@@ -687,111 +475,37 @@ impl Engine {
 
         let mut phase_start = self.metrics.as_ref().map(|_| Instant::now());
         let resumable = program.resumable();
-        let mut scratch = req.scratch;
-
-        // Differential resume: the latest snapshot at or before the first
-        // strike tile. Only resumable programs qualify; capture runs are
-        // full golden runs by construction. Resuming is sound because the
-        // engine's only cross-tile state is (mem, caches, counters), all
-        // restored below, and no strike perturbs anything before its
-        // tile — so golden state at tile r equals *any* run's state at r
-        // for r ≤ the first strike tile.
-        let resume: Option<&EngineSnapshot> = if resumable && req.capture.is_none() {
-            req.snapshots.and_then(|set| {
-                let first = req.strikes.iter().map(|s| s.at_tile).min()?;
-                set.resume_point(first)
-            })
-        } else {
-            None
-        };
-        let forked = req.warm.is_some();
-        let resumed = resume.is_some() || forked;
 
         let (mut mem, mut caches, mut totals, mut l2_resident_samples, start_tile) =
-            if let Some(w) = req.warm {
-                // Fork: copy the bucket's warm state into the scratch spares
-                // (or clone without a scratch). The warm state already sits
-                // at `next_tile`, prefix replay included, so the fork starts
-                // right at the strike instant.
-                let (mem, caches) = match scratch.as_deref_mut() {
-                    Some(sc) => {
-                        // Same warm state as the previous fork: only the
-                        // buffers written on either side since that sync can
-                        // differ, so skip the rest of the image copy.
-                        let mem = match (sc.spare_origin == Some(w.gen), sc.spare.take()) {
-                            (true, Some(mut m)) => {
-                                m.restore_written_from(&w.mem);
-                                m
-                            }
-                            (_, spare) => {
-                                sc.spare_origin = Some(w.gen);
-                                sc.spare = spare;
-                                RunScratch::fill(&mut sc.spare, &w.mem)
-                            }
-                        };
-                        (mem, sc.caches_of(&w.caches))
-                    }
-                    None => (w.mem.clone(), w.caches.clone()),
-                };
-                (mem, caches, w.counters, w.l2_resident_samples, w.next_tile)
-            } else {
-                match resume {
-                    Some(snap) => {
-                        // Snapshots hold memory as a delta against the
-                        // post-setup image, so resume starts from that image —
-                        // the scratch template when available, else a fresh
-                        // setup — and overlays the buffers the golden prefix
-                        // wrote.
-                        let (mut mem, caches) = match scratch.as_deref_mut() {
-                            Some(sc) => {
-                                sc.ensure_template(program)?;
-                                (sc.image_of_template(), sc.caches_of(&snap.caches))
-                            }
-                            None => {
-                                let mut m = DeviceMemory::new();
-                                program.setup(&mut m)?;
-                                (m, snap.caches.clone())
-                            }
-                        };
-                        mem.apply_delta(&snap.mem_delta)?;
-                        (
-                            mem,
-                            caches,
-                            snap.counters,
-                            snap.l2_resident_samples,
-                            snap.at_tile,
-                        )
-                    }
-                    None => {
-                        let mem = match scratch.as_deref_mut().filter(|_| resumable) {
-                            Some(sc) => {
-                                sc.ensure_template(program)?;
-                                sc.image_of_template()
-                            }
-                            None => {
-                                let mut m = DeviceMemory::new();
-                                program.setup(&mut m)?;
-                                m
-                            }
-                        };
-                        (
-                            mem,
-                            CacheHierarchy::new(&self.cfg),
-                            MachineCounters::default(),
-                            0.0,
-                            0,
-                        )
-                    }
+            match fork.as_mut() {
+                // Fork: copy the bucket's warm state into the scratch
+                // spares. The warm state already sits at `next_tile`,
+                // prefix replay included, so the fork starts right at
+                // the strike instant.
+                Some((w, sc)) => (
+                    sc.memory_of(w),
+                    sc.caches_of(&w.caches),
+                    w.counters,
+                    w.l2_resident_samples,
+                    w.next_tile,
+                ),
+                None => {
+                    let mut m = DeviceMemory::new();
+                    program.setup(&mut m)?;
+                    (
+                        m,
+                        CacheHierarchy::new(&self.cfg),
+                        MachineCounters::default(),
+                        0.0,
+                        0,
+                    )
                 }
             };
         let plan = DispatchPlan::new(&self.cfg, tiles, launch_tiles, threads_per_tile, local_mem);
 
         if let Some(m) = self.metrics.as_deref() {
             m.counter_add("radcrit_engine_runs_total", &[], 1);
-            if resumed {
-                m.counter_add("radcrit_engine_resumed_runs_total", &[], 1);
-            }
-            if forked {
+            if fork.is_some() {
                 m.counter_add("radcrit_engine_forked_runs_total", &[], 1);
             }
             plan.observe(m);
@@ -803,37 +517,34 @@ impl Engine {
         // memory image plus a bound on cache metadata — the hierarchy
         // cannot hold more distinct lines than the memory footprint).
         let mut set = SnapshotSet::default();
-        let capture_plan = req
-            .capture
-            .filter(|_| resumable && tiles > 0)
-            .map(|policy| {
-                let budget = policy.budget();
-                let stride = if policy.stride > 0 {
-                    policy.stride
-                } else {
-                    // Snapshots store only written buffers (≈ the output) plus
-                    // cache metadata bounded by what can be resident at once.
-                    let line = caches.line_bytes().max(1);
-                    let out_bytes = mem.len_of(program.output()).unwrap_or(0) * 8;
-                    let capacity =
-                        self.cfg.l2().size_bytes + self.cfg.units() * self.cfg.l1().size_bytes;
-                    let resident = mem.total_bytes().min(capacity);
-                    let est = out_bytes + caches.approx_heap_bytes() + resident / line * 48;
-                    let max_snaps = (budget / est.max(1)).max(1);
-                    tiles.div_ceil(max_snaps).max(1)
-                };
-                (stride, budget)
-            });
+        let capture_plan = capture.filter(|_| resumable && tiles > 0).map(|policy| {
+            let budget = policy.budget();
+            let stride = if policy.stride > 0 {
+                policy.stride
+            } else {
+                // Snapshots store only written buffers (≈ the output) plus
+                // cache metadata bounded by what can be resident at once.
+                let line = caches.line_bytes().max(1);
+                let out_bytes = mem.len_of(program.output()).unwrap_or(0) * 8;
+                let capacity =
+                    self.cfg.l2().size_bytes + self.cfg.units() * self.cfg.l1().size_bytes;
+                let resident = mem.total_bytes().min(capacity);
+                let est = out_bytes + caches.approx_heap_bytes() + resident / line * 48;
+                let max_snaps = (budget / est.max(1)).max(1);
+                tiles.div_ceil(max_snaps).max(1)
+            };
+            (stride, budget)
+        });
         if capture_plan.is_some() {
             // Delta tracking baseline: the post-setup image.
             mem.reset_write_tracking();
         }
 
         // Record output-buffer stores when capturing (to know the golden
-        // suffix spans) and when resumed (to know the faulty run's own
+        // suffix spans) and when forked (to know the faulty run's own
         // dirty spans, including redirects landing before the resume
         // point).
-        let mut store_log = if capture_plan.is_some() || resumed {
+        let mut store_log = if capture_plan.is_some() || fork.is_some() {
             Some(StoreLog::new(program.output()))
         } else {
             None
@@ -858,7 +569,7 @@ impl Engine {
         // exactly the golden values. Stop executing; the caller skips
         // the compare. Gated on resumable programs only (pathological
         // kernels fail via cross-tile engine state this proof ignores).
-        let last_strike_tile = req.strikes.iter().map(|s| s.at_tile).max();
+        let last_strike_tile = strikes.iter().map(|s| s.at_tile).max();
         let mut golden_equivalent = false;
         let prof = profiling_enabled();
 
@@ -884,7 +595,7 @@ impl Engine {
                 }
             }
 
-            for s in req.strikes {
+            for s in strikes {
                 if s.at_tile == pos {
                     let resolution = self.deliver_strike(
                         s,
@@ -966,7 +677,6 @@ impl Engine {
 
             if let Some(last) = last_strike_tile {
                 if resumable
-                    && capture_plan.is_none()
                     && pos >= last
                     && armed_faults.is_empty()
                     && skip_positions.is_empty()
@@ -1002,42 +712,19 @@ impl Engine {
                 ))
             })?;
 
-        // Hand the memory image and cache hierarchy back for the next
-        // run to restore in place (the taken output buffer is the only
-        // reallocation).
-        if let Some(sc) = scratch.as_deref_mut() {
-            if resumable {
-                sc.spare = Some(mem);
-                // A non-forked run's image (and written flags) no longer
-                // mirror any warm state; forked runs keep their sync.
-                if !forked {
-                    sc.spare_origin = None;
-                }
-            }
-        }
-
-        // The dirty output region of a resumed run: elements this run
-        // actually stored (plus corrupted write-backs) union the golden
-        // suffix spans — a tile the fault skipped keeps golden-at-resume
-        // bytes that the golden suffix would have overwritten, so both
-        // sides are needed.
-        // A forked run's store log starts at the strike tile, not the
-        // bucket's resume tile — but the golden stores in between are a
-        // subset of the bucket's precomputed golden spans, so the union
-        // covers the same elements either way.
-        let dirty = match (resumed, req.bucket_spans, req.snapshots) {
-            (true, Some(pre), _) => {
-                let mut spans = store_log.map(|l| l.spans).unwrap_or_default();
-                spans.extend_from_slice(pre);
-                Some(DirtyRegion::from_spans(spans, output.len()))
-            }
-            (true, None, Some(snaps)) => {
-                let mut spans = store_log.map(|l| l.spans).unwrap_or_default();
-                spans.extend(snaps.golden_spans_from(start_tile));
-                Some(DirtyRegion::from_spans(spans, output.len()))
-            }
-            _ => None,
-        };
+        // The dirty output region of a forked run: elements this run
+        // actually stored (plus corrupted write-backs) union the bucket's
+        // golden suffix spans — a tile the fault skipped keeps
+        // golden-at-resume bytes that the golden suffix would have
+        // overwritten, so both sides are needed. The fork's store log
+        // starts at the strike tile, not the bucket's resume tile, but
+        // the golden stores in between are a subset of the bucket's
+        // spans, so the union covers them either way.
+        let dirty = fork.as_ref().map(|(w, _)| {
+            let mut spans = store_log.map(|l| l.spans).unwrap_or_default();
+            spans.extend_from_slice(&w.spans);
+            DirtyRegion::from_spans(spans, output.len())
+        });
 
         let stats = caches.stats();
         let line_bytes = caches.line_bytes() as f64;
@@ -1068,10 +755,12 @@ impl Engine {
             ) * self.cfg.units() as f64,
         };
 
-        if let Some(sc) = scratch {
-            if resumable {
-                sc.spare_caches = Some(caches);
-            }
+        // Hand the memory image and cache hierarchy back for the next
+        // fork to restore in place (the taken output buffer is the only
+        // reallocation).
+        if let Some((_, sc)) = fork {
+            sc.spare = Some(mem);
+            sc.spare_caches = Some(caches);
         }
 
         self.phase_done("flush", &mut phase_start);
@@ -1215,35 +904,6 @@ impl Engine {
     }
 }
 
-/// Parameters of one engine execution beyond the program itself.
-struct RunRequest<'a> {
-    strikes: &'a [StrikeSpec],
-    /// Golden-prefix snapshots enabling differential resume.
-    snapshots: Option<&'a SnapshotSet>,
-    /// Capture snapshots during this (golden) run.
-    capture: Option<SnapshotPolicy>,
-    /// Per-worker reusable setup/memory state.
-    scratch: Option<&'a mut RunScratch>,
-    /// Fork off this warm golden state instead of restoring a snapshot.
-    warm: Option<&'a WarmState>,
-    /// Precomputed golden suffix spans for the warm state's bucket,
-    /// replacing the per-run `golden_spans_from` walk.
-    bucket_spans: Option<&'a [(usize, usize)]>,
-}
-
-impl<'a> RunRequest<'a> {
-    fn plain(strikes: &'a [StrikeSpec]) -> Self {
-        RunRequest {
-            strikes,
-            snapshots: None,
-            capture: None,
-            scratch: None,
-            warm: None,
-            bucket_spans: None,
-        }
-    }
-}
-
 /// An RNG that panics if consulted — used for golden runs, which must be
 /// deterministic and never sample anything.
 #[derive(Debug)]
@@ -1368,7 +1028,7 @@ mod tests {
             },
         );
         assert!(matches!(
-            engine.run(&mut p, &s, &mut rng),
+            engine.run(&mut p, &[s], &mut rng, None, None),
             Err(AccelError::StrikeOutOfRange {
                 tile: 100,
                 tiles: 8
@@ -1388,7 +1048,7 @@ mod tests {
                 op_index: 2,
             },
         );
-        let out = engine.run(&mut p, &s, &mut rng).unwrap();
+        let out = engine.run(&mut p, &[s], &mut rng, None, None).unwrap();
         assert!(out.strike_delivered);
         let exp = expected(64);
         let diffs: Vec<usize> = (0..64).filter(|&i| out.output[i] != exp[i]).collect();
@@ -1408,7 +1068,7 @@ mod tests {
                 op_index: 1000,
             },
         );
-        let out = engine.run(&mut p, &s, &mut rng).unwrap();
+        let out = engine.run(&mut p, &[s], &mut rng, None, None).unwrap();
         assert_eq!(out.output, expected(64), "op index beyond work is masked");
     }
 
@@ -1425,7 +1085,7 @@ mod tests {
                 op_index: 0,
             },
         );
-        let out = engine.run(&mut p, &s, &mut rng).unwrap();
+        let out = engine.run(&mut p, &[s], &mut rng, None, None).unwrap();
         let exp = expected(64);
         let diffs: Vec<usize> = (0..64).filter(|&i| out.output[i] != exp[i]).collect();
         assert_eq!(diffs.len(), 4, "four consecutive lanes corrupted");
@@ -1441,7 +1101,7 @@ mod tests {
         let mut p = Affine::new(64);
         let mut rng = SmallRng::seed_from_u64(4);
         let s = StrikeSpec::new(2, StrikeTarget::Scheduler(SchedulerEffect::SkipTile));
-        let out = engine.run(&mut p, &s, &mut rng).unwrap();
+        let out = engine.run(&mut p, &[s], &mut rng, None, None).unwrap();
         let exp = expected(64);
         for (i, (&got, &want)) in out.output.iter().zip(&exp).enumerate() {
             if (16..24).contains(&i) {
@@ -1458,7 +1118,7 @@ mod tests {
         let mut p = Affine::new(64);
         let mut rng = SmallRng::seed_from_u64(5);
         let s = StrikeSpec::new(5, StrikeTarget::Scheduler(SchedulerEffect::GarbleTile));
-        let out = engine.run(&mut p, &s, &mut rng).unwrap();
+        let out = engine.run(&mut p, &[s], &mut rng, None, None).unwrap();
         let exp = expected(64);
         let diffs = (40..48).filter(|&i| out.output[i] != exp[i]).count();
         // Stale-value garble lets the occasional op through correctly.
@@ -1475,7 +1135,7 @@ mod tests {
         let mut p = Affine::new(64);
         let mut rng = SmallRng::seed_from_u64(6);
         let s = StrikeSpec::new(1, StrikeTarget::Scheduler(SchedulerEffect::RedirectTile));
-        let out = engine.run(&mut p, &s, &mut rng).unwrap();
+        let out = engine.run(&mut p, &[s], &mut rng, None, None).unwrap();
         let exp = expected(64);
         // Tile 1's own region was never written by tile 1: it is either
         // zero (stale) or correct (if the redirect destination was tile 1
@@ -1491,7 +1151,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(7);
         // Strike early so later tiles read corrupted input.
         let s = StrikeSpec::new(1, StrikeTarget::L2 { mask: 1 << 62 });
-        let out = engine.run(&mut p, &s, &mut rng).unwrap();
+        let out = engine.run(&mut p, &[s], &mut rng, None, None).unwrap();
         assert!(out.strike_delivered);
         let exp = expected(64);
         let diffs = (0..64).filter(|&i| out.output[i] != exp[i]).count();
@@ -1526,7 +1186,7 @@ mod tests {
             ),
             StrikeSpec::new(6, StrikeTarget::Scheduler(SchedulerEffect::SkipTile)),
         ];
-        let out = engine.run_multi(&mut p, &strikes, &mut rng).unwrap();
+        let out = engine.run(&mut p, &strikes, &mut rng, None, None).unwrap();
         let exp = expected(64);
         let diffs: Vec<usize> = (0..64).filter(|&i| out.output[i] != exp[i]).collect();
         // Two single-op flips plus one skipped 8-element tile.
@@ -1542,7 +1202,7 @@ mod tests {
         let mut p = Affine::new(64);
         let mut rng = SmallRng::seed_from_u64(23);
         let s = StrikeSpec::new(7, StrikeTarget::Scheduler(SchedulerEffect::SkipTile));
-        let out = engine.run(&mut p, &s, &mut rng).unwrap();
+        let out = engine.run(&mut p, &[s], &mut rng, None, None).unwrap();
         let exp = expected(64);
         assert!((56..64).all(|i| out.output[i] == 0.0));
         assert!((0..56).all(|i| out.output[i] == exp[i]));
@@ -1557,7 +1217,7 @@ mod tests {
         let golden = engine.golden(&mut p).unwrap();
         let mut rng = SmallRng::seed_from_u64(24);
         let s = StrikeSpec::new(0, StrikeTarget::Scheduler(SchedulerEffect::SkipTile));
-        let faulty = engine.run(&mut p, &s, &mut rng).unwrap();
+        let faulty = engine.run(&mut p, &[s], &mut rng, None, None).unwrap();
         assert_eq!(faulty.profile.tiles, golden.profile.tiles);
         assert_eq!(faulty.profile.wave_size, golden.profile.wave_size);
         assert_eq!(faulty.profile.total_ops, golden.profile.total_ops - 8);
@@ -1568,7 +1228,7 @@ mod tests {
         let engine = Engine::new(DeviceConfig::kepler_k40());
         let mut p = Affine::new(64);
         let mut rng = SmallRng::seed_from_u64(22);
-        let out = engine.run_multi(&mut p, &[], &mut rng).unwrap();
+        let out = engine.run(&mut p, &[], &mut rng, None, None).unwrap();
         assert_eq!(out.output, expected(64));
         assert!(!out.strike_delivered);
     }
@@ -1585,7 +1245,7 @@ mod tests {
                 op_index: 2,
             },
         );
-        let out = engine.run(&mut p, &s, &mut rng).unwrap();
+        let out = engine.run(&mut p, &[s], &mut rng, None, None).unwrap();
         assert_eq!(out.resolutions.len(), 1);
         let r = out.resolutions[0];
         assert_eq!(r.at_tile, 3);
@@ -1602,7 +1262,7 @@ mod tests {
         let mut p = Affine::new(64);
         let mut rng = SmallRng::seed_from_u64(6);
         let s = StrikeSpec::new(1, StrikeTarget::Scheduler(SchedulerEffect::RedirectTile));
-        let out = engine.run(&mut p, &s, &mut rng).unwrap();
+        let out = engine.run(&mut p, &[s], &mut rng, None, None).unwrap();
         let r = out.resolutions[0];
         assert_eq!(r.site, "scheduler");
         let dest = r.redirect_dest.expect("redirect resolves a destination");
@@ -1625,7 +1285,7 @@ mod tests {
                 op_index: 0,
             },
         );
-        let out = engine.run(&mut p, &s, &mut rng).unwrap();
+        let out = engine.run(&mut p, &[s], &mut rng, None, None).unwrap();
         let victim = out.resolutions[0].victim_tile.unwrap();
         let exp = expected(64);
         let diffs: Vec<usize> = (0..64).filter(|&i| out.output[i] != exp[i]).collect();
@@ -1647,9 +1307,12 @@ mod tests {
             },
         );
         let mut rng_a = SmallRng::seed_from_u64(42);
-        let plain = engine.run(&mut p, &s, &mut rng_a).unwrap();
+        let plain = engine.run(&mut p, &[s], &mut rng_a, None, None).unwrap();
         let mut rng_b = SmallRng::seed_from_u64(42);
-        let (traced, trace) = engine.run_traced(&mut p, &s, &mut rng_b).unwrap();
+        let mut trace = ExecutionTrace::new();
+        let traced = engine
+            .run(&mut p, &[s], &mut rng_b, None, Some(&mut trace))
+            .unwrap();
         assert_eq!(plain.output, traced.output);
         assert_eq!(plain.resolutions, traced.resolutions);
         assert_eq!(trace.tiles().len(), 8);
@@ -1721,59 +1384,29 @@ mod tests {
         assert_eq!(set.skipped_tiles(), 8);
     }
 
-    #[test]
-    fn resumed_run_is_bit_identical_across_targets() {
-        let engine = Engine::new(DeviceConfig::kepler_k40());
-        let mut p = Affine::new(64);
-        let (_, set) = engine
-            .golden_snapshotted(
-                &mut p,
-                &SnapshotPolicy {
-                    stride: 3,
-                    max_bytes: 0,
-                },
-            )
-            .unwrap();
-        let targets = [
-            StrikeTarget::L2 { mask: 1 << 62 },
-            StrikeTarget::Fpu {
-                mask: 1 << 63,
-                op_index: 2,
-            },
-            StrikeTarget::Scheduler(SchedulerEffect::RedirectTile),
-            StrikeTarget::Scheduler(SchedulerEffect::SkipTile),
-            StrikeTarget::UnitGarble,
-        ];
-        for (i, target) in targets.iter().enumerate() {
-            for at_tile in [0, 4, 7] {
-                let s = StrikeSpec::new(at_tile, *target);
-                let seed = 100 + i as u64;
-                let mut rng_full = SmallRng::seed_from_u64(seed);
-                let full = engine.run(&mut p, &s, &mut rng_full).unwrap();
-                let mut rng_diff = SmallRng::seed_from_u64(seed);
-                let diff = engine.run_from(&mut p, &s, &mut rng_diff, &set).unwrap();
-                assert_eq!(
-                    bits(&full.output),
-                    bits(&diff.output),
-                    "{target:?}@{at_tile}"
-                );
-                assert_eq!(full.resolutions, diff.resolutions);
-                assert_eq!(full.profile, diff.profile);
-                assert_eq!(full.strike_delivered, diff.strike_delivered);
-                // The dirty region must cover every mismatch vs golden.
-                let dirty = diff.dirty.expect("resumed run reports its dirty region");
-                let golden = engine.golden(&mut p).unwrap();
-                for idx in 0..full.output.len() {
-                    if full.output[idx].to_bits() != golden.output[idx].to_bits() {
-                        assert!(dirty.contains(idx), "{target:?}@{at_tile}: idx {idx} dirty");
-                    }
-                }
-            }
-        }
+    /// Forks `s` off a fresh warm bucket restored from `set` and
+    /// advanced to the strike tile: a bucket holding a single fork.
+    fn fork_once<P: TiledProgram>(
+        engine: &Engine,
+        p: &mut P,
+        set: &SnapshotSet,
+        s: StrikeSpec,
+        seed: u64,
+        scratch: &mut RunScratch,
+    ) -> RunOutcome {
+        let mut warm = engine
+            .warm_restore(p, set, s.at_tile, scratch, None)
+            .unwrap()
+            .expect("a snapshot covers the strike");
+        engine.warm_advance(p, &mut warm, s.at_tile).unwrap();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        engine
+            .run(p, &[s], &mut rng, Some((&warm, scratch)), None)
+            .unwrap()
     }
 
     #[test]
-    fn forked_run_is_bit_identical_to_full_and_resumed_runs() {
+    fn forked_run_is_bit_identical_to_reference_run() {
         let engine = Engine::new(DeviceConfig::kepler_k40());
         let mut p = Affine::new(64);
         let (_, set) = engine
@@ -1799,23 +1432,19 @@ mod tests {
         let mut scratch = RunScratch::new();
         let mut warm: Option<WarmState> = None;
         for (i, target) in targets.iter().enumerate() {
-            // Ascending strike tiles within one bucket: the warm state
-            // advances monotonically like the batch scheduler drives it.
-            for at_tile in [3, 5, 7] {
+            // Ascending strike tiles: the warm state advances
+            // monotonically like the batch scheduler drives it, and
+            // restores when a strike crosses into the next bucket.
+            for at_tile in [0, 3, 4, 5, 7] {
                 let s = StrikeSpec::new(at_tile, *target);
                 let seed = 300 + i as u64;
                 let mut rng_full = SmallRng::seed_from_u64(seed);
-                let full = engine.run(&mut p, &s, &mut rng_full).unwrap();
-                let mut rng_diff = SmallRng::seed_from_u64(seed);
-                let diff = engine.run_from(&mut p, &s, &mut rng_diff, &set).unwrap();
+                let full = engine.run(&mut p, &[s], &mut rng_full, None, None).unwrap();
+                assert!(full.dirty.is_none(), "reference runs have no dirty region");
 
-                let need_restore = match warm.as_ref() {
-                    Some(w) => {
-                        w.resume_tile() != set.resume_tile(at_tile).unwrap()
-                            || w.next_tile() > at_tile
-                    }
-                    None => true,
-                };
+                let need_restore = warm.as_ref().is_none_or(|w| {
+                    w.resume_tile() != set.resume_tile(at_tile).unwrap() || w.next_tile() > at_tile
+                });
                 if need_restore {
                     warm = engine
                         .warm_restore(&mut p, &set, at_tile, &mut scratch, warm.take())
@@ -1823,10 +1452,9 @@ mod tests {
                 }
                 let w = warm.as_mut().unwrap();
                 engine.warm_advance(&mut p, w, at_tile).unwrap();
-                let spans: Vec<_> = set.golden_spans_from(w.resume_tile()).collect();
                 let mut rng_fork = SmallRng::seed_from_u64(seed);
                 let fork = engine
-                    .run_forked(&mut p, &s, &mut rng_fork, w, &spans, &mut scratch)
+                    .run(&mut p, &[s], &mut rng_fork, Some((w, &mut scratch)), None)
                     .unwrap();
 
                 assert_eq!(
@@ -1837,19 +1465,11 @@ mod tests {
                 assert_eq!(full.resolutions, fork.resolutions);
                 assert_eq!(full.profile, fork.profile);
                 assert_eq!(full.strike_delivered, fork.strike_delivered);
-                // The forked dirty region equals the unbatched one: both
-                // canonicalize the same covered element set.
-                assert_eq!(
-                    diff.dirty.as_ref().unwrap().ranges(),
-                    fork.dirty.as_ref().unwrap().ranges(),
-                    "{target:?}@{at_tile}"
-                );
+                // The dirty region must cover every mismatch vs golden.
+                let dirty = fork.dirty.expect("forked run reports its dirty region");
                 for idx in 0..full.output.len() {
                     if full.output[idx].to_bits() != golden.output[idx].to_bits() {
-                        assert!(
-                            fork.dirty.as_ref().unwrap().contains(idx),
-                            "{target:?}@{at_tile}: idx {idx} dirty"
-                        );
+                        assert!(dirty.contains(idx), "{target:?}@{at_tile}: idx {idx} dirty");
                     }
                 }
             }
@@ -1885,7 +1505,7 @@ mod tests {
         );
         let mut rng = SmallRng::seed_from_u64(0);
         assert!(matches!(
-            engine.run_forked(&mut p, &s, &mut rng, &warm, &[], &mut scratch),
+            engine.run(&mut p, &[s], &mut rng, Some((&warm, &mut scratch)), None),
             Err(AccelError::StrikeOutOfRange { tile: 5, tiles: 6 })
         ));
     }
@@ -1918,28 +1538,16 @@ mod tests {
         );
         let mut scratch = RunScratch::new();
         for _ in 0..3 {
-            let mut rng_a = SmallRng::seed_from_u64(9);
-            let a = engine
-                .run_injection(&mut p, &s, &mut rng_a, Some(&set), &mut scratch)
-                .unwrap();
+            let a = fork_once(&engine, &mut p, &set, s, 9, &mut scratch);
             let mut rng_b = SmallRng::seed_from_u64(9);
-            let b = engine.run(&mut p, &s, &mut rng_b).unwrap();
+            let b = engine.run(&mut p, &[s], &mut rng_b, None, None).unwrap();
             assert_eq!(bits(&a.output), bits(&b.output));
             assert_eq!(a.profile, b.profile);
         }
-        // Scratch also serves full (non-resumed) runs without snapshots.
-        let mut rng_a = SmallRng::seed_from_u64(11);
-        let a = engine
-            .run_injection(&mut p, &s, &mut rng_a, None, &mut scratch)
-            .unwrap();
-        let mut rng_b = SmallRng::seed_from_u64(11);
-        let b = engine.run(&mut p, &s, &mut rng_b).unwrap();
-        assert_eq!(bits(&a.output), bits(&b.output));
-        assert!(a.dirty.is_none(), "full runs have no dirty region");
     }
 
     #[test]
-    fn non_resumable_program_gets_no_snapshots_and_full_runs() {
+    fn non_resumable_program_gets_no_snapshots_and_no_fork() {
         /// Affine with per-run observable state, like the pathological
         /// test kernel.
         #[derive(Debug)]
@@ -1981,19 +1589,20 @@ mod tests {
             .unwrap();
         assert!(set.is_empty());
         assert_eq!(out.output, expected(64));
-        // Passing a foreign snapshot set must not resume either.
+        // A foreign snapshot set must not restore either.
         let mut donor = Affine::new(64);
         let (_, donor_set) = engine
             .golden_snapshotted(&mut donor, &SnapshotPolicy::default())
             .unwrap();
-        let s = StrikeSpec::new(7, StrikeTarget::Scheduler(SchedulerEffect::SkipTile));
-        let mut rng = SmallRng::seed_from_u64(3);
-        let run = engine.run_from(&mut p, &s, &mut rng, &donor_set).unwrap();
-        assert!(run.dirty.is_none(), "non-resumable programs run full");
+        let mut scratch = RunScratch::new();
+        assert!(engine
+            .warm_restore(&mut p, &donor_set, 7, &mut scratch, None)
+            .unwrap()
+            .is_none());
     }
 
     #[test]
-    fn resumed_metrics_counted() {
+    fn forked_metrics_counted() {
         let metrics = std::sync::Arc::new(MetricsRegistry::new());
         let engine = Engine::new(DeviceConfig::kepler_k40()).with_metrics(metrics.clone());
         let mut p = Affine::new(64);
@@ -2007,11 +1616,10 @@ mod tests {
                 op_index: 0,
             },
         );
-        let mut rng = SmallRng::seed_from_u64(4);
-        engine.run_from(&mut p, &s, &mut rng, &set).unwrap();
+        fork_once(&engine, &mut p, &set, s, 4, &mut RunScratch::new());
         let snap = metrics.snapshot();
         assert_eq!(
-            snap.counter("radcrit_engine_resumed_runs_total", &[]),
+            snap.counter("radcrit_engine_forked_runs_total", &[]),
             Some(1)
         );
         assert!(snap.gauge("radcrit_snapshot_bytes", &[]).unwrap_or(0.0) > 0.0);

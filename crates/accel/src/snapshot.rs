@@ -5,14 +5,14 @@
 //! to the golden run's state at `r` for any `r ≤ strike.at_tile`. A
 //! [`SnapshotSet`] captures that state (device memory, cache hierarchy,
 //! running counters) at a tile stride during the golden run; an
-//! injection then resumes from the nearest snapshot at or before its
+//! injection then forks off the nearest snapshot at or before its
 //! strike tile instead of re-executing the whole prefix — see
-//! `Engine::run_from`.
+//! `Engine::warm_restore` and `Engine::run`.
 //!
 //! Snapshots are byte-bounded: a [`SnapshotPolicy`] caps the whole set,
 //! and capture points that would exceed the budget are skipped (and
 //! counted), never silently truncating correctness — a strike landing
-//! before the first usable snapshot simply falls back to a full run.
+//! before the first usable snapshot simply runs from tile 0.
 
 use crate::cache::CacheHierarchy;
 use crate::memory::BufferId;

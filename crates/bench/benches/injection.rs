@@ -46,7 +46,7 @@ fn bench_injected_vs_golden(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(9);
         b.iter(|| {
             let out = engine
-                .run(kernel.as_mut(), &strike, &mut rng)
+                .run(kernel.as_mut(), &[strike], &mut rng, None, None)
                 .expect("faulty run");
             std::hint::black_box(out.output.len())
         });
@@ -62,7 +62,7 @@ fn bench_injected_vs_golden(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(9);
         b.iter(|| {
             let out = engine
-                .run(kernel.as_mut(), &strike, &mut rng)
+                .run(kernel.as_mut(), &[strike], &mut rng, None, None)
                 .expect("faulty run");
             std::hint::black_box(out.output.len())
         });

@@ -1,26 +1,20 @@
-//! `diff-bench` — injections/sec benchmark of differential injection
-//! execution (golden-prefix snapshot resume + dirty-region compare) and
-//! the prefix-sharing batch scheduler (fork-per-strike off warm
-//! snapshots) against full per-injection re-execution.
+//! `diff-bench` — injections/sec benchmark of the campaign execution
+//! path: the prefix-sharing batch scheduler forking every strike off a
+//! warm golden-prefix snapshot, with a dirty-region compare.
 //!
 //! ```text
 //! diff-bench [--injections 60] [--n 256] [--workers 1] [--smoke]
 //!            [--out BENCH_6.json] [--history BENCH_HISTORY.jsonl]
 //! ```
 //!
-//! For each paper kernel the same campaign runs three times — with
-//! [`RunOptions::full_execution`] forced (every injection re-executes
-//! from tile 0), with differential mode but the batch scheduler off
-//! ([`RunOptions::no_batch`]), and with the default batched mode —
-//! against a pre-warmed golden cache, so the measured wall time is the
-//! injection phase. Science is bit-identical between the modes
-//! (asserted on the outcome counts); the speedup columns are the whole
-//! point. Exits non-zero when the batched DGEMM injection rate falls
-//! below 2.5× the committed pre-batching baseline (`--baseline`, the
-//! `full_inj_per_sec` of the DGEMM row in `BENCH_4.json`) — or, when no
-//! baseline file is present, below a 2.5× in-process speedup over full
-//! execution. `--smoke` relaxes the gates for tiny CI sizes where
-//! constant overheads dominate.
+//! For each paper kernel the campaign runs `--reps` times against a
+//! pre-warmed golden cache, so the measured wall time is the injection
+//! phase. Exits non-zero when no injection forked off a warm bucket, or
+//! when the batched DGEMM injection rate falls below 2.5× the committed
+//! pre-batching baseline (`--baseline`, the `full_inj_per_sec` of the
+//! DGEMM row in `BENCH_4.json`; skipped when the file is absent).
+//! `--smoke` relaxes the gates for tiny CI sizes where constant
+//! overheads dominate.
 //!
 //! Every run also appends one fingerprinted row per kernel (host,
 //! commit, active SIMD ISA, rates, top-5 self-time phases of a
@@ -112,52 +106,28 @@ struct Measurement {
     /// SIMD executor every mode of this measurement dispatched to.
     isa: String,
     injections: usize,
-    full_secs: f64,
-    diff_secs: f64,
     batch_secs: f64,
-    resumed_runs: u64,
     forked_runs: u64,
     bucket_restores: u64,
     skipped_tiles: u64,
     snapshot_bytes: f64,
-    outcomes_match: bool,
-    /// Top self-time phases of one profiled batched rep, hottest first.
+    /// Top self-time phases of one profiled rep, hottest first.
     top_phases: Vec<(String, u64)>,
 }
 
 impl Measurement {
-    fn full_rate(&self) -> f64 {
-        self.injections as f64 / self.full_secs.max(1e-9)
-    }
-    fn diff_rate(&self) -> f64 {
-        self.injections as f64 / self.diff_secs.max(1e-9)
-    }
     fn batch_rate(&self) -> f64 {
         self.injections as f64 / self.batch_secs.max(1e-9)
-    }
-    fn diff_speedup(&self) -> f64 {
-        self.full_secs / self.diff_secs.max(1e-9)
-    }
-    fn batch_speedup(&self) -> f64 {
-        self.full_secs / self.batch_secs.max(1e-9)
     }
 }
 
 /// Runs `campaign` `reps` times against a pre-warmed golden cache and
 /// returns the minimum injection-phase wall time (the repetition least
 /// disturbed by scheduler noise — the campaign itself is deterministic,
-/// so every repetition does identical work), the outcome tally, and the
-/// snapshot-set size the warm-up's golden capture reported.
-fn timed_run(
-    campaign: &Campaign,
-    full_execution: bool,
-    no_batch: bool,
-    reps: usize,
-    metrics: &Arc<MetricsRegistry>,
-) -> (f64, Vec<(String, usize)>, f64) {
-    // Warm a mode-private cache so the measured run's golden phase is a
-    // hit (differential entries carry snapshots, full ones do not —
-    // they must not share a cache or the second mode would refresh it).
+/// so every repetition does identical work) and the snapshot-set size
+/// the warm-up's golden capture reported.
+fn timed_run(campaign: &Campaign, reps: usize, metrics: &Arc<MetricsRegistry>) -> (f64, f64) {
+    // Warm the cache so the measured run's golden phase is a hit.
     let cache = Arc::new(GoldenCache::new(GoldenCache::DEFAULT_BYTES));
     let warm = Campaign {
         injections: 1,
@@ -165,8 +135,6 @@ fn timed_run(
     };
     let options = |metrics: Arc<MetricsRegistry>| RunOptions {
         golden_cache: Some(Arc::clone(&cache)),
-        full_execution,
-        no_batch,
         metrics: Some(metrics),
         ..RunOptions::default()
     };
@@ -182,26 +150,20 @@ fn timed_run(
         .unwrap_or(0.0);
 
     let mut secs = f64::INFINITY;
-    let mut tally: std::collections::BTreeMap<String, usize> = Default::default();
-    for rep in 0..reps.max(1) {
+    for _ in 0..reps.max(1) {
         let t0 = Instant::now();
-        let result = campaign
+        campaign
             .run_with(&options(Arc::clone(metrics)))
             .unwrap_or_else(|e| {
                 eprintln!("diff-bench: campaign failed: {e}");
                 exit(1)
             });
         secs = secs.min(t0.elapsed().as_secs_f64());
-        if rep == 0 {
-            for r in &result.records {
-                *tally.entry(r.outcome.tag().to_owned()).or_default() += 1;
-            }
-        }
     }
-    (secs, tally.into_iter().collect(), snapshot_bytes)
+    (secs, snapshot_bytes)
 }
 
-/// Runs one extra batched rep with the phase profiler on (against a
+/// Runs one extra rep with the phase profiler on (against a
 /// freshly warmed cache, like the timed reps) and returns the top-5
 /// self-time phases. Untimed: profiled reps never feed the rate
 /// columns, so the ≤5 % enabled-profiler overhead cannot skew them.
@@ -248,13 +210,8 @@ fn measure(
     let campaign =
         Campaign::new(DeviceConfig::kepler_k40(), spec, injections, 2017).with_workers(workers);
 
-    let full_metrics = Arc::new(MetricsRegistry::new());
-    let (full_secs, full_tally, _) = timed_run(&campaign, true, false, reps, &full_metrics);
-    let diff_metrics = Arc::new(MetricsRegistry::new());
-    let (diff_secs, diff_tally, snapshot_bytes) =
-        timed_run(&campaign, false, true, reps, &diff_metrics);
-    let batch_metrics = Arc::new(MetricsRegistry::new());
-    let (batch_secs, batch_tally, _) = timed_run(&campaign, false, false, reps, &batch_metrics);
+    let metrics = Arc::new(MetricsRegistry::new());
+    let (batch_secs, snapshot_bytes) = timed_run(&campaign, reps, &metrics);
 
     // Counters accumulate across repetitions of the identical campaign;
     // report the per-campaign figure.
@@ -265,15 +222,11 @@ fn measure(
         kernel: name.to_owned(),
         isa: radcrit_core::exec::active().name().to_owned(),
         injections,
-        full_secs,
-        diff_secs,
         batch_secs,
-        resumed_runs: per_rep(&diff_metrics, "radcrit_engine_resumed_runs_total"),
-        forked_runs: per_rep(&batch_metrics, "radcrit_engine_forked_runs_total"),
-        bucket_restores: per_rep(&batch_metrics, "radcrit_bucket_restores_total"),
-        skipped_tiles: per_rep(&diff_metrics, "radcrit_snapshot_skipped_tiles_total"),
+        forked_runs: per_rep(&metrics, "radcrit_engine_forked_runs_total"),
+        bucket_restores: per_rep(&metrics, "radcrit_bucket_restores_total"),
+        skipped_tiles: per_rep(&metrics, "radcrit_snapshot_skipped_tiles_total"),
         snapshot_bytes,
-        outcomes_match: full_tally == diff_tally && full_tally == batch_tally,
         top_phases: profiled_phases(&campaign),
     }
 }
@@ -309,47 +262,21 @@ fn main() {
         args.injections, args.workers, args.reps
     );
     println!(
-        "{:<16} {:>9} {:>9} {:>9} {:>11} {:>11} {:>8} {:>8} {:>8}",
-        "kernel",
-        "full s",
-        "diff s",
-        "batch s",
-        "full inj/s",
-        "batch in/s",
-        "diff",
-        "batch",
-        "forks"
+        "{:<16} {:>9} {:>11} {:>8} {:>9}",
+        "kernel", "batch s", "batch in/s", "forks", "restores"
     );
 
     let mut rows = Vec::new();
     for (name, spec) in kernels {
         let m = measure(&name, spec, args.injections, args.workers, args.reps);
         println!(
-            "{:<16} {:>9.3} {:>9.3} {:>9.3} {:>11.1} {:>11.1} {:>7.2}x {:>7.2}x {:>8}",
+            "{:<16} {:>9.3} {:>11.1} {:>8} {:>9}",
             m.kernel,
-            m.full_secs,
-            m.diff_secs,
             m.batch_secs,
-            m.full_rate(),
             m.batch_rate(),
-            m.diff_speedup(),
-            m.batch_speedup(),
             m.forked_runs,
+            m.bucket_restores,
         );
-        if !m.outcomes_match {
-            eprintln!(
-                "diff-bench: outcome tallies diverged between modes on {}",
-                m.kernel
-            );
-            exit(1)
-        }
-        if m.resumed_runs == 0 {
-            eprintln!(
-                "diff-bench: no injection resumed from a snapshot on {}",
-                m.kernel
-            );
-            exit(1)
-        }
         if m.forked_runs == 0 {
             eprintln!(
                 "diff-bench: no injection forked off a warm bucket on {}",
@@ -379,7 +306,6 @@ fn main() {
             kernel: m.kernel.clone(),
             isa: m.isa.clone(),
             batch_inj_per_sec: m.batch_rate(),
-            full_inj_per_sec: m.full_rate(),
             top_phases: m.top_phases.clone(),
         })
         .collect();
@@ -433,42 +359,31 @@ fn main() {
     }
     // Acceptance floor: 2.5x over the *committed* pre-batching full
     // rate (the baseline the batch scheduler was specified against).
-    // The in-process full mode also benefits from engine speedups that
-    // landed alongside batching, so it understates the delivered gain;
-    // it is only the fallback when no baseline file is around. The
-    // committed baseline was measured with the native executor, so a
-    // scalar-pinned run (correctness reference, not a perf claim) is
+    // The committed baseline was measured with the native executor, so
+    // a scalar-pinned run (correctness reference, not a perf claim) is
     // exempt.
     if isa != native {
         println!("skipping acceptance floor: active isa {isa} is pinned below native {native}");
         return;
     }
-    match baseline_dgemm_full_rate(&args.baseline) {
-        Some(base) => {
-            let gain = dgemm.batch_rate() / base.max(1e-9);
-            if gain < 2.5 {
-                eprintln!(
-                    "diff-bench: batched DGEMM at {:.1} inj/s is {:.2}x the committed \
-                     baseline of {:.1} inj/s ({}), below the 2.5x acceptance floor",
-                    dgemm.batch_rate(),
-                    gain,
-                    base,
-                    args.baseline.display()
-                );
-                exit(1)
-            }
-        }
-        None => {
-            if dgemm.batch_speedup() < 2.5 {
-                eprintln!(
-                    "diff-bench: no baseline at {}; in-process batched DGEMM speedup \
-                     {:.2}x is below the 2.5x acceptance floor",
-                    args.baseline.display(),
-                    dgemm.batch_speedup()
-                );
-                exit(1)
-            }
-        }
+    let Some(base) = baseline_dgemm_full_rate(&args.baseline) else {
+        eprintln!(
+            "diff-bench: no committed baseline at {}",
+            args.baseline.display()
+        );
+        exit(1)
+    };
+    let gain = dgemm.batch_rate() / base.max(1e-9);
+    if gain < 2.5 {
+        eprintln!(
+            "diff-bench: batched DGEMM at {:.1} inj/s is {:.2}x the committed \
+             baseline of {:.1} inj/s ({}), below the 2.5x acceptance floor",
+            dgemm.batch_rate(),
+            gain,
+            base,
+            args.baseline.display()
+        );
+        exit(1)
     }
 }
 
@@ -495,31 +410,19 @@ fn render_json(args: &Args, rows: &[Measurement]) -> String {
         s.push_str(&format!(
             concat!(
                 "    {{\"kernel\": \"{}\", \"isa\": \"{}\", \"injections\": {}, ",
-                "\"full_secs\": {:.4}, \"diff_secs\": {:.4}, \"batch_secs\": {:.4}, ",
-                "\"full_inj_per_sec\": {:.2}, \"diff_inj_per_sec\": {:.2}, ",
-                "\"batch_inj_per_sec\": {:.2}, ",
-                "\"diff_speedup\": {:.3}, \"batch_speedup\": {:.3}, ",
-                "\"resumed_runs\": {}, \"forked_runs\": {}, \"bucket_restores\": {}, ",
-                "\"snapshot_skipped_tiles\": {}, \"snapshot_bytes\": {:.0}, ",
-                "\"outcomes_match\": {}}}{}\n"
+                "\"batch_secs\": {:.4}, \"batch_inj_per_sec\": {:.2}, ",
+                "\"forked_runs\": {}, \"bucket_restores\": {}, ",
+                "\"snapshot_skipped_tiles\": {}, \"snapshot_bytes\": {:.0}}}{}\n"
             ),
             m.kernel,
             m.isa,
             m.injections,
-            m.full_secs,
-            m.diff_secs,
             m.batch_secs,
-            m.full_rate(),
-            m.diff_rate(),
             m.batch_rate(),
-            m.diff_speedup(),
-            m.batch_speedup(),
-            m.resumed_runs,
             m.forked_runs,
             m.bucket_restores,
             m.skipped_tiles,
             m.snapshot_bytes,
-            m.outcomes_match,
             if i + 1 < rows.len() { "," } else { "" },
         ));
     }

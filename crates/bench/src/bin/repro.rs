@@ -236,8 +236,16 @@ fn table1() {
         .iter()
         .map(|(name, c, spec)| {
             let mut kernel = spec.build(1).expect("preset kernel");
-            let (_, trace) = engine
-                .golden_traced(kernel.as_mut())
+            // No strikes: the RNG is never consulted.
+            let mut trace = radcrit_accel::ExecutionTrace::new();
+            engine
+                .run(
+                    kernel.as_mut(),
+                    &[],
+                    &mut StdRng::seed_from_u64(0),
+                    None,
+                    Some(&mut trace),
+                )
                 .expect("traced golden run");
             vec![
                 (*name).to_owned(),
@@ -763,7 +771,7 @@ fn fig9(ctx: &mut Ctx) {
         let mut rng = StdRng::seed_from_u64(ctx.seed ^ (0xF19 << 32) ^ i);
         if let InjectionPlan::Strike(spec) = sampler.sample(&mut rng) {
             let run = engine
-                .run(kernel.as_mut(), &spec, &mut rng)
+                .run(kernel.as_mut(), &[spec], &mut rng, None, None)
                 .unwrap_or_else(|e| die(&format!("clamr run failed: {e}")));
             let report = compare_with_logical_coords(&golden.output, &run.output, kernel.as_ref());
             let n = report.incorrect_elements();
@@ -830,7 +838,9 @@ fn abft(ctx: &mut Ctx) {
     for i in 0..400u64 {
         let mut rng = StdRng::seed_from_u64(ctx.seed ^ (0xAB << 40) ^ i);
         if let InjectionPlan::Strike(spec) = sampler.sample(&mut rng) {
-            let run = engine.run(&mut kernel, &spec, &mut rng).expect("dgemm run");
+            let run = engine
+                .run(&mut kernel, &[spec], &mut rng, None, None)
+                .expect("dgemm run");
             if run.output != golden.output {
                 sdc_total += 1;
                 let mut c = run.output.clone();
@@ -894,7 +904,7 @@ fn masscheck(ctx: &mut Ctx) {
         let mut rng = StdRng::seed_from_u64(ctx.seed ^ (0x3A55 << 24) ^ i);
         if let InjectionPlan::Strike(spec) = sampler.sample(&mut rng) {
             let run = engine
-                .run(kernel.as_mut(), &spec, &mut rng)
+                .run(kernel.as_mut(), &[spec], &mut rng, None, None)
                 .expect("clamr run");
             if run.output != golden.output {
                 sdc += 1;
@@ -951,7 +961,7 @@ fn ablate(ctx: &mut Ctx) {
     for i in 0..120u64 {
         let mut rng = StdRng::seed_from_u64(ctx.seed ^ (0xAB1A << 32) ^ i);
         if let InjectionPlan::Strike(spec) = sampler.sample(&mut rng) {
-            if let Ok(run) = engine.run(kernel.as_mut(), &spec, &mut rng) {
+            if let Ok(run) = engine.run(kernel.as_mut(), &[spec], &mut rng, None, None) {
                 let report =
                     compare_with_logical_coords(&golden.output, &run.output, kernel.as_ref());
                 if report.is_sdc() {
@@ -1121,7 +1131,9 @@ fn injector(ctx: &mut Ctx) {
                     beam.sample(&mut rng)
                 };
                 if let InjectionPlan::Strike(spec) = plan {
-                    let run = engine.run(&mut kernel, &spec, &mut rng).expect("dgemm run");
+                    let run = engine
+                        .run(&mut kernel, &[spec], &mut rng, None, None)
+                        .expect("dgemm run");
                     let report = radcrit_core::compare::compare_slices(
                         &golden.output,
                         &run.output,
@@ -1230,7 +1242,7 @@ fn multistrike(ctx: &mut Ctx) {
                 BurstPlan::Strikes(strikes) => {
                     strikes_total += strikes.len();
                     let run = engine
-                        .run_multi(&mut kernel, &strikes, &mut rng)
+                        .run(&mut kernel, &strikes, &mut rng, None, None)
                         .expect("multi-strike run");
                     let report = radcrit_core::compare::compare_slices(
                         &golden.output,

@@ -2,7 +2,7 @@
 //!
 //! Every `diff-bench` run appends one fingerprinted [`HistoryRow`] per
 //! kernel to `BENCH_HISTORY.jsonl`: which host and commit produced the
-//! number, the batched and full injection rates, and the top self-time
+//! number, the batched injection rate, and the top self-time
 //! phases of the run's hierarchical profile — enough to answer "when
 //! did DGEMM get slower, and which phase ate the time" by reading one
 //! file, without rerunning anything.
@@ -35,11 +35,8 @@ pub struct HistoryRow {
     /// Rates are only comparable within one ISA; rows written before
     /// the column existed parse as `unknown`.
     pub isa: String,
-    /// Batched differential injections per second (the headline rate).
+    /// Batched injections per second (the headline rate).
     pub batch_inj_per_sec: f64,
-    /// Full re-execution injections per second (the denominator of the
-    /// speedup story).
-    pub full_inj_per_sec: f64,
     /// Top self-time phases of the profiled rep, hottest first, as
     /// `(phase, self_ns)`. At most five.
     pub top_phases: Vec<(String, u64)>,
@@ -60,13 +57,12 @@ impl HistoryRow {
             .collect();
         format!(
             "{{\"host\":\"{}\",\"commit\":\"{}\",\"kernel\":\"{}\",\"isa\":\"{}\",\
-             \"batch_inj_per_sec\":{},\"full_inj_per_sec\":{},\"top_phases\":[{}]}}",
+             \"batch_inj_per_sec\":{},\"top_phases\":[{}]}}",
             json::escape(&self.host),
             json::escape(&self.commit),
             json::escape(&self.kernel),
             json::escape(&self.isa),
             json::fmt_f64(self.batch_inj_per_sec),
-            json::fmt_f64(self.full_inj_per_sec),
             phases.join(",")
         )
     }
@@ -97,7 +93,6 @@ impl HistoryRow {
                 .map(str::to_owned)
                 .unwrap_or_else(|_| "unknown".to_owned()),
             batch_inj_per_sec: json::get_f64(obj, "batch_inj_per_sec")?,
-            full_inj_per_sec: json::get_f64(obj, "full_inj_per_sec")?,
             top_phases,
         })
     }
@@ -232,7 +227,6 @@ mod tests {
             kernel: kernel.into(),
             isa: "avx2".into(),
             batch_inj_per_sec: batch,
-            full_inj_per_sec: batch / 3.0,
             top_phases: vec![
                 ("mem-load".into(), 420_000),
                 ("tile-execute".into(), 99_000),
@@ -250,7 +244,9 @@ mod tests {
     #[test]
     fn rows_without_an_isa_column_still_parse() {
         // History files predating the isa column must keep reading; the
-        // missing provenance is recorded as "unknown", not an error.
+        // missing provenance is recorded as "unknown", not an error. Such
+        // rows also carry the retired `full_inj_per_sec` rate, which is
+        // ignored.
         let legacy = "{\"host\":\"h\",\"commit\":\"c\",\"kernel\":\"dgemm-256x256\",\
                       \"batch_inj_per_sec\":240.5,\"full_inj_per_sec\":80.1,\"top_phases\":[]}";
         let parsed = HistoryRow::parse_line(legacy).unwrap();

@@ -50,21 +50,17 @@ impl GoldenKey {
 }
 
 /// One cached golden execution: the fault-free output, the dynamic
-/// profile the fault sampler derives its cross sections from, and
-/// (when differential execution is on) the golden-prefix snapshot set
-/// injections resume from.
+/// profile the fault sampler derives its cross sections from, and the
+/// golden-prefix snapshot set injections fork from.
 #[derive(Debug)]
 pub struct GoldenEntry {
     /// The golden output buffer.
     pub output: Vec<f64>,
     /// The golden execution profile.
     pub profile: ExecutionProfile,
-    /// Golden-prefix machine snapshots for differential injection
-    /// execution. `None` when the entry was computed with differential
-    /// execution disabled; `Some` (possibly empty, for non-resumable
-    /// kernels) otherwise — the distinction lets a differential run
-    /// recognize and refresh a snapshot-less entry.
-    pub snapshots: Option<Arc<SnapshotSet>>,
+    /// Golden-prefix machine snapshots injections fork from (empty for
+    /// non-resumable kernels).
+    pub snapshots: Arc<SnapshotSet>,
 }
 
 impl GoldenEntry {
@@ -72,8 +68,9 @@ impl GoldenEntry {
     /// byte budget. The output buffer and the snapshot set dominate; the
     /// profile and key are covered by a fixed overhead allowance.
     fn cost_bytes(&self) -> usize {
-        let snaps = self.snapshots.as_ref().map_or(0, |s| s.cost_bytes());
-        self.output.len() * std::mem::size_of::<f64>() + snaps + ENTRY_OVERHEAD_BYTES
+        self.output.len() * std::mem::size_of::<f64>()
+            + self.snapshots.cost_bytes()
+            + ENTRY_OVERHEAD_BYTES
     }
 }
 
@@ -218,8 +215,7 @@ impl GoldenCache {
         inner.tick += 1;
         let tick = inner.tick;
         // Any previous entry under the key is stale the moment its
-        // replacement was computed (e.g. a snapshot-less entry refreshed
-        // by a differential run), so it goes away even when the new
+        // replacement was computed, so it goes away even when the new
         // entry itself turns out to be uncacheable.
         if let Some(old) = inner.map.remove(&key) {
             inner.bytes -= old.cost;
@@ -275,7 +271,7 @@ mod tests {
     fn entry(len: usize) -> GoldenEntry {
         GoldenEntry {
             output: vec![1.0; len],
-            snapshots: None,
+            snapshots: Arc::default(),
             profile: ExecutionProfile {
                 tiles: 1,
                 threads_per_tile: 1,
@@ -373,11 +369,8 @@ mod tests {
 
     #[test]
     fn oversized_replacement_still_removes_the_stale_entry() {
-        // A refreshed result too large to cache must still invalidate
-        // the entry it replaces — otherwise a snapshot-less entry whose
-        // snapshot-carrying refresh exceeds the budget would be served
-        // (and filtered, and recomputed) by every later differential
-        // job, forever.
+        // A replacement too large to cache must still invalidate the
+        // entry it replaces — the old entry is stale, not a fallback.
         let per = 8 * 8 + ENTRY_OVERHEAD_BYTES;
         let cache = GoldenCache::new(per);
         cache.insert(key(1), entry(8));
@@ -386,45 +379,6 @@ mod tests {
         assert!(cache.get(&key(1)).is_none(), "stale entry must be gone");
         let s = cache.stats();
         assert_eq!((s.entries, s.bytes), (0, 0));
-    }
-
-    #[test]
-    fn differential_job_refreshes_a_snapshotless_entry() {
-        use crate::runner::RunOptions;
-
-        let c = Campaign::new(
-            DeviceConfig::kepler_k40(),
-            KernelSpec::Dgemm { n: 32 },
-            4,
-            7,
-        )
-        .with_workers(1);
-        let cache = GoldenCache::shared_default();
-        let run = |full_execution: bool| {
-            c.run_with(&RunOptions {
-                golden_cache: Some(Arc::clone(&cache)),
-                full_execution,
-                ..RunOptions::default()
-            })
-            .unwrap()
-        };
-        // Job 1 (full execution) warms the cache without snapshots.
-        run(true);
-        let k = GoldenKey::for_campaign(&c);
-        assert!(cache.get(&k).expect("warmed").snapshots.is_none());
-        // Job 2 (differential) cannot use the snapshot-less hit; its
-        // recomputed snapshot-carrying result must replace it.
-        run(false);
-        let refreshed = cache.get(&k).expect("still cached");
-        assert!(
-            refreshed.snapshots.as_ref().is_some_and(|s| !s.is_empty()),
-            "differential job must have refreshed the entry with snapshots"
-        );
-        // Job 3 (differential) now hits.
-        let before = cache.stats();
-        run(false);
-        let delta = cache.stats().since(&before);
-        assert_eq!((delta.hits, delta.misses), (1, 0));
     }
 
     #[test]
@@ -451,7 +405,7 @@ mod tests {
             GoldenEntry {
                 output: out.output.clone(),
                 profile: out.profile.clone(),
-                snapshots: None,
+                snapshots: Arc::default(),
             },
         );
         let plain = cache.stats().bytes;
@@ -460,7 +414,7 @@ mod tests {
             GoldenEntry {
                 output: out.output,
                 profile: out.profile,
-                snapshots: Some(Arc::new(set)),
+                snapshots: Arc::new(set),
             },
         );
         let with_snaps = cache.stats().bytes - plain;

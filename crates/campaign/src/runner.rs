@@ -124,33 +124,12 @@ pub struct RunOptions {
     /// daemon-wide one) instead of a fresh private registry. Implies
     /// metrics collection even without [`RunOptions::metrics_out`].
     pub metrics: Option<Arc<MetricsRegistry>>,
-    /// Tiles between golden-prefix snapshots for differential injection
-    /// execution; `0` derives the stride from the snapshot byte budget.
-    /// See [`radcrit_accel::snapshot::SnapshotPolicy`].
-    pub snapshot_stride: usize,
-    /// Byte budget for one kernel's snapshot set; `0` means
-    /// [`radcrit_accel::DEFAULT_SNAPSHOT_BYTES`].
-    pub snapshot_max_bytes: usize,
-    /// Escape hatch: force every injection to re-execute the kernel from
-    /// tile 0 exactly as before differential execution existed — no
-    /// golden-prefix snapshots are captured, resumed, or cached, and the
-    /// output diff scans the whole buffer. Science is bit-identical
-    /// either way; this exists to measure the speedup and to rule the
-    /// optimization out when debugging.
-    pub full_execution: bool,
     /// Write a Chrome trace-event JSON timeline of the run's phases
     /// (golden execution, per-injection umbrella, engine execution,
     /// output comparison) here at end of run — loadable in
     /// `chrome://tracing` / Perfetto. Wall-clock data: lives beside the
     /// metrics, never in the deterministic event stream.
     pub trace_out: Option<PathBuf>,
-    /// Disable the prefix-sharing batch scheduler: run differential
-    /// injections in plan order, restoring a snapshot per injection.
-    /// Outcomes, events and summary are bit-identical either way; this
-    /// exists to measure the batching speedup and to rule the scheduler
-    /// out when debugging. Ignored under [`RunOptions::full_execution`]
-    /// (a full-execution run has no snapshots to batch over).
-    pub no_batch: bool,
     /// Write the merged phase-profile tree here as one-line JSON at end
     /// of run (see [`radcrit_obs::profile`]). Setting this enables the
     /// hierarchical profiler on every worker; leaving it (and
@@ -236,9 +215,9 @@ struct Shared {
     campaign: Campaign,
     sampler: FaultSampler,
     golden: Vec<f64>,
-    /// Golden-prefix snapshots injections resume from; `None` under
-    /// [`RunOptions::full_execution`].
-    snapshots: Option<Arc<SnapshotSet>>,
+    /// Golden-prefix snapshots injections fork from (empty for a
+    /// non-resumable kernel).
+    snapshots: Arc<SnapshotSet>,
     /// Indices still to run (already filtered against the checkpoint).
     pending: Vec<usize>,
     /// Cursor into `pending`.
@@ -251,9 +230,8 @@ struct Shared {
     events_sample: Option<u64>,
     /// Phase-timeline recorder, when [`RunOptions::trace_out`] is set.
     trace: Option<Arc<TraceRecorder>>,
-    /// Bucket accounting of the batch scheduler; `Some` exactly when
-    /// `pending` was sorted into snapshot buckets.
-    buckets: Option<BucketCounters>,
+    /// Bucket accounting of the batch scheduler.
+    buckets: BucketCounters,
     /// Phase-profile merge point, when profiling is enabled. Workers
     /// enable their thread-local accumulator on entry and drain into
     /// this collector once, at exit.
@@ -271,22 +249,16 @@ struct BucketCounters {
 }
 
 /// One warm bucket owned by a worker: golden machine state restored from
-/// the bucket's snapshot and advanced to the last fork's strike tile,
-/// plus the bucket's precomputed golden suffix spans (the compare-setup
-/// half of the amortization).
+/// the bucket's snapshot and advanced to the last fork's strike tile.
 struct WarmBucket {
     state: WarmState,
-    /// Golden output-store spans from the bucket's resume tile on.
-    spans: Vec<(usize, usize)>,
     forks: u64,
     started: Instant,
 }
 
 /// Batch-scheduler context threaded through one worker's injections.
 struct BatchCtx<'a> {
-    /// `Some` when the batch scheduler is on (so `pending` is in bucket
-    /// order and strikes with a usable snapshot fork off warm state).
-    counters: Option<&'a BucketCounters>,
+    counters: &'a BucketCounters,
     metrics: Option<&'a MetricsRegistry>,
     warm: Option<WarmBucket>,
 }
@@ -312,14 +284,16 @@ fn close_bucket(bucket: WarmBucket, trace: Option<&TraceRecorder>, tid: u64) -> 
 /// The per-injection RNG stream seed — a fixed function of `(campaign
 /// seed, index)`, so records are reproducible independent of worker
 /// scheduling and of the batch scheduler's execution order.
-fn stream_seed(seed: u64, index: usize) -> u64 {
+pub fn stream_seed(seed: u64, index: usize) -> u64 {
     seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(index as u64)
 }
 
-/// The progress line's `(restores, forks)` pair, when batching is on.
+/// The progress line's `(restores, forks)` pair, when the kernel has
+/// snapshots to fork from.
 fn bucket_stats(shared: &Shared) -> Option<(u64, u64)> {
-    shared.buckets.as_ref().map(|b| {
+    let b = &shared.buckets;
+    (!shared.snapshots.is_empty()).then(|| {
         (
             b.restores.load(Ordering::Relaxed),
             b.forks.load(Ordering::Relaxed),
@@ -452,31 +426,21 @@ impl Campaign {
             phase_profile::enable_thread();
         }
 
-        // Golden execution: output, profile, cross sections — and, when
-        // differential execution is on (the default), the golden-prefix
-        // snapshot set injections resume from. With a shared cache
-        // attached, runs agreeing on (kernel, device, seed) reuse one
-        // golden execution instead of recomputing it; cached entries
-        // carry their snapshot set, so later jobs resume from snapshots
+        // Golden execution: output, profile, cross sections and the
+        // golden-prefix snapshot set injections fork from. With a shared
+        // cache attached, runs agreeing on (kernel, device, seed) reuse
+        // one golden execution instead of recomputing it; cached entries
+        // carry their snapshot set, so later jobs fork from snapshots
         // they never captured.
-        let differential = !options.full_execution;
-        let policy = SnapshotPolicy {
-            stride: options.snapshot_stride,
-            max_bytes: options.snapshot_max_bytes,
-        };
-        // Golden phase product: output, profile and (differential mode
-        // only) the snapshot set injections resume from.
-        type GoldenProduct = (Vec<f64>, ExecutionProfile, Option<Arc<SnapshotSet>>);
         let compute_golden = |engine: &Engine,
                               kernel: &mut (dyn Workload + Send)|
-         -> Result<GoldenProduct, AccelError> {
-            if differential {
-                let (golden, set) = engine.golden_snapshotted(kernel, &policy)?;
-                Ok((golden.output, golden.profile, Some(Arc::new(set))))
-            } else {
-                let golden = engine.golden(kernel)?;
-                Ok((golden.output, golden.profile, None))
-            }
+         -> Result<GoldenEntry, AccelError> {
+            let (golden, set) = engine.golden_snapshotted(kernel, &SnapshotPolicy::default())?;
+            Ok(GoldenEntry {
+                output: golden.output,
+                profile: golden.profile,
+                snapshots: Arc::new(set),
+            })
         };
         let trace = options.trace_out.as_ref().map(|_| {
             let rec = match options.trace_epoch {
@@ -491,48 +455,28 @@ impl Campaign {
         let golden_started = Instant::now();
         let golden_scope = phase_profile::phase(PhaseId::Golden);
         let mut golden_kernel = self.kernel.build(self.seed)?;
-        let (golden_output, golden_profile, snapshots) = match &options.golden_cache {
+        let golden = match &options.golden_cache {
             Some(cache) => {
                 let key = GoldenKey::for_campaign(self);
-                // A hit computed without snapshots cannot serve a
-                // differential run; refresh it (the recompute is exactly
-                // what the cache would have saved, so mirror it as a
-                // miss).
-                let usable = cache
-                    .get(&key)
-                    .filter(|hit| !differential || hit.snapshots.is_some());
-                if let Some(hit) = usable {
-                    if let Some(m) = &metrics {
-                        m.counter_add("radcrit_golden_cache_hits_total", &[], 1);
+                match cache.get(&key) {
+                    Some(hit) => {
+                        if let Some(m) = &metrics {
+                            m.counter_add("radcrit_golden_cache_hits_total", &[], 1);
+                        }
+                        hit
                     }
-                    (
-                        hit.output.clone(),
-                        hit.profile.clone(),
-                        hit.snapshots.clone(),
-                    )
-                } else {
-                    if let Some(m) = &metrics {
-                        m.counter_add("radcrit_golden_cache_misses_total", &[], 1);
+                    None => {
+                        if let Some(m) = &metrics {
+                            m.counter_add("radcrit_golden_cache_misses_total", &[], 1);
+                        }
+                        cache.insert(key, compute_golden(&engine, golden_kernel.as_mut())?)
                     }
-                    let (output, profile, snapshots) =
-                        compute_golden(&engine, golden_kernel.as_mut())?;
-                    let entry = cache.insert(
-                        key,
-                        GoldenEntry {
-                            output,
-                            profile,
-                            snapshots,
-                        },
-                    );
-                    (
-                        entry.output.clone(),
-                        entry.profile.clone(),
-                        entry.snapshots.clone(),
-                    )
                 }
             }
-            None => compute_golden(&engine, golden_kernel.as_mut())?,
+            None => Arc::new(compute_golden(&engine, golden_kernel.as_mut())?),
         };
+        let golden_profile = golden.profile.clone();
+        let snapshots = Arc::clone(&golden.snapshots);
         drop(golden_scope);
         if let Some(tr) = &trace {
             tr.record("golden", 0, golden_started, &[]);
@@ -577,20 +521,16 @@ impl Campaign {
         // is pre-sampled here with its own RNG stream — exactly the draw
         // the executing worker repeats — so sorting changes *execution
         // order only*: record content, the event stream and the summary
-        // stay bit-identical (the event writer reorders by index, the
-        // checkpoint replay tolerates any completion order). Fatal plans
-        // and strikes before the first snapshot have no bucket and keep
-        // index order at the end of the plan. Budget truncation happens
-        // first, so a budgeted run completes the same index subset
-        // batched or not.
-        let batched =
-            differential && !options.no_batch && snapshots.as_ref().is_some_and(|s| !s.is_empty());
-        if batched {
-            let snaps = snapshots.as_ref().expect("batched implies snapshots");
+        // equal an index-order run (the event writer reorders by index,
+        // the checkpoint replay tolerates any completion order). Fatal
+        // plans and strikes before the first snapshot have no bucket and
+        // keep index order at the end of the plan. Budget truncation
+        // happens first, so a budgeted run completes the index prefix.
+        if !snapshots.is_empty() {
             pending.sort_by_cached_key(|&index| {
                 let mut rng = StdRng::seed_from_u64(stream_seed(self.seed, index));
                 match sampler.sample(&mut rng) {
-                    InjectionPlan::Strike(spec) => match snaps.resume_tile(spec.at_tile) {
+                    InjectionPlan::Strike(spec) => match snapshots.resume_tile(spec.at_tile) {
                         Some(resume) => (0u8, resume, spec.at_tile, index),
                         None => (1, 0, 0, index),
                     },
@@ -647,7 +587,7 @@ impl Campaign {
         let shared = Arc::new(Shared {
             campaign: self.clone(),
             sampler,
-            golden: golden_output.clone(),
+            golden: golden.output.clone(),
             snapshots,
             pending,
             next: AtomicUsize::new(0),
@@ -658,7 +598,7 @@ impl Campaign {
                 .as_ref()
                 .map(|_| options.events_sample.max(1)),
             trace: trace.clone(),
-            buckets: batched.then(BucketCounters::default),
+            buckets: BucketCounters::default(),
             profile: profiler.clone(),
         });
 
@@ -904,7 +844,7 @@ impl Campaign {
             campaign: self.clone(),
             profile: golden_profile,
             sigma_total,
-            output_len: golden_output.len(),
+            output_len: golden.output.len(),
             records,
             telemetry: telemetry.snapshot(),
             shard: options.shard,
@@ -919,7 +859,7 @@ impl Campaign {
         kernel: &mut (dyn Workload + Send),
         sampler: &FaultSampler,
         golden: &[f64],
-        snapshots: Option<&SnapshotSet>,
+        snapshots: &SnapshotSet,
         scratch: &mut RunScratch,
         obs: &mut ObsCtx<'_>,
         batch: &mut BatchCtx<'_>,
@@ -950,7 +890,7 @@ impl Campaign {
         kernel: &mut (dyn Workload + Send),
         sampler: &FaultSampler,
         golden: &[f64],
-        snapshots: Option<&SnapshotSet>,
+        snapshots: &SnapshotSet,
         scratch: &mut RunScratch,
         obs: &mut ObsCtx<'_>,
         batch: &mut BatchCtx<'_>,
@@ -1003,92 +943,68 @@ impl Campaign {
                 }
                 // The traced run consumes the RNG stream identically to
                 // the untraced one, so records match either way; the
-                // trace is only pulled when provenance needs it. With
-                // snapshots attached the engine resumes from the nearest
-                // golden-prefix snapshot at or before the strike tile —
-                // bit-identical to a full run by construction. Under the
-                // batch scheduler the plan is in bucket order, so strikes
-                // with a usable snapshot fork off this worker's warm
-                // bucket state instead of restoring per injection.
+                // trace is only pulled when provenance needs it. The plan
+                // is in bucket order, so a strike a snapshot covers forks
+                // off this worker's warm bucket state — bit-identical to
+                // a run from tile 0 by construction. A strike no snapshot
+                // covers (non-resumable kernel) runs from tile 0.
                 let execute_started = Instant::now();
-                let bucket = match (batch.counters, snapshots) {
-                    (Some(counters), Some(snaps)) => snaps
-                        .resume_tile(spec.at_tile)
-                        .map(|resume| (counters, snaps, resume)),
-                    _ => None,
-                };
-                let (run, trace) = if let Some((counters, snaps, resume)) = bucket {
-                    // A bucket is stale when it resumes from a different
-                    // snapshot or its golden front has already advanced
-                    // past this strike (possible when workers interleave
-                    // buckets off the shared cursor).
-                    let stale = batch.warm.as_ref().is_none_or(|b| {
-                        b.state.resume_tile() != resume || b.state.next_tile() > spec.at_tile
-                    });
-                    if stale {
-                        let _scope = phase_profile::phase(PhaseId::BucketRestore);
-                        let reuse = batch
-                            .warm
-                            .take()
-                            .map(|b| close_bucket(b, obs.trace, obs.tid));
-                        let state = engine
-                            .warm_restore(kernel, snaps, spec.at_tile, scratch, reuse)?
-                            .expect("resume_tile implies a usable snapshot");
-                        counters.restores.fetch_add(1, Ordering::Relaxed);
-                        if let Some(m) = batch.metrics {
-                            m.counter_add("radcrit_bucket_restores_total", &[], 1);
-                        }
-                        batch.warm = Some(WarmBucket {
-                            spans: snaps.golden_spans_from(resume).collect(),
-                            state,
-                            forks: 0,
-                            started: Instant::now(),
+                let mut trace = obs.buf.is_enabled().then(ExecutionTrace::new);
+                let strikes = std::slice::from_ref(&spec);
+                let run = match snapshots.resume_tile(spec.at_tile) {
+                    Some(resume) => {
+                        // A bucket is stale when it resumes from a
+                        // different snapshot or its golden front has
+                        // already advanced past this strike (possible
+                        // when workers interleave buckets off the shared
+                        // cursor).
+                        let stale = batch.warm.as_ref().is_none_or(|b| {
+                            b.state.resume_tile() != resume || b.state.next_tile() > spec.at_tile
                         });
-                    }
-                    let bucket = batch.warm.as_mut().expect("bucket was just ensured");
-                    let advanced = {
-                        let _scope = phase_profile::phase(PhaseId::WarmAdvance);
-                        engine.warm_advance(kernel, &mut bucket.state, spec.at_tile)?
-                    };
-                    counters.forks.fetch_add(1, Ordering::Relaxed);
-                    bucket.forks += 1;
-                    if let Some(m) = batch.metrics {
-                        m.counter_add("radcrit_bucket_forks_total", &[], 1);
-                        m.counter_add("radcrit_bucket_advance_tiles_total", &[], advanced as u64);
-                    }
-                    let _scope = phase_profile::phase(PhaseId::Fork);
-                    if obs.buf.is_enabled() {
-                        let (run, trace) = engine.run_forked_traced(
+                        if stale {
+                            let _scope = phase_profile::phase(PhaseId::BucketRestore);
+                            let reuse = batch
+                                .warm
+                                .take()
+                                .map(|b| close_bucket(b, obs.trace, obs.tid));
+                            let state = engine
+                                .warm_restore(kernel, snapshots, spec.at_tile, scratch, reuse)?
+                                .expect("resume_tile implies a usable snapshot");
+                            batch.counters.restores.fetch_add(1, Ordering::Relaxed);
+                            if let Some(m) = batch.metrics {
+                                m.counter_add("radcrit_bucket_restores_total", &[], 1);
+                            }
+                            batch.warm = Some(WarmBucket {
+                                state,
+                                forks: 0,
+                                started: Instant::now(),
+                            });
+                        }
+                        let bucket = batch.warm.as_mut().expect("bucket was just ensured");
+                        let advanced = {
+                            let _scope = phase_profile::phase(PhaseId::WarmAdvance);
+                            engine.warm_advance(kernel, &mut bucket.state, spec.at_tile)?
+                        };
+                        batch.counters.forks.fetch_add(1, Ordering::Relaxed);
+                        bucket.forks += 1;
+                        if let Some(m) = batch.metrics {
+                            m.counter_add("radcrit_bucket_forks_total", &[], 1);
+                            m.counter_add(
+                                "radcrit_bucket_advance_tiles_total",
+                                &[],
+                                advanced as u64,
+                            );
+                        }
+                        let _scope = phase_profile::phase(PhaseId::Fork);
+                        engine.run(
                             kernel,
-                            &spec,
+                            strikes,
                             rng,
-                            &bucket.state,
-                            &bucket.spans,
-                            scratch,
-                        )?;
-                        (run, Some(trace))
-                    } else {
-                        (
-                            engine.run_forked(
-                                kernel,
-                                &spec,
-                                rng,
-                                &bucket.state,
-                                &bucket.spans,
-                                scratch,
-                            )?,
-                            None,
-                        )
+                            Some((&bucket.state, scratch)),
+                            trace.as_mut(),
+                        )?
                     }
-                } else if obs.buf.is_enabled() {
-                    let (run, trace) =
-                        engine.run_injection_traced(kernel, &spec, rng, snapshots, scratch)?;
-                    (run, Some(trace))
-                } else {
-                    (
-                        engine.run_injection(kernel, &spec, rng, snapshots, scratch)?,
-                        None,
-                    )
+                    None => engine.run(kernel, strikes, rng, None, trace.as_mut())?,
                 };
                 if let Some(tr) = obs.trace {
                     tr.record(
@@ -1110,7 +1026,7 @@ impl Campaign {
                     }
                 }
 
-                // A resumed run knows which output elements *can*
+                // A forked run knows which output elements *can*
                 // differ from golden (its dirty region); everything
                 // else is untouched golden-suffix state, so the diff
                 // only scans the dirty ranges.
@@ -1265,7 +1181,7 @@ fn worker_loop(shared: Arc<Shared>, slot: Arc<Mutex<Slot>>, tx: SyncSender<Event
     // Batch-scheduler context: this worker's warm bucket (if any) plus
     // the run-wide bucket counters.
     let mut batch = BatchCtx {
-        counters: shared.buckets.as_ref(),
+        counters: &shared.buckets,
         metrics: shared.metrics.as_deref(),
         warm: None,
     };
@@ -1304,7 +1220,7 @@ fn worker_loop(shared: Arc<Shared>, slot: Arc<Mutex<Slot>>, tx: SyncSender<Event
                 kernel.as_mut(),
                 &shared.sampler,
                 &shared.golden,
-                shared.snapshots.as_deref(),
+                &shared.snapshots,
                 &mut scratch,
                 &mut ObsCtx {
                     buf: &mut buf,
@@ -1609,7 +1525,7 @@ pub fn compare_with_logical_coords(
 /// [`compare_with_logical_coords`] restricted to a dirty region: only
 /// elements inside `dirty` are compared. Produces the identical
 /// [`ErrorReport`] whenever `dirty` covers every element that differs
-/// from golden — which a resumed run's region does by construction
+/// from golden — which a forked run's region does by construction
 /// (golden-suffix stores plus the faulty run's own stores and
 /// writebacks).
 pub fn compare_with_logical_coords_sparse(

@@ -146,11 +146,12 @@ impl TelemetrySnapshot {
     /// line also reports the tolerance-filtered SDC count and the
     /// converging FIT estimate with its 95 % CI width.
     ///
-    /// `buckets` is the batch scheduler's live `(restores, forks)` pair;
-    /// when present the line reports how many warm-bucket restores the
-    /// forked injections amortized. It is passed alongside the snapshot
-    /// (not stored in it) because bucket counts are an execution-order
-    /// artifact: a batched and an unbatched run of the same campaign
+    /// `buckets` is the batch scheduler's live `(restores, forks)` pair,
+    /// absent when the kernel has no snapshots to fork from; when present
+    /// the line reports how many warm-bucket restores the forked
+    /// injections amortized. It is passed alongside the snapshot (not
+    /// stored in it) because bucket counts are an execution-order
+    /// artifact: runs of the same campaign with different worker counts
     /// must stay comparable snapshot-for-snapshot.
     pub fn progress_line(
         &self,
@@ -279,7 +280,7 @@ mod tests {
         assert!(line.contains("inj/s"), "{line}");
         assert!(line.contains("masked 1"), "{line}");
         assert!(!line.contains("crit"), "no analytics attached: {line}");
-        assert!(!line.contains("buckets"), "unbatched run: {line}");
+        assert!(!line.contains("buckets"), "no buckets: {line}");
     }
 
     #[test]

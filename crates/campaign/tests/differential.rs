@@ -1,10 +1,14 @@
-//! Differential injection execution must be invisible to the science:
-//! a run resumed from a golden-prefix snapshot is **bit-identical** to a
-//! full run — output, strike resolutions, and execution profile — for
-//! every strike target, on both paper devices, across the paper
-//! kernels; the dirty-region sparse diff produces the identical
-//! [`ErrorReport`]; and a kill → resume campaign with snapshots enabled
-//! still reconstructs the uninterrupted summary bit for bit.
+//! The batched fork path must be invisible to the science. Full
+//! re-execution survives here, and only here, as the test oracle:
+//!
+//! * engine level — a strike forked off a warm golden-prefix bucket is
+//!   **bit-identical** to the same strike run from tile 0 (output,
+//!   strike resolutions, execution profile) for every strike target, on
+//!   both paper devices, across the paper kernels, and the dirty-region
+//!   sparse diff produces the identical [`ErrorReport`] as a dense diff;
+//! * campaign level — every index replayed from tile 0 with a dense
+//!   compare ([`oracle`]) reproduces the batched campaign's records and
+//!   summary, for an uninterrupted run and across kill → resume.
 
 use std::path::PathBuf;
 
@@ -13,11 +17,20 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use radcrit_accel::config::DeviceConfig;
-use radcrit_accel::engine::Engine;
-use radcrit_accel::snapshot::SnapshotPolicy;
+use radcrit_accel::engine::{Engine, RunOutcome, RunScratch, WarmState};
+use radcrit_accel::snapshot::{SnapshotPolicy, SnapshotSet};
 use radcrit_accel::strike::{SchedulerEffect, StrikeSpec, StrikeTarget};
-use radcrit_campaign::runner::{compare_with_logical_coords, compare_with_logical_coords_sparse};
-use radcrit_campaign::{Campaign, KernelSpec, RunOptions};
+use radcrit_accel::trace::ExecutionTrace;
+use radcrit_campaign::runner::{
+    compare_with_logical_coords, compare_with_logical_coords_sparse, stream_seed,
+};
+use radcrit_campaign::telemetry::Telemetry;
+use radcrit_campaign::{
+    Campaign, CampaignResult, InjectionOutcome, InjectionRecord, KernelSpec, RunOptions, SdcDetail,
+};
+use radcrit_core::report::ErrorReport;
+use radcrit_faults::sampler::{FaultSampler, InjectionPlan};
+use radcrit_kernels::Workload;
 
 /// Every [`StrikeTarget`] variant, including each scheduler effect.
 fn all_targets() -> Vec<StrikeTarget> {
@@ -78,7 +91,7 @@ fn bits(v: &[f64]) -> Vec<u64> {
 /// Mismatches keyed for bit-exact comparison (`Mismatch` holds `f64`s,
 /// and a NaN read would defeat plain `PartialEq` even when the reports
 /// agree bit for bit).
-fn mismatch_bits(report: &radcrit_core::report::ErrorReport) -> Vec<([usize; 3], u64, u64)> {
+fn mismatch_bits(report: &ErrorReport) -> Vec<([usize; 3], u64, u64)> {
     report
         .mismatches()
         .iter()
@@ -86,13 +99,63 @@ fn mismatch_bits(report: &radcrit_core::report::ErrorReport) -> Vec<([usize; 3],
         .collect()
 }
 
+/// Forks `strike` off a bucket restored from `snaps` and advanced to the
+/// strike tile, recycling `reuse`'s allocations the way the runner does.
+/// Returns the outcome, the warm state for the next restore, and the
+/// fork's (suffix-only) execution trace.
+fn fork(
+    engine: &Engine,
+    kernel: &mut (dyn Workload + Send),
+    snaps: &SnapshotSet,
+    strike: StrikeSpec,
+    seed: u64,
+    scratch: &mut RunScratch,
+    reuse: Option<WarmState>,
+) -> (RunOutcome, WarmState, ExecutionTrace) {
+    let mut warm = engine
+        .warm_restore(kernel, snaps, strike.at_tile, scratch, reuse)
+        .expect("restore")
+        .expect("a snapshot covers the strike");
+    engine
+        .warm_advance(kernel, &mut warm, strike.at_tile)
+        .expect("advance");
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut trace = ExecutionTrace::new();
+    let run = engine
+        .run(
+            kernel,
+            &[strike],
+            &mut rng,
+            Some((&warm, scratch)),
+            Some(&mut trace),
+        )
+        .expect("forked run");
+    (run, warm, trace)
+}
+
+/// The strike run from tile 0 — the reference path — and its trace.
+fn reference(
+    engine: &Engine,
+    kernel: &mut (dyn Workload + Send),
+    strike: StrikeSpec,
+    seed: u64,
+) -> (RunOutcome, ExecutionTrace) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut trace = ExecutionTrace::new();
+    let run = engine
+        .run(kernel, &[strike], &mut rng, None, Some(&mut trace))
+        .expect("reference run");
+    assert!(run.dirty.is_none(), "a run from tile 0 has no dirty region");
+    (run, trace)
+}
+
 /// The tentpole invariant: for every strike target on every device and
-/// kernel, resuming from a golden-prefix snapshot yields the same
-/// `RunOutcome` a full run produces — outputs compared bit for bit (so
-/// NaNs count), resolutions and profile by structural equality — and
-/// the dirty region drives a sparse diff equal to the full diff.
+/// kernel, forking off warm golden state yields the same `RunOutcome` a
+/// run from tile 0 produces — outputs compared bit for bit (so NaNs
+/// count), resolutions and profile by structural equality — and the
+/// dirty region drives a sparse diff equal to the dense diff.
 #[test]
-fn resumed_runs_are_bit_identical_to_full_runs_everywhere() {
+fn forked_runs_are_bit_identical_to_reference_runs_everywhere() {
     for device in devices() {
         for spec in kernels() {
             let engine = Engine::new(device.clone());
@@ -110,34 +173,52 @@ fn resumed_runs_are_bit_identical_to_full_runs_everywhere() {
                 device.kind()
             );
             let tiles = kernel.tile_count();
+            let mut scratch = RunScratch::new();
+            let mut warm = None;
             for (t, target) in all_targets().into_iter().enumerate() {
                 for at_tile in [0, tiles / 2, tiles - 1] {
                     let strike = StrikeSpec::new(at_tile, target);
                     let seed = 1000 + t as u64;
-                    let mut rng_full = StdRng::seed_from_u64(seed);
-                    let full = engine
-                        .run(kernel.as_mut(), &strike, &mut rng_full)
-                        .expect("full run");
-                    let mut rng_diff = StdRng::seed_from_u64(seed);
-                    let diff = engine
-                        .run_from(kernel.as_mut(), &strike, &mut rng_diff, &snaps)
-                        .expect("resumed run");
+                    let (full, full_trace) = reference(&engine, kernel.as_mut(), strike, seed);
+                    let (forked, w, forked_trace) = fork(
+                        &engine,
+                        kernel.as_mut(),
+                        &snaps,
+                        strike,
+                        seed,
+                        &mut scratch,
+                        warm.take(),
+                    );
                     let ctx = format!(
                         "{spec:?} on {:?}, {target:?} at tile {at_tile}",
                         device.kind()
                     );
-                    assert_eq!(bits(&full.output), bits(&diff.output), "output: {ctx}");
-                    assert_eq!(full.resolutions, diff.resolutions, "resolutions: {ctx}");
-                    assert_eq!(full.profile, diff.profile, "profile: {ctx}");
+                    // The forked trace holds exactly the reference trace's
+                    // tiles from the fork instant on: every tile a strike
+                    // there can touch (event provenance reads these).
+                    let suffix: Vec<_> = full_trace
+                        .tiles()
+                        .iter()
+                        .filter(|t| t.pos >= w.next_tile())
+                        .copied()
+                        .collect();
+                    assert_eq!(forked_trace.tiles(), &suffix[..], "trace: {ctx}");
+                    warm = Some(w);
+                    assert_eq!(bits(&full.output), bits(&forked.output), "output: {ctx}");
+                    assert_eq!(full.resolutions, forked.resolutions, "resolutions: {ctx}");
+                    assert_eq!(full.profile, forked.profile, "profile: {ctx}");
                     assert_eq!(
-                        full.strike_delivered, diff.strike_delivered,
+                        full.strike_delivered, forked.strike_delivered,
                         "delivery: {ctx}"
                     );
 
-                    let dirty = diff.dirty.as_ref().expect("resumed run has a dirty region");
+                    let dirty = forked
+                        .dirty
+                        .as_ref()
+                        .expect("forked run has a dirty region");
                     let sparse = compare_with_logical_coords_sparse(
                         &golden.output,
-                        &diff.output,
+                        &forked.output,
                         kernel.as_ref(),
                         dirty,
                     );
@@ -160,7 +241,7 @@ proptest! {
     /// Randomized corner of the same invariant: arbitrary strike tiles,
     /// RNG seeds, masks and op indices on DGEMM/K40.
     #[test]
-    fn resumed_dgemm_runs_are_bit_identical(
+    fn forked_dgemm_runs_are_bit_identical(
         at_tile in 0usize..4,
         seed in 0u64..1 << 32,
         bit in 0u32..64,
@@ -180,33 +261,36 @@ proptest! {
             _ => StrikeTarget::Scheduler(SchedulerEffect::RedirectTile),
         };
         let strike = StrikeSpec::new(at_tile, target);
-        let mut rng_full = StdRng::seed_from_u64(seed);
-        let full = engine.run(kernel.as_mut(), &strike, &mut rng_full).expect("full run");
-        let mut rng_diff = StdRng::seed_from_u64(seed);
-        let diff = engine
-            .run_from(kernel.as_mut(), &strike, &mut rng_diff, &snaps)
-            .expect("resumed run");
-        prop_assert_eq!(bits(&full.output), bits(&diff.output));
-        prop_assert_eq!(full.resolutions, diff.resolutions);
-        prop_assert_eq!(full.profile, diff.profile);
+        let (full, _) = reference(&engine, kernel.as_mut(), strike, seed);
+        let (forked, _, _) = fork(
+            &engine,
+            kernel.as_mut(),
+            &snaps,
+            strike,
+            seed,
+            &mut RunScratch::new(),
+            None,
+        );
+        prop_assert_eq!(bits(&full.output), bits(&forked.output));
+        prop_assert_eq!(full.resolutions, forked.resolutions);
+        prop_assert_eq!(full.profile, forked.profile);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The batch scheduler's compare-setup reuse: one bucket's
-    /// precomputed dirty-region union (the forked run's own store log ∪
-    /// the bucket's golden suffix spans) must make the sparse compare
-    /// equivalent to a full-buffer compare for *every* injection in the
-    /// bucket — random masks, sites and op indices.
+    /// The batch scheduler's compare-setup reuse: one bucket's golden
+    /// suffix spans (indexed once by `warm_restore`) unioned with each
+    /// fork's own store log must make the sparse compare equivalent to
+    /// a full-buffer compare for *every* injection in the bucket —
+    /// random masks, sites and op indices.
     #[test]
     fn bucket_dirty_union_makes_sparse_compare_exhaustive(
         seed in 0u64..1 << 32,
         bit in 0u32..64,
         target_kind in 0usize..3,
     ) {
-        use radcrit_accel::engine::RunScratch;
         use radcrit_core::compare::{compare_slices, compare_slices_sparse};
 
         let engine = Engine::new(DeviceConfig::kepler_k40());
@@ -220,7 +304,6 @@ proptest! {
         // middle of the run, executed fork-by-fork off one warm restore
         // exactly as the runner does.
         let resume = snaps.resume_tile(tiles / 2).expect("snapshot exists");
-        let spans: Vec<(usize, usize)> = snaps.golden_spans_from(resume).collect();
         let mut scratch = RunScratch::new();
         let mut warm = engine
             .warm_restore(kernel.as_mut(), &snaps, tiles / 2, &mut scratch, None)
@@ -238,16 +321,84 @@ proptest! {
                 .warm_advance(kernel.as_mut(), &mut warm, at_tile)
                 .expect("advance");
             let mut rng = StdRng::seed_from_u64(seed ^ at_tile as u64);
-            let fork = engine
-                .run_forked(kernel.as_mut(), &strike, &mut rng, &warm, &spans, &mut scratch)
+            let forked = engine
+                .run(kernel.as_mut(), &[strike], &mut rng, Some((&warm, &mut scratch)), None)
                 .expect("forked run");
-            let dirty = fork.dirty.as_ref().expect("forked run has a dirty region");
+            let dirty = forked.dirty.as_ref().expect("forked run has a dirty region");
             let shape = kernel.logical_shape();
-            let dense = compare_slices(&golden.output, &fork.output, shape).expect("dense");
-            let sparse = compare_slices_sparse(&golden.output, &fork.output, shape, dirty)
+            let dense = compare_slices(&golden.output, &forked.output, shape).expect("dense");
+            let sparse = compare_slices_sparse(&golden.output, &forked.output, shape, dirty)
                 .expect("sparse");
             prop_assert_eq!(mismatch_bits(&sparse), mismatch_bits(&dense));
         }
+    }
+}
+
+/// The campaign-level oracle: replays every index of `campaign` on the
+/// reference path — a golden run without snapshots, then per index the
+/// runner's RNG stream ([`stream_seed`]), the sampled plan, `Engine::run`
+/// from tile 0 and a dense compare of the whole output — in index order
+/// on one thread. No batch scheduler, warm state or dirty region is
+/// involved.
+fn oracle(campaign: &Campaign) -> CampaignResult {
+    let engine = Engine::new(campaign.device.clone());
+    let mut kernel = campaign.kernel.build(campaign.seed).expect("kernel builds");
+    let golden = engine.golden(kernel.as_mut()).expect("golden run");
+    let sampler = FaultSampler::new(&campaign.device, &golden.profile);
+    let records = (0..campaign.injections)
+        .map(|index| {
+            let mut rng = StdRng::seed_from_u64(stream_seed(campaign.seed, index));
+            let spec = match sampler.sample(&mut rng) {
+                InjectionPlan::Strike(spec) => spec,
+                fatal => {
+                    return InjectionRecord {
+                        index,
+                        site: "fatal".into(),
+                        at_tile: None,
+                        delivered: true,
+                        outcome: match fatal {
+                            InjectionPlan::Crash => InjectionOutcome::Crash,
+                            _ => InjectionOutcome::Hang,
+                        },
+                    }
+                }
+            };
+            let run = engine
+                .run(kernel.as_mut(), &[spec], &mut rng, None, None)
+                .expect("reference run");
+            // A run the engine proved golden-equivalent stopped early and
+            // holds stale bytes past its exit tile: it is masked by the
+            // engine's contract, not by a compare.
+            let report = if run.golden_equivalent {
+                ErrorReport::new(kernel.logical_shape(), Vec::new())
+            } else {
+                compare_with_logical_coords(&golden.output, &run.output, kernel.as_ref())
+            };
+            let outcome = if report.is_sdc() {
+                InjectionOutcome::Sdc(SdcDetail {
+                    criticality: report.criticality(&campaign.tolerance, &campaign.classifier),
+                    output_len: golden.output.len(),
+                })
+            } else {
+                InjectionOutcome::Masked
+            };
+            InjectionRecord {
+                index,
+                site: spec.target.site_name().to_owned(),
+                at_tile: Some(spec.at_tile),
+                delivered: run.strike_delivered,
+                outcome,
+            }
+        })
+        .collect();
+    CampaignResult {
+        campaign: campaign.clone(),
+        sigma_total: sampler.table().total(),
+        output_len: golden.output.len(),
+        profile: golden.profile,
+        records,
+        telemetry: Telemetry::new().snapshot(),
+        shard: None,
     }
 }
 
@@ -260,83 +411,49 @@ fn temp_path(tag: &str) -> PathBuf {
     path
 }
 
-/// Kill → resume with snapshots enabled (the default): the checkpointed
-/// summary stays bit-identical to an uninterrupted differential run,
-/// and both match a run with differential execution forced off.
-#[test]
-fn killed_differential_campaign_resumes_to_an_identical_summary() {
-    let campaign = Campaign::new(
-        DeviceConfig::kepler_k40(),
-        KernelSpec::Dgemm { n: 32 },
-        60,
-        7,
-    )
-    .with_workers(2);
-
-    let uninterrupted = campaign.run().unwrap();
-    let full_exec = campaign
-        .run_with(&RunOptions {
-            full_execution: true,
-            ..RunOptions::default()
-        })
-        .unwrap();
-    assert_eq!(
-        uninterrupted.records, full_exec.records,
-        "differential execution changed the science"
-    );
-
-    let path = temp_path("kill-resume");
+/// Runs `campaign` to `budget` records into a fresh checkpoint (the
+/// deterministic stand-in for a kill), then resumes it to completion.
+fn killed_and_resumed(campaign: &Campaign, budget: usize, tag: &str) -> CampaignResult {
+    let path = temp_path(tag);
     let partial = campaign
         .run_with(&RunOptions {
             checkpoint: Some(path.clone()),
-            budget: Some(25),
+            budget: Some(budget),
             ..RunOptions::default()
         })
         .unwrap();
-    assert_eq!(partial.records.len(), 25);
+    assert_eq!(partial.records.len(), budget);
     assert!(!partial.is_complete());
-
     let resumed = campaign.resume(&path).unwrap();
-    assert!(resumed.is_complete());
-    assert_eq!(resumed.records, uninterrupted.records);
-    assert_eq!(resumed.summary(), uninterrupted.summary());
     std::fs::remove_file(&path).ok();
+    assert!(resumed.is_complete());
+    resumed
 }
 
-/// The batch scheduler is invisible to the science: records, the event
-/// stream's bytes, and the summary are bit-identical to the unbatched
-/// differential path and to full execution, across all three kernels.
+/// The batch scheduler and the fork path are invisible to the science:
+/// a campaign's records and summary equal the reference oracle's, for
+/// all three kernels, uninterrupted and across kill → resume.
 #[test]
-fn batched_campaigns_are_bit_identical_to_unbatched_across_kernels() {
+fn batched_campaigns_equal_the_reference_oracle_across_kernels() {
     for spec in kernels() {
         let campaign = Campaign::new(DeviceConfig::kepler_k40(), spec, 50, 7).with_workers(3);
-        let run = |no_batch: bool, full_execution: bool, tag: &str| {
-            let events = temp_path(&format!("batch-events-{tag}"));
-            let result = campaign
-                .run_with(&RunOptions {
-                    no_batch,
-                    full_execution,
-                    events_out: Some(events.clone()),
-                    events_sample: 1,
-                    ..RunOptions::default()
-                })
-                .unwrap();
-            let stream = std::fs::read(&events).unwrap();
-            std::fs::remove_file(&events).ok();
-            (result, stream)
-        };
-        let (batched, batched_events) = run(false, false, "on");
-        let (unbatched, unbatched_events) = run(true, false, "off");
-        let (full, full_events) = run(false, true, "full");
-        assert_eq!(batched.records, unbatched.records, "{spec:?} records");
-        assert_eq!(batched.records, full.records, "{spec:?} records vs full");
-        assert_eq!(batched_events, unbatched_events, "{spec:?} event stream");
-        assert_eq!(batched_events, full_events, "{spec:?} events vs full");
-        assert_eq!(batched.summary(), unbatched.summary(), "{spec:?} summary");
+        let want = oracle(&campaign);
+        let batched = campaign.run().unwrap();
+        assert_eq!(batched.records, want.records, "{spec:?} records");
+        assert_eq!(batched.profile, want.profile, "{spec:?} golden profile");
+        assert_eq!(batched.summary(), want.summary(), "{spec:?} summary");
         assert_eq!(
-            batched.summary(),
-            full.summary(),
-            "{spec:?} summary vs full"
+            batched.summary().to_json(),
+            want.summary().to_json(),
+            "{spec:?} summary JSON bytes"
+        );
+
+        let resumed = killed_and_resumed(&campaign, 20, "oracle-kill-resume");
+        assert_eq!(resumed.records, want.records, "{spec:?} resumed records");
+        assert_eq!(
+            resumed.summary(),
+            want.summary(),
+            "{spec:?} resumed summary"
         );
     }
 }
@@ -414,37 +531,24 @@ fn checkpoint_resumes_across_executors() {
 }
 
 /// Under the batch scheduler the checkpoint records completion out of
-/// plan order; kill → resume must still reconstruct the uninterrupted
-/// (and unbatched) summary bit for bit.
+/// plan order; kill → resume must still reconstruct the oracle's
+/// summary bit for bit.
 #[test]
-fn killed_batched_campaign_resumes_out_of_plan_order_to_an_identical_summary() {
+fn killed_batched_campaign_resumes_out_of_plan_order_to_the_oracle_summary() {
     let campaign = Campaign::new(
         DeviceConfig::kepler_k40(),
         KernelSpec::Dgemm { n: 32 },
         60,
         7,
     );
-
-    let uninterrupted = campaign.clone().with_workers(2).run().unwrap();
-    let unbatched = campaign
-        .clone()
-        .with_workers(2)
-        .run_with(&RunOptions {
-            no_batch: true,
-            ..RunOptions::default()
-        })
-        .unwrap();
-    assert_eq!(
-        uninterrupted.records, unbatched.records,
-        "the batch scheduler changed the science"
-    );
+    let want = oracle(&campaign);
 
     let path = temp_path("batched-kill-resume");
     // One worker makes the checkpoint's line order deterministic: the
     // bucket-sorted execution order. Budget truncation happens before
-    // the sort, so the completed *set* is still {0..25} — identical to
-    // an unbatched budget stop — while the *order* the checkpoint
-    // records completion in genuinely leaves plan order.
+    // the sort, so the completed *set* is still {0..25} — the index
+    // prefix — while the *order* the checkpoint records completion in
+    // genuinely leaves plan order.
     let partial = campaign
         .clone()
         .with_workers(1)
@@ -459,7 +563,7 @@ fn killed_batched_campaign_resumes_out_of_plan_order_to_an_identical_summary() {
     assert_eq!(
         completed,
         (0..25).collect::<Vec<_>>(),
-        "a batched budget stop must complete the same index subset as an unbatched one"
+        "a budget stop must complete the index prefix"
     );
     let checkpoint_order: Vec<u64> = std::fs::read_to_string(&path)
         .unwrap()
@@ -482,7 +586,7 @@ fn killed_batched_campaign_resumes_out_of_plan_order_to_an_identical_summary() {
 
     let resumed = campaign.with_workers(2).resume(&path).unwrap();
     assert!(resumed.is_complete());
-    assert_eq!(resumed.records, uninterrupted.records);
-    assert_eq!(resumed.summary(), uninterrupted.summary());
+    assert_eq!(resumed.records, want.records);
+    assert_eq!(resumed.summary(), want.summary());
     std::fs::remove_file(&path).ok();
 }

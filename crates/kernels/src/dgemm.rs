@@ -317,7 +317,7 @@ mod tests {
                 op_index: 100,
             },
         );
-        let out = engine.run(&mut k, &s, &mut rng).unwrap();
+        let out = engine.run(&mut k, &[s], &mut rng, None, None).unwrap();
         let diffs: Vec<usize> = (0..golden.len())
             .filter(|&i| out.output[i] != golden[i])
             .collect();
@@ -337,7 +337,7 @@ mod tests {
         let golden = k.host_reference();
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         let s = StrikeSpec::new(1, StrikeTarget::L2 { mask: 1 << 61 });
-        let out = engine.run(&mut k, &s, &mut rng).unwrap();
+        let out = engine.run(&mut k, &[s], &mut rng, None, None).unwrap();
         assert!(out.strike_delivered, "tile 0 populated the cache");
         let diffs: Vec<usize> = (0..golden.len())
             .filter(|&i| out.output[i] != golden[i])

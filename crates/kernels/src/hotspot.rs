@@ -386,7 +386,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         // Flip a high mantissa bit early in the run.
         let s = StrikeSpec::new(4, StrikeTarget::L2 { mask: 1 << 51 });
-        let out = engine.run(&mut k, &s, &mut rng).unwrap();
+        let out = engine.run(&mut k, &[s], &mut rng, None, None).unwrap();
         assert!(out.strike_delivered);
         let diffs: Vec<usize> = (0..golden.len())
             .filter(|&i| out.output[i] != golden[i])

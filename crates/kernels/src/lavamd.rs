@@ -377,7 +377,7 @@ mod tests {
                     op_index,
                 },
             );
-            let out = engine.run(&mut k, &s, &mut rng).unwrap();
+            let out = engine.run(&mut k, &[s], &mut rng, None, None).unwrap();
             let max_rel = (0..golden.len())
                 .filter(|&i| out.output[i] != golden[i])
                 .map(|i| ((out.output[i] - golden[i]) / golden[i]).abs() * 100.0)

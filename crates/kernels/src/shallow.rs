@@ -570,7 +570,7 @@ mod tests {
         // Corrupt an exponent bit of cached state early in the run.
         let tiles_step0 = k.tiles_in_step(0);
         let s = StrikeSpec::new(tiles_step0, StrikeTarget::L2 { mask: 1 << 60 });
-        let out = engine.run(&mut k, &s, &mut rng).unwrap();
+        let out = engine.run(&mut k, &[s], &mut rng, None, None).unwrap();
         assert!(out.strike_delivered);
         if out.golden_equivalent {
             // The engine proved the corruption died unobserved and

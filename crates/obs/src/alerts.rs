@@ -299,29 +299,31 @@ impl AlertEngine {
             return Vec::new();
         };
         let latest = latest.clone();
-        while let Some(&(t, _)) = self.history.front() {
-            if self.history.len() > 1 && t + self.config.window < now {
-                self.history.pop_front();
-            } else {
-                break;
-            }
+        // The counter baseline is the newest sample from before the
+        // window (else the oldest inside it): a counter increment counts
+        // from the first sample that observes it inside the window, even
+        // when a sweep gap longer than the window preceded that sample.
+        // Once every sample predates the window, the baseline is the
+        // latest one and nothing happened inside it.
+        while self.history.len() > 1 && self.history[1].0 + self.config.window < now {
+            self.history.pop_front();
         }
-        let (first_at, first) = self.history.front().cloned().expect("non-empty history");
-
+        let (_, counters) = self.history.front().expect("non-empty history");
         let deaths = latest
             .worker_deaths_total
-            .saturating_sub(first.worker_deaths_total);
+            .saturating_sub(counters.worker_deaths_total);
         let redispatches = latest
             .redispatches_total
-            .saturating_sub(first.redispatches_total);
-        // When the only sample left predates the window, nothing
-        // happened inside it.
-        let in_window = first_at + self.config.window >= now;
-        let (deaths, redispatches) = if in_window {
-            (deaths, redispatches)
-        } else {
-            (0, 0)
-        };
+            .saturating_sub(counters.redispatches_total);
+        // The throughput rate spans only samples inside the window (with
+        // none inside, the latest alone gives a zero span).
+        let (first_at, first) = self
+            .history
+            .iter()
+            .find(|&&(t, _)| t + self.config.window >= now)
+            .or(self.history.back())
+            .cloned()
+            .expect("non-empty history");
 
         let cfg = &self.config;
         let mut desired: [(bool, String); 6] = Default::default();
@@ -528,6 +530,37 @@ mod tests {
     }
 
     #[test]
+    fn a_death_first_seen_after_a_sweep_gap_fires_flapping() {
+        // Two samples more than a window apart: the older one is the
+        // baseline, so the death first observed in the newer one counts.
+        let t0 = base();
+        let window = Duration::from_secs(2);
+        let mut e = engine(AlertConfig {
+            window,
+            ..AlertConfig::default()
+        });
+        assert!(e.observe(t0, sample()).is_empty());
+        let t1 = t0 + window + Duration::from_secs(1);
+        let edges = e.observe(
+            t1,
+            HealthSample {
+                worker_deaths_total: 1,
+                ..sample()
+            },
+        );
+        assert_eq!(edges.len(), 1, "{edges:?}");
+        assert_eq!(edges[0].rule, AlertRule::WorkerFlapping);
+        assert!(edges[0].firing);
+
+        // One more window without new deaths resolves it.
+        let edges = e.evaluate_at(t1 + window + Duration::from_secs(1));
+        assert_eq!(edges.len(), 1, "{edges:?}");
+        assert_eq!(edges[0].rule, AlertRule::WorkerFlapping);
+        assert!(!edges[0].firing);
+        assert_eq!(e.fired_total(AlertRule::WorkerFlapping), 1);
+    }
+
+    #[test]
     fn redispatches_fire_and_resolve_the_storm_rule() {
         let t0 = base();
         let mut e = engine(AlertConfig {
@@ -636,6 +669,29 @@ mod tests {
             edges
                 .iter()
                 .any(|ev| ev.rule == AlertRule::ThroughputBelowBaseline && !ev.firing),
+            "{edges:?}"
+        );
+    }
+
+    #[test]
+    fn throughput_rate_never_spans_a_sweep_gap() {
+        // A sample older than the window is a counter baseline only: the
+        // rate across the 10 s gap (4 inj/s) must not fire the rule.
+        let t0 = base();
+        let mut e = engine(AlertConfig {
+            window: Duration::from_secs(4),
+            baseline_rate: Some(100.0),
+            ..AlertConfig::default()
+        });
+        let at = |covered| HealthSample {
+            covered,
+            total: 100_000,
+            ..HealthSample::default()
+        };
+        e.observe(t0, at(10));
+        let edges = e.observe(t0 + Duration::from_secs(10), at(50));
+        assert!(
+            !e.is_active(AlertRule::ThroughputBelowBaseline),
             "{edges:?}"
         );
     }

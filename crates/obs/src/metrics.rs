@@ -85,11 +85,6 @@ pub const METRIC_REFERENCE: &[MetricHelp] = &[
         help: "Engine phase wall time in microseconds, by phase label (setup, tiles, flush).",
     },
     MetricHelp {
-        name: "radcrit_engine_resumed_runs_total",
-        kind: "counter",
-        help: "Engine executions resumed from a golden-prefix snapshot.",
-    },
-    MetricHelp {
         name: "radcrit_engine_runs_total",
         kind: "counter",
         help: "Engine executions started, in any mode.",

@@ -58,7 +58,7 @@ pub enum PhaseId {
     /// point (`Engine::warm_advance`).
     WarmAdvance = 2,
     /// A forked per-strike execution off a warm bucket state
-    /// (`Engine::run_forked`), including its state copy.
+    /// (`Engine::run` with a warm state), including its state copy.
     Fork = 3,
     /// One kernel tile body (`Program::execute_tile`).
     TileExecute = 4,

@@ -63,13 +63,12 @@ const USAGE: &str =
        [--deadline-ms 120000] [--checkpoint run.jsonl] [--resume]
        [--progress 5] [--summary-out summary.json]
        [--metrics-out metrics.json] [--events-out events.jsonl]
-       [--events-sample 1] [--snapshot-stride 0] [--full-execution]
-       [--no-batch] [--scalar]
+       [--events-sample 1] [--scalar]
        [--trace-out trace.json] [--profile-out profile.json]
    radcrit-campaign obs-report EVENTS_FILE
    radcrit-campaign obs-report flamegraph PROFILE_JSON
    radcrit-campaign serve [--addr 127.0.0.1:7117] [--data-dir DIR]
-       [--pool 2] [--queue-depth 64] [--cache-mb 64] [--full-execution]
+       [--pool 2] [--queue-depth 64] [--cache-mb 64]
    radcrit-campaign submit --addr HOST:PORT <campaign flags>
        [--priority high|normal|low] [--wait] [--timeout 600]
    radcrit-campaign status --addr HOST:PORT JOB
@@ -290,9 +289,6 @@ struct RunArgs {
     summary_out: Option<PathBuf>,
     metrics_out: Option<PathBuf>,
     events_out: Option<PathBuf>,
-    snapshot_stride: usize,
-    full_execution: bool,
-    no_batch: bool,
     trace_out: Option<PathBuf>,
     profile_out: Option<PathBuf>,
 }
@@ -314,9 +310,6 @@ fn cmd_run(argv: &[String]) -> Result<(), ServeError> {
             "--summary-out" => a.summary_out = Some(PathBuf::from(value(&flag, &mut it)?)),
             "--metrics-out" => a.metrics_out = Some(PathBuf::from(value(&flag, &mut it)?)),
             "--events-out" => a.events_out = Some(PathBuf::from(value(&flag, &mut it)?)),
-            "--snapshot-stride" => a.snapshot_stride = parsed(&flag, &mut it)?,
-            "--full-execution" => a.full_execution = true,
-            "--no-batch" => a.no_batch = true,
             "--trace-out" => a.trace_out = Some(PathBuf::from(value(&flag, &mut it)?)),
             "--profile-out" => a.profile_out = Some(PathBuf::from(value(&flag, &mut it)?)),
             other => return Err(config(format!("unknown flag {other}"))),
@@ -352,9 +345,6 @@ fn cmd_run(argv: &[String]) -> Result<(), ServeError> {
         metrics_out: a.metrics_out.clone(),
         events_out: a.events_out.clone(),
         events_sample: spec.events_sample,
-        snapshot_stride: a.snapshot_stride,
-        full_execution: a.full_execution,
-        no_batch: a.no_batch,
         force_scalar: spec.force_scalar,
         trace_out: a.trace_out.clone(),
         profile_out: a.profile_out.clone(),
@@ -537,7 +527,6 @@ fn cmd_serve(argv: &[String]) -> Result<(), ServeError> {
                 let mb: usize = parsed(&flag, &mut it)?;
                 cfg.cache_bytes = mb * 1024 * 1024;
             }
-            "--full-execution" => cfg.full_execution = true,
             other => return Err(config(format!("unknown flag {other}"))),
         }
     }

@@ -74,12 +74,6 @@ pub struct DaemonConfig {
     pub queue_depth: usize,
     /// Byte budget of the shared golden cache.
     pub cache_bytes: usize,
-    /// Disable differential injection execution: every job re-executes
-    /// the kernel from tile 0 per injection, and golden cache entries
-    /// carry no snapshot sets. Off by default — jobs resume from
-    /// golden-prefix snapshots that the shared cache carries across
-    /// jobs.
-    pub full_execution: bool,
 }
 
 impl Default for DaemonConfig {
@@ -90,7 +84,6 @@ impl Default for DaemonConfig {
             pool: 2,
             queue_depth: 64,
             cache_bytes: GoldenCache::DEFAULT_BYTES,
-            full_execution: false,
         }
     }
 }
@@ -376,7 +369,6 @@ fn run_job(
         golden_cache: Some(Arc::clone(&core.cache)),
         cancel: Some(Arc::clone(cancel)),
         metrics: Some(Arc::clone(&job_metrics)),
-        full_execution: core.config.full_execution,
         shard: spec.shard,
         force_scalar: spec.force_scalar,
         ..RunOptions::default()

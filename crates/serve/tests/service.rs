@@ -88,12 +88,11 @@ fn parallel_jobs_match_direct_runs_bit_for_bit() {
         "cache hit counter missing from:\n{metrics}"
     );
     assert!(metrics.contains("radcrit_serve_jobs_submitted_total"));
-    // Differential execution is on by default: the cached golden entry
-    // carries snapshots, so jobs resume injections from golden-prefix
-    // state instead of re-executing from tile 0.
+    // The cached golden entry carries snapshots, so jobs fork injections
+    // off golden-prefix state instead of re-executing from tile 0.
     assert!(
-        metrics.contains("radcrit_engine_resumed_runs_total"),
-        "resumed-run counter missing from:\n{metrics}"
+        metrics.contains("radcrit_engine_forked_runs_total"),
+        "forked-run counter missing from:\n{metrics}"
     );
     assert!(
         metrics.contains("radcrit_snapshot_bytes"),

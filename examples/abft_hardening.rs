@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let InjectionPlan::Strike(spec) = sampler.sample(&mut rng) else {
             continue;
         };
-        let run = engine.run(&mut kernel, &spec, &mut rng)?;
+        let run = engine.run(&mut kernel, &[spec], &mut rng, None, None)?;
         if run.output == golden.output {
             continue;
         }

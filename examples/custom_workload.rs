@@ -150,7 +150,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         match sampler.sample(&mut rng) {
             InjectionPlan::Crash | InjectionPlan::Hang => fatal += 1,
             InjectionPlan::Strike(spec) => {
-                let run = engine.run(&mut kernel, &spec, &mut rng)?;
+                let run = engine.run(&mut kernel, &[spec], &mut rng, None, None)?;
                 let report = compare_slices(&golden.output, &run.output, shape)?;
                 if !report.is_sdc() {
                     masked += 1;

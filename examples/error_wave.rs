@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut run = None;
         for attempt in 0..64u64 {
             let mut rng = StdRng::seed_from_u64(0xD00D ^ attempt);
-            let candidate = engine.run(&mut kernel, &spec, &mut rng)?;
+            let candidate = engine.run(&mut kernel, &[spec], &mut rng, None, None)?;
             if candidate.output != golden.output {
                 run = Some(candidate);
                 break;

@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             InjectionPlan::Crash => println!("attempt {attempt}: application crash"),
             InjectionPlan::Hang => println!("attempt {attempt}: node hang"),
             InjectionPlan::Strike(spec) => {
-                let run = engine.run(&mut kernel, &spec, &mut rng)?;
+                let run = engine.run(&mut kernel, &[spec], &mut rng, None, None)?;
                 let report = compare_slices(&golden.output, &run.output, shape)?;
                 if !report.is_sdc() {
                     println!(

@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             InjectionPlan::Crash => crash += 1,
             InjectionPlan::Hang => hang += 1,
             InjectionPlan::Strike(strike) => {
-                let run = engine.run(kernel.as_mut(), &strike, &mut rng)?;
+                let run = engine.run(kernel.as_mut(), &[strike], &mut rng, None, None)?;
                 let report =
                     radcrit::core::compare::compare_slices(&golden.output, &run.output, shape)?;
                 if report.is_sdc() {

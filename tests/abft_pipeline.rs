@@ -32,7 +32,9 @@ fn corrupted_output(strike: StrikeSpec, rng_seed: u64) -> (Vec<f64>, Vec<f64>) {
     let mut kernel = Dgemm::new(N, SEED).unwrap();
     let golden = engine.golden(&mut kernel).unwrap();
     let mut rng = StdRng::seed_from_u64(rng_seed);
-    let run = engine.run(&mut kernel, &strike, &mut rng).unwrap();
+    let run = engine
+        .run(&mut kernel, &[strike], &mut rng, None, None)
+        .unwrap();
     (golden.output, run.output)
 }
 

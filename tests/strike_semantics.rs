@@ -21,7 +21,9 @@ fn run_dgemm(device: DeviceConfig, strike: StrikeSpec, seed: u64) -> (Vec<f64>, 
     let mut kernel = Dgemm::new(N, 7).unwrap();
     let golden = engine.golden(&mut kernel).unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
-    let run = engine.run(&mut kernel, &strike, &mut rng).unwrap();
+    let run = engine
+        .run(&mut kernel, &[strike], &mut rng, None, None)
+        .unwrap();
     (golden.output, run.output)
 }
 
@@ -99,7 +101,9 @@ fn lavamd_l2_strike_spreads_over_neighbouring_boxes() {
     for seed in 0..40u64 {
         let strike = StrikeSpec::new(4, StrikeTarget::L2 { mask: 1 << 61 });
         let mut rng = StdRng::seed_from_u64(seed);
-        let run = engine.run(&mut kernel, &strike, &mut rng).unwrap();
+        let run = engine
+            .run(&mut kernel, &[strike], &mut rng, None, None)
+            .unwrap();
         let boxes: std::collections::HashSet<_> = golden
             .output
             .iter()

@@ -1,15 +1,34 @@
 //! Cross-crate integration: the Table I classification of the kernels is
 //! *measured* from execution traces, not just asserted.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
 use radcrit::accel::engine::Engine;
+use radcrit::accel::{ExecutionTrace, TiledProgram};
 use radcrit::campaign::presets;
 use radcrit::campaign::KernelSpec;
 
-fn trace(spec: KernelSpec) -> radcrit::accel::ExecutionTrace {
+/// A fault-free run's per-tile trace (no strikes, so the RNG is never
+/// consulted).
+fn golden_trace<P: TiledProgram + ?Sized>(engine: &Engine, kernel: &mut P) -> ExecutionTrace {
+    let mut trace = ExecutionTrace::new();
+    engine
+        .run(
+            kernel,
+            &[],
+            &mut StdRng::seed_from_u64(0),
+            None,
+            Some(&mut trace),
+        )
+        .expect("traced run");
+    trace
+}
+
+fn trace(spec: KernelSpec) -> ExecutionTrace {
     let engine = Engine::new(presets::k40());
     let mut kernel = spec.build(1).expect("preset kernel");
-    let (_, trace) = engine.golden_traced(kernel.as_mut()).expect("traced run");
-    trace
+    golden_trace(&engine, kernel.as_mut())
 }
 
 #[test]
@@ -67,7 +86,7 @@ fn clamr_work_varies_across_launches() {
 
     // The trace agrees with the activity schedule tile for tile.
     let engine = Engine::new(presets::xeon_phi());
-    let (_, trace) = engine.golden_traced(&mut kernel).expect("traced");
+    let trace = golden_trace(&engine, &mut kernel);
     assert_eq!(trace.tiles().len(), kernel.tile_count());
     // And the per-launch thread count reported to the fault model is the
     // widest step, not the whole run.
