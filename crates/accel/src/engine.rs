@@ -11,7 +11,10 @@
 //! from tile 0 (the reference path) or from a [`WarmState`] — golden
 //! machine state restored from a snapshot and rolled forward to the
 //! strike instant — and the two starts are bit-identical by the
-//! resumability contract.
+//! resumability contract. A forked run also stops as soon as its fault is
+//! *contained* — spent, and never again loadable by a later tile — and
+//! splices the golden suffix from the bucket's [`SnapshotSet`] ledger
+//! instead of executing it; the outcome is the same bit for bit.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -22,7 +25,7 @@ use radcrit_core::DirtyRegion;
 use radcrit_obs::profile::{phase_if, profiling_enabled, PhaseId};
 use radcrit_obs::MetricsRegistry;
 
-use crate::cache::CacheHierarchy;
+use crate::cache::{CacheHierarchy, CacheStats};
 use crate::config::DeviceConfig;
 use crate::error::AccelError;
 use crate::memory::DeviceMemory;
@@ -31,17 +34,19 @@ use crate::program::{
     apply_writebacks, MachineCounters, StoreLog, TileCtx, TileFault, TileId, TiledProgram,
 };
 use crate::scheduler::DispatchPlan;
-use crate::snapshot::{EngineSnapshot, SnapshotPolicy, SnapshotSet};
+use crate::snapshot::{EngineSnapshot, GoldenLedger, LedgerTile, SnapshotPolicy, SnapshotSet};
 use crate::strike::{SchedulerEffect, StrikeSpec, StrikeTarget};
 use crate::trace::{ExecutionTrace, TileTrace};
 
 /// The result of one engine run.
 ///
-/// The engine always runs the program to completion; crash/hang outcomes
-/// are classified by the fault layer *before* execution (a crashed run has
-/// no output to analyze). `strike_delivered` reports whether the strike
-/// found live state to corrupt — `false` means the strike was
-/// architecturally masked (empty cache set, no pending victim).
+/// The outcome always describes the program run to completion, even when
+/// a forked run stopped at a contained fault and spliced the golden
+/// suffix; crash/hang outcomes are classified by the fault layer *before*
+/// execution (a crashed run has no output to analyze). `strike_delivered`
+/// reports whether the strike found live state to corrupt — `false` means
+/// the strike was architecturally masked (empty cache set, no pending
+/// victim).
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
     /// The output buffer contents after the final cache flush.
@@ -60,11 +65,13 @@ pub struct RunOutcome {
     pub dirty: Option<DirtyRegion>,
     /// The engine proved mid-run that every strike died without touching
     /// any observable state (no pending flips, no observed corrupted
-    /// load, no write-back, no armed faults) and stopped executing
-    /// early: by the resumability contract the finished run's output
-    /// would be bit-equal to golden, so callers must skip the output
-    /// compare — the returned buffer may hold stale bytes past the exit
-    /// tile.
+    /// load, no write-back, no armed core or scheduler fault) and stopped
+    /// executing early: by the resumability contract the finished run's
+    /// output would be bit-equal to golden, so callers must skip the
+    /// output compare — the returned buffer, profile and trace stop at
+    /// the exit tile. (A run whose fault *did* reach state but stayed
+    /// contained stops early too, on forks only, but splices the golden
+    /// suffix and reports `false` here: its outcome is complete.)
     pub golden_equivalent: bool,
 }
 
@@ -159,9 +166,10 @@ pub struct WarmState {
     l2_resident_samples: f64,
     next_tile: usize,
     resume_tile: usize,
-    /// Golden output-store spans from `resume_tile` on. Unioned with a
-    /// fork's own store log they bound its dirty output region.
-    spans: Vec<(usize, usize)>,
+    /// The golden run tile by tile: its output spans from `resume_tile`
+    /// on, unioned with a fork's own store log, bound the fork's dirty
+    /// output region, and a contained fork splices its suffix from it.
+    ledger: Arc<GoldenLedger>,
     /// Unique id for the dirty-only fork restore (see
     /// [`RunScratch::spare_origin`]). `mem`'s write tracking is reset
     /// when the state is built, so its written flags name exactly the
@@ -289,10 +297,12 @@ impl Engine {
     /// execution from tile 0, with no dirty region (the caller compares
     /// the whole output). `Some((warm, scratch))` copies `warm` into the
     /// scratch spares (`warm` itself is untouched) and runs only the
-    /// suffix from `warm.next_tile()`; the outcome is bit-identical to
-    /// the reference path — output, resolutions and profile — and
-    /// carries the dirty output region (the run's own stores union the
-    /// bucket's golden suffix spans) for a sparse compare.
+    /// suffix from `warm.next_tile()`, or only until its fault is
+    /// contained, splicing the rest from the golden ledger. The outcome
+    /// is bit-identical to the reference path — output, resolutions and
+    /// profile — and carries the dirty output region (the run's own
+    /// stores union the golden spans of the tiles it executed) for a
+    /// sparse compare.
     ///
     /// `trace`, when given, receives one [`TileTrace`] per executed tile
     /// — the join between a strike and the tiles that touched struck
@@ -331,10 +341,10 @@ impl Engine {
 
     /// Restores the nearest snapshot at or before `tile` into an owned
     /// [`WarmState`] — the batch scheduler's once-per-bucket restore —
-    /// and indexes the bucket's golden suffix spans. `reuse` recycles a
-    /// previous bucket's allocations (memory image, cache tables, span
-    /// list) instead of cloning fresh ones. Returns `None` when the
-    /// program is not resumable or no snapshot covers `tile`.
+    /// sharing the set's golden ledger. `reuse` recycles a previous
+    /// bucket's allocations (memory image, cache tables) instead of
+    /// cloning fresh ones. Returns `None` when the program is not
+    /// resumable or no snapshot covers `tile`.
     ///
     /// # Errors
     ///
@@ -358,23 +368,20 @@ impl Engine {
         };
         scratch.ensure_template(program)?;
         let template = scratch.template.as_ref().expect("ensure_template ran");
-        let (mut mem, caches, mut spans) = match reuse {
+        let (mut mem, caches) = match reuse {
             Some(w) => {
                 let mut m = w.mem;
                 m.restore_from(template);
                 let mut c = w.caches;
                 c.restore_from(&snap.caches);
-                let mut s = w.spans;
-                s.clear();
-                (m, c, s)
+                (m, c)
             }
-            None => (template.clone(), snap.caches.clone(), Vec::new()),
+            None => (template.clone(), snap.caches.clone()),
         };
         mem.apply_delta(&snap.mem_delta)?;
         // Baseline for the dirty-only fork restore: from here on the
         // written flags name the buffers golden advancement touches.
         mem.reset_write_tracking();
-        spans.extend(snapshots.golden_spans_from(snap.at_tile));
         Ok(Some(WarmState {
             mem,
             caches,
@@ -382,7 +389,7 @@ impl Engine {
             l2_resident_samples: snap.l2_resident_samples,
             next_tile: snap.at_tile,
             resume_tile: snap.at_tile,
-            spans,
+            ledger: Arc::clone(&snapshots.ledger),
             gen: NEXT_WARM_GEN.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         }))
     }
@@ -426,11 +433,7 @@ impl Engine {
                 let _scope = phase_if(prof, PhaseId::TileExecute);
                 program.execute_tile(TileId(pos), &mut ctx)?;
             }
-            let c = ctx.drain_counters();
-            warm.counters.ops += c.ops;
-            warm.counters.trans_ops += c.trans_ops;
-            warm.counters.loads += c.loads;
-            warm.counters.stores += c.stores;
+            warm.counters.add(ctx.drain_counters());
             warm.l2_resident_samples += warm.caches.l2_resident_lines() as f64;
         }
         warm.next_tile = to_tile;
@@ -475,6 +478,9 @@ impl Engine {
 
         let mut phase_start = self.metrics.as_ref().map(|_| Instant::now());
         let resumable = program.resumable();
+        // The fork's warm state on its own (`fork` hands the scratch back
+        // at the end).
+        let warm: Option<&WarmState> = fork.as_ref().map(|(w, _)| *w);
 
         let (mut mem, mut caches, mut totals, mut l2_resident_samples, start_tile) =
             match fork.as_mut() {
@@ -539,6 +545,8 @@ impl Engine {
             // Delta tracking baseline: the post-setup image.
             mem.reset_write_tracking();
         }
+        // The golden ledger a capture records alongside its snapshots.
+        let mut ledger = capture_plan.map(|_| GoldenLedger::default());
 
         // Record output-buffer stores when capturing (to know the golden
         // suffix spans) and when forked (to know the faulty run's own
@@ -562,9 +570,9 @@ impl Engine {
         let mut unit_garbles: Vec<usize> = Vec::new();
 
         // Dead-strike early exit: once every strike tile has passed and
-        // no corruption is pending or was ever observed (and no armed
-        // core/scheduler faults exist — those vecs are never drained, so
-        // any delivered non-cache fault blocks the exit forever), the
+        // no corruption is pending or was ever observed, and no core or
+        // scheduler fault was ever armed (those vecs are never drained;
+        // such runs are left to the contained exit below), the
         // resumability contract guarantees the remaining tiles compute
         // exactly the golden values. Stop executing; the caller skips
         // the compare. Gated on resumable programs only (pathological
@@ -572,6 +580,16 @@ impl Engine {
         let last_strike_tile = strikes.iter().map(|s| s.at_tile).max();
         let mut golden_equivalent = false;
         let prof = profiling_enabled();
+
+        // Contained-fault exit (forks only). `tainted` is the set of
+        // buffers that may hold non-golden bytes. Once every fault is
+        // spent and no later golden tile loads a tainted buffer, every
+        // remaining tile would compute exactly its golden values — a
+        // resumable program derives addresses from the tile id alone, so
+        // cache tags and counters also track golden's — and the rest of
+        // the run is spliced from the bucket's golden ledger.
+        let mut tainted = 0u64;
+        let mut contained_at: Option<usize> = None;
 
         for pos in start_tile..tiles {
             if let Some((stride, budget)) = capture_plan {
@@ -634,6 +652,7 @@ impl Engine {
             }
 
             let unit = plan.unit_of(pos);
+            let carried = fault != TileFault::none();
             let stats_before = caches.stats();
             let mut ctx = TileCtx::new(&mut mem, &mut caches, unit, fault);
             if let Some(log) = store_log.as_mut() {
@@ -644,32 +663,37 @@ impl Engine {
                 program.execute_tile(TileId(effective_tile), &mut ctx)?;
             }
             let c = ctx.drain_counters();
-            totals.ops += c.ops;
-            totals.trans_ops += c.trans_ops;
-            totals.loads += c.loads;
-            totals.stores += c.stores;
-            if let Some(tr) = trace.as_deref_mut() {
-                let stats_after = caches.stats();
-                tr.push(TileTrace {
-                    pos,
-                    unit,
-                    ops: c.ops,
-                    trans_ops: c.trans_ops,
-                    loads: c.loads,
-                    stores: c.stores,
-                    l2_hits: stats_after.l2_hits - stats_before.l2_hits,
-                    l2_misses: stats_after.l2_misses - stats_before.l2_misses,
-                });
-            }
-
-            // Attribute this tile's output stores for the golden suffix
-            // span index.
-            if capture_plan.is_some() {
-                if let Some(log) = store_log.as_mut() {
-                    for &(s, l) in &log.spans {
-                        set.output_spans.push((pos as u32, s as u32, l as u32));
+            let (loaded, stored, written_back, observed) =
+                (ctx.loaded, ctx.stored, ctx.written_back, ctx.observed);
+            totals.add(c);
+            if trace.is_some() || ledger.is_some() {
+                let after = caches.stats();
+                let entry = LedgerTile {
+                    counters: c,
+                    cache: CacheStats {
+                        l1_hits: after.l1_hits - stats_before.l1_hits,
+                        l1_misses: after.l1_misses - stats_before.l1_misses,
+                        l2_hits: after.l2_hits - stats_before.l2_hits,
+                        l2_misses: after.l2_misses - stats_before.l2_misses,
+                        l2_resident_lines: after.l2_resident_lines,
+                    },
+                    // This tile's own loads until the run ends, when the
+                    // ledger turns them into the union over later tiles.
+                    loaded_after: loaded,
+                };
+                if let Some(tr) = trace.as_deref_mut() {
+                    tr.push(tile_trace(pos, unit, &entry));
+                }
+                if let Some(g) = ledger.as_mut() {
+                    g.tiles.push(entry);
+                    // Attribute this tile's output stores for the golden
+                    // span index.
+                    if let Some(log) = store_log.as_mut() {
+                        for &(s, l) in &log.spans {
+                            g.output_spans.push((pos as u32, s as u32, l as u32));
+                        }
+                        log.spans.clear();
                     }
-                    log.spans.clear();
                 }
             }
 
@@ -692,6 +716,36 @@ impl Engine {
                     break;
                 }
             }
+
+            if let Some(w) = warm {
+                // A tile that carried a fault, read a tainted buffer or
+                // observed a flipped bit may have stored non-golden
+                // bytes; a corrupted write-back taints its target.
+                if carried || observed || loaded & tainted != 0 {
+                    tainted |= stored;
+                }
+                tainted |= written_back;
+                // Spent: every strike delivered, every armed victim and
+                // unit-garble wave behind us, no change to the address
+                // stream, no flip left to surface later.
+                if pos + 1 < tiles
+                    && w.ledger.tiles[pos].loaded_after & tainted == 0
+                    && last_strike_tile.is_none_or(|last| pos >= last)
+                    && armed_faults.iter().all(|&(victim, _)| victim <= pos)
+                    && unit_garbles
+                        .iter()
+                        .all(|&from| plan.wave_of(pos + 1) != plan.wave_of(from))
+                    && skip_positions.is_empty()
+                    && redirects.is_empty()
+                    && !caches.has_pending_corruption()
+                {
+                    contained_at = Some(pos);
+                    if let Some(m) = self.metrics.as_deref() {
+                        m.counter_add("radcrit_run_contained_exits_total", &[], 1);
+                    }
+                    break;
+                }
+            }
         }
 
         self.phase_done("tiles", &mut phase_start);
@@ -701,7 +755,7 @@ impl Engine {
         let wbs = caches.flush();
         apply_writebacks(&mut mem, &wbs, store_log.as_mut());
 
-        let output = mem.take_vec(program.output())?;
+        let mut output = mem.take_vec(program.output())?;
         program
             .output_shape()
             .check_len(output.len())
@@ -712,21 +766,45 @@ impl Engine {
                 ))
             })?;
 
+        let mut stats = caches.stats();
+        // Splice the golden suffix after a contained exit at tile `e`:
+        // every later tile would have run exactly as in golden, so its
+        // output stores land golden final values and its counters, cache
+        // statistics, residency sample (added one tile at a time, in
+        // order, so the float sum matches) and trace record are golden's.
+        if let (Some(e), Some(w)) = (contained_at, warm) {
+            let g = &w.ledger;
+            for (s, l) in g.spans_in(e + 1..tiles) {
+                output[s..s + l].copy_from_slice(&g.output[s..s + l]);
+            }
+            for (t, entry) in g.tiles.iter().enumerate().skip(e + 1) {
+                totals.add(entry.counters);
+                stats.l1_hits += entry.cache.l1_hits;
+                stats.l1_misses += entry.cache.l1_misses;
+                stats.l2_hits += entry.cache.l2_hits;
+                stats.l2_misses += entry.cache.l2_misses;
+                l2_resident_samples += entry.cache.l2_resident_lines as f64;
+                if let Some(tr) = trace.as_deref_mut() {
+                    tr.push(tile_trace(t, plan.unit_of(t), entry));
+                }
+            }
+        }
+
         // The dirty output region of a forked run: elements this run
         // actually stored (plus corrupted write-backs) union the bucket's
-        // golden suffix spans — a tile the fault skipped keeps
-        // golden-at-resume bytes that the golden suffix would have
-        // overwritten, so both sides are needed. The fork's store log
-        // starts at the strike tile, not the bucket's resume tile, but
-        // the golden stores in between are a subset of the bucket's
-        // spans, so the union covers them either way.
-        let dirty = fork.as_ref().map(|(w, _)| {
+        // golden spans of the tiles it executed — a tile the fault
+        // skipped keeps golden-at-resume bytes that the golden suffix
+        // would have overwritten, so both sides are needed. The fork's
+        // store log starts at the strike tile, not the bucket's resume
+        // tile, but the golden stores in between are a subset of the
+        // bucket's spans, so the union covers them either way. Spliced
+        // tiles stored golden final values and add nothing.
+        let dirty = warm.map(|w| {
+            let end = contained_at.map_or(tiles, |e| e + 1);
             let mut spans = store_log.map(|l| l.spans).unwrap_or_default();
-            spans.extend_from_slice(&w.spans);
+            spans.extend(w.ledger.spans_in(w.resume_tile..end));
             DirtyRegion::from_spans(spans, output.len())
         });
-
-        let stats = caches.stats();
         let line_bytes = caches.line_bytes() as f64;
         let profile = ExecutionProfile {
             tiles,
@@ -765,7 +843,15 @@ impl Engine {
 
         self.phase_done("flush", &mut phase_start);
 
-        if capture_plan.is_some() {
+        if let Some(mut g) = ledger {
+            let mut after = 0;
+            for entry in g.tiles.iter_mut().rev() {
+                let own = entry.loaded_after;
+                entry.loaded_after = after;
+                after |= own;
+            }
+            g.output.clone_from(&output);
+            set.ledger = Arc::new(g);
             if let Some(m) = self.metrics.as_deref() {
                 m.gauge_set("radcrit_snapshot_bytes", &[], set.cost_bytes() as f64);
             }
@@ -901,6 +987,20 @@ impl Engine {
             unit,
             redirect_dest,
         }
+    }
+}
+
+/// The trace record of the tile at dispatch position `pos`.
+fn tile_trace(pos: usize, unit: usize, t: &LedgerTile) -> TileTrace {
+    TileTrace {
+        pos,
+        unit,
+        ops: t.counters.ops,
+        trans_ops: t.counters.trans_ops,
+        loads: t.counters.loads,
+        stores: t.counters.stores,
+        l2_hits: t.cache.l2_hits,
+        l2_misses: t.cache.l2_misses,
     }
 }
 
@@ -1353,7 +1453,7 @@ mod tests {
         assert!(!set.is_empty(), "default policy captures snapshots");
         assert!(set.cost_bytes() > 0);
         assert!(
-            !set.output_spans.is_empty(),
+            !set.ledger.output_spans.is_empty(),
             "golden stores to the output are indexed"
         );
     }
@@ -1622,7 +1722,187 @@ mod tests {
             snap.counter("radcrit_engine_forked_runs_total", &[]),
             Some(1)
         );
+        // Nothing loads the output the struck tile stores into, so the
+        // fork stops after tile 6 and splices tile 7.
+        assert_eq!(
+            snap.counter("radcrit_run_contained_exits_total", &[]),
+            Some(1)
+        );
         assert!(snap.gauge("radcrit_snapshot_bytes", &[]).unwrap_or(0.0) > 0.0);
+    }
+
+    /// One tile of a [`Pipeline`]: loads `len` elements of buffer `src`
+    /// (when given) at `at` and stores `2x + 1` into buffer `dst` at
+    /// `at`; without a source the tile stores values of its own.
+    #[derive(Debug, Clone, Copy)]
+    struct Stage {
+        src: Option<usize>,
+        dst: usize,
+        at: usize,
+        len: usize,
+    }
+
+    /// A program wired stage by stage, for exercising taint propagation
+    /// between buffers. The last buffer is the output.
+    #[derive(Debug)]
+    struct Pipeline {
+        lens: Vec<usize>,
+        stages: Vec<Stage>,
+        bufs: Vec<BufferId>,
+    }
+
+    impl TiledProgram for Pipeline {
+        fn name(&self) -> &str {
+            "pipeline"
+        }
+
+        fn tile_count(&self) -> usize {
+            self.stages.len()
+        }
+
+        fn threads_per_tile(&self) -> usize {
+            8
+        }
+
+        fn setup(&mut self, mem: &mut DeviceMemory) -> Result<(), AccelError> {
+            self.bufs = self
+                .lens
+                .iter()
+                .enumerate()
+                .map(|(b, &n)| {
+                    let init: Vec<f64> = (0..n).map(|i| (b * 100 + i + 1) as f64).collect();
+                    mem.alloc_init(format!("b{b}"), &init)
+                })
+                .collect();
+            Ok(())
+        }
+
+        fn execute_tile(&mut self, tile: TileId, ctx: &mut TileCtx<'_>) -> Result<(), AccelError> {
+            let st = self.stages[tile.index()];
+            let mut x = vec![tile.index() as f64 + 0.5; st.len];
+            if let Some(src) = st.src {
+                ctx.load(self.bufs[src], st.at, &mut x)?;
+            }
+            let y: Vec<f64> = x.iter().map(|&v| ctx.fma(2.0, v, 1.0)).collect();
+            ctx.store(self.bufs[st.dst], st.at, &y)
+        }
+
+        fn output(&self) -> BufferId {
+            *self.bufs.last().expect("setup ran")
+        }
+
+        fn output_shape(&self) -> OutputShape {
+            OutputShape::d1(*self.lens.last().expect("at least one buffer"))
+        }
+    }
+
+    /// Runs `s` from tile 0 and forked off a stride-1 snapshot set, and
+    /// returns (golden, reference, fork, contained exits the fork took).
+    fn reference_and_fork(
+        cfg: DeviceConfig,
+        p: &mut Pipeline,
+        s: StrikeSpec,
+        seed: u64,
+    ) -> (RunOutcome, RunOutcome, RunOutcome, u64) {
+        let metrics = std::sync::Arc::new(MetricsRegistry::new());
+        let engine = Engine::new(cfg).with_metrics(metrics.clone());
+        let policy = SnapshotPolicy {
+            stride: 1,
+            max_bytes: 0,
+        };
+        let (golden, set) = engine.golden_snapshotted(p, &policy).unwrap();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let reference = engine.run(p, &[s], &mut rng, None, None).unwrap();
+        let fork = fork_once(&engine, p, &set, s, seed, &mut RunScratch::new());
+        let exits = metrics
+            .snapshot()
+            .counter("radcrit_run_contained_exits_total", &[])
+            .unwrap_or(0);
+        (golden, reference, fork, exits)
+    }
+
+    #[test]
+    fn taint_follows_loads_to_a_later_consumer() {
+        // Buffers: in, a, b, out. Tile 0 computes a from in, tile 1 b
+        // from a, tile 2 out from b: tile 2 consumes tile 0's output
+        // through tile 1. The fault in tile 0 must taint a, then b (tile
+        // 1 loads tainted a), so the fork never stops before tile 2.
+        let stage = |src, dst| Stage {
+            src: Some(src),
+            dst,
+            at: 0,
+            len: 8,
+        };
+        let mut p = Pipeline {
+            lens: vec![8; 4],
+            stages: vec![stage(0, 1), stage(1, 2), stage(2, 3)],
+            bufs: Vec::new(),
+        };
+        let s = StrikeSpec::new(
+            0,
+            StrikeTarget::Fpu {
+                mask: 1 << 62,
+                op_index: 3,
+            },
+        );
+        let (golden, reference, fork, exits) =
+            reference_and_fork(DeviceConfig::kepler_k40(), &mut p, s, 11);
+        assert_ne!(bits(&reference.output), bits(&golden.output));
+        assert_eq!(exits, 0, "the fault still reaches tile 2");
+        assert_eq!(bits(&fork.output), bits(&reference.output));
+        assert_eq!(fork.profile, reference.profile);
+    }
+
+    #[test]
+    fn corrupted_write_back_taints_its_buffer() {
+        // Tiny caches: 8 L2 lines of 64 bytes. Tile 0 writes buffer `in`
+        // (two dirty L2 lines, the only residents), the strike flips one
+        // of them, tile 1 streams a 16-line `pad` through the L2 and
+        // evicts it — writing the flip back into `in` — and tile 2 reads
+        // `in`. No tile of the fork carried or observed the fault; only
+        // the write-back can taint `in` and keep the fork running.
+        let cfg = DeviceConfig::builder("tiny")
+            .units(1)
+            .max_threads_per_unit(64)
+            .l1(crate::cache::CacheGeometry::new(256, 64, 2).unwrap())
+            .l2(crate::cache::CacheGeometry::new(512, 64, 2).unwrap())
+            .build()
+            .unwrap();
+        let mut p = Pipeline {
+            lens: vec![16, 128, 16],
+            stages: vec![
+                Stage {
+                    src: None,
+                    dst: 0,
+                    at: 0,
+                    len: 16,
+                },
+                Stage {
+                    src: Some(1),
+                    dst: 1,
+                    at: 0,
+                    len: 128,
+                },
+                Stage {
+                    src: Some(0),
+                    dst: 2,
+                    at: 0,
+                    len: 16,
+                },
+            ],
+            bufs: Vec::new(),
+        };
+        let s = StrikeSpec::new(1, StrikeTarget::L2 { mask: 1 << 62 });
+        let (golden, reference, fork, exits) = reference_and_fork(cfg, &mut p, s, 5);
+        assert!(reference.strike_delivered);
+        assert_ne!(
+            bits(&reference.output),
+            bits(&golden.output),
+            "the written-back flip reaches the output through tile 2"
+        );
+        assert_eq!(exits, 0, "the write-back taints `in`, which tile 2 loads");
+        assert_eq!(bits(&fork.output), bits(&reference.output));
+        assert_eq!(fork.profile, reference.profile);
     }
 
     #[test]

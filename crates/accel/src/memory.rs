@@ -20,6 +20,12 @@ impl BufferId {
     pub fn index(&self) -> usize {
         self.0
     }
+
+    /// This buffer's bit in a 64-bit buffer set. Allocations past the
+    /// 63rd share the top bit, so a set over-approximates, never misses.
+    pub(crate) fn bit(self) -> u64 {
+        1 << self.0.min(63)
+    }
 }
 
 /// A global element address: which buffer and which element within it.

@@ -90,7 +90,11 @@ pub trait TiledProgram {
     /// suffix of tiles against restored machine state reproduces a full
     /// run bit for bit. Programs with observable per-execution state
     /// (e.g. an execution counter) must return `false`; the engine then
-    /// always runs them from tile 0 with a fresh setup.
+    /// always runs them from tile 0 with a fresh setup. A resumable
+    /// program must also derive every address it loads or stores from
+    /// the tile id alone, never from loaded values: a forked run that
+    /// stops at a contained fault relies on its cache state tracking
+    /// golden's tile for tile.
     fn resumable(&self) -> bool {
         true
     }
@@ -147,6 +151,15 @@ pub(crate) struct MachineCounters {
     pub stores: u64,
 }
 
+impl MachineCounters {
+    pub(crate) fn add(&mut self, c: MachineCounters) {
+        self.ops += c.ops;
+        self.trans_ops += c.trans_ops;
+        self.loads += c.loads;
+        self.stores += c.stores;
+    }
+}
+
 /// Records element spans written to one watched buffer — program stores
 /// plus corrupted write-backs — so differential runs know the candidate
 /// dirty region of the output without scanning it.
@@ -191,6 +204,13 @@ pub struct TileCtx<'a> {
     pub(crate) last_op: f64,
     pub(crate) garble_anchor: Option<f64>,
     pub(crate) garble_state: u64,
+    // Which buffers this tile loaded, stored and had corrupted lines
+    // written back into (`BufferId::bit` sets), and whether a load
+    // observed a non-zero corruption mask: the engine's taint inputs.
+    pub(crate) loaded: u64,
+    pub(crate) stored: u64,
+    pub(crate) written_back: u64,
+    pub(crate) observed: bool,
     // Whether this tile's per-element memory phases are profiled:
     // decided once per tile (see `TILE_SAMPLE_STRIDE`) so the per-row
     // load/store scopes cost one register test on unprofiled tiles.
@@ -221,6 +241,10 @@ impl<'a> TileCtx<'a> {
             last_op: 0.0,
             garble_anchor: None,
             garble_state: 0x9E37_79B9_7F4A_7C15,
+            loaded: 0,
+            stored: 0,
+            written_back: 0,
+            observed: false,
             prof: tile_sample(),
         }
     }
@@ -481,6 +505,7 @@ impl<'a> TileCtx<'a> {
     ) -> Result<(), AccelError> {
         let _scope = phase_if(self.prof, PhaseId::MemLoad);
         self.loads += dst.len() as u64;
+        self.loaded |= buf.bit();
         let base = {
             let (base, window) = self.mem.window(buf, start, dst.len())?;
             E::copy_f64(window, dst);
@@ -496,7 +521,7 @@ impl<'a> TileCtx<'a> {
             // proven golden-equivalent.
             self.caches.corruption_touched = true;
         }
-        apply_writebacks(self.mem, &wbs, self.store_log.as_deref_mut());
+        self.written_back |= apply_writebacks(self.mem, &wbs, self.store_log.as_deref_mut());
         // Slow path only for elements on struck lines.
         if self.caches.has_pending_corruption() {
             let _scope = phase_if(self.prof, PhaseId::CorruptionScan);
@@ -507,6 +532,7 @@ impl<'a> TileCtx<'a> {
                         *v = f64::from_bits(v.to_bits() ^ mask);
                         // A corrupted value entered the datapath.
                         self.caches.corruption_touched = true;
+                        self.observed = true;
                     }
                 }
             }
@@ -583,6 +609,7 @@ impl<'a> TileCtx<'a> {
     ) -> Result<(), AccelError> {
         let _scope = phase_if(self.prof, PhaseId::MemLoad);
         self.loads += dst.len() as u64;
+        self.loaded |= buf.bit();
         let rows = dst.len() / width;
         // Fast path: while no flip is pending anywhere, no row can
         // observe corruption and no eviction can write one back — cache
@@ -633,7 +660,8 @@ impl<'a> TileCtx<'a> {
                 // Corruption reached DRAM mid-run; the run can no
                 // longer be proven golden-equivalent.
                 self.caches.corruption_touched = true;
-                apply_writebacks(self.mem, &wbs, self.store_log.as_deref_mut());
+                self.written_back |=
+                    apply_writebacks(self.mem, &wbs, self.store_log.as_deref_mut());
                 wbs.clear();
             }
             if self.caches.has_pending_corruption() {
@@ -647,6 +675,7 @@ impl<'a> TileCtx<'a> {
                             *v = f64::from_bits(v.to_bits() ^ mask);
                             // A corrupted value entered the datapath.
                             self.caches.corruption_touched = true;
+                            self.observed = true;
                         }
                     }
                 }
@@ -713,6 +742,7 @@ impl<'a> TileCtx<'a> {
     ) -> Result<(), AccelError> {
         let _scope = phase_if(self.prof, PhaseId::MemStore);
         self.stores += src.len() as u64;
+        self.stored |= buf.bit();
         let fault_stores = self.fault.store_at != u64::MAX;
         let base = {
             let (base, window) = self.mem.window_mut(buf, start, src.len())?;
@@ -749,7 +779,7 @@ impl<'a> TileCtx<'a> {
         if !wbs.is_empty() {
             self.caches.corruption_touched = true;
         }
-        apply_writebacks(self.mem, &wbs, self.store_log.as_deref_mut());
+        self.written_back |= apply_writebacks(self.mem, &wbs, self.store_log.as_deref_mut());
         // A program store supersedes pending corruption of the element.
         if self.caches.has_pending_corruption() {
             let _scope = phase_if(self.prof, PhaseId::CorruptionScan);
@@ -784,21 +814,25 @@ impl<'a> TileCtx<'a> {
 
 /// Applies corrupted write-backs (evicted dirty corrupted lines) to
 /// backing memory, recording touched elements of a watched buffer.
+/// Returns the set of buffers written into (`BufferId::bit` mask).
 pub(crate) fn apply_writebacks(
     mem: &mut DeviceMemory,
     wbs: &[crate::cache::WriteBack],
     mut log: Option<&mut StoreLog>,
-) {
+) -> u64 {
+    let mut touched = 0;
     for wb in wbs {
         if let Some(addr) = mem.elem_at_byte(wb.byte_addr) {
             // Ignore failures: a write-back beyond any buffer means the
             // strike corrupted padding bytes, which no element observes.
             let _ = mem.flip_bits(addr.buffer, addr.index, wb.mask);
+            touched |= addr.buffer.bit();
             if let Some(l) = log.as_deref_mut() {
                 l.record(addr.buffer, addr.index, 1);
             }
         }
     }
+    touched
 }
 
 #[cfg(test)]

@@ -13,8 +13,16 @@
 //! and capture points that would exceed the budget are skipped (and
 //! counted), never silently truncating correctness — a strike landing
 //! before the first usable snapshot simply runs from tile 0.
+//!
+//! The same golden run also records a golden ledger: what every tile
+//! did (counters, cache statistics, L2 residency, which buffers it
+//! loaded and which output spans it stored) plus the final output. A
+//! fork whose fault is provably contained stops early and splices the
+//! golden suffix from it instead of executing it — see `Engine::run`.
 
-use crate::cache::CacheHierarchy;
+use std::sync::Arc;
+
+use crate::cache::{CacheHierarchy, CacheStats};
 use crate::memory::BufferId;
 use crate::program::MachineCounters;
 
@@ -66,15 +74,65 @@ pub(crate) struct EngineSnapshot {
     pub(crate) l2_resident_samples: f64,
 }
 
-/// A byte-bounded set of golden-prefix snapshots plus the golden run's
-/// per-tile output-store spans (needed to bound the dirty output region
-/// of a resumed faulty run).
+/// What one tile of the golden run did: the deltas a contained fork
+/// adds for each tile it does not execute.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct LedgerTile {
+    pub(crate) counters: MachineCounters,
+    /// The tile's cache hit and miss deltas; `l2_resident_lines` is the
+    /// residency after the tile (its `l2_resident_samples` term).
+    pub(crate) cache: CacheStats,
+    /// Buffers (as [`BufferId::bit`] masks) that any *later* tile loads:
+    /// a tainted buffer outside this mask is never read again.
+    pub(crate) loaded_after: u64,
+}
+
+/// The golden run tile by tile, recorded once by
+/// `Engine::golden_snapshotted` and shared by every warm bucket.
 #[derive(Debug, Clone, Default)]
-pub struct SnapshotSet {
-    pub(crate) snaps: Vec<EngineSnapshot>,
+pub(crate) struct GoldenLedger {
+    /// One entry per dispatch position.
+    pub(crate) tiles: Vec<LedgerTile>,
     /// Golden stores into the output buffer as `(tile, start, len)`
     /// element spans, ascending by tile.
     pub(crate) output_spans: Vec<(u32, u32, u32)>,
+    /// The golden final output.
+    pub(crate) output: Vec<f64>,
+}
+
+impl GoldenLedger {
+    /// Golden output-store spans of tiles in `tiles`, as `(start, len)`
+    /// element spans.
+    pub(crate) fn spans_in(
+        &self,
+        tiles: std::ops::Range<usize>,
+    ) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let lo = self
+            .output_spans
+            .partition_point(|&(t, _, _)| (t as usize) < tiles.start);
+        let hi = self
+            .output_spans
+            .partition_point(|&(t, _, _)| (t as usize) < tiles.end);
+        self.output_spans[lo..hi]
+            .iter()
+            .map(|&(_, s, l)| (s as usize, l as usize))
+    }
+
+    fn cost_bytes(&self) -> usize {
+        self.tiles.len() * std::mem::size_of::<LedgerTile>()
+            + self.output_spans.len() * 12
+            + self.output.len() * 8
+    }
+}
+
+/// A byte-bounded set of golden-prefix snapshots plus the golden run's
+/// per-tile ledger (its output-store spans bound the dirty output region
+/// of a resumed faulty run; the rest lets a contained fork splice the
+/// golden suffix).
+#[derive(Debug, Clone, Default)]
+pub struct SnapshotSet {
+    pub(crate) snaps: Vec<EngineSnapshot>,
+    pub(crate) ledger: Arc<GoldenLedger>,
     pub(crate) bytes: usize,
     pub(crate) skipped_tiles: u64,
 }
@@ -93,10 +151,12 @@ impl SnapshotSet {
         self.snaps.is_empty()
     }
 
-    /// Approximate bytes this set occupies, for cache accounting.
+    /// Approximate bytes this set occupies, for cache accounting: the
+    /// snapshots plus the golden ledger (12 bytes per output span, one
+    /// entry per tile and a copy of the golden output).
     #[must_use]
     pub fn cost_bytes(&self) -> usize {
-        self.bytes + self.output_spans.len() * 12
+        self.bytes + self.ledger.cost_bytes()
     }
 
     /// Capture points skipped because they would have exceeded the byte
@@ -120,18 +180,6 @@ impl SnapshotSet {
     #[must_use]
     pub fn resume_tile(&self, tile: usize) -> Option<usize> {
         self.resume_point(tile).map(|s| s.at_tile)
-    }
-
-    /// Golden output-store spans of tiles `>= tile`, as `(start, len)`
-    /// element spans. Unioned with a faulty run's own store log these
-    /// bound the dirty output region of any run resumed at `tile`.
-    pub fn golden_spans_from(&self, tile: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let i = self
-            .output_spans
-            .partition_point(|&(t, _, _)| (t as usize) < tile);
-        self.output_spans[i..]
-            .iter()
-            .map(|&(_, s, l)| (s as usize, l as usize))
     }
 
     pub(crate) fn push(&mut self, snap: EngineSnapshot, budget: usize) -> bool {
@@ -212,7 +260,10 @@ mod tests {
         assert_eq!(set.bytes, per_push.iter().sum::<usize>());
         assert_eq!(set.cost_bytes(), set.bytes);
         let mut with_spans = set.clone();
-        with_spans.output_spans = vec![(0, 0, 8), (1, 8, 8)];
+        with_spans.ledger = Arc::new(GoldenLedger {
+            output_spans: vec![(0, 0, 8), (1, 8, 8)],
+            ..GoldenLedger::default()
+        });
         assert_eq!(with_spans.cost_bytes(), set.bytes + 2 * 12);
     }
 
@@ -230,12 +281,14 @@ mod tests {
 
     #[test]
     fn golden_spans_filtered_by_tile() {
-        let set = SnapshotSet {
+        let ledger = GoldenLedger {
             output_spans: vec![(0, 0, 8), (1, 8, 8), (3, 24, 8)],
-            ..SnapshotSet::default()
+            ..GoldenLedger::default()
         };
-        let from1: Vec<_> = set.golden_spans_from(1).collect();
+        let from1: Vec<_> = ledger.spans_in(1..usize::MAX).collect();
         assert_eq!(from1, vec![(8, 8), (24, 8)]);
-        assert_eq!(set.golden_spans_from(4).count(), 0);
+        assert_eq!(ledger.spans_in(4..usize::MAX).count(), 0);
+        let upto3: Vec<_> = ledger.spans_in(1..3).collect();
+        assert_eq!(upto3, vec![(8, 8)]);
     }
 }

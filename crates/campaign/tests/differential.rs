@@ -3,14 +3,17 @@
 //!
 //! * engine level — a strike forked off a warm golden-prefix bucket is
 //!   **bit-identical** to the same strike run from tile 0 (output,
-//!   strike resolutions, execution profile) for every strike target, on
-//!   both paper devices, across the paper kernels, and the dirty-region
-//!   sparse diff produces the identical [`ErrorReport`] as a dense diff;
+//!   strike resolutions, execution profile, trace) for every strike
+//!   target, on both paper devices, across the paper kernels, and the
+//!   dirty-region sparse diff produces the identical [`ErrorReport`] as a
+//!   dense diff — with the contained-fault exit proven to fire (it
+//!   splices the golden suffix) exactly where it may;
 //! * campaign level — every index replayed from tile 0 with a dense
 //!   compare ([`oracle`]) reproduces the batched campaign's records and
 //!   summary, for an uninterrupted run and across kill → resume.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -31,6 +34,7 @@ use radcrit_campaign::{
 use radcrit_core::report::ErrorReport;
 use radcrit_faults::sampler::{FaultSampler, InjectionPlan};
 use radcrit_kernels::Workload;
+use radcrit_obs::MetricsRegistry;
 
 /// Every [`StrikeTarget`] variant, including each scheduler effect.
 fn all_targets() -> Vec<StrikeTarget> {
@@ -149,16 +153,48 @@ fn reference(
     (run, trace)
 }
 
+/// Strikes that corrupt exactly one tile's computation and leave the
+/// address stream alone: once the victim tile has run and nothing loads
+/// what it stored, the fork may stop and splice the golden suffix.
+fn single_tile_target(target: StrikeTarget) -> bool {
+    matches!(
+        target,
+        StrikeTarget::Fpu { .. }
+            | StrikeTarget::Sfu { .. }
+            | StrikeTarget::RegisterFile { .. }
+            | StrikeTarget::VectorRegister { .. }
+            | StrikeTarget::CoreControl { .. }
+            | StrikeTarget::Scheduler(SchedulerEffect::GarbleTile)
+    )
+}
+
+fn contained_exits(metrics: &MetricsRegistry) -> u64 {
+    metrics
+        .snapshot()
+        .counter("radcrit_run_contained_exits_total", &[])
+        .unwrap_or(0)
+}
+
 /// The tentpole invariant: for every strike target on every device and
 /// kernel, forking off warm golden state yields the same `RunOutcome` a
 /// run from tile 0 produces — outputs compared bit for bit (so NaNs
 /// count), resolutions and profile by structural equality — and the
 /// dirty region drives a sparse diff equal to the dense diff.
+///
+/// The contained-fault exit must not make this pass vacuously: on DGEMM
+/// and LavaMD (whose output nothing loads) a single-tile fault exits
+/// after its victim tile whenever a suffix is left to splice, and it
+/// never exits for a skipped or redirected tile, or for a HotSpot strike
+/// before the last iteration (the ping-pong buffer it taints is loaded
+/// again by every later iteration).
 #[test]
 fn forked_runs_are_bit_identical_to_reference_runs_everywhere() {
+    // Contained exits per target over DGEMM and LavaMD on both devices.
+    let mut target_exits = vec![0; all_targets().len()];
     for device in devices() {
         for spec in kernels() {
-            let engine = Engine::new(device.clone());
+            let metrics = Arc::new(MetricsRegistry::new());
+            let engine = Engine::new(device.clone()).with_metrics(Arc::clone(&metrics));
             let mut kernel = spec.build(7).expect("kernel builds");
             let policy = SnapshotPolicy {
                 stride: 2,
@@ -173,6 +209,7 @@ fn forked_runs_are_bit_identical_to_reference_runs_everywhere() {
                 device.kind()
             );
             let tiles = kernel.tile_count();
+            let last_launch = tiles - kernel.tiles_per_launch();
             let mut scratch = RunScratch::new();
             let mut warm = None;
             for (t, target) in all_targets().into_iter().enumerate() {
@@ -180,6 +217,7 @@ fn forked_runs_are_bit_identical_to_reference_runs_everywhere() {
                     let strike = StrikeSpec::new(at_tile, target);
                     let seed = 1000 + t as u64;
                     let (full, full_trace) = reference(&engine, kernel.as_mut(), strike, seed);
+                    let exits_before = contained_exits(&metrics);
                     let (forked, w, forked_trace) = fork(
                         &engine,
                         kernel.as_mut(),
@@ -193,6 +231,34 @@ fn forked_runs_are_bit_identical_to_reference_runs_everywhere() {
                         "{spec:?} on {:?}, {target:?} at tile {at_tile}",
                         device.kind()
                     );
+                    let exited = contained_exits(&metrics) - exits_before;
+                    assert!(exited <= 1, "one exit per fork: {ctx}");
+                    if !matches!(spec, KernelSpec::HotSpot { .. }) {
+                        target_exits[t] += exited;
+                    }
+                    let victim = forked.resolutions[0].victim_tile;
+                    match (spec, target) {
+                        (
+                            _,
+                            StrikeTarget::Scheduler(
+                                SchedulerEffect::SkipTile | SchedulerEffect::RedirectTile,
+                            ),
+                        ) => assert_eq!(exited, 0, "address-stream faults never exit: {ctx}"),
+                        (KernelSpec::HotSpot { .. }, _) if at_tile < last_launch => {
+                            assert_eq!(exited, 0, "tainted ping-pong buffer is reloaded: {ctx}")
+                        }
+                        (KernelSpec::Dgemm { .. } | KernelSpec::LavaMd { .. }, target)
+                            if single_tile_target(target) =>
+                        {
+                            let victim = victim.expect("single-tile faults name a victim");
+                            assert_eq!(
+                                exited == 1,
+                                victim + 1 < tiles,
+                                "exit after victim tile {victim} iff a suffix is left: {ctx}"
+                            );
+                        }
+                        _ => {}
+                    }
                     // The forked trace holds exactly the reference trace's
                     // tiles from the fork instant on: every tile a strike
                     // there can touch (event provenance reads these).
@@ -231,6 +297,11 @@ fn forked_runs_are_bit_identical_to_reference_runs_everywhere() {
                     );
                 }
             }
+        }
+    }
+    for (target, exits) in all_targets().into_iter().zip(target_exits) {
+        if single_tile_target(target) {
+            assert!(exits > 0, "{target:?} never took the contained exit");
         }
     }
 }

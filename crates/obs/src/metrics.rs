@@ -160,6 +160,11 @@ pub const METRIC_REFERENCE: &[MetricHelp] = &[
         help: "Jobs queued in the daemon, sampled at scrape time.",
     },
     MetricHelp {
+        name: "radcrit_run_contained_exits_total",
+        kind: "counter",
+        help: "Forked runs stopped once their spent fault could no longer reach a loaded buffer, with the golden suffix spliced in.",
+    },
+    MetricHelp {
         name: "radcrit_run_dead_strike_exits_total",
         kind: "counter",
         help:

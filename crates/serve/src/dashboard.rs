@@ -16,9 +16,9 @@
 //! * polls `GET /alerts` for the health-rules panel (firing rules in
 //!   red with their message, quiet rules collapsed to one line),
 //! * polls `GET /metrics` for the batching-efficiency row (bucket
-//!   restores vs forks, dead-strike early exits) and `GET /profile`
-//!   for the daemon-wide hot-phases panel (top self-time phases of the
-//!   merged hierarchical profile),
+//!   restores vs forks, dead-strike and contained-fault early exits)
+//!   and `GET /profile` for the daemon-wide hot-phases panel (top
+//!   self-time phases of the merged hierarchical profile),
 //! * stops cleanly when the stream sends its `end` frame and the fold
 //!   reports `finished`.
 
@@ -154,10 +154,11 @@ async function pollDaemon() {
     const restores = m.radcrit_bucket_restores_total || 0;
     const forks = m.radcrit_bucket_forks_total || 0;
     const dead = m.radcrit_run_dead_strike_exits_total || 0;
+    const contained = m.radcrit_run_contained_exits_total || 0;
     $("batching").textContent =
       `${restores} bucket restores · ${forks} forks ` +
       `(${restores ? (forks / restores).toFixed(1) : "–"} forks/restore) · ` +
-      `${dead} dead-strike early exits`;
+      `${dead} dead-strike early exits · ${contained} contained-fault exits`;
   } catch (e) { /* daemon restarting */ }
   try {
     const a = await (await fetch("/alerts")).json();

@@ -5,7 +5,10 @@
 //!
 //! * (a) a strike forked off warm golden-prefix state ≡ the same strike
 //!   run from tile 0, for every strike target, including the sparse
-//!   dirty-region diff ≡ the dense diff;
+//!   dirty-region diff ≡ the dense diff — and some of those forks take
+//!   the contained-fault exit (stop once the spent fault can no longer
+//!   reach a loaded buffer, splice the golden suffix), so the gate
+//!   covers that path too;
 //! * (b) a campaign pinned to the scalar executor ≡ the vectorized one;
 //! * (c) three shard runs folded together ≡ the one-shot summary;
 //! * (d) a budget-stopped checkpoint plus resume ≡ an uninterrupted run,
@@ -19,6 +22,7 @@
 use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,7 +32,7 @@ use radcrit::accel::{DeviceConfig, SchedulerEffect, SnapshotPolicy, StrikeSpec, 
 use radcrit::campaign::runner::{compare_with_logical_coords, compare_with_logical_coords_sparse};
 use radcrit::campaign::{Campaign, CampaignSummary, KernelSpec, RunOptions};
 use radcrit::core::report::ErrorReport;
-use radcrit::obs::CriticalityAggregator;
+use radcrit::obs::{CriticalityAggregator, MetricsRegistry};
 
 const INJECTIONS: usize = 30;
 
@@ -94,7 +98,8 @@ fn forked_runs_equal_reference_runs_for_every_target() {
         StrikeTarget::Scheduler(SchedulerEffect::RedirectTile),
         StrikeTarget::Scheduler(SchedulerEffect::GarbleTile),
     ];
-    let engine = Engine::new(DeviceConfig::kepler_k40());
+    let metrics = Arc::new(MetricsRegistry::new());
+    let engine = Engine::new(DeviceConfig::kepler_k40()).with_metrics(Arc::clone(&metrics));
     let mut kernel = KernelSpec::Dgemm { n: 32 }.build(7).expect("kernel builds");
     let policy = SnapshotPolicy {
         stride: 2,
@@ -153,6 +158,11 @@ fn forked_runs_equal_reference_runs_for_every_target() {
             assert_eq!(mismatch_bits(&sparse), mismatch_bits(&dense), "diff: {ctx}");
         }
     }
+    let contained = metrics
+        .snapshot()
+        .counter("radcrit_run_contained_exits_total", &[])
+        .unwrap_or(0);
+    assert!(contained > 0, "no fork took the contained-fault exit");
 }
 
 #[test]
