@@ -477,6 +477,14 @@ impl SetAssocCache {
         self.resident
     }
 
+    /// Whether resident `line` is dirty (`false` when not resident).
+    fn is_dirty(&self, line: u64) -> bool {
+        let set = self.set_of(line);
+        let base = set * self.stride;
+        exec::find_u64(&self.slab_u64()[base..base + self.assoc], line)
+            .is_some_and(|w| self.dirty[set * self.assoc + w] != 0)
+    }
+
     fn add_flip(&mut self, line: u64, offset: usize, mask: u64) {
         let entry = self.flips.entry(line).or_default();
         if let Some(f) = entry.iter_mut().find(|f| f.offset == offset) {
@@ -576,6 +584,47 @@ pub struct CacheStats {
     pub l2_resident_lines: usize,
 }
 
+/// Per-line access history of a golden run, recorded tile by tile while
+/// `Engine::golden_snapshotted` captures (never on a fork): which lines a
+/// later golden tile still touches, and which the L2 still evicts. Both
+/// arrays are indexed by line number and hold *one past* the dispatch
+/// position of the last such tile, so 0 means "never".
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LineHistory {
+    /// One past the dispatch position of the tile now executing.
+    pub(crate) now: u32,
+    /// One past the last tile whose access touched the line.
+    pub(crate) last_touch: Vec<u32>,
+    /// One past the last tile during which the L2 evicted the line.
+    pub(crate) last_l2_evict: Vec<u32>,
+}
+
+impl LineHistory {
+    fn touch(&mut self, first: u64, last: u64) {
+        Self::mark(&mut self.last_touch, first, last, self.now);
+    }
+
+    fn l2_evict(&mut self, line: u64) {
+        Self::mark(&mut self.last_l2_evict, line, line, self.now);
+    }
+
+    fn mark(index: &mut Vec<u32>, first: u64, last: u64, now: u32) {
+        let (first, last) = (first as usize, last as usize);
+        if last >= index.len() {
+            index.resize(last + 1, 0);
+        }
+        index[first..=last].fill(now);
+    }
+}
+
+/// A pending flip's line as [`CacheHierarchy::flip_lines`] reports it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FlipLine {
+    pub(crate) line: u64,
+    /// `None` for a unit's L1, else the L2 line's dirty bit.
+    pub(crate) l2_dirty: Option<bool>,
+}
+
 /// The per-device cache hierarchy: one private L1 per unit plus a shared
 /// L2 (the Phi's per-core L2s are coherent over the ring and act as one
 /// shared structure, §IV-A).
@@ -600,6 +649,9 @@ pub struct CacheHierarchy {
     /// pending, every executed tile has computed exactly the golden
     /// values — the basis for the engine's dead-strike early exit.
     pub(crate) corruption_touched: bool,
+    /// The golden line history, present only while a capturing golden
+    /// run records it (see [`LineHistory`]); never part of a snapshot.
+    pub(crate) history: Option<Box<LineHistory>>,
 }
 
 impl CacheHierarchy {
@@ -626,7 +678,17 @@ impl CacheHierarchy {
                 .then(|| line_bytes.trailing_zeros()),
             corrupted_watch: Vec::new(),
             corruption_touched: false,
+            history: None,
         }
+    }
+
+    /// A copy of the machine state for a snapshot: everything but the
+    /// golden line history being recorded.
+    pub(crate) fn clone_state(&mut self) -> CacheHierarchy {
+        let history = self.history.take();
+        let state = self.clone();
+        self.history = history;
+        state
     }
 
     /// Whether a load has ever observed a corrupted value or a corrupted
@@ -796,10 +858,16 @@ impl CacheHierarchy {
         }
         let first = self.line_of(byte_addr);
         let last = self.line_of(byte_addr + len - 1);
+        if let Some(h) = self.history.as_deref_mut() {
+            h.touch(first, last);
+        }
         for line in first..=last {
             // L1: write-through, never dirty; corrupted evictions vanish.
             let _ = self.l1[unit].touch::<E>(line, false);
             if let Some((ev_line, dirty, flips)) = self.l2.touch::<E>(line, write) {
+                if let Some(h) = self.history.as_deref_mut() {
+                    h.l2_evict(ev_line);
+                }
                 if dirty {
                     for f in flips {
                         out.push(WriteBack {
@@ -843,6 +911,22 @@ impl CacheHierarchy {
             return false;
         }
         !self.l2.flips.is_empty() || self.l1.iter().any(|c| !c.flips.is_empty())
+    }
+
+    /// Every line holding a pending flip, per level (a line flipped in
+    /// both an L1 and the L2 appears once per level).
+    pub(crate) fn flip_lines(&self) -> impl Iterator<Item = FlipLine> + '_ {
+        let l1 = self.l1.iter().flat_map(|c| {
+            c.flips.keys().map(|&line| FlipLine {
+                line,
+                l2_dirty: None,
+            })
+        });
+        let l2 = self.l2.flips.keys().map(|&line| FlipLine {
+            line,
+            l2_dirty: Some(self.l2.is_dirty(line)),
+        });
+        l1.chain(l2)
     }
 
     /// Strikes a random resident L2 line: flips `bits` in one element of

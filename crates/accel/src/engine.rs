@@ -14,7 +14,9 @@
 //! resumability contract. A forked run also stops as soon as its fault is
 //! *contained* — spent, and never again loadable by a later tile — and
 //! splices the golden suffix from the bucket's [`SnapshotSet`] ledger
-//! instead of executing it; the outcome is the same bit for bit.
+//! instead of executing it; the outcome is the same bit for bit. A
+//! register-file strike changes no machine state before its victim tile,
+//! so its fork may also *start* there ([`Engine::fork_tile`]).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -298,7 +300,10 @@ impl Engine {
     /// the whole output). `Some((warm, scratch))` copies `warm` into the
     /// scratch spares (`warm` itself is untouched) and runs only the
     /// suffix from `warm.next_tile()`, or only until its fault is
-    /// contained, splicing the rest from the golden ledger. The outcome
+    /// contained, splicing the rest from the golden ledger. A strike's
+    /// instant must not precede `warm.next_tile()`, except a register
+    /// strike's, which is delivered before the first tile and may start
+    /// as late as its victim ([`Engine::fork_tile`]). The outcome
     /// is bit-identical to the reference path — output, resolutions and
     /// profile — and carries the dirty output region (the run's own
     /// stores union the golden spans of the tiles it executed) for a
@@ -320,8 +325,8 @@ impl Engine {
     ///
     /// [`AccelError::StrikeOutOfRange`] if a strike instant is past the
     /// last tile or, for a fork, before `warm.next_tile()` (the fork
-    /// would replay past the delivery instant); propagates program
-    /// errors.
+    /// would replay past the delivery instant) — for a register strike,
+    /// if its victim is; propagates program errors.
     pub fn run<P, R>(
         &self,
         program: &mut P,
@@ -337,6 +342,36 @@ impl Engine {
         Ok(self
             .run_internal(program, strikes, None, fork, rng, trace)?
             .0)
+    }
+
+    /// The first tile at which `strike` can change machine state: the
+    /// victim of a register-file or vector-register strike (drawn from
+    /// `rng` exactly as delivery draws it — pass a clone of the stream
+    /// [`Engine::run`] will get), otherwise the strike instant. A fork
+    /// may start from a [`WarmState`] advanced anywhere up to this tile;
+    /// the tiles in between replay golden.
+    pub fn fork_tile<P, R>(&self, program: &P, strike: &StrikeSpec, rng: &mut R) -> usize
+    where
+        P: TiledProgram + ?Sized,
+        R: Rng + ?Sized,
+    {
+        if strike.target.is_deferrable() && strike.at_tile < program.tile_count() {
+            draw_victim(&self.plan_of(program), strike.at_tile, rng)
+        } else {
+            strike.at_tile
+        }
+    }
+
+    /// The dispatch plan `program` runs under on this device.
+    fn plan_of<P: TiledProgram + ?Sized>(&self, program: &P) -> DispatchPlan {
+        let tiles = program.tile_count();
+        DispatchPlan::new(
+            &self.cfg,
+            tiles,
+            program.tiles_per_launch().min(tiles).max(1),
+            program.threads_per_tile(),
+            program.local_mem_per_tile(),
+        )
     }
 
     /// Restores the nearest snapshot at or before `tile` into an owned
@@ -411,19 +446,11 @@ impl Engine {
     where
         P: TiledProgram + ?Sized,
     {
-        let tiles = program.tile_count();
-        let to_tile = to_tile.min(tiles);
+        let to_tile = to_tile.min(program.tile_count());
         if to_tile <= warm.next_tile {
             return Ok(0);
         }
-        let launch_tiles = program.tiles_per_launch().min(tiles).max(1);
-        let plan = DispatchPlan::new(
-            &self.cfg,
-            tiles,
-            launch_tiles,
-            program.threads_per_tile(),
-            program.local_mem_per_tile(),
-        );
+        let plan = self.plan_of(program);
         let advanced = to_tile - warm.next_tile;
         let prof = profiling_enabled();
         for pos in warm.next_tile..to_tile {
@@ -465,9 +492,10 @@ impl Engine {
                 });
             }
             // A fork replays tiles from `next_tile` on; a strike before
-            // that instant could never be delivered.
+            // that instant could never be delivered — unless it only arms
+            // a later victim (checked at delivery below).
             if let Some((w, _)) = &fork {
-                if s.at_tile < w.next_tile {
+                if s.at_tile < w.next_tile && !s.target.is_deferrable() {
                     return Err(AccelError::StrikeOutOfRange {
                         tile: s.at_tile,
                         tiles: w.next_tile,
@@ -507,7 +535,7 @@ impl Engine {
                     )
                 }
             };
-        let plan = DispatchPlan::new(&self.cfg, tiles, launch_tiles, threads_per_tile, local_mem);
+        let plan = self.plan_of(program);
 
         if let Some(m) = self.metrics.as_deref() {
             m.counter_add("radcrit_engine_runs_total", &[], 1);
@@ -544,6 +572,7 @@ impl Engine {
         if capture_plan.is_some() {
             // Delta tracking baseline: the post-setup image.
             mem.reset_write_tracking();
+            caches.history = Some(Box::default());
         }
         // The golden ledger a capture records alongside its snapshots.
         let mut ledger = capture_plan.map(|_| GoldenLedger::default());
@@ -587,9 +616,43 @@ impl Engine {
         // remaining tile would compute exactly its golden values — a
         // resumable program derives addresses from the tile id alone, so
         // cache tags and counters also track golden's — and the rest of
-        // the run is spliced from the bucket's golden ledger.
+        // the run is spliced from the bucket's golden ledger. Flips may
+        // still be pending then, on lines no later tile touches (see
+        // `flips_settled`): the exit's flush settles them.
         let mut tainted = 0u64;
         let mut contained_at: Option<usize> = None;
+
+        // Deferred start: register-file strikes before the fork's first
+        // tile, delivered in dispatch order with the draws delivery at
+        // their instant would make. Their victim must not have run yet.
+        let mut early: Vec<&StrikeSpec> =
+            strikes.iter().filter(|s| s.at_tile < start_tile).collect();
+        early.sort_by_key(|s| s.at_tile);
+        let deferred = !early.is_empty();
+        for s in early {
+            let resolution = self.deliver_strike(
+                s,
+                s.at_tile,
+                &plan,
+                &mut caches,
+                &mut armed_faults,
+                &mut skip_positions,
+                &mut redirects,
+                &mut unit_garbles,
+                rng,
+            );
+            if let Some(victim) = resolution.victim_tile.filter(|&v| v < start_tile) {
+                return Err(AccelError::StrikeOutOfRange {
+                    tile: victim,
+                    tiles: start_tile,
+                });
+            }
+            strike_delivered |= resolution.delivered;
+            resolutions.push(resolution);
+        }
+        if let (Some(m), true) = (self.metrics.as_deref(), deferred) {
+            m.counter_add("radcrit_bucket_deferred_forks_total", &[], 1);
+        }
 
         for pos in start_tile..tiles {
             if let Some((stride, budget)) = capture_plan {
@@ -599,7 +662,7 @@ impl Engine {
                         EngineSnapshot {
                             at_tile: pos,
                             mem_delta: mem.written_delta(),
-                            caches: caches.clone(),
+                            caches: caches.clone_state(),
                             counters: totals,
                             l2_resident_samples,
                         },
@@ -652,6 +715,9 @@ impl Engine {
             }
 
             let unit = plan.unit_of(pos);
+            if let Some(h) = caches.history.as_deref_mut() {
+                h.now = pos as u32 + 1;
+            }
             let carried = fault != TileFault::none();
             let stats_before = caches.stats();
             let mut ctx = TileCtx::new(&mut mem, &mut caches, unit, fault);
@@ -727,7 +793,7 @@ impl Engine {
                 tainted |= written_back;
                 // Spent: every strike delivered, every armed victim and
                 // unit-garble wave behind us, no change to the address
-                // stream, no flip left to surface later.
+                // stream, no flip a later tile can read.
                 if pos + 1 < tiles
                     && w.ledger.tiles[pos].loaded_after & tainted == 0
                     && last_strike_tile.is_none_or(|last| pos >= last)
@@ -737,11 +803,14 @@ impl Engine {
                         .all(|&from| plan.wave_of(pos + 1) != plan.wave_of(from))
                     && skip_positions.is_empty()
                     && redirects.is_empty()
-                    && !caches.has_pending_corruption()
+                    && flips_settled(&caches, &w.ledger, pos + 1)
                 {
                     contained_at = Some(pos);
                     if let Some(m) = self.metrics.as_deref() {
                         m.counter_add("radcrit_run_contained_exits_total", &[], 1);
+                        if caches.has_pending_corruption() {
+                            m.counter_add("radcrit_run_flip_exits_total", &[], 1);
+                        }
                     }
                     break;
                 }
@@ -749,6 +818,7 @@ impl Engine {
         }
 
         self.phase_done("tiles", &mut phase_start);
+        let history = caches.history.take();
 
         // End of kernel: flush the hierarchy; dirty corrupted lines write
         // their corruption back to DRAM where the host reads the output.
@@ -851,6 +921,10 @@ impl Engine {
                 after |= own;
             }
             g.output.clone_from(&output);
+            if let Some(h) = history {
+                g.last_touch = h.last_touch;
+                g.last_l2_evict = h.last_l2_evict;
+            }
             set.ledger = Arc::new(g);
             if let Some(m) = self.metrics.as_deref() {
                 m.gauge_set("radcrit_snapshot_bytes", &[], set.cost_bytes() as f64);
@@ -903,8 +977,7 @@ impl Engine {
                 caches.strike_l1(u, rng, mask).is_some()
             }
             StrikeTarget::RegisterFile { mask, op_index } => {
-                let victims = plan.pending_in_wave(pos);
-                let victim = rng.gen_range(victims.start..victims.end);
+                let victim = draw_victim(plan, pos, rng);
                 let mut f = TileFault::none();
                 f.logic_at = op_index;
                 f.logic_lanes = 1;
@@ -918,8 +991,7 @@ impl Engine {
                 lanes,
                 op_index,
             } => {
-                let victims = plan.pending_in_wave(pos);
-                let victim = rng.gen_range(victims.start..victims.end);
+                let victim = draw_victim(plan, pos, rng);
                 let mut f = TileFault::none();
                 f.logic_at = op_index;
                 f.logic_lanes = u64::from(lanes.max(1));
@@ -988,6 +1060,45 @@ impl Engine {
             redirect_dest,
         }
     }
+}
+
+/// The victim of a register strike at `pos`: a tile still pending in
+/// the wave — the one RNG draw [`Engine::fork_tile`] and delivery share.
+fn draw_victim<R: Rng + ?Sized>(plan: &DispatchPlan, pos: usize, rng: &mut R) -> usize {
+    let victims = plan.pending_in_wave(pos);
+    rng.gen_range(victims.start..victims.end)
+}
+
+/// Whether every flip still pending in `caches` once the first `done`
+/// tiles have run has a settled fate that a contained exit reproduces,
+/// and taking the exit cannot pre-empt a dead-strike exit the full run
+/// would take.
+///
+/// The fork's address stream is golden's and flips never change tags or
+/// LRU state, so a flipped line no later golden tile touches is never
+/// read again: a clean one's flip vanishes, a dirty one's XOR reaches
+/// DRAM at its eviction or the final flush — exactly what the exit's own
+/// flush applies. The full run could still dead-exit only while nothing
+/// observed corruption and every flip may yet vanish unseen; a dirty
+/// flipped line (its fate is a write-back) or flips on L2 lines golden
+/// never evicts again (they stay pending to the end) rule that out.
+fn flips_settled(caches: &CacheHierarchy, ledger: &GoldenLedger, done: usize) -> bool {
+    if !caches.has_pending_corruption() {
+        return true;
+    }
+    let mut never_dead = caches.corruption_touched();
+    let mut all_stay = true;
+    for f in caches.flip_lines() {
+        if !ledger.untouched_after(f.line, done) {
+            return false;
+        }
+        match f.l2_dirty {
+            Some(true) => never_dead = true,
+            Some(false) => all_stay &= ledger.unevicted_after(f.line, done),
+            None => all_stay = false,
+        }
+    }
+    never_dead || all_stay
 }
 
 /// The trace record of the tile at dispatch position `pos`.
@@ -1456,6 +1567,13 @@ mod tests {
             !set.ledger.output_spans.is_empty(),
             "golden stores to the output are indexed"
         );
+        // Tile 7 loads and stores the last lines; nothing evicts on a K40.
+        assert_eq!(set.ledger.last_touch.iter().max(), Some(&8));
+        assert!(set.ledger.last_l2_evict.iter().all(|&t| t == 0));
+        assert!(
+            set.snaps.iter().all(|s| s.caches.history.is_none()),
+            "snapshots hold machine state only"
+        );
     }
 
     #[test]
@@ -1732,14 +1850,33 @@ mod tests {
     }
 
     /// One tile of a [`Pipeline`]: loads `len` elements of buffer `src`
-    /// (when given) at `at` and stores `2x + 1` into buffer `dst` at
-    /// `at`; without a source the tile stores values of its own.
+    /// (when given) at `at` and stores `2x + 1` into buffer `dst` (when
+    /// given) at `to`; without a source the tile stores values of its
+    /// own.
     #[derive(Debug, Clone, Copy)]
     struct Stage {
         src: Option<usize>,
-        dst: usize,
+        dst: Option<usize>,
         at: usize,
+        to: usize,
         len: usize,
+    }
+
+    impl Stage {
+        /// A stage storing at the offset it loads from.
+        fn new(src: Option<usize>, dst: Option<usize>, at: usize, len: usize) -> Self {
+            Stage {
+                src,
+                dst,
+                at,
+                to: at,
+                len,
+            }
+        }
+
+        fn to(self, to: usize) -> Self {
+            Stage { to, ..self }
+        }
     }
 
     /// A program wired stage by stage, for exercising taint propagation
@@ -1784,7 +1921,10 @@ mod tests {
                 ctx.load(self.bufs[src], st.at, &mut x)?;
             }
             let y: Vec<f64> = x.iter().map(|&v| ctx.fma(2.0, v, 1.0)).collect();
-            ctx.store(self.bufs[st.dst], st.at, &y)
+            match st.dst {
+                Some(dst) => ctx.store(self.bufs[dst], st.to, &y),
+                None => Ok(()),
+            }
         }
 
         fn output(&self) -> BufferId {
@@ -1796,29 +1936,78 @@ mod tests {
         }
     }
 
-    /// Runs `s` from tile 0 and forked off a stride-1 snapshot set, and
-    /// returns (golden, reference, fork, contained exits the fork took).
-    fn reference_and_fork(
-        cfg: DeviceConfig,
-        p: &mut Pipeline,
-        s: StrikeSpec,
-        seed: u64,
-    ) -> (RunOutcome, RunOutcome, RunOutcome, u64) {
-        let metrics = std::sync::Arc::new(MetricsRegistry::new());
-        let engine = Engine::new(cfg).with_metrics(metrics.clone());
+    /// What [`reference_and_fork`] ran: the golden, reference and forked
+    /// outcomes, both runs' traces, and the fork's exit counters.
+    struct Forked {
+        golden: RunOutcome,
+        reference: RunOutcome,
+        fork: RunOutcome,
+        reference_trace: ExecutionTrace,
+        fork_trace: ExecutionTrace,
+        /// Contained exits, of which `flip_exits` left flips pending.
+        exits: u64,
+        flip_exits: u64,
+        dead_exits: u64,
+    }
+
+    /// Runs `s` from tile 0 and forked off a stride-1 snapshot set.
+    fn reference_and_fork(cfg: DeviceConfig, p: &mut Pipeline, s: StrikeSpec, seed: u64) -> Forked {
+        let engine = Engine::new(cfg.clone());
         let policy = SnapshotPolicy {
             stride: 1,
             max_bytes: 0,
         };
         let (golden, set) = engine.golden_snapshotted(p, &policy).unwrap();
         let mut rng = SmallRng::seed_from_u64(seed);
-        let reference = engine.run(p, &[s], &mut rng, None, None).unwrap();
-        let fork = fork_once(&engine, p, &set, s, seed, &mut RunScratch::new());
-        let exits = metrics
-            .snapshot()
-            .counter("radcrit_run_contained_exits_total", &[])
-            .unwrap_or(0);
-        (golden, reference, fork, exits)
+        let mut reference_trace = ExecutionTrace::new();
+        let reference = engine
+            .run(p, &[s], &mut rng, None, Some(&mut reference_trace))
+            .unwrap();
+        // Only the fork counts exits.
+        let metrics = std::sync::Arc::new(MetricsRegistry::new());
+        let engine = Engine::new(cfg).with_metrics(metrics.clone());
+        let mut scratch = RunScratch::new();
+        let mut warm = engine
+            .warm_restore(p, &set, s.at_tile, &mut scratch, None)
+            .unwrap()
+            .unwrap();
+        engine.warm_advance(p, &mut warm, s.at_tile).unwrap();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut fork_trace = ExecutionTrace::new();
+        let fork = engine
+            .run(
+                p,
+                &[s],
+                &mut rng,
+                Some((&warm, &mut scratch)),
+                Some(&mut fork_trace),
+            )
+            .unwrap();
+        let snap = metrics.snapshot();
+        let count = |name| snap.counter(name, &[]).unwrap_or(0);
+        Forked {
+            golden,
+            reference,
+            fork,
+            reference_trace,
+            fork_trace,
+            exits: count("radcrit_run_contained_exits_total"),
+            flip_exits: count("radcrit_run_flip_exits_total"),
+            dead_exits: count("radcrit_run_dead_strike_exits_total"),
+        }
+    }
+
+    /// 1 unit, 256-byte L1 (2 sets) and 512-byte L2 (4 sets of 2 ways)
+    /// with 64-byte lines: small enough to place every line by hand.
+    /// Buffers start on 256-byte (4-line) boundaries.
+    fn tiny_device() -> DeviceConfig {
+        DeviceConfig::builder("tiny")
+            .units(1)
+            .max_threads_per_unit(64)
+            .l1(crate::cache::CacheGeometry::new(256, 64, 2).unwrap())
+            .l2(crate::cache::CacheGeometry::new(512, 64, 2).unwrap())
+            .build()
+            .unwrap()
     }
 
     #[test]
@@ -1827,12 +2016,7 @@ mod tests {
         // from a, tile 2 out from b: tile 2 consumes tile 0's output
         // through tile 1. The fault in tile 0 must taint a, then b (tile
         // 1 loads tainted a), so the fork never stops before tile 2.
-        let stage = |src, dst| Stage {
-            src: Some(src),
-            dst,
-            at: 0,
-            len: 8,
-        };
+        let stage = |src, dst| Stage::new(Some(src), Some(dst), 0, 8);
         let mut p = Pipeline {
             lens: vec![8; 4],
             stages: vec![stage(0, 1), stage(1, 2), stage(2, 3)],
@@ -1845,12 +2029,11 @@ mod tests {
                 op_index: 3,
             },
         );
-        let (golden, reference, fork, exits) =
-            reference_and_fork(DeviceConfig::kepler_k40(), &mut p, s, 11);
-        assert_ne!(bits(&reference.output), bits(&golden.output));
-        assert_eq!(exits, 0, "the fault still reaches tile 2");
-        assert_eq!(bits(&fork.output), bits(&reference.output));
-        assert_eq!(fork.profile, reference.profile);
+        let r = reference_and_fork(DeviceConfig::kepler_k40(), &mut p, s, 11);
+        assert_ne!(bits(&r.reference.output), bits(&r.golden.output));
+        assert_eq!(r.exits, 0, "the fault still reaches tile 2");
+        assert_eq!(bits(&r.fork.output), bits(&r.reference.output));
+        assert_eq!(r.fork.profile, r.reference.profile);
     }
 
     #[test]
@@ -1861,48 +2044,190 @@ mod tests {
         // evicts it — writing the flip back into `in` — and tile 2 reads
         // `in`. No tile of the fork carried or observed the fault; only
         // the write-back can taint `in` and keep the fork running.
-        let cfg = DeviceConfig::builder("tiny")
-            .units(1)
-            .max_threads_per_unit(64)
-            .l1(crate::cache::CacheGeometry::new(256, 64, 2).unwrap())
-            .l2(crate::cache::CacheGeometry::new(512, 64, 2).unwrap())
-            .build()
-            .unwrap();
+        let cfg = tiny_device();
         let mut p = Pipeline {
             lens: vec![16, 128, 16],
             stages: vec![
-                Stage {
-                    src: None,
-                    dst: 0,
-                    at: 0,
-                    len: 16,
-                },
-                Stage {
-                    src: Some(1),
-                    dst: 1,
-                    at: 0,
-                    len: 128,
-                },
-                Stage {
-                    src: Some(0),
-                    dst: 2,
-                    at: 0,
-                    len: 16,
-                },
+                Stage::new(None, Some(0), 0, 16),
+                Stage::new(Some(1), Some(1), 0, 128),
+                Stage::new(Some(0), Some(2), 0, 16),
             ],
             bufs: Vec::new(),
         };
         let s = StrikeSpec::new(1, StrikeTarget::L2 { mask: 1 << 62 });
-        let (golden, reference, fork, exits) = reference_and_fork(cfg, &mut p, s, 5);
-        assert!(reference.strike_delivered);
+        let r = reference_and_fork(cfg, &mut p, s, 5);
+        assert!(r.reference.strike_delivered);
         assert_ne!(
-            bits(&reference.output),
-            bits(&golden.output),
+            bits(&r.reference.output),
+            bits(&r.golden.output),
             "the written-back flip reaches the output through tile 2"
         );
-        assert_eq!(exits, 0, "the write-back taints `in`, which tile 2 loads");
+        assert_eq!(r.exits, 0, "the write-back taints `in`, which tile 2 loads");
+        assert_eq!(bits(&r.fork.output), bits(&r.reference.output));
+        assert_eq!(r.fork.profile, r.reference.profile);
+    }
+
+    #[test]
+    fn l2_flip_on_a_line_a_later_tile_loads_keeps_the_fork_running() {
+        // K40 (128-byte lines, no evictions at this size). Buffers in, a,
+        // x of one line each, and out. Tile 0 loads `in` and stores `a`,
+        // so at the strike (tile 1) the L2 holds exactly one `in` line
+        // (clean) and one `a` line (dirty): the flip lands on one of
+        // them. Tile 1 touches neither; tile 2 reads `in`, tile 3 reads
+        // `a`. The fork must run until the flipped line's reader has
+        // observed it, then may exit.
+        let mut p = Pipeline {
+            lens: vec![16, 16, 16, 48],
+            stages: vec![
+                Stage::new(Some(0), Some(1), 0, 16),
+                Stage::new(None, Some(2), 0, 16),
+                Stage::new(Some(0), Some(3), 0, 16),
+                Stage::new(Some(1), Some(3), 0, 16).to(16),
+                Stage::new(Some(2), Some(3), 0, 16).to(32),
+            ],
+            bufs: Vec::new(),
+        };
+        for seed in 0..8 {
+            let s = StrikeSpec::new(1, StrikeTarget::L2 { mask: 1 << 62 });
+            let r = reference_and_fork(DeviceConfig::kepler_k40(), &mut p, s, seed);
+            assert!(r.reference.strike_delivered);
+            assert_ne!(
+                bits(&r.reference.output),
+                bits(&r.golden.output),
+                "seed {seed}: a later tile reads the flip"
+            );
+            assert_eq!(
+                bits(&r.fork.output),
+                bits(&r.reference.output),
+                "seed {seed}"
+            );
+            assert_eq!(r.fork.profile, r.reference.profile, "seed {seed}");
+            assert_eq!(
+                (r.exits, r.flip_exits),
+                (1, 1),
+                "seed {seed}: observed, the flip settles and the fork exits"
+            );
+        }
+    }
+
+    #[test]
+    fn dirty_flipped_line_nobody_touches_again_exits_at_once() {
+        // Tiny L2; buffers pad (lines 0..8) and out (lines 8..11). Tile 0
+        // stores output line 8 (dirty, the only L2 resident), the strike
+        // at tile 1 flips it, tile 1 stores line 9, tile 2 streams `pad`
+        // (its line 4 evicts line 8, writing the XOR back) and tile 3
+        // stores line 10. No tile touches line 8 again, so its flip's
+        // fate is settled — its XOR reaches DRAM — and the fork exits
+        // right after tile 1, even though golden evicts the line later.
+        let mut p = Pipeline {
+            lens: vec![64, 24],
+            stages: vec![
+                Stage::new(None, Some(1), 0, 8),
+                Stage::new(None, Some(1), 8, 8),
+                Stage::new(Some(0), None, 0, 64),
+                Stage::new(None, Some(1), 16, 8),
+            ],
+            bufs: Vec::new(),
+        };
+        let s = StrikeSpec::new(1, StrikeTarget::L2 { mask: 1 << 62 });
+        let r = reference_and_fork(tiny_device(), &mut p, s, 3);
+        let diffs: Vec<usize> = (0..24)
+            .filter(|&i| r.reference.output[i].to_bits() != r.golden.output[i].to_bits())
+            .collect();
+        assert_eq!(diffs.len(), 1, "one XORed element: {diffs:?}");
+        assert!(diffs[0] < 8, "on line 8");
+        assert_eq!((r.exits, r.flip_exits), (1, 1));
+        assert_eq!(bits(&r.fork.output), bits(&r.reference.output));
+        assert_eq!(r.fork.profile, r.reference.profile);
+        let suffix: Vec<_> = r.reference_trace.tiles()[1..].to_vec();
+        assert_eq!(r.fork_trace.tiles(), &suffix[..], "spliced trace");
+    }
+
+    #[test]
+    fn clean_flip_golden_evicts_later_still_dead_exits() {
+        // Tiny L2. Tile 0 loads `in` (line 0, set 0, clean) and stores
+        // nothing, so the strike at tile 1 flips line 0. Tile 1 stores
+        // `out` (line 12, set 0); tile 2 streams `pad` (lines 4..12),
+        // whose line 4 evicts line 0 and its flip unseen. Nothing ever
+        // observed the flip, so the run dead-exits after tile 2 — and the
+        // fork must too, not take a flip exit after tile 1 and splice.
+        let mut p = Pipeline {
+            lens: vec![8, 64, 8],
+            stages: vec![
+                Stage::new(Some(0), None, 0, 8),
+                Stage::new(None, Some(2), 0, 8),
+                Stage::new(Some(1), None, 0, 64),
+                Stage::new(None, Some(2), 0, 8),
+            ],
+            bufs: Vec::new(),
+        };
+        let s = StrikeSpec::new(1, StrikeTarget::L2 { mask: 1 << 62 });
+        let r = reference_and_fork(tiny_device(), &mut p, s, 9);
+        assert!(r.reference.strike_delivered);
+        assert!(r.reference.golden_equivalent && r.fork.golden_equivalent);
+        assert_eq!((r.exits, r.dead_exits), (0, 1));
+        assert_eq!(r.reference_trace.tiles().len(), 3, "dead exit after tile 2");
+        let suffix: Vec<_> = r.reference_trace.tiles()[1..].to_vec();
+        assert_eq!(r.fork_trace.tiles(), &suffix[..], "same truncated trace");
+        assert_eq!(r.fork.profile, r.reference.profile);
+    }
+
+    #[test]
+    fn register_strike_forks_at_its_victim() {
+        let metrics = std::sync::Arc::new(MetricsRegistry::new());
+        let engine = Engine::new(DeviceConfig::kepler_k40()).with_metrics(metrics.clone());
+        let mut p = Affine::new(64);
+        let (_, set) = engine
+            .golden_snapshotted(
+                &mut p,
+                &SnapshotPolicy {
+                    stride: 1,
+                    max_bytes: 0,
+                },
+            )
+            .unwrap();
+        let s = StrikeSpec::new(
+            2,
+            StrikeTarget::RegisterFile {
+                mask: 1 << 63,
+                op_index: 1,
+            },
+        );
+        let seed = 5;
+        let victim = engine.fork_tile(&p, &s, &mut SmallRng::seed_from_u64(seed));
+        assert!(victim > s.at_tile, "seed {seed} draws a later victim");
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let reference = engine.run(&mut p, &[s], &mut rng, None, None).unwrap();
+        assert_eq!(reference.resolutions[0].victim_tile, Some(victim));
+
+        let mut scratch = RunScratch::new();
+        let mut warm = engine
+            .warm_restore(&mut p, &set, victim, &mut scratch, None)
+            .unwrap()
+            .unwrap();
+        engine.warm_advance(&mut p, &mut warm, victim).unwrap();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let fork = engine
+            .run(&mut p, &[s], &mut rng, Some((&warm, &mut scratch)), None)
+            .unwrap();
         assert_eq!(bits(&fork.output), bits(&reference.output));
+        assert_eq!(fork.resolutions, reference.resolutions);
         assert_eq!(fork.profile, reference.profile);
+        assert_eq!(
+            metrics
+                .snapshot()
+                .counter("radcrit_bucket_deferred_forks_total", &[]),
+            Some(1)
+        );
+
+        // One tile past the victim, the fault could never land.
+        engine.warm_advance(&mut p, &mut warm, victim + 1).unwrap();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        assert!(matches!(
+            engine.run(&mut p, &[s], &mut rng, Some((&warm, &mut scratch)), None),
+            Err(AccelError::StrikeOutOfRange { tile, tiles })
+                if tile == victim && tiles == victim + 1
+        ));
     }
 
     #[test]

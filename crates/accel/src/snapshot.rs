@@ -16,9 +16,11 @@
 //!
 //! The same golden run also records a golden ledger: what every tile
 //! did (counters, cache statistics, L2 residency, which buffers it
-//! loaded and which output spans it stored) plus the final output. A
-//! fork whose fault is provably contained stops early and splices the
-//! golden suffix from it instead of executing it — see `Engine::run`.
+//! loaded and which output spans it stored), the final output, and per
+//! cache line the last tile that touches it and the last tile during
+//! which the L2 evicts it. A fork whose fault is provably contained
+//! stops early and splices the golden suffix from it instead of
+//! executing it — see `Engine::run`.
 
 use std::sync::Arc;
 
@@ -98,6 +100,12 @@ pub(crate) struct GoldenLedger {
     pub(crate) output_spans: Vec<(u32, u32, u32)>,
     /// The golden final output.
     pub(crate) output: Vec<f64>,
+    /// Per cache line: one past the last tile whose access touches it
+    /// (0: never touched).
+    pub(crate) last_touch: Vec<u32>,
+    /// Per cache line: one past the last tile during which the L2
+    /// evicts it (0: never evicted mid-tile).
+    pub(crate) last_l2_evict: Vec<u32>,
 }
 
 impl GoldenLedger {
@@ -118,10 +126,29 @@ impl GoldenLedger {
             .map(|&(_, s, l)| (s as usize, l as usize))
     }
 
+    /// Whether no golden tile after the first `done` touches `line`.
+    pub(crate) fn untouched_after(&self, line: u64, done: usize) -> bool {
+        Self::at_most(&self.last_touch, line, done)
+    }
+
+    /// Whether the golden L2 never evicts `line` after the first `done`
+    /// tiles.
+    pub(crate) fn unevicted_after(&self, line: u64, done: usize) -> bool {
+        Self::at_most(&self.last_l2_evict, line, done)
+    }
+
+    fn at_most(index: &[u32], line: u64, done: usize) -> bool {
+        usize::try_from(line)
+            .ok()
+            .and_then(|l| index.get(l))
+            .is_none_or(|&t| t as usize <= done)
+    }
+
     fn cost_bytes(&self) -> usize {
         self.tiles.len() * std::mem::size_of::<LedgerTile>()
             + self.output_spans.len() * 12
             + self.output.len() * 8
+            + (self.last_touch.len() + self.last_l2_evict.len()) * 4
     }
 }
 
@@ -153,7 +180,8 @@ impl SnapshotSet {
 
     /// Approximate bytes this set occupies, for cache accounting: the
     /// snapshots plus the golden ledger (12 bytes per output span, one
-    /// entry per tile and a copy of the golden output).
+    /// entry per tile, a copy of the golden output and 4 bytes per line
+    /// per line index).
     #[must_use]
     pub fn cost_bytes(&self) -> usize {
         self.bytes + self.ledger.cost_bytes()
@@ -262,9 +290,11 @@ mod tests {
         let mut with_spans = set.clone();
         with_spans.ledger = Arc::new(GoldenLedger {
             output_spans: vec![(0, 0, 8), (1, 8, 8)],
+            last_touch: vec![0; 5],
+            last_l2_evict: vec![0; 3],
             ..GoldenLedger::default()
         });
-        assert_eq!(with_spans.cost_bytes(), set.bytes + 2 * 12);
+        assert_eq!(with_spans.cost_bytes(), set.bytes + 2 * 12 + 8 * 4);
     }
 
     #[test]
@@ -277,6 +307,25 @@ mod tests {
         assert_eq!(set.resume_tile(2), Some(2));
         assert_eq!(set.resume_tile(9), Some(8));
         assert_eq!(set.resume_tile(100), Some(16));
+    }
+
+    #[test]
+    fn line_index_answers_past_its_end() {
+        let ledger = GoldenLedger {
+            last_touch: vec![0, 3, 1],
+            last_l2_evict: vec![2],
+            ..GoldenLedger::default()
+        };
+        assert!(ledger.untouched_after(0, 0));
+        assert!(!ledger.untouched_after(1, 2));
+        assert!(ledger.untouched_after(1, 3));
+        assert!(
+            ledger.untouched_after(9, 0),
+            "never recorded: never touched"
+        );
+        assert!(!ledger.unevicted_after(0, 1));
+        assert!(ledger.unevicted_after(0, 2));
+        assert!(ledger.unevicted_after(5, 0));
     }
 
     #[test]

@@ -108,6 +108,16 @@ pub enum StrikeTarget {
 }
 
 impl StrikeTarget {
+    /// Whether the strike only arms a victim tile later in the wave and
+    /// changes no machine state before it (register-file strikes), so a
+    /// fork may start at the victim instead of the strike instant.
+    pub(crate) fn is_deferrable(&self) -> bool {
+        matches!(
+            self,
+            StrikeTarget::RegisterFile { .. } | StrikeTarget::VectorRegister { .. }
+        )
+    }
+
     /// A short site name for logs and summaries.
     pub fn site_name(&self) -> &'static str {
         match self {

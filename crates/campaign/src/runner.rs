@@ -249,7 +249,8 @@ struct BucketCounters {
 }
 
 /// One warm bucket owned by a worker: golden machine state restored from
-/// the bucket's snapshot and advanced to the last fork's strike tile.
+/// the bucket's snapshot and advanced to the last fork's start
+/// ([`Engine::fork_tile`]).
 struct WarmBucket {
     state: WarmState,
     forks: u64,
@@ -512,24 +513,29 @@ impl Campaign {
         pending.truncate(target);
 
         // Prefix-sharing batch scheduler: sort the remaining plan into
-        // buckets keyed by resume snapshot, then strike tile, so one
-        // warm restore serves a whole bucket of forks. Each index's plan
-        // is pre-sampled here with its own RNG stream — exactly the draw
-        // the executing worker repeats — so sorting changes *execution
-        // order only*: record content, the event stream and the summary
-        // equal an index-order run (the event writer reorders by index,
-        // the checkpoint replay tolerates any completion order). Fatal
-        // plans and strikes before the first snapshot have no bucket and
-        // keep index order at the end of the plan. Budget truncation
-        // happens first, so a budgeted run completes the index prefix.
+        // buckets keyed by resume snapshot, then fork tile (the strike
+        // tile, or a register strike's victim), so one warm restore
+        // serves a whole bucket of forks. Each index's plan and fork tile
+        // are pre-sampled here with its own RNG stream — exactly the
+        // draws the executing worker repeats — so sorting changes
+        // *execution order only*: record content, the event stream and
+        // the summary equal an index-order run (the event writer
+        // reorders by index, the checkpoint replay tolerates any
+        // completion order). Fatal plans and strikes before the first
+        // snapshot have no bucket and keep index order at the end of the
+        // plan. Budget truncation happens first, so a budgeted run
+        // completes the index prefix.
         if !snapshots.is_empty() {
             pending.sort_by_cached_key(|&index| {
                 let mut rng = StdRng::seed_from_u64(stream_seed(self.seed, index));
                 match sampler.sample(&mut rng) {
-                    InjectionPlan::Strike(spec) => match snapshots.resume_tile(spec.at_tile) {
-                        Some(resume) => (0u8, resume, spec.at_tile, index),
-                        None => (1, 0, 0, index),
-                    },
+                    InjectionPlan::Strike(spec) => {
+                        let start = engine.fork_tile(golden_kernel.as_ref(), &spec, &mut rng);
+                        match snapshots.resume_tile(start) {
+                            Some(resume) => (0u8, resume, start, index),
+                            None => (1, 0, 0, index),
+                        }
+                    }
                     _ => (1, 0, 0, index),
                 }
             });
@@ -943,21 +949,23 @@ impl Campaign {
                 // the untraced one, so records match either way; the
                 // trace is only pulled when provenance needs it. The plan
                 // is in bucket order, so a strike a snapshot covers forks
-                // off this worker's warm bucket state — bit-identical to
-                // a run from tile 0 by construction. A strike no snapshot
-                // covers (non-resumable kernel) runs from tile 0.
+                // off this worker's warm bucket state at its fork tile —
+                // bit-identical to a run from tile 0 by construction. A
+                // strike no snapshot covers (non-resumable kernel) runs
+                // from tile 0.
                 let execute_started = Instant::now();
                 let mut trace = obs.buf.is_enabled().then(ExecutionTrace::new);
                 let strikes = std::slice::from_ref(&spec);
-                let run = match snapshots.resume_tile(spec.at_tile) {
+                let start = engine.fork_tile(&*kernel, &spec, &mut rng.clone());
+                let run = match snapshots.resume_tile(start) {
                     Some(resume) => {
                         // A bucket is stale when it resumes from a
                         // different snapshot or its golden front has
-                        // already advanced past this strike (possible
-                        // when workers interleave buckets off the shared
+                        // already advanced past this fork (possible when
+                        // workers interleave buckets off the shared
                         // cursor).
                         let stale = batch.warm.as_ref().is_none_or(|b| {
-                            b.state.resume_tile() != resume || b.state.next_tile() > spec.at_tile
+                            b.state.resume_tile() != resume || b.state.next_tile() > start
                         });
                         if stale {
                             let _scope = phase_profile::phase(PhaseId::BucketRestore);
@@ -966,7 +974,7 @@ impl Campaign {
                                 .take()
                                 .map(|b| close_bucket(b, obs.trace, obs.tid));
                             let state = engine
-                                .warm_restore(kernel, snapshots, spec.at_tile, scratch, reuse)?
+                                .warm_restore(kernel, snapshots, start, scratch, reuse)?
                                 .expect("resume_tile implies a usable snapshot");
                             batch.counters.restores.fetch_add(1, Ordering::Relaxed);
                             if let Some(m) = batch.metrics {
@@ -981,7 +989,7 @@ impl Campaign {
                         let bucket = batch.warm.as_mut().expect("bucket was just ensured");
                         let advanced = {
                             let _scope = phase_profile::phase(PhaseId::WarmAdvance);
-                            engine.warm_advance(kernel, &mut bucket.state, spec.at_tile)?
+                            engine.warm_advance(kernel, &mut bucket.state, start)?
                         };
                         batch.counters.forks.fetch_add(1, Ordering::Relaxed);
                         bucket.forks += 1;

@@ -7,7 +7,9 @@
 //!   target, on both paper devices, across the paper kernels, and the
 //!   dirty-region sparse diff produces the identical [`ErrorReport`] as a
 //!   dense diff — with the contained-fault exit proven to fire (it
-//!   splices the golden suffix) exactly where it may;
+//!   splices the golden suffix) exactly where it may, with L2 flips
+//!   still pending too, and register strikes also forked from their
+//!   victim tile ([`Engine::fork_tile`]);
 //! * campaign level — every index replayed from tile 0 with a dense
 //!   compare ([`oracle`]) reproduces the batched campaign's records and
 //!   summary, for an uninterrupted run and across kill → resume.
@@ -19,8 +21,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use radcrit_accel::config::DeviceConfig;
+use radcrit_accel::config::{DeviceConfig, DeviceKind};
 use radcrit_accel::engine::{Engine, RunOutcome, RunScratch, WarmState};
+use radcrit_accel::error::AccelError;
 use radcrit_accel::snapshot::{SnapshotPolicy, SnapshotSet};
 use radcrit_accel::strike::{SchedulerEffect, StrikeSpec, StrikeTarget};
 use radcrit_accel::trace::ExecutionTrace;
@@ -103,25 +106,28 @@ fn mismatch_bits(report: &ErrorReport) -> Vec<([usize; 3], u64, u64)> {
         .collect()
 }
 
-/// Forks `strike` off a bucket restored from `snaps` and advanced to the
-/// strike tile, recycling `reuse`'s allocations the way the runner does.
-/// Returns the outcome, the warm state for the next restore, and the
-/// fork's (suffix-only) execution trace.
+/// Forks `strike` off a bucket restored from `snaps` and advanced to
+/// `start` (the strike tile, or up to a register strike's victim),
+/// recycling `reuse`'s allocations the way the runner does. Returns the
+/// outcome, the warm state for the next restore, and the fork's
+/// (suffix-only) execution trace.
+#[allow(clippy::too_many_arguments)]
 fn fork(
     engine: &Engine,
     kernel: &mut (dyn Workload + Send),
     snaps: &SnapshotSet,
     strike: StrikeSpec,
+    start: usize,
     seed: u64,
     scratch: &mut RunScratch,
     reuse: Option<WarmState>,
 ) -> (RunOutcome, WarmState, ExecutionTrace) {
     let mut warm = engine
-        .warm_restore(kernel, snaps, strike.at_tile, scratch, reuse)
+        .warm_restore(kernel, snaps, start, scratch, reuse)
         .expect("restore")
         .expect("a snapshot covers the strike");
     engine
-        .warm_advance(kernel, &mut warm, strike.at_tile)
+        .warm_advance(kernel, &mut warm, start)
         .expect("advance");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut trace = ExecutionTrace::new();
@@ -168,29 +174,81 @@ fn single_tile_target(target: StrikeTarget) -> bool {
     )
 }
 
+fn counter(metrics: &MetricsRegistry, name: &str) -> u64 {
+    metrics.snapshot().counter(name, &[]).unwrap_or(0)
+}
+
 fn contained_exits(metrics: &MetricsRegistry) -> u64 {
-    metrics
-        .snapshot()
-        .counter("radcrit_run_contained_exits_total", &[])
-        .unwrap_or(0)
+    counter(metrics, "radcrit_run_contained_exits_total")
+}
+
+/// Asserts a fork reproduces the reference run: output bits,
+/// resolutions, profile and delivery, the reference trace from the
+/// fork's start on, and a sparse diff over its dirty region equal to the
+/// dense diff.
+#[allow(clippy::too_many_arguments)]
+fn assert_fork_matches(
+    ctx: &str,
+    kernel: &(dyn Workload + Send),
+    golden: &[f64],
+    full: &RunOutcome,
+    full_trace: &ExecutionTrace,
+    forked: &RunOutcome,
+    forked_trace: &ExecutionTrace,
+    start: usize,
+) {
+    // The forked trace holds exactly the reference trace's tiles from
+    // the fork instant on: every tile a strike there can touch (event
+    // provenance reads these).
+    let suffix: Vec<_> = full_trace
+        .tiles()
+        .iter()
+        .filter(|t| t.pos >= start)
+        .copied()
+        .collect();
+    assert_eq!(forked_trace.tiles(), &suffix[..], "trace: {ctx}");
+    assert_eq!(bits(&full.output), bits(&forked.output), "output: {ctx}");
+    assert_eq!(full.resolutions, forked.resolutions, "resolutions: {ctx}");
+    assert_eq!(full.profile, forked.profile, "profile: {ctx}");
+    assert_eq!(
+        full.strike_delivered, forked.strike_delivered,
+        "delivery: {ctx}"
+    );
+    let dirty = forked
+        .dirty
+        .as_ref()
+        .expect("forked run has a dirty region");
+    let sparse = compare_with_logical_coords_sparse(golden, &forked.output, kernel, dirty);
+    let dense = compare_with_logical_coords(golden, &full.output, kernel);
+    assert_eq!(
+        mismatch_bits(&sparse),
+        mismatch_bits(&dense),
+        "sparse vs dense diff: {ctx}"
+    );
 }
 
 /// The tentpole invariant: for every strike target on every device and
 /// kernel, forking off warm golden state yields the same `RunOutcome` a
 /// run from tile 0 produces — outputs compared bit for bit (so NaNs
 /// count), resolutions and profile by structural equality — and the
-/// dirty region drives a sparse diff equal to the dense diff.
+/// dirty region drives a sparse diff equal to the dense diff. Register
+/// strikes fork twice: at the strike tile and at their victim (the
+/// runner's deferred start); one tile past the victim the fork is
+/// refused.
 ///
 /// The contained-fault exit must not make this pass vacuously: on DGEMM
 /// and LavaMD (whose output nothing loads) a single-tile fault exits
 /// after its victim tile whenever a suffix is left to splice, and it
 /// never exits for a skipped or redirected tile, or for a HotSpot strike
 /// before the last iteration (the ping-pong buffer it taints is loaded
-/// again by every later iteration).
+/// again by every later iteration). On DGEMM/K40 some L2 strike exits
+/// with its flip still pending.
 #[test]
 fn forked_runs_are_bit_identical_to_reference_runs_everywhere() {
     // Contained exits per target over DGEMM and LavaMD on both devices.
     let mut target_exits = vec![0; all_targets().len()];
+    let mut dgemm_k40_l2_flip_exits = 0;
+    let mut deferred_forks = 0;
     for device in devices() {
         for spec in kernels() {
             let metrics = Arc::new(MetricsRegistry::new());
@@ -217,84 +275,108 @@ fn forked_runs_are_bit_identical_to_reference_runs_everywhere() {
                     let strike = StrikeSpec::new(at_tile, target);
                     let seed = 1000 + t as u64;
                     let (full, full_trace) = reference(&engine, kernel.as_mut(), strike, seed);
-                    let exits_before = contained_exits(&metrics);
-                    let (forked, w, forked_trace) = fork(
-                        &engine,
-                        kernel.as_mut(),
-                        &snaps,
-                        strike,
-                        seed,
-                        &mut scratch,
-                        warm.take(),
-                    );
-                    let ctx = format!(
-                        "{spec:?} on {:?}, {target:?} at tile {at_tile}",
-                        device.kind()
-                    );
-                    let exited = contained_exits(&metrics) - exits_before;
-                    assert!(exited <= 1, "one exit per fork: {ctx}");
-                    if !matches!(spec, KernelSpec::HotSpot { .. }) {
-                        target_exits[t] += exited;
-                    }
-                    let victim = forked.resolutions[0].victim_tile;
-                    match (spec, target) {
-                        (
-                            _,
-                            StrikeTarget::Scheduler(
-                                SchedulerEffect::SkipTile | SchedulerEffect::RedirectTile,
-                            ),
-                        ) => assert_eq!(exited, 0, "address-stream faults never exit: {ctx}"),
-                        (KernelSpec::HotSpot { .. }, _) if at_tile < last_launch => {
-                            assert_eq!(exited, 0, "tainted ping-pong buffer is reloaded: {ctx}")
-                        }
-                        (KernelSpec::Dgemm { .. } | KernelSpec::LavaMd { .. }, target)
-                            if single_tile_target(target) =>
-                        {
-                            let victim = victim.expect("single-tile faults name a victim");
-                            assert_eq!(
-                                exited == 1,
-                                victim + 1 < tiles,
-                                "exit after victim tile {victim} iff a suffix is left: {ctx}"
-                            );
-                        }
-                        _ => {}
-                    }
-                    // The forked trace holds exactly the reference trace's
-                    // tiles from the fork instant on: every tile a strike
-                    // there can touch (event provenance reads these).
-                    let suffix: Vec<_> = full_trace
-                        .tiles()
-                        .iter()
-                        .filter(|t| t.pos >= w.next_tile())
-                        .copied()
-                        .collect();
-                    assert_eq!(forked_trace.tiles(), &suffix[..], "trace: {ctx}");
-                    warm = Some(w);
-                    assert_eq!(bits(&full.output), bits(&forked.output), "output: {ctx}");
-                    assert_eq!(full.resolutions, forked.resolutions, "resolutions: {ctx}");
-                    assert_eq!(full.profile, forked.profile, "profile: {ctx}");
-                    assert_eq!(
-                        full.strike_delivered, forked.strike_delivered,
-                        "delivery: {ctx}"
-                    );
-
-                    let dirty = forked
-                        .dirty
-                        .as_ref()
-                        .expect("forked run has a dirty region");
-                    let sparse = compare_with_logical_coords_sparse(
-                        &golden.output,
-                        &forked.output,
+                    let start = engine.fork_tile(
                         kernel.as_ref(),
-                        dirty,
+                        &strike,
+                        &mut StdRng::seed_from_u64(seed),
                     );
-                    let dense =
-                        compare_with_logical_coords(&golden.output, &full.output, kernel.as_ref());
-                    assert_eq!(
-                        mismatch_bits(&sparse),
-                        mismatch_bits(&dense),
-                        "sparse vs dense diff: {ctx}"
-                    );
+                    let mut starts = vec![at_tile];
+                    if start != at_tile {
+                        starts.push(start);
+                    }
+                    for start in starts {
+                        let exits_before = contained_exits(&metrics);
+                        let flips_before = counter(&metrics, "radcrit_run_flip_exits_total");
+                        let (forked, w, forked_trace) = fork(
+                            &engine,
+                            kernel.as_mut(),
+                            &snaps,
+                            strike,
+                            start,
+                            seed,
+                            &mut scratch,
+                            warm.take(),
+                        );
+                        let ctx = format!(
+                            "{spec:?} on {:?}, {target:?} at tile {at_tile} forked at {start}",
+                            device.kind()
+                        );
+                        let exited = contained_exits(&metrics) - exits_before;
+                        assert!(exited <= 1, "one exit per fork: {ctx}");
+                        if !matches!(spec, KernelSpec::HotSpot { .. }) {
+                            target_exits[t] += exited;
+                        }
+                        if matches!(
+                            (spec, target, device.kind()),
+                            (
+                                KernelSpec::Dgemm { .. },
+                                StrikeTarget::L2 { .. },
+                                DeviceKind::KeplerK40
+                            )
+                        ) {
+                            dgemm_k40_l2_flip_exits +=
+                                counter(&metrics, "radcrit_run_flip_exits_total") - flips_before;
+                        }
+                        let victim = forked.resolutions[0].victim_tile;
+                        match (spec, target) {
+                            (
+                                _,
+                                StrikeTarget::Scheduler(
+                                    SchedulerEffect::SkipTile | SchedulerEffect::RedirectTile,
+                                ),
+                            ) => assert_eq!(exited, 0, "address-stream faults never exit: {ctx}"),
+                            (KernelSpec::HotSpot { .. }, _) if at_tile < last_launch => {
+                                assert_eq!(exited, 0, "tainted ping-pong buffer is reloaded: {ctx}")
+                            }
+                            (KernelSpec::Dgemm { .. } | KernelSpec::LavaMd { .. }, target)
+                                if single_tile_target(target) =>
+                            {
+                                let victim = victim.expect("single-tile faults name a victim");
+                                assert_eq!(
+                                    exited == 1,
+                                    victim + 1 < tiles,
+                                    "exit after victim tile {victim} iff a suffix is left: {ctx}"
+                                );
+                            }
+                            _ => {}
+                        }
+                        assert_eq!(w.next_tile(), start, "{ctx}");
+                        assert_fork_matches(
+                            &ctx,
+                            kernel.as_ref(),
+                            &golden.output,
+                            &full,
+                            &full_trace,
+                            &forked,
+                            &forked_trace,
+                            start,
+                        );
+                        warm = Some(w);
+                    }
+                    if start != at_tile {
+                        deferred_forks += 1;
+                        // One tile past the victim the fault can no
+                        // longer land: the fork is refused.
+                        let w = warm.as_mut().expect("the deferred fork left its state");
+                        engine
+                            .warm_advance(kernel.as_mut(), w, start + 1)
+                            .expect("advance");
+                        let err = engine.run(
+                            kernel.as_mut(),
+                            &[strike],
+                            &mut StdRng::seed_from_u64(seed),
+                            Some((w, &mut scratch)),
+                            None,
+                        );
+                        assert!(
+                            matches!(
+                                err,
+                                Err(AccelError::StrikeOutOfRange { tile, tiles })
+                                    if tile == start && tiles == start + 1
+                            ),
+                            "past the victim: {err:?}"
+                        );
+                    }
                 }
             }
         }
@@ -304,6 +386,14 @@ fn forked_runs_are_bit_identical_to_reference_runs_everywhere() {
             assert!(exits > 0, "{target:?} never took the contained exit");
         }
     }
+    assert!(
+        dgemm_k40_l2_flip_exits > 0,
+        "no DGEMM/K40 L2 strike exited with its flip pending"
+    );
+    assert!(
+        deferred_forks > 0,
+        "no register strike forked at its victim"
+    );
 }
 
 proptest! {
@@ -333,11 +423,13 @@ proptest! {
         };
         let strike = StrikeSpec::new(at_tile, target);
         let (full, _) = reference(&engine, kernel.as_mut(), strike, seed);
+        let start = engine.fork_tile(kernel.as_ref(), &strike, &mut StdRng::seed_from_u64(seed));
         let (forked, _, _) = fork(
             &engine,
             kernel.as_mut(),
             &snaps,
             strike,
+            start,
             seed,
             &mut RunScratch::new(),
             None,

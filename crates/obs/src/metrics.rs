@@ -50,6 +50,11 @@ pub const METRIC_REFERENCE: &[MetricHelp] = &[
             "Golden tiles replayed while advancing warm bucket states to a strike's resume point.",
     },
     MetricHelp {
+        name: "radcrit_bucket_deferred_forks_total",
+        kind: "counter",
+        help: "Forked runs started past their strike tile, at the victim tile of a register strike.",
+    },
+    MetricHelp {
         name: "radcrit_bucket_forks_total",
         kind: "counter",
         help: "Per-strike executions forked off a warm bucket state.",
@@ -169,6 +174,11 @@ pub const METRIC_REFERENCE: &[MetricHelp] = &[
         kind: "counter",
         help:
             "Forked runs ended early because the strike's corruption died before reaching output.",
+    },
+    MetricHelp {
+        name: "radcrit_run_flip_exits_total",
+        kind: "counter",
+        help: "Contained exits taken with cache flips still pending, each on a line no later tile touches; a subset of radcrit_run_contained_exits_total.",
     },
     MetricHelp {
         name: "radcrit_serve_jobs_submitted_total",

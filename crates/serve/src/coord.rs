@@ -414,6 +414,9 @@ fn orchestrate(core: &Arc<Core>) -> Result<(), ServeError> {
 fn orchestrate_loop(core: &Arc<Core>) -> Result<(), ServeError> {
     let (tx, rx) = std::sync::mpsc::channel::<TailEnd>();
     let mut last_beat: Option<Instant> = None;
+    // The health rules' baseline: a death or re-dispatch counts from the
+    // first sample that observes it, so one must precede any dispatch.
+    evaluate_alerts(core);
     loop {
         if core.stop.load(Ordering::SeqCst) {
             return Ok(());
@@ -559,6 +562,11 @@ fn dispatch_pending(core: &Arc<Core>, tx: &Sender<TailEnd>) -> Result<(), ServeE
                         s.generation
                     };
                     spawn_tailer(core, shard, generation, worker.clone(), job, tx.clone());
+                    if state == ShardState::Redispatched {
+                        // Sample the episode now: a re-dispatched shard
+                        // can finish before the next heartbeat sweep.
+                        evaluate_alerts(core);
+                    }
                     break;
                 }
                 Err(ServeError::Unreachable(_)) => {
@@ -700,7 +708,9 @@ fn drain_tail_endings(core: &Arc<Core>, rx: &Receiver<TailEnd>) -> Result<(), Se
 
 /// Probes every registered worker's `/healthz`, then sweeps the fleet:
 /// newly dead workers get their incomplete shards re-dispatched (by
-/// flipping them pending; the next planner pass does the rest).
+/// flipping them pending; the next planner pass does the rest). A probe
+/// whose connection is refused strikes the worker at once, as a refused
+/// dispatch does; silent workers die when the heartbeat timeout lapses.
 ///
 /// Each successful probe doubles as a clock measurement: the worker's
 /// body reports `now_us` on its own trace timeline, and the midpoint
@@ -711,12 +721,17 @@ fn heartbeat(core: &Arc<Core>) {
         let registry = core.registry.lock().expect("registry lock");
         registry.alive()
     };
+    let mut refused = Vec::new();
     for worker in &workers {
         let client = Client::new(worker.clone())
             .with_connect_timeout(Duration::from_millis(500))
             .with_read_timeout(Duration::from_millis(500));
         let t0 = Instant::now();
-        if let Ok(body) = client.healthz() {
+        let probe = client.healthz();
+        if matches!(probe, Err(ServeError::Unreachable(_))) {
+            refused.push(worker);
+        }
+        if let Ok(body) = probe {
             let t1 = Instant::now();
             let mut registry = core.registry.lock().expect("registry lock");
             registry.mark_seen(worker, t1);
@@ -746,11 +761,16 @@ fn heartbeat(core: &Arc<Core>) {
         }
     }
     let sweep_started = Instant::now();
-    let newly_dead = core
-        .registry
-        .lock()
-        .expect("registry lock")
-        .sweep_at(sweep_started);
+    let newly_dead = {
+        let mut registry = core.registry.lock().expect("registry lock");
+        let mut dead: Vec<String> = refused
+            .into_iter()
+            .filter(|w| registry.mark_dead(w))
+            .cloned()
+            .collect();
+        dead.extend(registry.sweep_at(sweep_started));
+        dead
+    };
     if !newly_dead.is_empty() {
         for worker in &newly_dead {
             core.trace
@@ -783,6 +803,9 @@ fn parse_now_us(body: &str) -> Option<i64> {
 
 /// Feeds the fleet health rules one sample: cumulative worker deaths
 /// and redispatches, merged coverage and the FIT confidence interval.
+/// Taken once before the first dispatch (the baseline), at every
+/// heartbeat sweep, after every re-dispatch and at completion, so an
+/// episode shorter than a sweep interval still counts.
 /// Firing/resolved edges land on stderr as structured JSONL lines and
 /// on `/metrics` as `radcrit_alert_*` series.
 fn evaluate_alerts(core: &Arc<Core>) {
@@ -944,6 +967,9 @@ fn finish_if_done(core: &Arc<Core>) -> Result<bool, ServeError> {
         std::fs::write(path, build_fleet_trace(core))
             .map_err(|e| ServeError::Io(format!("{}: {e}", path.display())))?;
     }
+    // No sweep follows completion: a last alert sample, taken before the
+    // done flag releases waiters.
+    evaluate_alerts(core);
     core.done.store(true, Ordering::SeqCst);
     Ok(true)
 }

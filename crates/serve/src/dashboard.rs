@@ -16,9 +16,10 @@
 //! * polls `GET /alerts` for the health-rules panel (firing rules in
 //!   red with their message, quiet rules collapsed to one line),
 //! * polls `GET /metrics` for the batching-efficiency row (bucket
-//!   restores vs forks, dead-strike and contained-fault early exits)
-//!   and `GET /profile` for the daemon-wide hot-phases panel (top
-//!   self-time phases of the merged hierarchical profile),
+//!   restores vs forks, deferred fork starts, dead-strike and
+//!   contained-fault early exits, the latter with flips pending) and
+//!   `GET /profile` for the daemon-wide hot-phases panel (top self-time
+//!   phases of the merged hierarchical profile),
 //! * stops cleanly when the stream sends its `end` frame and the fold
 //!   reports `finished`.
 
@@ -155,10 +156,14 @@ async function pollDaemon() {
     const forks = m.radcrit_bucket_forks_total || 0;
     const dead = m.radcrit_run_dead_strike_exits_total || 0;
     const contained = m.radcrit_run_contained_exits_total || 0;
+    const flips = m.radcrit_run_flip_exits_total || 0;
+    const deferred = m.radcrit_bucket_deferred_forks_total || 0;
     $("batching").textContent =
       `${restores} bucket restores · ${forks} forks ` +
-      `(${restores ? (forks / restores).toFixed(1) : "–"} forks/restore) · ` +
-      `${dead} dead-strike early exits · ${contained} contained-fault exits`;
+      `(${restores ? (forks / restores).toFixed(1) : "–"} forks/restore, ` +
+      `${deferred} started at their victim) · ` +
+      `${dead} dead-strike early exits · ${contained} contained-fault exits ` +
+      `(${flips} with flips pending)`;
   } catch (e) { /* daemon restarting */ }
   try {
     const a = await (await fetch("/alerts")).json();

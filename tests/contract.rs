@@ -5,10 +5,13 @@
 //!
 //! * (a) a strike forked off warm golden-prefix state ≡ the same strike
 //!   run from tile 0, for every strike target, including the sparse
-//!   dirty-region diff ≡ the dense diff — and some of those forks take
+//!   dirty-region diff ≡ the dense diff. Each fork starts where the
+//!   runner starts it — at `Engine::fork_tile`, so some register strikes
+//!   start at their victim, past the strike tile — and some forks take
 //!   the contained-fault exit (stop once the spent fault can no longer
-//!   reach a loaded buffer, splice the golden suffix), so the gate
-//!   covers that path too;
+//!   reach a loaded buffer, splice the golden suffix), some of them with
+//!   an L2 flip still pending on a line no later tile touches; the gate
+//!   asserts all three paths are taken;
 //! * (b) a campaign pinned to the scalar executor ≡ the vectorized one;
 //! * (c) three shard runs folded together ≡ the one-shot summary;
 //! * (d) a budget-stopped checkpoint plus resume ≡ an uninterrupted run,
@@ -122,12 +125,14 @@ fn forked_runs_equal_reference_runs_for_every_target() {
                 .run(kernel.as_mut(), &[strike], &mut rng, None, None)
                 .expect("reference run");
 
+            let start =
+                engine.fork_tile(kernel.as_ref(), &strike, &mut StdRng::seed_from_u64(seed));
             let mut w = engine
-                .warm_restore(kernel.as_mut(), &snaps, at_tile, &mut scratch, warm.take())
+                .warm_restore(kernel.as_mut(), &snaps, start, &mut scratch, warm.take())
                 .expect("restore")
                 .expect("a snapshot covers every tile");
             engine
-                .warm_advance(kernel.as_mut(), &mut w, at_tile)
+                .warm_advance(kernel.as_mut(), &mut w, start)
                 .expect("advance");
             let mut rng = StdRng::seed_from_u64(seed);
             let forked = engine
@@ -158,11 +163,21 @@ fn forked_runs_equal_reference_runs_for_every_target() {
             assert_eq!(mismatch_bits(&sparse), mismatch_bits(&dense), "diff: {ctx}");
         }
     }
-    let contained = metrics
-        .snapshot()
-        .counter("radcrit_run_contained_exits_total", &[])
-        .unwrap_or(0);
-    assert!(contained > 0, "no fork took the contained-fault exit");
+    let snap = metrics.snapshot();
+    for (counter, path) in [
+        (
+            "radcrit_run_contained_exits_total",
+            "the contained-fault exit",
+        ),
+        (
+            "radcrit_run_flip_exits_total",
+            "the exit with a flip pending",
+        ),
+        ("radcrit_bucket_deferred_forks_total", "a deferred start"),
+    ] {
+        let n = snap.counter(counter, &[]).unwrap_or(0);
+        assert!(n > 0, "no fork took {path} ({counter} = {n})");
+    }
 }
 
 #[test]
