@@ -19,7 +19,6 @@
 //! so its fork may also *start* there ([`Engine::fork_tile`]).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use rand::Rng;
 
@@ -242,10 +241,12 @@ impl Engine {
         Engine { cfg, metrics: None }
     }
 
-    /// Attaches a metrics registry: subsequent runs record per-phase
-    /// wall-time histograms (`radcrit_engine_phase_us{phase=…}`), run
-    /// counts and dispatch-plan geometry. Without a registry the timing
-    /// instrumentation is skipped entirely.
+    /// Attaches a metrics registry: subsequent runs record run counts,
+    /// fork-exit counters, snapshot bytes and dispatch-plan geometry.
+    /// Wall time is not timed here: the engine's `radcrit_obs::profile`
+    /// scopes (tile execution, memory sub-phases, snapshot capture)
+    /// are the one clock, and the campaign drains them into the
+    /// registry's `radcrit_phase_*` counters.
     pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
         self.metrics = Some(metrics);
         self
@@ -504,7 +505,6 @@ impl Engine {
             }
         }
 
-        let mut phase_start = self.metrics.as_ref().map(|_| Instant::now());
         let resumable = program.resumable();
         // The fork's warm state on its own (`fork` hands the scratch back
         // at the end).
@@ -544,7 +544,6 @@ impl Engine {
             }
             plan.observe(m);
         }
-        self.phase_done("setup", &mut phase_start);
 
         // Snapshot capture plan: explicit stride, or as many evenly
         // spaced snapshots as the byte budget admits (estimated from the
@@ -817,7 +816,6 @@ impl Engine {
             }
         }
 
-        self.phase_done("tiles", &mut phase_start);
         let history = caches.history.take();
 
         // End of kernel: flush the hierarchy; dirty corrupted lines write
@@ -911,8 +909,6 @@ impl Engine {
             sc.spare_caches = Some(caches);
         }
 
-        self.phase_done("flush", &mut phase_start);
-
         if let Some(mut g) = ledger {
             let mut after = 0;
             for entry in g.tiles.iter_mut().rev() {
@@ -942,15 +938,6 @@ impl Engine {
             },
             set,
         ))
-    }
-
-    /// Records the elapsed phase time and restarts the clock; a no-op
-    /// without an attached metrics registry.
-    fn phase_done(&self, phase: &str, start: &mut Option<Instant>) {
-        if let (Some(m), Some(s)) = (self.metrics.as_deref(), start.as_mut()) {
-            m.observe_duration("radcrit_engine_phase_us", &[("phase", phase)], s.elapsed());
-            *s = Instant::now();
-        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1539,12 +1526,6 @@ mod tests {
         let snap = metrics.snapshot();
         assert_eq!(snap.counter("radcrit_engine_runs_total", &[]), Some(2));
         assert_eq!(snap.gauge("radcrit_plan_tiles", &[]), Some(8.0));
-        for phase in ["setup", "tiles", "flush"] {
-            let h = snap
-                .histogram("radcrit_engine_phase_us", &[("phase", phase)])
-                .unwrap_or_else(|| panic!("missing phase {phase}"));
-            assert_eq!(h.count(), 2);
-        }
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {

@@ -163,15 +163,11 @@ fn timed_run(campaign: &Campaign, reps: usize, metrics: &Arc<MetricsRegistry>) -
     (secs, snapshot_bytes)
 }
 
-/// Runs one extra rep with the phase profiler on (against a
+/// Runs one extra rep with exhaustive phase profiling (against a
 /// freshly warmed cache, like the timed reps) and returns the top-5
-/// self-time phases. Untimed: profiled reps never feed the rate
-/// columns, so the ≤5 % enabled-profiler overhead cannot skew them.
+/// self-time phases. Untimed: the timed reps attach a metrics registry,
+/// so they run the sampled profiler, never this rep's stride 1.
 fn profiled_phases(campaign: &Campaign) -> Vec<(String, u64)> {
-    // This rep is untimed, so exhaustive per-element attribution is
-    // free: every memory sub-phase call is timed, not one tile in
-    // TILE_SAMPLE_STRIDE.
-    radcrit_obs::profile::set_tile_sample_stride(1);
     let cache = Arc::new(GoldenCache::new(GoldenCache::DEFAULT_BYTES));
     let warm = Campaign {
         injections: 1,
@@ -186,10 +182,13 @@ fn profiled_phases(campaign: &Campaign) -> Vec<(String, u64)> {
         return Vec::new();
     }
     let collector = Arc::new(ProfileCollector::new());
-    if campaign
-        .run_with(&options(Some(Arc::clone(&collector))))
-        .is_err()
-    {
+    // This rep is untimed, so exhaustive per-element attribution is
+    // free: every memory sub-phase call is timed, not one tile in
+    // TILE_SAMPLE_STRIDE. The default is back before the next timed rep.
+    radcrit_obs::profile::set_tile_sample_stride(1);
+    let profiled = campaign.run_with(&options(Some(Arc::clone(&collector))));
+    radcrit_obs::profile::set_tile_sample_stride(radcrit_obs::profile::TILE_SAMPLE_STRIDE);
+    if profiled.is_err() {
         return Vec::new();
     }
     collector

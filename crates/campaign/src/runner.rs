@@ -39,10 +39,14 @@
 //! already present in the stream are skipped and checkpoint-replayed
 //! indices missing from it get a synthetic `replay` marker — the stream
 //! never duplicates and never loses an index across kill/resume cycles.
-//! Wall-clock quantities (per-phase engine timings, injection latency,
-//! outcome counters) go to the [`radcrit_obs::MetricsRegistry`] instead
-//! and are written to [`RunOptions::metrics_out`] as JSON plus a
-//! Prometheus text rendering.
+//! Wall-clock quantities (injection latency, outcome counters) go to the
+//! [`radcrit_obs::MetricsRegistry`] instead and are written to
+//! [`RunOptions::metrics_out`] as JSON plus a Prometheus text rendering.
+//!
+//! Phase timing has one clock, the [`radcrit_obs::profile`] scopes: with
+//! any sink (a profile, a trace or metrics) every run thread profiles,
+//! and the profile tree, the Chrome timeline and the `radcrit_phase_*`
+//! counters are views of the same scopes.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -67,10 +71,10 @@ use radcrit_core::mismatch::Mismatch;
 use radcrit_core::report::ErrorReport;
 use radcrit_faults::sampler::{FaultSampler, InjectionPlan};
 use radcrit_kernels::Workload;
-use radcrit_obs::profile::{self as phase_profile, PhaseId, ProfileCollector};
+use radcrit_obs::profile::{self as phase_profile, Lane, PhaseId, ProfileCollector};
 use radcrit_obs::{
     AnalyticSample, CriticalityAggregator, Event as ObsEvent, EventBuffer, EventWriter, FieldValue,
-    MetricsRegistry, ProvenanceRecord, Span, TraceContext, TraceRecorder,
+    MetricsRegistry, ProvenanceRecord, Span, TraceRecorder,
 };
 
 use crate::checkpoint;
@@ -124,18 +128,24 @@ pub struct RunOptions {
     /// daemon-wide one) instead of a fresh private registry. Implies
     /// metrics collection even without [`RunOptions::metrics_out`].
     pub metrics: Option<Arc<MetricsRegistry>>,
-    /// Write a Chrome trace-event JSON timeline of the run's phases
-    /// (golden execution, per-injection umbrella, engine execution,
-    /// output comparison) here at end of run — loadable in
-    /// `chrome://tracing` / Perfetto. Wall-clock data: lives beside the
-    /// metrics, never in the deterministic event stream.
+    /// Write a Chrome trace-event JSON timeline of the run's coarse
+    /// phases (golden execution, per-injection umbrella, engine
+    /// execution, bucket restore, fork, output comparison, …) here at
+    /// end of run — loadable in `chrome://tracing` / Perfetto.
+    /// Wall-clock data: lives beside the metrics, never in the
+    /// deterministic event stream.
     pub trace_out: Option<PathBuf>,
+    /// Record the phase timeline into this external recorder — e.g. a
+    /// daemon's per-job one, built on the process-wide epoch and
+    /// carrying a federated shard's trace context. Implies tracing even
+    /// without [`RunOptions::trace_out`].
+    pub trace: Option<Arc<TraceRecorder>>,
     /// Write the merged phase-profile tree here as one-line JSON at end
-    /// of run (see [`radcrit_obs::profile`]). Setting this enables the
-    /// hierarchical profiler on every worker; leaving it (and
-    /// [`RunOptions::profile`]) unset keeps the profiler zero-cost.
-    /// Wall-clock data: lives beside the metrics and trace, never in
-    /// the deterministic event stream.
+    /// of run (see [`radcrit_obs::profile`]). The hierarchical profiler
+    /// runs on every run thread whenever the run has any sink (this,
+    /// [`RunOptions::profile`], a trace or metrics); with none it stays
+    /// zero-cost. Wall-clock data: lives beside the metrics and trace,
+    /// never in the deterministic event stream.
     pub profile_out: Option<PathBuf>,
     /// Merge phase profiles into this shared external collector (e.g. a
     /// daemon-wide one). Implies profiling even without
@@ -158,17 +168,6 @@ pub struct RunOptions {
     /// when debugging. The pin is process-wide while the run lasts, so
     /// worker threads inherit it.
     pub force_scalar: bool,
-    /// Distributed-trace context (campaign id, shard ordinal, parent
-    /// span) stamped onto every recorded span and the trace metadata —
-    /// set by a daemon running one shard of a federated campaign so the
-    /// coordinator can merge worker traces into one fleet timeline.
-    /// `None` leaves the emitted trace byte-identical to before the
-    /// context existed.
-    pub trace_context: Option<TraceContext>,
-    /// Measure trace timestamps from this shared instant instead of the
-    /// recorder's creation time, so all of a daemon's job traces live on
-    /// one process-wide timeline the coordinator can rebase.
-    pub trace_epoch: Option<Instant>,
 }
 
 /// Everything a finished campaign produced.
@@ -228,8 +227,6 @@ struct Shared {
     metrics: Option<Arc<MetricsRegistry>>,
     /// Detail-event sampling stride; `None` disables event collection.
     events_sample: Option<u64>,
-    /// Phase-timeline recorder, when [`RunOptions::trace_out`] is set.
-    trace: Option<Arc<TraceRecorder>>,
     /// Bucket accounting of the batch scheduler.
     buckets: BucketCounters,
     /// Phase-profile merge point, when profiling is enabled. Workers
@@ -248,38 +245,14 @@ struct BucketCounters {
     forks: AtomicU64,
 }
 
-/// One warm bucket owned by a worker: golden machine state restored from
-/// the bucket's snapshot and advanced to the last fork's start
-/// ([`Engine::fork_tile`]).
-struct WarmBucket {
-    state: WarmState,
-    forks: u64,
-    started: Instant,
-}
-
 /// Batch-scheduler context threaded through one worker's injections.
 struct BatchCtx<'a> {
     counters: &'a BucketCounters,
     metrics: Option<&'a MetricsRegistry>,
-    warm: Option<WarmBucket>,
-}
-
-/// Ends a bucket: records its wall-clock span on the worker's timeline
-/// and hands the warm state back for allocation reuse by the next
-/// bucket's restore.
-fn close_bucket(bucket: WarmBucket, trace: Option<&TraceRecorder>, tid: u64) -> WarmState {
-    if let Some(tr) = trace {
-        tr.record(
-            "bucket",
-            tid,
-            bucket.started,
-            &[
-                ("resume", bucket.state.resume_tile() as u64),
-                ("forks", bucket.forks),
-            ],
-        );
-    }
-    bucket.state
+    /// This worker's warm bucket: golden machine state restored from the
+    /// bucket's snapshot and advanced to the last fork's start
+    /// ([`Engine::fork_tile`]).
+    warm: Option<WarmState>,
 }
 
 /// The per-injection RNG stream seed — a fixed function of `(campaign
@@ -331,10 +304,6 @@ enum Event {
 struct ObsCtx<'a> {
     buf: &'a mut EventBuffer,
     detail: bool,
-    /// Phase-timeline recorder (wall-clock, never in the event stream).
-    trace: Option<&'a TraceRecorder>,
-    /// This worker's timeline lane.
-    tid: u64,
 }
 
 impl Campaign {
@@ -413,19 +382,26 @@ impl Campaign {
         if let Some(m) = &metrics {
             engine = engine.with_metrics(Arc::clone(m));
         }
-        // Phase profiling: per-thread accumulators merged into one
-        // collector. The collector thread (this one) profiles the golden
-        // phase and checkpoint appends; workers profile execution and
-        // compare. Disabled, every scope is a flag check.
-        let profiler = options.profile.clone().or_else(|| {
+        let trace = options.trace.clone().or_else(|| {
             options
-                .profile_out
+                .trace_out
                 .as_ref()
-                .map(|_| Arc::new(ProfileCollector::new()))
+                .map(|_| Arc::new(TraceRecorder::new()))
         });
-        if profiler.is_some() {
-            phase_profile::enable_thread();
-        }
+        // Phase profiling feeds every sink: per-thread accumulators
+        // merged into one collector, timeline lanes, phase counters. The
+        // collector thread (this one, lane 0) profiles the golden phase
+        // and checkpoint appends; workers profile injections. Disabled,
+        // every scope is a flag check.
+        let profiler = options.profile.clone().or_else(|| {
+            (options.profile_out.is_some() || trace.is_some() || metrics.is_some())
+                .then(|| Arc::new(ProfileCollector::new()))
+        });
+        let thread_profile = ThreadProfile::enable(
+            profiler.as_deref(),
+            metrics.as_deref(),
+            trace.clone().map(|t| (t, 0)),
+        );
 
         // Golden execution: output, profile, cross sections and the
         // golden-prefix snapshot set injections fork from. With a shared
@@ -443,17 +419,6 @@ impl Campaign {
                 snapshots: Arc::new(set),
             })
         };
-        let trace = options.trace_out.as_ref().map(|_| {
-            let rec = match options.trace_epoch {
-                Some(epoch) => TraceRecorder::with_epoch(epoch),
-                None => TraceRecorder::new(),
-            };
-            if let Some(ctx) = &options.trace_context {
-                rec.set_context(ctx.clone());
-            }
-            Arc::new(rec)
-        });
-        let golden_started = Instant::now();
         let golden_scope = phase_profile::phase(PhaseId::Golden);
         let mut golden_kernel = self.kernel.build(self.seed)?;
         let golden = match &options.golden_cache {
@@ -479,9 +444,6 @@ impl Campaign {
         let golden_profile = golden.profile.clone();
         let snapshots = Arc::clone(&golden.snapshots);
         drop(golden_scope);
-        if let Some(tr) = &trace {
-            tr.record("golden", 0, golden_started, &[]);
-        }
         let sampler = FaultSampler::new(&self.device, &golden_profile);
         let sigma_total = sampler.table().total();
         // The live analytics fold: the same aggregator that powers the
@@ -578,11 +540,11 @@ impl Campaign {
             }
         }
 
-        let mut telemetry = Telemetry::new();
-        telemetry.note_replayed(records.len());
         for r in &records {
             analytics.fold_sample(&analytic_sample(r));
         }
+        let mut telemetry = Telemetry::new();
+        telemetry.note_replayed(records.len(), &analytics);
         if let Some(m) = &metrics {
             m.counter_add("radcrit_campaign_replayed_total", &[], records.len() as u64);
         }
@@ -601,7 +563,6 @@ impl Campaign {
                 .events_out
                 .as_ref()
                 .map(|_| options.events_sample.max(1)),
-            trace: trace.clone(),
             buckets: BucketCounters::default(),
             profile: profiler.clone(),
         });
@@ -615,9 +576,10 @@ impl Campaign {
         // Worker timeline ids: 0 is the collector's lane, workers (and
         // watchdog replacements) get 1, 2, … in spawn order.
         let mut next_tid = 1u64;
+        let lane = |tid| trace.clone().map(|t| (t, tid));
         if target > 0 {
             for _ in 0..workers {
-                slots.push(spawn_worker(&shared, &tx, next_tid));
+                slots.push(spawn_worker(&shared, &tx, lane(next_tid)));
                 next_tid += 1;
                 active += 1;
             }
@@ -647,43 +609,15 @@ impl Campaign {
                     break;
                 }
             }
+            // Records finished this tick: `(record, latency, event block,
+            // synthesized by the watchdog)`.
+            let mut finished = Vec::new();
             match rx.recv_timeout(tick) {
                 Ok(Event::Done {
                     record,
                     latency,
                     events: block,
-                }) => {
-                    telemetry.record(&record.outcome, latency, false);
-                    analytics.fold_sample(&analytic_sample(&record));
-                    if let Some(m) = &metrics {
-                        m.counter_add(
-                            "radcrit_campaign_outcomes_total",
-                            &[("outcome", record.outcome.tag())],
-                            1,
-                        );
-                        m.observe_duration("radcrit_injection_latency", &[], latency);
-                    }
-                    if let Some(w) = writer.as_mut() {
-                        let _scope = phase_profile::phase(PhaseId::Checkpoint);
-                        if let Err(e) = checkpoint::append(w, &record) {
-                            shared.stop.store(true, Ordering::SeqCst);
-                            return Err(e);
-                        }
-                    }
-                    if let Some((w, path)) = events.as_mut() {
-                        // Indices the stream already covers (events ahead
-                        // of the checkpoint after a kill) are skipped —
-                        // never duplicated.
-                        if !events_have.contains(&(record.index as u64)) {
-                            if let Err(e) = w.submit(record.index as u64, &block) {
-                                shared.stop.store(true, Ordering::SeqCst);
-                                return Err(events_corrupt(path, e));
-                            }
-                        }
-                    }
-                    records.push(record);
-                    produced += 1;
-                }
+                }) => finished.push((record, latency, block, false)),
                 Ok(Event::Failed { error }) => {
                     // First error wins; later ones are victims of the
                     // same shutdown, not the cause.
@@ -719,42 +653,15 @@ impl Campaign {
                         delivered: true,
                         outcome: InjectionOutcome::Hang,
                     };
-                    telemetry.record(&record.outcome, deadline, true);
-                    analytics.fold_sample(&analytic_sample(&record));
-                    if let Some(m) = &metrics {
-                        m.counter_add(
-                            "radcrit_campaign_outcomes_total",
-                            &[("outcome", record.outcome.tag())],
-                            1,
-                        );
-                        m.counter_add("radcrit_campaign_watchdog_hangs_total", &[], 1);
-                        m.observe_duration("radcrit_injection_latency", &[], deadline);
-                    }
-                    if let Some(w) = writer.as_mut() {
-                        let _scope = phase_profile::phase(PhaseId::Checkpoint);
-                        if let Err(e) = checkpoint::append(w, &record) {
-                            shared.stop.store(true, Ordering::SeqCst);
-                            return Err(e);
-                        }
-                    }
-                    if let Some((w, path)) = events.as_mut() {
-                        // The hung worker never submitted a block (its
-                        // generation was retired), so the watchdog owns
-                        // this index's provenance.
-                        if !events_have.contains(&(index as u64)) {
-                            let prov = watchdog_provenance(index);
-                            if let Err(e) = w.submit(index as u64, &[prov.to_event()]) {
-                                shared.stop.store(true, Ordering::SeqCst);
-                                return Err(events_corrupt(path, e));
-                            }
-                        }
-                    }
-                    records.push(record);
-                    produced += 1;
-                    if produced < target && !shared.stop.load(Ordering::SeqCst) {
+                    // The hung worker never submitted a block (its
+                    // generation was retired), so the watchdog owns this
+                    // index's provenance.
+                    let block = vec![watchdog_provenance(index).to_event()];
+                    finished.push((record, deadline, block, true));
+                    if produced + finished.len() < target && !shared.stop.load(Ordering::SeqCst) {
                         // Keep the pool at strength: the hung worker is
                         // abandoned, not joined.
-                        slots.push(spawn_worker(&shared, &tx, next_tid));
+                        slots.push(spawn_worker(&shared, &tx, lane(next_tid)));
                         next_tid += 1;
                         active += 1;
                     }
@@ -762,15 +669,47 @@ impl Campaign {
                 slots.retain(|s| !s.lock().expect("slot lock").retired);
             }
 
+            for (record, latency, block, watchdog) in finished {
+                telemetry.record(latency, watchdog);
+                analytics.fold_sample(&analytic_sample(&record));
+                if let Some(m) = &metrics {
+                    m.counter_add(
+                        "radcrit_campaign_outcomes_total",
+                        &[("outcome", record.outcome.tag())],
+                        1,
+                    );
+                    if watchdog {
+                        m.counter_add("radcrit_campaign_watchdog_hangs_total", &[], 1);
+                    }
+                    m.observe_duration("radcrit_injection_latency", &[], latency);
+                }
+                if let Some(w) = writer.as_mut() {
+                    let _scope = phase_profile::phase(PhaseId::Checkpoint);
+                    if let Err(e) = checkpoint::append(w, &record) {
+                        shared.stop.store(true, Ordering::SeqCst);
+                        return Err(e);
+                    }
+                }
+                if let Some((w, path)) = events.as_mut() {
+                    // Indices the stream already covers (events ahead of
+                    // the checkpoint after a kill) are skipped — never
+                    // duplicated.
+                    if !events_have.contains(&(record.index as u64)) {
+                        if let Err(e) = w.submit(record.index as u64, &block) {
+                            shared.stop.store(true, Ordering::SeqCst);
+                            return Err(events_corrupt(path, e));
+                        }
+                    }
+                }
+                records.push(record);
+                produced += 1;
+            }
+
             if let Some(interval) = options.progress {
                 if last_progress.elapsed() >= interval {
                     eprintln!(
                         "{}",
-                        telemetry.snapshot().progress_line(
-                            target,
-                            Some(&analytics),
-                            bucket_stats(&shared)
-                        )
+                        telemetry.progress_line(target, &analytics, bucket_stats(&shared))
                     );
                     last_progress = Instant::now();
                 }
@@ -798,9 +737,7 @@ impl Campaign {
         if options.progress.is_some() {
             eprintln!(
                 "{}",
-                telemetry
-                    .snapshot()
-                    .progress_line(target, Some(&analytics), bucket_stats(&shared))
+                telemetry.progress_line(target, &analytics, bucket_stats(&shared))
             );
         }
         records.sort_by_key(|r| r.index);
@@ -809,7 +746,7 @@ impl Campaign {
             // Flush gapped blocks first (a budget stop leaves holes), so
             // run_end is the stream's final line.
             w.finish().map_err(|e| events_corrupt(path, e))?;
-            w.emit_top(&run_end_event(&telemetry))
+            w.emit_top(&run_end_event(&telemetry, &analytics))
                 .map_err(|e| events_corrupt(path, e))?;
             w.finish().map_err(|e| events_corrupt(path, e))?;
         }
@@ -828,12 +765,10 @@ impl Campaign {
                 tr.export_dropped(m);
             }
         }
-        if let Some(pc) = &profiler {
-            pc.merge(&phase_profile::drain_thread());
-            if let Some(path) = &options.profile_out {
-                std::fs::write(path, pc.snapshot().to_json())
-                    .map_err(|e| AccelError::Corrupt(format!("profile {}: {e}", path.display())))?;
-            }
+        drop(thread_profile);
+        if let (Some(pc), Some(path)) = (&profiler, &options.profile_out) {
+            std::fs::write(path, pc.snapshot().to_json())
+                .map_err(|e| AccelError::Corrupt(format!("profile {}: {e}", path.display())))?;
         }
         if let (Some(m), Some(path)) = (&metrics, &options.metrics_out) {
             let snap = m.snapshot();
@@ -873,13 +808,11 @@ impl Campaign {
         let mut rng = StdRng::seed_from_u64(stream_seed(self.seed, index));
 
         let span = obs.detail.then(|| Span::enter(obs.buf, "injection"));
-        let started = Instant::now();
+        let scope = phase_profile::phase_with(PhaseId::Injection, &[("index", index as u64)]);
         let result = self.run_one_inner(
             index, engine, kernel, sampler, golden, snapshots, scratch, obs, batch, &mut rng,
         );
-        if let Some(tr) = obs.trace {
-            tr.record("injection", obs.tid, started, &[("index", index as u64)]);
-        }
+        drop(scope);
         if let Some(span) = span {
             span.exit(obs.buf);
         }
@@ -953,7 +886,10 @@ impl Campaign {
                 // bit-identical to a run from tile 0 by construction. A
                 // strike no snapshot covers (non-resumable kernel) runs
                 // from tile 0.
-                let execute_started = Instant::now();
+                let execute_scope = phase_profile::phase_with(
+                    PhaseId::Execute,
+                    &[("index", index as u64), ("at", spec.at_tile as u64)],
+                );
                 let mut trace = obs.buf.is_enabled().then(ExecutionTrace::new);
                 let strikes = std::slice::from_ref(&spec);
                 let start = engine.fork_tile(&*kernel, &spec, &mut rng.clone());
@@ -964,35 +900,32 @@ impl Campaign {
                         // already advanced past this fork (possible when
                         // workers interleave buckets off the shared
                         // cursor).
-                        let stale = batch.warm.as_ref().is_none_or(|b| {
-                            b.state.resume_tile() != resume || b.state.next_tile() > start
-                        });
+                        let stale = batch
+                            .warm
+                            .as_ref()
+                            .is_none_or(|w| w.resume_tile() != resume || w.next_tile() > start);
                         if stale {
-                            let _scope = phase_profile::phase(PhaseId::BucketRestore);
-                            let reuse = batch
-                                .warm
-                                .take()
-                                .map(|b| close_bucket(b, obs.trace, obs.tid));
-                            let state = engine
-                                .warm_restore(kernel, snapshots, start, scratch, reuse)?
-                                .expect("resume_tile implies a usable snapshot");
+                            let _scope = phase_profile::phase_with(
+                                PhaseId::BucketRestore,
+                                &[("resume", resume as u64)],
+                            );
+                            let reuse = batch.warm.take();
+                            batch.warm =
+                                engine.warm_restore(kernel, snapshots, start, scratch, reuse)?;
                             batch.counters.restores.fetch_add(1, Ordering::Relaxed);
                             if let Some(m) = batch.metrics {
                                 m.counter_add("radcrit_bucket_restores_total", &[], 1);
                             }
-                            batch.warm = Some(WarmBucket {
-                                state,
-                                forks: 0,
-                                started: Instant::now(),
-                            });
                         }
-                        let bucket = batch.warm.as_mut().expect("bucket was just ensured");
+                        let warm = batch
+                            .warm
+                            .as_mut()
+                            .expect("resume_tile implies a usable snapshot");
                         let advanced = {
                             let _scope = phase_profile::phase(PhaseId::WarmAdvance);
-                            engine.warm_advance(kernel, &mut bucket.state, start)?
+                            engine.warm_advance(kernel, warm, start)?
                         };
                         batch.counters.forks.fetch_add(1, Ordering::Relaxed);
-                        bucket.forks += 1;
                         if let Some(m) = batch.metrics {
                             m.counter_add("radcrit_bucket_forks_total", &[], 1);
                             m.counter_add(
@@ -1002,24 +935,11 @@ impl Campaign {
                             );
                         }
                         let _scope = phase_profile::phase(PhaseId::Fork);
-                        engine.run(
-                            kernel,
-                            strikes,
-                            rng,
-                            Some((&bucket.state, scratch)),
-                            trace.as_mut(),
-                        )?
+                        engine.run(kernel, strikes, rng, Some((warm, scratch)), trace.as_mut())?
                     }
                     None => engine.run(kernel, strikes, rng, None, trace.as_mut())?,
                 };
-                if let Some(tr) = obs.trace {
-                    tr.record(
-                        "execute",
-                        obs.tid,
-                        execute_started,
-                        &[("index", index as u64), ("at", spec.at_tile as u64)],
-                    );
-                }
+                drop(execute_scope);
                 let resolution = run.resolutions.first().copied();
                 if obs.detail {
                     if let Some(r) = resolution {
@@ -1036,8 +956,8 @@ impl Campaign {
                 // differ from golden (its dirty region); everything
                 // else is untouched golden-suffix state, so the diff
                 // only scans the dirty ranges.
-                let compare_started = Instant::now();
-                let compare_scope = phase_profile::phase(PhaseId::Compare);
+                let mut compare_scope =
+                    phase_profile::phase_with(PhaseId::Compare, &[("index", index as u64)]);
                 let report = if run.golden_equivalent {
                     // The engine proved the strike died unobserved and
                     // exited early: the completed run's output would be
@@ -1053,8 +973,11 @@ impl Campaign {
                         None => compare_with_logical_coords(golden, &run.output, kernel),
                     }
                 };
-                drop(compare_scope);
                 let mismatches = report.incorrect_elements() as u64;
+                if let Some(scope) = compare_scope.as_mut() {
+                    scope.arg("mismatches", mismatches);
+                }
+                drop(compare_scope);
                 let (outcome, class, mre, critical, fclass) = if report.is_sdc() {
                     let criticality = report.criticality(&self.tolerance, &self.classifier);
                     let class = criticality.locality;
@@ -1080,14 +1003,6 @@ impl Campaign {
                         None,
                     )
                 };
-                if let Some(tr) = obs.trace {
-                    tr.record(
-                        "compare",
-                        obs.tid,
-                        compare_started,
-                        &[("index", index as u64), ("mismatches", mismatches)],
-                    );
-                }
                 if obs.detail {
                     let b = obs
                         .buf
@@ -1135,7 +1050,11 @@ impl Campaign {
     }
 }
 
-fn spawn_worker(shared: &Arc<Shared>, tx: &SyncSender<Event>, tid: u64) -> Arc<Mutex<Slot>> {
+fn spawn_worker(
+    shared: &Arc<Shared>,
+    tx: &SyncSender<Event>,
+    lane: Option<Lane>,
+) -> Arc<Mutex<Slot>> {
     let slot = Arc::new(Mutex::new(Slot {
         generation: 0,
         current: None,
@@ -1144,29 +1063,53 @@ fn spawn_worker(shared: &Arc<Shared>, tx: &SyncSender<Event>, tid: u64) -> Arc<M
     let shared = Arc::clone(shared);
     let slot_for_worker = Arc::clone(&slot);
     let tx = tx.clone();
-    thread::spawn(move || worker_loop(shared, slot_for_worker, tx, tid));
+    thread::spawn(move || worker_loop(shared, slot_for_worker, tx, lane));
     slot
 }
 
-/// Merges this worker's thread-local profile into the shared collector
-/// when the worker exits — by any path, including the early returns a
-/// retired slot takes (the watchdog abandoned us; our timings are still
-/// real work worth counting).
-struct ProfileDrain(Option<Arc<ProfileCollector>>);
+/// A run thread's profiling: enabled, on the thread's timeline lane,
+/// while the guard lives, and drained into the collector and the phase
+/// counters when it drops — by any path, including error returns and
+/// the early returns a retired slot takes (the watchdog abandoned us;
+/// our timings are still real work worth counting).
+struct ThreadProfile<'a> {
+    collector: Option<&'a ProfileCollector>,
+    metrics: Option<&'a MetricsRegistry>,
+}
 
-impl Drop for ProfileDrain {
+impl<'a> ThreadProfile<'a> {
+    fn enable(
+        collector: Option<&'a ProfileCollector>,
+        metrics: Option<&'a MetricsRegistry>,
+        lane: Option<Lane>,
+    ) -> Self {
+        if collector.is_some() {
+            phase_profile::enable_thread(lane);
+        }
+        ThreadProfile { collector, metrics }
+    }
+}
+
+impl Drop for ThreadProfile<'_> {
     fn drop(&mut self) {
-        if let Some(pc) = &self.0 {
-            pc.merge(&phase_profile::drain_thread());
+        if let Some(pc) = self.collector {
+            let tree = phase_profile::drain_thread();
+            if let Some(m) = self.metrics {
+                tree.export_metrics(m);
+            }
+            pc.merge(&tree);
         }
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, slot: Arc<Mutex<Slot>>, tx: SyncSender<Event>, tid: u64) {
-    if shared.profile.is_some() {
-        phase_profile::enable_thread();
-    }
-    let _profile_drain = ProfileDrain(shared.profile.clone());
+fn worker_loop(
+    shared: Arc<Shared>,
+    slot: Arc<Mutex<Slot>>,
+    tx: SyncSender<Event>,
+    lane: Option<Lane>,
+) {
+    let thread_profile =
+        ThreadProfile::enable(shared.profile.as_deref(), shared.metrics.as_deref(), lane);
     let mut kernel = match shared.campaign.kernel.build(shared.campaign.seed) {
         Ok(k) => k,
         Err(e) => {
@@ -1231,8 +1174,6 @@ fn worker_loop(shared: Arc<Shared>, slot: Arc<Mutex<Slot>>, tx: SyncSender<Event
                 &mut ObsCtx {
                     buf: &mut buf,
                     detail,
-                    trace: shared.trace.as_deref(),
-                    tid,
                 },
                 &mut batch,
             )
@@ -1284,12 +1225,9 @@ fn worker_loop(shared: Arc<Shared>, slot: Arc<Mutex<Slot>>, tx: SyncSender<Event
             }
         }
     }
-    if let Some(b) = batch.warm.take() {
-        close_bucket(b, shared.trace.as_deref(), tid);
-    }
     // Merge before `Exited`: the collector snapshots the profile as soon
     // as the last worker is accounted for.
-    drop(_profile_drain);
+    drop(thread_profile);
     let _ = tx.send(Event::Exited);
 }
 
@@ -1391,25 +1329,11 @@ fn trace_metadata(
     sigma_total: f64,
     records: usize,
 ) -> Vec<(&'static str, String)> {
+    let quoted = |s: &str| format!("\"{}\"", radcrit_obs::json::escape(s));
     vec![
-        (
-            "kernel",
-            format!("\"{}\"", radcrit_obs::json::escape(campaign.kernel.name())),
-        ),
-        (
-            "input",
-            format!(
-                "\"{}\"",
-                radcrit_obs::json::escape(&campaign.kernel.input_label())
-            ),
-        ),
-        (
-            "device",
-            format!(
-                "\"{}\"",
-                radcrit_obs::json::escape(&campaign.device.kind().to_string())
-            ),
-        ),
+        ("kernel", quoted(campaign.kernel.name())),
+        ("input", quoted(&campaign.kernel.input_label())),
+        ("device", quoted(&campaign.device.kind().to_string())),
         ("injections", records.to_string()),
         ("seed", campaign.seed.to_string()),
         ("sigma_total", radcrit_obs::json::fmt_f64(sigma_total)),
@@ -1427,18 +1351,21 @@ fn trace_metadata(
 
 /// The stream's trailer: this run's outcome counts (logical data only —
 /// deterministic for a fixed seed and worker-independent).
-fn run_end_event(telemetry: &Telemetry) -> ObsEvent {
-    let s = telemetry.snapshot();
+fn run_end_event(telemetry: &Telemetry, analytics: &CriticalityAggregator) -> ObsEvent {
+    let [masked, sdc, crash, hang] = telemetry.run_outcomes(analytics);
+    let produced = telemetry.completed() as u64;
     ObsEvent {
         kind: "run_end".to_owned(),
         index: None,
-        fields: vec![
-            ("produced".to_owned(), FieldValue::U64(s.completed as u64)),
-            ("masked".to_owned(), FieldValue::U64(s.masked as u64)),
-            ("sdc".to_owned(), FieldValue::U64(s.sdc as u64)),
-            ("crash".to_owned(), FieldValue::U64(s.crash as u64)),
-            ("hang".to_owned(), FieldValue::U64(s.hang as u64)),
-        ],
+        fields: [
+            ("produced", produced),
+            ("masked", masked),
+            ("sdc", sdc),
+            ("crash", crash),
+            ("hang", hang),
+        ]
+        .map(|(k, v)| (k.to_owned(), FieldValue::U64(v)))
+        .to_vec(),
     }
 }
 

@@ -1,5 +1,5 @@
-//! Run telemetry: outcome counters, a per-injection latency histogram,
-//! throughput, and the periodic progress line.
+//! Run telemetry: a per-injection latency histogram, throughput,
+//! watchdog activity, and the periodic progress line.
 //!
 //! Telemetry describes *how a run went* (wall time, injections/s, hang
 //! watchdog activity), never *what it computed* — it lives on
@@ -11,8 +11,6 @@
 use std::time::{Duration, Instant};
 
 use radcrit_obs::CriticalityAggregator;
-
-use crate::outcome::InjectionOutcome;
 
 /// Power-of-two bucketed histogram of per-injection wall times.
 ///
@@ -27,15 +25,18 @@ use crate::outcome::InjectionOutcome;
 pub use radcrit_obs::Log2Histogram as LatencyHistogram;
 
 /// Mutable telemetry accumulator owned by the campaign's collector loop.
+///
+/// Outcome counts are not kept here: the collector's
+/// [`CriticalityAggregator`] folds every record, so this run's counts
+/// are the aggregator's minus the counts it held right after the
+/// checkpoint replay ([`Telemetry::note_replayed`]).
 #[derive(Debug)]
 pub struct Telemetry {
     started: Instant,
-    masked: usize,
-    sdc: usize,
-    crash: usize,
-    hang: usize,
     watchdog_hangs: usize,
     replayed: usize,
+    /// `[masked, sdc, crash, hang]` folded from the replayed records.
+    replayed_outcomes: [u64; 4],
     latency: LatencyHistogram,
 }
 
@@ -44,32 +45,25 @@ impl Telemetry {
     pub fn new() -> Self {
         Telemetry {
             started: Instant::now(),
-            masked: 0,
-            sdc: 0,
-            crash: 0,
-            hang: 0,
             watchdog_hangs: 0,
             replayed: 0,
+            replayed_outcomes: [0; 4],
             latency: LatencyHistogram::new(),
         }
     }
 
     /// Notes `n` records replayed from a checkpoint (they count toward
-    /// the campaign's progress but not toward this run's throughput).
-    pub fn note_replayed(&mut self, n: usize) {
+    /// the campaign's progress but not toward this run's throughput)
+    /// and the outcome counts `analytics` holds once they are folded.
+    pub fn note_replayed(&mut self, n: usize, analytics: &CriticalityAggregator) {
         self.replayed = n;
+        self.replayed_outcomes = outcome_counts(analytics);
     }
 
-    /// Records one freshly produced injection outcome. `watchdog` marks
-    /// outcomes synthesized by the hang watchdog rather than observed by
+    /// Records one freshly produced injection's latency. `watchdog`
+    /// marks hangs synthesized by the watchdog rather than observed by
     /// a worker.
-    pub fn record(&mut self, outcome: &InjectionOutcome, latency: Duration, watchdog: bool) {
-        match outcome {
-            InjectionOutcome::Masked => self.masked += 1,
-            InjectionOutcome::Sdc(_) => self.sdc += 1,
-            InjectionOutcome::Crash => self.crash += 1,
-            InjectionOutcome::Hang => self.hang += 1,
-        }
+    pub fn record(&mut self, latency: Duration, watchdog: bool) {
         if watchdog {
             self.watchdog_hangs += 1;
         }
@@ -78,16 +72,19 @@ impl Telemetry {
 
     /// Records produced by this run so far (excludes replayed ones).
     pub fn completed(&self) -> usize {
-        self.masked + self.sdc + self.crash + self.hang
+        self.latency.count() as usize
+    }
+
+    /// This run's `[masked, sdc, crash, hang]`: what `analytics` (the
+    /// collector's fold of every record) counts beyond the replay.
+    pub fn run_outcomes(&self, analytics: &CriticalityAggregator) -> [u64; 4] {
+        let all = outcome_counts(analytics);
+        std::array::from_fn(|i| all[i] - self.replayed_outcomes[i])
     }
 
     /// Freezes the current state into an immutable snapshot.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         TelemetrySnapshot {
-            masked: self.masked,
-            sdc: self.sdc,
-            crash: self.crash,
-            hang: self.hang,
             watchdog_hangs: self.watchdog_hangs,
             replayed: self.replayed,
             completed: self.completed(),
@@ -95,6 +92,67 @@ impl Telemetry {
             latency: self.latency.clone(),
         }
     }
+
+    /// The one-line progress report printed under `--progress`.
+    /// `target` is the number of records this run set out to produce.
+    ///
+    /// `analytics` is the collector's live [`CriticalityAggregator`] —
+    /// the same fold that powers the daemon's analytics endpoints,
+    /// never a second counting path. The line reports this run's
+    /// outcome counts from it, the tolerance-filtered SDC count and the
+    /// converging FIT estimate with its 95 % CI width.
+    ///
+    /// `buckets` is the batch scheduler's live `(restores, forks)` pair,
+    /// absent when the kernel has no snapshots to fork from; when present
+    /// the line reports how many warm-bucket restores the forked
+    /// injections amortized. It is passed alongside the snapshot (not
+    /// stored in it) because bucket counts are an execution-order
+    /// artifact: runs of the same campaign with different worker counts
+    /// must stay comparable snapshot-for-snapshot.
+    pub fn progress_line(
+        &self,
+        target: usize,
+        analytics: &CriticalityAggregator,
+        buckets: Option<(u64, u64)>,
+    ) -> String {
+        let s = self.snapshot();
+        let pct = if target == 0 {
+            100.0
+        } else {
+            s.completed as f64 / target as f64 * 100.0
+        };
+        let rate = s.throughput();
+        let eta = if rate > 0.0 && target > s.completed {
+            format!("{:.1}s", (target - s.completed) as f64 / rate)
+        } else {
+            "-".into()
+        };
+        let quantiles = match (s.latency.quantile(0.5), s.latency.quantile(0.9)) {
+            (Some(p50), Some(p90)) => format!("p50<{p50:.1?} p90<{p90:.1?}"),
+            _ => "p50<- p90<-".into(),
+        };
+        let bucket = match buckets {
+            Some((restores, forks)) => format!(" buckets {restores} forks {forks} |"),
+            None => String::new(),
+        };
+        let [masked, sdc, crash, hang] = self.run_outcomes(analytics);
+        format!(
+            "[campaign] {}/{} ({pct:.1}%) | {rate:.1} inj/s | masked {masked} sdc {sdc} \
+             crash {crash} hang {hang} (watchdog {}) | crit {} | fit {:.3e} ±{:.1e} |{bucket} \
+             {quantiles} | eta {eta}",
+            s.completed,
+            target,
+            s.watchdog_hangs,
+            analytics.critical_sdc(),
+            analytics.fit_all().total().value(),
+            analytics.fit_ci_width() / 2.0,
+        )
+    }
+}
+
+/// `[masked, sdc, crash, hang]` as the aggregator `a` counts them.
+fn outcome_counts(a: &CriticalityAggregator) -> [u64; 4] {
+    [a.masked(), a.sdc(), a.crash(), a.hang()]
 }
 
 impl Default for Telemetry {
@@ -106,15 +164,7 @@ impl Default for Telemetry {
 /// Immutable telemetry of one (possibly partial) campaign run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetrySnapshot {
-    /// Masked outcomes produced by this run.
-    pub masked: usize,
-    /// SDC outcomes produced by this run.
-    pub sdc: usize,
-    /// Crash outcomes produced by this run.
-    pub crash: usize,
-    /// Hang outcomes produced by this run (watchdog or sampler).
-    pub hang: usize,
-    /// Hangs synthesized by the watchdog (subset of `hang`).
+    /// Hangs synthesized by the watchdog.
     pub watchdog_hangs: usize,
     /// Records replayed from the checkpoint instead of being re-run.
     pub replayed: usize,
@@ -136,75 +186,13 @@ impl TelemetrySnapshot {
             self.completed as f64 / secs
         }
     }
-
-    /// The one-line progress report printed under `--progress`.
-    /// `target` is the number of records this run set out to produce.
-    ///
-    /// With `analytics` attached (the collector's live
-    /// [`CriticalityAggregator`] — the same fold that powers the
-    /// daemon's analytics endpoints, never a second counting path), the
-    /// line also reports the tolerance-filtered SDC count and the
-    /// converging FIT estimate with its 95 % CI width.
-    ///
-    /// `buckets` is the batch scheduler's live `(restores, forks)` pair,
-    /// absent when the kernel has no snapshots to fork from; when present
-    /// the line reports how many warm-bucket restores the forked
-    /// injections amortized. It is passed alongside the snapshot (not
-    /// stored in it) because bucket counts are an execution-order
-    /// artifact: runs of the same campaign with different worker counts
-    /// must stay comparable snapshot-for-snapshot.
-    pub fn progress_line(
-        &self,
-        target: usize,
-        analytics: Option<&CriticalityAggregator>,
-        buckets: Option<(u64, u64)>,
-    ) -> String {
-        let pct = if target == 0 {
-            100.0
-        } else {
-            self.completed as f64 / target as f64 * 100.0
-        };
-        let rate = self.throughput();
-        let eta = if rate > 0.0 && target > self.completed {
-            format!("{:.1}s", (target - self.completed) as f64 / rate)
-        } else {
-            "-".into()
-        };
-        let quantiles = match (self.latency.quantile(0.5), self.latency.quantile(0.9)) {
-            (Some(p50), Some(p90)) => format!("p50<{p50:.1?} p90<{p90:.1?}"),
-            _ => "p50<- p90<-".into(),
-        };
-        let crit = match analytics {
-            Some(agg) => format!(
-                " crit {} | fit {:.3e} ±{:.1e} |",
-                agg.critical_sdc(),
-                agg.fit_all().total().value(),
-                agg.fit_ci_width() / 2.0,
-            ),
-            None => String::new(),
-        };
-        let bucket = match buckets {
-            Some((restores, forks)) => format!(" buckets {restores} forks {forks} |"),
-            None => String::new(),
-        };
-        format!(
-            "[campaign] {}/{} ({pct:.1}%) | {rate:.1} inj/s | masked {} sdc {} crash {} hang {} \
-             (watchdog {}) |{crit}{bucket} {quantiles} | eta {eta}",
-            self.completed,
-            target,
-            self.masked,
-            self.sdc,
-            self.crash,
-            self.hang,
-            self.watchdog_hangs
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::outcome::InjectionOutcome;
+    use radcrit_core::locality::SpatialClass;
+    use radcrit_obs::analytics::AnalyticSample;
 
     #[test]
     fn histogram_buckets_by_powers_of_two() {
@@ -253,19 +241,38 @@ mod tests {
         assert_eq!(h.quantile(1.0), Some(Duration::from_micros(1 << 30)));
     }
 
+    fn sample(index: u64, outcome: &str) -> AnalyticSample {
+        AnalyticSample {
+            index,
+            site: "fpu".to_owned(),
+            outcome: outcome.to_owned(),
+            mismatches: u64::from(outcome == "SDC") * 2,
+            class: if outcome == "SDC" {
+                SpatialClass::Line
+            } else {
+                SpatialClass::None
+            },
+            mre: (outcome == "SDC").then_some(5.0),
+            critical: outcome == "SDC",
+            fclass: (outcome == "SDC").then_some(SpatialClass::Line),
+        }
+    }
+
     #[test]
-    fn telemetry_counts_outcomes_and_watchdog_fires() {
+    fn this_runs_outcomes_come_from_the_aggregator_past_the_replay() {
+        let mut agg = CriticalityAggregator::with_context("dgemm", "32x32", "K40", 10, 100.0);
+        agg.fold_sample(&sample(0, "MASKED"));
+        agg.fold_sample(&sample(1, "SDC"));
         let mut t = Telemetry::new();
-        t.note_replayed(5);
-        t.record(&InjectionOutcome::Masked, Duration::from_micros(50), false);
-        t.record(&InjectionOutcome::Crash, Duration::from_micros(50), false);
-        t.record(&InjectionOutcome::Hang, Duration::from_millis(100), true);
+        t.note_replayed(2, &agg);
+        for (i, outcome) in [(2, "MASKED"), (3, "CRASH"), (4, "HANG")] {
+            agg.fold_sample(&sample(i, outcome));
+            t.record(Duration::from_micros(50), outcome == "HANG");
+        }
+        assert_eq!(t.run_outcomes(&agg), [1, 0, 1, 1]);
         let s = t.snapshot();
-        assert_eq!(s.masked, 1);
-        assert_eq!(s.crash, 1);
-        assert_eq!(s.hang, 1);
         assert_eq!(s.watchdog_hangs, 1);
-        assert_eq!(s.replayed, 5);
+        assert_eq!(s.replayed, 2);
         assert_eq!(s.completed, 3);
         assert_eq!(s.latency.count(), 3);
         assert!(s.throughput() > 0.0);
@@ -273,43 +280,35 @@ mod tests {
 
     #[test]
     fn progress_line_mentions_the_essentials() {
+        let mut agg = CriticalityAggregator::with_context("dgemm", "32x32", "K40", 10, 100.0);
         let mut t = Telemetry::new();
-        t.record(&InjectionOutcome::Masked, Duration::from_micros(50), false);
-        let line = t.snapshot().progress_line(10, None, None);
+        t.note_replayed(0, &agg);
+        agg.fold_sample(&sample(0, "MASKED"));
+        t.record(Duration::from_micros(50), false);
+        let line = t.progress_line(10, &agg, None);
         assert!(line.contains("1/10"), "{line}");
         assert!(line.contains("inj/s"), "{line}");
-        assert!(line.contains("masked 1"), "{line}");
-        assert!(!line.contains("crit"), "no analytics attached: {line}");
+        assert!(line.contains("masked 1 sdc 0"), "{line}");
         assert!(!line.contains("buckets"), "no buckets: {line}");
     }
 
     #[test]
     fn progress_line_reports_bucket_stats_when_batched() {
+        let agg = CriticalityAggregator::new();
         let mut t = Telemetry::new();
-        t.record(&InjectionOutcome::Masked, Duration::from_micros(50), false);
-        let line = t.snapshot().progress_line(10, None, Some((3, 27)));
+        t.record(Duration::from_micros(50), false);
+        let line = t.progress_line(10, &agg, Some((3, 27)));
         assert!(line.contains("buckets 3 forks 27"), "{line}");
     }
 
     #[test]
-    fn progress_line_reports_live_criticality_when_attached() {
-        use radcrit_core::locality::SpatialClass;
-        use radcrit_obs::analytics::AnalyticSample;
-
-        let mut t = Telemetry::new();
-        t.record(&InjectionOutcome::Masked, Duration::from_micros(50), false);
+    fn progress_line_reports_live_criticality() {
         let mut agg = CriticalityAggregator::with_context("dgemm", "32x32", "K40", 10, 100.0);
-        agg.fold_sample(&AnalyticSample {
-            index: 0,
-            site: "fpu".to_owned(),
-            outcome: "SDC".to_owned(),
-            mismatches: 2,
-            class: SpatialClass::Line,
-            mre: Some(5.0),
-            critical: true,
-            fclass: Some(SpatialClass::Line),
-        });
-        let line = t.snapshot().progress_line(10, Some(&agg), None);
+        let mut t = Telemetry::new();
+        agg.fold_sample(&sample(0, "SDC"));
+        t.record(Duration::from_micros(50), false);
+        let line = t.progress_line(10, &agg, None);
+        assert!(line.contains("sdc 1"), "{line}");
         assert!(line.contains("crit 1"), "{line}");
         assert!(line.contains("fit "), "{line}");
         assert!(line.contains('±'), "{line}");

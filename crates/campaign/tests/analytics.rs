@@ -8,15 +8,19 @@
 //! * `--trace-out` produces a Chrome trace whose phase structure matches
 //!   the run's records and whose metadata matches its
 //!   `ExecutionProfile` — asserted against the committed `TRACE_5.json`
-//!   sample at the repo root.
+//!   sample at the repo root — and that agrees span for span with the
+//!   profile tree and the phase counters of the same run.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use radcrit_accel::config::DeviceConfig;
 use radcrit_campaign::{Campaign, CampaignSummary, KernelSpec, RunOptions};
-use radcrit_obs::{json, CriticalityAggregator};
+use radcrit_obs::profile::PhaseId;
+use radcrit_obs::{json, CriticalityAggregator, MetricsRegistry, ProfileNode, ProfileTree};
 
 fn temp_path(tag: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!(
@@ -164,20 +168,101 @@ proptest! {
 
 #[test]
 fn trace_out_writes_a_phase_timeline_matching_the_run() {
-    let trace_path = std::env::temp_dir().join(format!(
-        "radcrit-analytics-trace-{}.json",
-        std::process::id()
-    ));
-    std::fs::remove_file(&trace_path).ok();
+    // One run with all three views of the phase profiler attached: the
+    // Chrome timeline, the profile tree and the phase counters must
+    // agree, because they read the same scopes.
+    let path = |tag: &str| {
+        let p = std::env::temp_dir().join(format!(
+            "radcrit-analytics-{tag}-{}.json",
+            std::process::id()
+        ));
+        std::fs::remove_file(&p).ok();
+        p
+    };
+    let (trace_path, profile_path) = (path("trace"), path("profile"));
+    let metrics = Arc::new(MetricsRegistry::new());
     let result = dgemm_campaign(8, 11, 2)
         .run_with(&RunOptions {
             trace_out: Some(trace_path.clone()),
+            profile_out: Some(profile_path.clone()),
+            metrics: Some(Arc::clone(&metrics)),
             ..RunOptions::default()
         })
         .unwrap();
     let text = std::fs::read_to_string(&trace_path).unwrap();
     assert_trace_matches(&text, &result);
+    let tree = ProfileTree::from_json(&std::fs::read_to_string(&profile_path).unwrap()).unwrap();
     std::fs::remove_file(&trace_path).ok();
+    std::fs::remove_file(&profile_path).ok();
+
+    // Only coarse phases reach the timeline.
+    let spans = span_counts(&text);
+    for name in spans.keys() {
+        let phase = PhaseId::from_name(name).unwrap_or_else(|| panic!("foreign span {name}"));
+        assert!(phase.is_coarse(), "per-tile span {name} in the trace");
+    }
+    // Each coarse scope is one span, one profile entry and one count.
+    let snap = metrics.snapshot();
+    for phase in PhaseId::ALL.into_iter().filter(|p| p.is_coarse()) {
+        let name = phase.name();
+        let traced = spans.get(name).copied().unwrap_or(0) as u64;
+        let profiled = phase_count(&tree.roots, name);
+        let counted = snap
+            .counter("radcrit_phase_calls_total", &[("phase", name)])
+            .unwrap_or(0);
+        assert_eq!(traced, profiled, "phase {name}: trace vs profile");
+        assert_eq!(profiled, counted, "phase {name}: profile vs metrics");
+    }
+    assert!(spans["fork"] > 0, "{spans:?}");
+    // Self times sum to the profiled wall time (µs rounding per node).
+    let self_us: u64 = PhaseId::ALL
+        .iter()
+        .filter_map(|p| snap.counter("radcrit_phase_self_us_total", &[("phase", p.name())]))
+        .sum();
+    let root_us = tree.total_ns() / 1_000;
+    let nodes = node_count(&tree.roots) as u64;
+    assert!(
+        self_us.abs_diff(root_us) <= nodes,
+        "Σ self {self_us} µs vs root total {root_us} µs over {nodes} nodes"
+    );
+    // Forks nest under their injection's execute scope.
+    let injection = tree.roots.iter().find(|r| r.phase == "injection").unwrap();
+    let execute = injection
+        .children
+        .iter()
+        .find(|c| c.phase == "execute")
+        .unwrap();
+    assert!(
+        execute.children.iter().any(|c| c.phase == "fork"),
+        "{tree:?}"
+    );
+}
+
+/// Span count per name of a Chrome trace document.
+fn span_counts(text: &str) -> BTreeMap<String, usize> {
+    let parsed = json::parse_line(text.trim()).unwrap();
+    let mut by_name = BTreeMap::new();
+    if let json::Json::Arr(events) =
+        json::get(json::as_obj(&parsed).unwrap(), "traceEvents").unwrap()
+    {
+        for e in events {
+            let name = json::get_str(json::as_obj(e).unwrap(), "name").unwrap();
+            *by_name.entry(name.to_owned()).or_default() += 1;
+        }
+    }
+    by_name
+}
+
+/// Total entry count of `phase` across every stack position.
+fn phase_count(nodes: &[ProfileNode], phase: &str) -> u64 {
+    nodes
+        .iter()
+        .map(|n| (if n.phase == phase { n.count } else { 0 }) + phase_count(&n.children, phase))
+        .sum()
+}
+
+fn node_count(nodes: &[ProfileNode]) -> usize {
+    nodes.iter().map(|n| 1 + node_count(&n.children)).sum()
 }
 
 #[test]

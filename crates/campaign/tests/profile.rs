@@ -146,7 +146,8 @@ fn committed_profile_sample_answers_where_the_time_goes() {
     // PROFILE_7.json (pre-SIMD-dispatch) and PROFILE_9.json (after the
     // load/cache/compare paths moved behind the runtime-ISA executor)
     // are committed DGEMM-256 samples (seed 11) captured via
-    // `--profile-out` with RADCRIT_PROFILE_STRIDE=1. Wall-clock totals
+    // `--profile-out` with the tile-sample stride at 1 (every memory
+    // call timed). Wall-clock totals
     // vary per machine, so the test asserts structure: the invariants
     // hold, the expected phases are present, and the top self-time
     // phase is where the per-tile cost analysis put it. In PROFILE_7
@@ -185,9 +186,9 @@ fn committed_sample_checks(sample: &str, top_phase: &str) {
         );
     }
 
-    // The headline answer: the sample was captured with
-    // RADCRIT_PROFILE_STRIDE=1 (every memory call timed, overhead be
-    // damned — it is an offline capture), so attribution is exhaustive
+    // The headline answer: the sample was captured at stride 1 (every
+    // memory call timed, overhead be damned — it is an offline
+    // capture), so attribution is exhaustive
     // and the hottest self-time phase is mem-load: the tile-execute
     // inner loop spends its time feeding operands through the cache
     // model, not in the FMA arithmetic and not in the store path.

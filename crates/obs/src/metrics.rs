@@ -85,11 +85,6 @@ pub const METRIC_REFERENCE: &[MetricHelp] = &[
         help: "Engine executions forked from a warm bucket state.",
     },
     MetricHelp {
-        name: "radcrit_engine_phase_us",
-        kind: "histogram",
-        help: "Engine phase wall time in microseconds, by phase label (setup, tiles, flush).",
-    },
-    MetricHelp {
         name: "radcrit_engine_runs_total",
         kind: "counter",
         help: "Engine executions started, in any mode.",
@@ -138,6 +133,16 @@ pub const METRIC_REFERENCE: &[MetricHelp] = &[
         name: "radcrit_injection_latency",
         kind: "histogram",
         help: "End-to-end wall latency of one injection in microseconds.",
+    },
+    MetricHelp {
+        name: "radcrit_phase_calls_total",
+        kind: "counter",
+        help: "Profiled phase scopes entered, by phase label (memory sub-phases are tile-sampled).",
+    },
+    MetricHelp {
+        name: "radcrit_phase_self_us_total",
+        kind: "counter",
+        help: "Profiled phase self time in microseconds, by phase label; sums to the profiled wall time.",
     },
     MetricHelp {
         name: "radcrit_plan_tiles",

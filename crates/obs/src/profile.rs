@@ -1,18 +1,24 @@
 //! Hierarchical scoped-phase profiler with per-thread lock-free
-//! accumulation and merged profile trees.
+//! accumulation and merged profile trees — the one clock of the
+//! campaign and engine layers.
 //!
 //! The profiler answers *where the injection-microseconds go*: a fixed
-//! registry of [`PhaseId`]s (golden execution, bucket restore, warm
-//! advance, fork, tile execution, cache access, bulk memory load/store,
-//! corruption scan, output compare, snapshot capture, checkpoint) is
-//! instrumented through the engine and campaign hot paths with
-//! [`phase`] scopes. Like the span/event API, it is **zero-cost when
-//! disabled**: [`phase`] reads one thread-local flag and returns `None`
-//! without touching a clock, and profiling never writes to the
-//! deterministic event stream — a fixed-seed campaign emits a
-//! byte-identical stream with profiling on or off. Timings are
-//! wall-clock and live beside the metrics registry as operational
-//! output, never as science.
+//! registry of [`PhaseId`]s is instrumented through the engine and
+//! campaign hot paths with [`phase`] scopes. Like the span/event API,
+//! it is **zero-cost when disabled**: [`phase`] reads one thread-local
+//! flag and returns `None` without touching a clock, and profiling
+//! never writes to the deterministic event stream — a fixed-seed
+//! campaign emits a byte-identical stream with profiling on or off.
+//! Timings are wall-clock and live beside the metrics registry as
+//! operational output, never as science.
+//!
+//! Each scope is timed once and feeds three views: the profile tree;
+//! the timeline, where a closing *coarse* scope ([`PhaseId::is_coarse`])
+//! on a thread enabled with a [`Lane`] appends one Chrome span with the
+//! node's own instants and the scope's args; and the metrics, which
+//! [`ProfileTree::export_metrics`] fills from each drained tree.
+//! Per-tile phases open once per tile or memory call, far too often
+//! for a timeline, so they reach the tree and the metrics only.
 //!
 //! Aggregation is per-worker: each worker thread enables its own
 //! thread-local accumulator ([`enable_thread`]), records scopes without
@@ -33,13 +39,15 @@
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::json::{self, Json};
+use crate::metrics::MetricsRegistry;
+use crate::trace::TraceRecorder;
 
 /// Number of phases in the fixed registry.
-pub const PHASE_COUNT: usize = 12;
+pub const PHASE_COUNT: usize = 14;
 
 /// The fixed registry of profiled phases.
 ///
@@ -52,36 +60,63 @@ pub const PHASE_COUNT: usize = 12;
 pub enum PhaseId {
     /// Golden (fault-free) reference execution.
     Golden = 0,
+    /// One injection, from plan sampling to its provenance record.
+    Injection = 1,
+    /// An injection's engine execution: bucket restore, warm advance
+    /// and the fork (or a from-scratch run).
+    Execute = 2,
     /// Warm-bucket state restore from a snapshot (`Engine::warm_restore`).
-    BucketRestore = 1,
+    BucketRestore = 3,
     /// Golden tile replay advancing a warm state to the bucket's resume
     /// point (`Engine::warm_advance`).
-    WarmAdvance = 2,
+    WarmAdvance = 4,
     /// A forked per-strike execution off a warm bucket state
     /// (`Engine::run` with a warm state), including its state copy.
-    Fork = 3,
+    Fork = 5,
     /// One kernel tile body (`Program::execute_tile`).
-    TileExecute = 4,
+    TileExecute = 6,
     /// Cache-hierarchy access (way scan, fill, writeback collection).
-    CacheAccess = 5,
+    CacheAccess = 7,
     /// Bulk row load from simulated memory into tile registers.
-    MemLoad = 6,
+    MemLoad = 8,
     /// Bulk row store from tile registers into simulated memory.
-    MemStore = 7,
+    MemStore = 9,
     /// Scan for pending cache-line corruption overlapping an access.
-    CorruptionScan = 8,
+    CorruptionScan = 10,
     /// Faulty-vs-golden output comparison (dense or sparse).
-    Compare = 9,
+    Compare = 11,
     /// Golden-prefix snapshot capture during execution.
-    SnapshotCapture = 10,
+    SnapshotCapture = 12,
     /// Campaign checkpoint append.
-    Checkpoint = 11,
+    Checkpoint = 13,
 }
+
+/// `(export name, coarse)` of every phase, indexed by [`PhaseId`]. A
+/// coarse phase opens once per run, injection, bucket or record; the
+/// rest open once per tile or per memory call.
+const REGISTRY: [(&str, bool); PHASE_COUNT] = [
+    ("golden", true),
+    ("injection", true),
+    ("execute", true),
+    ("bucket-restore", true),
+    ("warm-advance", true),
+    ("fork", true),
+    ("tile-execute", false),
+    ("cache-access", false),
+    ("mem-load", false),
+    ("mem-store", false),
+    ("corruption-scan", false),
+    ("compare", true),
+    ("snapshot-capture", false),
+    ("checkpoint", true),
+];
 
 impl PhaseId {
     /// Every phase, in registry order.
     pub const ALL: [PhaseId; PHASE_COUNT] = [
         PhaseId::Golden,
+        PhaseId::Injection,
+        PhaseId::Execute,
         PhaseId::BucketRestore,
         PhaseId::WarmAdvance,
         PhaseId::Fork,
@@ -97,20 +132,12 @@ impl PhaseId {
 
     /// The phase's stable export name.
     pub fn name(self) -> &'static str {
-        match self {
-            PhaseId::Golden => "golden",
-            PhaseId::BucketRestore => "bucket-restore",
-            PhaseId::WarmAdvance => "warm-advance",
-            PhaseId::Fork => "fork",
-            PhaseId::TileExecute => "tile-execute",
-            PhaseId::CacheAccess => "cache-access",
-            PhaseId::MemLoad => "mem-load",
-            PhaseId::MemStore => "mem-store",
-            PhaseId::CorruptionScan => "corruption-scan",
-            PhaseId::Compare => "compare",
-            PhaseId::SnapshotCapture => "snapshot-capture",
-            PhaseId::Checkpoint => "checkpoint",
-        }
+        REGISTRY[self as usize].0
+    }
+
+    /// Whether the phase is coarse: its scopes reach the timeline too.
+    pub fn is_coarse(self) -> bool {
+        REGISTRY[self as usize].1
     }
 
     /// Parses an export name back into a phase (`None` for foreign
@@ -151,19 +178,26 @@ impl RawNode {
     }
 }
 
+/// A thread's lane on a run's timeline: the recorder and the `tid` its
+/// spans are filed under.
+pub type Lane = (Arc<TraceRecorder>, u64);
+
 /// The per-thread accumulator. Node 0 is a virtual root whose children
 /// are the thread's top-level phases.
 #[derive(Debug)]
 struct ThreadProfiler {
     nodes: Vec<RawNode>,
     current: u32,
+    /// Where closing coarse scopes append their timeline span.
+    lane: Option<Lane>,
 }
 
 impl ThreadProfiler {
-    fn new() -> Self {
+    fn new(lane: Option<Lane>) -> Self {
         ThreadProfiler {
             nodes: vec![RawNode::new(usize::MAX, NO_NODE)],
             current: 0,
+            lane,
         }
     }
 
@@ -182,7 +216,8 @@ impl ThreadProfiler {
         node
     }
 
-    fn exit(&mut self, node: u32, elapsed_ns: u64) {
+    /// Closes `node`'s scope and returns its phase.
+    fn exit(&mut self, node: u32, elapsed_ns: u64) -> PhaseId {
         let n = &mut self.nodes[node as usize];
         n.count += 1;
         n.total_ns += elapsed_ns;
@@ -190,14 +225,16 @@ impl ThreadProfiler {
         n.max_ns = n.max_ns.max(elapsed_ns);
         let parent = n.parent;
         self.current = parent;
+        let phase = PhaseId::ALL[n.phase];
         if parent != NO_NODE && parent != 0 {
             self.nodes[parent as usize].child_ns += elapsed_ns;
         }
+        phase
     }
 
     fn drain(&mut self) -> ProfileTree {
         let roots = self.export_children(0);
-        *self = ThreadProfiler::new();
+        *self = ThreadProfiler::new(None);
         ProfileTree { threads: 1, roots }
     }
 
@@ -232,7 +269,7 @@ impl ThreadProfiler {
 
 thread_local! {
     static ACTIVE: Cell<bool> = const { Cell::new(false) };
-    static PROFILER: RefCell<ThreadProfiler> = RefCell::new(ThreadProfiler::new());
+    static PROFILER: RefCell<ThreadProfiler> = RefCell::new(ThreadProfiler::new(None));
     static TILE_SAMPLES: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -252,34 +289,18 @@ pub fn profiling_enabled() -> bool {
 /// tiles' memory time simply stays in `tile-execute` self time. Counts
 /// and durations of sampled phases are per-sample, not scaled up.
 ///
-/// Override with [`set_tile_sample_stride`] or the
-/// `RADCRIT_PROFILE_STRIDE` environment variable (1 = exhaustive, for
+/// Override with [`set_tile_sample_stride`] (1 = exhaustive, for
 /// offline deep captures like the committed `PROFILE_7.json`).
 pub const TILE_SAMPLE_STRIDE: u64 = 256;
 
-/// Effective stride, resolved once: setter wins, then the
-/// `RADCRIT_PROFILE_STRIDE` environment variable, then the default.
-static STRIDE: AtomicU64 = AtomicU64::new(0);
+/// Effective process-wide stride.
+static STRIDE: AtomicU64 = AtomicU64::new(TILE_SAMPLE_STRIDE);
 
 /// Overrides the tile-sampling stride process-wide (clamped to ≥ 1).
 /// Intended for deep offline captures where overhead does not matter —
 /// e.g. `diff-bench`'s untimed profiled rep.
 pub fn set_tile_sample_stride(stride: u64) {
     STRIDE.store(stride.max(1), Ordering::Relaxed);
-}
-
-fn tile_sample_stride() -> u64 {
-    let s = STRIDE.load(Ordering::Relaxed);
-    if s != 0 {
-        return s;
-    }
-    let v = std::env::var("RADCRIT_PROFILE_STRIDE")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&v| v >= 1)
-        .unwrap_or(TILE_SAMPLE_STRIDE);
-    STRIDE.store(v, Ordering::Relaxed);
-    v
 }
 
 /// Returns whether the next tile execution should profile its
@@ -295,19 +316,22 @@ pub fn tile_sample() -> bool {
     TILE_SAMPLES.with(|c| {
         let n = c.get();
         c.set(n + 1);
-        n % tile_sample_stride() == 0
+        n % STRIDE.load(Ordering::Relaxed) == 0
     })
 }
 
 /// Enables profiling on the calling thread with a fresh accumulator.
-pub fn enable_thread() {
-    PROFILER.with(|p| *p.borrow_mut() = ThreadProfiler::new());
+/// With a `lane`, every closing coarse scope also appends a span to
+/// that timeline until the thread drains.
+pub fn enable_thread(lane: Option<Lane>) {
+    PROFILER.with(|p| *p.borrow_mut() = ThreadProfiler::new(lane));
     TILE_SAMPLES.with(|c| c.set(0));
     ACTIVE.with(|a| a.set(true));
 }
 
-/// Disables profiling on the calling thread and drains its accumulated
-/// tree (empty when profiling was never enabled).
+/// Disables profiling on the calling thread, detaches its lane and
+/// drains its accumulated tree (empty when profiling was never
+/// enabled).
 pub fn drain_thread() -> ProfileTree {
     ACTIVE.with(|a| a.set(false));
     PROFILER.with(|p| p.borrow_mut().drain())
@@ -318,10 +342,16 @@ pub fn drain_thread() -> ProfileTree {
 /// thread-local flag read — no clock, no allocation.
 #[inline]
 pub fn phase(id: PhaseId) -> Option<PhaseScope> {
-    if !profiling_enabled() {
-        return None;
-    }
-    Some(open_scope(id))
+    phase_if(profiling_enabled(), id)
+}
+
+/// [`phase`] carrying timeline args (at most two; the rest are
+/// ignored) — e.g. an injection's `index`.
+#[inline]
+pub fn phase_with(id: PhaseId, args: &[(&'static str, u64)]) -> Option<PhaseScope> {
+    let mut scope = phase(id)?;
+    args.iter().for_each(|&(key, value)| scope.arg(key, value));
+    Some(scope)
 }
 
 /// [`phase`] with the enablement check hoisted out: hot loops that
@@ -332,29 +362,57 @@ pub fn phase_if(enabled: bool, id: PhaseId) -> Option<PhaseScope> {
     if !enabled {
         return None;
     }
-    Some(open_scope(id))
-}
-
-fn open_scope(id: PhaseId) -> PhaseScope {
     let node = PROFILER.with(|p| p.borrow_mut().enter(id));
-    PhaseScope {
+    Some(PhaseScope {
         node,
         start: Instant::now(),
-    }
+        args: [("", 0); MAX_ARGS],
+        nargs: 0,
+    })
 }
 
+const MAX_ARGS: usize = 2;
+
 /// An open phase scope; dropping it records the elapsed wall time into
-/// the thread's accumulator and pops back to the parent phase.
+/// the thread's accumulator, appends a coarse phase's span to the
+/// thread's lane, and pops back to the parent phase.
 #[derive(Debug)]
 pub struct PhaseScope {
     node: u32,
     start: Instant,
+    args: [(&'static str, u64); MAX_ARGS],
+    nargs: usize,
+}
+
+impl PhaseScope {
+    /// Adds a `key: value` arg to the scope's timeline span — for
+    /// values known only once the work is done (a compare's
+    /// `mismatches`). Past two args, ignored.
+    pub fn arg(&mut self, key: &'static str, value: u64) {
+        if let Some(slot) = self.args.get_mut(self.nargs) {
+            *slot = (key, value);
+            self.nargs += 1;
+        }
+    }
 }
 
 impl Drop for PhaseScope {
     fn drop(&mut self) {
-        let elapsed = self.start.elapsed().as_nanos() as u64;
-        PROFILER.with(|p| p.borrow_mut().exit(self.node, elapsed));
+        let end = Instant::now();
+        let elapsed = end.duration_since(self.start).as_nanos() as u64;
+        PROFILER.with(|p| {
+            let mut p = p.borrow_mut();
+            let phase = p.exit(self.node, elapsed);
+            if let Some((recorder, tid)) = p.lane.as_ref().filter(|_| phase.is_coarse()) {
+                recorder.record_between(
+                    phase.name(),
+                    *tid,
+                    self.start,
+                    end,
+                    &self.args[..self.nargs],
+                );
+            }
+        });
     }
 }
 
@@ -545,6 +603,19 @@ impl ProfileTree {
         out
     }
 
+    /// The metrics view: adds each phase's entry count and self time
+    /// (rounded to the nearest µs), summed over every stack position, to
+    /// `radcrit_phase_calls_total{phase}` and
+    /// `radcrit_phase_self_us_total{phase}`.
+    pub fn export_metrics(&self, metrics: &MetricsRegistry) {
+        for (phase, self_ns, count) in self.hot_phases(usize::MAX) {
+            let labels = [("phase", phase.as_str())];
+            metrics.counter_add("radcrit_phase_calls_total", &labels, count);
+            let self_us = (self_ns + 500) / 1_000;
+            metrics.counter_add("radcrit_phase_self_us_total", &labels, self_us);
+        }
+    }
+
     /// The hottest phases by aggregate self time across every stack
     /// position: `(phase, self_ns, count)` sorted hottest-first,
     /// truncated to `n`.
@@ -618,7 +689,7 @@ mod tests {
 
     #[test]
     fn nested_scopes_build_a_tree_with_self_time() {
-        enable_thread();
+        enable_thread(None);
         {
             let _g = phase(PhaseId::Golden).unwrap();
             spin(Duration::from_micros(300));
@@ -652,12 +723,12 @@ mod tests {
 
     #[test]
     fn drain_resets_the_accumulator() {
-        enable_thread();
+        enable_thread(None);
         {
             let _g = phase(PhaseId::Compare).unwrap();
         }
         assert!(!drain_thread().is_empty());
-        enable_thread();
+        enable_thread(None);
         assert!(drain_thread().is_empty());
     }
 
@@ -688,7 +759,7 @@ mod tests {
 
     #[test]
     fn json_round_trips() {
-        enable_thread();
+        enable_thread(None);
         {
             let _f = phase(PhaseId::Fork).unwrap();
             let _t = phase(PhaseId::TileExecute).unwrap();
@@ -703,7 +774,7 @@ mod tests {
 
     #[test]
     fn collapsed_stacks_carry_semicolon_paths() {
-        enable_thread();
+        enable_thread(None);
         {
             let _f = phase(PhaseId::Fork).unwrap();
             let _t = phase(PhaseId::TileExecute).unwrap();
@@ -774,6 +845,69 @@ mod tests {
         let snap = collector.snapshot();
         assert_eq!(snap.threads, 2);
         assert_eq!(snap.roots[0].count, 8);
+    }
+
+    #[test]
+    fn coarse_scopes_reach_the_lane_and_per_tile_scopes_do_not() {
+        let rec = Arc::new(TraceRecorder::new());
+        enable_thread(Some((Arc::clone(&rec), 3)));
+        {
+            let mut execute = phase_with(PhaseId::Execute, &[("index", 4)]).unwrap();
+            {
+                let _fork = phase(PhaseId::Fork).unwrap();
+                let _tile = phase(PhaseId::TileExecute).unwrap();
+            }
+            execute.arg("at", 2);
+            execute.arg("dropped", 9);
+        }
+        let tree = drain_thread();
+        assert_eq!(tree.roots[0].children[0].children[0].phase, "tile-execute");
+        assert_eq!(rec.len(), 2, "one span per coarse scope");
+        let json = rec.to_chrome_json(&[]);
+        assert!(
+            json.contains("\"name\":\"execute\"") && json.contains("\"name\":\"fork\""),
+            "{json}"
+        );
+        assert!(!json.contains("tile-execute"), "{json}");
+        assert!(
+            json.contains("\"tid\":3,\"args\":{\"index\":4,\"at\":2}}"),
+            "{json}"
+        );
+        // Draining detaches the lane.
+        enable_thread(None);
+        drop(phase(PhaseId::Compare));
+        drain_thread();
+        assert_eq!(rec.len(), 2);
+    }
+
+    #[test]
+    fn the_metrics_view_adds_calls_and_self_time_per_phase() {
+        let leaf = |phase: &str, self_ns| ProfileNode {
+            phase: phase.into(),
+            count: 2,
+            total_ns: self_ns,
+            self_ns,
+            min_ns: 1,
+            max_ns: self_ns,
+            children: vec![],
+        };
+        let tree = ProfileTree {
+            threads: 1,
+            roots: vec![ProfileNode {
+                total_ns: 9_000,
+                children: vec![leaf("fork", 7_000)],
+                ..leaf("injection", 2_000)
+            }],
+        };
+        let m = MetricsRegistry::new();
+        tree.export_metrics(&m);
+        tree.export_metrics(&m);
+        let snap = m.snapshot();
+        let calls = |p| snap.counter("radcrit_phase_calls_total", &[("phase", p)]);
+        let self_us = |p| snap.counter("radcrit_phase_self_us_total", &[("phase", p)]);
+        assert_eq!(calls("injection"), Some(4));
+        assert_eq!(self_us("injection"), Some(4));
+        assert_eq!(self_us("fork"), Some(14));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Phase-timeline recording and Chrome trace-event export.
 //!
-//! A [`TraceRecorder`] collects complete wall-clock spans — golden
-//! execution, per-injection umbrellas, engine execution, output
-//! comparison — from the collector and every worker thread, and
-//! serializes them to the Chrome trace-event JSON format that
+//! A [`TraceRecorder`] collects complete wall-clock spans — a
+//! campaign's coarse profile scopes from the collector and every worker
+//! thread (see [`crate::profile`]), or a coordinator's fleet spans —
+//! and serializes them to the Chrome trace-event JSON format that
 //! `chrome://tracing` and Perfetto load directly. Timelines are pure
 //! presentation: they carry wall-clock data and therefore never enter
 //! the deterministic event stream; they live beside the metrics
@@ -25,6 +25,9 @@
 //! rebasing each onto the coordinator's clock via a per-worker offset —
 //! into one fleet-wide timeline with named per-process tracks.
 
+use std::borrow::Cow;
+use std::cmp::Reverse;
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -54,7 +57,7 @@ pub struct TraceContext {
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct TraceSpan {
     /// Phase name (`golden`, `injection`, `execute`, `compare`, …).
-    name: String,
+    name: Cow<'static, str>,
     /// Start, µs since the recorder's epoch.
     ts_us: u64,
     /// Duration in µs.
@@ -63,7 +66,7 @@ struct TraceSpan {
     tid: u64,
     /// Extra key/value args rendered into the span's `args` object
     /// (values are unsigned integers — indices, counts).
-    args: Vec<(String, u64)>,
+    args: Vec<(&'static str, u64)>,
 }
 
 /// Thread-safe recorder of completed phase spans.
@@ -73,7 +76,7 @@ pub struct TraceRecorder {
     spans: Mutex<Vec<TraceSpan>>,
     dropped: AtomicU64,
     cap: usize,
-    context: Mutex<Option<TraceContext>>,
+    context: Option<TraceContext>,
 }
 
 impl Default for TraceRecorder {
@@ -85,48 +88,33 @@ impl Default for TraceRecorder {
 impl TraceRecorder {
     /// Creates a recorder whose epoch (`ts = 0`) is now.
     pub fn new() -> Self {
-        Self::with_cap(TRACE_SPAN_CAP)
-    }
-
-    /// Creates a recorder with a custom span cap (tests exercise the
-    /// drop path without recording 100k spans).
-    pub fn with_cap(cap: usize) -> Self {
-        Self::with_cap_and_epoch(cap, Instant::now())
+        Self::with_epoch(Instant::now())
     }
 
     /// Creates a recorder whose `ts = 0` is a caller-supplied instant —
     /// a daemon passes its own start time so every job's spans share
     /// one process-wide timebase and merge without per-job skew.
     pub fn with_epoch(epoch: Instant) -> Self {
-        Self::with_cap_and_epoch(TRACE_SPAN_CAP, epoch)
-    }
-
-    /// [`TraceRecorder::with_cap`] with an explicit epoch.
-    pub fn with_cap_and_epoch(cap: usize, epoch: Instant) -> Self {
         TraceRecorder {
             epoch,
             spans: Mutex::new(Vec::new()),
             dropped: AtomicU64::new(0),
-            cap,
-            context: Mutex::new(None),
+            cap: TRACE_SPAN_CAP,
+            context: None,
         }
     }
 
-    /// The instant spans are timestamped against (`ts = 0`).
-    pub fn epoch(&self) -> Instant {
-        self.epoch
-    }
-
-    /// Attaches a distributed-trace context: every serialized span
-    /// gains `shard`/`parent` args and the trace metadata names the
-    /// campaign. Idempotent; last write wins.
-    pub fn set_context(&self, ctx: TraceContext) {
-        *lock_recovering(&self.context) = Some(ctx);
+    /// Tags the recorder with a distributed-trace context (`None`
+    /// leaves it untagged): every serialized span gains `shard`/`parent`
+    /// args and the trace metadata names the campaign.
+    pub fn with_context(mut self, context: Option<TraceContext>) -> Self {
+        self.context = context;
+        self
     }
 
     /// The attached distributed-trace context, if any.
-    pub fn context(&self) -> Option<TraceContext> {
-        lock_recovering(&self.context).clone()
+    pub fn context(&self) -> Option<&TraceContext> {
+        self.context.as_ref()
     }
 
     /// The span buffer, recovering the guard if a panicking recording
@@ -137,17 +125,29 @@ impl TraceRecorder {
     }
 
     /// Records a completed span that started at `started` and ends now.
-    pub fn record(&self, name: &str, tid: u64, started: Instant, args: &[(&str, u64)]) {
-        let ts_us = started
-            .checked_duration_since(self.epoch)
-            .map_or(0, |d| d.as_micros() as u64);
-        let dur_us = started.elapsed().as_micros() as u64;
+    pub fn record(&self, name: &str, tid: u64, started: Instant, args: &[(&'static str, u64)]) {
+        self.record_between(name.to_owned(), tid, started, Instant::now(), args);
+    }
+
+    /// Records a completed span from `start` to `end` — the profiler's
+    /// timeline sink hands over the instants its profile node was timed
+    /// with, and a fixed phase name without allocating it.
+    pub fn record_between(
+        &self,
+        name: impl Into<Cow<'static, str>>,
+        tid: u64,
+        start: Instant,
+        end: Instant,
+        args: &[(&'static str, u64)],
+    ) {
         let span = TraceSpan {
-            name: name.to_owned(),
-            ts_us,
-            dur_us,
+            name: name.into(),
+            ts_us: start
+                .checked_duration_since(self.epoch)
+                .map_or(0, |d| d.as_micros() as u64),
+            dur_us: end.saturating_duration_since(start).as_micros() as u64,
             tid,
-            args: args.iter().map(|&(k, v)| (k.to_owned(), v)).collect(),
+            args: args.to_vec(),
         };
         let mut spans = self.spans_guard();
         if spans.len() >= self.cap {
@@ -181,7 +181,9 @@ impl TraceRecorder {
     }
 
     /// Serializes the timeline as Chrome trace-event JSON: complete
-    /// (`"ph":"X"`) events sorted by start time, one `pid`, the
+    /// (`"ph":"X"`) events sorted by start time (then lane, then longer
+    /// span first, so a parent precedes the children it encloses even
+    /// when both start in the same microsecond), one `pid`, the
     /// caller's `metadata` key/values under a top-level `"metadata"`
     /// object (numbers rendered verbatim). Ends with a newline.
     ///
@@ -190,32 +192,33 @@ impl TraceRecorder {
     /// campaign id — without a context the output is byte-identical
     /// to what pre-context recorders produced.
     pub fn to_chrome_json(&self, metadata: &[(&str, String)]) -> String {
-        let mut spans = self.spans_guard().clone();
+        // Rendered straight into one buffer: a long campaign's timeline
+        // holds tens of thousands of spans.
+        let mut out = String::from("{\"traceEvents\":[\n");
         let ctx = self.context();
-        spans.sort_by_key(|s| (s.ts_us, s.tid));
-        let events: Vec<String> = spans
-            .iter()
-            .map(|s| {
-                let mut args: Vec<String> = s
-                    .args
-                    .iter()
-                    .map(|(k, v)| format!("\"{}\":{v}", escape(k)))
-                    .collect();
-                if let Some(ctx) = &ctx {
-                    args.push(format!("\"shard\":{}", ctx.shard));
-                    args.push(format!("\"parent\":{}", ctx.parent_span));
-                }
-                format!(
-                    "{{\"name\":\"{}\",\"cat\":\"radcrit\",\"ph\":\"X\",\
-                     \"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{},\"args\":{{{}}}}}",
-                    escape(&s.name),
-                    s.ts_us,
-                    s.dur_us,
-                    s.tid,
-                    args.join(",")
-                )
-            })
-            .collect();
+        let mut spans = self.spans_guard();
+        spans.sort_by_key(|s| (s.ts_us, s.tid, Reverse(s.dur_us)));
+        for (i, s) in spans.iter().enumerate() {
+            let sep = if i == 0 { "" } else { ",\n" };
+            let _ = write!(
+                out,
+                "{sep}{{\"name\":\"{}\",\"cat\":\"radcrit\",\"ph\":\"X\",\
+                 \"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{},\"args\":{{",
+                escape(&s.name),
+                s.ts_us,
+                s.dur_us,
+                s.tid
+            );
+            let ctx_args = ctx
+                .iter()
+                .flat_map(|c| [("shard", c.shard), ("parent", c.parent_span)]);
+            for (j, (k, v)) in s.args.iter().copied().chain(ctx_args).enumerate() {
+                let sep = if j == 0 { "" } else { "," };
+                let _ = write!(out, "{sep}\"{}\":{v}", escape(k));
+            }
+            out.push_str("}}");
+        }
+        drop(spans);
         let ctx_meta = ctx.iter().flat_map(|c| {
             [
                 format!("\"campaign_id\":\"{}\"", escape(&c.campaign_id)),
@@ -232,11 +235,12 @@ impl TraceRecorder {
                 self.dropped()
             )))
             .collect();
-        format!(
-            "{{\"traceEvents\":[\n{}\n],\"displayTimeUnit\":\"ms\",\"metadata\":{{{}}}}}\n",
-            events.join(",\n"),
+        let _ = write!(
+            out,
+            "\n],\"displayTimeUnit\":\"ms\",\"metadata\":{{{}}}}}\n",
             meta.join(",")
-        )
+        );
+        out
     }
 }
 
@@ -418,6 +422,19 @@ mod tests {
     }
 
     #[test]
+    fn a_parent_precedes_its_child_from_the_same_start() {
+        // A child scope closes, and is recorded, before its parent.
+        let rec = TraceRecorder::new();
+        let start = Instant::now();
+        rec.record_between("fork", 1, start, start + Duration::from_micros(5), &[]);
+        rec.record_between("execute", 1, start, start + Duration::from_micros(10), &[]);
+        let json = rec.to_chrome_json(&[]);
+        let parent = json.find("\"execute\"").unwrap();
+        let child = json.find("\"fork\"").unwrap();
+        assert!(parent < child, "{json}");
+    }
+
+    #[test]
     fn cap_counts_dropped_spans() {
         let rec = TraceRecorder::new();
         let t0 = Instant::now();
@@ -431,7 +448,10 @@ mod tests {
 
     #[test]
     fn dropped_spans_export_to_the_metrics_registry() {
-        let rec = TraceRecorder::with_cap(2);
+        let rec = TraceRecorder {
+            cap: 2,
+            ..TraceRecorder::new()
+        };
         let t0 = Instant::now();
         for _ in 0..7 {
             rec.record("x", 0, t0, &[]);
@@ -474,12 +494,11 @@ mod tests {
 
     #[test]
     fn a_context_tags_every_span_and_the_metadata() {
-        let rec = TraceRecorder::new();
-        rec.set_context(TraceContext {
+        let rec = TraceRecorder::new().with_context(Some(TraceContext {
             campaign_id: "sha256:abc".into(),
             shard: 3,
             parent_span: 3_001,
-        });
+        }));
         rec.record("golden", 0, Instant::now(), &[("index", 9)]);
         let json = rec.to_chrome_json(&[]);
         assert!(
@@ -508,7 +527,6 @@ mod tests {
             ts >= 5_000,
             "span must be offset from the shared epoch: {ts}"
         );
-        assert_eq!(rec.epoch(), epoch);
     }
 
     fn worker_doc(ts: &[u64]) -> String {

@@ -52,7 +52,7 @@ use std::time::{Duration, Instant};
 
 use radcrit_campaign::golden::GoldenCache;
 use radcrit_campaign::{Campaign, RunOptions};
-use radcrit_obs::{AlertConfig, AlertEngine, HealthSample, MetricsRegistry};
+use radcrit_obs::{AlertConfig, AlertEngine, HealthSample, MetricsRegistry, TraceRecorder};
 
 use crate::error::ServeError;
 use crate::http::{read_request, respond, respond_chunked, Request};
@@ -363,8 +363,12 @@ fn run_job(
         events_out: Some(job_dir.join("events.jsonl")),
         events_sample: spec.events_sample,
         trace_out: Some(job_dir.join("trace.json")),
-        trace_context: spec.trace.clone(),
-        trace_epoch: Some(core.epoch),
+        // The job's timeline lives on the daemon-wide epoch, tagged with
+        // a federated shard's trace context, so a coordinator can rebase
+        // and merge it into one fleet trace.
+        trace: Some(Arc::new(
+            TraceRecorder::with_epoch(core.epoch).with_context(spec.trace.clone()),
+        )),
         profile_out: Some(job_dir.join("profile.json")),
         golden_cache: Some(Arc::clone(&core.cache)),
         cancel: Some(Arc::clone(cancel)),
