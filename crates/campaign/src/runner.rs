@@ -681,12 +681,12 @@ impl Campaign {
                     if watchdog {
                         m.counter_add("radcrit_campaign_watchdog_hangs_total", &[], 1);
                     }
-                    m.observe_duration("radcrit_injection_latency", &[], latency);
                 }
                 if let Some(w) = writer.as_mut() {
                     let _scope = phase_profile::phase(PhaseId::Checkpoint);
                     if let Err(e) = checkpoint::append(w, &record) {
                         shared.stop.store(true, Ordering::SeqCst);
+                        telemetry.export_latency(metrics.as_deref());
                         return Err(e);
                     }
                 }
@@ -697,6 +697,7 @@ impl Campaign {
                     if !events_have.contains(&(record.index as u64)) {
                         if let Err(e) = w.submit(record.index as u64, &block) {
                             shared.stop.store(true, Ordering::SeqCst);
+                            telemetry.export_latency(metrics.as_deref());
                             return Err(events_corrupt(path, e));
                         }
                     }
@@ -716,6 +717,7 @@ impl Campaign {
             }
         }
         shared.stop.store(true, Ordering::SeqCst);
+        telemetry.export_latency(metrics.as_deref());
 
         // Profiling: workers drain their accumulators into the collector
         // right before their `Exited` event, so wait for the stragglers

@@ -10,7 +10,7 @@
 
 use std::time::{Duration, Instant};
 
-use radcrit_obs::CriticalityAggregator;
+use radcrit_obs::{CriticalityAggregator, MetricsRegistry};
 
 /// Power-of-two bucketed histogram of per-injection wall times.
 ///
@@ -68,6 +68,15 @@ impl Telemetry {
             self.watchdog_hangs += 1;
         }
         self.latency.record(latency);
+    }
+
+    /// Flushes this run's latency histogram into `metrics` as
+    /// `radcrit_injection_latency`, once, when the collector stops. A
+    /// run that recorded nothing adds no series.
+    pub fn export_latency(&self, metrics: Option<&MetricsRegistry>) {
+        if let Some(m) = metrics.filter(|_| self.latency.count() > 0) {
+            m.merge_histogram("radcrit_injection_latency", &[], &self.latency);
+        }
     }
 
     /// Records produced by this run so far (excludes replayed ones).

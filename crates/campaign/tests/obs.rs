@@ -5,11 +5,12 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use radcrit_accel::config::DeviceConfig;
 use radcrit_campaign::{Campaign, KernelSpec, RunOptions};
 use radcrit_obs::event::parse_event_line;
-use radcrit_obs::{json, ProvenanceBreakdown};
+use radcrit_obs::{json, MetricsRegistry, ProvenanceBreakdown};
 
 fn temp_path(tag: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!("radcrit-obs-{tag}-{}.jsonl", std::process::id()));
@@ -192,9 +193,11 @@ fn observability_does_not_perturb_records_and_metrics_are_parseable() {
     let metrics =
         std::env::temp_dir().join(format!("radcrit-obs-metrics-{}.json", std::process::id()));
     let events = temp_path("passthrough");
+    let registry = Arc::new(MetricsRegistry::new());
     let observed = campaign
         .run_with(&RunOptions {
             metrics_out: Some(metrics.clone()),
+            metrics: Some(Arc::clone(&registry)),
             events_out: Some(events.clone()),
             events_sample: 4,
             ..RunOptions::default()
@@ -222,6 +225,16 @@ fn observability_does_not_perturb_records_and_metrics_are_parseable() {
     assert!(prom.contains("# TYPE"), "{prom}");
     assert!(prom.contains("radcrit_injection_latency_bucket"), "{prom}");
     assert!(prom.contains("le=\"+Inf\""), "{prom}");
+
+    // Each injection's latency is timed once: the registry's histogram
+    // is the run telemetry's, bucket for bucket.
+    let snapshot = registry.snapshot();
+    let latency = snapshot
+        .histogram("radcrit_injection_latency", &[])
+        .expect("latency histogram in the registry");
+    assert_eq!(latency, &observed.telemetry.latency);
+    assert_eq!(latency.count(), observed.telemetry.completed as u64);
+    assert_eq!(observed.telemetry.completed, 24);
 
     // Sampling stride 4 still yields a provenance event per injection.
     let breakdown = ProvenanceBreakdown::from_events_path(&events).unwrap();

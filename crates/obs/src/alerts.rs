@@ -13,10 +13,10 @@
 //! | `queue-saturated` | warning | queue depth at the configured capacity |
 //! | `fit-ci-stalled` | warning | FIT 95 % CI width not shrinking over N sweeps despite new injections |
 //!
-//! Every state flip is an [`AlertEvent`] edge — rendered as one
-//! structured JSONL log line — and the engine exports
-//! `radcrit_alert_active{rule}` gauges plus
-//! `radcrit_alerts_fired_total{rule}` counters. Time is injected
+//! Every state flip is an [`AlertEvent`] edge, and
+//! [`AlertEngine::publish`] turns each batch into structured JSONL log
+//! lines, `radcrit_alerts_fired_total{rule}` counters and
+//! `radcrit_alert_active{rule}` gauges. Time is injected
 //! ([`std::time::Instant`] parameters, mirroring the fabric's worker
 //! registry), so every rule is deterministic under test.
 
@@ -428,9 +428,22 @@ impl AlertEngine {
         self.states[rule.index()].fired_total
     }
 
-    /// Sets the `radcrit_alert_active{rule}` gauge for every rule.
-    /// Firing-edge counters are the caller's job (see [`export_edges`]).
-    pub fn export_gauges(&self, metrics: &MetricsRegistry) {
+    /// Publishes one batch of `edges` this engine just returned from
+    /// [`AlertEngine::observe`] or [`AlertEngine::evaluate_at`]: each
+    /// edge goes to stderr as a JSONL line, each firing edge bumps
+    /// `radcrit_alerts_fired_total{rule}`, and every rule's
+    /// `radcrit_alert_active{rule}` gauge is refreshed.
+    pub fn publish(&self, edges: &[AlertEvent], metrics: &MetricsRegistry) {
+        for edge in edges {
+            eprintln!("{}", edge.to_json_line());
+            if edge.firing {
+                metrics.counter_add(
+                    "radcrit_alerts_fired_total",
+                    &[("rule", edge.rule.name())],
+                    1,
+                );
+            }
+        }
         for rule in AlertRule::ALL {
             metrics.gauge_set(
                 "radcrit_alert_active",
@@ -461,21 +474,6 @@ impl AlertEngine {
             })
             .collect();
         format!("{{\"radcrit_alerts\":1,\"alerts\":[{}]}}", rows.join(","))
-    }
-}
-
-/// Bumps `radcrit_alerts_fired_total{rule}` for every firing edge in
-/// `edges` — call with each batch [`AlertEngine::observe`] /
-/// [`AlertEngine::evaluate_at`] returns.
-pub fn export_edges(edges: &[AlertEvent], metrics: &MetricsRegistry) {
-    for edge in edges {
-        if edge.firing {
-            metrics.counter_add(
-                "radcrit_alerts_fired_total",
-                &[("rule", edge.rule.name())],
-                1,
-            );
-        }
     }
 }
 
@@ -811,8 +809,7 @@ mod tests {
             },
         );
         let m = MetricsRegistry::new();
-        export_edges(&edges, &m);
-        e.export_gauges(&m);
+        e.publish(&edges, &m);
         let snap = m.snapshot();
         assert_eq!(
             snap.counter("radcrit_alerts_fired_total", &[("rule", "worker-flapping")]),

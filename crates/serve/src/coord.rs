@@ -9,11 +9,12 @@
 //! daemon, and tails every shard job's SSE stream back into one
 //! [`MergedStream`] — the idempotent per-index fold that backs the
 //! coordinator's merged `/analytics`, `/dashboard`, `/metrics` and
-//! federated `/jobs/:id/stream` endpoints. Shard placement is
-//! rendezvous-hashed over the campaign's golden content address
-//! ([`radcrit_fabric::rendezvous_rank`]), so a coordinator restart
-//! re-dispatches every shard to the worker that already holds its
-//! golden cache entry and checkpoint.
+//! federated `/jobs/:id/stream` endpoints, served on the shared HTTP
+//! plane ([`crate::http::serve`]) until the coordinator stops. Shard
+//! placement is rendezvous-hashed over the campaign's golden content
+//! address ([`radcrit_fabric::rendezvous_rank`]), so a coordinator
+//! restart re-dispatches every shard to the worker that already holds
+//! its golden cache entry and checkpoint.
 //!
 //! ## Fault tolerance
 //!
@@ -37,7 +38,7 @@
 //! <data_dir>/merged.jsonl    merged analytic event skeleton
 //! ```
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -58,7 +59,7 @@ use radcrit_obs::{
 
 use crate::client::Client;
 use crate::error::ServeError;
-use crate::http::{read_request, respond, respond_chunked, Request};
+use crate::http::{self, respond, Request};
 use crate::spec::JobSpec;
 
 /// How a coordinator is launched.
@@ -295,10 +296,7 @@ pub fn start(config: CoordinatorConfig) -> Result<CoordinatorHandle, ServeError>
         registry.register(worker, now);
     }
 
-    let listener = TcpListener::bind(&config.addr)
-        .map_err(|e| ServeError::Io(format!("bind {}: {e}", config.addr)))?;
-    let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
+    let (listener, addr) = http::bind(&config.addr)?;
 
     // The alert window must outlast one heartbeat death-and-recovery
     // cycle (sweep, re-dispatch, tail merge) so a single kill reads as
@@ -327,7 +325,14 @@ pub fn start(config: CoordinatorConfig) -> Result<CoordinatorHandle, ServeError>
 
     let accept = {
         let core = Arc::clone(&core);
-        std::thread::spawn(move || accept_loop(&core, &listener))
+        std::thread::spawn(move || {
+            let handler = Arc::clone(&core);
+            http::serve(
+                &listener,
+                || !core.stop.load(Ordering::SeqCst),
+                move |stream, req, segments| route(&handler, stream, req, segments),
+            );
+        })
     };
     let orchestrator = {
         let core = Arc::clone(&core);
@@ -806,8 +811,7 @@ fn parse_now_us(body: &str) -> Option<i64> {
 /// Taken once before the first dispatch (the baseline), at every
 /// heartbeat sweep, after every re-dispatch and at completion, so an
 /// episode shorter than a sweep interval still counts.
-/// Firing/resolved edges land on stderr as structured JSONL lines and
-/// on `/metrics` as `radcrit_alert_*` series.
+/// [`AlertEngine::publish`] puts the edges on stderr and `/metrics`.
 fn evaluate_alerts(core: &Arc<Core>) {
     let deaths = core.registry.lock().expect("registry lock").deaths_total();
     let redispatches: u64 = {
@@ -834,12 +838,7 @@ fn evaluate_alerts(core: &Arc<Core>) {
     };
     let mut engine = core.alerts.lock().expect("alerts lock");
     let edges = engine.observe(Instant::now(), sample);
-    engine.export_gauges(&core.metrics);
-    drop(engine);
-    for edge in &edges {
-        eprintln!("{}", edge.to_json_line());
-    }
-    radcrit_obs::alerts::export_edges(&edges, &core.metrics);
+    engine.publish(&edges, &core.metrics);
 }
 
 /// Journals and records completion for shards whose whole range became
@@ -987,57 +986,34 @@ fn journal_append(core: &Arc<Core>, record: &ShardRecord) -> Result<(), ServeErr
 }
 
 // ---------------------------------------------------------------------
-// HTTP routing
+// HTTP routes
 // ---------------------------------------------------------------------
 
-fn accept_loop(core: &Arc<Core>, listener: &TcpListener) {
-    loop {
-        if core.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                let core = Arc::clone(core);
-                std::thread::spawn(move || {
-                    let _ = stream.set_nonblocking(false);
-                    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-                    let _ = handle_connection(&core, &mut stream);
-                });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-}
-
-fn handle_connection(core: &Arc<Core>, stream: &mut TcpStream) -> Result<(), ServeError> {
-    let request = match read_request(stream) {
-        Ok(r) => r,
-        Err(_) => {
-            return respond(
-                stream,
-                400,
-                "application/json",
-                "{\"error\":\"bad request\"}",
-            );
-        }
-    };
-    route(core, stream, &request)
-}
-
-fn route(core: &Arc<Core>, stream: &mut TcpStream, req: &Request) -> Result<(), ServeError> {
-    let path = req.path.split('?').next().unwrap_or(&req.path);
-    let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    match (req.method.as_str(), segments.as_slice()) {
+/// The coordinator's own routes; everything else goes to
+/// [`http::fallback`].
+fn route(
+    core: &Arc<Core>,
+    stream: &mut TcpStream,
+    req: &Request,
+    segments: &[&str],
+) -> Result<(), ServeError> {
+    match (req.method.as_str(), segments) {
         ("POST", ["register"]) => post_register(core, stream, &req.body),
         ("GET", ["shards"]) => get_shards(core, stream),
         ("GET", ["analytics"]) => get_analytics(core, stream),
         ("GET", ["jobs"]) => get_jobs(core, stream),
         ("GET", ["jobs", _id]) => get_status(core, stream),
-        ("GET", ["jobs", _id, "stream"]) => get_stream(core, stream, req),
-        ("GET", ["jobs", _id, "events"]) => get_events(core, stream),
+        // The federated stream: the merged analytic skeleton tailed as
+        // SSE, resumable via `Last-Event-ID` exactly like a single
+        // daemon's stream.
+        ("GET", ["jobs", _id, "stream"]) => {
+            crate::live::serve_stream(stream, &core.merged_path, req, &|| {
+                core.done.load(Ordering::SeqCst) || core.stop.load(Ordering::SeqCst)
+            })
+        }
+        ("GET", ["jobs", _id, "events"]) => {
+            http::respond_file(stream, &core.merged_path, "no events yet")
+        }
         ("GET", ["jobs", _id, "analytics"]) => {
             let merged = core.merged.lock().expect("merged lock");
             let body = merged.aggregator().to_json();
@@ -1045,12 +1021,6 @@ fn route(core: &Arc<Core>, stream: &mut TcpStream, req: &Request) -> Result<(), 
             respond(stream, 200, "application/json", &body)
         }
         ("GET", ["jobs", _id, "result"]) => get_result(core, stream),
-        ("GET", ["dashboard"]) => respond(
-            stream,
-            200,
-            "text/html; charset=utf-8",
-            crate::dashboard::DASHBOARD_HTML,
-        ),
         ("GET", ["metrics"]) => get_metrics(core, stream),
         ("GET", ["trace"]) => {
             let body = build_fleet_trace(core);
@@ -1062,18 +1032,7 @@ fn route(core: &Arc<Core>, stream: &mut TcpStream, req: &Request) -> Result<(), 
             core.stop.store(true, Ordering::SeqCst);
             respond(stream, 200, "application/json", "{\"draining\":true}")
         }
-        (method, _) if !matches!(method, "GET" | "POST") => respond(
-            stream,
-            405,
-            "application/json",
-            "{\"error\":\"method not allowed\"}",
-        ),
-        _ => respond(
-            stream,
-            404,
-            "application/json",
-            "{\"error\":\"no such route\"}",
-        ),
+        _ => http::fallback(stream, req, segments),
     }
 }
 
@@ -1083,14 +1042,7 @@ fn post_register(core: &Arc<Core>, stream: &mut TcpStream, body: &str) -> Result
         .and_then(|obj| json::get_str(&obj, "worker").map(str::to_owned));
     let worker = match worker {
         Ok(w) if !w.is_empty() => w,
-        _ => {
-            return respond(
-                stream,
-                400,
-                "application/json",
-                "{\"error\":\"body must be {\\\"worker\\\":\\\"host:port\\\"}\"}",
-            );
-        }
+        _ => return http::respond_error(stream, 400, "body must be {\"worker\":\"host:port\"}"),
     };
     let alive = {
         let mut registry = core.registry.lock().expect("registry lock");
@@ -1175,52 +1127,9 @@ fn get_status(core: &Arc<Core>, stream: &mut TcpStream) -> Result<(), ServeError
     respond(stream, 200, "application/json", &body)
 }
 
-/// The federated stream: the merged analytic skeleton tailed as SSE,
-/// resumable via `Last-Event-ID` exactly like a single daemon's stream.
-fn get_stream(core: &Arc<Core>, stream: &mut TcpStream, req: &Request) -> Result<(), ServeError> {
-    let resume_after = crate::live::parse_last_event_id(req.header("last-event-id"));
-    let core_for_poll = Arc::clone(core);
-    match crate::live::stream_sse(stream, &core.merged_path, resume_after, &move || {
-        core_for_poll.done.load(Ordering::SeqCst) || core_for_poll.stop.load(Ordering::SeqCst)
-    }) {
-        Err(ServeError::Disconnected(_)) => Ok(()),
-        other => other,
-    }
-}
-
-fn get_events(core: &Arc<Core>, stream: &mut TcpStream) -> Result<(), ServeError> {
-    let mut file = match std::fs::File::open(&core.merged_path) {
-        Ok(f) => f,
-        Err(_) => {
-            return respond(
-                stream,
-                404,
-                "application/json",
-                "{\"error\":\"no events yet\"}",
-            );
-        }
-    };
-    respond_chunked(stream, 200, "application/jsonl", |write| {
-        use std::io::Read;
-        let mut buf = [0u8; 64 * 1024];
-        loop {
-            let n = file.read(&mut buf)?;
-            if n == 0 {
-                return Ok(());
-            }
-            write(&buf[..n])?;
-        }
-    })
-}
-
 fn get_result(core: &Arc<Core>, stream: &mut TcpStream) -> Result<(), ServeError> {
     if !core.done.load(Ordering::SeqCst) {
-        return respond(
-            stream,
-            409,
-            "application/json",
-            "{\"error\":\"job is running, result not available\"}",
-        );
+        return http::respond_error(stream, 409, "job is running, result not available");
     }
     let body = {
         let merged = core.merged.lock().expect("merged lock");
@@ -1342,13 +1251,9 @@ fn build_fleet_trace(core: &Arc<Core>) -> String {
 fn get_alerts(core: &Arc<Core>, stream: &mut TcpStream) -> Result<(), ServeError> {
     let mut engine = core.alerts.lock().expect("alerts lock");
     let edges = engine.evaluate_at(Instant::now());
-    engine.export_gauges(&core.metrics);
+    engine.publish(&edges, &core.metrics);
     let body = engine.to_json();
     drop(engine);
-    for edge in &edges {
-        eprintln!("{}", edge.to_json_line());
-    }
-    radcrit_obs::alerts::export_edges(&edges, &core.metrics);
     respond(stream, 200, "application/json", &body)
 }
 

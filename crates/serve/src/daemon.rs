@@ -2,9 +2,9 @@
 //!
 //! ## Architecture
 //!
-//! One accept thread owns a non-blocking [`TcpListener`] and spawns a
-//! short-lived handler thread per connection (exchanges are single
-//! request/response, `Connection: close`). A fixed pool of job workers
+//! The daemon answers its routes on the shared HTTP plane
+//! ([`crate::http::serve`]) until it is stopped, or drained with no job
+//! outstanding; then it closes the queue. A fixed pool of job workers
 //! blocks on the [`JobQueue`]; each claimed job runs as a normal
 //! [`Campaign`] with the runner's own internal parallelism, a
 //! cooperative cancel flag, a per-job [`MetricsRegistry`] (folded into
@@ -43,19 +43,19 @@
 //! page in [`crate::dashboard`] that renders all of it live.
 
 use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::net::{SocketAddr, TcpStream};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use radcrit_campaign::golden::GoldenCache;
 use radcrit_campaign::{Campaign, RunOptions};
 use radcrit_obs::{AlertConfig, AlertEngine, HealthSample, MetricsRegistry, TraceRecorder};
 
 use crate::error::ServeError;
-use crate::http::{read_request, respond, respond_chunked, Request};
+use crate::http::{self, respond, Request};
 use crate::journal::{job_id, job_number, JobState, Journal};
 use crate::queue::{JobQueue, PushError};
 use crate::spec::JobSpec;
@@ -214,10 +214,7 @@ pub fn start(config: DaemonConfig) -> Result<DaemonHandle, ServeError> {
         );
     }
 
-    let listener = TcpListener::bind(&config.addr)
-        .map_err(|e| ServeError::Io(format!("bind {}: {e}", config.addr)))?;
-    let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
+    let (listener, addr) = http::bind(&config.addr)?;
 
     let pool = config.pool.max(1);
     let alerts = AlertEngine::new(AlertConfig {
@@ -257,7 +254,19 @@ pub fn start(config: DaemonConfig) -> Result<DaemonHandle, ServeError> {
         .collect();
     let accept = {
         let core = Arc::clone(&core);
-        std::thread::spawn(move || accept_loop(&core, &listener))
+        std::thread::spawn(move || {
+            let running = || {
+                let drained = core.draining.load(Ordering::SeqCst)
+                    && core.outstanding.load(Ordering::SeqCst) == 0;
+                !core.stop.load(Ordering::SeqCst) && !drained
+            };
+            let handler = Arc::clone(&core);
+            http::serve(&listener, running, move |stream, req, segments| {
+                route(&handler, stream, req, segments)
+            });
+            // Stopped or drained: release the workers.
+            core.queue.close();
+        })
     };
 
     Ok(DaemonHandle {
@@ -266,33 +275,6 @@ pub fn start(config: DaemonConfig) -> Result<DaemonHandle, ServeError> {
         accept: Some(accept),
         workers,
     })
-}
-
-fn accept_loop(core: &Arc<Core>, listener: &TcpListener) {
-    loop {
-        if core.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        if core.draining.load(Ordering::SeqCst) && core.outstanding.load(Ordering::SeqCst) == 0 {
-            // Drained: release the workers and stop accepting.
-            core.queue.close();
-            break;
-        }
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                let core = Arc::clone(core);
-                std::thread::spawn(move || {
-                    let _ = stream.set_nonblocking(false);
-                    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-                    let _ = handle_connection(&core, &mut stream);
-                });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
 }
 
 fn worker_loop(core: &Arc<Core>) {
@@ -351,25 +333,26 @@ fn run_job(
     spec: &JobSpec,
     cancel: &Arc<AtomicBool>,
 ) -> Result<bool, ServeError> {
-    let job_dir = core.config.data_dir.join("jobs").join(id);
-    std::fs::create_dir_all(&job_dir)
+    let path = |name: &str| job_path(core, id, name);
+    let checkpoint = path("checkpoint.jsonl");
+    let job_dir = checkpoint.parent().expect("a job artifact has a directory");
+    std::fs::create_dir_all(job_dir)
         .map_err(|e| ServeError::Io(format!("job dir {}: {e}", job_dir.display())))?;
     let campaign: Campaign = spec.campaign()?;
-    let checkpoint = job_dir.join("checkpoint.jsonl");
     let job_metrics = Arc::new(MetricsRegistry::new());
     let options = RunOptions {
         resume: checkpoint.exists(),
         checkpoint: Some(checkpoint),
-        events_out: Some(job_dir.join("events.jsonl")),
+        events_out: Some(path("events.jsonl")),
         events_sample: spec.events_sample,
-        trace_out: Some(job_dir.join("trace.json")),
+        trace_out: Some(path("trace.json")),
         // The job's timeline lives on the daemon-wide epoch, tagged with
         // a federated shard's trace context, so a coordinator can rebase
         // and merge it into one fleet trace.
         trace: Some(Arc::new(
             TraceRecorder::with_epoch(core.epoch).with_context(spec.trace.clone()),
         )),
-        profile_out: Some(job_dir.join("profile.json")),
+        profile_out: Some(path("profile.json")),
         golden_cache: Some(Arc::clone(&core.cache)),
         cancel: Some(Arc::clone(cancel)),
         metrics: Some(Arc::clone(&job_metrics)),
@@ -396,7 +379,7 @@ fn run_job(
     }
     let summary = result.summary();
     let write = |name: &str, text: String| -> Result<(), ServeError> {
-        let path = job_dir.join(name);
+        let path = path(name);
         std::fs::write(&path, text).map_err(|e| ServeError::Io(format!("{}: {e}", path.display())))
     };
     write("result.json", format!("{}\n", summary.to_json()))?;
@@ -424,111 +407,113 @@ fn journal_append(
 }
 
 // ---------------------------------------------------------------------
-// HTTP routing
+// HTTP routes
 // ---------------------------------------------------------------------
 
-fn handle_connection(core: &Arc<Core>, stream: &mut TcpStream) -> Result<(), ServeError> {
-    let request = match read_request(stream) {
-        Ok(r) => r,
-        Err(_) => {
-            return respond(
-                stream,
-                400,
-                "application/json",
-                "{\"error\":\"bad request\"}",
-            );
-        }
-    };
-    route(core, stream, &request)
+/// `<data_dir>/jobs/<id>/<name>`: where job `id` keeps artifact `name`.
+fn job_path(core: &Core, id: &str, name: &str) -> PathBuf {
+    core.config.data_dir.join("jobs").join(id).join(name)
 }
 
-fn route(core: &Arc<Core>, stream: &mut TcpStream, req: &Request) -> Result<(), ServeError> {
-    // The dashboard links carry `?job=<id>` selectors; routing only
-    // looks at the path proper.
-    let path = req.path.split('?').next().unwrap_or(&req.path);
-    let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    match (req.method.as_str(), segments.as_slice()) {
+/// The daemon's own routes; everything else goes to [`http::fallback`].
+fn route(
+    core: &Arc<Core>,
+    stream: &mut TcpStream,
+    req: &Request,
+    segments: &[&str],
+) -> Result<(), ServeError> {
+    match (req.method.as_str(), segments) {
         ("POST", ["jobs"]) => post_job(core, stream, &req.body),
         ("GET", ["jobs"]) => get_jobs(core, stream),
         ("GET", ["jobs", id]) => get_status(core, stream, id),
         ("GET", ["jobs", id, "result"]) => get_result(core, stream, id),
-        ("GET", ["jobs", id, "events"]) => get_events(core, stream, id),
+        ("GET", ["jobs", id, "events"]) => {
+            if known_job(core, stream, id)?.is_none() {
+                return Ok(());
+            }
+            let path = job_path(core, id, "events.jsonl");
+            http::respond_file(stream, &path, "no events yet")
+        }
         ("GET", ["jobs", id, "stream"]) => get_stream(core, stream, id, req),
         ("GET", ["jobs", id, "analytics"]) => get_analytics(core, stream, id),
-        ("GET", ["jobs", id, "trace"]) => get_trace(core, stream, id),
-        ("GET", ["jobs", id, "profile"]) => get_profile(core, stream, id),
-        ("GET", ["jobs", id, "metrics"]) => get_job_metrics(core, stream, id),
+        ("GET", ["jobs", id, "trace"]) => {
+            get_artifact(core, stream, id, "trace.json", "no trace yet")
+        }
+        ("GET", ["jobs", id, "profile"]) => {
+            get_artifact(core, stream, id, "profile.json", "no profile yet")
+        }
+        // One finished job's metrics snapshot (the JSON the coordinator
+        // pulls per shard to build its labelled federation-wide
+        // exposition).
+        ("GET", ["jobs", id, "metrics"]) => {
+            get_artifact(core, stream, id, "metrics.json", "no metrics yet")
+        }
         ("POST", ["jobs", id, "cancel"]) => post_cancel(core, stream, id),
         ("GET", ["analytics"]) => get_rollup(core, stream),
         ("GET", ["profile"]) => get_profile_rollup(core, stream),
-        ("GET", ["dashboard"]) => respond(
-            stream,
-            200,
-            "text/html; charset=utf-8",
-            crate::dashboard::DASHBOARD_HTML,
-        ),
         ("GET", ["metrics"]) => get_metrics(core, stream),
-        ("GET", ["alerts"]) => get_alerts(core, stream),
-        ("GET", ["healthz"]) => {
-            // Enriched liveness: `"ok":true` stays the first key so
-            // plain-text consumers (`curl | grep '"ok":true'`) keep
-            // working; `now_us` is the daemon's trace-epoch clock the
-            // coordinator probes for offset estimation.
-            let busy = core.busy.load(Ordering::SeqCst);
-            let pool = core.config.pool.max(1);
-            // The daemon's trace epoch is its start time, so uptime and
-            // the trace-timeline clock are the same number.
-            let now_us = core.epoch.elapsed().as_micros();
-            let body = format!(
-                "{{\"ok\":true,\"version\":\"{}\",\"isa\":\"{}\",\"uptime_us\":{now_us},\
-                 \"now_us\":{now_us},\"workers_busy\":{busy},\"workers_idle\":{},\
-                 \"queue_depth\":{},\"outstanding\":{},\"draining\":{}}}",
-                env!("CARGO_PKG_VERSION"),
-                radcrit_core::exec::active().name(),
-                pool.saturating_sub(busy),
-                core.queue.len(),
-                core.outstanding.load(Ordering::SeqCst),
-                core.draining.load(Ordering::SeqCst),
-            );
+        ("GET", ["alerts"]) => {
+            evaluate_alerts(core);
+            let body = core.alerts.lock().expect("alerts lock").to_json();
             respond(stream, 200, "application/json", &body)
         }
+        ("GET", ["healthz"]) => get_healthz(core, stream),
         ("POST", ["shutdown"]) => {
             core.draining.store(true, Ordering::SeqCst);
             respond(stream, 200, "application/json", "{\"draining\":true}")
         }
-        (method, _) if !matches!(method, "GET" | "POST") => respond(
-            stream,
-            405,
-            "application/json",
-            "{\"error\":\"method not allowed\"}",
-        ),
-        _ => respond(
-            stream,
-            404,
-            "application/json",
-            "{\"error\":\"no such route\"}",
-        ),
+        _ => http::fallback(stream, req, segments),
     }
 }
 
+/// The state of job `id`, or `None` once `404 unknown job` is answered.
+fn known_job(
+    core: &Core,
+    stream: &mut TcpStream,
+    id: &str,
+) -> Result<Option<JobState>, ServeError> {
+    let state = {
+        let jobs = core.jobs.lock().expect("jobs lock");
+        jobs.get(id).map(|e| e.state.clone())
+    };
+    if state.is_none() {
+        http::respond_error(stream, 404, "unknown job")?;
+    }
+    Ok(state)
+}
+
+/// Enriched liveness: `"ok":true` stays the first key so plain-text
+/// consumers (`curl | grep '"ok":true'`) keep working; `now_us` is the
+/// daemon's trace-epoch clock the coordinator probes for offset
+/// estimation.
+fn get_healthz(core: &Core, stream: &mut TcpStream) -> Result<(), ServeError> {
+    let busy = core.busy.load(Ordering::SeqCst);
+    let pool = core.config.pool.max(1);
+    // The daemon's trace epoch is its start time, so uptime and the
+    // trace-timeline clock are the same number.
+    let now_us = core.epoch.elapsed().as_micros();
+    let body = format!(
+        "{{\"ok\":true,\"version\":\"{}\",\"isa\":\"{}\",\"uptime_us\":{now_us},\
+         \"now_us\":{now_us},\"workers_busy\":{busy},\"workers_idle\":{},\
+         \"queue_depth\":{},\"outstanding\":{},\"draining\":{}}}",
+        env!("CARGO_PKG_VERSION"),
+        radcrit_core::exec::active().name(),
+        pool.saturating_sub(busy),
+        core.queue.len(),
+        core.outstanding.load(Ordering::SeqCst),
+        core.draining.load(Ordering::SeqCst),
+    );
+    respond(stream, 200, "application/json", &body)
+}
+
 fn post_job(core: &Arc<Core>, stream: &mut TcpStream, body: &str) -> Result<(), ServeError> {
+    const DRAINING: &str = "draining: the daemon is shutting down";
     if core.draining.load(Ordering::SeqCst) {
-        return respond(
-            stream,
-            503,
-            "application/json",
-            "{\"error\":\"draining: the daemon is shutting down\"}",
-        );
+        return http::respond_error(stream, 503, DRAINING);
     }
     let spec = match JobSpec::parse(body) {
         Ok(s) => s,
-        Err(e) => {
-            let body = format!(
-                "{{\"error\":\"{}\"}}",
-                radcrit_obs::json::escape(&e.to_string())
-            );
-            return respond(stream, 400, "application/json", &body);
-        }
+        Err(e) => return http::respond_error(stream, 400, &e.to_string()),
     };
     // Reserve the id and register the job *before* queueing it, so a
     // worker can never pop an id the map does not know yet.
@@ -577,129 +562,48 @@ fn post_job(core: &Arc<Core>, stream: &mut TcpStream, body: &str) -> Result<(), 
                 journal_append(core, &id, &JobState::Cancelled, None);
                 core.outstanding.fetch_sub(1, Ordering::SeqCst);
             }
-            let (status, error) = match refusal {
-                PushError::Full => (429, "queue full: retry later"),
-                PushError::Closed => (503, "draining: the daemon is shutting down"),
-            };
-            let body = format!("{{\"error\":\"{error}\"}}");
-            respond(stream, status, "application/json", &body)
+            match refusal {
+                PushError::Full => http::respond_error(stream, 429, "queue full: retry later"),
+                PushError::Closed => http::respond_error(stream, 503, DRAINING),
+            }
         }
     }
 }
 
-fn get_status(core: &Arc<Core>, stream: &mut TcpStream, id: &str) -> Result<(), ServeError> {
-    let jobs = core.jobs.lock().expect("jobs lock");
-    let Some(entry) = jobs.get(id) else {
-        drop(jobs);
-        return respond(
-            stream,
-            404,
-            "application/json",
-            "{\"error\":\"unknown job\"}",
-        );
+fn get_status(core: &Core, stream: &mut TcpStream, id: &str) -> Result<(), ServeError> {
+    let Some(state) = known_job(core, stream, id)? else {
+        return Ok(());
     };
-    let mut body = format!(
-        "{{\"job\":\"{id}\",\"status\":\"{}\"",
-        entry.state.wire_name()
-    );
-    if let JobState::Failed(error) = &entry.state {
+    let mut body = format!("{{\"job\":\"{id}\",\"status\":\"{}\"", state.wire_name());
+    if let JobState::Failed(error) = &state {
         body.push_str(&format!(
             ",\"error\":\"{}\"",
             radcrit_obs::json::escape(error)
         ));
     }
     body.push('}');
-    drop(jobs);
     respond(stream, 200, "application/json", &body)
 }
 
-fn get_result(core: &Arc<Core>, stream: &mut TcpStream, id: &str) -> Result<(), ServeError> {
-    let state = {
-        let jobs = core.jobs.lock().expect("jobs lock");
-        jobs.get(id).map(|e| e.state.clone())
-    };
-    match state {
-        None => respond(
-            stream,
-            404,
-            "application/json",
-            "{\"error\":\"unknown job\"}",
-        ),
-        Some(JobState::Done) => {
-            let path = core
-                .config
-                .data_dir
-                .join("jobs")
-                .join(id)
-                .join("result.json");
-            match std::fs::read_to_string(&path) {
-                Ok(body) => respond(stream, 200, "application/json", &body),
-                Err(e) => {
-                    let body = format!(
-                        "{{\"error\":\"result missing: {}\"}}",
-                        radcrit_obs::json::escape(&e.to_string())
-                    );
-                    respond(stream, 500, "application/json", &body)
-                }
-            }
-        }
+fn get_result(core: &Core, stream: &mut TcpStream, id: &str) -> Result<(), ServeError> {
+    match known_job(core, stream, id)? {
+        None => Ok(()),
+        Some(JobState::Done) => match std::fs::read_to_string(job_path(core, id, "result.json")) {
+            Ok(body) => respond(stream, 200, "application/json", &body),
+            Err(e) => http::respond_error(stream, 500, &format!("result missing: {e}")),
+        },
         Some(JobState::Failed(error)) => {
-            let body = format!(
-                "{{\"error\":\"job failed: {}\"}}",
-                radcrit_obs::json::escape(&error)
-            );
-            respond(stream, 409, "application/json", &body)
+            http::respond_error(stream, 409, &format!("job failed: {error}"))
         }
-        Some(state) => {
-            let body = format!(
-                "{{\"error\":\"job is {}, result not available\"}}",
-                state.wire_name()
-            );
-            respond(stream, 409, "application/json", &body)
-        }
-    }
-}
-
-fn get_events(core: &Arc<Core>, stream: &mut TcpStream, id: &str) -> Result<(), ServeError> {
-    if !core.jobs.lock().expect("jobs lock").contains_key(id) {
-        return respond(
+        Some(state) => http::respond_error(
             stream,
-            404,
-            "application/json",
-            "{\"error\":\"unknown job\"}",
-        );
+            409,
+            &format!("job is {}, result not available", state.wire_name()),
+        ),
     }
-    let path = core
-        .config
-        .data_dir
-        .join("jobs")
-        .join(id)
-        .join("events.jsonl");
-    let mut file = match std::fs::File::open(&path) {
-        Ok(f) => f,
-        Err(_) => {
-            return respond(
-                stream,
-                404,
-                "application/json",
-                "{\"error\":\"no events yet\"}",
-            );
-        }
-    };
-    respond_chunked(stream, 200, "application/jsonl", |write| {
-        use std::io::Read;
-        let mut buf = [0u8; 64 * 1024];
-        loop {
-            let n = file.read(&mut buf)?;
-            if n == 0 {
-                return Ok(());
-            }
-            write(&buf[..n])?;
-        }
-    })
 }
 
-fn get_jobs(core: &Arc<Core>, stream: &mut TcpStream) -> Result<(), ServeError> {
+fn get_jobs(core: &Core, stream: &mut TcpStream) -> Result<(), ServeError> {
     let jobs = core.jobs.lock().expect("jobs lock");
     let rows: Vec<String> = jobs
         .iter()
@@ -715,87 +619,59 @@ fn get_jobs(core: &Arc<Core>, stream: &mut TcpStream) -> Result<(), ServeError> 
     respond(stream, 200, "application/json", &body)
 }
 
-/// Whether `id` is known, and if so whether it has reached a terminal
-/// state. `None` means unknown job.
-fn job_terminal(core: &Arc<Core>, id: &str) -> Option<bool> {
-    let jobs = core.jobs.lock().expect("jobs lock");
-    jobs.get(id).map(|e| {
-        matches!(
-            e.state,
-            JobState::Done | JobState::Cancelled | JobState::Failed(_)
-        )
-    })
-}
-
 fn get_stream(
-    core: &Arc<Core>,
+    core: &Core,
     stream: &mut TcpStream,
     id: &str,
     req: &Request,
 ) -> Result<(), ServeError> {
-    if job_terminal(core, id).is_none() {
-        return respond(
-            stream,
-            404,
-            "application/json",
-            "{\"error\":\"unknown job\"}",
-        );
+    if known_job(core, stream, id)?.is_none() {
+        return Ok(());
     }
-    let path = core
-        .config
-        .data_dir
-        .join("jobs")
-        .join(id)
-        .join("events.jsonl");
-    let resume_after = crate::live::parse_last_event_id(req.header("last-event-id"));
-    let core_for_poll = Arc::clone(core);
-    let id = id.to_owned();
-    match crate::live::stream_sse(stream, &path, resume_after, &move || {
+    let path = job_path(core, id, "events.jsonl");
+    crate::live::serve_stream(stream, &path, req, &|| {
         // A job deleted mid-stream (never happens today) ends the tail
         // rather than spinning forever.
-        job_terminal(&core_for_poll, &id) != Some(false)
-    }) {
-        Err(ServeError::Disconnected(_)) => Ok(()), // reap quietly
-        other => other,
-    }
+        let jobs = core.jobs.lock().expect("jobs lock");
+        jobs.get(id).is_none_or(|e| e.state.is_terminal())
+    })
 }
 
-fn get_analytics(core: &Arc<Core>, stream: &mut TcpStream, id: &str) -> Result<(), ServeError> {
-    if job_terminal(core, id).is_none() {
-        return respond(
-            stream,
-            404,
-            "application/json",
-            "{\"error\":\"unknown job\"}",
-        );
+fn get_analytics(core: &Core, stream: &mut TcpStream, id: &str) -> Result<(), ServeError> {
+    if known_job(core, stream, id)?.is_none() {
+        return Ok(());
     }
-    let path = core
-        .config
-        .data_dir
-        .join("jobs")
-        .join(id)
-        .join("events.jsonl");
+    let path = job_path(core, id, "events.jsonl");
     if !path.exists() {
-        return respond(
-            stream,
-            404,
-            "application/json",
-            "{\"error\":\"no events yet\"}",
-        );
+        return http::respond_error(stream, 404, "no events yet");
     }
     match crate::live::fold_events_file(&path) {
         Ok(agg) => respond(stream, 200, "application/json", &agg.to_json()),
-        Err(e) => {
-            let body = format!(
-                "{{\"error\":\"{}\"}}",
-                radcrit_obs::json::escape(&e.to_string())
-            );
-            respond(stream, 500, "application/json", &body)
-        }
+        Err(e) => http::respond_error(stream, 500, &e.to_string()),
     }
 }
 
-fn get_rollup(core: &Arc<Core>, stream: &mut TcpStream) -> Result<(), ServeError> {
+/// A job's fixed-length JSON artifact `name`, or `404 <missing>` while
+/// the job has not written it.
+fn get_artifact(
+    core: &Core,
+    stream: &mut TcpStream,
+    id: &str,
+    name: &str,
+    missing: &str,
+) -> Result<(), ServeError> {
+    if known_job(core, stream, id)?.is_none() {
+        return Ok(());
+    }
+    match std::fs::read_to_string(job_path(core, id, name)) {
+        Ok(body) => respond(stream, 200, "application/json", &body),
+        Err(_) => http::respond_error(stream, 404, missing),
+    }
+}
+
+/// Offers every known job's artifact `name` to `fold`, which reports
+/// whether it folded that file. Returns `(jobs, folded)`.
+fn fold_jobs(core: &Core, name: &str, mut fold: impl FnMut(&Path) -> bool) -> (usize, usize) {
     let ids: Vec<String> = core
         .jobs
         .lock()
@@ -803,135 +679,39 @@ fn get_rollup(core: &Arc<Core>, stream: &mut TcpStream) -> Result<(), ServeError
         .keys()
         .cloned()
         .collect();
-    let mut rollup = radcrit_obs::CriticalityAggregator::new();
-    let mut folded = 0usize;
+    let mut folded = 0;
     for id in &ids {
-        let path = core
-            .config
-            .data_dir
-            .join("jobs")
-            .join(id)
-            .join("events.jsonl");
-        if let Ok(agg) = crate::live::fold_events_file(&path) {
-            rollup.merge(&agg);
-            folded += 1;
-        }
+        folded += usize::from(fold(&job_path(core, id, name)));
     }
+    (ids.len(), folded)
+}
+
+fn get_rollup(core: &Core, stream: &mut TcpStream) -> Result<(), ServeError> {
+    let mut rollup = radcrit_obs::CriticalityAggregator::new();
+    let (jobs, folded) = fold_jobs(core, "events.jsonl", |path| {
+        crate::live::fold_events_file(path)
+            .map(|agg| rollup.merge(&agg))
+            .is_ok()
+    });
     let body = format!(
-        "{{\"jobs\":{},\"folded\":{folded},\"rollup\":{}}}",
-        ids.len(),
+        "{{\"jobs\":{jobs},\"folded\":{folded},\"rollup\":{}}}",
         rollup.to_json()
     );
     respond(stream, 200, "application/json", &body)
 }
 
-fn get_trace(core: &Arc<Core>, stream: &mut TcpStream, id: &str) -> Result<(), ServeError> {
-    if job_terminal(core, id).is_none() {
-        return respond(
-            stream,
-            404,
-            "application/json",
-            "{\"error\":\"unknown job\"}",
-        );
-    }
-    let path = core
-        .config
-        .data_dir
-        .join("jobs")
-        .join(id)
-        .join("trace.json");
-    match std::fs::read_to_string(&path) {
-        Ok(body) => respond(stream, 200, "application/json", &body),
-        Err(_) => respond(
-            stream,
-            404,
-            "application/json",
-            "{\"error\":\"no trace yet\"}",
-        ),
-    }
-}
-
-fn get_profile(core: &Arc<Core>, stream: &mut TcpStream, id: &str) -> Result<(), ServeError> {
-    if job_terminal(core, id).is_none() {
-        return respond(
-            stream,
-            404,
-            "application/json",
-            "{\"error\":\"unknown job\"}",
-        );
-    }
-    let path = core
-        .config
-        .data_dir
-        .join("jobs")
-        .join(id)
-        .join("profile.json");
-    match std::fs::read_to_string(&path) {
-        Ok(body) => respond(stream, 200, "application/json", &body),
-        Err(_) => respond(
-            stream,
-            404,
-            "application/json",
-            "{\"error\":\"no profile yet\"}",
-        ),
-    }
-}
-
-/// One finished job's metrics snapshot (the JSON the coordinator pulls
-/// per shard to build its labelled federation-wide exposition).
-fn get_job_metrics(core: &Arc<Core>, stream: &mut TcpStream, id: &str) -> Result<(), ServeError> {
-    if job_terminal(core, id).is_none() {
-        return respond(
-            stream,
-            404,
-            "application/json",
-            "{\"error\":\"unknown job\"}",
-        );
-    }
-    let path = core
-        .config
-        .data_dir
-        .join("jobs")
-        .join(id)
-        .join("metrics.json");
-    match std::fs::read_to_string(&path) {
-        Ok(body) => respond(stream, 200, "application/json", &body),
-        Err(_) => respond(
-            stream,
-            404,
-            "application/json",
-            "{\"error\":\"no metrics yet\"}",
-        ),
-    }
-}
-
 /// Daemon-wide phase profile: every finished job's `profile.json`
 /// merged into one tree, plus the top self-time phases the dashboard's
 /// hot-phases panel renders directly.
-fn get_profile_rollup(core: &Arc<Core>, stream: &mut TcpStream) -> Result<(), ServeError> {
-    let ids: Vec<String> = core
-        .jobs
-        .lock()
-        .expect("jobs lock")
-        .keys()
-        .cloned()
-        .collect();
+fn get_profile_rollup(core: &Core, stream: &mut TcpStream) -> Result<(), ServeError> {
     let mut merged = radcrit_obs::ProfileTree::new();
-    let mut folded = 0usize;
-    for id in &ids {
-        let path = core
-            .config
-            .data_dir
-            .join("jobs")
-            .join(id)
-            .join("profile.json");
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            if let Ok(tree) = radcrit_obs::ProfileTree::from_json(&text) {
-                merged.merge(&tree);
-                folded += 1;
-            }
-        }
-    }
+    let (jobs, folded) = fold_jobs(core, "profile.json", |path| {
+        std::fs::read_to_string(path)
+            .ok()
+            .and_then(|text| radcrit_obs::ProfileTree::from_json(&text).ok())
+            .map(|tree| merged.merge(&tree))
+            .is_some()
+    });
     let hot: Vec<String> = merged
         .hot_phases(8)
         .iter()
@@ -943,8 +723,7 @@ fn get_profile_rollup(core: &Arc<Core>, stream: &mut TcpStream) -> Result<(), Se
         })
         .collect();
     let body = format!(
-        "{{\"jobs\":{},\"folded\":{folded},\"hot\":[{}],\"profile\":{}}}",
-        ids.len(),
+        "{{\"jobs\":{jobs},\"folded\":{folded},\"hot\":[{}],\"profile\":{}}}",
         hot.join(","),
         merged.to_json()
     );
@@ -972,51 +751,33 @@ fn post_cancel(core: &Arc<Core>, stream: &mut TcpStream, id: &str) -> Result<(),
             },
         }
     };
-    match verdict {
-        None => respond(
-            stream,
-            404,
-            "application/json",
-            "{\"error\":\"unknown job\"}",
-        ),
-        Some((status, was_queued)) => {
-            if was_queued {
-                journal_append(core, id, &JobState::Cancelled, None);
-                core.metrics
-                    .counter_add("radcrit_serve_jobs_total", &[("state", "cancelled")], 1);
-                core.outstanding.fetch_sub(1, Ordering::SeqCst);
-            }
-            let body = format!("{{\"job\":\"{id}\",\"status\":\"{status}\"}}");
-            respond(stream, 200, "application/json", &body)
-        }
+    let Some((status, was_queued)) = verdict else {
+        return http::respond_error(stream, 404, "unknown job");
+    };
+    if was_queued {
+        journal_append(core, id, &JobState::Cancelled, None);
+        core.metrics
+            .counter_add("radcrit_serve_jobs_total", &[("state", "cancelled")], 1);
+        core.outstanding.fetch_sub(1, Ordering::SeqCst);
     }
+    let body = format!("{{\"job\":\"{id}\",\"status\":\"{status}\"}}");
+    respond(stream, 200, "application/json", &body)
 }
 
 /// Feeds the daemon's health rules one fresh sample (queue depth is the
 /// daemon-level signal; the fleet rules stay idle without coordinator
-/// inputs), logs any firing/resolved edges as structured JSONL lines,
-/// and mirrors the engine's state onto the metrics registry.
-fn evaluate_alerts(core: &Arc<Core>) {
+/// inputs) and publishes the edges and rule states.
+fn evaluate_alerts(core: &Core) {
     let sample = HealthSample {
         queue_depth: Some(core.queue.len() as u64),
         ..HealthSample::default()
     };
     let mut engine = core.alerts.lock().expect("alerts lock");
     let edges = engine.observe(Instant::now(), sample);
-    for edge in &edges {
-        eprintln!("{}", edge.to_json_line());
-    }
-    radcrit_obs::alerts::export_edges(&edges, &core.metrics);
-    engine.export_gauges(&core.metrics);
+    engine.publish(&edges, &core.metrics);
 }
 
-fn get_alerts(core: &Arc<Core>, stream: &mut TcpStream) -> Result<(), ServeError> {
-    evaluate_alerts(core);
-    let body = core.alerts.lock().expect("alerts lock").to_json();
-    respond(stream, 200, "application/json", &body)
-}
-
-fn get_metrics(core: &Arc<Core>, stream: &mut TcpStream) -> Result<(), ServeError> {
+fn get_metrics(core: &Core, stream: &mut TcpStream) -> Result<(), ServeError> {
     evaluate_alerts(core);
     // Scrape-time gauges: queue, worker occupancy and cache residency.
     let m = &core.metrics;

@@ -1,13 +1,36 @@
-//! A hand-rolled, std-only HTTP/1.1 subset.
+//! The HTTP plane both servers stand on: a hand-rolled, std-only
+//! HTTP/1.1 subset plus the one accept loop.
 //!
 //! Just enough protocol for the campaign service: request line, headers
 //! and `Content-Length` bodies on the way in; fixed-length or chunked
 //! responses with `Connection: close` on the way out. No keep-alive, no
-//! TLS, no compression — the daemon serves a trusted lab network, and
+//! TLS, no compression — the servers sit on a trusted lab network, and
 //! every exchange is one connection.
+//!
+//! ## The plane
+//!
+//! The daemon ([`crate::daemon`]) and the coordinator ([`crate::coord`])
+//! supply only their routes. [`bind`] opens the non-blocking listener;
+//! [`serve`] polls it (sleeping `ACCEPT_POLL`, 10 ms, when no
+//! connection is pending) until the server's `running` predicate turns false, and runs
+//! each connection on its own short-lived thread: blocking socket, a
+//! 10 s read timeout, one [`read_request`] (a malformed one is answered
+//! `400 {"error":"bad request"}`), the path split into segments with any
+//! `?query` dropped, then the server's route. A route matches its own
+//! `(method, segments)` pairs and hands everything else to [`fallback`]:
+//! the shared `/dashboard` page, `405` for methods other than GET/POST,
+//! `404` otherwise.
+//!
+//! Answers go out through one responder per shape: [`respond`]
+//! (fixed-length), [`respond_error`] (every `{"error":…}` body),
+//! [`respond_file`] (a file as a chunked body) and
+//! [`crate::live::serve_stream`] (an SSE tail).
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::path::Path;
+use std::sync::Arc;
+use std::time::Duration;
 
 use crate::error::ServeError;
 
@@ -206,6 +229,117 @@ where
     stream.write_all(b"0\r\n\r\n")?;
     stream.flush()?;
     Ok(())
+}
+
+/// Writes `{"error":"<message>"}` (escaped) as a fixed-length JSON
+/// response.
+///
+/// # Errors
+///
+/// [`ServeError::Io`] on socket errors.
+pub fn respond_error(stream: &mut TcpStream, status: u16, message: &str) -> Result<(), ServeError> {
+    let body = format!("{{\"error\":\"{}\"}}", radcrit_obs::json::escape(message));
+    respond(stream, status, "application/json", &body)
+}
+
+/// Streams the file at `path` as a chunked `application/jsonl` body, or
+/// answers `404` with `missing` when it cannot be opened.
+///
+/// # Errors
+///
+/// [`ServeError::Io`] on socket or read errors.
+pub fn respond_file(stream: &mut TcpStream, path: &Path, missing: &str) -> Result<(), ServeError> {
+    let Ok(mut file) = std::fs::File::open(path) else {
+        return respond_error(stream, 404, missing);
+    };
+    respond_chunked(stream, 200, "application/jsonl", |write| {
+        let mut buf = [0u8; 64 * 1024];
+        loop {
+            let n = file.read(&mut buf)?;
+            if n == 0 {
+                return Ok(());
+            }
+            write(&buf[..n])?;
+        }
+    })
+}
+
+/// How long [`serve`] sleeps when no connection is pending.
+const ACCEPT_POLL: Duration = Duration::from_millis(10);
+
+/// Binds `addr` as a non-blocking listener for [`serve`], returning it
+/// with its resolved address.
+///
+/// # Errors
+///
+/// [`ServeError::Io`] when the address cannot be bound.
+pub fn bind(addr: &str) -> Result<(TcpListener, SocketAddr), ServeError> {
+    let listener =
+        TcpListener::bind(addr).map_err(|e| ServeError::Io(format!("bind {addr}: {e}")))?;
+    listener.set_nonblocking(true)?;
+    let local = listener.local_addr()?;
+    Ok((listener, local))
+}
+
+/// Accepts connections on `listener` (from [`bind`]) while `running()`
+/// holds, answering each on its own thread through `route`, which gets
+/// the request and its path segments.
+pub fn serve<R>(listener: &TcpListener, running: impl Fn() -> bool, route: R)
+where
+    R: Fn(&mut TcpStream, &Request, &[&str]) -> Result<(), ServeError> + Send + Sync + 'static,
+{
+    let route = Arc::new(route);
+    while running() {
+        match listener.accept() {
+            Ok((mut stream, _)) => {
+                let route = Arc::clone(&route);
+                std::thread::spawn(move || {
+                    let _ = stream.set_nonblocking(false);
+                    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
+                    let _ = answer(&mut stream, &*route);
+                });
+            }
+            // `WouldBlock` (nothing pending) or a failed accept alike.
+            Err(_) => std::thread::sleep(ACCEPT_POLL),
+        }
+    }
+}
+
+/// One connection's exchange: read, split the path, route.
+fn answer<R>(stream: &mut TcpStream, route: &R) -> Result<(), ServeError>
+where
+    R: Fn(&mut TcpStream, &Request, &[&str]) -> Result<(), ServeError>,
+{
+    let Ok(request) = read_request(stream) else {
+        return respond_error(stream, 400, "bad request");
+    };
+    // The dashboard links carry `?job=<id>` selectors; routing only
+    // looks at the path proper.
+    let path = request.path.split('?').next().unwrap_or(&request.path);
+    let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
+    route(stream, &request, &segments)
+}
+
+/// The answer to a request none of a server's own routes matched.
+///
+/// # Errors
+///
+/// [`ServeError::Io`] on socket errors.
+pub fn fallback(
+    stream: &mut TcpStream,
+    req: &Request,
+    segments: &[&str],
+) -> Result<(), ServeError> {
+    match (req.method.as_str(), segments) {
+        ("GET", ["dashboard"]) => respond(
+            stream,
+            200,
+            "text/html; charset=utf-8",
+            crate::dashboard::DASHBOARD_HTML,
+        ),
+        ("GET" | "POST", _) => respond_error(stream, 404, "no such route"),
+        _ => respond_error(stream, 405, "method not allowed"),
+    }
 }
 
 /// A client-side response: status plus fully-read body (chunked bodies

@@ -9,6 +9,7 @@
 //! | Endpoint | Meaning |
 //! |---|---|
 //! | `POST /jobs` | submit a [`JobSpec`]; `202` + id, `429` full, `503` draining |
+//! | `GET /jobs` | job listing |
 //! | `GET /jobs/:id` | job state |
 //! | `GET /jobs/:id/result` | canonical summary JSON once done |
 //! | `GET /jobs/:id/events` | chunked JSONL event stream |
@@ -16,25 +17,41 @@
 //! | `GET /jobs/:id/analytics` | rolling criticality fold of the job's events |
 //! | `GET /jobs/:id/trace` | Chrome trace-event timeline of the job |
 //! | `GET /jobs/:id/profile` | hierarchical phase profile of the job |
-//! | `GET /jobs` | job listing |
+//! | `GET /jobs/:id/metrics` | the finished job's metrics snapshot JSON |
+//! | `POST /jobs/:id/cancel` | cancel queued/running job |
 //! | `GET /analytics` | daemon-wide criticality rollup |
 //! | `GET /profile` | daemon-wide merged phase profile + hot phases |
-//! | `GET /dashboard` | self-contained live HTML dashboard |
-//! | `POST /jobs/:id/cancel` | cancel queued/running job |
-//! | `GET /jobs/:id/metrics` | the finished job's metrics snapshot JSON |
 //! | `GET /metrics` | Prometheus exposition |
-//! | `GET /healthz` | liveness |
+//! | `GET /alerts` | health-rule table (queue saturation) |
+//! | `GET /healthz` | liveness, pool occupancy and the trace-epoch clock |
+//! | `GET /dashboard` | self-contained live HTML dashboard |
 //! | `POST /shutdown` | graceful drain |
 //!
 //! The [`coord`] module federates many such daemons under one
-//! coordinator for a single sharded campaign. The coordinator speaks a
-//! compatible read API — `GET /analytics`, `/dashboard`, `/metrics`,
-//! `/healthz` and the federated `GET /jobs/:id/stream` — plus:
+//! coordinator for a single sharded campaign. The coordinator serves its
+//! one merged campaign as the job `merged` (any `:id` names it):
 //!
 //! | Endpoint | Meaning |
 //! |---|---|
 //! | `POST /register` | `{"worker":"host:port"}` joins the fleet |
 //! | `GET /shards` | shard table: range, worker, state, coverage |
+//! | `GET /jobs` | the one merged job and its state |
+//! | `GET /jobs/:id` | merged campaign state (`running` / `done`) |
+//! | `GET /jobs/:id/result` | merged canonical summary once done |
+//! | `GET /jobs/:id/events` | chunked merged analytic event stream |
+//! | `GET /jobs/:id/stream` | federated SSE tail, resumable via `Last-Event-ID` |
+//! | `GET /jobs/:id/analytics` | criticality fold of the merged stream |
+//! | `GET /analytics` | the merged rollup in the daemon's body shape |
+//! | `GET /metrics` | Prometheus exposition, shard-labelled |
+//! | `GET /trace` | merged fleet-wide Chrome trace |
+//! | `GET /alerts` | fleet health-rule table |
+//! | `GET /healthz` | liveness, fleet size and coverage |
+//! | `GET /dashboard` | the daemon's dashboard page |
+//! | `POST /shutdown` | stop orchestrating and serving |
+//!
+//! Both servers stand on one HTTP plane ([`http`]): one accept loop,
+//! one fallback for `/dashboard`, `404` and `405`, and one responder
+//! per answer shape.
 //!
 //! The crate also owns the `radcrit-campaign` binary (daemon + client +
 //! coordinator + one-shot subcommands), moved here so the service and

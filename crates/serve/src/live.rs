@@ -22,8 +22,8 @@
 //! [`radcrit_obs::append_log`] for the torn-tail rule).
 //!
 //! A client that goes away mid-stream surfaces as
-//! [`ServeError::Disconnected`]: the handler reaps the connection and
-//! the job keeps running.
+//! [`ServeError::Disconnected`]; [`serve_stream`], the one SSE responder
+//! of both servers, reaps the connection and the job keeps running.
 
 use std::net::TcpStream;
 use std::path::Path;
@@ -32,7 +32,7 @@ use std::time::Duration;
 use radcrit_obs::{CriticalityAggregator, LogTail};
 
 use crate::error::ServeError;
-use crate::http::respond_chunked;
+use crate::http::{respond_chunked, Request};
 
 /// How often the SSE tail re-checks a live event file for new lines.
 pub const TAIL_POLL: Duration = Duration::from_millis(50);
@@ -83,6 +83,26 @@ pub fn stream_sse(
         is_terminal,
         SSE_PING_INTERVAL,
     )
+}
+
+/// Answers `req` with the SSE tail of `events_path`: resumes after the
+/// request's `Last-Event-ID`, runs [`stream_sse`] and reaps a client
+/// that went away as a normal end.
+///
+/// # Errors
+///
+/// [`ServeError::Io`] on file or socket errors other than a disconnect.
+pub fn serve_stream(
+    stream: &mut TcpStream,
+    events_path: &Path,
+    req: &Request,
+    is_terminal: &dyn Fn() -> bool,
+) -> Result<(), ServeError> {
+    let resume_after = parse_last_event_id(req.header("last-event-id"));
+    match stream_sse(stream, events_path, resume_after, is_terminal) {
+        Err(ServeError::Disconnected(_)) => Ok(()),
+        other => other,
+    }
 }
 
 /// [`stream_sse`] with an explicit keep-alive interval (tests shrink it

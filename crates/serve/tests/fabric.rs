@@ -6,37 +6,16 @@
 //! spec, and killing a worker mid-campaign re-dispatches its remaining
 //! range to a survivor without disturbing that identity.
 
-use std::path::PathBuf;
+mod common;
+
 use std::time::{Duration, Instant};
 
-use radcrit_campaign::{CampaignSummary, KernelSpec, RunOptions};
+use common::{config, dgemm_spec, temp_dir};
+use radcrit_campaign::{CampaignSummary, RunOptions};
 use radcrit_obs::{json, CriticalityAggregator};
 use radcrit_serve::coord::{self, CoordinatorConfig};
-use radcrit_serve::daemon::{self, DaemonConfig};
-use radcrit_serve::{Client, DeviceKind, JobSpec};
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let p = std::env::temp_dir().join(format!("radcrit-fabric-it-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&p).ok();
-    p
-}
-
-fn worker_config(dir: &std::path::Path) -> DaemonConfig {
-    DaemonConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        data_dir: dir.to_path_buf(),
-        pool: 1,
-        queue_depth: 16,
-        ..DaemonConfig::default()
-    }
-}
-
-fn dgemm_spec(n: usize, injections: usize, seed: u64) -> JobSpec {
-    let mut spec = JobSpec::new(DeviceKind::K40, KernelSpec::Dgemm { n }, injections, seed);
-    spec.scale = 8;
-    spec.workers = 2;
-    spec
-}
+use radcrit_serve::daemon;
+use radcrit_serve::{Client, JobSpec};
 
 /// The canonical summary a one-shot in-process run of `spec` produces —
 /// the identity every federated run must reproduce byte for byte.
@@ -88,8 +67,8 @@ fn a_federated_campaign_matches_the_single_node_summary() {
     let reference = single_node_summary(&spec);
 
     // Two workers join the (initially empty) fleet over the wire.
-    let w0 = daemon::start(worker_config(&base.join("w0"))).unwrap();
-    let w1 = daemon::start(worker_config(&base.join("w1"))).unwrap();
+    let w0 = daemon::start(config(&base.join("w0"), 1)).unwrap();
+    let w1 = daemon::start(config(&base.join("w1"), 1)).unwrap();
     let coordinator = coord::start(CoordinatorConfig {
         addr: "127.0.0.1:0".to_owned(),
         data_dir: base.join("coord"),
@@ -161,7 +140,7 @@ fn killing_a_worker_mid_campaign_redispatches_and_merges_bit_identically() {
     let reference = single_node_summary(&spec);
 
     let mut workers: Vec<Option<daemon::DaemonHandle>> = (0..3)
-        .map(|i| Some(daemon::start(worker_config(&base.join(format!("w{i}")))).unwrap()))
+        .map(|i| Some(daemon::start(config(&base.join(format!("w{i}")), 1)).unwrap()))
         .collect();
     let addrs: Vec<String> = workers
         .iter()

@@ -9,31 +9,17 @@
 //! must degrade to a `skipped_sources` entry, never a malformed
 //! document.
 
+mod common;
+
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::PathBuf;
 use std::time::Duration;
 
+use common::{config, temp_dir};
 use radcrit_campaign::KernelSpec;
 use radcrit_obs::json;
 use radcrit_serve::coord::{self, CoordinatorConfig};
-use radcrit_serve::daemon::{self, DaemonConfig};
+use radcrit_serve::daemon;
 use radcrit_serve::{Client, DeviceKind, JobSpec};
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let p = std::env::temp_dir().join(format!("radcrit-fltr-it-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&p).ok();
-    p
-}
-
-fn worker_config(dir: &std::path::Path) -> DaemonConfig {
-    DaemonConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        data_dir: dir.to_path_buf(),
-        pool: 1,
-        queue_depth: 16,
-        ..DaemonConfig::default()
-    }
-}
 
 /// Runs a fixed-seed two-worker federated campaign to completion and
 /// returns the coordinator's merged fleet trace. With `torn`, one
@@ -45,8 +31,8 @@ fn federated_trace(tag: &str, torn: bool) -> String {
     spec.scale = 8;
     spec.workers = 1;
 
-    let w0 = daemon::start(worker_config(&base.join("w0"))).unwrap();
-    let w1 = daemon::start(worker_config(&base.join("w1"))).unwrap();
+    let w0 = daemon::start(config(&base.join("w0"), 1)).unwrap();
+    let w1 = daemon::start(config(&base.join("w1"), 1)).unwrap();
     let coordinator = coord::start(CoordinatorConfig {
         addr: "127.0.0.1:0".to_owned(),
         data_dir: base.join("coord"),

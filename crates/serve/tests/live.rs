@@ -4,38 +4,17 @@
 //! the Chrome trace endpoint, the daemon rollup, the worker gauges, and
 //! the disconnected-SSE-client regression.
 
+mod common;
+
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use radcrit_campaign::{CampaignSummary, KernelSpec};
+use common::{config, dgemm_spec, temp_dir};
+use radcrit_campaign::CampaignSummary;
 use radcrit_obs::{json, CriticalityAggregator};
-use radcrit_serve::daemon::{self, DaemonConfig};
-use radcrit_serve::{Client, DeviceKind, JobSpec};
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let p = std::env::temp_dir().join(format!("radcrit-live-it-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&p).ok();
-    p
-}
-
-fn config(dir: &std::path::Path, pool: usize) -> DaemonConfig {
-    DaemonConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        data_dir: dir.to_path_buf(),
-        pool,
-        queue_depth: 16,
-        ..DaemonConfig::default()
-    }
-}
-
-fn dgemm_spec(n: usize, injections: usize, seed: u64) -> JobSpec {
-    let mut spec = JobSpec::new(DeviceKind::K40, KernelSpec::Dgemm { n }, injections, seed);
-    spec.scale = 8;
-    spec.workers = 2;
-    spec
-}
+use radcrit_serve::daemon;
+use radcrit_serve::Client;
 
 fn fold_text(text: &str) -> CriticalityAggregator {
     let mut agg = CriticalityAggregator::new();

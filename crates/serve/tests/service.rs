@@ -3,38 +3,19 @@
 //! worker pool, and crash (abrupt stop) → restart resumption without
 //! duplicate injection indices.
 
+mod common;
+
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use radcrit_campaign::{KernelSpec, RunOptions};
+use common::{config, dgemm_spec, temp_dir};
+use radcrit_campaign::RunOptions;
 use radcrit_obs::event::parse_event_line;
+use radcrit_serve::coord::{self, CoordinatorConfig};
 use radcrit_serve::daemon::{self, DaemonConfig};
-use radcrit_serve::{Client, DeviceKind, JobSpec};
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let p = std::env::temp_dir().join(format!("radcrit-serve-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&p).ok();
-    p
-}
-
-fn config(dir: &std::path::Path, pool: usize) -> DaemonConfig {
-    DaemonConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        data_dir: dir.to_path_buf(),
-        pool,
-        queue_depth: 16,
-        ..DaemonConfig::default()
-    }
-}
-
-/// A small DGEMM campaign on the scaled K40 (the sweep-test idiom).
-fn dgemm_spec(n: usize, injections: usize, seed: u64) -> JobSpec {
-    let mut spec = JobSpec::new(DeviceKind::K40, KernelSpec::Dgemm { n }, injections, seed);
-    spec.scale = 8;
-    spec.workers = 2;
-    spec
-}
+use radcrit_serve::{Client, JobSpec};
 
 /// What the direct (non-daemon) path produces for this spec.
 fn direct_summary_json(spec: &JobSpec) -> String {
@@ -325,5 +306,119 @@ fn backpressure_and_draining_refuse_new_jobs() {
         dir.join("jobs").join(&queued).join("result.json").exists(),
         "queued job must finish during a graceful drain"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Sends `request` verbatim and returns the whole raw response (head and
+/// body): every answer is `Connection: close`, so EOF delimits it.
+fn raw_exchange(addr: SocketAddr, request: &str) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(request.as_bytes()).unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    response
+}
+
+/// The exact bytes of a fixed-length JSON error answer.
+fn json_error(status: &str, body: &str) -> String {
+    format!(
+        "HTTP/1.1 {status}\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )
+}
+
+#[test]
+fn daemon_and_coordinator_answer_the_shared_routes_byte_for_byte() {
+    let dir = temp_dir("wire");
+    let daemon = daemon::start(config(&dir.join("daemon"), 1)).unwrap();
+    // No workers: the coordinator stays up, serving, with nothing to
+    // dispatch.
+    let coordinator = coord::start(CoordinatorConfig {
+        data_dir: dir.join("coord"),
+        ..CoordinatorConfig::new(dgemm_spec(32, 10, 7))
+    })
+    .unwrap();
+
+    let bad_request = json_error("400 Bad Request", "{\"error\":\"bad request\"}");
+    let no_route = json_error("404 Not Found", "{\"error\":\"no such route\"}");
+    let not_allowed = json_error(
+        "405 Method Not Allowed",
+        "{\"error\":\"method not allowed\"}",
+    );
+    let mut dashboards = Vec::new();
+    for addr in [daemon.addr(), coordinator.addr()] {
+        assert_eq!(raw_exchange(addr, "NOPE\r\n\r\n"), bad_request, "{addr}");
+        assert_eq!(
+            raw_exchange(addr, "GET /nope HTTP/1.1\r\n\r\n"),
+            no_route,
+            "{addr}"
+        );
+        assert_eq!(
+            raw_exchange(addr, "PUT /jobs HTTP/1.1\r\n\r\n"),
+            not_allowed,
+            "{addr}"
+        );
+        dashboards.push(raw_exchange(
+            addr,
+            "GET /dashboard?job=job-000001 HTTP/1.1\r\n\r\n",
+        ));
+    }
+    assert_eq!(dashboards[0], dashboards[1], "one dashboard page");
+    assert!(
+        dashboards[0].starts_with("HTTP/1.1 200 OK\r\nContent-Type: text/html; charset=utf-8\r\n"),
+        "{}",
+        &dashboards[0][..80]
+    );
+    assert!(dashboards[0].ends_with(radcrit_serve::dashboard::DASHBOARD_HTML));
+
+    // Every per-job route of the daemon answers an unknown id alike.
+    let unknown_job = json_error("404 Not Found", "{\"error\":\"unknown job\"}");
+    for route in [
+        "GET /jobs/job-999999",
+        "GET /jobs/job-999999/result",
+        "GET /jobs/job-999999/events",
+        "GET /jobs/job-999999/stream",
+        "GET /jobs/job-999999/analytics",
+        "GET /jobs/job-999999/trace",
+        "GET /jobs/job-999999/profile",
+        "GET /jobs/job-999999/metrics",
+        "POST /jobs/job-999999/cancel",
+    ] {
+        assert_eq!(
+            raw_exchange(daemon.addr(), &format!("{route} HTTP/1.1\r\n\r\n")),
+            unknown_job,
+            "{route}"
+        );
+    }
+
+    // Error messages with JSON metacharacters stay escaped as before.
+    assert_eq!(
+        raw_exchange(
+            coordinator.addr(),
+            "POST /register HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}"
+        ),
+        json_error(
+            "400 Bad Request",
+            "{\"error\":\"body must be {\\\"worker\\\":\\\"host:port\\\"}\"}"
+        )
+    );
+    assert_eq!(
+        raw_exchange(
+            coordinator.addr(),
+            "GET /jobs/merged/result HTTP/1.1\r\n\r\n"
+        ),
+        json_error(
+            "409 Conflict",
+            "{\"error\":\"job is running, result not available\"}"
+        )
+    );
+
+    coordinator.shutdown().unwrap();
+    Client::new(daemon.addr().to_string()).shutdown().unwrap();
+    daemon.join();
     std::fs::remove_dir_all(&dir).ok();
 }
