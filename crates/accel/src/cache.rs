@@ -312,12 +312,13 @@ impl SetAssocCache {
     /// if an eviction happened.
     ///
     /// Generic over the [`KernelExecutor`] backend so the tag scan and
-    /// LRU victim scan inline into the ISA-specific body of
-    /// [`CacheHierarchy::access`] — dispatch happens once per bulk
-    /// access, not once per line touch. Dispatches the associativities
-    /// the paper devices actually use (4/8/16-way) to a const-width
-    /// body: the tag scan and LRU victim pick then fully unroll, with
-    /// no data-dependent trip counts left on the per-line hot path.
+    /// LRU victim scan inline, through [`CacheHierarchy::access_into`],
+    /// into the ISA-specific bodies of `TileCtx::load_rows` and
+    /// `TileCtx::store` — dispatch happens once per bulk access, not
+    /// once per line touch. Dispatches the associativities the paper
+    /// devices actually use (4/8/16-way) to a const-width body: the tag
+    /// scan and LRU victim pick then fully unroll, with no
+    /// data-dependent trip counts left on the per-line hot path.
     #[inline(always)]
     fn touch<E: KernelExecutor>(
         &mut self,
@@ -697,39 +698,13 @@ impl CacheHierarchy {
         self.corruption_touched
     }
 
-    /// Fast check: could the element at `byte_addr` possibly carry pending
-    /// corruption? `false` guarantees [`CacheHierarchy::corruption_for`]
-    /// would return 0, letting bulk loads take a copy-only fast path.
-    #[inline]
-    pub fn elem_maybe_corrupted(&self, byte_addr: usize) -> bool {
-        if self.corrupted_watch.is_empty() {
-            return false;
-        }
-        self.corrupted_watch.contains(&self.line_of(byte_addr))
-    }
-
-    /// Fast check at line granularity; see
-    /// [`CacheHierarchy::elem_maybe_corrupted`].
-    #[inline]
-    pub fn line_maybe_corrupted(&self, line: u64) -> bool {
-        !self.corrupted_watch.is_empty() && self.corrupted_watch.contains(&line)
-    }
-
     /// Element-index ranges of the access span `[byte_addr, byte_addr +
     /// len)` (8-byte elements, `byte_addr` element-aligned) that lie on
-    /// ever-struck lines. Everything outside the returned ranges is
+    /// ever-struck lines, into `out` (cleared first, so per-row scans
+    /// reuse one allocation). Everything outside the ranges is
     /// guaranteed corruption-free, so bulk accesses only pay per-element
     /// corruption checks on the handful of elements sharing a line with
     /// a strike — the watch list holds at most one entry per strike.
-    pub fn corrupted_elem_ranges(&self, byte_addr: usize, len: usize) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        self.corrupted_ranges_into(byte_addr, len, &mut out);
-        out
-    }
-
-    /// [`CacheHierarchy::corrupted_elem_ranges`] into a caller-owned
-    /// vector (cleared first), so per-row scans on the bulk load/store
-    /// paths reuse one allocation across rows.
     pub fn corrupted_ranges_into(
         &self,
         byte_addr: usize,
@@ -793,57 +768,10 @@ impl CacheHierarchy {
     }
 
     /// Touches every line overlapping `[byte_addr, byte_addr + len)` from
-    /// `unit`, with `write` marking L2 lines dirty. Returns corrupted
-    /// write-backs caused by evictions (apply them to backing memory).
-    pub fn access(
-        &mut self,
-        unit: usize,
-        byte_addr: usize,
-        len: usize,
-        write: bool,
-    ) -> Vec<WriteBack> {
-        // ISA dispatch happens here, once per bulk access: the
-        // `#[target_feature]` wrapper lets the executor's intrinsics
-        // inline straight into the touch loop, so per-line touches pay
-        // no per-call dispatch.
-        match exec::active() {
-            #[cfg(target_arch = "x86_64")]
-            // Safety: `exec::active` only reports Avx2 after runtime
-            // detection confirmed AVX2 + FMA on this host.
-            exec::Isa::Avx2 => unsafe { self.access_avx2(unit, byte_addr, len, write) },
-            #[cfg(target_arch = "aarch64")]
-            exec::Isa::Neon => self.access_body::<exec::Neon>(unit, byte_addr, len, write),
-            _ => self.access_body::<exec::Scalar>(unit, byte_addr, len, write),
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn access_avx2(
-        &mut self,
-        unit: usize,
-        byte_addr: usize,
-        len: usize,
-        write: bool,
-    ) -> Vec<WriteBack> {
-        self.access_body::<exec::Avx2>(unit, byte_addr, len, write)
-    }
-
-    #[inline(always)]
-    pub(crate) fn access_body<E: KernelExecutor>(
-        &mut self,
-        unit: usize,
-        byte_addr: usize,
-        len: usize,
-        write: bool,
-    ) -> Vec<WriteBack> {
-        let mut out = Vec::new();
-        self.access_into::<E>(unit, byte_addr, len, write, &mut out);
-        out
-    }
-
-    /// [`CacheHierarchy::access_body`] with a caller-owned write-back
-    /// vector, so bulk row loads reuse one allocation across rows.
+    /// `unit`, with `write` marking L2 lines dirty, and appends to `out`
+    /// the corrupted write-backs its evictions cause (apply them to
+    /// backing memory). Generic over the executor so the caller's one
+    /// ISA dispatch covers every line touch.
     #[inline(always)]
     pub(crate) fn access_into<E: KernelExecutor>(
         &mut self,
@@ -868,15 +796,19 @@ impl CacheHierarchy {
                 if let Some(h) = self.history.as_deref_mut() {
                     h.l2_evict(ev_line);
                 }
-                if dirty {
-                    for f in flips {
-                        out.push(WriteBack {
-                            byte_addr: ev_line as usize * self.line_bytes + f.offset,
-                            mask: f.mask,
-                        });
-                    }
-                }
+                self.write_back_line(ev_line, dirty, flips, out);
             }
+        }
+    }
+
+    /// The write-backs of an L2 line leaving the hierarchy (evicted or
+    /// flushed): a dirty line's flips reach DRAM, a clean line's vanish.
+    fn write_back_line(&self, line: u64, dirty: bool, flips: Vec<Flip>, out: &mut Vec<WriteBack>) {
+        if dirty {
+            out.extend(flips.into_iter().map(|f| WriteBack {
+                byte_addr: line as usize * self.line_bytes + f.offset,
+                mask: f.mask,
+            }));
         }
     }
 
@@ -933,17 +865,7 @@ impl CacheHierarchy {
     /// the line. Returns `None` when the L2 is empty (strike hits an
     /// invalid line — architecturally masked).
     pub fn strike_l2<R: Rng + ?Sized>(&mut self, rng: &mut R, mask: u64) -> Option<StrikeInfo> {
-        let line = self.l2.sample_resident(rng)?;
-        let elems = self.line_bytes / 8;
-        let offset = rng.gen_range(0..elems) * 8;
-        self.l2.add_flip(line, offset, mask);
-        if !self.corrupted_watch.contains(&line) {
-            self.corrupted_watch.push(line);
-        }
-        Some(StrikeInfo {
-            byte_addr: line as usize * self.line_bytes + offset,
-            mask,
-        })
+        self.strike(None, rng, mask)
     }
 
     /// Strikes a random resident line of `unit`'s L1.
@@ -953,10 +875,23 @@ impl CacheHierarchy {
         rng: &mut R,
         mask: u64,
     ) -> Option<StrikeInfo> {
-        let cache = &mut self.l1[unit];
+        self.strike(Some(unit), rng, mask)
+    }
+
+    /// Flips `mask` in one random element of a random resident line of
+    /// `l1_unit`'s L1, or of the L2 when `None`.
+    fn strike<R: Rng + ?Sized>(
+        &mut self,
+        l1_unit: Option<usize>,
+        rng: &mut R,
+        mask: u64,
+    ) -> Option<StrikeInfo> {
+        let cache = match l1_unit {
+            Some(unit) => &mut self.l1[unit],
+            None => &mut self.l2,
+        };
         let line = cache.sample_resident(rng)?;
-        let elems = self.line_bytes / 8;
-        let offset = rng.gen_range(0..elems) * 8;
+        let offset = rng.gen_range(0..self.line_bytes / 8) * 8;
         cache.add_flip(line, offset, mask);
         if !self.corrupted_watch.contains(&line) {
             self.corrupted_watch.push(line);
@@ -975,14 +910,7 @@ impl CacheHierarchy {
         }
         let mut out = Vec::new();
         for (line, dirty, flips) in self.l2.flush() {
-            if dirty {
-                for f in flips {
-                    out.push(WriteBack {
-                        byte_addr: line as usize * self.line_bytes + f.offset,
-                        mask: f.mask,
-                    });
-                }
-            }
+            self.write_back_line(line, dirty, flips, &mut out);
         }
         out
     }
@@ -1023,6 +951,26 @@ mod tests {
         CacheHierarchy::new(&cfg)
     }
 
+    /// One access through the active executor's body, returning its
+    /// write-backs.
+    fn access_span(
+        h: &mut CacheHierarchy,
+        unit: usize,
+        byte_addr: usize,
+        len: usize,
+        write: bool,
+    ) -> Vec<WriteBack> {
+        let mut out = Vec::new();
+        match exec::active() {
+            #[cfg(target_arch = "x86_64")]
+            exec::Isa::Avx2 => h.access_into::<exec::Avx2>(unit, byte_addr, len, write, &mut out),
+            #[cfg(target_arch = "aarch64")]
+            exec::Isa::Neon => h.access_into::<exec::Neon>(unit, byte_addr, len, write, &mut out),
+            _ => h.access_into::<exec::Scalar>(unit, byte_addr, len, write, &mut out),
+        }
+        out
+    }
+
     #[test]
     fn geometry_validation() {
         assert!(CacheGeometry::new(0, 64, 8).is_err());
@@ -1039,8 +987,8 @@ mod tests {
     #[test]
     fn hits_and_misses_counted() {
         let mut h = tiny_hierarchy();
-        h.access(0, 0, 8, false);
-        h.access(0, 8, 8, false); // same line: hit
+        access_span(&mut h, 0, 0, 8, false);
+        access_span(&mut h, 0, 8, 8, false); // same line: hit
         let s = h.stats();
         assert_eq!(s.l2_misses, 1);
         assert_eq!(s.l2_hits, 1);
@@ -1052,7 +1000,7 @@ mod tests {
     fn corruption_visible_while_resident() {
         let mut h = tiny_hierarchy();
         let mut rng = SmallRng::seed_from_u64(1);
-        h.access(0, 0, 64, false);
+        access_span(&mut h, 0, 0, 64, false);
         let info = h.strike_l2(&mut rng, 1 << 52).expect("line resident");
         assert!(h.has_pending_corruption());
         let mask = h.corruption_for(0, info.byte_addr);
@@ -1074,14 +1022,14 @@ mod tests {
     fn clean_corrupted_line_discards_on_eviction() {
         let mut h = tiny_hierarchy();
         let mut rng = SmallRng::seed_from_u64(3);
-        h.access(0, 0, 8, false); // read-only: clean line
+        access_span(&mut h, 0, 0, 8, false); // read-only: clean line
         let info = h.strike_l2(&mut rng, 0xFF).unwrap();
         // Evict by filling the set. L2 has 4 sets (512/64/2): lines
         // mapping to set 0 are line 0, 4, 8...
         let set_stride = 4 * 64;
         let mut wb = Vec::new();
-        wb.extend(h.access(0, set_stride, 8, false));
-        wb.extend(h.access(0, 2 * set_stride, 8, false));
+        wb.extend(access_span(&mut h, 0, set_stride, 8, false));
+        wb.extend(access_span(&mut h, 0, 2 * set_stride, 8, false));
         assert!(
             wb.is_empty(),
             "clean eviction must not write back corruption"
@@ -1093,12 +1041,12 @@ mod tests {
     fn dirty_corrupted_line_writes_back_on_eviction() {
         let mut h = tiny_hierarchy();
         let mut rng = SmallRng::seed_from_u64(4);
-        h.access(0, 0, 8, true); // write: dirty line
+        access_span(&mut h, 0, 0, 8, true); // write: dirty line
         let info = h.strike_l2(&mut rng, 0xAB).unwrap();
         let set_stride = 4 * 64;
         let mut wb = Vec::new();
-        wb.extend(h.access(0, set_stride, 8, false));
-        wb.extend(h.access(0, 2 * set_stride, 8, false));
+        wb.extend(access_span(&mut h, 0, set_stride, 8, false));
+        wb.extend(access_span(&mut h, 0, 2 * set_stride, 8, false));
         assert_eq!(wb.len(), 1);
         assert_eq!(wb[0].mask, 0xAB);
         assert_eq!(wb[0].byte_addr, info.byte_addr);
@@ -1108,7 +1056,7 @@ mod tests {
     fn flush_writes_back_dirty_corruption() {
         let mut h = tiny_hierarchy();
         let mut rng = SmallRng::seed_from_u64(5);
-        h.access(0, 128, 8, true);
+        access_span(&mut h, 0, 128, 8, true);
         let info = h.strike_l2(&mut rng, 0x10).unwrap();
         let wb = h.flush();
         assert_eq!(wb.len(), 1);
@@ -1120,7 +1068,7 @@ mod tests {
     fn program_write_supersedes_corruption() {
         let mut h = tiny_hierarchy();
         let mut rng = SmallRng::seed_from_u64(6);
-        h.access(0, 0, 8, true);
+        access_span(&mut h, 0, 0, 8, true);
         let info = h.strike_l2(&mut rng, 0xFFFF).unwrap();
         h.note_element_write(0, info.byte_addr);
         assert_eq!(h.corruption_for(0, info.byte_addr), 0);
@@ -1131,7 +1079,7 @@ mod tests {
     fn l1_corruption_is_private_to_unit() {
         let mut h = tiny_hierarchy();
         let mut rng = SmallRng::seed_from_u64(7);
-        h.access(0, 0, 8, false);
+        access_span(&mut h, 0, 0, 8, false);
         let info = h.strike_l1(0, &mut rng, 1 << 3).unwrap();
         assert_eq!(h.corruption_for(0, info.byte_addr), 1 << 3);
         assert_eq!(h.corruption_for(1, info.byte_addr), 0, "unit 1 unaffected");
@@ -1141,19 +1089,19 @@ mod tests {
     fn l1_eviction_discards_corruption_write_through() {
         let mut h = tiny_hierarchy();
         let mut rng = SmallRng::seed_from_u64(8);
-        h.access(0, 0, 8, false);
+        access_span(&mut h, 0, 0, 8, false);
         let info = h.strike_l1(0, &mut rng, 1 << 9).unwrap();
         // L1 has 2 sets (256/64/2): lines 0, 2, 4... map to set 0.
         let set_stride = 2 * 64;
-        h.access(0, set_stride, 8, false);
-        h.access(0, 2 * set_stride, 8, false);
+        access_span(&mut h, 0, set_stride, 8, false);
+        access_span(&mut h, 0, 2 * set_stride, 8, false);
         assert_eq!(h.corruption_for(0, info.byte_addr), 0);
     }
 
     #[test]
     fn double_strike_same_element_cancels() {
         let mut h = tiny_hierarchy();
-        h.access(0, 0, 64, false);
+        access_span(&mut h, 0, 0, 64, false);
         // Deterministically strike the same element twice via direct API.
         h.l2.add_flip(0, 0, 0xF0);
         h.l2.add_flip(0, 0, 0xF0);
@@ -1178,11 +1126,11 @@ mod tests {
         for (cfg, expect_surviving) in [(small_cfg, false), (big_cfg, true)] {
             let mut h = CacheHierarchy::new(&cfg);
             let mut rng = SmallRng::seed_from_u64(9);
-            h.access(0, 0, 8, false);
+            access_span(&mut h, 0, 0, 8, false);
             let info = h.strike_l2(&mut rng, 1).unwrap();
             // Stream 32 more distinct lines.
             for i in 1..=32 {
-                h.access(0, i * 64, 8, false);
+                access_span(&mut h, 0, i * 64, 8, false);
             }
             let survived = h.corruption_for(0, info.byte_addr) != 0;
             assert_eq!(
@@ -1198,14 +1146,20 @@ mod tests {
     fn fast_path_flags_struck_lines_only() {
         let mut h = tiny_hierarchy();
         let mut rng = SmallRng::seed_from_u64(10);
-        h.access(0, 0, 64, false);
-        h.access(0, 4096, 64, false);
-        assert!(!h.elem_maybe_corrupted(0));
+        access_span(&mut h, 0, 0, 64, false);
+        access_span(&mut h, 0, 4096, 64, false);
+        let mut ranges = Vec::new();
+        h.corrupted_ranges_into(0, 64, &mut ranges);
+        assert!(ranges.is_empty());
         let info = h.strike_l2(&mut rng, 1).unwrap();
-        assert!(h.elem_maybe_corrupted(info.byte_addr));
-        // The watch list is line-granular and conservative.
+        // The watch list is line-granular and conservative: the whole
+        // struck line is flagged, the other resident line is not.
         let line_base = info.byte_addr / 64 * 64;
-        assert!(h.elem_maybe_corrupted(line_base + 56));
+        h.corrupted_ranges_into(line_base, 64, &mut ranges);
+        assert_eq!(ranges, vec![(0, 8)]);
+        let other = if line_base == 0 { 4096 } else { 0 };
+        h.corrupted_ranges_into(other, 64, &mut ranges);
+        assert!(ranges.is_empty());
     }
 
     #[test]

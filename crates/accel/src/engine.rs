@@ -589,18 +589,12 @@ impl Engine {
         let mut strike_delivered = false;
         let mut resolutions: Vec<StrikeResolution> = Vec::new();
 
-        // Pending per-position effects resolved from the strikes. A
-        // single-strike run (the normal case) keeps these collections at
-        // most one element long.
-        let mut armed_faults: Vec<(usize, TileFault)> = Vec::new();
-        let mut skip_positions: Vec<usize> = Vec::new();
-        let mut redirects: Vec<(usize, usize)> = Vec::new();
-        let mut unit_garbles: Vec<usize> = Vec::new();
+        let mut pending = PendingFaults::default();
 
         // Dead-strike early exit: once every strike tile has passed and
         // no corruption is pending or was ever observed, and no core or
-        // scheduler fault was ever armed (those vecs are never drained;
-        // such runs are left to the contained exit below), the
+        // scheduler fault was ever armed (the pending table is never
+        // drained; such runs are left to the contained exit below), the
         // resumability contract guarantees the remaining tiles compute
         // exactly the golden values. Stop executing; the caller skips
         // the compare. Gated on resumable programs only (pathological
@@ -629,17 +623,7 @@ impl Engine {
         early.sort_by_key(|s| s.at_tile);
         let deferred = !early.is_empty();
         for s in early {
-            let resolution = self.deliver_strike(
-                s,
-                s.at_tile,
-                &plan,
-                &mut caches,
-                &mut armed_faults,
-                &mut skip_positions,
-                &mut redirects,
-                &mut unit_garbles,
-                rng,
-            );
+            let resolution = pending.deliver(s, s.at_tile, &plan, &mut caches, rng);
             if let Some(victim) = resolution.victim_tile.filter(|&v| v < start_tile) {
                 return Err(AccelError::StrikeOutOfRange {
                     tile: victim,
@@ -677,41 +661,15 @@ impl Engine {
 
             for s in strikes {
                 if s.at_tile == pos {
-                    let resolution = self.deliver_strike(
-                        s,
-                        pos,
-                        &plan,
-                        &mut caches,
-                        &mut armed_faults,
-                        &mut skip_positions,
-                        &mut redirects,
-                        &mut unit_garbles,
-                        rng,
-                    );
+                    let resolution = pending.deliver(s, pos, &plan, &mut caches, rng);
                     strike_delivered |= resolution.delivered;
                     resolutions.push(resolution);
                 }
             }
 
-            if skip_positions.contains(&pos) {
+            let Some((effective_tile, fault)) = pending.tile_at(pos, &plan) else {
                 continue;
-            }
-
-            let effective_tile = redirects
-                .iter()
-                .find(|(victim, _)| *victim == pos)
-                .map_or(pos, |&(_, dest)| dest);
-
-            let mut fault = armed_faults
-                .iter()
-                .find(|(victim, _)| *victim == pos)
-                .map_or_else(TileFault::none, |&(_, f)| f);
-            if unit_garbles
-                .iter()
-                .any(|&from| plan.unit_garble_applies(from, pos))
-            {
-                fault.garble = true;
-            }
+            };
 
             let unit = plan.unit_of(pos);
             if let Some(h) = caches.history.as_deref_mut() {
@@ -767,10 +725,7 @@ impl Engine {
             if let Some(last) = last_strike_tile {
                 if resumable
                     && pos >= last
-                    && armed_faults.is_empty()
-                    && skip_positions.is_empty()
-                    && redirects.is_empty()
-                    && unit_garbles.is_empty()
+                    && pending.is_empty()
                     && !caches.corruption_touched()
                     && !caches.has_pending_corruption()
                 {
@@ -796,12 +751,7 @@ impl Engine {
                 if pos + 1 < tiles
                     && w.ledger.tiles[pos].loaded_after & tainted == 0
                     && last_strike_tile.is_none_or(|last| pos >= last)
-                    && armed_faults.iter().all(|&(victim, _)| victim <= pos)
-                    && unit_garbles
-                        .iter()
-                        .all(|&from| plan.wave_of(pos + 1) != plan.wave_of(from))
-                    && skip_positions.is_empty()
-                    && redirects.is_empty()
+                    && pending.spent(pos, &plan)
                     && flips_settled(&caches, &w.ledger, pos + 1)
                 {
                     contained_at = Some(pos);
@@ -939,39 +889,53 @@ impl Engine {
             set,
         ))
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn deliver_strike<R: Rng + ?Sized>(
-        &self,
+/// One effect a delivered strike left pending at a dispatch position.
+#[derive(Debug, Clone, Copy)]
+enum Pending {
+    /// A fault armed on the victim tile.
+    Armed(TileFault),
+    /// The scheduler drops the tile.
+    Skip,
+    /// The scheduler dispatches the tile as this other tile.
+    Redirect(usize),
+    /// The struck unit garbles every tile of the rest of its wave.
+    UnitGarble,
+}
+
+/// The pending effects of a run's delivered strikes, keyed by dispatch
+/// position, in delivery order. A single-strike run (the normal case)
+/// holds at most one entry. Entries are never drained: a run that ever
+/// armed a core or scheduler fault never takes the dead-strike exit.
+#[derive(Debug, Default)]
+struct PendingFaults(Vec<(usize, Pending)>);
+
+impl PendingFaults {
+    /// Delivers `strike` at dispatch position `pos`: corrupts a resident
+    /// cache line, or records the effect the strike leaves pending.
+    /// Consumes `rng` exactly as the strike target requires (line and
+    /// offset, register victim, redirect destination).
+    fn deliver<R: Rng + ?Sized>(
+        &mut self,
         strike: &StrikeSpec,
         pos: usize,
         plan: &DispatchPlan,
         caches: &mut CacheHierarchy,
-        armed_faults: &mut Vec<(usize, TileFault)>,
-        skip_positions: &mut Vec<usize>,
-        redirects: &mut Vec<(usize, usize)>,
-        unit_garbles: &mut Vec<usize>,
         rng: &mut R,
     ) -> StrikeResolution {
-        let mut victim_tile = None;
-        let mut unit = None;
-        let mut redirect_dest = None;
-        let delivered = match strike.target {
-            StrikeTarget::L2 { mask } => caches.strike_l2(rng, mask).is_some(),
+        let here = plan.unit_of(pos);
+        let armed = |at: usize, f: TileFault| Some((at, Pending::Armed(f)));
+        let (delivered, effect, unit) = match strike.target {
+            StrikeTarget::L2 { mask } => (caches.strike_l2(rng, mask).is_some(), None, None),
             StrikeTarget::L1 { mask } => {
-                let u = plan.unit_of(pos);
-                unit = Some(u);
-                caches.strike_l1(u, rng, mask).is_some()
+                let hit = caches.strike_l1(here, rng, mask).is_some();
+                (hit, None, Some(here))
             }
             StrikeTarget::RegisterFile { mask, op_index } => {
                 let victim = draw_victim(plan, pos, rng);
-                let mut f = TileFault::none();
-                f.logic_at = op_index;
-                f.logic_lanes = 1;
-                f.logic_mask = mask;
-                armed_faults.push((victim, f));
-                victim_tile = Some(victim);
-                true
+                let f = TileFault::logic(op_index, 1, mask);
+                (true, armed(victim, f), None)
             }
             StrikeTarget::VectorRegister {
                 mask,
@@ -979,73 +943,116 @@ impl Engine {
                 op_index,
             } => {
                 let victim = draw_victim(plan, pos, rng);
-                let mut f = TileFault::none();
-                f.logic_at = op_index;
-                f.logic_lanes = u64::from(lanes.max(1));
-                f.logic_mask = mask;
-                armed_faults.push((victim, f));
-                victim_tile = Some(victim);
-                true
+                let f = TileFault::logic(op_index, u64::from(lanes.max(1)), mask);
+                (true, armed(victim, f), None)
             }
             StrikeTarget::Fpu { mask, op_index } => {
-                let mut f = TileFault::none();
-                f.logic_at = op_index;
-                f.logic_lanes = 1;
-                f.logic_mask = mask;
-                armed_faults.push((pos, f));
-                victim_tile = Some(pos);
-                unit = Some(plan.unit_of(pos));
-                true
+                let f = TileFault::logic(op_index, 1, mask);
+                (true, armed(pos, f), Some(here))
             }
             StrikeTarget::Sfu { scale, op_index } => {
-                let mut f = TileFault::none();
-                f.sfu_at = op_index;
-                f.sfu_scale = scale;
-                armed_faults.push((pos, f));
-                victim_tile = Some(pos);
-                unit = Some(plan.unit_of(pos));
-                true
+                let f = TileFault {
+                    sfu_at: op_index,
+                    sfu_scale: scale,
+                    ..TileFault::none()
+                };
+                (true, armed(pos, f), Some(here))
             }
             StrikeTarget::CoreControl { elems, store_index } => {
-                let mut f = TileFault::none();
-                f.store_at = store_index;
-                f.store_len = u64::from(elems.max(1));
-                armed_faults.push((pos, f));
-                victim_tile = Some(pos);
-                unit = Some(plan.unit_of(pos));
-                true
+                let f = TileFault {
+                    store_at: store_index,
+                    store_len: u64::from(elems.max(1)),
+                    ..TileFault::none()
+                };
+                (true, armed(pos, f), Some(here))
             }
-            StrikeTarget::UnitGarble => {
-                unit_garbles.push(pos);
-                unit = Some(plan.unit_of(pos));
-                true
-            }
+            StrikeTarget::UnitGarble => (true, Some((pos, Pending::UnitGarble)), Some(here)),
             StrikeTarget::Scheduler(effect) => {
-                match effect {
-                    SchedulerEffect::SkipTile => skip_positions.push(pos),
+                let pending = match effect {
+                    SchedulerEffect::SkipTile => Pending::Skip,
                     SchedulerEffect::RedirectTile => {
-                        let dest = rng.gen_range(0..plan.tiles());
-                        redirects.push((pos, dest));
-                        redirect_dest = Some(dest);
+                        Pending::Redirect(rng.gen_range(0..plan.tiles()))
                     }
-                    SchedulerEffect::GarbleTile => {
-                        let mut f = TileFault::none();
-                        f.garble = true;
-                        armed_faults.push((pos, f));
-                    }
-                }
-                victim_tile = Some(pos);
-                true
+                    SchedulerEffect::GarbleTile => Pending::Armed(TileFault {
+                        garble: true,
+                        ..TileFault::none()
+                    }),
+                };
+                (true, Some((pos, pending)), None)
             }
         };
+        self.0.extend(effect);
         StrikeResolution {
             at_tile: pos,
             site: strike.target.site_name(),
             delivered,
-            victim_tile,
+            // A unit garble names a wave, not a tile.
+            victim_tile: match effect {
+                Some((_, Pending::UnitGarble)) | None => None,
+                Some((at, _)) => Some(at),
+            },
             unit,
-            redirect_dest,
+            redirect_dest: match effect {
+                Some((_, Pending::Redirect(dest))) => Some(dest),
+                _ => None,
+            },
         }
+    }
+
+    /// How the tile at dispatch position `pos` runs: `None` when the
+    /// scheduler dropped it, else the tile it executes as (a redirect's
+    /// destination, or itself) and the fault armed on it — including a
+    /// unit garble whose wave covers `pos`.
+    fn tile_at(&self, pos: usize, plan: &DispatchPlan) -> Option<(usize, TileFault)> {
+        let at_pos = || self.0.iter().filter(move |&&(at, _)| at == pos);
+        if at_pos().any(|(_, e)| matches!(e, Pending::Skip)) {
+            return None;
+        }
+        let tile = at_pos()
+            .find_map(|&(_, e)| match e {
+                Pending::Redirect(dest) => Some(dest),
+                _ => None,
+            })
+            .unwrap_or(pos);
+        let mut fault = at_pos()
+            .find_map(|&(_, e)| match e {
+                Pending::Armed(f) => Some(f),
+                _ => None,
+            })
+            .unwrap_or_else(TileFault::none);
+        if self.0.iter().any(|&(from, e)| {
+            matches!(e, Pending::UnitGarble) && plan.unit_garble_applies(from, pos)
+        }) {
+            fault.garble = true;
+        }
+        Some((tile, fault))
+    }
+
+    /// Whether no strike left any effect pending — with no pending flip
+    /// and no corruption ever touched, the dead-strike exit's test.
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Whether a skip or redirect is pending: the run's address stream
+    /// may differ from golden's, so its cache state need not track
+    /// golden's tile for tile.
+    fn skip_or_redirect_pending(&self) -> bool {
+        self.0
+            .iter()
+            .any(|(_, e)| matches!(e, Pending::Skip | Pending::Redirect(_)))
+    }
+
+    /// Whether every pending effect is spent once the tile at `pos` has
+    /// run — every armed victim behind, every unit-garble wave over, no
+    /// skip or redirect — the contained exit's test.
+    fn spent(&self, pos: usize, plan: &DispatchPlan) -> bool {
+        !self.skip_or_redirect_pending()
+            && self.0.iter().all(|&(at, e)| match e {
+                Pending::Armed(_) => at <= pos,
+                Pending::UnitGarble => plan.wave_of(pos + 1) != plan.wave_of(at),
+                Pending::Skip | Pending::Redirect(_) => true, // ruled out above
+            })
     }
 }
 

@@ -17,6 +17,7 @@ use radcrit_core::exec;
 use radcrit_core::shape::OutputShape;
 use radcrit_obs::profile::{phase_if, tile_sample, PhaseId};
 
+use crate::cache::WriteBack;
 use crate::error::AccelError;
 use crate::memory::{BufferId, DeviceMemory};
 
@@ -134,6 +135,17 @@ impl TileFault {
             store_at: u64::MAX,
             store_len: 0,
             garble: false,
+        }
+    }
+
+    /// A logic upset: `lanes` consecutive ops from `op_index` get their
+    /// result XORed with `mask`.
+    pub(crate) fn logic(op_index: u64, lanes: u64, mask: u64) -> Self {
+        TileFault {
+            logic_at: op_index,
+            logic_lanes: lanes,
+            logic_mask: mask,
+            ..TileFault::none()
         }
     }
 
@@ -458,7 +470,7 @@ impl<'a> TileCtx<'a> {
 
     /// Loads `dst.len()` consecutive elements starting at `start` from
     /// `buf` through the cache hierarchy, observing any corruption pending
-    /// on resident lines.
+    /// on resident lines: one row of [`TileCtx::load_rows`].
     ///
     /// # Errors
     ///
@@ -469,85 +481,19 @@ impl<'a> TileCtx<'a> {
         if dst.is_empty() {
             return Ok(());
         }
-        // One ISA dispatch per bulk load: the `#[target_feature]`
-        // wrapper compiles the whole body — window copy, cache way
-        // scans, corruption gate — as one inlined AVX2 region. Called
-        // from a kernel's own AVX2 tile wrapper the match folds away
-        // and the body inlines into the kernel loop.
-        match exec::active() {
-            #[cfg(target_arch = "x86_64")]
-            // Safety: `exec::active` only reports Avx2 after runtime
-            // detection confirmed AVX2 + FMA on this host.
-            exec::Isa::Avx2 => unsafe { self.load_avx2(buf, start, dst) },
-            #[cfg(target_arch = "aarch64")]
-            exec::Isa::Neon => self.load_body::<exec::Neon>(buf, start, dst),
-            _ => self.load_body::<exec::Scalar>(buf, start, dst),
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn load_avx2(
-        &mut self,
-        buf: BufferId,
-        start: usize,
-        dst: &mut [f64],
-    ) -> Result<(), AccelError> {
-        self.load_body::<exec::Avx2>(buf, start, dst)
-    }
-
-    #[inline(always)]
-    fn load_body<E: exec::KernelExecutor>(
-        &mut self,
-        buf: BufferId,
-        start: usize,
-        dst: &mut [f64],
-    ) -> Result<(), AccelError> {
-        let _scope = phase_if(self.prof, PhaseId::MemLoad);
-        self.loads += dst.len() as u64;
-        self.loaded |= buf.bit();
-        let base = {
-            let (base, window) = self.mem.window(buf, start, dst.len())?;
-            E::copy_f64(window, dst);
-            base
-        };
-        let wbs = {
-            let _scope = phase_if(self.prof, PhaseId::CacheAccess);
-            self.caches
-                .access_body::<E>(self.unit, base, dst.len() * 8, false)
-        };
-        if !wbs.is_empty() {
-            // Corruption reached DRAM mid-run; the run can no longer be
-            // proven golden-equivalent.
-            self.caches.corruption_touched = true;
-        }
-        self.written_back |= apply_writebacks(self.mem, &wbs, self.store_log.as_deref_mut());
-        // Slow path only for elements on struck lines.
-        if self.caches.has_pending_corruption() {
-            let _scope = phase_if(self.prof, PhaseId::CorruptionScan);
-            for (lo, hi) in self.caches.corrupted_elem_ranges(base, dst.len() * 8) {
-                for (i, v) in dst.iter_mut().enumerate().take(hi).skip(lo) {
-                    let mask = self.caches.corruption_for(self.unit, base + i * 8);
-                    if mask != 0 {
-                        *v = f64::from_bits(v.to_bits() ^ mask);
-                        // A corrupted value entered the datapath.
-                        self.caches.corruption_touched = true;
-                        self.observed = true;
-                    }
-                }
-            }
-        }
-        Ok(())
+        let n = dst.len();
+        self.load_rows(buf, start, n, n, dst)
     }
 
     /// Strided bulk load: row `r` (of `dst.len() / width` rows) reads
     /// `width` consecutive elements starting at `start + r * stride`
-    /// into `dst[r * width ..]`. Semantically identical to one
-    /// [`TileCtx::load`] per row in ascending order — same counters,
-    /// same cache touch order, write-backs applied between rows — but
-    /// pays the ISA dispatch, phase scope and write-back bookkeeping
-    /// once per call instead of once per row. The bulk-tile hot path
-    /// for blocked kernels (DGEMM loads 32 rows per k-step).
+    /// into `dst[r * width ..]`, through the cache hierarchy, observing
+    /// any corruption pending on resident lines. The one load path:
+    /// [`TileCtx::load`] is a one-row call. Rows run in ascending order
+    /// — per row one cache access, its write-backs, then the corruption
+    /// walk — and the ISA dispatch and `mem-load` phase scope are paid
+    /// once per call, not once per row (DGEMM loads 32 rows per
+    /// k-step).
     ///
     /// # Errors
     ///
@@ -656,20 +602,47 @@ impl<'a> TileCtx<'a> {
                 self.caches
                     .access_into::<E>(self.unit, base, width * 8, false, &mut wbs);
             }
-            if !wbs.is_empty() {
-                // Corruption reached DRAM mid-run; the run can no
-                // longer be proven golden-equivalent.
-                self.caches.corruption_touched = true;
-                self.written_back |=
-                    apply_writebacks(self.mem, &wbs, self.store_log.as_deref_mut());
-                wbs.clear();
-            }
-            if self.caches.has_pending_corruption() {
-                let _scope = phase_if(self.prof, PhaseId::CorruptionScan);
-                self.caches
-                    .corrupted_ranges_into(base, width * 8, &mut ranges);
-                for &(lo, hi) in &ranges {
-                    for (i, v) in out.iter_mut().enumerate().take(hi).skip(lo) {
+            self.write_back(&mut wbs);
+            self.walk_corruption(base, width, Some(out), &mut ranges);
+        }
+        Ok(())
+    }
+
+    /// Applies the corrupted write-backs one cache access caused and
+    /// clears `wbs` for the next access.
+    #[inline(always)]
+    fn write_back(&mut self, wbs: &mut Vec<WriteBack>) {
+        if wbs.is_empty() {
+            return;
+        }
+        // Corruption reached DRAM mid-run; the run can no longer be
+        // proven golden-equivalent.
+        self.caches.corruption_touched = true;
+        self.written_back |= apply_writebacks(self.mem, wbs, self.store_log.as_deref_mut());
+        wbs.clear();
+    }
+
+    /// Walks the elements of the accessed span of `len` elements at
+    /// byte `base` that lie on ever-struck lines. A load (`row` given)
+    /// XORs in the mask each element observes; a store supersedes each
+    /// element's pending corruption.
+    #[inline(always)]
+    fn walk_corruption(
+        &mut self,
+        base: usize,
+        len: usize,
+        row: Option<&mut [f64]>,
+        ranges: &mut Vec<(usize, usize)>,
+    ) {
+        if !self.caches.has_pending_corruption() {
+            return;
+        }
+        let _scope = phase_if(self.prof, PhaseId::CorruptionScan);
+        self.caches.corrupted_ranges_into(base, len * 8, ranges);
+        match row {
+            Some(row) => {
+                for &(lo, hi) in ranges.iter() {
+                    for (i, v) in row.iter_mut().enumerate().take(hi).skip(lo) {
                         let mask = self.caches.corruption_for(self.unit, base + i * 8);
                         if mask != 0 {
                             *v = f64::from_bits(v.to_bits() ^ mask);
@@ -680,8 +653,14 @@ impl<'a> TileCtx<'a> {
                     }
                 }
             }
+            None => {
+                for &(lo, hi) in ranges.iter() {
+                    for i in lo..hi {
+                        self.caches.note_element_write(self.unit, base + i * 8);
+                    }
+                }
+            }
         }
-        Ok(())
     }
 
     /// Loads a single element through the cache hierarchy.
@@ -710,7 +689,7 @@ impl<'a> TileCtx<'a> {
         if src.is_empty() {
             return Ok(());
         }
-        // Same single-dispatch structure as [`TileCtx::load`].
+        // Same single-dispatch structure as [`TileCtx::load_rows`].
         match exec::active() {
             #[cfg(target_arch = "x86_64")]
             // Safety: `exec::active` only reports Avx2 after runtime
@@ -771,24 +750,15 @@ impl<'a> TileCtx<'a> {
         if let Some(log) = self.store_log.as_deref_mut() {
             log.record(buf, start, src.len());
         }
-        let wbs = {
+        let mut wbs = Vec::new();
+        {
             let _scope = phase_if(self.prof, PhaseId::CacheAccess);
             self.caches
-                .access_body::<E>(self.unit, base, src.len() * 8, true)
-        };
-        if !wbs.is_empty() {
-            self.caches.corruption_touched = true;
+                .access_into::<E>(self.unit, base, src.len() * 8, true, &mut wbs);
         }
-        self.written_back |= apply_writebacks(self.mem, &wbs, self.store_log.as_deref_mut());
+        self.write_back(&mut wbs);
         // A program store supersedes pending corruption of the element.
-        if self.caches.has_pending_corruption() {
-            let _scope = phase_if(self.prof, PhaseId::CorruptionScan);
-            for (lo, hi) in self.caches.corrupted_elem_ranges(base, src.len() * 8) {
-                for i in lo..hi {
-                    self.caches.note_element_write(self.unit, base + i * 8);
-                }
-            }
-        }
+        self.walk_corruption(base, src.len(), None, &mut Vec::new());
         Ok(())
     }
 
@@ -817,7 +787,7 @@ impl<'a> TileCtx<'a> {
 /// Returns the set of buffers written into (`BufferId::bit` mask).
 pub(crate) fn apply_writebacks(
     mem: &mut DeviceMemory,
-    wbs: &[crate::cache::WriteBack],
+    wbs: &[WriteBack],
     mut log: Option<&mut StoreLog>,
 ) -> u64 {
     let mut touched = 0;
@@ -838,7 +808,7 @@ pub(crate) fn apply_writebacks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheHierarchy;
+    use crate::cache::{CacheGeometry, CacheHierarchy};
     use crate::config::DeviceConfig;
 
     fn machine() -> (DeviceMemory, CacheHierarchy) {
@@ -1020,25 +990,61 @@ mod tests {
     }
 
     /// `load_rows` is a drop-in for one `load` per row: same bytes,
-    /// same loads counter, same cache hit/miss stream — both in the
-    /// clean fast path and with pending corruption forcing the
-    /// per-row slow path.
+    /// same loads counter, same cache hit/miss stream — in the clean
+    /// fast path, with a pending flip forcing the per-row slow path, and
+    /// with a flipped dirty L2 line that the rows evict mid-call, so its
+    /// write-back lands in another buffer between rows.
     #[test]
     fn load_rows_matches_per_row_loads() {
         use rand::SeedableRng;
         use rand_chacha::ChaCha8Rng as SmallRng;
+        #[derive(Debug, Clone, Copy)]
+        enum Case {
+            Clean,
+            FlipOnLoadedLine,
+            FlipEvictedDirty,
+        }
         let data: Vec<f64> = (0..96).map(|i| f64::from(i) * 0.5 - 3.0).collect();
-        let run = |strike: bool, bulk: bool| {
-            let (mut mem, mut caches) = machine();
-            let buf = mem.alloc_init("in", &data);
-            if strike {
-                {
-                    let mut ctx = TileCtx::new(&mut mem, &mut caches, 0, TileFault::none());
-                    let mut warm = vec![0.0; data.len()];
-                    ctx.load(buf, 0, &mut warm).unwrap();
+        let run = |case: Case, bulk: bool| {
+            let (mut mem, mut caches) = match case {
+                // 8 L2 lines: the rows below evict every line the store
+                // dirtied.
+                Case::FlipEvictedDirty => {
+                    let cfg = DeviceConfig::builder("small-l2")
+                        .units(2)
+                        .max_threads_per_unit(64)
+                        .l1(CacheGeometry::new(256, 64, 2).unwrap())
+                        .l2(CacheGeometry::new(512, 64, 2).unwrap())
+                        .build()
+                        .unwrap();
+                    (DeviceMemory::new(), CacheHierarchy::new(&cfg))
                 }
-                let mut rng = SmallRng::seed_from_u64(9);
-                caches.strike_l2(&mut rng, 1 << 62).expect("line resident");
+                _ => machine(),
+            };
+            let buf = mem.alloc_init("in", &data);
+            let out = mem.alloc("out", 32);
+            let mut rng = SmallRng::seed_from_u64(9);
+            match case {
+                Case::Clean => {}
+                Case::FlipOnLoadedLine => {
+                    {
+                        let mut ctx = TileCtx::new(&mut mem, &mut caches, 0, TileFault::none());
+                        let mut warm = vec![0.0; data.len()];
+                        ctx.load(buf, 0, &mut warm).unwrap();
+                    }
+                    caches.strike_l2(&mut rng, 1 << 62).expect("line resident");
+                }
+                Case::FlipEvictedDirty => {
+                    {
+                        let mut ctx = TileCtx::new(&mut mem, &mut caches, 0, TileFault::none());
+                        ctx.store(out, 0, &[4.0; 32]).unwrap();
+                    }
+                    // Only the stored (dirty) lines are resident.
+                    let info = caches.strike_l2(&mut rng, 1 << 62).expect("line resident");
+                    assert_eq!(mem.elem_at_byte(info.byte_addr).unwrap().buffer, out);
+                }
+            }
+            if !matches!(case, Case::Clean) {
                 assert!(caches.has_pending_corruption());
             }
             let mut ctx = TileCtx::new(&mut mem, &mut caches, 0, TileFault::none());
@@ -1047,20 +1053,32 @@ mod tests {
             if bulk {
                 ctx.load_rows(buf, 2, stride, width, &mut dst).unwrap();
             } else {
-                for (r, out) in dst.chunks_exact_mut(width).enumerate() {
-                    ctx.load(buf, 2 + r * stride, out).unwrap();
+                for (r, row) in dst.chunks_exact_mut(width).enumerate() {
+                    ctx.load(buf, 2 + r * stride, row).unwrap();
                 }
             }
-            let loads = ctx.loads;
-            let stats = caches.stats();
-            let bits: Vec<u64> = dst.iter().map(|v| v.to_bits()).collect();
-            (bits, loads, stats.l1_hits, stats.l1_misses, stats.l2_hits)
+            let (loads, written_back) = (ctx.loads, ctx.written_back);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            let image = bits(&mem.to_vec(out).unwrap());
+            if matches!(case, Case::FlipEvictedDirty) {
+                assert_eq!(written_back, out.bit(), "the struck line wrote back");
+                assert!(image.iter().any(|&b| b != 4.0f64.to_bits()));
+            }
+            let touched = caches.corruption_touched();
+            (
+                bits(&dst),
+                loads,
+                caches.stats(),
+                image,
+                written_back,
+                touched,
+            )
         };
-        for strike in [false, true] {
+        for case in [Case::Clean, Case::FlipOnLoadedLine, Case::FlipEvictedDirty] {
             assert_eq!(
-                run(strike, true),
-                run(strike, false),
-                "strike={strike}: bulk and per-row loads must agree"
+                run(case, true),
+                run(case, false),
+                "{case:?}: bulk and per-row loads must agree"
             );
         }
     }

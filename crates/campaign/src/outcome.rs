@@ -1,6 +1,8 @@
 //! Per-injection outcomes and records.
 
+use radcrit_core::locality::SpatialClass;
 use radcrit_core::report::CriticalityReport;
+use radcrit_obs::AnalyticSample;
 use serde::{Deserialize, Serialize};
 
 /// The classification of one injected execution — the four §II-A
@@ -69,10 +71,42 @@ pub struct InjectionRecord {
     pub outcome: InjectionOutcome,
 }
 
+impl InjectionRecord {
+    /// The analytic essence of this record — the exact sample the
+    /// [`radcrit_obs::CriticalityAggregator`] folds, shared by the
+    /// runner's live fold, the enriched `replay` marker and
+    /// `CampaignResult::summary`, so every path carries the same
+    /// criticality detail as a `provenance` event.
+    pub(crate) fn analytic_sample(&self) -> AnalyticSample {
+        let (mismatches, class, mre, critical, fclass) = match &self.outcome {
+            InjectionOutcome::Sdc(d) => {
+                let critical = d.criticality.is_critical();
+                (
+                    d.criticality.incorrect_elements as u64,
+                    d.criticality.locality,
+                    d.criticality.mean_relative_error,
+                    critical,
+                    critical.then_some(d.criticality.filtered_locality),
+                )
+            }
+            _ => (0, SpatialClass::None, None, false, None),
+        };
+        AnalyticSample {
+            index: self.index as u64,
+            site: self.site.clone(),
+            outcome: self.outcome.tag().to_owned(),
+            mismatches,
+            class,
+            mre,
+            critical,
+            fclass,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use radcrit_core::locality::SpatialClass;
 
     fn sdc_detail(incorrect: usize, output_len: usize) -> SdcDetail {
         SdcDetail {

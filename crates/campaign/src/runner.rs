@@ -73,7 +73,7 @@ use radcrit_faults::sampler::{FaultSampler, InjectionPlan};
 use radcrit_kernels::Workload;
 use radcrit_obs::profile::{self as phase_profile, Lane, PhaseId, ProfileCollector};
 use radcrit_obs::{
-    AnalyticSample, CriticalityAggregator, Event as ObsEvent, EventBuffer, EventWriter, FieldValue,
+    CriticalityAggregator, Event as ObsEvent, EventBuffer, EventWriter, FieldValue,
     MetricsRegistry, ProvenanceRecord, Span, TraceRecorder,
 };
 
@@ -193,9 +193,21 @@ pub struct CampaignResult {
 
 impl CampaignResult {
     /// Builds the aggregate summary (FIT break-downs, scatter series,
-    /// outcome counts).
+    /// outcome counts): the records folded through the same
+    /// [`CriticalityAggregator`] the live analytics and the event-stream
+    /// fold use, so there is one path from outcome to FIT.
     pub fn summary(&self) -> CampaignSummary {
-        CampaignSummary::from_result(self)
+        let mut fold = CriticalityAggregator::with_context(
+            self.campaign.kernel.name(),
+            &self.campaign.kernel.input_label(),
+            &self.campaign.device.kind().to_string(),
+            self.campaign.injections as u64,
+            self.sigma_total,
+        );
+        for r in &self.records {
+            fold.fold_sample(&r.analytic_sample());
+        }
+        CampaignSummary::from_analytics(&fold)
     }
 
     /// Whether every injection the run was asked for has a record — all
@@ -541,7 +553,7 @@ impl Campaign {
         }
 
         for r in &records {
-            analytics.fold_sample(&analytic_sample(r));
+            analytics.fold_sample(&r.analytic_sample());
         }
         let mut telemetry = Telemetry::new();
         telemetry.note_replayed(records.len(), &analytics);
@@ -671,7 +683,7 @@ impl Campaign {
 
             for (record, latency, block, watchdog) in finished {
                 telemetry.record(latency, watchdog);
-                analytics.fold_sample(&analytic_sample(&record));
+                analytics.fold_sample(&record.analytic_sample());
                 if let Some(m) = &metrics {
                     m.counter_add(
                         "radcrit_campaign_outcomes_total",
@@ -1262,42 +1274,12 @@ fn run_begin_event(campaign: &Campaign, kernel: &(dyn Workload + Send), sigma: f
     }
 }
 
-/// The analytic essence of one finished record — the exact sample the
-/// [`CriticalityAggregator`] folds, shared between the runner's live
-/// fold and the enriched `replay` marker so both paths carry the same
-/// criticality detail as a `provenance` event.
-fn analytic_sample(r: &InjectionRecord) -> AnalyticSample {
-    let (mismatches, class, mre, critical, fclass) = match &r.outcome {
-        InjectionOutcome::Sdc(d) => {
-            let critical = d.criticality.is_critical();
-            (
-                d.criticality.incorrect_elements as u64,
-                d.criticality.locality,
-                d.criticality.mean_relative_error,
-                critical,
-                critical.then_some(d.criticality.filtered_locality),
-            )
-        }
-        _ => (0, SpatialClass::None, None, false, None),
-    };
-    AnalyticSample {
-        index: r.index as u64,
-        site: r.site.clone(),
-        outcome: r.outcome.tag().to_owned(),
-        mismatches,
-        class,
-        mre,
-        critical,
-        fclass,
-    }
-}
-
 /// Synthetic marker for an index replayed from the checkpoint whose
 /// original events were lost with the killed run's write buffer. The
 /// marker carries the record's full analytic fields, so a stream fold
 /// across a kill → resume cycle still reproduces the summary exactly.
 fn replay_event(r: &InjectionRecord) -> ObsEvent {
-    let s = analytic_sample(r);
+    let s = r.analytic_sample();
     let mut fields = vec![
         ("site".to_owned(), FieldValue::Str(s.site)),
         ("outcome".to_owned(), FieldValue::Str(s.outcome)),

@@ -2,13 +2,11 @@
 
 use std::collections::BTreeMap;
 
-use radcrit_core::fit::{FitBreakdown, FitRate};
+use radcrit_core::fit::FitBreakdown;
 use radcrit_core::locality::SpatialClass;
 use radcrit_core::stats::poisson_ci;
 use serde::{Deserialize, Serialize};
 
-use crate::outcome::InjectionOutcome;
-use crate::runner::CampaignResult;
 use crate::telemetry::TelemetrySnapshot;
 
 /// One scatter point of Figs. 2/4/6/8: a faulty execution's number of
@@ -55,89 +53,16 @@ pub struct CampaignSummary {
 }
 
 impl CampaignSummary {
-    /// Builds the summary from a finished campaign.
-    pub fn from_result(result: &CampaignResult) -> Self {
-        let mut masked = 0usize;
-        let mut crash = 0usize;
-        let mut hang = 0usize;
-        let mut sdc = 0usize;
-        let mut critical_sdc = 0usize;
-        let mut all_counts: BTreeMap<SpatialClass, usize> = BTreeMap::new();
-        let mut filt_counts: BTreeMap<SpatialClass, usize> = BTreeMap::new();
-        let mut scatter = Vec::new();
-        let mut sdc_by_site: BTreeMap<String, usize> = BTreeMap::new();
-
-        for r in &result.records {
-            match &r.outcome {
-                InjectionOutcome::Masked => masked += 1,
-                InjectionOutcome::Crash => crash += 1,
-                InjectionOutcome::Hang => hang += 1,
-                InjectionOutcome::Sdc(d) => {
-                    sdc += 1;
-                    *sdc_by_site.entry(r.site.clone()).or_default() += 1;
-                    *all_counts.entry(d.criticality.locality).or_default() += 1;
-                    if d.criticality.is_critical() {
-                        critical_sdc += 1;
-                        *filt_counts
-                            .entry(d.criticality.filtered_locality)
-                            .or_default() += 1;
-                    }
-                    scatter.push(ScatterPoint {
-                        incorrect_elements: d.criticality.incorrect_elements,
-                        mean_relative_error: d
-                            .criticality
-                            .mean_relative_error
-                            .unwrap_or(f64::INFINITY),
-                    });
-                }
-            }
-        }
-
-        // FIT in arbitrary units: the event share scaled by the total
-        // cross-section. Ratios across campaigns then behave like the
-        // paper's relative FIT: (events_cat / injections) × σ_total ∝
-        // events_cat / fluence.
-        let injections = result.records.len().max(1) as f64;
-        let to_fit =
-            |count: usize| FitRate::from_raw(count as f64 / injections * result.sigma_total);
-        let fit_all = all_counts
-            .iter()
-            .map(|(&class, &n)| (class, to_fit(n)))
-            .collect();
-        let fit_filtered = filt_counts
-            .iter()
-            .map(|(&class, &n)| (class, to_fit(n)))
-            .collect();
-
-        CampaignSummary {
-            kernel: result.campaign.kernel.name().to_owned(),
-            input: result.campaign.kernel.input_label(),
-            device: result.campaign.device.kind().to_string(),
-            injections: result.records.len(),
-            masked,
-            sdc,
-            critical_sdc,
-            crash,
-            hang,
-            sigma_total: result.sigma_total,
-            fit_all,
-            fit_filtered,
-            scatter,
-            sdc_by_site,
-        }
-    }
-
-    /// Rebuilds the summary from a [`CriticalityAggregator`] fold of
-    /// the campaign's event stream.
+    /// Renders a [`CriticalityAggregator`] fold as a summary — of a
+    /// finished campaign's records (`CampaignResult::summary` is
+    /// exactly that) or of its event stream.
     ///
-    /// This is the analytics layer's hard invariant: for any finished
-    /// campaign with events enabled,
+    /// Both sides are the same fold over the same samples, so for any
+    /// finished campaign with events enabled,
     /// `CampaignSummary::from_analytics(&fold of events.jsonl)` renders
-    /// byte-identically to `result.summary()` — the FIT arithmetic,
-    /// scatter ordering and float formatting all coincide. Integration
-    /// tests assert this across every fixture, including kill → resume
-    /// streams whose replayed indices fold from enriched `replay`
-    /// markers.
+    /// byte-identically to `result.summary()`. Integration tests assert
+    /// this across every fixture, including kill → resume streams whose
+    /// replayed indices fold from enriched `replay` markers.
     pub fn from_analytics(agg: &radcrit_obs::CriticalityAggregator) -> Self {
         CampaignSummary {
             kernel: agg.kernel().to_owned(),
@@ -353,6 +278,7 @@ pub fn render_run(summary: &CampaignSummary, telemetry: &TelemetrySnapshot) -> S
 mod tests {
     use super::*;
     use crate::config::{Campaign, KernelSpec};
+    use crate::runner::CampaignResult;
     use radcrit_accel::config::DeviceConfig;
 
     fn result() -> CampaignResult {

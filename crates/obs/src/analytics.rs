@@ -19,11 +19,12 @@
 //!   (exactly what an SSE client resuming via `Last-Event-ID`, or a
 //!   kill → resume cycle, produces) yields the same aggregate as one
 //!   clean pass.
-//! * **Summary-exact** — folding a finished campaign's stream
-//!   reproduces `CampaignSummary` field for field: the FIT arithmetic
-//!   below is kept byte-for-byte identical to
-//!   `CampaignSummary::from_result`, and the campaign crate asserts
-//!   the invariant against every integration fixture.
+//! * **Summary-exact** — the campaign summary *is* this fold:
+//!   `CampaignResult::summary` folds the campaign's records through an
+//!   aggregator and renders it with `CampaignSummary::from_analytics`,
+//!   so folding the finished campaign's event stream reproduces the
+//!   summary field for field. The campaign crate asserts the invariant
+//!   against every integration fixture.
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -417,9 +418,10 @@ impl CriticalityAggregator {
         &self.elems_hist
     }
 
-    /// The FIT rate of `count` events at the current sample size —
-    /// the identical arithmetic `CampaignSummary` uses, so the folded
-    /// breakdown matches the summary bit for bit.
+    /// The FIT rate of `count` events at the current sample size: the
+    /// event share scaled by the total cross-section, so ratios across
+    /// campaigns behave like the paper's relative FIT. The one FIT
+    /// arithmetic — `CampaignSummary` takes its breakdowns from here.
     fn to_fit(&self, count: u64) -> FitRate {
         let injections = self.injections().max(1) as f64;
         FitRate::from_raw(count as f64 / injections * self.sigma_total)
