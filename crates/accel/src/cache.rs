@@ -585,36 +585,60 @@ pub struct CacheStats {
     pub l2_resident_lines: usize,
 }
 
-/// Per-line access history of a golden run, recorded tile by tile while
-/// `Engine::golden_snapshotted` captures (never on a fork): which lines a
-/// later golden tile still touches, and which the L2 still evicts. Both
-/// arrays are indexed by line number and hold *one past* the dispatch
-/// position of the last such tile, so 0 means "never".
-#[derive(Debug, Clone, Default)]
-pub(crate) struct LineHistory {
-    /// One past the dispatch position of the tile now executing.
-    pub(crate) now: u32,
-    /// One past the last tile whose access touched the line.
-    pub(crate) last_touch: Vec<u32>,
-    /// One past the last tile during which the L2 evicted the line.
-    pub(crate) last_l2_evict: Vec<u32>,
+/// One eviction of a line as the golden line log records it: the
+/// dispatch position of the tile during which it happened, the touch
+/// ordinal within that tile (line touches counted from 0, one per line
+/// an access spans), and a tag — the unit for an L1 eviction, the dirty
+/// bit for an L2 one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct Eviction {
+    pub(crate) tile: u32,
+    pub(crate) ordinal: u32,
+    pub(crate) tag: u32,
 }
 
-impl LineHistory {
-    fn touch(&mut self, first: u64, last: u64) {
-        Self::mark(&mut self.last_touch, first, last, self.now);
+/// Per-line access log of a golden run, recorded touch by touch while
+/// `Engine::golden_snapshotted` captures (never on a fork): which tiles
+/// touch each line, and when each L1 and the L2 evict it. Pairs are
+/// keyed by line number and ascend by tile; the ledger turns them into
+/// a `LineIndex`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LineLog {
+    /// Dispatch position of the tile now executing.
+    pub(crate) tile: u32,
+    /// Line touches of that tile so far.
+    pub(crate) ordinal: u32,
+    /// Per line: one past the last tile logged as touching it.
+    pub(crate) last_touch: Vec<u32>,
+    pub(crate) touches: Vec<(u32, u32)>,
+    pub(crate) l1_evictions: Vec<(u32, Eviction)>,
+    pub(crate) l2_evictions: Vec<(u32, Eviction)>,
+}
+
+impl LineLog {
+    /// Starts logging the tile at dispatch position `pos`.
+    pub(crate) fn begin_tile(&mut self, pos: usize) {
+        self.tile = pos as u32;
+        self.ordinal = 0;
     }
 
-    fn l2_evict(&mut self, line: u64) {
-        Self::mark(&mut self.last_l2_evict, line, line, self.now);
-    }
-
-    fn mark(index: &mut Vec<u32>, first: u64, last: u64, now: u32) {
-        let (first, last) = (first as usize, last as usize);
-        if last >= index.len() {
-            index.resize(last + 1, 0);
+    fn touch(&mut self, line: u64) {
+        let l = line as usize;
+        if l >= self.last_touch.len() {
+            self.last_touch.resize(l + 1, 0);
         }
-        index[first..=last].fill(now);
+        if self.last_touch[l] != self.tile + 1 {
+            self.last_touch[l] = self.tile + 1;
+            self.touches.push((line as u32, self.tile));
+        }
+    }
+
+    fn evicted(&self, tag: u32) -> Eviction {
+        Eviction {
+            tile: self.tile,
+            ordinal: self.ordinal,
+            tag,
+        }
     }
 }
 
@@ -650,9 +674,9 @@ pub struct CacheHierarchy {
     /// pending, every executed tile has computed exactly the golden
     /// values — the basis for the engine's dead-strike early exit.
     pub(crate) corruption_touched: bool,
-    /// The golden line history, present only while a capturing golden
-    /// run records it (see [`LineHistory`]); never part of a snapshot.
-    pub(crate) history: Option<Box<LineHistory>>,
+    /// The golden line log, present only while a capturing golden run
+    /// records it (see [`LineLog`]); never part of a snapshot.
+    pub(crate) history: Option<Box<LineLog>>,
 }
 
 impl CacheHierarchy {
@@ -786,19 +810,45 @@ impl CacheHierarchy {
         }
         let first = self.line_of(byte_addr);
         let last = self.line_of(byte_addr + len - 1);
-        if let Some(h) = self.history.as_deref_mut() {
-            h.touch(first, last);
+        if let Some(mut h) = self.history.take() {
+            // Golden capture: the same touches, logged one by one.
+            for line in first..=last {
+                h.touch(line);
+                if let Some((ev_line, _, _)) = self.l1[unit].touch::<E>(line, false) {
+                    let e = h.evicted(unit as u32);
+                    h.l1_evictions.push((ev_line as u32, e));
+                }
+                if let Some((ev_line, dirty, flips)) = self.l2.touch::<E>(line, write) {
+                    let e = h.evicted(u32::from(dirty));
+                    h.l2_evictions.push((ev_line as u32, e));
+                    self.write_back_line(ev_line, dirty, flips, out);
+                }
+                h.ordinal += 1;
+            }
+            self.history = Some(h);
+            return;
         }
         for line in first..=last {
             // L1: write-through, never dirty; corrupted evictions vanish.
             let _ = self.l1[unit].touch::<E>(line, false);
             if let Some((ev_line, dirty, flips)) = self.l2.touch::<E>(line, write) {
-                if let Some(h) = self.history.as_deref_mut() {
-                    h.l2_evict(ev_line);
-                }
                 self.write_back_line(ev_line, dirty, flips, out);
             }
         }
+    }
+
+    /// The L2's resident dirty lines, ascending: the golden line log's
+    /// record of which lines the final flush writes back.
+    pub(crate) fn l2_dirty_lines(&self) -> Vec<u64> {
+        let l2 = &self.l2;
+        let slab = l2.slab_u64();
+        let mut out: Vec<u64> = (0..l2.lens.len())
+            .flat_map(|set| (0..l2.lens[set] as usize).map(move |w| (set, w)))
+            .filter(|&(set, w)| l2.dirty[set * l2.assoc + w] != 0)
+            .map(|(set, w)| slab[set * l2.stride + w])
+            .collect();
+        out.sort_unstable();
+        out
     }
 
     /// The write-backs of an L2 line leaving the hierarchy (evicted or

@@ -35,7 +35,9 @@ use crate::program::{
     apply_writebacks, MachineCounters, StoreLog, TileCtx, TileFault, TileId, TiledProgram,
 };
 use crate::scheduler::DispatchPlan;
-use crate::snapshot::{EngineSnapshot, GoldenLedger, LedgerTile, SnapshotPolicy, SnapshotSet};
+use crate::snapshot::{
+    EngineSnapshot, GoldenLedger, LedgerTile, LineIndex, SnapshotPolicy, SnapshotSet,
+};
 use crate::strike::{SchedulerEffect, StrikeSpec, StrikeTarget};
 use crate::trace::{ExecutionTrace, TileTrace};
 
@@ -673,7 +675,7 @@ impl Engine {
 
             let unit = plan.unit_of(pos);
             if let Some(h) = caches.history.as_deref_mut() {
-                h.now = pos as u32 + 1;
+                h.begin_tile(pos);
             }
             let carried = fault != TileFault::none();
             let stats_before = caches.stats();
@@ -703,6 +705,9 @@ impl Engine {
                     // This tile's own loads until the run ends, when the
                     // ledger turns them into the union over later tiles.
                     loaded_after: loaded,
+                    loaded,
+                    stored,
+                    overwritten: false,
                 };
                 if let Some(tr) = trace.as_deref_mut() {
                     tr.push(tile_trace(pos, unit, &entry));
@@ -766,7 +771,10 @@ impl Engine {
             }
         }
 
-        let history = caches.history.take();
+        let history = caches
+            .history
+            .take()
+            .map(|h| LineIndex::new(&h, caches.l2_dirty_lines()));
 
         // End of kernel: flush the hierarchy; dirty corrupted lines write
         // their corruption back to DRAM where the host reads the output.
@@ -866,11 +874,25 @@ impl Engine {
                 entry.loaded_after = after;
                 after |= own;
             }
-            g.output.clone_from(&output);
-            if let Some(h) = history {
-                g.last_touch = h.last_touch;
-                g.last_l2_evict = h.last_l2_evict;
+            // A tile's output spans are overwritten when a later tile
+            // stores over any of their elements.
+            let mut later = vec![false; output.len()];
+            let spans = &g.output_spans;
+            let mut hi = spans.len();
+            while hi > 0 {
+                let t = spans[hi - 1].0;
+                let lo = spans[..hi].partition_point(|&(u, _, _)| u < t);
+                let range = |&(_, s, l): &(u32, u32, u32)| s as usize..(s + l) as usize;
+                g.tiles[t as usize].overwritten = spans[lo..hi]
+                    .iter()
+                    .any(|sp| later[range(sp)].contains(&true));
+                for sp in &spans[lo..hi] {
+                    later[range(sp)].fill(true);
+                }
+                hi = lo;
             }
+            g.output.clone_from(&output);
+            g.lines = history.unwrap_or_default();
             set.ledger = Arc::new(g);
             if let Some(m) = self.metrics.as_deref() {
                 m.gauge_set("radcrit_snapshot_bytes", &[], set.cost_bytes() as f64);
@@ -1083,12 +1105,12 @@ fn flips_settled(caches: &CacheHierarchy, ledger: &GoldenLedger, done: usize) ->
     let mut never_dead = caches.corruption_touched();
     let mut all_stay = true;
     for f in caches.flip_lines() {
-        if !ledger.untouched_after(f.line, done) {
+        if !ledger.lines.untouched_after(f.line, done) {
             return false;
         }
         match f.l2_dirty {
             Some(true) => never_dead = true,
-            Some(false) => all_stay &= ledger.unevicted_after(f.line, done),
+            Some(false) => all_stay &= ledger.lines.unevicted_after(f.line, done),
             None => all_stay = false,
         }
     }
@@ -1556,8 +1578,10 @@ mod tests {
             "golden stores to the output are indexed"
         );
         // Tile 7 loads and stores the last lines; nothing evicts on a K40.
-        assert_eq!(set.ledger.last_touch.iter().max(), Some(&8));
-        assert!(set.ledger.last_l2_evict.iter().all(|&t| t == 0));
+        let lines = &set.ledger.lines;
+        assert!((0..4096).any(|l| !lines.untouched_after(l, 7)));
+        assert!((0..4096).all(|l| lines.untouched_after(l, 8)));
+        assert!((0..4096).all(|l| lines.unevicted_after(l, 0)));
         assert!(
             set.snaps.iter().all(|s| s.caches.history.is_none()),
             "snapshots hold machine state only"

@@ -16,15 +16,16 @@
 //!
 //! The same golden run also records a golden ledger: what every tile
 //! did (counters, cache statistics, L2 residency, which buffers it
-//! loaded and which output spans it stored), the final output, and per
-//! cache line the last tile that touches it and the last tile during
-//! which the L2 evicts it. A fork whose fault is provably contained
-//! stops early and splices the golden suffix from it instead of
-//! executing it — see `Engine::run`.
+//! loaded and stored and which output spans it stored), the final
+//! output, and a [`LineIndex`]: per cache line the tiles that touch it
+//! and when each cache evicts it. A fork whose fault is provably
+//! contained stops early and splices the golden suffix from it instead
+//! of executing it, and a value-only fork reads each cache flip's fate
+//! off the index instead of modelling the caches — see `Engine::run`.
 
 use std::sync::Arc;
 
-use crate::cache::{CacheHierarchy, CacheStats};
+use crate::cache::{CacheHierarchy, CacheStats, Eviction, LineLog};
 use crate::memory::BufferId;
 use crate::program::MachineCounters;
 
@@ -87,6 +88,162 @@ pub(crate) struct LedgerTile {
     /// Buffers (as [`BufferId::bit`] masks) that any *later* tile loads:
     /// a tainted buffer outside this mask is never read again.
     pub(crate) loaded_after: u64,
+    /// Buffers the tile itself loads and stores.
+    #[allow(dead_code)]
+    pub(crate) loaded: u64,
+    #[allow(dead_code)]
+    pub(crate) stored: u64,
+    /// Whether a later tile stores over any of this tile's output spans:
+    /// only a tile whose spans hold their final values can be replaced
+    /// by writing the golden output.
+    #[allow(dead_code)]
+    pub(crate) overwritten: bool,
+}
+
+/// Compressed-sparse-row pairs keyed by line number: the items of line
+/// `l` are `items[start[l]..start[l + 1]]`, in the order they were
+/// logged.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LineRows<T> {
+    start: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T: Copy + Default> LineRows<T> {
+    /// Groups `pairs` by line, keeping each line's pairs in order (a
+    /// counting sort).
+    fn from_pairs(pairs: &[(u32, T)], lines: usize) -> Self {
+        let mut start = vec![0u32; lines + 1];
+        for &(l, _) in pairs {
+            start[l as usize + 1] += 1;
+        }
+        for l in 0..lines {
+            start[l + 1] += start[l];
+        }
+        let mut next = start.clone();
+        let mut items = vec![T::default(); pairs.len()];
+        for &(l, item) in pairs {
+            items[next[l as usize] as usize] = item;
+            next[l as usize] += 1;
+        }
+        LineRows { start, items }
+    }
+
+    fn of(&self, line: u64) -> &[T] {
+        match usize::try_from(line) {
+            Ok(l) if l + 1 < self.start.len() => {
+                &self.items[self.start[l] as usize..self.start[l + 1] as usize]
+            }
+            _ => &[],
+        }
+    }
+
+    fn cost_bytes(&self) -> usize {
+        self.start.len() * 4 + self.items.len() * std::mem::size_of::<T>()
+    }
+}
+
+/// The golden run's caches line by line, recorded once by
+/// `Engine::golden_snapshotted`. A value-only fork issues golden's
+/// address stream and flips never change tags, LRU or dirty state, so a
+/// flipped line leaves its cache exactly when golden evicts it, with
+/// golden's dirty bit: the index gives every flip its fate by lookup.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LineIndex {
+    /// Per line: the dispatch positions of the tiles touching it,
+    /// ascending.
+    touches: LineRows<u32>,
+    /// Per line: its L1 evictions (tag: the unit), ascending by tile.
+    l1_evictions: LineRows<Eviction>,
+    /// Per line: its L2 evictions (tag: the dirty bit), ascending.
+    l2_evictions: LineRows<Eviction>,
+    /// L2 lines resident and dirty at the final flush, ascending.
+    flush_dirty: Vec<u64>,
+}
+
+/// Where a cache flip leaves its cache: during the tile `at.0`, at line
+/// touch `at.1` of that tile, or at the final flush (`at == None`); a
+/// dirty L2 line writes the flip back to memory then.
+#[allow(dead_code)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FlipEnd {
+    pub(crate) at: Option<(usize, u32)>,
+    pub(crate) dirty: bool,
+}
+
+impl LineIndex {
+    /// Builds the index from a finished log; `flush_dirty` are the L2's
+    /// dirty lines at the final flush.
+    pub(crate) fn new(log: &LineLog, flush_dirty: Vec<u64>) -> Self {
+        let lines = log
+            .touches
+            .iter()
+            .map(|&(l, _)| l)
+            .chain(log.l1_evictions.iter().map(|&(l, _)| l))
+            .chain(log.l2_evictions.iter().map(|&(l, _)| l))
+            .max()
+            .map_or(0, |l| l as usize + 1);
+        LineIndex {
+            touches: LineRows::from_pairs(&log.touches, lines),
+            l1_evictions: LineRows::from_pairs(&log.l1_evictions, lines),
+            l2_evictions: LineRows::from_pairs(&log.l2_evictions, lines),
+            flush_dirty,
+        }
+    }
+
+    /// Whether the tile at dispatch position `tile` touches `line`.
+    #[allow(dead_code)]
+    pub(crate) fn touched_by(&self, line: u64, tile: usize) -> bool {
+        self.touches.of(line).binary_search(&(tile as u32)).is_ok()
+    }
+
+    /// Whether no golden tile after the first `done` touches `line`.
+    pub(crate) fn untouched_after(&self, line: u64, done: usize) -> bool {
+        self.touches
+            .of(line)
+            .last()
+            .is_none_or(|&t| (t as usize) < done)
+    }
+
+    /// Whether the golden L2 never evicts `line` after the first `done`
+    /// tiles.
+    pub(crate) fn unevicted_after(&self, line: u64, done: usize) -> bool {
+        self.l2_evictions
+            .of(line)
+            .last()
+            .is_none_or(|e| (e.tile as usize) < done)
+    }
+
+    /// Where a flip on `line`, resident in `unit`'s L1 (or the L2 when
+    /// `None`) before the tile at `from` runs, leaves its cache.
+    #[allow(dead_code)]
+    pub(crate) fn end_of(&self, unit: Option<usize>, line: u64, from: usize) -> FlipEnd {
+        let (rows, tag) = match unit {
+            Some(u) => (&self.l1_evictions, Some(u as u32)),
+            None => (&self.l2_evictions, None),
+        };
+        let next = rows
+            .of(line)
+            .iter()
+            .find(|e| e.tile as usize >= from && tag.is_none_or(|u| e.tag == u));
+        match next {
+            Some(e) => FlipEnd {
+                at: Some((e.tile as usize, e.ordinal)),
+                dirty: unit.is_none() && e.tag != 0,
+            },
+            None => FlipEnd {
+                at: None,
+                dirty: unit.is_none() && self.flush_dirty.binary_search(&line).is_ok(),
+            },
+        }
+    }
+
+    fn cost_bytes(&self) -> usize {
+        self.touches.cost_bytes()
+            + self.l1_evictions.cost_bytes()
+            + self.l2_evictions.cost_bytes()
+            + self.flush_dirty.len() * 8
+    }
 }
 
 /// The golden run tile by tile, recorded once by
@@ -100,12 +257,8 @@ pub(crate) struct GoldenLedger {
     pub(crate) output_spans: Vec<(u32, u32, u32)>,
     /// The golden final output.
     pub(crate) output: Vec<f64>,
-    /// Per cache line: one past the last tile whose access touches it
-    /// (0: never touched).
-    pub(crate) last_touch: Vec<u32>,
-    /// Per cache line: one past the last tile during which the L2
-    /// evicts it (0: never evicted mid-tile).
-    pub(crate) last_l2_evict: Vec<u32>,
+    /// The golden caches line by line.
+    pub(crate) lines: LineIndex,
 }
 
 impl GoldenLedger {
@@ -126,29 +279,11 @@ impl GoldenLedger {
             .map(|&(_, s, l)| (s as usize, l as usize))
     }
 
-    /// Whether no golden tile after the first `done` touches `line`.
-    pub(crate) fn untouched_after(&self, line: u64, done: usize) -> bool {
-        Self::at_most(&self.last_touch, line, done)
-    }
-
-    /// Whether the golden L2 never evicts `line` after the first `done`
-    /// tiles.
-    pub(crate) fn unevicted_after(&self, line: u64, done: usize) -> bool {
-        Self::at_most(&self.last_l2_evict, line, done)
-    }
-
-    fn at_most(index: &[u32], line: u64, done: usize) -> bool {
-        usize::try_from(line)
-            .ok()
-            .and_then(|l| index.get(l))
-            .is_none_or(|&t| t as usize <= done)
-    }
-
     fn cost_bytes(&self) -> usize {
         self.tiles.len() * std::mem::size_of::<LedgerTile>()
             + self.output_spans.len() * 12
             + self.output.len() * 8
-            + (self.last_touch.len() + self.last_l2_evict.len()) * 4
+            + self.lines.cost_bytes()
     }
 }
 
@@ -180,8 +315,7 @@ impl SnapshotSet {
 
     /// Approximate bytes this set occupies, for cache accounting: the
     /// snapshots plus the golden ledger (12 bytes per output span, one
-    /// entry per tile, a copy of the golden output and 4 bytes per line
-    /// per line index).
+    /// entry per tile, a copy of the golden output and the line index).
     #[must_use]
     pub fn cost_bytes(&self) -> usize {
         self.bytes + self.ledger.cost_bytes()
@@ -288,13 +422,18 @@ mod tests {
         assert_eq!(set.bytes, per_push.iter().sum::<usize>());
         assert_eq!(set.cost_bytes(), set.bytes);
         let mut with_spans = set.clone();
+        let log = LineLog {
+            touches: vec![(0, 0), (2, 1)],
+            ..LineLog::default()
+        };
         with_spans.ledger = Arc::new(GoldenLedger {
             output_spans: vec![(0, 0, 8), (1, 8, 8)],
-            last_touch: vec![0; 5],
-            last_l2_evict: vec![0; 3],
+            lines: LineIndex::new(&log, vec![2]),
             ..GoldenLedger::default()
         });
-        assert_eq!(with_spans.cost_bytes(), set.bytes + 2 * 12 + 8 * 4);
+        // Three 3-line CSR offset arrays, two touch items, one flush line.
+        let index_bytes = 3 * 4 * 4 + 2 * 4 + 8;
+        assert_eq!(with_spans.cost_bytes(), set.bytes + 2 * 12 + index_bytes);
     }
 
     #[test]
@@ -309,23 +448,40 @@ mod tests {
         assert_eq!(set.resume_tile(100), Some(16));
     }
 
+    fn eviction(tile: u32, ordinal: u32, tag: u32) -> Eviction {
+        Eviction { tile, ordinal, tag }
+    }
+
     #[test]
     fn line_index_answers_past_its_end() {
-        let ledger = GoldenLedger {
-            last_touch: vec![0, 3, 1],
-            last_l2_evict: vec![2],
-            ..GoldenLedger::default()
+        // Line 1 is touched by tiles 0 and 2, line 2 by tile 0. The L2
+        // evicts line 0 dirty at touch 3 of tile 1; unit 2's L1 evicts
+        // line 1 at touch 0 of tile 2; line 1 is dirty at the flush.
+        let log = LineLog {
+            touches: vec![(1, 0), (2, 0), (1, 2)],
+            l1_evictions: vec![(1, eviction(2, 0, 2))],
+            l2_evictions: vec![(0, eviction(1, 3, 1))],
+            ..LineLog::default()
         };
-        assert!(ledger.untouched_after(0, 0));
-        assert!(!ledger.untouched_after(1, 2));
-        assert!(ledger.untouched_after(1, 3));
-        assert!(
-            ledger.untouched_after(9, 0),
-            "never recorded: never touched"
+        let index = LineIndex::new(&log, vec![1]);
+        assert!(index.untouched_after(0, 0));
+        assert!(!index.untouched_after(1, 2));
+        assert!(index.untouched_after(1, 3));
+        assert!(index.untouched_after(9, 0), "never recorded: never touched");
+        assert!(index.touched_by(1, 2) && !index.touched_by(1, 1));
+        assert!(!index.unevicted_after(0, 1));
+        assert!(index.unevicted_after(0, 2));
+        assert!(index.unevicted_after(5, 0));
+        let end = |at, dirty| FlipEnd { at, dirty };
+        assert_eq!(index.end_of(None, 0, 0), end(Some((1, 3)), true));
+        assert_eq!(index.end_of(None, 0, 2), end(None, false));
+        assert_eq!(index.end_of(None, 1, 0), end(None, true), "flushed dirty");
+        assert_eq!(index.end_of(Some(2), 1, 0), end(Some((2, 0)), false));
+        assert_eq!(
+            index.end_of(Some(1), 1, 0),
+            end(None, false),
+            "another unit's L1 eviction"
         );
-        assert!(!ledger.unevicted_after(0, 1));
-        assert!(ledger.unevicted_after(0, 2));
-        assert!(ledger.unevicted_after(5, 0));
     }
 
     #[test]
