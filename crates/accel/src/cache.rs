@@ -28,6 +28,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::DeviceConfig;
 use crate::error::AccelError;
+use crate::snapshot::{FlipEnd, LineIndex};
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -928,20 +929,36 @@ impl CacheHierarchy {
         self.strike(Some(unit), rng, mask)
     }
 
+    /// The line and byte offset a strike on `l1_unit`'s L1 (the L2 when
+    /// `None`) flips: a uniformly random resident line, then a random
+    /// element of it — `None` when the cache is empty. Read-only, so the
+    /// per-access model and a value-only fork's [`Overlay`] draw alike.
+    pub(crate) fn sample_strike<R: Rng + ?Sized>(
+        &self,
+        l1_unit: Option<usize>,
+        rng: &mut R,
+    ) -> Option<(u64, usize)> {
+        let cache = match l1_unit {
+            Some(unit) => &self.l1[unit],
+            None => &self.l2,
+        };
+        let line = cache.sample_resident(rng)?;
+        Some((line, rng.gen_range(0..self.line_bytes / 8) * 8))
+    }
+
     /// Flips `mask` in one random element of a random resident line of
     /// `l1_unit`'s L1, or of the L2 when `None`.
-    fn strike<R: Rng + ?Sized>(
+    pub(crate) fn strike<R: Rng + ?Sized>(
         &mut self,
         l1_unit: Option<usize>,
         rng: &mut R,
         mask: u64,
     ) -> Option<StrikeInfo> {
+        let (line, offset) = self.sample_strike(l1_unit, rng)?;
         let cache = match l1_unit {
             Some(unit) => &mut self.l1[unit],
             None => &mut self.l2,
         };
-        let line = cache.sample_resident(rng)?;
-        let offset = rng.gen_range(0..self.line_bytes / 8) * 8;
         cache.add_flip(line, offset, mask);
         if !self.corrupted_watch.contains(&line) {
             self.corrupted_watch.push(line);
@@ -979,6 +996,224 @@ impl CacheHierarchy {
     /// Number of lines currently resident in the shared L2.
     pub fn l2_resident_lines(&self) -> usize {
         self.l2.resident_count()
+    }
+}
+
+/// A pending flip of a value-only fork's [`Overlay`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OverlayFlip {
+    /// The unit whose L1 holds the flipped line, or `None` for the L2.
+    pub(crate) unit: Option<usize>,
+    pub(crate) line: u64,
+    /// Byte offset of the element within the line.
+    pub(crate) offset: usize,
+    pub(crate) mask: u64,
+    /// Where golden evicts the line from that cache.
+    pub(crate) end: FlipEnd,
+}
+
+/// The cache state of a value-only fork: only its pending flips.
+///
+/// Such a fork issues golden's address stream, and flips never change
+/// tags, LRU or dirty state, so its caches equal golden's at every
+/// access; what they would add to the data is the flips alone. Each flip
+/// lives until golden's next eviction of its line (read off the golden
+/// [`LineIndex`](crate::snapshot::LineIndex) at delivery), counted in
+/// line touches within a tile, or until a store from a unit that sees it
+/// overwrites its element; a dirty L2 flip reaches memory at its end.
+/// Readers see it exactly as [`CacheHierarchy::corruption_for`] would.
+#[derive(Debug)]
+pub(crate) struct Overlay {
+    pub(crate) flips: Vec<OverlayFlip>,
+    line_bytes: usize,
+    /// Dispatch position of the tile now executing.
+    pos: usize,
+    /// Line touches of that tile so far, counted while a flip is live.
+    ordinal: u32,
+    /// As [`CacheHierarchy::corruption_touched`].
+    pub(crate) touched: bool,
+}
+
+impl Overlay {
+    pub(crate) fn new(line_bytes: usize) -> Self {
+        Overlay {
+            flips: Vec::new(),
+            line_bytes,
+            pos: 0,
+            ordinal: 0,
+            touched: false,
+        }
+    }
+
+    /// Delivers a strike on `l1_unit`'s L1 (the L2 when `None`) before
+    /// the tile at `pos` runs: draws the victim from `warm` — the golden
+    /// caches at that instant — as [`CacheHierarchy::strike`] would, and
+    /// records the flip until its end. Whether a line was resident.
+    pub(crate) fn strike<R: Rng + ?Sized>(
+        &mut self,
+        warm: &CacheHierarchy,
+        lines: &LineIndex,
+        l1_unit: Option<usize>,
+        pos: usize,
+        rng: &mut R,
+        mask: u64,
+    ) -> bool {
+        let Some((line, offset)) = warm.sample_strike(l1_unit, rng) else {
+            return false;
+        };
+        // A second flip of the same element XORs into the first and
+        // cancels it at zero, as `SetAssocCache::add_flip` does.
+        let same = |f: &OverlayFlip| f.unit == l1_unit && f.line == line && f.offset == offset;
+        match self.flips.iter().position(same) {
+            Some(i) => {
+                self.flips[i].mask ^= mask;
+                if self.flips[i].mask == 0 {
+                    self.flips.remove(i);
+                }
+            }
+            None => self.flips.push(OverlayFlip {
+                unit: l1_unit,
+                line,
+                offset,
+                mask,
+                end: lines.end_of(l1_unit, line, pos),
+            }),
+        }
+        true
+    }
+
+    /// Whether any flip is pending.
+    pub(crate) fn is_live(&self) -> bool {
+        !self.flips.is_empty()
+    }
+
+    /// Starts the tile at dispatch position `pos`.
+    pub(crate) fn begin_tile(&mut self, pos: usize) {
+        self.pos = pos;
+        self.ordinal = 0;
+    }
+
+    fn addr(&self, f: &OverlayFlip) -> usize {
+        f.line as usize * self.line_bytes + f.offset
+    }
+
+    /// One access of `len` bytes at `byte_addr`: counts its line
+    /// touches and ends every flip whose eviction falls among them,
+    /// appending a dirty L2 flip's write-back to `out`.
+    pub(crate) fn access(&mut self, byte_addr: usize, len: usize, out: &mut Vec<WriteBack>) {
+        if len == 0 || self.flips.is_empty() {
+            return;
+        }
+        let lines = ((byte_addr + len - 1) / self.line_bytes - byte_addr / self.line_bytes) as u32;
+        let touches = self.ordinal..=self.ordinal + lines;
+        self.ordinal += lines + 1;
+        let pos = self.pos;
+        let mut i = 0;
+        while i < self.flips.len() {
+            let f = self.flips[i];
+            match f.end.at {
+                Some((tile, k)) if tile == pos && touches.contains(&k) => {
+                    self.end_flip(i, out);
+                }
+                _ => i += 1,
+            }
+        }
+    }
+
+    /// Removes flip `i` at its end: a dirty L2 line writes it back.
+    fn end_flip(&mut self, i: usize, out: &mut Vec<WriteBack>) {
+        let f = self.flips.remove(i);
+        if f.end.dirty {
+            out.push(WriteBack {
+                byte_addr: self.addr(&f),
+                mask: f.mask,
+            });
+        }
+    }
+
+    /// Ends every flip whose eviction falls in the tile at `pos` (one
+    /// the fork skips rather than executes), write-backs into `out`.
+    #[allow(dead_code)]
+    pub(crate) fn end_in_tile(&mut self, pos: usize, out: &mut Vec<WriteBack>) {
+        let mut i = 0;
+        while i < self.flips.len() {
+            if self.flips[i].end.at.is_some_and(|(t, _)| t == pos) {
+                self.end_flip(i, out);
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    /// Walks the flips `unit` sees on the `len` elements at byte `base`:
+    /// a load (`row` given) XORs each element's combined mask into it
+    /// and returns whether a non-zero mask entered the row; a store
+    /// supersedes them.
+    pub(crate) fn walk(
+        &mut self,
+        unit: usize,
+        base: usize,
+        len: usize,
+        row: Option<&mut [f64]>,
+    ) -> bool {
+        let span = base..base + len * 8;
+        let seen =
+            |f: &OverlayFlip, addr: usize| f.unit.is_none_or(|u| u == unit) && span.contains(&addr);
+        let Some(row) = row else {
+            let lb = self.line_bytes;
+            self.flips
+                .retain(|f| !seen(f, f.line as usize * lb + f.offset));
+            return false;
+        };
+        let mut observed = false;
+        for (i, f) in self.flips.iter().enumerate() {
+            let addr = self.addr(f);
+            // Each element once, at its first flip: L1 and L2 masks
+            // combine as `corruption_for` combines them.
+            if !seen(f, addr)
+                || self.flips[..i]
+                    .iter()
+                    .any(|g| seen(g, addr) && self.addr(g) == addr)
+            {
+                continue;
+            }
+            let mask = self.flips[i..]
+                .iter()
+                .filter(|g| seen(g, addr) && self.addr(g) == addr)
+                .fold(0, |m, g| m ^ g.mask);
+            if mask != 0 {
+                let v = &mut row[(addr - base) / 8];
+                *v = f64::from_bits(v.to_bits() ^ mask);
+                observed = true;
+            }
+        }
+        self.touched |= observed;
+        observed
+    }
+
+    /// Every pending flip's line as [`CacheHierarchy::flip_lines`]
+    /// reports it; an L2 line's dirty bit is its dirty bit at its end,
+    /// which is its dirty bit now while no later tile touches it.
+    pub(crate) fn flip_lines(&self) -> impl Iterator<Item = FlipLine> + '_ {
+        self.flips.iter().map(|f| FlipLine {
+            line: f.line,
+            l2_dirty: f.unit.is_none().then_some(f.end.dirty),
+        })
+    }
+
+    /// Settles every pending flip as the final flush (or a contained
+    /// exit's flush) does: dirty L2 flips write back, in line order.
+    pub(crate) fn flush(&mut self) -> Vec<WriteBack> {
+        let mut flips = std::mem::take(&mut self.flips);
+        flips.sort_by_key(|f| f.line);
+        flips
+            .iter()
+            .filter(|f| f.end.dirty)
+            .map(|f| WriteBack {
+                byte_addr: self.addr(f),
+                mask: f.mask,
+            })
+            .collect()
     }
 }
 

@@ -26,7 +26,7 @@ use radcrit_core::DirtyRegion;
 use radcrit_obs::profile::{phase_if, profiling_enabled, PhaseId};
 use radcrit_obs::MetricsRegistry;
 
-use crate::cache::{CacheHierarchy, CacheStats};
+use crate::cache::{CacheHierarchy, CacheStats, FlipLine, Overlay};
 use crate::config::DeviceConfig;
 use crate::error::AccelError;
 use crate::memory::DeviceMemory;
@@ -137,6 +137,14 @@ impl RunScratch {
                 warm.mem.clone()
             }
         }
+    }
+
+    /// A cache hierarchy for a value-only fork's tiles to hold but never
+    /// touch (they run against an overlay): the spare as it is.
+    fn idle_caches(&mut self, cfg: &DeviceConfig) -> CacheHierarchy {
+        self.spare_caches
+            .take()
+            .unwrap_or_else(|| CacheHierarchy::new(cfg))
     }
 
     /// An owned cache hierarchy equal to `src`, reusing the previous
@@ -511,6 +519,22 @@ impl Engine {
         // The fork's warm state on its own (`fork` hands the scratch back
         // at the end).
         let warm: Option<&WarmState> = fork.as_ref().map(|(w, _)| *w);
+        // A value-only fork — no strike changes the address stream, and
+        // every cache strike lands at the warm state's instant — runs
+        // against an overlay of its flips instead of a copy of the warm
+        // caches, whose statistics it takes from the golden ledger.
+        let mut overlay = warm
+            .filter(|w| {
+                strikes.iter().all(|s| match s.target {
+                    StrikeTarget::Scheduler(
+                        SchedulerEffect::SkipTile | SchedulerEffect::RedirectTile,
+                    ) => false,
+                    StrikeTarget::L1 { .. } | StrikeTarget::L2 { .. } => s.at_tile == w.next_tile,
+                    _ => true,
+                })
+            })
+            .map(|w| Overlay::new(w.caches.line_bytes()));
+        let mut overlay_stats = warm.filter(|_| overlay.is_some()).map(|w| w.caches.stats());
 
         let (mut mem, mut caches, mut totals, mut l2_resident_samples, start_tile) =
             match fork.as_mut() {
@@ -520,7 +544,10 @@ impl Engine {
                 // the strike instant.
                 Some((w, sc)) => (
                     sc.memory_of(w),
-                    sc.caches_of(&w.caches),
+                    match overlay {
+                        Some(_) => sc.idle_caches(&self.cfg),
+                        None => sc.caches_of(&w.caches),
+                    },
                     w.counters,
                     w.l2_resident_samples,
                     w.next_tile,
@@ -625,7 +652,16 @@ impl Engine {
         early.sort_by_key(|s| s.at_tile);
         let deferred = !early.is_empty();
         for s in early {
-            let resolution = pending.deliver(s, s.at_tile, &plan, &mut caches, rng);
+            let resolution = pending.deliver(s, s.at_tile, &plan, rng, |unit, mask, rng| {
+                strike_cache(
+                    &mut caches,
+                    overlay.as_mut().zip(warm),
+                    unit,
+                    s.at_tile,
+                    rng,
+                    mask,
+                )
+            });
             if let Some(victim) = resolution.victim_tile.filter(|&v| v < start_tile) {
                 return Err(AccelError::StrikeOutOfRange {
                     tile: victim,
@@ -663,7 +699,16 @@ impl Engine {
 
             for s in strikes {
                 if s.at_tile == pos {
-                    let resolution = pending.deliver(s, pos, &plan, &mut caches, rng);
+                    let resolution = pending.deliver(s, pos, &plan, rng, |unit, mask, rng| {
+                        strike_cache(
+                            &mut caches,
+                            overlay.as_mut().zip(warm),
+                            unit,
+                            pos,
+                            rng,
+                            mask,
+                        )
+                    });
                     strike_delivered |= resolution.delivered;
                     resolutions.push(resolution);
                 }
@@ -678,10 +723,18 @@ impl Engine {
                 h.begin_tile(pos);
             }
             let carried = fault != TileFault::none();
+            // What golden's caches did in this tile, for a value-only fork.
+            let golden_tile = warm
+                .filter(|_| overlay.is_some())
+                .map(|w| w.ledger.tiles[pos]);
             let stats_before = caches.stats();
             let mut ctx = TileCtx::new(&mut mem, &mut caches, unit, fault);
             if let Some(log) = store_log.as_mut() {
                 ctx = ctx.with_store_log(log);
+            }
+            if let Some(o) = overlay.as_mut() {
+                o.begin_tile(pos);
+                ctx = ctx.with_overlay(o);
             }
             {
                 let _scope = phase_if(prof, PhaseId::TileExecute);
@@ -691,16 +744,22 @@ impl Engine {
             let (loaded, stored, written_back, observed) =
                 (ctx.loaded, ctx.stored, ctx.written_back, ctx.observed);
             totals.add(c);
+            if let (Some(stats), Some(t)) = (overlay_stats.as_mut(), golden_tile) {
+                add_cache_deltas(stats, &t.cache);
+            }
             if trace.is_some() || ledger.is_some() {
                 let after = caches.stats();
                 let entry = LedgerTile {
                     counters: c,
-                    cache: CacheStats {
-                        l1_hits: after.l1_hits - stats_before.l1_hits,
-                        l1_misses: after.l1_misses - stats_before.l1_misses,
-                        l2_hits: after.l2_hits - stats_before.l2_hits,
-                        l2_misses: after.l2_misses - stats_before.l2_misses,
-                        l2_resident_lines: after.l2_resident_lines,
+                    cache: match golden_tile {
+                        Some(t) => t.cache,
+                        None => CacheStats {
+                            l1_hits: after.l1_hits - stats_before.l1_hits,
+                            l1_misses: after.l1_misses - stats_before.l1_misses,
+                            l2_hits: after.l2_hits - stats_before.l2_hits,
+                            l2_misses: after.l2_misses - stats_before.l2_misses,
+                            l2_resident_lines: after.l2_resident_lines,
+                        },
                     },
                     // This tile's own loads until the run ends, when the
                     // ledger turns them into the union over later tiles.
@@ -725,15 +784,17 @@ impl Engine {
                 }
             }
 
-            l2_resident_samples += caches.l2_resident_lines() as f64;
+            l2_resident_samples += match golden_tile {
+                Some(t) => t.cache.l2_resident_lines,
+                None => caches.l2_resident_lines(),
+            } as f64;
 
+            let (touched, flips_pending) = match overlay.as_ref() {
+                Some(o) => (o.touched, o.is_live()),
+                None => (caches.corruption_touched(), caches.has_pending_corruption()),
+            };
             if let Some(last) = last_strike_tile {
-                if resumable
-                    && pos >= last
-                    && pending.is_empty()
-                    && !caches.corruption_touched()
-                    && !caches.has_pending_corruption()
-                {
+                if resumable && pos >= last && pending.is_empty() && !touched && !flips_pending {
                     golden_equivalent = true;
                     if let Some(m) = self.metrics.as_deref() {
                         m.counter_add("radcrit_run_dead_strike_exits_total", &[], 1);
@@ -757,12 +818,17 @@ impl Engine {
                     && w.ledger.tiles[pos].loaded_after & tainted == 0
                     && last_strike_tile.is_none_or(|last| pos >= last)
                     && pending.spent(pos, &plan)
-                    && flips_settled(&caches, &w.ledger, pos + 1)
+                    && match overlay.as_ref() {
+                        Some(o) => flips_settled(o.flip_lines(), touched, &w.ledger.lines, pos + 1),
+                        None => {
+                            flips_settled(caches.flip_lines(), touched, &w.ledger.lines, pos + 1)
+                        }
+                    }
                 {
                     contained_at = Some(pos);
                     if let Some(m) = self.metrics.as_deref() {
                         m.counter_add("radcrit_run_contained_exits_total", &[], 1);
-                        if caches.has_pending_corruption() {
+                        if flips_pending {
                             m.counter_add("radcrit_run_flip_exits_total", &[], 1);
                         }
                     }
@@ -778,7 +844,10 @@ impl Engine {
 
         // End of kernel: flush the hierarchy; dirty corrupted lines write
         // their corruption back to DRAM where the host reads the output.
-        let wbs = caches.flush();
+        let wbs = match overlay.as_mut() {
+            Some(o) => o.flush(),
+            None => caches.flush(),
+        };
         apply_writebacks(&mut mem, &wbs, store_log.as_mut());
 
         let mut output = mem.take_vec(program.output())?;
@@ -792,7 +861,14 @@ impl Engine {
                 ))
             })?;
 
-        let mut stats = caches.stats();
+        // Flushed caches hold no lines.
+        let mut stats = match overlay_stats {
+            Some(s) => CacheStats {
+                l2_resident_lines: 0,
+                ..s
+            },
+            None => caches.stats(),
+        };
         // Splice the golden suffix after a contained exit at tile `e`:
         // every later tile would have run exactly as in golden, so its
         // output stores land golden final values and its counters, cache
@@ -805,10 +881,7 @@ impl Engine {
             }
             for (t, entry) in g.tiles.iter().enumerate().skip(e + 1) {
                 totals.add(entry.counters);
-                stats.l1_hits += entry.cache.l1_hits;
-                stats.l1_misses += entry.cache.l1_misses;
-                stats.l2_hits += entry.cache.l2_hits;
-                stats.l2_misses += entry.cache.l2_misses;
+                add_cache_deltas(&mut stats, &entry.cache);
                 l2_resident_samples += entry.cache.l2_resident_lines as f64;
                 if let Some(tr) = trace.as_deref_mut() {
                     tr.push(tile_trace(t, plan.unit_of(t), entry));
@@ -938,22 +1011,21 @@ impl PendingFaults {
     /// cache line, or records the effect the strike leaves pending.
     /// Consumes `rng` exactly as the strike target requires (line and
     /// offset, register victim, redirect destination).
+    /// A cache strike goes to `flip(l1_unit, mask, rng)` (the L2 when
+    /// `l1_unit` is `None`), which reports whether a line was resident.
     fn deliver<R: Rng + ?Sized>(
         &mut self,
         strike: &StrikeSpec,
         pos: usize,
         plan: &DispatchPlan,
-        caches: &mut CacheHierarchy,
         rng: &mut R,
+        mut flip: impl FnMut(Option<usize>, u64, &mut R) -> bool,
     ) -> StrikeResolution {
         let here = plan.unit_of(pos);
         let armed = |at: usize, f: TileFault| Some((at, Pending::Armed(f)));
         let (delivered, effect, unit) = match strike.target {
-            StrikeTarget::L2 { mask } => (caches.strike_l2(rng, mask).is_some(), None, None),
-            StrikeTarget::L1 { mask } => {
-                let hit = caches.strike_l1(here, rng, mask).is_some();
-                (hit, None, Some(here))
-            }
+            StrikeTarget::L2 { mask } => (flip(None, mask, rng), None, None),
+            StrikeTarget::L1 { mask } => (flip(Some(here), mask, rng), None, Some(here)),
             StrikeTarget::RegisterFile { mask, op_index } => {
                 let victim = draw_victim(plan, pos, rng);
                 let f = TileFault::logic(op_index, 1, mask);
@@ -1085,10 +1157,37 @@ fn draw_victim<R: Rng + ?Sized>(plan: &DispatchPlan, pos: usize, rng: &mut R) ->
     rng.gen_range(victims.start..victims.end)
 }
 
-/// Whether every flip still pending in `caches` once the first `done`
-/// tiles have run has a settled fate that a contained exit reproduces,
-/// and taking the exit cannot pre-empt a dead-strike exit the full run
-/// would take.
+/// Flips `mask` in a random resident line of `l1_unit`'s L1 (the L2
+/// when `None`) before the tile at `pos`: in `caches`, or in a value-only
+/// fork's overlay, drawn from its warm caches. Whether a line was
+/// resident.
+fn strike_cache<R: Rng + ?Sized>(
+    caches: &mut CacheHierarchy,
+    overlay: Option<(&mut Overlay, &WarmState)>,
+    l1_unit: Option<usize>,
+    pos: usize,
+    rng: &mut R,
+    mask: u64,
+) -> bool {
+    match overlay {
+        Some((o, w)) => o.strike(&w.caches, &w.ledger.lines, l1_unit, pos, rng, mask),
+        None => caches.strike(l1_unit, rng, mask).is_some(),
+    }
+}
+
+/// Adds one tile's cache hit and miss deltas to `stats`.
+fn add_cache_deltas(stats: &mut CacheStats, d: &CacheStats) {
+    stats.l1_hits += d.l1_hits;
+    stats.l1_misses += d.l1_misses;
+    stats.l2_hits += d.l2_hits;
+    stats.l2_misses += d.l2_misses;
+}
+
+/// Whether every flip still pending (`flips`, in the cache hierarchy or
+/// the overlay) once the first `done` tiles have run has a settled fate
+/// that a contained exit reproduces, and taking the exit cannot pre-empt
+/// a dead-strike exit the full run would take; `touched` is whether
+/// corruption ever escaped the flips.
 ///
 /// The fork's address stream is golden's and flips never change tags or
 /// LRU state, so a flipped line no later golden tile touches is never
@@ -1098,19 +1197,21 @@ fn draw_victim<R: Rng + ?Sized>(plan: &DispatchPlan, pos: usize, rng: &mut R) ->
 /// observed corruption and every flip may yet vanish unseen; a dirty
 /// flipped line (its fate is a write-back) or flips on L2 lines golden
 /// never evicts again (they stay pending to the end) rule that out.
-fn flips_settled(caches: &CacheHierarchy, ledger: &GoldenLedger, done: usize) -> bool {
-    if !caches.has_pending_corruption() {
-        return true;
-    }
-    let mut never_dead = caches.corruption_touched();
+fn flips_settled(
+    flips: impl Iterator<Item = FlipLine>,
+    touched: bool,
+    lines: &LineIndex,
+    done: usize,
+) -> bool {
+    let mut never_dead = touched;
     let mut all_stay = true;
-    for f in caches.flip_lines() {
-        if !ledger.lines.untouched_after(f.line, done) {
+    for f in flips {
+        if !lines.untouched_after(f.line, done) {
             return false;
         }
         match f.l2_dirty {
             Some(true) => never_dead = true,
-            Some(false) => all_stay &= ledger.lines.unevicted_after(f.line, done),
+            Some(false) => all_stay &= lines.unevicted_after(f.line, done),
             None => all_stay = false,
         }
     }

@@ -17,7 +17,7 @@ use radcrit_core::exec;
 use radcrit_core::shape::OutputShape;
 use radcrit_obs::profile::{phase_if, tile_sample, PhaseId};
 
-use crate::cache::WriteBack;
+use crate::cache::{Overlay, WriteBack};
 use crate::error::AccelError;
 use crate::memory::{BufferId, DeviceMemory};
 
@@ -202,6 +202,9 @@ impl StoreLog {
 pub struct TileCtx<'a> {
     pub(crate) mem: &'a mut DeviceMemory,
     pub(crate) caches: &'a mut crate::cache::CacheHierarchy,
+    /// A value-only fork's flips: when set, accesses copy data against
+    /// memory and consult only the overlay, never `caches`.
+    pub(crate) overlay: Option<&'a mut Overlay>,
     pub(crate) unit: usize,
     pub(crate) fault: TileFault,
     pub(crate) fault_armed: bool,
@@ -240,6 +243,7 @@ impl<'a> TileCtx<'a> {
         TileCtx {
             mem,
             caches,
+            overlay: None,
             unit,
             fault,
             fault_armed,
@@ -265,6 +269,13 @@ impl<'a> TileCtx<'a> {
     /// watched buffer are recorded as dirty spans.
     pub(crate) fn with_store_log(mut self, log: &'a mut StoreLog) -> Self {
         self.store_log = Some(log);
+        self
+    }
+
+    /// Runs the tile against a value-only fork's overlay instead of the
+    /// cache hierarchy.
+    pub(crate) fn with_overlay(mut self, overlay: &'a mut Overlay) -> Self {
+        self.overlay = Some(overlay);
         self
     }
 
@@ -562,14 +573,17 @@ impl<'a> TileCtx<'a> {
         // state cannot affect loaded data, only the other way around.
         // One window borrow covers every row, copies run back to back,
         // and the per-row touch stream (identical order, so ticks, LRU
-        // and hit counters match the slow path bit for bit) follows.
-        // Flips are only added by strikes, never by loads, so the gate
-        // cannot flip mid-call.
-        if !self.caches.has_pending_corruption() {
+        // and hit counters match the slow path bit for bit) follows; an
+        // overlay has nothing to track. Flips are only added by strikes,
+        // never by loads, so the gate cannot flip mid-call.
+        if !self.flips_pending() {
             let span = (rows - 1) * stride + width;
             if let Ok((base, window)) = self.mem.window(buf, start, span) {
                 for (r, out) in dst.chunks_exact_mut(width).enumerate() {
                     E::copy_f64(&window[r * stride..r * stride + width], out);
+                }
+                if self.overlay.is_some() {
+                    return Ok(());
                 }
                 let _scope = phase_if(self.prof, PhaseId::CacheAccess);
                 let mut wbs = Vec::new();
@@ -597,15 +611,41 @@ impl<'a> TileCtx<'a> {
                 E::copy_f64(window, out);
                 base
             };
-            {
-                let _scope = phase_if(self.prof, PhaseId::CacheAccess);
-                self.caches
-                    .access_into::<E>(self.unit, base, width * 8, false, &mut wbs);
-            }
+            self.access::<E>(base, width * 8, false, &mut wbs);
             self.write_back(&mut wbs);
             self.walk_corruption(base, width, Some(out), &mut ranges);
         }
         Ok(())
+    }
+
+    /// Whether a flip is pending in the cache hierarchy or the overlay.
+    #[inline(always)]
+    fn flips_pending(&self) -> bool {
+        match self.overlay.as_deref() {
+            Some(o) => o.is_live(),
+            None => self.caches.has_pending_corruption(),
+        }
+    }
+
+    /// One cache access of `len` bytes at `base`, its corrupted
+    /// write-backs appended to `wbs`: through the cache hierarchy, or
+    /// the overlay's flip ends.
+    #[inline(always)]
+    fn access<E: exec::KernelExecutor>(
+        &mut self,
+        base: usize,
+        len: usize,
+        write: bool,
+        wbs: &mut Vec<WriteBack>,
+    ) {
+        match self.overlay.as_deref_mut() {
+            Some(o) => o.access(base, len, wbs),
+            None => {
+                let _scope = phase_if(self.prof, PhaseId::CacheAccess);
+                self.caches
+                    .access_into::<E>(self.unit, base, len, write, wbs);
+            }
+        }
     }
 
     /// Applies the corrupted write-backs one cache access caused and
@@ -617,7 +657,10 @@ impl<'a> TileCtx<'a> {
         }
         // Corruption reached DRAM mid-run; the run can no longer be
         // proven golden-equivalent.
-        self.caches.corruption_touched = true;
+        match self.overlay.as_deref_mut() {
+            Some(o) => o.touched = true,
+            None => self.caches.corruption_touched = true,
+        }
         self.written_back |= apply_writebacks(self.mem, wbs, self.store_log.as_deref_mut());
         wbs.clear();
     }
@@ -634,10 +677,14 @@ impl<'a> TileCtx<'a> {
         row: Option<&mut [f64]>,
         ranges: &mut Vec<(usize, usize)>,
     ) {
-        if !self.caches.has_pending_corruption() {
+        if !self.flips_pending() {
             return;
         }
         let _scope = phase_if(self.prof, PhaseId::CorruptionScan);
+        if let Some(o) = self.overlay.as_deref_mut() {
+            self.observed |= o.walk(self.unit, base, len, row);
+            return;
+        }
         self.caches.corrupted_ranges_into(base, len * 8, ranges);
         match row {
             Some(row) => {
@@ -751,11 +798,7 @@ impl<'a> TileCtx<'a> {
             log.record(buf, start, src.len());
         }
         let mut wbs = Vec::new();
-        {
-            let _scope = phase_if(self.prof, PhaseId::CacheAccess);
-            self.caches
-                .access_into::<E>(self.unit, base, src.len() * 8, true, &mut wbs);
-        }
+        self.access::<E>(base, src.len() * 8, true, &mut wbs);
         self.write_back(&mut wbs);
         // A program store supersedes pending corruption of the element.
         self.walk_corruption(base, src.len(), None, &mut Vec::new());
