@@ -1133,7 +1133,6 @@ impl Overlay {
 
     /// Ends every flip whose eviction falls in the tile at `pos` (one
     /// the fork skips rather than executes), write-backs into `out`.
-    #[allow(dead_code)]
     pub(crate) fn end_in_tile(&mut self, pos: usize, out: &mut Vec<WriteBack>) {
         let mut i = 0;
         while i < self.flips.len() {

@@ -643,6 +643,8 @@ impl Engine {
         // `flips_settled`): the exit's flush settles them.
         let mut tainted = 0u64;
         let mut contained_at: Option<usize> = None;
+        // Tiles a value-only fork skipped (see `skippable`).
+        let mut skipped = 0u64;
 
         // Deferred start: register-file strikes before the fork's first
         // tile, delivered in dispatch order with the draws delivery at
@@ -727,62 +729,103 @@ impl Engine {
             let golden_tile = warm
                 .filter(|_| overlay.is_some())
                 .map(|w| w.ledger.tiles[pos]);
-            let stats_before = caches.stats();
-            let mut ctx = TileCtx::new(&mut mem, &mut caches, unit, fault);
-            if let Some(log) = store_log.as_mut() {
-                ctx = ctx.with_store_log(log);
-            }
             if let Some(o) = overlay.as_mut() {
                 o.begin_tile(pos);
-                ctx = ctx.with_overlay(o);
             }
-            {
-                let _scope = phase_if(prof, PhaseId::TileExecute);
-                program.execute_tile(TileId(effective_tile), &mut ctx)?;
-            }
-            let c = ctx.drain_counters();
-            let (loaded, stored, written_back, observed) =
-                (ctx.loaded, ctx.stored, ctx.written_back, ctx.observed);
-            totals.add(c);
-            if let (Some(stats), Some(t)) = (overlay_stats.as_mut(), golden_tile) {
-                add_cache_deltas(stats, &t.cache);
-            }
-            if trace.is_some() || ledger.is_some() {
-                let after = caches.stats();
-                let entry = LedgerTile {
-                    counters: c,
-                    cache: match golden_tile {
-                        Some(t) => t.cache,
-                        None => CacheStats {
-                            l1_hits: after.l1_hits - stats_before.l1_hits,
-                            l1_misses: after.l1_misses - stats_before.l1_misses,
-                            l2_hits: after.l2_hits - stats_before.l2_hits,
-                            l2_misses: after.l2_misses - stats_before.l2_misses,
-                            l2_resident_lines: after.l2_resident_lines,
-                        },
-                    },
-                    // This tile's own loads until the run ends, when the
-                    // ledger turns them into the union over later tiles.
-                    loaded_after: loaded,
-                    loaded,
-                    stored,
-                    overwritten: false,
-                };
-                if let Some(tr) = trace.as_deref_mut() {
-                    tr.push(tile_trace(pos, unit, &entry));
+            let skip = match (golden_tile, warm, overlay.as_ref()) {
+                (Some(t), Some(w), Some(o))
+                    if !carried
+                        && effective_tile == pos
+                        && skippable(&t, o, &w.ledger.lines, pos, unit, tainted) =>
+                {
+                    Some((t, w))
                 }
-                if let Some(g) = ledger.as_mut() {
-                    g.tiles.push(entry);
-                    // Attribute this tile's output stores for the golden
-                    // span index.
-                    if let Some(log) = store_log.as_mut() {
-                        for &(s, l) in &log.spans {
-                            g.output_spans.push((pos as u32, s as u32, l as u32));
-                        }
-                        log.spans.clear();
+                _ => None,
+            };
+            let (loaded, stored, written_back, observed) = match (skip, overlay.as_mut()) {
+                // A skipped tile would compute golden's values: write its
+                // golden output spans, end the flips golden evicts during
+                // it, and add its golden counters, statistics and trace.
+                (Some((t, w)), Some(o)) => {
+                    skipped += 1;
+                    let out = program.output();
+                    for (s, l) in w.ledger.spans_in(pos..pos + 1) {
+                        let (_, window) = mem.window_mut(out, s, l)?;
+                        window.copy_from_slice(&w.ledger.output[s..s + l]);
                     }
+                    let mut wbs = Vec::new();
+                    o.end_in_tile(pos, &mut wbs);
+                    o.touched |= !wbs.is_empty();
+                    let written_back = apply_writebacks(&mut mem, &wbs, store_log.as_mut());
+                    totals.add(t.counters);
+                    if let Some(stats) = overlay_stats.as_mut() {
+                        add_cache_deltas(stats, &t.cache);
+                    }
+                    if let Some(tr) = trace.as_deref_mut() {
+                        tr.push(tile_trace(pos, unit, &t));
+                    }
+                    (0, 0, written_back, false)
                 }
-            }
+                (_, o) => {
+                    let stats_before = caches.stats();
+                    let mut ctx = TileCtx::new(&mut mem, &mut caches, unit, fault);
+                    if let Some(log) = store_log.as_mut() {
+                        ctx = ctx.with_store_log(log);
+                    }
+                    if let Some(o) = o {
+                        ctx = ctx.with_overlay(o);
+                    }
+                    {
+                        let _scope = phase_if(prof, PhaseId::TileExecute);
+                        program.execute_tile(TileId(effective_tile), &mut ctx)?;
+                    }
+                    let c = ctx.drain_counters();
+                    let (loaded, stored, written_back, observed) =
+                        (ctx.loaded, ctx.stored, ctx.written_back, ctx.observed);
+                    totals.add(c);
+                    if let (Some(stats), Some(t)) = (overlay_stats.as_mut(), golden_tile) {
+                        add_cache_deltas(stats, &t.cache);
+                    }
+                    if trace.is_some() || ledger.is_some() {
+                        let after = caches.stats();
+                        let entry = LedgerTile {
+                            counters: c,
+                            cache: match golden_tile {
+                                Some(t) => t.cache,
+                                None => CacheStats {
+                                    l1_hits: after.l1_hits - stats_before.l1_hits,
+                                    l1_misses: after.l1_misses - stats_before.l1_misses,
+                                    l2_hits: after.l2_hits - stats_before.l2_hits,
+                                    l2_misses: after.l2_misses - stats_before.l2_misses,
+                                    l2_resident_lines: after.l2_resident_lines,
+                                },
+                            },
+                            // This tile's own loads until the run ends, when
+                            // the ledger turns them into the union over
+                            // later tiles.
+                            loaded_after: loaded,
+                            loaded,
+                            stored,
+                            overwritten: false,
+                        };
+                        if let Some(tr) = trace.as_deref_mut() {
+                            tr.push(tile_trace(pos, unit, &entry));
+                        }
+                        if let Some(g) = ledger.as_mut() {
+                            g.tiles.push(entry);
+                            // Attribute this tile's output stores for the
+                            // golden span index.
+                            if let Some(log) = store_log.as_mut() {
+                                for &(s, l) in &log.spans {
+                                    g.output_spans.push((pos as u32, s as u32, l as u32));
+                                }
+                                log.spans.clear();
+                            }
+                        }
+                    }
+                    (loaded, stored, written_back, observed)
+                }
+            };
 
             l2_resident_samples += match golden_tile {
                 Some(t) => t.cache.l2_resident_lines,
@@ -835,6 +878,10 @@ impl Engine {
                     break;
                 }
             }
+        }
+
+        if let (Some(m), true) = (self.metrics.as_deref(), skipped > 0) {
+            m.counter_add("radcrit_run_skipped_tiles_total", &[], skipped);
         }
 
         let history = caches
@@ -1173,6 +1220,30 @@ fn strike_cache<R: Rng + ?Sized>(
         Some((o, w)) => o.strike(&w.caches, &w.ledger.lines, l1_unit, pos, rng, mask),
         None => caches.strike(l1_unit, rng, mask).is_some(),
     }
+}
+
+/// Whether a value-only fork may skip the tile `t` at dispatch position
+/// `pos`, running on `unit` with no fault armed: it touches no line a
+/// live flip sits on (for an L1 flip, only touches from its unit count),
+/// loads no `tainted` buffer, and its stores are final — no later tile
+/// loads a buffer it stores or stores over its output spans. Such a
+/// tile computes exactly golden's values, and nothing later can tell
+/// whether it ran or its golden output was written.
+fn skippable(
+    t: &LedgerTile,
+    overlay: &Overlay,
+    lines: &LineIndex,
+    pos: usize,
+    unit: usize,
+    tainted: u64,
+) -> bool {
+    t.loaded & tainted == 0
+        && t.stored & t.loaded_after == 0
+        && !t.overwritten
+        && overlay
+            .flips
+            .iter()
+            .all(|f| f.unit.is_some_and(|u| u != unit) || !lines.touched_by(f.line, pos))
 }
 
 /// Adds one tile's cache hit and miss deltas to `stats`.

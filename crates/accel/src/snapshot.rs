@@ -89,14 +89,11 @@ pub(crate) struct LedgerTile {
     /// a tainted buffer outside this mask is never read again.
     pub(crate) loaded_after: u64,
     /// Buffers the tile itself loads and stores.
-    #[allow(dead_code)]
     pub(crate) loaded: u64,
-    #[allow(dead_code)]
     pub(crate) stored: u64,
     /// Whether a later tile stores over any of this tile's output spans:
     /// only a tile whose spans hold their final values can be replaced
     /// by writing the golden output.
-    #[allow(dead_code)]
     pub(crate) overwritten: bool,
 }
 
@@ -164,7 +161,6 @@ pub(crate) struct LineIndex {
 /// Where a cache flip leaves its cache: during the tile `at.0`, at line
 /// touch `at.1` of that tile, or at the final flush (`at == None`); a
 /// dirty L2 line writes the flip back to memory then.
-#[allow(dead_code)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct FlipEnd {
     pub(crate) at: Option<(usize, u32)>,
@@ -192,7 +188,6 @@ impl LineIndex {
     }
 
     /// Whether the tile at dispatch position `tile` touches `line`.
-    #[allow(dead_code)]
     pub(crate) fn touched_by(&self, line: u64, tile: usize) -> bool {
         self.touches.of(line).binary_search(&(tile as u32)).is_ok()
     }
@@ -216,7 +211,6 @@ impl LineIndex {
 
     /// Where a flip on `line`, resident in `unit`'s L1 (or the L2 when
     /// `None`) before the tile at `from` runs, leaves its cache.
-    #[allow(dead_code)]
     pub(crate) fn end_of(&self, unit: Option<usize>, line: u64, from: usize) -> FlipEnd {
         let (rows, tag) = match unit {
             Some(u) => (&self.l1_evictions, Some(u as u32)),
