@@ -2132,6 +2132,8 @@ mod tests {
         exits: u64,
         flip_exits: u64,
         dead_exits: u64,
+        /// Tiles the fork skipped.
+        skipped: u64,
     }
 
     /// Runs `s` from tile 0 and forked off a stride-1 snapshot set.
@@ -2178,6 +2180,7 @@ mod tests {
             exits: count("radcrit_run_contained_exits_total"),
             flip_exits: count("radcrit_run_flip_exits_total"),
             dead_exits: count("radcrit_run_dead_strike_exits_total"),
+            skipped: count("radcrit_run_skipped_tiles_total"),
         }
     }
 
@@ -2354,6 +2357,200 @@ mod tests {
         let suffix: Vec<_> = r.reference_trace.tiles()[1..].to_vec();
         assert_eq!(r.fork_trace.tiles(), &suffix[..], "same truncated trace");
         assert_eq!(r.fork.profile, r.reference.profile);
+    }
+
+    /// The fork equals the reference run: output bits, profile and the
+    /// trace of the tiles from the strike on.
+    fn assert_fork_matches(r: &Forked, at_tile: usize) {
+        assert_eq!(bits(&r.fork.output), bits(&r.reference.output));
+        assert_eq!(r.fork.profile, r.reference.profile);
+        assert_eq!(r.fork.resolutions, r.reference.resolutions);
+        assert_eq!(r.fork.golden_equivalent, r.reference.golden_equivalent);
+        let suffix: Vec<_> = r.reference_trace.tiles()[at_tile..].to_vec();
+        assert_eq!(
+            r.fork_trace.tiles(),
+            &suffix[..],
+            "trace from the strike on"
+        );
+    }
+
+    #[test]
+    fn flip_evicted_mid_row_by_a_later_line_of_the_same_row_is_not_observed() {
+        // Tiny L2 (4 sets of 2 ways); `in` spans lines 0..12. Tile 0
+        // loads line 0, the only L2 resident, so the strike flips it.
+        // Tile 1 loads lines 0..9 as one row: line 0 hits, line 4 fills
+        // set 0, line 8 evicts line 0 (now the LRU way) — before the
+        // row's corruption walk, which therefore never sees the flip.
+        let mut p = Pipeline {
+            lens: vec![96, 72],
+            stages: vec![
+                Stage::new(Some(0), None, 0, 8),
+                Stage::new(Some(0), Some(1), 0, 72),
+            ],
+            bufs: Vec::new(),
+        };
+        for seed in 0..4 {
+            let s = StrikeSpec::new(1, StrikeTarget::L2 { mask: 1 << 62 });
+            let r = reference_and_fork(tiny_device(), &mut p, s, seed);
+            assert!(r.reference.strike_delivered, "seed {seed}");
+            assert!(
+                r.reference.golden_equivalent,
+                "seed {seed}: the flip left unseen, the run dead-exits"
+            );
+            assert_eq!(r.dead_exits, 1, "seed {seed}");
+            assert_fork_matches(&r, 1);
+        }
+    }
+
+    #[test]
+    fn dirty_flip_evicted_inside_a_skipped_tile_reaches_the_output() {
+        // Tiny L2; buffers pad (lines 0..8) and out (lines 8..11). Tile 0
+        // stores out line 8 (dirty, the only L2 resident); the strike at
+        // tile 1 flips it. Tile 1 streams `pad`, which evicts line 8 and
+        // writes the XOR back, but touches no flipped line, loads nothing
+        // tainted and stores nothing: the fork skips it and applies the
+        // write-back from the index. Tile 2 reads line 8 back into out
+        // line 10.
+        let mut p = Pipeline {
+            lens: vec![64, 24],
+            stages: vec![
+                Stage::new(None, Some(1), 0, 8),
+                Stage::new(Some(0), None, 0, 64),
+                Stage::new(Some(1), Some(1), 0, 8).to(16),
+            ],
+            bufs: Vec::new(),
+        };
+        for seed in 0..4 {
+            let s = StrikeSpec::new(1, StrikeTarget::L2 { mask: 1 << 62 });
+            let r = reference_and_fork(tiny_device(), &mut p, s, seed);
+            let diffs: Vec<usize> = (0..24)
+                .filter(|&i| r.reference.output[i].to_bits() != r.golden.output[i].to_bits())
+                .collect();
+            assert!(diffs.len() == 2 && diffs[0] < 8, "seed {seed}: {diffs:?}");
+            assert!(diffs[1] >= 16, "seed {seed}: propagated to out line 10");
+            assert_eq!(r.skipped, 1, "seed {seed}: tile 1 skipped");
+            assert_fork_matches(&r, 1);
+        }
+    }
+
+    #[test]
+    fn store_clears_a_live_flip() {
+        // Tile 0 loads `a` (line 0, the only L2 resident) and the strike
+        // at tile 1 flips it; tile 1 then stores all of line 0, which
+        // supersedes the flip, so tile 2 reads the stored values and the
+        // run dead-exits after tile 1 with nothing observed.
+        let mut p = Pipeline {
+            lens: vec![8, 8],
+            stages: vec![
+                Stage::new(Some(0), None, 0, 8),
+                Stage::new(None, Some(0), 0, 8),
+                Stage::new(Some(0), Some(1), 0, 8),
+            ],
+            bufs: Vec::new(),
+        };
+        for seed in 0..4 {
+            let s = StrikeSpec::new(1, StrikeTarget::L2 { mask: 1 << 62 });
+            let r = reference_and_fork(tiny_device(), &mut p, s, seed);
+            assert!(r.reference.strike_delivered);
+            assert!(r.reference.golden_equivalent, "seed {seed}");
+            assert_eq!(
+                r.reference_trace.tiles().len(),
+                2,
+                "seed {seed}: dead exit after the store"
+            );
+            assert_eq!(r.dead_exits, 1);
+            assert_fork_matches(&r, 1);
+        }
+    }
+
+    #[test]
+    fn l1_flip_is_seen_only_by_its_unit() {
+        // Two units. Tile 0 (unit 0) loads `a` (line 0), the only line in
+        // unit 0's L1; the L1 strike at tile 2 (unit 0) flips it. Tile 3
+        // (unit 1) reads `a` through its own clean L1 — the fork skips it
+        // — and tile 4 (unit 0) reads the flip.
+        let cfg = DeviceConfig::builder("tiny2")
+            .units(2)
+            .max_threads_per_unit(64)
+            .l1(crate::cache::CacheGeometry::new(256, 64, 2).unwrap())
+            .l2(crate::cache::CacheGeometry::new(512, 64, 2).unwrap())
+            .build()
+            .unwrap();
+        let idle = Stage::new(None, None, 0, 1);
+        let mut p = Pipeline {
+            lens: vec![8, 16],
+            stages: vec![
+                Stage::new(Some(0), None, 0, 8),
+                idle,
+                idle,
+                Stage::new(Some(0), Some(1), 0, 8),
+                Stage::new(Some(0), Some(1), 0, 8).to(8),
+            ],
+            bufs: Vec::new(),
+        };
+        let plan = Engine::new(cfg.clone()).plan_of(&p);
+        let units: Vec<usize> = (0..5).map(|t| plan.unit_of(t)).collect();
+        assert_eq!(units, [0, 1, 0, 1, 0]);
+        for seed in 0..4 {
+            let s = StrikeSpec::new(2, StrikeTarget::L1 { mask: 1 << 62 });
+            let r = reference_and_fork(cfg.clone(), &mut p, s, seed);
+            let diffs: Vec<usize> = (0..16)
+                .filter(|&i| r.reference.output[i].to_bits() != r.golden.output[i].to_bits())
+                .collect();
+            assert!(
+                diffs.len() == 1 && diffs[0] >= 8,
+                "seed {seed}: only unit 0's tile 4 sees the flip: {diffs:?}"
+            );
+            assert!(r.skipped >= 1, "seed {seed}: tile 3 skipped");
+            assert_fork_matches(&r, 2);
+        }
+    }
+
+    #[test]
+    fn cache_strike_after_the_warm_instant_keeps_the_cache_model_and_matches() {
+        // The warm state sits at tile 0 and the L2 strike lands at tile
+        // 2: the fork copies the warm caches and runs per access, and
+        // still equals the reference run.
+        let metrics = std::sync::Arc::new(MetricsRegistry::new());
+        let engine = Engine::new(DeviceConfig::kepler_k40()).with_metrics(metrics.clone());
+        let mut p = Affine::new(64);
+        let (_, set) = engine
+            .golden_snapshotted(
+                &mut p,
+                &SnapshotPolicy {
+                    stride: 1,
+                    max_bytes: 0,
+                },
+            )
+            .unwrap();
+        let mut scratch = RunScratch::new();
+        let warm = engine
+            .warm_restore(&mut p, &set, 0, &mut scratch, None)
+            .unwrap()
+            .unwrap();
+        assert_eq!(warm.next_tile(), 0);
+        for seed in 0..4 {
+            let s = StrikeSpec::new(2, StrikeTarget::L2 { mask: 1 << 62 });
+            let reference = engine
+                .run(&mut p, &[s], &mut SmallRng::seed_from_u64(seed), None, None)
+                .unwrap();
+            let fork = engine
+                .run(
+                    &mut p,
+                    &[s],
+                    &mut SmallRng::seed_from_u64(seed),
+                    Some((&warm, &mut scratch)),
+                    None,
+                )
+                .unwrap();
+            assert_eq!(bits(&fork.output), bits(&reference.output), "seed {seed}");
+            assert_eq!(fork.profile, reference.profile);
+            assert_eq!(fork.resolutions, reference.resolutions);
+        }
+        let skipped = metrics
+            .snapshot()
+            .counter("radcrit_run_skipped_tiles_total", &[]);
+        assert_eq!(skipped, None, "the per-access path skips nothing");
     }
 
     #[test]

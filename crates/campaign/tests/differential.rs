@@ -242,12 +242,15 @@ fn assert_fork_matches(
 /// never exits for a skipped or redirected tile, or for a HotSpot strike
 /// before the last iteration (the ping-pong buffer it taints is loaded
 /// again by every later iteration). On DGEMM/K40 some L2 strike exits
-/// with its flip still pending.
+/// with its flip still pending, and some L2 fork skips tiles its flip
+/// cannot reach; no skip or redirect fork ever skips a tile (its address
+/// stream is not golden's, so it keeps the cache model).
 #[test]
 fn forked_runs_are_bit_identical_to_reference_runs_everywhere() {
     // Contained exits per target over DGEMM and LavaMD on both devices.
     let mut target_exits = vec![0; all_targets().len()];
     let mut dgemm_k40_l2_flip_exits = 0;
+    let mut dgemm_k40_l2_skipped_tiles = 0;
     let mut deferred_forks = 0;
     for device in devices() {
         for spec in kernels() {
@@ -287,6 +290,7 @@ fn forked_runs_are_bit_identical_to_reference_runs_everywhere() {
                     for start in starts {
                         let exits_before = contained_exits(&metrics);
                         let flips_before = counter(&metrics, "radcrit_run_flip_exits_total");
+                        let skipped_before = counter(&metrics, "radcrit_run_skipped_tiles_total");
                         let (forked, w, forked_trace) = fork(
                             &engine,
                             kernel.as_mut(),
@@ -316,6 +320,21 @@ fn forked_runs_are_bit_identical_to_reference_runs_everywhere() {
                         ) {
                             dgemm_k40_l2_flip_exits +=
                                 counter(&metrics, "radcrit_run_flip_exits_total") - flips_before;
+                            dgemm_k40_l2_skipped_tiles +=
+                                counter(&metrics, "radcrit_run_skipped_tiles_total")
+                                    - skipped_before;
+                        }
+                        if matches!(
+                            target,
+                            StrikeTarget::Scheduler(
+                                SchedulerEffect::SkipTile | SchedulerEffect::RedirectTile
+                            )
+                        ) {
+                            assert_eq!(
+                                counter(&metrics, "radcrit_run_skipped_tiles_total"),
+                                skipped_before,
+                                "address-stream faults skip no tile: {ctx}"
+                            );
                         }
                         let victim = forked.resolutions[0].victim_tile;
                         match (spec, target) {
@@ -389,6 +408,10 @@ fn forked_runs_are_bit_identical_to_reference_runs_everywhere() {
     assert!(
         dgemm_k40_l2_flip_exits > 0,
         "no DGEMM/K40 L2 strike exited with its flip pending"
+    );
+    assert!(
+        dgemm_k40_l2_skipped_tiles > 0,
+        "no DGEMM/K40 L2 fork skipped a tile"
     );
     assert!(
         deferred_forks > 0,

@@ -186,6 +186,11 @@ pub const METRIC_REFERENCE: &[MetricHelp] = &[
         help: "Contained exits taken with cache flips still pending, each on a line no later tile touches; a subset of radcrit_run_contained_exits_total.",
     },
     MetricHelp {
+        name: "radcrit_run_skipped_tiles_total",
+        kind: "counter",
+        help: "Tiles value-only forks skipped instead of executing: no fault armed, no line with a live flip touched, no tainted buffer loaded, stores final; their golden output and ledger entry were used.",
+    },
+    MetricHelp {
         name: "radcrit_serve_jobs_submitted_total",
         kind: "counter",
         help: "Jobs accepted into the daemon's queue.",

@@ -174,6 +174,7 @@ fn forked_runs_equal_reference_runs_for_every_target() {
             "the exit with a flip pending",
         ),
         ("radcrit_bucket_deferred_forks_total", "a deferred start"),
+        ("radcrit_run_skipped_tiles_total", "a skipped tile"),
     ] {
         let n = snap.counter(counter, &[]).unwrap_or(0);
         assert!(n > 0, "no fork took {path} ({counter} = {n})");
