@@ -599,19 +599,23 @@ pub(crate) struct Eviction {
 }
 
 /// Per-line access log of a golden run, recorded touch by touch while
-/// `Engine::golden_snapshotted` captures (never on a fork): which tiles
-/// touch each line, and when each L1 and the L2 evict it. Pairs are
-/// keyed by line number and ascend by tile; the ledger turns them into
-/// a `LineIndex`.
+/// `Engine::golden_snapshotted` captures (never on a fork): the lines
+/// each tile touches, and when each L1 and the L2 evict a line. The
+/// ledger turns it into a `LineIndex` without regrouping anything, so
+/// capture pays only the appends.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LineLog {
     /// Dispatch position of the tile now executing.
-    pub(crate) tile: u32,
+    tile: u32,
     /// Line touches of that tile so far.
-    pub(crate) ordinal: u32,
-    /// Per line: one past the last tile logged as touching it.
+    ordinal: u32,
+    /// Per line: one past the last tile that touched it (0: never).
     pub(crate) last_touch: Vec<u32>,
-    pub(crate) touches: Vec<(u32, u32)>,
+    /// The distinct lines each tile touched, tile after tile: tile `t`'s
+    /// start at `tile_starts[t]`.
+    pub(crate) tile_lines: Vec<u32>,
+    pub(crate) tile_starts: Vec<u32>,
+    /// Evictions as `(line, eviction)`, in execution order.
     pub(crate) l1_evictions: Vec<(u32, Eviction)>,
     pub(crate) l2_evictions: Vec<(u32, Eviction)>,
 }
@@ -621,16 +625,19 @@ impl LineLog {
     pub(crate) fn begin_tile(&mut self, pos: usize) {
         self.tile = pos as u32;
         self.ordinal = 0;
+        self.tile_starts
+            .resize(pos + 1, self.tile_lines.len() as u32);
     }
 
-    fn touch(&mut self, line: u64) {
+    /// Logs a touch of `line` by the tile now executing.
+    pub(crate) fn touch(&mut self, line: u64) {
         let l = line as usize;
         if l >= self.last_touch.len() {
             self.last_touch.resize(l + 1, 0);
         }
         if self.last_touch[l] != self.tile + 1 {
             self.last_touch[l] = self.tile + 1;
-            self.touches.push((line as u32, self.tile));
+            self.tile_lines.push(line as u32);
         }
     }
 

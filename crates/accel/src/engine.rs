@@ -800,10 +800,8 @@ impl Engine {
                                     l2_resident_lines: after.l2_resident_lines,
                                 },
                             },
-                            // This tile's own loads until the run ends, when
-                            // the ledger turns them into the union over
-                            // later tiles.
-                            loaded_after: loaded,
+                            // Set when the run ends, from later tiles' loads.
+                            loaded_after: 0,
                             loaded,
                             stored,
                             overwritten: false,
@@ -887,7 +885,7 @@ impl Engine {
         let history = caches
             .history
             .take()
-            .map(|h| LineIndex::new(&h, caches.l2_dirty_lines()));
+            .map(|h| LineIndex::new(*h, caches.l2_dirty_lines()));
 
         // End of kernel: flush the hierarchy; dirty corrupted lines write
         // their corruption back to DRAM where the host reads the output.
@@ -990,9 +988,8 @@ impl Engine {
         if let Some(mut g) = ledger {
             let mut after = 0;
             for entry in g.tiles.iter_mut().rev() {
-                let own = entry.loaded_after;
                 entry.loaded_after = after;
-                after |= own;
+                after |= entry.loaded;
             }
             // A tile's output spans are overwritten when a later tile
             // stores over any of their elements.

@@ -97,63 +97,29 @@ pub(crate) struct LedgerTile {
     pub(crate) overwritten: bool,
 }
 
-/// Compressed-sparse-row pairs keyed by line number: the items of line
-/// `l` are `items[start[l]..start[l + 1]]`, in the order they were
-/// logged.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct LineRows<T> {
-    start: Vec<u32>,
-    items: Vec<T>,
-}
-
-impl<T: Copy + Default> LineRows<T> {
-    /// Groups `pairs` by line, keeping each line's pairs in order (a
-    /// counting sort).
-    fn from_pairs(pairs: &[(u32, T)], lines: usize) -> Self {
-        let mut start = vec![0u32; lines + 1];
-        for &(l, _) in pairs {
-            start[l as usize + 1] += 1;
-        }
-        for l in 0..lines {
-            start[l + 1] += start[l];
-        }
-        let mut next = start.clone();
-        let mut items = vec![T::default(); pairs.len()];
-        for &(l, item) in pairs {
-            items[next[l as usize] as usize] = item;
-            next[l as usize] += 1;
-        }
-        LineRows { start, items }
-    }
-
-    fn of(&self, line: u64) -> &[T] {
-        match usize::try_from(line) {
-            Ok(l) if l + 1 < self.start.len() => {
-                &self.items[self.start[l] as usize..self.start[l + 1] as usize]
-            }
-            _ => &[],
-        }
-    }
-
-    fn cost_bytes(&self) -> usize {
-        self.start.len() * 4 + self.items.len() * std::mem::size_of::<T>()
-    }
-}
-
 /// The golden run's caches line by line, recorded once by
 /// `Engine::golden_snapshotted`. A value-only fork issues golden's
 /// address stream and flips never change tags, LRU or dirty state, so a
 /// flipped line leaves its cache exactly when golden evicts it, with
 /// golden's dirty bit: the index gives every flip its fate by lookup.
+///
+/// Everything is kept in the order capture logged it — per tile, or in
+/// execution order — plus two per-line "last tile" arrays, so building
+/// the index regroups nothing.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LineIndex {
-    /// Per line: the dispatch positions of the tiles touching it,
-    /// ascending.
-    touches: LineRows<u32>,
-    /// Per line: its L1 evictions (tag: the unit), ascending by tile.
-    l1_evictions: LineRows<Eviction>,
-    /// Per line: its L2 evictions (tag: the dirty bit), ascending.
-    l2_evictions: LineRows<Eviction>,
+    /// Per line: one past the last tile touching it (0: never).
+    last_touch: Vec<u32>,
+    /// Per tile, CSR-style: the lines tile `t` touches, ascending, are
+    /// `tile_lines[tile_starts[t]..tile_starts[t + 1]]`.
+    tile_starts: Vec<u32>,
+    tile_lines: Vec<u32>,
+    /// L1 evictions (tag: the unit) and L2 evictions (tag: the dirty
+    /// bit) as `(line, eviction)`, in execution order.
+    l1_evictions: Vec<(u32, Eviction)>,
+    l2_evictions: Vec<(u32, Eviction)>,
+    /// Per line: one past the last tile during which the L2 evicts it.
+    last_l2_evict: Vec<u32>,
     /// L2 lines resident and dirty at the final flush, ascending.
     flush_dirty: Vec<u64>,
 }
@@ -170,58 +136,80 @@ pub(crate) struct FlipEnd {
 impl LineIndex {
     /// Builds the index from a finished log; `flush_dirty` are the L2's
     /// dirty lines at the final flush.
-    pub(crate) fn new(log: &LineLog, flush_dirty: Vec<u64>) -> Self {
-        let lines = log
-            .touches
-            .iter()
-            .map(|&(l, _)| l)
-            .chain(log.l1_evictions.iter().map(|&(l, _)| l))
-            .chain(log.l2_evictions.iter().map(|&(l, _)| l))
-            .max()
-            .map_or(0, |l| l as usize + 1);
+    pub(crate) fn new(log: LineLog, flush_dirty: Vec<u64>) -> Self {
+        let LineLog {
+            last_touch,
+            mut tile_lines,
+            mut tile_starts,
+            l1_evictions,
+            l2_evictions,
+            ..
+        } = log;
+        tile_starts.push(tile_lines.len() as u32);
+        for t in tile_starts.windows(2) {
+            tile_lines[t[0] as usize..t[1] as usize].sort_unstable();
+        }
+        let mut last_l2_evict = Vec::new();
+        for &(line, e) in &l2_evictions {
+            let l = line as usize;
+            if l >= last_l2_evict.len() {
+                last_l2_evict.resize(l + 1, 0);
+            }
+            last_l2_evict[l] = e.tile + 1;
+        }
         LineIndex {
-            touches: LineRows::from_pairs(&log.touches, lines),
-            l1_evictions: LineRows::from_pairs(&log.l1_evictions, lines),
-            l2_evictions: LineRows::from_pairs(&log.l2_evictions, lines),
+            last_touch,
+            tile_starts,
+            tile_lines,
+            l1_evictions,
+            l2_evictions,
+            last_l2_evict,
             flush_dirty,
         }
     }
 
     /// Whether the tile at dispatch position `tile` touches `line`.
     pub(crate) fn touched_by(&self, line: u64, tile: usize) -> bool {
-        self.touches.of(line).binary_search(&(tile as u32)).is_ok()
+        let lines = match (self.tile_starts.get(tile), self.tile_starts.get(tile + 1)) {
+            (Some(&lo), Some(&hi)) => &self.tile_lines[lo as usize..hi as usize],
+            _ => &[],
+        };
+        u32::try_from(line).is_ok_and(|l| lines.binary_search(&l).is_ok())
     }
 
     /// Whether no golden tile after the first `done` touches `line`.
     pub(crate) fn untouched_after(&self, line: u64, done: usize) -> bool {
-        self.touches
-            .of(line)
-            .last()
-            .is_none_or(|&t| (t as usize) < done)
+        Self::at_most(&self.last_touch, line, done)
     }
 
     /// Whether the golden L2 never evicts `line` after the first `done`
     /// tiles.
     pub(crate) fn unevicted_after(&self, line: u64, done: usize) -> bool {
-        self.l2_evictions
-            .of(line)
-            .last()
-            .is_none_or(|e| (e.tile as usize) < done)
+        Self::at_most(&self.last_l2_evict, line, done)
+    }
+
+    fn at_most(last: &[u32], line: u64, done: usize) -> bool {
+        usize::try_from(line)
+            .ok()
+            .and_then(|l| last.get(l))
+            .is_none_or(|&t| t as usize <= done)
     }
 
     /// Where a flip on `line`, resident in `unit`'s L1 (or the L2 when
-    /// `None`) before the tile at `from` runs, leaves its cache.
+    /// `None`) before the tile at `from` runs, leaves its cache: a scan
+    /// of the evictions from `from` on, which for a resident line ends
+    /// within about one cache's worth of evictions.
     pub(crate) fn end_of(&self, unit: Option<usize>, line: u64, from: usize) -> FlipEnd {
-        let (rows, tag) = match unit {
+        let (evictions, unit_tag) = match unit {
             Some(u) => (&self.l1_evictions, Some(u as u32)),
             None => (&self.l2_evictions, None),
         };
-        let next = rows
-            .of(line)
+        let first = evictions.partition_point(|(_, e)| (e.tile as usize) < from);
+        let next = evictions[first..]
             .iter()
-            .find(|e| e.tile as usize >= from && tag.is_none_or(|u| e.tag == u));
+            .find(|&&(l, e)| u64::from(l) == line && unit_tag.is_none_or(|u| e.tag == u));
         match next {
-            Some(e) => FlipEnd {
+            Some(&(_, e)) => FlipEnd {
                 at: Some((e.tile as usize, e.ordinal)),
                 dirty: unit.is_none() && e.tag != 0,
             },
@@ -233,9 +221,13 @@ impl LineIndex {
     }
 
     fn cost_bytes(&self) -> usize {
-        self.touches.cost_bytes()
-            + self.l1_evictions.cost_bytes()
-            + self.l2_evictions.cost_bytes()
+        (self.last_touch.len()
+            + self.tile_starts.len()
+            + self.tile_lines.len()
+            + self.last_l2_evict.len())
+            * 4
+            + (self.l1_evictions.len() + self.l2_evictions.len())
+                * std::mem::size_of::<(u32, Eviction)>()
             + self.flush_dirty.len() * 8
     }
 }
@@ -416,17 +408,19 @@ mod tests {
         assert_eq!(set.bytes, per_push.iter().sum::<usize>());
         assert_eq!(set.cost_bytes(), set.bytes);
         let mut with_spans = set.clone();
-        let log = LineLog {
-            touches: vec![(0, 0), (2, 1)],
-            ..LineLog::default()
-        };
+        let mut log = LineLog::default();
+        log.begin_tile(0);
+        log.touch(0);
+        log.begin_tile(1);
+        log.touch(2);
         with_spans.ledger = Arc::new(GoldenLedger {
             output_spans: vec![(0, 0, 8), (1, 8, 8)],
-            lines: LineIndex::new(&log, vec![2]),
+            lines: LineIndex::new(log, vec![2]),
             ..GoldenLedger::default()
         });
-        // Three 3-line CSR offset arrays, two touch items, one flush line.
-        let index_bytes = 3 * 4 * 4 + 2 * 4 + 8;
+        // A 3-line last-touch array, 3 tile starts, two touched lines and
+        // one flushed line.
+        let index_bytes = (3 + 3 + 2) * 4 + 8;
         assert_eq!(with_spans.cost_bytes(), set.bytes + 2 * 12 + index_bytes);
     }
 
@@ -451,13 +445,17 @@ mod tests {
         // Line 1 is touched by tiles 0 and 2, line 2 by tile 0. The L2
         // evicts line 0 dirty at touch 3 of tile 1; unit 2's L1 evicts
         // line 1 at touch 0 of tile 2; line 1 is dirty at the flush.
-        let log = LineLog {
-            touches: vec![(1, 0), (2, 0), (1, 2)],
-            l1_evictions: vec![(1, eviction(2, 0, 2))],
-            l2_evictions: vec![(0, eviction(1, 3, 1))],
-            ..LineLog::default()
-        };
-        let index = LineIndex::new(&log, vec![1]);
+        let mut log = LineLog::default();
+        log.begin_tile(0);
+        log.touch(1);
+        log.touch(2);
+        log.begin_tile(1);
+        log.l2_evictions.push((0, eviction(1, 3, 1)));
+        log.begin_tile(2);
+        log.touch(1);
+        log.touch(1);
+        log.l1_evictions.push((1, eviction(2, 0, 2)));
+        let index = LineIndex::new(log, vec![1]);
         assert!(index.untouched_after(0, 0));
         assert!(!index.untouched_after(1, 2));
         assert!(index.untouched_after(1, 3));
