@@ -630,6 +630,7 @@ impl LineLog {
     }
 
     /// Logs a touch of `line` by the tile now executing.
+    #[inline(always)]
     pub(crate) fn touch(&mut self, line: u64) {
         let l = line as usize;
         if l >= self.last_touch.len() {
@@ -641,6 +642,7 @@ impl LineLog {
         }
     }
 
+    #[inline(always)]
     fn evicted(&self, tag: u32) -> Eviction {
         Eviction {
             tile: self.tile,
@@ -1171,27 +1173,23 @@ impl Overlay {
                 .retain(|f| !seen(f, f.line as usize * lb + f.offset));
             return false;
         };
-        let mut observed = false;
-        for (i, f) in self.flips.iter().enumerate() {
+        // An element's L1 and L2 masks combine as `corruption_for`
+        // combines them; only a non-zero result is observed.
+        let mut masks: Vec<(usize, u64)> = Vec::new();
+        for f in &self.flips {
             let addr = self.addr(f);
-            // Each element once, at its first flip: L1 and L2 masks
-            // combine as `corruption_for` combines them.
-            if !seen(f, addr)
-                || self.flips[..i]
-                    .iter()
-                    .any(|g| seen(g, addr) && self.addr(g) == addr)
-            {
-                continue;
+            if seen(f, addr) {
+                match masks.iter_mut().find(|(a, _)| *a == addr) {
+                    Some((_, m)) => *m ^= f.mask,
+                    None => masks.push((addr, f.mask)),
+                }
             }
-            let mask = self.flips[i..]
-                .iter()
-                .filter(|g| seen(g, addr) && self.addr(g) == addr)
-                .fold(0, |m, g| m ^ g.mask);
-            if mask != 0 {
-                let v = &mut row[(addr - base) / 8];
-                *v = f64::from_bits(v.to_bits() ^ mask);
-                observed = true;
-            }
+        }
+        let mut observed = false;
+        for (addr, mask) in masks.into_iter().filter(|&(_, m)| m != 0) {
+            let v = &mut row[(addr - base) / 8];
+            *v = f64::from_bits(v.to_bits() ^ mask);
+            observed = true;
         }
         self.touched |= observed;
         observed

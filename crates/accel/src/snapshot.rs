@@ -23,7 +23,7 @@
 //! of executing it, and a value-only fork reads each cache flip's fate
 //! off the index instead of modelling the caches — see `Engine::run`.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::cache::{CacheHierarchy, CacheStats, Eviction, LineLog};
 use crate::memory::BufferId;
@@ -110,10 +110,15 @@ pub(crate) struct LedgerTile {
 pub(crate) struct LineIndex {
     /// Per line: one past the last tile touching it (0: never).
     last_touch: Vec<u32>,
-    /// Per tile, CSR-style: the lines tile `t` touches, ascending, are
-    /// `tile_lines[tile_starts[t]..tile_starts[t + 1]]`.
+    /// Per tile, CSR-style: the lines tile `t` touches are
+    /// `tile_lines[tile_starts[t]..tile_starts[t + 1]]`, in the order it
+    /// first touched them.
     tile_starts: Vec<u32>,
     tile_lines: Vec<u32>,
+    /// `tile_lines` sorted within each tile, for [`LineIndex::touched_by`]:
+    /// built by the first fork that asks, since only skipping forks need
+    /// it and sorting at capture would lengthen every golden run.
+    sorted_lines: OnceLock<Vec<u32>>,
     /// L1 evictions (tag: the unit) and L2 evictions (tag: the dirty
     /// bit) as `(line, eviction)`, in execution order.
     l1_evictions: Vec<(u32, Eviction)>,
@@ -139,16 +144,13 @@ impl LineIndex {
     pub(crate) fn new(log: LineLog, flush_dirty: Vec<u64>) -> Self {
         let LineLog {
             last_touch,
-            mut tile_lines,
+            tile_lines,
             mut tile_starts,
             l1_evictions,
             l2_evictions,
             ..
         } = log;
         tile_starts.push(tile_lines.len() as u32);
-        for t in tile_starts.windows(2) {
-            tile_lines[t[0] as usize..t[1] as usize].sort_unstable();
-        }
         let mut last_l2_evict = Vec::new();
         for &(line, e) in &l2_evictions {
             let l = line as usize;
@@ -161,6 +163,7 @@ impl LineIndex {
             last_touch,
             tile_starts,
             tile_lines,
+            sorted_lines: OnceLock::new(),
             l1_evictions,
             l2_evictions,
             last_l2_evict,
@@ -170,8 +173,15 @@ impl LineIndex {
 
     /// Whether the tile at dispatch position `tile` touches `line`.
     pub(crate) fn touched_by(&self, line: u64, tile: usize) -> bool {
+        let sorted = self.sorted_lines.get_or_init(|| {
+            let mut v = self.tile_lines.clone();
+            for t in self.tile_starts.windows(2) {
+                v[t[0] as usize..t[1] as usize].sort_unstable();
+            }
+            v
+        });
         let lines = match (self.tile_starts.get(tile), self.tile_starts.get(tile + 1)) {
-            (Some(&lo), Some(&hi)) => &self.tile_lines[lo as usize..hi as usize],
+            (Some(&lo), Some(&hi)) => &sorted[lo as usize..hi as usize],
             _ => &[],
         };
         u32::try_from(line).is_ok_and(|l| lines.binary_search(&l).is_ok())
