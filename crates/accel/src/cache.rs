@@ -586,69 +586,51 @@ pub struct CacheStats {
     pub l2_resident_lines: usize,
 }
 
-/// One eviction of a line as the golden line log records it: the
-/// dispatch position of the tile during which it happened, the touch
-/// ordinal within that tile (line touches counted from 0, one per line
-/// an access spans), and a tag — the unit for an L1 eviction, the dirty
-/// bit for an L2 one.
+/// An L2 eviction as the golden line log records it: the dispatch
+/// position of the tile during which it happened, the touch ordinal
+/// within that tile (line touches counted from 0, one per line an access
+/// spans), and the line's dirty bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct Eviction {
     pub(crate) tile: u32,
     pub(crate) ordinal: u32,
-    pub(crate) tag: u32,
+    pub(crate) dirty: bool,
 }
 
-/// Per-line access log of a golden run, recorded touch by touch while
-/// `Engine::golden_snapshotted` captures (never on a fork): the lines
-/// each tile touches, and when each L1 and the L2 evict a line. The
-/// ledger turns it into a `LineIndex` without regrouping anything, so
-/// capture pays only the appends.
+/// Access log of a golden run, recorded while `Engine::golden_snapshotted`
+/// captures (never on a fork): each tile's unit, the line range of each
+/// of its accesses, and when its L1 and the L2 evict a line. Appends
+/// only — the ledger's `LineIndex` derives everything else when a fork
+/// first needs it.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LineLog {
     /// Dispatch position of the tile now executing.
     tile: u32,
     /// Line touches of that tile so far.
     ordinal: u32,
-    /// Per line: one past the last tile that touched it (0: never).
-    pub(crate) last_touch: Vec<u32>,
-    /// The distinct lines each tile touched, tile after tile: tile `t`'s
-    /// start at `tile_starts[t]`.
-    pub(crate) tile_lines: Vec<u32>,
-    pub(crate) tile_starts: Vec<u32>,
-    /// Evictions as `(line, eviction)`, in execution order.
-    pub(crate) l1_evictions: Vec<(u32, Eviction)>,
+    /// Per tile: its unit, and where its accesses and L1 evictions
+    /// start in the logs below.
+    pub(crate) units: Vec<u32>,
+    pub(crate) access_starts: Vec<u32>,
+    pub(crate) l1_starts: Vec<u32>,
+    /// Accesses as `(first line, last line)`, tile after tile.
+    pub(crate) accesses: Vec<(u32, u32)>,
+    /// L1 evictions as `(line, touch ordinal)`, tile after tile.
+    pub(crate) l1_evictions: Vec<(u32, u32)>,
+    /// L2 evictions as `(line, eviction)`, in execution order.
     pub(crate) l2_evictions: Vec<(u32, Eviction)>,
 }
 
 impl LineLog {
-    /// Starts logging the tile at dispatch position `pos`.
-    pub(crate) fn begin_tile(&mut self, pos: usize) {
+    /// Starts logging the tile at dispatch position `pos`, run by `unit`.
+    pub(crate) fn begin_tile(&mut self, pos: usize, unit: usize) {
         self.tile = pos as u32;
         self.ordinal = 0;
-        self.tile_starts
-            .resize(pos + 1, self.tile_lines.len() as u32);
-    }
-
-    /// Logs a touch of `line` by the tile now executing.
-    #[inline(always)]
-    pub(crate) fn touch(&mut self, line: u64) {
-        let l = line as usize;
-        if l >= self.last_touch.len() {
-            self.last_touch.resize(l + 1, 0);
-        }
-        if self.last_touch[l] != self.tile + 1 {
-            self.last_touch[l] = self.tile + 1;
-            self.tile_lines.push(line as u32);
-        }
-    }
-
-    #[inline(always)]
-    fn evicted(&self, tag: u32) -> Eviction {
-        Eviction {
-            tile: self.tile,
-            ordinal: self.ordinal,
-            tag,
-        }
+        self.units.resize(pos + 1, unit as u32);
+        self.access_starts
+            .resize(pos + 1, self.accesses.len() as u32);
+        self.l1_starts
+            .resize(pos + 1, self.l1_evictions.len() as u32);
     }
 }
 
@@ -821,15 +803,18 @@ impl CacheHierarchy {
         let first = self.line_of(byte_addr);
         let last = self.line_of(byte_addr + len - 1);
         if let Some(mut h) = self.history.take() {
-            // Golden capture: the same touches, logged one by one.
+            // Golden capture: the same touches, logged.
+            h.accesses.push((first as u32, last as u32));
             for line in first..=last {
-                h.touch(line);
                 if let Some((ev_line, _, _)) = self.l1[unit].touch::<E>(line, false) {
-                    let e = h.evicted(unit as u32);
-                    h.l1_evictions.push((ev_line as u32, e));
+                    h.l1_evictions.push((ev_line as u32, h.ordinal));
                 }
                 if let Some((ev_line, dirty, flips)) = self.l2.touch::<E>(line, write) {
-                    let e = h.evicted(u32::from(dirty));
+                    let e = Eviction {
+                        tile: h.tile,
+                        ordinal: h.ordinal,
+                        dirty,
+                    };
                     h.l2_evictions.push((ev_line as u32, e));
                     self.write_back_line(ev_line, dirty, flips, out);
                 }

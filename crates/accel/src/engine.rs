@@ -722,7 +722,7 @@ impl Engine {
 
             let unit = plan.unit_of(pos);
             if let Some(h) = caches.history.as_deref_mut() {
-                h.begin_tile(pos);
+                h.begin_tile(pos, unit);
             }
             let carried = fault != TileFault::none();
             // What golden's caches did in this tile, for a value-only fork.

@@ -17,8 +17,8 @@
 //! The same golden run also records a golden ledger: what every tile
 //! did (counters, cache statistics, L2 residency, which buffers it
 //! loaded and stored and which output spans it stored), the final
-//! output, and a [`LineIndex`]: per cache line the tiles that touch it
-//! and when each cache evicts it. A fork whose fault is provably
+//! output, and a [`LineIndex`]: the lines each tile touches and when
+//! each cache evicts a line. A fork whose fault is provably
 //! contained stops early and splices the golden suffix from it instead
 //! of executing it, and a value-only fork reads each cache flip's fate
 //! off the index instead of modelling the caches — see `Engine::run`.
@@ -103,30 +103,40 @@ pub(crate) struct LedgerTile {
 /// flipped line leaves its cache exactly when golden evicts it, with
 /// golden's dirty bit: the index gives every flip its fate by lookup.
 ///
-/// Everything is kept in the order capture logged it — per tile, or in
-/// execution order — plus two per-line "last tile" arrays, so building
-/// the index regroups nothing.
+/// It keeps the capture's append-only log (CSR by tile) and derives the
+/// per-line and per-tile touch sets the first time a fork asks, so the
+/// golden run pays only the appends.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LineIndex {
-    /// Per line: one past the last tile touching it (0: never).
-    last_touch: Vec<u32>,
-    /// Per tile, CSR-style: the lines tile `t` touches are
-    /// `tile_lines[tile_starts[t]..tile_starts[t + 1]]`, in the order it
-    /// first touched them.
-    tile_starts: Vec<u32>,
-    tile_lines: Vec<u32>,
-    /// `tile_lines` sorted within each tile, for [`LineIndex::touched_by`]:
-    /// built by the first fork that asks, since only skipping forks need
-    /// it and sorting at capture would lengthen every golden run.
-    sorted_lines: OnceLock<Vec<u32>>,
-    /// L1 evictions (tag: the unit) and L2 evictions (tag: the dirty
-    /// bit) as `(line, eviction)`, in execution order.
-    l1_evictions: Vec<(u32, Eviction)>,
+    /// Per tile: its unit.
+    units: Vec<u32>,
+    /// Tile `t`'s accesses, as `(first line, last line)`, are
+    /// `accesses[access_starts[t]..access_starts[t + 1]]`.
+    access_starts: Vec<u32>,
+    accesses: Vec<(u32, u32)>,
+    /// Tile `t`'s L1 evictions, as `(line, touch ordinal)`, are
+    /// `l1_evictions[l1_starts[t]..l1_starts[t + 1]]`.
+    l1_starts: Vec<u32>,
+    l1_evictions: Vec<(u32, u32)>,
+    /// L2 evictions as `(line, eviction)`, in execution order.
     l2_evictions: Vec<(u32, Eviction)>,
     /// Per line: one past the last tile during which the L2 evicts it.
     last_l2_evict: Vec<u32>,
     /// L2 lines resident and dirty at the final flush, ascending.
     flush_dirty: Vec<u64>,
+    /// Derived from `accesses` on first use.
+    touches: OnceLock<Touches>,
+}
+
+/// Which lines each tile touches, and the last tile touching each line.
+#[derive(Debug, Clone)]
+struct Touches {
+    /// Tile `t`'s distinct lines, ascending, are
+    /// `lines[starts[t]..starts[t + 1]]`.
+    starts: Vec<u32>,
+    lines: Vec<u32>,
+    /// Per line: one past the last tile touching it (0: never).
+    last_touch: Vec<u32>,
 }
 
 /// Where a cache flip leaves its cache: during the tile `at.0`, at line
@@ -143,14 +153,16 @@ impl LineIndex {
     /// dirty lines at the final flush.
     pub(crate) fn new(log: LineLog, flush_dirty: Vec<u64>) -> Self {
         let LineLog {
-            last_touch,
-            tile_lines,
-            mut tile_starts,
+            units,
+            mut access_starts,
+            mut l1_starts,
+            accesses,
             l1_evictions,
             l2_evictions,
             ..
         } = log;
-        tile_starts.push(tile_lines.len() as u32);
+        access_starts.push(accesses.len() as u32);
+        l1_starts.push(l1_evictions.len() as u32);
         let mut last_l2_evict = Vec::new();
         for &(line, e) in &l2_evictions {
             let l = line as usize;
@@ -160,36 +172,66 @@ impl LineIndex {
             last_l2_evict[l] = e.tile + 1;
         }
         LineIndex {
-            last_touch,
-            tile_starts,
-            tile_lines,
-            sorted_lines: OnceLock::new(),
+            units,
+            access_starts,
+            accesses,
+            l1_starts,
             l1_evictions,
             l2_evictions,
             last_l2_evict,
             flush_dirty,
+            touches: OnceLock::new(),
         }
+    }
+
+    /// Tile `t`'s entries of a CSR log with offsets `starts`.
+    fn of_tile<'a, T>(starts: &[u32], items: &'a [T], t: usize) -> &'a [T] {
+        match (starts.get(t), starts.get(t + 1)) {
+            (Some(&lo), Some(&hi)) => &items[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+
+    fn touches(&self) -> &Touches {
+        self.touches.get_or_init(|| {
+            let tiles = self.access_starts.len().saturating_sub(1);
+            let mut t = Touches {
+                starts: vec![0],
+                lines: Vec::new(),
+                last_touch: Vec::new(),
+            };
+            let mut tile_lines = Vec::new();
+            for tile in 0..tiles {
+                tile_lines.clear();
+                for &(first, last) in Self::of_tile(&self.access_starts, &self.accesses, tile) {
+                    tile_lines.extend(first..=last);
+                }
+                tile_lines.sort_unstable();
+                tile_lines.dedup();
+                for &l in &tile_lines {
+                    let l = l as usize;
+                    if l >= t.last_touch.len() {
+                        t.last_touch.resize(l + 1, 0);
+                    }
+                    t.last_touch[l] = tile as u32 + 1;
+                }
+                t.lines.extend_from_slice(&tile_lines);
+                t.starts.push(t.lines.len() as u32);
+            }
+            t
+        })
     }
 
     /// Whether the tile at dispatch position `tile` touches `line`.
     pub(crate) fn touched_by(&self, line: u64, tile: usize) -> bool {
-        let sorted = self.sorted_lines.get_or_init(|| {
-            let mut v = self.tile_lines.clone();
-            for t in self.tile_starts.windows(2) {
-                v[t[0] as usize..t[1] as usize].sort_unstable();
-            }
-            v
-        });
-        let lines = match (self.tile_starts.get(tile), self.tile_starts.get(tile + 1)) {
-            (Some(&lo), Some(&hi)) => &sorted[lo as usize..hi as usize],
-            _ => &[],
-        };
+        let t = self.touches();
+        let lines = Self::of_tile(&t.starts, &t.lines, tile);
         u32::try_from(line).is_ok_and(|l| lines.binary_search(&l).is_ok())
     }
 
     /// Whether no golden tile after the first `done` touches `line`.
     pub(crate) fn untouched_after(&self, line: u64, done: usize) -> bool {
-        Self::at_most(&self.last_touch, line, done)
+        Self::at_most(&self.touches().last_touch, line, done)
     }
 
     /// Whether the golden L2 never evicts `line` after the first `done`
@@ -210,18 +252,35 @@ impl LineIndex {
     /// of the evictions from `from` on, which for a resident line ends
     /// within about one cache's worth of evictions.
     pub(crate) fn end_of(&self, unit: Option<usize>, line: u64, from: usize) -> FlipEnd {
-        let (evictions, unit_tag) = match unit {
-            Some(u) => (&self.l1_evictions, Some(u as u32)),
-            None => (&self.l2_evictions, None),
+        let Ok(line32) = u32::try_from(line) else {
+            return FlipEnd {
+                at: None,
+                dirty: false,
+            };
         };
-        let first = evictions.partition_point(|(_, e)| (e.tile as usize) < from);
-        let next = evictions[first..]
-            .iter()
-            .find(|&&(l, e)| u64::from(l) == line && unit_tag.is_none_or(|u| e.tag == u));
+        let next = match unit {
+            Some(u) => (from..self.units.len())
+                .filter(|&t| self.units[t] as usize == u)
+                .find_map(|t| {
+                    Self::of_tile(&self.l1_starts, &self.l1_evictions, t)
+                        .iter()
+                        .find(|&&(l, _)| l == line32)
+                        .map(|&(_, ordinal)| (t, ordinal, false))
+                }),
+            None => {
+                let first = self
+                    .l2_evictions
+                    .partition_point(|(_, e)| (e.tile as usize) < from);
+                self.l2_evictions[first..]
+                    .iter()
+                    .find(|&&(l, _)| l == line32)
+                    .map(|&(_, e)| (e.tile as usize, e.ordinal, e.dirty))
+            }
+        };
         match next {
-            Some(&(_, e)) => FlipEnd {
-                at: Some((e.tile as usize, e.ordinal)),
-                dirty: unit.is_none() && e.tag != 0,
+            Some((tile, ordinal, dirty)) => FlipEnd {
+                at: Some((tile, ordinal)),
+                dirty,
             },
             None => FlipEnd {
                 at: None,
@@ -230,14 +289,16 @@ impl LineIndex {
         }
     }
 
+    /// Approximate bytes held; the touch sets derived on first use are
+    /// charged at the size of the access log they come from.
     fn cost_bytes(&self) -> usize {
-        (self.last_touch.len()
-            + self.tile_starts.len()
-            + self.tile_lines.len()
+        (self.units.len()
+            + self.access_starts.len()
+            + self.l1_starts.len()
             + self.last_l2_evict.len())
             * 4
-            + (self.l1_evictions.len() + self.l2_evictions.len())
-                * std::mem::size_of::<(u32, Eviction)>()
+            + (2 * self.accesses.len() + self.l1_evictions.len()) * 8
+            + self.l2_evictions.len() * std::mem::size_of::<(u32, Eviction)>()
             + self.flush_dirty.len() * 8
     }
 }
@@ -419,18 +480,19 @@ mod tests {
         assert_eq!(set.cost_bytes(), set.bytes);
         let mut with_spans = set.clone();
         let mut log = LineLog::default();
-        log.begin_tile(0);
-        log.touch(0);
-        log.begin_tile(1);
-        log.touch(2);
+        log.begin_tile(0, 0);
+        log.accesses.push((0, 0));
+        log.begin_tile(1, 0);
+        log.accesses.push((2, 2));
         with_spans.ledger = Arc::new(GoldenLedger {
             output_spans: vec![(0, 0, 8), (1, 8, 8)],
             lines: LineIndex::new(log, vec![2]),
             ..GoldenLedger::default()
         });
-        // A 3-line last-touch array, 3 tile starts, two touched lines and
+        // Two tile units, two 3-entry tile offset arrays, two accesses
+        // (charged twice: the log and the touch sets derived from it) and
         // one flushed line.
-        let index_bytes = (3 + 3 + 2) * 4 + 8;
+        let index_bytes = (2 + 3 + 3) * 4 + 2 * 2 * 8 + 8;
         assert_eq!(with_spans.cost_bytes(), set.bytes + 2 * 12 + index_bytes);
     }
 
@@ -446,25 +508,26 @@ mod tests {
         assert_eq!(set.resume_tile(100), Some(16));
     }
 
-    fn eviction(tile: u32, ordinal: u32, tag: u32) -> Eviction {
-        Eviction { tile, ordinal, tag }
-    }
-
     #[test]
     fn line_index_answers_past_its_end() {
-        // Line 1 is touched by tiles 0 and 2, line 2 by tile 0. The L2
-        // evicts line 0 dirty at touch 3 of tile 1; unit 2's L1 evicts
-        // line 1 at touch 0 of tile 2; line 1 is dirty at the flush.
+        // Tile 0 (unit 0) touches lines 1 and 2, tile 2 (unit 2) line 1.
+        // The L2 evicts line 0 dirty at touch 3 of tile 1; unit 2's L1
+        // evicts line 1 at touch 0 of tile 2; line 1 is dirty at the
+        // flush.
         let mut log = LineLog::default();
-        log.begin_tile(0);
-        log.touch(1);
-        log.touch(2);
-        log.begin_tile(1);
-        log.l2_evictions.push((0, eviction(1, 3, 1)));
-        log.begin_tile(2);
-        log.touch(1);
-        log.touch(1);
-        log.l1_evictions.push((1, eviction(2, 0, 2)));
+        log.begin_tile(0, 0);
+        log.accesses.push((1, 2));
+        log.begin_tile(1, 1);
+        let e = Eviction {
+            tile: 1,
+            ordinal: 3,
+            dirty: true,
+        };
+        log.l2_evictions.push((0, e));
+        log.begin_tile(2, 2);
+        log.accesses.push((1, 1));
+        log.accesses.push((1, 1));
+        log.l1_evictions.push((1, 0));
         let index = LineIndex::new(log, vec![1]);
         assert!(index.untouched_after(0, 0));
         assert!(!index.untouched_after(1, 2));
