@@ -16,7 +16,11 @@
 //! splices the golden suffix from the bucket's [`SnapshotSet`] ledger
 //! instead of executing it; the outcome is the same bit for bit. A
 //! register-file strike changes no machine state before its victim tile,
-//! so its fork may also *start* there ([`Engine::fork_tile`]).
+//! so its fork may also *start* there ([`Engine::fork_tile`]). A
+//! value-only fork — no skip or redirect strike, every cache strike at
+//! the warm state's instant — runs without the cache model: its flips
+//! live in an overlay that the golden line index ends, and it skips the
+//! tiles its fault cannot reach.
 
 use std::sync::Arc;
 
@@ -882,7 +886,7 @@ impl Engine {
             m.counter_add("radcrit_run_skipped_tiles_total", &[], skipped);
         }
 
-        let history = caches
+        let line_index = caches
             .history
             .take()
             .map(|h| LineIndex::new(*h, caches.l2_dirty_lines()));
@@ -1009,7 +1013,7 @@ impl Engine {
                 hi = lo;
             }
             g.output.clone_from(&output);
-            g.lines = history.unwrap_or_default();
+            g.lines = line_index.unwrap_or_default();
             set.ledger = Arc::new(g);
             if let Some(m) = self.metrics.as_deref() {
                 m.gauge_set("radcrit_snapshot_bytes", &[], set.cost_bytes() as f64);
@@ -1055,6 +1059,7 @@ impl PendingFaults {
     /// cache line, or records the effect the strike leaves pending.
     /// Consumes `rng` exactly as the strike target requires (line and
     /// offset, register victim, redirect destination).
+    ///
     /// A cache strike goes to `flip(l1_unit, mask, rng)` (the L2 when
     /// `l1_unit` is `None`), which reports whether a line was resident.
     fn deliver<R: Rng + ?Sized>(
