@@ -117,7 +117,7 @@ fn main() {
             exit(1)
         });
         let status = client
-            .wait(&id, Duration::from_millis(20), Duration::from_secs(600))
+            .wait(&id, Duration::from_secs(600))
             .unwrap_or_else(|e| {
                 eprintln!("serve-bench: wait failed: {e}");
                 exit(1)

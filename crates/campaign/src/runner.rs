@@ -74,7 +74,7 @@ use radcrit_kernels::Workload;
 use radcrit_obs::profile::{self as phase_profile, Lane, PhaseId, ProfileCollector};
 use radcrit_obs::{
     CriticalityAggregator, Event as ObsEvent, EventBuffer, EventWriter, FieldValue,
-    MetricsRegistry, ProvenanceRecord, Span, TraceRecorder,
+    MetricsRegistry, Notifier, ProvenanceRecord, Span, TraceRecorder,
 };
 
 use crate::checkpoint;
@@ -168,6 +168,12 @@ pub struct RunOptions {
     /// when debugging. The pin is process-wide while the run lasts, so
     /// worker threads inherit it.
     pub force_scalar: bool,
+    /// Observer hook for a live reader of [`RunOptions::events_out`]
+    /// (the daemon's SSE tail): the event writer writes each contiguous
+    /// block through to the file and bumps this notifier, instead of
+    /// buffering until the end of the run. The bytes written are the
+    /// same; only when they reach the file changes.
+    pub notify: Option<Arc<Notifier>>,
 }
 
 /// Everything a finished campaign produced.
@@ -524,7 +530,7 @@ impl Campaign {
         if let Some(path) = &options.events_out {
             let (start, end) = (shard_start as u64, shard_end as u64);
             let sample = options.events_sample.max(1);
-            let mut w = if options.resume {
+            let w = if options.resume {
                 let (w, have) = EventWriter::resume_range(path, start, end, sample)
                     .map_err(|e| events_corrupt(path, e))?;
                 events_have = have;
@@ -533,6 +539,7 @@ impl Campaign {
                 EventWriter::create_range(path, start, end, sample)
                     .map_err(|e| events_corrupt(path, e))?
             };
+            let mut w = w.with_notifier(options.notify.clone());
             if w.is_empty() {
                 w.emit_top(&run_begin_event(self, golden_kernel.as_ref(), sigma_total))
                     .map_err(|e| events_corrupt(path, e))?;

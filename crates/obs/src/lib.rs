@@ -52,7 +52,8 @@
 //!   stream.
 //!
 //! [`append_log`] is the crash-safe JSONL log under every persisted
-//! stream: event streams, checkpoints and both journals.
+//! stream: event streams, checkpoints and both journals. [`notify`] is
+//! the generation counter live readers of those streams wait on.
 //!
 //! [`json`] is the shared minimal JSON codec (also used by the campaign
 //! checkpoint format): floats use Rust's shortest round-trip formatting,
@@ -69,6 +70,7 @@ pub mod event;
 pub mod hist;
 pub mod json;
 pub mod metrics;
+pub mod notify;
 pub mod profile;
 pub mod provenance;
 pub mod trace;
@@ -80,6 +82,7 @@ pub use append_log::{AppendLog, LogTail};
 pub use event::{Event, EventBuffer, FieldValue, Span};
 pub use hist::Log2Histogram;
 pub use metrics::{MetricHelp, MetricsRegistry, MetricsSnapshot};
+pub use notify::Notifier;
 pub use profile::{PhaseId, ProfileCollector, ProfileNode, ProfileTree};
 pub use provenance::{ProvenanceBreakdown, ProvenanceRecord};
 pub use trace::{FleetTrace, TraceContext, TraceRecorder};

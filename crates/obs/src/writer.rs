@@ -12,13 +12,21 @@
 //! On resume the writer reports which injection indices the stream
 //! already covers so the campaign can skip them — no duplicated and no
 //! missing indices across kill/resume cycles.
+//!
+//! A writer with a [`Notifier`] attached ([`EventWriter::with_notifier`])
+//! writes each contiguous block through to the file and bumps the
+//! notifier, so a live tailer wakes per block. Without one, lines wait
+//! in the log's buffer until it fills or [`EventWriter::finish`]. The
+//! bytes on disk are the same either way.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 use crate::append_log::AppendLog;
 use crate::event::{parse_event_line, Event};
+use crate::notify::Notifier;
 
 /// Writes an event stream to disk in injection-index order.
 #[derive(Debug)]
@@ -30,6 +38,8 @@ pub struct EventWriter {
     buffered: BTreeMap<u64, Vec<String>>,
     /// Detail-event sampling stride (1 = every injection).
     sample: u64,
+    /// Bumped after every write-through; `None` keeps lines buffered.
+    notify: Option<Arc<Notifier>>,
 }
 
 impl EventWriter {
@@ -60,7 +70,25 @@ impl EventWriter {
             expected: expected.collect(),
             buffered: BTreeMap::new(),
             sample: sample.max(1),
+            notify: None,
         }
+    }
+
+    /// Writes every later block, `emit_top` and `finish` through to the
+    /// file and bumps `notify` after each, for a live tailer.
+    #[must_use]
+    pub fn with_notifier(mut self, notify: Option<Arc<Notifier>>) -> Self {
+        self.notify = notify;
+        self
+    }
+
+    /// Makes what was pushed visible to a live tailer, when one listens.
+    fn publish(&mut self) -> io::Result<()> {
+        if let Some(notify) = &self.notify {
+            self.out.flush()?;
+            notify.bump();
+        }
+        Ok(())
     }
 
     /// Reopens an existing stream (missing → empty) for append, returning
@@ -126,7 +154,8 @@ impl EventWriter {
     ///
     /// Any I/O error writing the line.
     pub fn emit_top(&mut self, event: &Event) -> io::Result<()> {
-        self.out.push(&event.line())
+        self.out.push(&event.line())?;
+        self.publish()
     }
 
     /// Submits one injection's event block; flushes every block that is
@@ -138,6 +167,7 @@ impl EventWriter {
     pub fn submit(&mut self, index: u64, events: &[Event]) -> io::Result<()> {
         self.buffered
             .insert(index, events.iter().map(Event::line).collect());
+        let mut wrote = false;
         while let Some(&front) = self.expected.front() {
             let Some(lines) = self.buffered.remove(&front) else {
                 break;
@@ -145,7 +175,11 @@ impl EventWriter {
             self.expected.pop_front();
             for line in lines {
                 self.out.push(&line)?;
+                wrote = true;
             }
+        }
+        if wrote {
+            self.publish()?;
         }
         Ok(())
     }
@@ -163,7 +197,8 @@ impl EventWriter {
                 self.out.push(&line)?;
             }
         }
-        self.out.flush()
+        self.out.flush()?;
+        self.publish()
     }
 }
 
@@ -290,6 +325,56 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("line 2"), "{err}");
         assert_eq!(std::fs::read_to_string(&path).unwrap(), damaged);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Writes `order`'s blocks after a `run_begin`, with or without a
+    /// notifier, and returns the file's bytes.
+    fn written(tag: &str, order: &[u64], notify: Option<Arc<Notifier>>) -> Vec<u8> {
+        let path = temp_path(tag);
+        let mut w = EventWriter::create(&path, order.len() as u64, 1)
+            .unwrap()
+            .with_notifier(notify);
+        w.emit_top(&EventBuffer::enabled().emit_into("run_begin"))
+            .unwrap();
+        for &i in order {
+            w.submit(i, &block(i, "fpu")).unwrap();
+        }
+        w.finish().unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        bytes
+    }
+
+    #[test]
+    fn a_notifier_changes_no_byte() {
+        for order in [[0, 1, 2, 3], [2, 0, 3, 1]] {
+            let plain = written("plain", &order, None);
+            let notified = written("notified", &order, Some(Arc::new(Notifier::new())));
+            assert_eq!(plain, notified, "order {order:?}");
+        }
+    }
+
+    #[test]
+    fn a_notifier_puts_each_contiguous_block_on_disk_before_finish() {
+        let path = temp_path("live");
+        let notify = Arc::new(Notifier::new());
+        let mut w = EventWriter::create(&path, 3, 1)
+            .unwrap()
+            .with_notifier(Some(Arc::clone(&notify)));
+        w.emit_top(&EventBuffer::enabled().emit_into("run_begin"))
+            .unwrap();
+        assert_eq!(AppendLog::read(&path).unwrap().len(), 1);
+        let after_begin = notify.generation();
+        assert!(after_begin > 0);
+        // Index 1 waits for 0; then both are written through at once.
+        w.submit(1, &block(1, "l2")).unwrap();
+        assert_eq!(AppendLog::read(&path).unwrap().len(), 1);
+        assert_eq!(notify.generation(), after_begin);
+        w.submit(0, &block(0, "fpu")).unwrap();
+        assert_eq!(AppendLog::read(&path).unwrap().len(), 5);
+        assert!(notify.generation() > after_begin);
+        w.finish().unwrap();
         std::fs::remove_file(&path).ok();
     }
 

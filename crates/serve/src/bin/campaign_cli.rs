@@ -620,11 +620,7 @@ fn cmd_submit(argv: &[String]) -> Result<(), ServeError> {
     let id = client.submit(&spec)?;
     eprintln!("submitted {id} to {}", client.addr());
     if wait {
-        let status = client.wait(
-            &id,
-            Duration::from_millis(200),
-            Duration::from_secs_f64(timeout_s),
-        )?;
+        let status = client.wait(&id, Duration::from_secs_f64(timeout_s))?;
         match status.state.as_str() {
             "done" => {
                 print!("{}", client.result(&id)?);

@@ -233,32 +233,44 @@ impl Client {
         })
     }
 
-    /// Polls until the job reaches a terminal state.
+    /// Blocks until the job reaches a terminal state: tails its SSE
+    /// stream to the `end` frame, discarding the frames, then fetches
+    /// its status once.
     ///
     /// # Errors
     ///
     /// [`ServeError::Interrupted`] when `timeout` elapses first; any
-    /// status-call error otherwise.
-    pub fn wait(
-        &self,
-        id: &str,
-        poll: Duration,
-        timeout: Duration,
-    ) -> Result<JobStatus, ServeError> {
+    /// stream or status-call error otherwise.
+    pub fn wait(&self, id: &str, timeout: Duration) -> Result<JobStatus, ServeError> {
         let deadline = Instant::now() + timeout;
+        let mut last = None;
         loop {
+            // Each read is bounded by the time left, so a quiet stream
+            // cannot outlast the deadline.
+            let left = deadline.saturating_duration_since(Instant::now());
+            let tail = self
+                .clone()
+                .with_read_timeout(self.read_timeout.min(left).max(Duration::from_millis(1)));
+            let tailed = tail.stream_with(id, last, &mut |ordinal, _| {
+                last = Some(ordinal);
+                Instant::now() < deadline
+            });
+            let expired = Instant::now() >= deadline;
+            match tailed {
+                Err(ServeError::Io(_)) if expired => {}
+                other => other?,
+            }
             let status = self.status(id)?;
             if status.is_terminal() {
                 return Ok(status);
             }
-            if Instant::now() >= deadline {
+            if expired {
                 return Err(ServeError::Interrupted(format!(
                     "job {id} still {} after {:.1}s",
                     status.state,
                     timeout.as_secs_f64()
                 )));
             }
-            std::thread::sleep(poll);
         }
     }
 

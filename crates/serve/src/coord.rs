@@ -54,7 +54,7 @@ use radcrit_fabric::{
 };
 use radcrit_obs::{
     json, AlertConfig, AlertEngine, FleetTrace, HealthSample, MetricsRegistry, MetricsSnapshot,
-    TraceContext, TraceRecorder,
+    Notifier, TraceContext, TraceRecorder,
 };
 
 use crate::client::Client;
@@ -159,6 +159,8 @@ struct TailEnd {
 #[derive(Debug)]
 struct Core {
     config: CoordinatorConfig,
+    /// The listener's address, for waking its blocked accept.
+    addr: SocketAddr,
     /// Canonical one-shot spec JSON (`shard: null`) — the journal's
     /// campaign identity and the workers' spec template.
     campaign_json: String,
@@ -176,6 +178,10 @@ struct Core {
     stop: AtomicBool,
     /// Every shard completed and the merged summary written.
     done: AtomicBool,
+    /// Bumped after each merged-stream flush and when `done` or `stop`
+    /// is set: the federated SSE tails and [`CoordinatorHandle::wait_done`]
+    /// wait on it.
+    notify: Notifier,
     /// The coordinator's trace epoch (`ts = 0` of the fleet timeline);
     /// worker timestamps are rebased onto it via heartbeat clock probes.
     epoch: Instant,
@@ -186,6 +192,24 @@ struct Core {
     /// evaluated lazily by `GET /alerts` so alerts resolve while the
     /// HTTP plane outlives the finished campaign.
     alerts: Mutex<AlertEngine>,
+}
+
+impl Core {
+    /// Stops orchestrating and accepting: sets `stop`, wakes the waiters
+    /// and the blocked accept.
+    fn halt(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.notify.bump();
+        http::wake(self.addr);
+    }
+
+    /// Flushes the merged stream (writing `run_end` once every index is
+    /// covered) and wakes its tails.
+    fn flush_merged(&self, merged: &mut MergedStream) -> Result<(), String> {
+        let flushed = merged.finish_if_complete();
+        self.notify.bump();
+        flushed
+    }
 }
 
 /// A running coordinator: its address plus the thread handles to join.
@@ -215,16 +239,20 @@ impl CoordinatorHandle {
     /// [`ServeError::Interrupted`] on timeout.
     pub fn wait_done(&self, timeout: Duration) -> Result<(), ServeError> {
         let deadline = Instant::now() + timeout;
-        while !self.is_done() {
-            if Instant::now() >= deadline {
+        loop {
+            let seen = self.core.notify.generation();
+            if self.is_done() {
+                return Ok(());
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return Err(ServeError::Interrupted(format!(
                     "campaign still federating after {:.1}s",
                     timeout.as_secs_f64()
                 )));
             }
-            std::thread::sleep(Duration::from_millis(25));
+            self.core.notify.wait_past(seen, left);
         }
-        Ok(())
     }
 
     /// Stops the coordinator and joins its threads, returning the
@@ -234,7 +262,7 @@ impl CoordinatorHandle {
     ///
     /// Whatever error stopped the orchestrator first.
     pub fn shutdown(mut self) -> Result<(), ServeError> {
-        self.core.stop.store(true, Ordering::SeqCst);
+        self.core.halt();
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
@@ -314,6 +342,7 @@ pub fn start(config: CoordinatorConfig) -> Result<CoordinatorHandle, ServeError>
         metrics: Arc::new(MetricsRegistry::new()),
         stop: AtomicBool::new(false),
         done: AtomicBool::new(false),
+        notify: Notifier::new(),
         epoch: now,
         trace: TraceRecorder::with_epoch(now),
         alerts: Mutex::new(AlertEngine::new(AlertConfig {
@@ -321,6 +350,7 @@ pub fn start(config: CoordinatorConfig) -> Result<CoordinatorHandle, ServeError>
             ..AlertConfig::default()
         })),
         config,
+        addr,
     });
 
     let accept = {
@@ -411,7 +441,7 @@ fn orchestrate(core: &Arc<Core>) -> Result<(), ServeError> {
         // journal never recorded, and a later restart would replay
         // stale state as if it were current.
         eprintln!("radcrit-coordinator: orchestrator stopped: {e}");
-        core.stop.store(true, Ordering::SeqCst);
+        core.halt();
     }
     result
 }
@@ -638,7 +668,7 @@ fn spawn_tailer(
                             1,
                         );
                         // Flush so the federated SSE tail sees the line.
-                        let _ = merged.finish_if_complete();
+                        let _ = core.flush_merged(&mut merged);
                     }
                 }
                 // Frames flowing are better evidence than any probe.
@@ -899,10 +929,7 @@ fn mark_completed(core: &Arc<Core>, shard: usize) -> Result<(), ServeError> {
     // shard complete — a crash between the two must re-tail, not skip —
     // and the journal must hold the transition before the slot acts on
     // it.
-    core.merged
-        .lock()
-        .expect("merged lock")
-        .finish_if_complete()
+    core.flush_merged(&mut core.merged.lock().expect("merged lock"))
         .map_err(ServeError::Io)?;
     journal_append(core, &record)?;
     {
@@ -945,7 +972,7 @@ fn finish_if_done(core: &Arc<Core>) -> Result<bool, ServeError> {
     }
     let summary = {
         let mut merged = core.merged.lock().expect("merged lock");
-        merged.finish_if_complete().map_err(ServeError::Io)?;
+        core.flush_merged(&mut merged).map_err(ServeError::Io)?;
         CampaignSummary::from_analytics(merged.aggregator())
     };
     if let Some(path) = &core.config.summary_out {
@@ -970,6 +997,7 @@ fn finish_if_done(core: &Arc<Core>) -> Result<bool, ServeError> {
     // done flag releases waiters.
     evaluate_alerts(core);
     core.done.store(true, Ordering::SeqCst);
+    core.notify.bump();
     Ok(true)
 }
 
@@ -1006,11 +1034,13 @@ fn route(
         // The federated stream: the merged analytic skeleton tailed as
         // SSE, resumable via `Last-Event-ID` exactly like a single
         // daemon's stream.
-        ("GET", ["jobs", _id, "stream"]) => {
-            crate::live::serve_stream(stream, &core.merged_path, req, &|| {
-                core.done.load(Ordering::SeqCst) || core.stop.load(Ordering::SeqCst)
-            })
-        }
+        ("GET", ["jobs", _id, "stream"]) => crate::live::serve_stream(
+            stream,
+            &core.merged_path,
+            req,
+            &|| core.done.load(Ordering::SeqCst) || core.stop.load(Ordering::SeqCst),
+            &core.notify,
+        ),
         ("GET", ["jobs", _id, "events"]) => {
             http::respond_file(stream, &core.merged_path, "no events yet")
         }
@@ -1029,7 +1059,7 @@ fn route(
         ("GET", ["alerts"]) => get_alerts(core, stream),
         ("GET", ["healthz"]) => get_healthz(core, stream),
         ("POST", ["shutdown"]) => {
-            core.stop.store(true, Ordering::SeqCst);
+            core.halt();
             respond(stream, 200, "application/json", "{\"draining\":true}")
         }
         _ => http::fallback(stream, req, segments),

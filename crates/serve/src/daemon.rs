@@ -4,7 +4,9 @@
 //!
 //! The daemon answers its routes on the shared HTTP plane
 //! ([`crate::http::serve`]) until it is stopped, or drained with no job
-//! outstanding; then it closes the queue. A fixed pool of job workers
+//! outstanding; then it closes the queue. The change that ends it (a
+//! stop, `POST /shutdown` on an idle daemon, the last outstanding job
+//! ending under drain) wakes the blocked accept ([`crate::http::wake`]). A fixed pool of job workers
 //! blocks on the [`JobQueue`]; each claimed job runs as a normal
 //! [`Campaign`] with the runner's own internal parallelism, a
 //! cooperative cancel flag, a per-job [`MetricsRegistry`] (folded into
@@ -35,7 +37,10 @@
 //!
 //! While (and after) a job runs, its event stream is consumable three
 //! ways: `GET /jobs/:id/stream` tails it as Server-Sent Events
-//! (resumable via `Last-Event-ID`, see [`crate::live`]),
+//! (resumable via `Last-Event-ID`, see [`crate::live`]; the tail
+//! sleeps on the job's [`Notifier`], which the job's event writer bumps
+//! per written-through block and the worker bumps at the terminal
+//! state),
 //! `GET /jobs/:id/analytics` folds it into a
 //! [`CriticalityAggregator`](radcrit_obs::CriticalityAggregator)
 //! snapshot, and `GET /analytics` merges every job's fold into a
@@ -52,7 +57,9 @@ use std::time::Instant;
 
 use radcrit_campaign::golden::GoldenCache;
 use radcrit_campaign::{Campaign, RunOptions};
-use radcrit_obs::{AlertConfig, AlertEngine, HealthSample, MetricsRegistry, TraceRecorder};
+use radcrit_obs::{
+    AlertConfig, AlertEngine, HealthSample, MetricsRegistry, Notifier, TraceRecorder,
+};
 
 use crate::error::ServeError;
 use crate::http::{self, respond, Request};
@@ -94,12 +101,28 @@ struct JobEntry {
     spec: JobSpec,
     state: JobState,
     cancel: Arc<AtomicBool>,
+    /// Bumped by the job's event writer and at its terminal state; the
+    /// job's SSE tails wait on it.
+    notify: Arc<Notifier>,
+}
+
+impl JobEntry {
+    fn new(spec: JobSpec, state: JobState) -> Self {
+        JobEntry {
+            spec,
+            state,
+            cancel: Arc::new(AtomicBool::new(false)),
+            notify: Arc::new(Notifier::new()),
+        }
+    }
 }
 
 /// Shared daemon state.
 #[derive(Debug)]
 struct Core {
     config: DaemonConfig,
+    /// The listener's address, for waking its blocked accept.
+    addr: SocketAddr,
     jobs: Mutex<BTreeMap<String, JobEntry>>,
     next_job: AtomicU64,
     queue: JobQueue,
@@ -126,6 +149,31 @@ struct Core {
     /// signal; fleet rules live on the coordinator). Evaluated lazily
     /// at `/alerts` and `/metrics` scrape time.
     alerts: Mutex<AlertEngine>,
+}
+
+impl Core {
+    /// Whether the accept loop should go on: not stopped, and not
+    /// drained with no job outstanding.
+    fn running(&self) -> bool {
+        let drained =
+            self.draining.load(Ordering::SeqCst) && self.outstanding.load(Ordering::SeqCst) == 0;
+        !self.stop.load(Ordering::SeqCst) && !drained
+    }
+
+    /// Wakes the accept loop once [`Core::running`] has turned false.
+    /// Call after every change that can turn it: a stop, a drain, the
+    /// end of an outstanding job.
+    fn wake_if_stopped(&self) {
+        if !self.running() {
+            http::wake(self.addr);
+        }
+    }
+
+    /// Counts one outstanding job as ended.
+    fn release(&self) {
+        self.outstanding.fetch_sub(1, Ordering::SeqCst);
+        self.wake_if_stopped();
+    }
 }
 
 /// A running daemon: its address plus the thread handles to join.
@@ -160,6 +208,7 @@ impl DaemonHandle {
     pub fn shutdown_abrupt(mut self) {
         self.core.abrupt.store(true, Ordering::SeqCst);
         self.core.stop.store(true, Ordering::SeqCst);
+        self.core.wake_if_stopped();
         self.core.queue.close();
         for entry in self.core.jobs.lock().expect("jobs lock").values() {
             entry.cancel.store(true, Ordering::SeqCst);
@@ -204,14 +253,7 @@ pub fn start(config: DaemonConfig) -> Result<DaemonHandle, ServeError> {
             }
             terminal => terminal,
         };
-        jobs.insert(
-            job.id.clone(),
-            JobEntry {
-                spec: job.spec,
-                state,
-                cancel: Arc::new(AtomicBool::new(false)),
-            },
-        );
+        jobs.insert(job.id.clone(), JobEntry::new(job.spec, state));
     }
 
     let (listener, addr) = http::bind(&config.addr)?;
@@ -224,6 +266,7 @@ pub fn start(config: DaemonConfig) -> Result<DaemonHandle, ServeError> {
     let core = Arc::new(Core {
         cache: Arc::new(GoldenCache::new(config.cache_bytes)),
         config,
+        addr,
         jobs: Mutex::new(jobs),
         next_job: AtomicU64::new(next),
         queue,
@@ -255,15 +298,12 @@ pub fn start(config: DaemonConfig) -> Result<DaemonHandle, ServeError> {
     let accept = {
         let core = Arc::clone(&core);
         std::thread::spawn(move || {
-            let running = || {
-                let drained = core.draining.load(Ordering::SeqCst)
-                    && core.outstanding.load(Ordering::SeqCst) == 0;
-                !core.stop.load(Ordering::SeqCst) && !drained
-            };
             let handler = Arc::clone(&core);
-            http::serve(&listener, running, move |stream, req, segments| {
-                route(&handler, stream, req, segments)
-            });
+            http::serve(
+                &listener,
+                || core.running(),
+                move |stream, req, segments| route(&handler, stream, req, segments),
+            );
             // Stopped or drained: release the workers.
             core.queue.close();
         })
@@ -286,18 +326,18 @@ fn worker_loop(core: &Arc<Core>) {
             match jobs.get_mut(&id) {
                 Some(e) if e.state == JobState::Submitted => {
                     e.state = JobState::Running;
-                    Some((e.spec.clone(), Arc::clone(&e.cancel)))
+                    Some((e.spec.clone(), Arc::clone(&e.cancel), Arc::clone(&e.notify)))
                 }
                 _ => None,
             }
         };
-        let Some((spec, cancel)) = claimed else {
+        let Some((spec, cancel, notify)) = claimed else {
             continue;
         };
         journal_append(core, &id, &JobState::Running, None);
 
         core.busy.fetch_add(1, Ordering::SeqCst);
-        let outcome = run_job(core, &id, &spec, &cancel);
+        let outcome = run_job(core, &id, &spec, &cancel, &notify);
         core.busy.fetch_sub(1, Ordering::SeqCst);
 
         if core.abrupt.load(Ordering::SeqCst) {
@@ -321,7 +361,10 @@ fn worker_loop(core: &Arc<Core>) {
             .get_mut(&id)
             .expect("claimed job exists")
             .state = terminal;
-        core.outstanding.fetch_sub(1, Ordering::SeqCst);
+        // `result.json` is written by now: a tail that ends on this
+        // bump can fetch the result at once.
+        notify.bump();
+        core.release();
     }
 }
 
@@ -332,6 +375,7 @@ fn run_job(
     id: &str,
     spec: &JobSpec,
     cancel: &Arc<AtomicBool>,
+    notify: &Arc<Notifier>,
 ) -> Result<bool, ServeError> {
     let path = |name: &str| job_path(core, id, name);
     let checkpoint = path("checkpoint.jsonl");
@@ -358,6 +402,7 @@ fn run_job(
         metrics: Some(Arc::clone(&job_metrics)),
         shard: spec.shard,
         force_scalar: spec.force_scalar,
+        notify: Some(Arc::clone(notify)),
         ..RunOptions::default()
     };
     let result = campaign
@@ -460,7 +505,9 @@ fn route(
         ("GET", ["healthz"]) => get_healthz(core, stream),
         ("POST", ["shutdown"]) => {
             core.draining.store(true, Ordering::SeqCst);
-            respond(stream, 200, "application/json", "{\"draining\":true}")
+            let answered = respond(stream, 200, "application/json", "{\"draining\":true}");
+            core.wake_if_stopped();
+            answered
         }
         _ => http::fallback(stream, req, segments),
     }
@@ -518,14 +565,10 @@ fn post_job(core: &Arc<Core>, stream: &mut TcpStream, body: &str) -> Result<(), 
     // Reserve the id and register the job *before* queueing it, so a
     // worker can never pop an id the map does not know yet.
     let id = job_id(core.next_job.fetch_add(1, Ordering::SeqCst));
-    core.jobs.lock().expect("jobs lock").insert(
-        id.clone(),
-        JobEntry {
-            spec: spec.clone(),
-            state: JobState::Submitted,
-            cancel: Arc::new(AtomicBool::new(false)),
-        },
-    );
+    core.jobs
+        .lock()
+        .expect("jobs lock")
+        .insert(id.clone(), JobEntry::new(spec.clone(), JobState::Submitted));
     core.outstanding.fetch_add(1, Ordering::SeqCst);
     // The Submitted record (the only one carrying the spec) must hit the
     // journal *before* the id becomes poppable: an idle worker claims a
@@ -560,7 +603,7 @@ fn post_job(core: &Arc<Core>, stream: &mut TcpStream, body: &str) -> Result<(), 
             };
             if still_submitted {
                 journal_append(core, &id, &JobState::Cancelled, None);
-                core.outstanding.fetch_sub(1, Ordering::SeqCst);
+                core.release();
             }
             match refusal {
                 PushError::Full => http::respond_error(stream, 429, "queue full: retry later"),
@@ -625,16 +668,26 @@ fn get_stream(
     id: &str,
     req: &Request,
 ) -> Result<(), ServeError> {
-    if known_job(core, stream, id)?.is_none() {
-        return Ok(());
-    }
-    let path = job_path(core, id, "events.jsonl");
-    crate::live::serve_stream(stream, &path, req, &|| {
-        // A job deleted mid-stream (never happens today) ends the tail
-        // rather than spinning forever.
+    let notify = {
         let jobs = core.jobs.lock().expect("jobs lock");
-        jobs.get(id).is_none_or(|e| e.state.is_terminal())
-    })
+        jobs.get(id).map(|e| Arc::clone(&e.notify))
+    };
+    let Some(notify) = notify else {
+        return http::respond_error(stream, 404, "unknown job");
+    };
+    let path = job_path(core, id, "events.jsonl");
+    crate::live::serve_stream(
+        stream,
+        &path,
+        req,
+        &|| {
+            // A job deleted mid-stream (never happens today) ends the
+            // tail rather than waiting forever.
+            let jobs = core.jobs.lock().expect("jobs lock");
+            jobs.get(id).is_none_or(|e| e.state.is_terminal())
+        },
+        &notify,
+    )
 }
 
 fn get_analytics(core: &Core, stream: &mut TcpStream, id: &str) -> Result<(), ServeError> {
@@ -739,6 +792,7 @@ fn post_cancel(core: &Arc<Core>, stream: &mut TcpStream, id: &str) -> Result<(),
                 JobState::Submitted => {
                     core.queue.remove(id);
                     entry.state = JobState::Cancelled;
+                    entry.notify.bump();
                     Some(("cancelled", true))
                 }
                 JobState::Running => {
@@ -758,7 +812,7 @@ fn post_cancel(core: &Arc<Core>, stream: &mut TcpStream, id: &str) -> Result<(),
         journal_append(core, id, &JobState::Cancelled, None);
         core.metrics
             .counter_add("radcrit_serve_jobs_total", &[("state", "cancelled")], 1);
-        core.outstanding.fetch_sub(1, Ordering::SeqCst);
+        core.release();
     }
     let body = format!("{{\"job\":\"{id}\",\"status\":\"{status}\"}}");
     respond(stream, 200, "application/json", &body)

@@ -10,13 +10,16 @@
 //! ## The plane
 //!
 //! The daemon ([`crate::daemon`]) and the coordinator ([`crate::coord`])
-//! supply only their routes. [`bind`] opens the non-blocking listener;
-//! [`serve`] polls it (sleeping `ACCEPT_POLL`, 10 ms, when no
-//! connection is pending) until the server's `running` predicate turns false, and runs
-//! each connection on its own short-lived thread: blocking socket, a
-//! 10 s read timeout, one [`read_request`] (a malformed one is answered
-//! `400 {"error":"bad request"}`), the path split into segments with any
-//! `?query` dropped, then the server's route. A route matches its own
+//! supply only their routes. [`bind`] opens the listener; [`serve`]
+//! blocks in `accept` while the server's `running` predicate holds.
+//! Whoever turns `running` false calls [`wake`], whose loopback
+//! connect returns the blocked `accept`; the loop re-checks `running`
+//! after every accept and drops, unanswered, a connection that arrives
+//! once the server has stopped. Each other connection runs on its own
+//! short-lived thread: a 10 s read timeout, one [`read_request`] (a
+//! malformed one is answered `400 {"error":"bad request"}`), the path
+//! split into segments with any `?query` dropped, then the server's
+//! route. A route matches its own
 //! `(method, segments)` pairs and hands everything else to [`fallback`]:
 //! the shared `/dashboard` page, `405` for methods other than GET/POST,
 //! `404` otherwise.
@@ -264,11 +267,8 @@ pub fn respond_file(stream: &mut TcpStream, path: &Path, missing: &str) -> Resul
     })
 }
 
-/// How long [`serve`] sleeps when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
-
-/// Binds `addr` as a non-blocking listener for [`serve`], returning it
-/// with its resolved address.
+/// Binds `addr` as the listener for [`serve`], returning it with its
+/// resolved address.
 ///
 /// # Errors
 ///
@@ -276,33 +276,49 @@ const ACCEPT_POLL: Duration = Duration::from_millis(10);
 pub fn bind(addr: &str) -> Result<(TcpListener, SocketAddr), ServeError> {
     let listener =
         TcpListener::bind(addr).map_err(|e| ServeError::Io(format!("bind {addr}: {e}")))?;
-    listener.set_nonblocking(true)?;
     let local = listener.local_addr()?;
     Ok((listener, local))
 }
 
 /// Accepts connections on `listener` (from [`bind`]) while `running()`
 /// holds, answering each on its own thread through `route`, which gets
-/// the request and its path segments.
+/// the request and its path segments. Blocks in `accept`: whoever turns
+/// `running()` false must [`wake`] the listener's address.
 pub fn serve<R>(listener: &TcpListener, running: impl Fn() -> bool, route: R)
 where
     R: Fn(&mut TcpStream, &Request, &[&str]) -> Result<(), ServeError> + Send + Sync + 'static,
 {
     let route = Arc::new(route);
     while running() {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                let route = Arc::clone(&route);
-                std::thread::spawn(move || {
-                    let _ = stream.set_nonblocking(false);
-                    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-                    let _ = answer(&mut stream, &*route);
-                });
-            }
-            // `WouldBlock` (nothing pending) or a failed accept alike.
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+        // A failed accept (say, a connection reset while it queued)
+        // loses that connection only.
+        let Ok((mut stream, _)) = listener.accept() else {
+            continue;
+        };
+        if !running() {
+            break; // the wake-up, or a request that came too late
         }
+        let route = Arc::clone(&route);
+        std::thread::spawn(move || {
+            let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
+            let _ = answer(&mut stream, &*route);
+        });
     }
+}
+
+/// Returns a [`serve`] loop on `addr` from its blocked `accept` with a
+/// loopback connect, so it re-checks its `running` predicate. Call it
+/// after turning that predicate false; a loop that already exited
+/// refuses the connect, which is ignored.
+pub fn wake(addr: SocketAddr) {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match addr {
+            SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&target, Duration::from_secs(1));
 }
 
 /// One connection's exchange: read, split the path, route.

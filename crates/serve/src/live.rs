@@ -24,18 +24,28 @@
 //! A client that goes away mid-stream surfaces as
 //! [`ServeError::Disconnected`]; [`serve_stream`], the one SSE responder
 //! of both servers, reaps the connection and the job keeps running.
+//!
+//! ## Wake-ups
+//!
+//! The tail does not poll. Each stream waits on its job's
+//! [`Notifier`], which the job's event writer bumps after every block
+//! it writes through to the file and the server bumps once the job
+//! turns terminal (the coordinator: after each merged flush, and at
+//! done or stop). A round reads the generation, then samples the
+//! terminal state, then reads the file; it then waits for the
+//! generation to pass the one it read, at most until the next ping is
+//! due. A write or a terminal turn that lands after the read has
+//! already bumped past it, so the wait returns at once and no wake-up
+//! is lost.
 
 use std::net::TcpStream;
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use radcrit_obs::{CriticalityAggregator, LogTail};
+use radcrit_obs::{CriticalityAggregator, LogTail, Notifier};
 
 use crate::error::ServeError;
 use crate::http::{respond_chunked, Request};
-
-/// How often the SSE tail re-checks a live event file for new lines.
-pub const TAIL_POLL: Duration = Duration::from_millis(50);
 
 /// How long an SSE stream may stay silent before a `: ping` comment
 /// frame is emitted. Keep-alives defeat idle-connection reaping by
@@ -63,8 +73,11 @@ pub fn fold_events_file(path: &Path) -> Result<CriticalityAggregator, ServeError
 /// job finished *and* the file is exhausted; a final id-less
 /// `event: end` frame tells well-behaved clients to close instead of
 /// auto-reconnecting. The file may not exist yet (job still queued) —
-/// the tail waits for it to appear. After [`SSE_PING_INTERVAL`] of
-/// silence a `: ping` comment frame keeps the connection warm.
+/// the tail waits for it to appear. Between reads the tail sleeps on
+/// `notify` (see the module docs): whoever appends to the file, deletes
+/// it or turns `is_terminal()` true must bump it. After
+/// [`SSE_PING_INTERVAL`] of silence a `: ping` comment frame keeps the
+/// connection warm.
 ///
 /// # Errors
 ///
@@ -75,12 +88,14 @@ pub fn stream_sse(
     events_path: &Path,
     resume_after: Option<u64>,
     is_terminal: &dyn Fn() -> bool,
+    notify: &Notifier,
 ) -> Result<(), ServeError> {
     stream_sse_with_ping(
         stream,
         events_path,
         resume_after,
         is_terminal,
+        notify,
         SSE_PING_INTERVAL,
     )
 }
@@ -97,9 +112,10 @@ pub fn serve_stream(
     events_path: &Path,
     req: &Request,
     is_terminal: &dyn Fn() -> bool,
+    notify: &Notifier,
 ) -> Result<(), ServeError> {
     let resume_after = parse_last_event_id(req.header("last-event-id"));
-    match stream_sse(stream, events_path, resume_after, is_terminal) {
+    match stream_sse(stream, events_path, resume_after, is_terminal, notify) {
         Err(ServeError::Disconnected(_)) => Ok(()),
         other => other,
     }
@@ -112,6 +128,7 @@ fn stream_sse_with_ping(
     events_path: &Path,
     resume_after: Option<u64>,
     is_terminal: &dyn Fn() -> bool,
+    notify: &Notifier,
     ping_interval: Duration,
 ) -> Result<(), ServeError> {
     let first = resume_after.map_or(0, |n| n.saturating_add(1));
@@ -125,10 +142,13 @@ fn stream_sse_with_ping(
 
         let mut file: Option<std::fs::File> = None;
         let mut tail = LogTail::default();
-        let mut last_sent = std::time::Instant::now();
+        let mut last_sent = Instant::now();
         loop {
-            // The file appears only once the worker claims the job.
+            // The generation is read before anything it guards is
+            // looked at, so a change after the look wakes the wait.
+            let seen = notify.generation();
             let settled = is_terminal();
+            // The file appears only once the worker claims the job.
             if file.is_none() {
                 file = std::fs::File::open(events_path).ok();
             }
@@ -152,20 +172,24 @@ fn stream_sse_with_ping(
             // A file deleted mid-tail can never complete its stream: the
             // stale descriptor reads nothing and a recreated file would
             // restart the ordinals. Surface it as a clean end so clients
-            // close instead of polling (or reconnecting) into the hole —
+            // close instead of waiting (or reconnecting) into the hole —
             // even when the job never reaches a terminal state.
             if !progressed && file.is_some() && !events_path.exists() {
                 send("event: end\ndata: {}\n\n")?;
                 return Ok(());
             }
             if progressed {
-                last_sent = std::time::Instant::now();
-            } else {
-                if last_sent.elapsed() >= ping_interval {
-                    send(": ping\n\n")?;
-                    last_sent = std::time::Instant::now();
+                last_sent = Instant::now();
+                continue;
+            }
+            match ping_interval.checked_sub(last_sent.elapsed()) {
+                Some(quiet) if !quiet.is_zero() => {
+                    notify.wait_past(seen, quiet);
                 }
-                std::thread::sleep(TAIL_POLL);
+                _ => {
+                    send(": ping\n\n")?;
+                    last_sent = Instant::now();
+                }
             }
         }
     });
@@ -210,7 +234,7 @@ mod tests {
         let path = path.to_path_buf();
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            stream_sse(&mut stream, &path, resume_after, &|| true).unwrap();
+            stream_sse(&mut stream, &path, resume_after, &|| true, &Notifier::new()).unwrap();
         });
         let mut client = TcpStream::connect(addr).unwrap();
         let response = read_response(&mut client).unwrap();
@@ -251,16 +275,22 @@ mod tests {
             write!(f, "{{\"e\":\"tor").unwrap(); // no newline: torn
         }
         let terminal = Arc::new(AtomicBool::new(false));
+        let notify = Arc::new(Notifier::new());
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = {
             let path = path.clone();
             let terminal = Arc::clone(&terminal);
+            let notify = Arc::clone(&notify);
             std::thread::spawn(move || {
                 let (mut stream, _) = listener.accept().unwrap();
-                stream_sse(&mut stream, &path, None, &|| {
-                    terminal.load(Ordering::SeqCst)
-                })
+                stream_sse(
+                    &mut stream,
+                    &path,
+                    None,
+                    &|| terminal.load(Ordering::SeqCst),
+                    &notify,
+                )
                 .unwrap();
             })
         };
@@ -273,7 +303,9 @@ mod tests {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
             writeln!(f, "n\"}}").unwrap();
         }
+        notify.bump();
         terminal.store(true, Ordering::SeqCst);
+        notify.bump();
         let body = read_response(&mut client).unwrap().body;
         server.join().unwrap();
         assert!(
@@ -286,14 +318,16 @@ mod tests {
     #[test]
     fn deleted_event_file_ends_the_stream_cleanly() {
         let path = temp_events("deleted", &["{\"e\":\"a\"}"]);
+        let notify = Arc::new(Notifier::new());
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = {
             let path = path.clone();
+            let notify = Arc::clone(&notify);
             std::thread::spawn(move || {
                 let (mut stream, _) = listener.accept().unwrap();
                 // Never terminal: only the deletion can end the tail.
-                stream_sse(&mut stream, &path, None, &|| false)
+                stream_sse(&mut stream, &path, None, &|| false, &notify)
             })
         };
         let mut client = TcpStream::connect(addr).unwrap();
@@ -301,6 +335,7 @@ mod tests {
         // from under it.
         std::thread::sleep(Duration::from_millis(120));
         std::fs::remove_file(&path).unwrap();
+        notify.bump();
         let body = read_response(&mut client).unwrap().body;
         let result = server.join().unwrap();
         assert!(result.is_ok(), "deletion must end the tail: {result:?}");
@@ -311,15 +346,17 @@ mod tests {
     #[test]
     fn a_vanishing_client_is_a_typed_disconnect() {
         let path = temp_events("gone", &["{\"e\":\"a\"}"]);
+        let notify = Arc::new(Notifier::new());
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = {
             let path = path.clone();
+            let notify = Arc::clone(&notify);
             std::thread::spawn(move || {
                 let (mut stream, _) = listener.accept().unwrap();
                 // Never terminal: the tail keeps writing until the
                 // client-side drop turns writes into errors.
-                stream_sse(&mut stream, &path, None, &|| false)
+                stream_sse(&mut stream, &path, None, &|| false, &notify)
             })
         };
         drop(TcpStream::connect(addr).unwrap());
@@ -337,6 +374,7 @@ mod tests {
                 "x".repeat(4096)
             )
             .unwrap();
+            notify.bump();
             std::thread::sleep(Duration::from_millis(20));
         }
         let result = server.join().unwrap();
@@ -359,9 +397,11 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let terminal = Arc::new(AtomicBool::new(false));
+        let notify = Arc::new(Notifier::new());
         let server = {
             let path = path.to_path_buf();
             let terminal = Arc::clone(&terminal);
+            let notify = Arc::clone(&notify);
             std::thread::spawn(move || {
                 let (mut stream, _) = listener.accept().unwrap();
                 stream_sse_with_ping(
@@ -369,6 +409,7 @@ mod tests {
                     &path,
                     resume_after,
                     &|| terminal.load(Ordering::SeqCst),
+                    &notify,
                     Duration::from_millis(30),
                 )
                 .unwrap();
@@ -383,7 +424,9 @@ mod tests {
             let mut f = OpenOptions::new().append(true).open(path).unwrap();
             writeln!(f, "{late_line}").unwrap();
         }
+        notify.bump();
         terminal.store(true, Ordering::SeqCst);
+        notify.bump();
         let body = read_response(&mut client).unwrap().body;
         server.join().unwrap();
         body
@@ -427,6 +470,46 @@ mod tests {
         assert!(body.contains("id: 1\ndata: {\"e\":\"b\"}\n\n"), "{body}");
         assert!(body.contains("id: 2\ndata: {\"e\":\"c\"}\n\n"), "{body}");
         assert!(body.contains(": ping\n\n"), "{body}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_bumped_terminal_turn_ends_the_stream_well_before_a_ping() {
+        let path = temp_events("bumped", &["{\"e\":\"a\"}"]);
+        let terminal = Arc::new(AtomicBool::new(false));
+        let notify = Arc::new(Notifier::new());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = {
+            let path = path.clone();
+            let terminal = Arc::clone(&terminal);
+            let notify = Arc::clone(&notify);
+            std::thread::spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                stream_sse(
+                    &mut stream,
+                    &path,
+                    None,
+                    &|| terminal.load(Ordering::SeqCst),
+                    &notify,
+                )
+                .unwrap();
+            })
+        };
+        let mut client = TcpStream::connect(addr).unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+        let turned = Instant::now();
+        terminal.store(true, Ordering::SeqCst);
+        notify.bump();
+        let body = read_response(&mut client).unwrap().body;
+        server.join().unwrap();
+        assert!(
+            turned.elapsed() < Duration::from_secs(1),
+            "the stream took {:?} to end under a {SSE_PING_INTERVAL:?} ping",
+            turned.elapsed()
+        );
+        assert!(body.ends_with("event: end\ndata: {}\n\n"), "{body}");
+        assert!(!body.contains(": ping"), "{body}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -37,7 +37,7 @@ fn stream_delivers_strictly_increasing_ids_and_resumes_from_last_event_id() {
     // Tail while the job runs: the stream must block across the live
     // tail and still return the complete, gap-free sequence.
     let frames = client.stream(&id, None).unwrap();
-    assert_eq!(client.wait(&id, POLL, WAIT).unwrap().state, "done");
+    assert_eq!(client.wait(&id, WAIT).unwrap().state, "done");
     assert!(!frames.is_empty());
     for (ordinal, (frame_id, _)) in frames.iter().enumerate() {
         assert_eq!(
@@ -72,7 +72,7 @@ fn analytics_rollup_trace_and_gauges_cover_a_finished_job() {
     let handle = daemon::start(config(&dir, 1)).unwrap();
     let client = Client::new(handle.addr().to_string());
     let id = client.submit(&dgemm_spec(32, 40, 7)).unwrap();
-    assert_eq!(client.wait(&id, POLL, WAIT).unwrap().state, "done");
+    assert_eq!(client.wait(&id, WAIT).unwrap().state, "done");
 
     // The analytics endpoint is exactly the local fold of the served
     // event stream, and that fold reproduces the canonical summary.
@@ -147,7 +147,7 @@ fn torn_event_tails_are_skipped_by_analytics_like_the_sse_tailer() {
     let handle = daemon::start(config(&dir, 1)).unwrap();
     let client = Client::new(handle.addr().to_string());
     let id = client.submit(&dgemm_spec(32, 20, 7)).unwrap();
-    assert_eq!(client.wait(&id, POLL, WAIT).unwrap().state, "done");
+    assert_eq!(client.wait(&id, WAIT).unwrap().state, "done");
     let analytics_before = client.analytics(&id).unwrap();
     let rollup_before = client.rollup().unwrap();
 
@@ -217,7 +217,7 @@ fn analytics_invariant_survives_abrupt_restart() {
     // markers + post-crash tail) must still fold to the exact summary.
     let handle = daemon::start(config(&dir, 1)).unwrap();
     let client = Client::new(handle.addr().to_string());
-    assert_eq!(client.wait(&id, POLL, WAIT).unwrap().state, "done");
+    assert_eq!(client.wait(&id, WAIT).unwrap().state, "done");
     let agg = fold_text(&client.events(&id).unwrap());
     assert_eq!(client.analytics(&id).unwrap(), agg.to_json());
     assert_eq!(
@@ -260,7 +260,7 @@ fn disconnected_sse_client_does_not_disturb_the_daemon_or_the_job() {
     // The daemon stays healthy, the job completes, and a fresh stream
     // still serves the full sequence.
     assert!(client.healthz().unwrap().contains("\"ok\":true"));
-    assert_eq!(client.wait(&id, POLL, WAIT).unwrap().state, "done");
+    assert_eq!(client.wait(&id, WAIT).unwrap().state, "done");
     let frames = client.stream(&id, None).unwrap();
     assert!(!frames.is_empty());
     assert_eq!(frames.first().map(|f| f.0), Some(0));

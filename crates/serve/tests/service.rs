@@ -45,7 +45,7 @@ fn parallel_jobs_match_direct_runs_bit_for_bit() {
     let ids: Vec<String> = specs.iter().map(|s| client.submit(s).unwrap()).collect();
     assert_eq!(ids.len(), 4);
     for (id, spec) in ids.iter().zip(&specs) {
-        let status = client.wait(id, POLL, WAIT).unwrap();
+        let status = client.wait(id, WAIT).unwrap();
         assert_eq!(status.state, "done", "{id}: {:?}", status.error);
         assert_eq!(
             client.result(id).unwrap(),
@@ -57,7 +57,7 @@ fn parallel_jobs_match_direct_runs_bit_for_bit() {
     // Resubmitting an identical spec hits the shared golden cache and
     // still produces the identical summary.
     let again = client.submit(&specs[0]).unwrap();
-    assert_eq!(client.wait(&again, POLL, WAIT).unwrap().state, "done");
+    assert_eq!(client.wait(&again, WAIT).unwrap().state, "done");
     assert_eq!(
         client.result(&again).unwrap(),
         direct_summary_json(&specs[0])
@@ -109,12 +109,12 @@ fn cancelling_a_running_job_frees_the_worker() {
         std::thread::sleep(POLL);
     }
     assert_eq!(client.cancel(&long).unwrap(), "cancelling");
-    let status = client.wait(&long, POLL, WAIT).unwrap();
+    let status = client.wait(&long, WAIT).unwrap();
     assert_eq!(status.state, "cancelled");
 
     // The single worker must now be free for new work.
     let small = client.submit(&dgemm_spec(32, 10, 10)).unwrap();
-    assert_eq!(client.wait(&small, POLL, WAIT).unwrap().state, "done");
+    assert_eq!(client.wait(&small, WAIT).unwrap().state, "done");
 
     // Cancelling a finished job is a no-op reported as its final state.
     assert_eq!(client.cancel(&small).unwrap(), "done");
@@ -166,7 +166,7 @@ fn abrupt_stop_then_restart_resumes_without_duplicate_indices() {
     // re-enqueued and completes from the checkpoint.
     let handle = daemon::start(config(&dir, 1)).unwrap();
     let client = Client::new(handle.addr().to_string());
-    let status = client.wait(&id, POLL, WAIT).unwrap();
+    let status = client.wait(&id, WAIT).unwrap();
     assert_eq!(status.state, "done", "{:?}", status.error);
     assert_eq!(
         client.result(&id).unwrap(),
@@ -255,7 +255,7 @@ fn restart_resumes_more_inflight_jobs_than_the_queue_depth() {
     let client = Client::new(handle.addr().to_string());
     for i in 0..specs.len() as u64 {
         let id = radcrit_serve::journal::job_id(i + 1);
-        let status = client.wait(&id, POLL, WAIT).unwrap();
+        let status = client.wait(&id, WAIT).unwrap();
         assert_eq!(status.state, "done", "{id}: {:?}", status.error);
     }
     client.shutdown().unwrap();
@@ -306,6 +306,56 @@ fn backpressure_and_draining_refuse_new_jobs() {
         dir.join("jobs").join(&queued).join("result.json").exists(),
         "queued job must finish during a graceful drain"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Joins `handle` on a helper thread; whether it returned within
+/// `timeout`.
+fn joins_within(handle: daemon::DaemonHandle, timeout: Duration) -> bool {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        handle.join();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(timeout).is_ok()
+}
+
+#[test]
+fn an_idle_daemon_exits_promptly_on_shutdown() {
+    let dir = temp_dir("idle-shutdown");
+    let handle = daemon::start(config(&dir, 1)).unwrap();
+    let client = Client::new(handle.addr().to_string());
+    client.shutdown().unwrap();
+    assert!(
+        joins_within(handle, Duration::from_secs(2)),
+        "join must return within 2 s of an idle daemon's shutdown"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_draining_daemon_exits_when_its_last_job_ends() {
+    let dir = temp_dir("drain-exit");
+    let handle = daemon::start(config(&dir, 1)).unwrap();
+    let client = Client::new(handle.addr().to_string());
+    let id = client.submit(&dgemm_spec(64, 4000, 5)).unwrap();
+    let deadline = Instant::now() + WAIT;
+    while client.status(&id).unwrap().state != "running" {
+        assert!(Instant::now() < deadline, "job never started");
+        std::thread::sleep(POLL);
+    }
+    client.shutdown().unwrap();
+    let health = client.healthz().unwrap();
+    assert!(
+        health.contains("\"outstanding\":1") && health.contains("\"draining\":true"),
+        "the drain must still hold the job: {health}"
+    );
+    // No further request: the worker that ends the job wakes the exit.
+    assert!(
+        joins_within(handle, WAIT),
+        "a draining daemon must exit when its last job ends"
+    );
+    assert!(dir.join("jobs").join(&id).join("result.json").exists());
     std::fs::remove_dir_all(&dir).ok();
 }
 
