@@ -19,10 +19,9 @@
 //! short-lived thread: a 10 s read timeout, one [`read_request`] (a
 //! malformed one is answered `400 {"error":"bad request"}`), the path
 //! split into segments with any `?query` dropped, then the server's
-//! route. A route matches its own
-//! `(method, segments)` pairs and hands everything else to [`fallback`]:
-//! the shared `/dashboard` page, `405` for methods other than GET/POST,
-//! `404` otherwise.
+//! route. A route matches its own `(method, segments)` pairs and hands
+//! everything else to [`fallback`]: the shared `/dashboard` page, `405`
+//! for methods other than GET/POST, `404` otherwise.
 //!
 //! Answers go out through one responder per shape: [`respond`]
 //! (fixed-length), [`respond_error`] (every `{"error":…}` body),
