@@ -624,7 +624,20 @@ fn batched_campaigns_equal_the_reference_oracle_across_kernels() {
     for spec in kernels() {
         let campaign = Campaign::new(DeviceConfig::kepler_k40(), spec, 50, 7).with_workers(3);
         let want = oracle(&campaign);
-        let batched = campaign.run().unwrap();
+        let metrics = Arc::new(MetricsRegistry::new());
+        let batched = campaign
+            .run_with(&RunOptions {
+                metrics: Some(Arc::clone(&metrics)),
+                ..RunOptions::default()
+            })
+            .unwrap();
+        // Equal records alone would also hold if the scheduler ran every
+        // injection from tile 0: the batched run must fork off a warm
+        // bucket.
+        assert!(
+            counter(&metrics, "radcrit_bucket_forks_total") > 0,
+            "{spec:?} batched campaign never forked"
+        );
         assert_eq!(batched.records, want.records, "{spec:?} records");
         assert_eq!(batched.profile, want.profile, "{spec:?} golden profile");
         assert_eq!(batched.summary(), want.summary(), "{spec:?} summary");
