@@ -340,39 +340,14 @@ impl<'a> TileCtx<'a> {
         // `mul_add` is correctly rounded on every lowering (hardware
         // FMA via libm's runtime dispatch, or the soft-float fallback),
         // so a single op needs no executor dispatch of its own; bulk
-        // rows go through `exec::fma_row`.
+        // blocks go through `fma_block`.
         self.op(a.mul_add(b, acc))
-    }
-
-    /// Bulk fused multiply-add over a row: `acc[i] = fma(a, row[i],
-    /// acc[i])` for each lane, one counted op per element — semantically
-    /// identical to calling [`TileCtx::fma`] element by element (same op
-    /// indices, same single-rounding fusion). The unarmed fast path
-    /// counts the ops in one bump and leaves the row as a plain
-    /// `mul_add` loop: inlined into a multiversioned tile body (see the
-    /// kernels' `execute_tile` AVX2 wrappers) it vectorizes to fused
-    /// hardware FMAs, while the portable fallback rounds identically.
-    ///
-    /// [`fma`]: TileCtx::fma
-    #[inline(always)]
-    pub fn fma_row(&mut self, a: f64, row: &[f64], acc: &mut [f64]) {
-        if self.fault_armed {
-            for (slot, &b) in acc.iter_mut().zip(row) {
-                *slot = self.fma(a, b, *slot);
-            }
-            return;
-        }
-        let lanes = acc.len().min(row.len());
-        for (slot, &b) in acc.iter_mut().zip(row) {
-            *slot = a.mul_add(b, *slot);
-        }
-        self.ops += lanes as u64;
     }
 
     /// Block fused multiply-add: `acc[r][c] = fma(a[r][k], b[k][c],
     /// acc[r][c])` accumulated over `k` in ascending order — one counted
-    /// op per element-update, semantically identical to the row-by-row
-    /// loop `for r { for k { fma_row(a[r][k], &b[k], &mut acc[r]) } }`.
+    /// op per element-update, semantically identical to calling
+    /// [`TileCtx::fma`] in the loop `for r { for k { for c { … } } }`.
     ///
     /// The unarmed fast path processes two output rows at a time with
     /// the accumulators held in locals across the whole `k` loop, so in

@@ -6,6 +6,10 @@
 //! textual tables/series the paper reports and checks the qualitative
 //! expectations ("who wins, by roughly what factor") recorded in
 //! `DESIGN.md` §4.
+//!
+//! Performance is measured by one harness, radbench
+//! (`src/bin/radbench/`, its own package), which takes the run
+//! fingerprints from [`history`].
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]

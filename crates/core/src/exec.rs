@@ -2,8 +2,9 @@
 //!
 //! The simulator's hottest loops — the set-associative cache way-scan,
 //! the NaN-aware golden-vs-observed mismatch scan, the dirty-span
-//! clamp, snapshot delta copies and the DGEMM row FMA — are expressed
-//! once as [`KernelExecutor`] primitives with three implementations:
+//! clamp and snapshot delta copies — and a single fused multiply-add
+//! are expressed once as [`KernelExecutor`] primitives with three
+//! implementations:
 //!
 //! * [`Scalar`] — the bit-identity reference. Plain loops, no
 //!   target-feature requirements, runs everywhere.
@@ -225,11 +226,6 @@ pub trait KernelExecutor {
     /// [`KernelExecutor::next_mismatch_f64`].
     fn next_mismatch_f32(golden: &[f32], observed: &[f32], from: usize) -> Option<usize>;
 
-    /// `acc[i] = a * row[i] + acc[i]` with a single rounding (fused
-    /// multiply-add) over `min(row.len(), acc.len())` elements — the
-    /// DGEMM inner row kernel.
-    fn fma_row(a: f64, row: &[f64], acc: &mut [f64]);
-
     /// One fused multiply-add `a * b + c` with a single rounding —
     /// bit-identical to [`f64::mul_add`].
     fn fma(a: f64, b: f64, c: f64) -> f64;
@@ -293,12 +289,6 @@ pub fn next_mismatch_f64(golden: &[f64], observed: &[f64], from: usize) -> Optio
 #[must_use]
 pub fn next_mismatch_f32(golden: &[f32], observed: &[f32], from: usize) -> Option<usize> {
     dispatch!(next_mismatch_f32(golden, observed, from))
-}
-
-/// [`KernelExecutor::fma_row`] on the active ISA.
-#[inline]
-pub fn fma_row(a: f64, row: &[f64], acc: &mut [f64]) {
-    dispatch!(fma_row(a, row, acc))
 }
 
 /// [`KernelExecutor::fma`] on the active ISA.
@@ -375,16 +365,6 @@ impl KernelExecutor for Scalar {
     fn next_mismatch_f32(golden: &[f32], observed: &[f32], from: usize) -> Option<usize> {
         let n = golden.len().min(observed.len());
         (from..n).find(|&i| !values_match_f32(golden[i], observed[i]))
-    }
-
-    #[inline]
-    fn fma_row(a: f64, row: &[f64], acc: &mut [f64]) {
-        // `mul_add` is correctly rounded whether it lowers to an FMA
-        // instruction or the soft-float fallback, so this is
-        // bit-identical to the AVX2/NEON fused path on every input.
-        for (slot, &b) in acc.iter_mut().zip(row) {
-            *slot = a.mul_add(b, *slot);
-        }
     }
 
     #[inline]
@@ -552,47 +532,6 @@ mod avx2 {
         None
     }
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn fma_row(a: f64, row: &[f64], acc: &mut [f64]) {
-        let n = row.len().min(acc.len());
-        let rp = row.as_ptr();
-        let ap = acc.as_mut_ptr();
-        let va = _mm256_set1_pd(a);
-        let mut i = 0;
-        while i + 16 <= n {
-            let c0 = _mm256_fmadd_pd(va, _mm256_loadu_pd(rp.add(i)), _mm256_loadu_pd(ap.add(i)));
-            let c1 = _mm256_fmadd_pd(
-                va,
-                _mm256_loadu_pd(rp.add(i + 4)),
-                _mm256_loadu_pd(ap.add(i + 4)),
-            );
-            let c2 = _mm256_fmadd_pd(
-                va,
-                _mm256_loadu_pd(rp.add(i + 8)),
-                _mm256_loadu_pd(ap.add(i + 8)),
-            );
-            let c3 = _mm256_fmadd_pd(
-                va,
-                _mm256_loadu_pd(rp.add(i + 12)),
-                _mm256_loadu_pd(ap.add(i + 12)),
-            );
-            _mm256_storeu_pd(ap.add(i), c0);
-            _mm256_storeu_pd(ap.add(i + 4), c1);
-            _mm256_storeu_pd(ap.add(i + 8), c2);
-            _mm256_storeu_pd(ap.add(i + 12), c3);
-            i += 16;
-        }
-        while i + 4 <= n {
-            let c = _mm256_fmadd_pd(va, _mm256_loadu_pd(rp.add(i)), _mm256_loadu_pd(ap.add(i)));
-            _mm256_storeu_pd(ap.add(i), c);
-            i += 4;
-        }
-        while i < n {
-            *acc.get_unchecked_mut(i) = a.mul_add(*row.get_unchecked(i), *acc.get_unchecked(i));
-            i += 1;
-        }
-    }
-
     #[target_feature(enable = "fma")]
     pub unsafe fn fma(a: f64, b: f64, c: f64) -> f64 {
         // Inside an fma-enabled region this lowers to one vfmadd
@@ -711,11 +650,6 @@ impl KernelExecutor for Avx2 {
     }
 
     #[inline]
-    fn fma_row(a: f64, row: &[f64], acc: &mut [f64]) {
-        unsafe { avx2::fma_row(a, row, acc) }
-    }
-
-    #[inline]
     fn fma(a: f64, b: f64, c: f64) -> f64 {
         unsafe { avx2::fma(a, b, c) }
     }
@@ -817,27 +751,6 @@ impl KernelExecutor for Neon {
     #[inline]
     fn next_mismatch_f32(golden: &[f32], observed: &[f32], from: usize) -> Option<usize> {
         <Scalar as KernelExecutor>::next_mismatch_f32(golden, observed, from)
-    }
-
-    #[inline]
-    fn fma_row(a: f64, row: &[f64], acc: &mut [f64]) {
-        use std::arch::aarch64::*;
-        let n = row.len().min(acc.len());
-        let rp = row.as_ptr();
-        let ap = acc.as_mut_ptr();
-        unsafe {
-            let va = vdupq_n_f64(a);
-            let mut i = 0;
-            while i + 2 <= n {
-                let c = vfmaq_f64(vld1q_f64(ap.add(i)), va, vld1q_f64(rp.add(i)));
-                vst1q_f64(ap.add(i), c);
-                i += 2;
-            }
-            while i < n {
-                *acc.get_unchecked_mut(i) = a.mul_add(*row.get_unchecked(i), *acc.get_unchecked(i));
-                i += 1;
-            }
-        }
     }
 
     #[inline]

@@ -125,31 +125,6 @@ proptest! {
         );
     }
 
-    /// FMA row kernel: the accumulator after the vectorized pass is
-    /// bit-identical to the scalar pass wherever the result is a
-    /// number; NaN results agree on NaN-ness only (the documented
-    /// carve-out — soft-float and hardware FMA propagate NaN payloads
-    /// differently, and every consumer is payload-blind).
-    #[test]
-    fn fma_row_matches_scalar(
-        a in tricky_f64(),
-        row in prop::collection::vec(tricky_f64(), 0..67),
-        acc0 in prop::collection::vec(tricky_f64(), 0..67),
-    ) {
-        let n = row.len().min(acc0.len());
-        let mut vec_acc = acc0.clone();
-        let mut ref_acc = acc0.clone();
-        exec::fma_row(a, &row[..n], &mut vec_acc[..n]);
-        Scalar::fma_row(a, &row[..n], &mut ref_acc[..n]);
-        for (v, r) in vec_acc.iter().zip(&ref_acc) {
-            if r.is_nan() {
-                prop_assert!(v.is_nan(), "scalar NaN vs vector {v}");
-            } else {
-                prop_assert_eq!(v.to_bits(), r.to_bits());
-            }
-        }
-    }
-
     /// Scalar FMA: a single fused multiply-add matches `f64::mul_add`,
     /// with the NaN carve-out applied on the dispatched side.
     #[test]

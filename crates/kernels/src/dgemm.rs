@@ -157,7 +157,7 @@ impl TiledProgram for Dgemm {
 
     fn execute_tile(&mut self, tile: TileId, ctx: &mut TileCtx<'_>) -> Result<(), AccelError> {
         // Multiversioned tile body: on an AVX2 host the whole body —
-        // row loads, the `fma_row` inner product, the C store —
+        // row loads, the `fma_block` inner product, the C store —
         // compiles as one AVX2+FMA region (fused hardware FMAs, the
         // cache way scan and window copies inlined), bit-identical to
         // the portable copy because FMA rounds once on every lowering.

@@ -2,14 +2,13 @@
 //!
 //! An [`AlertEngine`] folds periodic [`HealthSample`]s — cumulative
 //! fabric counters, shard coverage, queue depth, live-analytics CI
-//! width — into the state of six typed rules:
+//! width — into the state of five typed rules:
 //!
 //! | rule | severity | fires when |
 //! |---|---|---|
 //! | `worker-flapping` | critical | ≥ N worker deaths in the trailing window |
 //! | `redispatch-storm` | warning | ≥ N shard re-dispatches in the trailing window |
 //! | `shard-stalled` | critical | coverage unchanged for N consecutive sweeps mid-campaign |
-//! | `throughput-below-baseline` | warning | windowed coverage rate under the committed like-for-like baseline by more than the bench-gate tolerance |
 //! | `queue-saturated` | warning | queue depth at the configured capacity |
 //! | `fit-ci-stalled` | warning | FIT 95 % CI width not shrinking over N sweeps despite new injections |
 //!
@@ -30,7 +29,7 @@ use crate::metrics::MetricsRegistry;
 /// backstop — pruning by window age is what bounds it in practice).
 const HISTORY_CAP: usize = 4_096;
 
-/// The six health rules the engine evaluates.
+/// The five health rules the engine evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlertRule {
     /// Workers dying (alive→dead heartbeat transitions) in the window.
@@ -39,8 +38,6 @@ pub enum AlertRule {
     RedispatchStorm,
     /// Shard coverage frozen mid-campaign for N consecutive sweeps.
     ShardStalled,
-    /// Windowed injection coverage rate below the committed baseline.
-    ThroughputBelowBaseline,
     /// Job queue at capacity.
     QueueSaturated,
     /// FIT confidence interval no longer converging despite new data.
@@ -69,11 +66,10 @@ impl Severity {
 
 impl AlertRule {
     /// Every rule, in evaluation and display order.
-    pub const ALL: [AlertRule; 6] = [
+    pub const ALL: [AlertRule; 5] = [
         AlertRule::WorkerFlapping,
         AlertRule::RedispatchStorm,
         AlertRule::ShardStalled,
-        AlertRule::ThroughputBelowBaseline,
         AlertRule::QueueSaturated,
         AlertRule::FitCiStalled,
     ];
@@ -85,7 +81,6 @@ impl AlertRule {
             AlertRule::WorkerFlapping => "worker-flapping",
             AlertRule::RedispatchStorm => "redispatch-storm",
             AlertRule::ShardStalled => "shard-stalled",
-            AlertRule::ThroughputBelowBaseline => "throughput-below-baseline",
             AlertRule::QueueSaturated => "queue-saturated",
             AlertRule::FitCiStalled => "fit-ci-stalled",
         }
@@ -109,11 +104,10 @@ impl AlertRule {
 
 /// Rule thresholds. The defaults are tuned for the coordinator's
 /// heartbeat cadence; daemons override `queue_capacity`, coordinators
-/// override `window` (from their heartbeat timeout) and
-/// `baseline_rate` (from the committed bench history).
+/// override `window` (from their heartbeat timeout).
 #[derive(Debug, Clone)]
 pub struct AlertConfig {
-    /// Trailing window for flap / storm / throughput evaluation.
+    /// Trailing window for flap / storm evaluation.
     pub window: Duration,
     /// Worker deaths within the window that mean flapping.
     pub flap_deaths: u64,
@@ -123,12 +117,6 @@ pub struct AlertConfig {
     pub stall_sweeps: u32,
     /// Queue capacity; `None` disables `queue-saturated`.
     pub queue_capacity: Option<u64>,
-    /// Committed like-for-like injections/sec baseline; `None`
-    /// disables `throughput-below-baseline`.
-    pub baseline_rate: Option<f64>,
-    /// Fractional shortfall under the baseline that fires (mirrors the
-    /// bench history gate's `REGRESSION_TOLERANCE`).
-    pub throughput_tolerance: f64,
     /// Consecutive non-converging sweeps that mean a CI stall.
     pub ci_stall_sweeps: u32,
     /// Minimum relative CI-width shrink per sweep-with-new-data below
@@ -144,8 +132,6 @@ impl Default for AlertConfig {
             storm_redispatches: 1,
             stall_sweeps: 400,
             queue_capacity: None,
-            baseline_rate: None,
-            throughput_tolerance: 0.10,
             ci_stall_sweeps: 400,
             ci_min_shrink: 0.0,
         }
@@ -221,7 +207,7 @@ pub struct AlertEngine {
     config: AlertConfig,
     epoch: Option<Instant>,
     history: VecDeque<(Instant, HealthSample)>,
-    states: [RuleState; 6],
+    states: [RuleState; 5],
     stall_streak: u32,
     ci_streak: u32,
     last_covered: Option<u64>,
@@ -315,18 +301,9 @@ impl AlertEngine {
         let redispatches = latest
             .redispatches_total
             .saturating_sub(counters.redispatches_total);
-        // The throughput rate spans only samples inside the window (with
-        // none inside, the latest alone gives a zero span).
-        let (first_at, first) = self
-            .history
-            .iter()
-            .find(|&&(t, _)| t + self.config.window >= now)
-            .or(self.history.back())
-            .cloned()
-            .expect("non-empty history");
 
         let cfg = &self.config;
-        let mut desired: [(bool, String); 6] = Default::default();
+        let mut desired: [(bool, String); 5] = Default::default();
         desired[AlertRule::WorkerFlapping.index()] = (
             deaths >= cfg.flap_deaths,
             format!(
@@ -348,31 +325,6 @@ impl AlertEngine {
                 latest.covered, latest.total, self.stall_streak
             ),
         );
-        let throughput = (|| {
-            let baseline = cfg.baseline_rate?;
-            if latest.done || latest.covered == 0 || latest.covered >= latest.total {
-                return None;
-            }
-            let latest_at = self.history.back().map(|&(t, _)| t)?;
-            let dt = latest_at.checked_duration_since(first_at)?;
-            if dt < cfg.window / 2 {
-                return None;
-            }
-            let rate = latest.covered.saturating_sub(first.covered) as f64 / dt.as_secs_f64();
-            let floor = baseline * (1.0 - cfg.throughput_tolerance);
-            (rate < floor).then_some((rate, baseline))
-        })();
-        desired[AlertRule::ThroughputBelowBaseline.index()] = match throughput {
-            Some((rate, baseline)) => (
-                true,
-                format!(
-                    "windowed rate {} inj/s below the committed baseline {} inj/s",
-                    fmt_f64((rate * 10.0).round() / 10.0),
-                    fmt_f64((baseline * 10.0).round() / 10.0)
-                ),
-            ),
-            None => (false, "windowed rate within the baseline gate".to_owned()),
-        };
         let queue_full = matches!(
             (latest.queue_depth, cfg.queue_capacity),
             (Some(depth), Some(cap)) if cap > 0 && depth >= cap
@@ -621,77 +573,6 @@ mod tests {
             e.observe(t0 + Duration::from_millis(700 + 100 * i), done.clone());
         }
         assert!(!e.is_active(AlertRule::ShardStalled));
-    }
-
-    #[test]
-    fn slow_windowed_throughput_fires_against_the_baseline() {
-        let t0 = base();
-        let mut e = engine(AlertConfig {
-            window: Duration::from_secs(4),
-            baseline_rate: Some(100.0),
-            ..AlertConfig::default()
-        });
-        e.observe(
-            t0,
-            HealthSample {
-                covered: 10,
-                total: 100_000,
-                ..HealthSample::default()
-            },
-        );
-        // 40 indices in 3 s ≈ 13 inj/s — far below the 90 inj/s floor.
-        let edges = e.observe(
-            t0 + Duration::from_secs(3),
-            HealthSample {
-                covered: 50,
-                total: 100_000,
-                ..HealthSample::default()
-            },
-        );
-        assert!(e.is_active(AlertRule::ThroughputBelowBaseline), "{edges:?}");
-        let fired = edges
-            .iter()
-            .find(|ev| ev.rule == AlertRule::ThroughputBelowBaseline)
-            .unwrap();
-        assert!(fired.message.contains("baseline"), "{}", fired.message);
-        // Recovered rate resolves it: 600 indices in the next 2 s.
-        let edges = e.observe(
-            t0 + Duration::from_secs(5),
-            HealthSample {
-                covered: 650,
-                total: 100_000,
-                ..HealthSample::default()
-            },
-        );
-        assert!(
-            edges
-                .iter()
-                .any(|ev| ev.rule == AlertRule::ThroughputBelowBaseline && !ev.firing),
-            "{edges:?}"
-        );
-    }
-
-    #[test]
-    fn throughput_rate_never_spans_a_sweep_gap() {
-        // A sample older than the window is a counter baseline only: the
-        // rate across the 10 s gap (4 inj/s) must not fire the rule.
-        let t0 = base();
-        let mut e = engine(AlertConfig {
-            window: Duration::from_secs(4),
-            baseline_rate: Some(100.0),
-            ..AlertConfig::default()
-        });
-        let at = |covered| HealthSample {
-            covered,
-            total: 100_000,
-            ..HealthSample::default()
-        };
-        e.observe(t0, at(10));
-        let edges = e.observe(t0 + Duration::from_secs(10), at(50));
-        assert!(
-            !e.is_active(AlertRule::ThroughputBelowBaseline),
-            "{edges:?}"
-        );
     }
 
     #[test]

@@ -40,11 +40,10 @@
 //!   Perfetto.
 //! * [`alerts`] — a campaign health rules evaluator
 //!   ([`alerts::AlertEngine`]): typed alerts (worker-flapping,
-//!   redispatch-storm, shard-stalled, throughput-below-baseline,
-//!   queue-saturated, FIT-CI-stalled) with severities, firing/resolved
-//!   edges as structured JSONL log lines, and
-//!   `radcrit_alert_*` metric export; time is injected so every rule
-//!   is deterministic under test.
+//!   redispatch-storm, shard-stalled, queue-saturated, FIT-CI-stalled)
+//!   with severities, firing/resolved edges as structured JSONL log
+//!   lines, and `radcrit_alert_*` metric export; time is injected so
+//!   every rule is deterministic under test.
 //! * [`profile`] — a hierarchical scoped-phase profiler
 //!   ([`profile::PhaseId`] registry, per-thread lock-free accumulators,
 //!   merged [`profile::ProfileTree`]s) with JSON and collapsed-stack
