@@ -25,8 +25,9 @@ use radcrit_bench::{
 use radcrit_campaign::config::KernelSpec;
 use radcrit_campaign::log as clog;
 use radcrit_campaign::presets::{self, Preset, Scale};
-use radcrit_campaign::runner::{compare_with_logical_coords, CampaignResult};
+use radcrit_campaign::runner::CampaignResult;
 use radcrit_campaign::summary::CampaignSummary;
+use radcrit_core::compare::compare_mapped;
 use radcrit_faults::sampler::{FaultSampler, InjectionPlan};
 use radcrit_kernels::dgemm::Dgemm;
 use radcrit_kernels::profile::KernelClass;
@@ -773,7 +774,13 @@ fn fig9(ctx: &mut Ctx) {
             let run = engine
                 .run(kernel.as_mut(), &[spec], &mut rng, None, None)
                 .unwrap_or_else(|e| die(&format!("clamr run failed: {e}")));
-            let report = compare_with_logical_coords(&golden.output, &run.output, kernel.as_ref());
+            let report = compare_mapped(
+                &golden.output,
+                &run.output,
+                kernel.logical_shape(),
+                None,
+                |i| kernel.error_coord(i),
+            );
             let n = report.incorrect_elements();
             if best.as_ref().is_none_or(|(bn, _)| n > *bn) {
                 best = Some((n, report));
@@ -962,8 +969,13 @@ fn ablate(ctx: &mut Ctx) {
         let mut rng = StdRng::seed_from_u64(ctx.seed ^ (0xAB1A << 32) ^ i);
         if let InjectionPlan::Strike(spec) = sampler.sample(&mut rng) {
             if let Ok(run) = engine.run(kernel.as_mut(), &[spec], &mut rng, None, None) {
-                let report =
-                    compare_with_logical_coords(&golden.output, &run.output, kernel.as_ref());
+                let report = compare_mapped(
+                    &golden.output,
+                    &run.output,
+                    kernel.logical_shape(),
+                    None,
+                    |i| kernel.error_coord(i),
+                );
                 if report.is_sdc() {
                     reports.push(report);
                 }

@@ -35,7 +35,6 @@ pub mod golden;
 pub mod hardening;
 pub mod log;
 pub mod outcome;
-pub mod parse;
 pub mod presets;
 pub mod runner;
 pub mod summary;

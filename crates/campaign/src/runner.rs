@@ -65,9 +65,8 @@ use radcrit_accel::error::AccelError;
 use radcrit_accel::profile::ExecutionProfile;
 use radcrit_accel::snapshot::{SnapshotPolicy, SnapshotSet};
 use radcrit_accel::trace::ExecutionTrace;
-use radcrit_core::dirty::DirtyRegion;
+use radcrit_core::compare::compare_mapped;
 use radcrit_core::locality::SpatialClass;
-use radcrit_core::mismatch::Mismatch;
 use radcrit_core::report::ErrorReport;
 use radcrit_faults::sampler::{FaultSampler, InjectionPlan};
 use radcrit_kernels::Workload;
@@ -160,14 +159,6 @@ pub struct RunOptions {
     /// streams fold into one aggregate with the campaign's context.
     /// `None` runs the whole range.
     pub shard: Option<(usize, usize)>,
-    /// Pin SIMD dispatch to the scalar reference executor for the whole
-    /// run (the `--scalar` CLI flag / job-spec `force_scalar`). Science
-    /// is bit-identical either way — the scalar path is the identity
-    /// reference the vectorized paths are property-tested against; this
-    /// exists to measure the SIMD speedup and to rule vectorization out
-    /// when debugging. The pin is process-wide while the run lasts, so
-    /// worker threads inherit it.
-    pub force_scalar: bool,
     /// Observer hook for a live reader of [`RunOptions::events_out`]
     /// (the daemon's SSE tail): the event writer writes each contiguous
     /// block through to the file and bumps this notifier, instead of
@@ -379,10 +370,6 @@ impl Campaign {
             }
             None => (0, self.injections),
         };
-        // The scalar pin must precede everything that touches an
-        // executor-dispatched path (golden execution included). The
-        // override is process-wide, so worker threads inherit it.
-        let _scalar_pin = radcrit_core::exec::scalar_scope_if(options.force_scalar);
         let metrics = options.metrics.clone().or_else(|| {
             options
                 .metrics_out
@@ -987,12 +974,16 @@ impl Campaign {
                     // is both unnecessary and wrong to perform.
                     ErrorReport::new(kernel.logical_shape(), Vec::new())
                 } else {
-                    match &run.dirty {
-                        Some(dirty) => {
-                            compare_with_logical_coords_sparse(golden, &run.output, kernel, dirty)
-                        }
-                        None => compare_with_logical_coords(golden, &run.output, kernel),
-                    }
+                    // Mismatches land in the kernel's *logical*
+                    // coordinate space (e.g. LavaMD's box grid), which
+                    // is what the spatial-locality metric operates on.
+                    compare_mapped(
+                        golden,
+                        &run.output,
+                        kernel.logical_shape(),
+                        run.dirty.as_ref(),
+                        |i| kernel.error_coord(i),
+                    )
                 };
                 let mismatches = report.incorrect_elements() as u64;
                 if let Some(scope) = compare_scope.as_mut() {
@@ -1426,50 +1417,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".into()
     }
-}
-
-/// Compares outputs element-wise, mapping each mismatch to the kernel's
-/// *logical* coordinate space (e.g. LavaMD's box grid), which is what the
-/// paper's spatial-locality metric operates on.
-pub fn compare_with_logical_coords(
-    golden: &[f64],
-    observed: &[f64],
-    kernel: &(dyn Workload + Send),
-) -> ErrorReport {
-    let mut mismatches = Vec::new();
-    for (i, (&g, &o)) in golden.iter().zip(observed.iter()).enumerate() {
-        let matches = (g == o) || (g.is_nan() && o.is_nan());
-        if !matches {
-            mismatches.push(Mismatch::new(kernel.error_coord(i), o, g));
-        }
-    }
-    ErrorReport::new(kernel.logical_shape(), mismatches)
-}
-
-/// [`compare_with_logical_coords`] restricted to a dirty region: only
-/// elements inside `dirty` are compared. Produces the identical
-/// [`ErrorReport`] whenever `dirty` covers every element that differs
-/// from golden — which a forked run's region does by construction
-/// (golden-suffix stores plus the faulty run's own stores and
-/// writebacks).
-pub fn compare_with_logical_coords_sparse(
-    golden: &[f64],
-    observed: &[f64],
-    kernel: &(dyn Workload + Send),
-    dirty: &DirtyRegion,
-) -> ErrorReport {
-    let len = golden.len().min(observed.len());
-    let mut mismatches = Vec::new();
-    for &(start, end) in dirty.ranges() {
-        for i in start..end.min(len) {
-            let (g, o) = (golden[i], observed[i]);
-            let matches = (g == o) || (g.is_nan() && o.is_nan());
-            if !matches {
-                mismatches.push(Mismatch::new(kernel.error_coord(i), o, g));
-            }
-        }
-    }
-    ErrorReport::new(kernel.logical_shape(), mismatches)
 }
 
 #[cfg(test)]

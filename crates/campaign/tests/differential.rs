@@ -27,13 +27,13 @@ use radcrit_accel::error::AccelError;
 use radcrit_accel::snapshot::{SnapshotPolicy, SnapshotSet};
 use radcrit_accel::strike::{SchedulerEffect, StrikeSpec, StrikeTarget};
 use radcrit_accel::trace::ExecutionTrace;
-use radcrit_campaign::runner::{
-    compare_with_logical_coords, compare_with_logical_coords_sparse, stream_seed,
-};
+use radcrit_campaign::runner::stream_seed;
 use radcrit_campaign::telemetry::Telemetry;
 use radcrit_campaign::{
     Campaign, CampaignResult, InjectionOutcome, InjectionRecord, KernelSpec, RunOptions, SdcDetail,
 };
+use radcrit_core::compare::compare_mapped;
+use radcrit_core::exec;
 use radcrit_core::report::ErrorReport;
 use radcrit_faults::sampler::{FaultSampler, InjectionPlan};
 use radcrit_kernels::Workload;
@@ -218,8 +218,10 @@ fn assert_fork_matches(
         .dirty
         .as_ref()
         .expect("forked run has a dirty region");
-    let sparse = compare_with_logical_coords_sparse(golden, &forked.output, kernel, dirty);
-    let dense = compare_with_logical_coords(golden, &full.output, kernel);
+    let shape = kernel.logical_shape();
+    let coord = |i| kernel.error_coord(i);
+    let sparse = compare_mapped(golden, &forked.output, shape, Some(dirty), coord);
+    let dense = compare_mapped(golden, &full.output, shape, None, coord);
     assert_eq!(
         mismatch_bits(&sparse),
         mismatch_bits(&dense),
@@ -558,7 +560,13 @@ fn oracle(campaign: &Campaign) -> CampaignResult {
             let report = if run.golden_equivalent {
                 ErrorReport::new(kernel.logical_shape(), Vec::new())
             } else {
-                compare_with_logical_coords(&golden.output, &run.output, kernel.as_ref())
+                compare_mapped(
+                    &golden.output,
+                    &run.output,
+                    kernel.logical_shape(),
+                    None,
+                    |i| kernel.error_coord(i),
+                )
             };
             let outcome = if report.is_sdc() {
                 InjectionOutcome::Sdc(SdcDetail {
@@ -658,19 +666,19 @@ fn batched_campaigns_equal_the_reference_oracle_across_kernels() {
 }
 
 /// The SIMD execution core is invisible to the science: a campaign run
-/// with dispatch pinned to the scalar reference (`--scalar`) produces
-/// records, event-stream bytes, and a summary bit-identical to the
-/// default vectorized run, across all kernels — including a resumed
+/// with dispatch pinned to the scalar reference
+/// ([`exec::scalar_scope`]) produces records, event-stream bytes, and a
+/// summary bit-identical to the default vectorized run, across all kernels — including a resumed
 /// run whose checkpoint was written by the *other* executor.
 #[test]
 fn scalar_pinned_campaigns_are_bit_identical_to_vectorized() {
     for spec in kernels() {
         let campaign = Campaign::new(DeviceConfig::kepler_k40(), spec, 50, 7).with_workers(3);
-        let run = |force_scalar: bool, tag: &str| {
+        let run = |scalar: bool, tag: &str| {
+            let _scalar = scalar.then(exec::scalar_scope);
             let events = temp_path(&format!("scalar-events-{tag}"));
             let result = campaign
                 .run_with(&RunOptions {
-                    force_scalar,
                     events_out: Some(events.clone()),
                     events_sample: 1,
                     ..RunOptions::default()
@@ -700,12 +708,10 @@ fn scalar_pinned_campaigns_are_bit_identical_to_vectorized() {
 fn checkpoint_resumes_across_executors() {
     let spec = KernelSpec::Dgemm { n: 48 };
     let campaign = Campaign::new(DeviceConfig::kepler_k40(), spec, 40, 11).with_workers(2);
-    let reference = campaign
-        .run_with(&RunOptions {
-            force_scalar: true,
-            ..RunOptions::default()
-        })
-        .unwrap();
+    let reference = {
+        let _scalar = exec::scalar_scope();
+        campaign.run().unwrap()
+    };
     let path = temp_path("cross-isa-resume");
     let partial = campaign
         .run_with(&RunOptions {
@@ -715,14 +721,16 @@ fn checkpoint_resumes_across_executors() {
         })
         .unwrap();
     assert!(!partial.is_complete());
-    let resumed = campaign
-        .run_with(&RunOptions {
-            checkpoint: Some(path.clone()),
-            resume: true,
-            force_scalar: true,
-            ..RunOptions::default()
-        })
-        .unwrap();
+    let resumed = {
+        let _scalar = exec::scalar_scope();
+        campaign
+            .run_with(&RunOptions {
+                checkpoint: Some(path.clone()),
+                resume: true,
+                ..RunOptions::default()
+            })
+            .unwrap()
+    };
     assert!(resumed.is_complete());
     assert_eq!(resumed.records, reference.records);
     assert_eq!(resumed.summary(), reference.summary());

@@ -2,14 +2,16 @@
 //!
 //! Mirrors the experimental procedure of §IV-D: a host gathers results and
 //! compares them with a pre-computed golden output; any differing element
-//! becomes a [`Mismatch`] in the resulting [`ErrorReport`].
+//! becomes a [`Mismatch`] in the resulting [`ErrorReport`]. Every
+//! comparison — these entry points and each campaign injection — runs
+//! the one scan in [`compare_mapped`].
 
 use crate::dirty::DirtyRegion;
 use crate::error::CoreError;
 use crate::exec;
 use crate::mismatch::Mismatch;
 use crate::report::ErrorReport;
-use crate::shape::OutputShape;
+use crate::shape::{Coord, OutputShape};
 
 /// Compares an observed output against the golden output element by
 /// element and collects every exact mismatch.
@@ -42,29 +44,9 @@ pub fn compare_slices(
     shape: OutputShape,
 ) -> Result<ErrorReport, CoreError> {
     validate(golden.len(), observed.len(), shape)?;
-    let mut mismatches = Vec::new();
-    collect_range(golden, observed, shape, 0, &mut mismatches);
-    Ok(ErrorReport::new(shape, mismatches))
-}
-
-/// Single-precision variant of [`compare_slices`], used for kernels that
-/// work over `f32` data (HotSpot in the paper uses single precision).
-///
-/// Values are widened to `f64` for relative-error computation, which is
-/// exact for every `f32`.
-///
-/// # Errors
-///
-/// Same conditions as [`compare_slices`].
-pub fn compare_slices_f32(
-    golden: &[f32],
-    observed: &[f32],
-    shape: OutputShape,
-) -> Result<ErrorReport, CoreError> {
-    validate(golden.len(), observed.len(), shape)?;
-    let mut mismatches = Vec::new();
-    collect_range_f32(golden, observed, shape, 0, &mut mismatches);
-    Ok(ErrorReport::new(shape, mismatches))
+    Ok(compare_mapped(golden, observed, shape, None, |i| {
+        shape.coord_of(i)
+    }))
 }
 
 /// Sparse variant of [`compare_slices`] for differential execution:
@@ -84,21 +66,9 @@ pub fn compare_slices_sparse(
     dirty: &DirtyRegion,
 ) -> Result<ErrorReport, CoreError> {
     validate(golden.len(), observed.len(), shape)?;
-    let mut mismatches = Vec::new();
-    for &(start, end) in dirty.ranges() {
-        let end = end.min(golden.len());
-        if start >= end {
-            continue;
-        }
-        collect_range(
-            &golden[start..end],
-            &observed[start..end],
-            shape,
-            start,
-            &mut mismatches,
-        );
-    }
-    Ok(ErrorReport::new(shape, mismatches))
+    Ok(compare_mapped(golden, observed, shape, Some(dirty), |i| {
+        shape.coord_of(i)
+    }))
 }
 
 fn validate(golden: usize, observed: usize, shape: OutputShape) -> Result<(), CoreError> {
@@ -109,49 +79,58 @@ fn validate(golden: usize, observed: usize, shape: OutputShape) -> Result<(), Co
     Ok(())
 }
 
-/// The mismatch-collection loops all comparison entry points share:
-/// a SIMD-dispatched scan ([`exec::next_mismatch_f64`]) skips matching
-/// runs; each mismatching pair becomes a [`Mismatch`] at the flat
-/// index `offset + i`. The match rule — equal values match, and a NaN
+/// The one mismatch scan: compares `golden` with `observed` over the
+/// flat index ranges of `dirty` (the whole output when `None`) and
+/// records each mismatch at `coord(i)` of its flat index `i`, in index
+/// order. A SIMD-dispatched scan ([`exec::next_mismatch_f64`]) skips
+/// matching runs; the match rule — equal values match, and a NaN
 /// matches a NaN (the golden execution legitimately produced an
 /// invalid value there) — lives in `exec` so every ISA shares it.
-fn collect_range(
+///
+/// Nothing is validated: elements past the shorter slice are not
+/// compared, and `shape` only labels the report. That lets a kernel
+/// report in a logical space whose size is not its output length —
+/// LavaMD's `shape` is its box grid, and `coord` maps element `i` to
+/// box `i / (4 × particles per box)`.
+///
+/// # Examples
+///
+/// ```
+/// use radcrit_core::{compare::compare_mapped, shape::OutputShape};
+///
+/// let golden = [1.0, 2.0, 3.0, 4.0];
+/// let observed = [1.0, 2.0, 3.0, 9.0];
+/// // Two elements per logical cell: index 3 lands in cell 1.
+/// let report = compare_mapped(&golden, &observed, OutputShape::d1(2), None, |i| [i / 2, 0, 0]);
+/// assert_eq!(report.mismatches()[0].coord(), [1, 0, 0]);
+/// ```
+pub fn compare_mapped(
     golden: &[f64],
     observed: &[f64],
     shape: OutputShape,
-    offset: usize,
-    mismatches: &mut Vec<Mismatch>,
-) {
-    let mut i = 0;
-    while let Some(j) = exec::next_mismatch_f64(golden, observed, i) {
-        mismatches.push(Mismatch::new(
-            shape.coord_of(offset + j),
-            observed[j],
-            golden[j],
-        ));
-        i = j + 1;
+    dirty: Option<&DirtyRegion>,
+    coord: impl Fn(usize) -> Coord,
+) -> ErrorReport {
+    let len = golden.len().min(observed.len());
+    let whole = [(0, len)];
+    let ranges = dirty.map_or(&whole[..], DirtyRegion::ranges);
+    let mut mismatches = Vec::new();
+    for &(start, end) in ranges {
+        let end = end.min(len);
+        let (golden, observed) = (&golden[..end], &observed[..end]);
+        let mut from = start;
+        while let Some(mut i) = exec::next_mismatch_f64(golden, observed, from) {
+            // Corruption clusters (a box, a line, a block), and each
+            // vector scan costs a dispatch: walk the run of mismatches
+            // inline and go back to the scan at the next match.
+            while i < end && !exec::values_match_f64(golden[i], observed[i]) {
+                mismatches.push(Mismatch::new(coord(i), observed[i], golden[i]));
+                i += 1;
+            }
+            from = i;
+        }
     }
-}
-
-/// Single-precision [`collect_range`]: the scan compares native `f32`
-/// (widening to `f64` is exact, so the outcome is identical) and only
-/// mismatching elements are widened for the report.
-fn collect_range_f32(
-    golden: &[f32],
-    observed: &[f32],
-    shape: OutputShape,
-    offset: usize,
-    mismatches: &mut Vec<Mismatch>,
-) {
-    let mut i = 0;
-    while let Some(j) = exec::next_mismatch_f32(golden, observed, i) {
-        mismatches.push(Mismatch::new(
-            shape.coord_of(offset + j),
-            f64::from(observed[j]),
-            f64::from(golden[j]),
-        ));
-        i = j + 1;
-    }
+    ErrorReport::new(shape, mismatches)
 }
 
 #[cfg(test)]
@@ -216,17 +195,6 @@ mod tests {
         let report = compare_slices(&golden, &observed, OutputShape::d1(2)).unwrap();
         assert_eq!(report.incorrect_elements(), 1);
         assert!(report.mismatches()[0].relative_error().is_infinite());
-    }
-
-    #[test]
-    fn f32_comparison_widens_exactly() {
-        let golden = [1.0f32, 0.1f32];
-        let mut observed = golden;
-        observed[1] = 0.2f32;
-        let report = compare_slices_f32(&golden, &observed, OutputShape::d1(2)).unwrap();
-        assert_eq!(report.incorrect_elements(), 1);
-        let re = report.mismatches()[0].relative_error();
-        assert!((re - 100.0).abs() < 1e-4, "0.1 -> 0.2 is ~100 %, got {re}");
     }
 
     #[test]

@@ -2,14 +2,13 @@
 //!
 //! The simulator's hottest loops — the set-associative cache way-scan,
 //! the NaN-aware golden-vs-observed mismatch scan, the dirty-span
-//! clamp and snapshot delta copies — and a single fused multiply-add
-//! are expressed once as [`KernelExecutor`] primitives with three
-//! implementations:
+//! clamp and snapshot delta copies — are expressed once as
+//! [`KernelExecutor`] primitives with three implementations:
 //!
 //! * [`Scalar`] — the bit-identity reference. Plain loops, no
 //!   target-feature requirements, runs everywhere.
-//! * [`Avx2`] — x86-64 AVX2 + FMA intrinsics, selected at runtime via
-//!   `is_x86_feature_detected!`.
+//! * [`Avx2`] — x86-64 AVX2 intrinsics, selected at runtime when
+//!   `is_x86_feature_detected!` reports AVX2 and FMA.
 //! * [`Neon`] — aarch64 NEON (always available on aarch64).
 //!
 //! The active ISA is detected **once** per process and cached; every
@@ -23,17 +22,16 @@
 //!
 //! # Forcing the scalar reference
 //!
-//! Three escape hatches, strongest first:
+//! Two pins, one per scope:
 //!
 //! 1. `RADCRIT_FORCE_SCALAR` environment variable (any value except
-//!    `0`/empty) — pins detection itself to [`Isa::Scalar`].
-//! 2. [`force_scalar`] — process-wide permanent downgrade, used by the
-//!    `--scalar` CLI flag.
-//! 3. [`scalar_scope`] — an RAII guard for scoping one job (e.g. a
-//!    daemon job whose `JobSpec` requested `force_scalar`). Guards
-//!    nest; the scalar override holds while at least one is alive.
-//!    The override is process-wide, not thread-local — safe, because
-//!    ISA choice never changes bytes, only speed.
+//!    `0`/empty) — pins detection itself to [`Isa::Scalar`] for the
+//!    whole process (a CLI run, a daemon and every job it serves).
+//! 2. [`scalar_scope`] — an RAII guard for tests that compare the two
+//!    executors inside one process. Guards nest; the scalar override
+//!    holds while at least one is alive. The override is process-wide,
+//!    not thread-local — safe, because ISA choice never changes bytes,
+//!    only speed.
 
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 
@@ -68,28 +66,18 @@ impl std::fmt::Display for Isa {
     }
 }
 
-/// Number of live scalar overrides: [`force_scalar`] counts as one
-/// forever; each [`ScalarGuard`] counts as one while alive.
+/// Number of live [`ScalarGuard`]s.
 static SCALAR_OVERRIDES: AtomicUsize = AtomicUsize::new(0);
 
 /// Cached detection result: 0 = not yet detected, else `Isa` + 1.
 static DETECTED: AtomicU8 = AtomicU8::new(0);
 
+/// The best ISA this host supports, or [`Isa::Scalar`] when
+/// `RADCRIT_FORCE_SCALAR` pins it.
 fn detect() -> Isa {
     if std::env::var("RADCRIT_FORCE_SCALAR").is_ok_and(|v| !v.is_empty() && v != "0") {
         return Isa::Scalar;
     }
-    hardware()
-}
-
-/// The best ISA this host's hardware supports, ignoring every
-/// override — scoped guards, [`force_scalar`], and the
-/// `RADCRIT_FORCE_SCALAR` pin alike. This is what detection would pick
-/// on an unpinned start; benchmark gating uses it to tell "pinned to
-/// scalar on a vector host" apart from "a genuinely scalar host".
-/// Uncached — callers are cold paths.
-#[must_use]
-pub fn hardware() -> Isa {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
@@ -118,8 +106,8 @@ fn detect_and_store() -> Isa {
 }
 
 /// The ISA the dispatching free functions will use *right now*:
-/// [`Isa::Scalar`] while any override is in force, else the detected
-/// best ISA of this host.
+/// [`Isa::Scalar`] while a [`ScalarGuard`] is alive, else the ISA
+/// detected for this process.
 #[inline(always)]
 #[must_use]
 pub fn active() -> Isa {
@@ -132,25 +120,6 @@ pub fn active() -> Isa {
         3 => Isa::Neon,
         _ => detect_and_store(),
     }
-}
-
-/// The ISA runtime detection picked for this host, ignoring overrides
-/// (still [`Isa::Scalar`] when `RADCRIT_FORCE_SCALAR` pinned it).
-#[must_use]
-pub fn detected() -> Isa {
-    match DETECTED.load(Ordering::Relaxed) {
-        1 => Isa::Scalar,
-        2 => Isa::Avx2,
-        3 => Isa::Neon,
-        _ => detect_and_store(),
-    }
-}
-
-/// Permanently forces the scalar reference path for the rest of the
-/// process (the `--scalar` CLI flag). Idempotent in effect; each call
-/// adds one never-released override.
-pub fn force_scalar() {
-    SCALAR_OVERRIDES.fetch_add(1, Ordering::Relaxed);
 }
 
 /// RAII override that pins dispatch to [`Isa::Scalar`] while alive.
@@ -167,18 +136,11 @@ impl Drop for ScalarGuard {
 }
 
 /// Pins dispatch to the scalar reference until the returned guard
-/// drops. Used per-job by the daemon when a `JobSpec` sets
-/// `force_scalar`.
+/// drops.
 #[must_use]
 pub fn scalar_scope() -> ScalarGuard {
     SCALAR_OVERRIDES.fetch_add(1, Ordering::Relaxed);
     ScalarGuard(())
-}
-
-/// Pins dispatch to scalar only when `force` is true; `None` otherwise.
-#[must_use]
-pub fn scalar_scope_if(force: bool) -> Option<ScalarGuard> {
-    force.then(scalar_scope)
 }
 
 // ---------------------------------------------------------------------
@@ -191,16 +153,6 @@ pub fn scalar_scope_if(force: bool) -> Option<ScalarGuard> {
 /// implementation on every input: same return values, same memory
 /// contents, including NaN payloads and tie-breaking (first match,
 /// first minimum). `tests/simd_parity.rs` asserts this property.
-///
-/// One carve-out: when a *fused multiply-add* result is NaN, only its
-/// NaN-ness is pinned, not the payload bits. Without `-C target-cpu`
-/// guarantees the scalar [`f64::mul_add`] may lower to the soft-float
-/// `fma` libcall, whose NaN propagation differs from the hardware
-/// `vfmadd`/`fmla` instruction — and propagation also differs between
-/// architectures. Every consumer is payload-blind (the compare rule
-/// matches any NaN to any NaN and relative error maps every NaN to
-/// infinity), so campaign outcomes and summaries stay bit-identical
-/// across backends regardless.
 pub trait KernelExecutor {
     /// The ISA this backend targets.
     const ISA: Isa;
@@ -221,14 +173,6 @@ pub trait KernelExecutor {
     /// [`crate::compare::compare_slices`]: equal values match, and a
     /// NaN matches a NaN.
     fn next_mismatch_f64(golden: &[f64], observed: &[f64], from: usize) -> Option<usize>;
-
-    /// Single-precision variant of
-    /// [`KernelExecutor::next_mismatch_f64`].
-    fn next_mismatch_f32(golden: &[f32], observed: &[f32], from: usize) -> Option<usize>;
-
-    /// One fused multiply-add `a * b + c` with a single rounding —
-    /// bit-identical to [`f64::mul_add`].
-    fn fma(a: f64, b: f64, c: f64) -> f64;
 
     /// Copies `src` into `dst` (snapshot delta capture/apply, fork
     /// restore).
@@ -284,20 +228,6 @@ pub fn next_mismatch_f64(golden: &[f64], observed: &[f64], from: usize) -> Optio
     dispatch!(next_mismatch_f64(golden, observed, from))
 }
 
-/// [`KernelExecutor::next_mismatch_f32`] on the active ISA.
-#[inline]
-#[must_use]
-pub fn next_mismatch_f32(golden: &[f32], observed: &[f32], from: usize) -> Option<usize> {
-    dispatch!(next_mismatch_f32(golden, observed, from))
-}
-
-/// [`KernelExecutor::fma`] on the active ISA.
-#[inline]
-#[must_use]
-pub fn fma(a: f64, b: f64, c: f64) -> f64 {
-    dispatch!(fma(a, b, c))
-}
-
 /// [`KernelExecutor::copy_f64`] on the active ISA.
 ///
 /// # Panics
@@ -326,12 +256,7 @@ pub struct Scalar;
 /// The shared match rule: equal values match, and a NaN matches a NaN
 /// (the golden run legitimately produced an invalid value there).
 #[inline(always)]
-fn values_match_f64(golden: f64, observed: f64) -> bool {
-    (golden == observed) || (golden.is_nan() && observed.is_nan())
-}
-
-#[inline(always)]
-fn values_match_f32(golden: f32, observed: f32) -> bool {
+pub(crate) fn values_match_f64(golden: f64, observed: f64) -> bool {
     (golden == observed) || (golden.is_nan() && observed.is_nan())
 }
 
@@ -359,17 +284,6 @@ impl KernelExecutor for Scalar {
     fn next_mismatch_f64(golden: &[f64], observed: &[f64], from: usize) -> Option<usize> {
         let n = golden.len().min(observed.len());
         (from..n).find(|&i| !values_match_f64(golden[i], observed[i]))
-    }
-
-    #[inline]
-    fn next_mismatch_f32(golden: &[f32], observed: &[f32], from: usize) -> Option<usize> {
-        let n = golden.len().min(observed.len());
-        (from..n).find(|&i| !values_match_f32(golden[i], observed[i]))
-    }
-
-    #[inline]
-    fn fma(a: f64, b: f64, c: f64) -> f64 {
-        a.mul_add(b, c)
     }
 
     #[inline]
@@ -501,46 +415,6 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub unsafe fn next_mismatch_f32(
-        golden: &[f32],
-        observed: &[f32],
-        from: usize,
-    ) -> Option<usize> {
-        let n = golden.len().min(observed.len());
-        let (gp, op) = (golden.as_ptr(), observed.as_ptr());
-        let mut i = from;
-        while i + 8 <= n {
-            let g = _mm256_loadu_ps(gp.add(i));
-            let o = _mm256_loadu_ps(op.add(i));
-            let eq = _mm256_cmp_ps::<_CMP_EQ_OQ>(g, o);
-            let g_nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(g, g);
-            let o_nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(o, o);
-            let ok = _mm256_or_ps(eq, _mm256_and_ps(g_nan, o_nan));
-            let m = _mm256_movemask_ps(ok);
-            if m != 0xFF {
-                return Some(i + (!m & 0xFF).trailing_zeros() as usize);
-            }
-            i += 8;
-        }
-        while i < n {
-            let (g, o) = (*golden.get_unchecked(i), *observed.get_unchecked(i));
-            if !super::values_match_f32(g, o) {
-                return Some(i);
-            }
-            i += 1;
-        }
-        None
-    }
-
-    #[target_feature(enable = "fma")]
-    pub unsafe fn fma(a: f64, b: f64, c: f64) -> f64 {
-        // Inside an fma-enabled region this lowers to one vfmadd
-        // instruction; the scalar soft-float fallback rounds
-        // identically.
-        a.mul_add(b, c)
-    }
-
-    #[target_feature(enable = "avx2")]
     pub unsafe fn copy_f64(src: &[f64], dst: &mut [f64]) {
         assert_eq!(src.len(), dst.len(), "copy_f64 length mismatch");
         let n = src.len();
@@ -645,16 +519,6 @@ impl KernelExecutor for Avx2 {
     }
 
     #[inline]
-    fn next_mismatch_f32(golden: &[f32], observed: &[f32], from: usize) -> Option<usize> {
-        unsafe { avx2::next_mismatch_f32(golden, observed, from) }
-    }
-
-    #[inline]
-    fn fma(a: f64, b: f64, c: f64) -> f64 {
-        unsafe { avx2::fma(a, b, c) }
-    }
-
-    #[inline]
     fn copy_f64(src: &[f64], dst: &mut [f64]) {
         unsafe { avx2::copy_f64(src, dst) }
     }
@@ -749,17 +613,6 @@ impl KernelExecutor for Neon {
     }
 
     #[inline]
-    fn next_mismatch_f32(golden: &[f32], observed: &[f32], from: usize) -> Option<usize> {
-        <Scalar as KernelExecutor>::next_mismatch_f32(golden, observed, from)
-    }
-
-    #[inline]
-    fn fma(a: f64, b: f64, c: f64) -> f64 {
-        // aarch64 always lowers `mul_add` to the fused instruction.
-        a.mul_add(b, c)
-    }
-
-    #[inline]
     fn copy_f64(src: &[f64], dst: &mut [f64]) {
         dst.copy_from_slice(src);
     }
@@ -789,20 +642,12 @@ mod tests {
             let _g = scalar_scope();
             assert_eq!(active(), Isa::Scalar);
             {
-                let _inner = scalar_scope_if(true);
+                let _inner = scalar_scope();
                 assert_eq!(active(), Isa::Scalar);
             }
             assert_eq!(active(), Isa::Scalar, "guards must nest");
         }
         assert_eq!(active(), before);
-        assert!(scalar_scope_if(false).is_none());
-    }
-
-    #[test]
-    fn detected_ignores_scoped_overrides() {
-        let detected_before = detected();
-        let _g = scalar_scope();
-        assert_eq!(detected(), detected_before);
     }
 
     #[test]
@@ -818,9 +663,6 @@ mod tests {
         let o = [1.0, f64::NAN, 4.0];
         assert_eq!(Scalar::next_mismatch_f64(&g, &o, 0), Some(2));
         assert_eq!(Scalar::next_mismatch_f64(&g, &o, 3), None);
-        let g32 = [f32::NAN, 2.0];
-        let o32 = [1.0, 2.0];
-        assert_eq!(Scalar::next_mismatch_f32(&g32, &o32, 0), Some(0));
     }
 
     #[test]

@@ -56,7 +56,6 @@ pub mod error;
 pub mod exec;
 pub mod filter;
 pub mod fit;
-pub mod histogram;
 pub mod locality;
 pub mod mismatch;
 pub mod report;

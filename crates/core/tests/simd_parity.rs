@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 
-use radcrit_core::compare::compare_slices;
+use radcrit_core::compare::{compare_mapped, compare_slices};
 use radcrit_core::dirty::DirtyRegion;
 use radcrit_core::exec::{self, KernelExecutor, Scalar};
 use radcrit_core::shape::OutputShape;
@@ -34,17 +34,6 @@ fn tricky_f64() -> impl Strategy<Value = f64> {
         Just(f64::INFINITY),
         Just(f64::NEG_INFINITY),
         any::<u32>().prop_map(|b| f64::from(b) * 1.5e-3),
-    ]
-}
-
-fn tricky_f32() -> impl Strategy<Value = f32> {
-    prop_oneof![
-        (-4i32..5).prop_map(|v| v as f32),
-        any::<u16>().prop_map(|b| f32::from_bits(0x7fc0_0000 | u32::from(b))),
-        any::<u16>().prop_map(|b| f32::from_bits(0xffc0_0000 | u32::from(b))),
-        Just(0.0f32),
-        Just(-0.0f32),
-        any::<u16>().prop_map(|b| f32::from(b) * 1.5e-3),
     ]
 }
 
@@ -104,41 +93,6 @@ proptest! {
         );
     }
 
-    /// Single-precision compare scan parity.
-    #[test]
-    fn next_mismatch_f32_matches_scalar(
-        golden in prop::collection::vec(tricky_f32(), 0..97),
-        flips in prop::collection::vec((0usize..10_000, tricky_f32()), 0..5),
-        from_idx in 0usize..10_000,
-    ) {
-        let mut observed = golden.clone();
-        for (idx, v) in flips {
-            if !observed.is_empty() {
-                let i = idx % observed.len();
-                observed[i] = v;
-            }
-        }
-        let from = from_idx % (golden.len() + 1);
-        prop_assert_eq!(
-            exec::next_mismatch_f32(&golden, &observed, from),
-            Scalar::next_mismatch_f32(&golden, &observed, from)
-        );
-    }
-
-    /// Scalar FMA: a single fused multiply-add matches `f64::mul_add`,
-    /// with the NaN carve-out applied on the dispatched side.
-    #[test]
-    fn fma_matches_mul_add(a in tricky_f64(), b in tricky_f64(), c in tricky_f64()) {
-        let reference = a.mul_add(b, c);
-        prop_assert_eq!(Scalar::fma(a, b, c).to_bits(), reference.to_bits());
-        let dispatched = exec::fma(a, b, c);
-        if reference.is_nan() {
-            prop_assert!(dispatched.is_nan());
-        } else {
-            prop_assert_eq!(dispatched.to_bits(), reference.to_bits());
-        }
-    }
-
     /// Bulk copy (snapshot delta capture/apply): byte-identical
     /// destination, NaN payloads included, at unaligned offsets.
     #[test]
@@ -170,20 +124,32 @@ proptest! {
         prop_assert_eq!(vec_out, ref_out);
     }
 
-    /// End-to-end: the full error report built by the dispatched
-    /// compare equals the one built with dispatch pinned to scalar.
+    /// End-to-end: the error reports built by the dispatched compares
+    /// equal the ones built with dispatch pinned to scalar — the
+    /// shape-checked entry and the coordinate-mapped one the campaign
+    /// runner uses, under a LavaMD-like `i / k` cell map, dense and
+    /// over a dirty range.
     #[test]
     fn compare_slices_report_is_isa_invariant(
-        (golden, observed, _) in mismatch_pair(),
+        (golden, observed, from) in mismatch_pair(),
+        k in 1usize..5,
     ) {
         prop_assume!(!golden.is_empty());
-        let shape = OutputShape::d1(golden.len());
-        let vectored = compare_slices(&golden, &observed, shape).unwrap();
+        let len = golden.len();
+        let shape = OutputShape::d1(len);
+        let cells = OutputShape::d1(len.div_ceil(k));
+        let dirty = DirtyRegion::from_spans(vec![(from, len - from)], len);
+        let reports = || {
+            let full = compare_slices(&golden, &observed, shape).unwrap();
+            let mapped = |d| compare_mapped(&golden, &observed, cells, d, |i| [i / k, 0, 0]);
+            format!("{full:?} {:?} {:?}", mapped(None), mapped(Some(&dirty)))
+        };
+        let vectored = reports();
         let pinned = {
             let _g = exec::scalar_scope();
-            compare_slices(&golden, &observed, shape).unwrap()
+            reports()
         };
-        prop_assert_eq!(format!("{vectored:?}"), format!("{pinned:?}"));
+        prop_assert_eq!(vectored, pinned);
     }
 
     /// End-to-end: the dirty-region union (clamp + sort + merge) is

@@ -63,7 +63,7 @@ const USAGE: &str =
        [--deadline-ms 120000] [--checkpoint run.jsonl] [--resume]
        [--progress 5] [--summary-out summary.json]
        [--metrics-out metrics.json] [--events-out events.jsonl]
-       [--events-sample 1] [--scalar]
+       [--events-sample 1]
        [--trace-out trace.json] [--profile-out profile.json]
    radcrit-campaign obs-report EVENTS_FILE
    radcrit-campaign obs-report flamegraph PROFILE_JSON
@@ -83,7 +83,9 @@ const USAGE: &str =
    radcrit-campaign shards --addr COORD_HOST:PORT
 
 exit codes: 0 success | 1 runtime failure | 2 config/usage error
-            130 interrupted (--wait timeout)";
+            130 interrupted (--wait timeout)
+RADCRIT_FORCE_SCALAR=1 pins the process to the scalar SIMD reference
+(same bytes, slower)";
 
 /// Maps error kinds to the documented exit codes.
 fn exit_code(e: &ServeError) -> i32 {
@@ -146,7 +148,6 @@ struct CampaignArgs {
     workers: usize,
     deadline_ms: Option<u64>,
     events_sample: u64,
-    scalar: bool,
 }
 
 impl Default for CampaignArgs {
@@ -168,7 +169,6 @@ impl Default for CampaignArgs {
             workers: 0,
             deadline_ms: None,
             events_sample: 1,
-            scalar: false,
         }
     }
 }
@@ -217,7 +217,6 @@ impl CampaignArgs {
             "--workers" => self.workers = parsed(flag, it)?,
             "--deadline-ms" => self.deadline_ms = Some(parsed(flag, it)?),
             "--events-sample" => self.events_sample = parsed(flag, it)?,
-            "--scalar" => self.scalar = true,
             _ => return Ok(false),
         }
         Ok(true)
@@ -265,7 +264,6 @@ impl CampaignArgs {
             priority: Priority::Normal,
             events_sample: self.events_sample,
             shard: None,
-            force_scalar: self.scalar,
             trace: None,
         };
         spec.validate()?;
@@ -324,11 +322,7 @@ fn cmd_run(argv: &[String]) -> Result<(), ServeError> {
 
     let spec = a.campaign.spec()?;
     let campaign = spec.campaign()?;
-    let isa = if spec.force_scalar {
-        radcrit_core::exec::Isa::Scalar
-    } else {
-        radcrit_core::exec::active()
-    };
+    let isa = radcrit_core::exec::active();
     eprintln!(
         "running {} x {} on {} ({} injections, seed {}, simd isa {isa}) ...",
         spec.kernel.name(),
@@ -345,7 +339,6 @@ fn cmd_run(argv: &[String]) -> Result<(), ServeError> {
         metrics_out: a.metrics_out.clone(),
         events_out: a.events_out.clone(),
         events_sample: spec.events_sample,
-        force_scalar: spec.force_scalar,
         trace_out: a.trace_out.clone(),
         profile_out: a.profile_out.clone(),
         ..RunOptions::default()

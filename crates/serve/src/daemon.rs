@@ -282,8 +282,9 @@ pub fn start(config: DaemonConfig) -> Result<DaemonHandle, ServeError> {
     });
 
     // The host's SIMD dispatch is fixed for the daemon's lifetime
-    // (jobs may still pin scalar per-run): log it once and expose it
-    // as a labelled constant gauge for fleet-wide scrapes.
+    // (`RADCRIT_FORCE_SCALAR=1` pins it to scalar for every job): log
+    // it once and expose it as a labelled constant gauge for
+    // fleet-wide scrapes.
     let isa = radcrit_core::exec::active();
     eprintln!("radcrit-serve: listening on {addr}, simd isa {isa}");
     core.metrics
@@ -401,7 +402,6 @@ fn run_job(
         cancel: Some(Arc::clone(cancel)),
         metrics: Some(Arc::clone(&job_metrics)),
         shard: spec.shard,
-        force_scalar: spec.force_scalar,
         notify: Some(Arc::clone(notify)),
         ..RunOptions::default()
     };

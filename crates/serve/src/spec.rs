@@ -127,11 +127,6 @@ pub struct JobSpec {
     /// RNG streams stay those of the full campaign, so a shard's records
     /// are bit-identical to the same indices of an unsharded run.
     pub shard: Option<(usize, usize)>,
-    /// Pin the job's SIMD dispatch to the scalar reference executor
-    /// (the `--scalar` CLI flag). Results are bit-identical either way;
-    /// this measures the vectorization speedup and rules it out when
-    /// debugging.
-    pub force_scalar: bool,
     /// Distributed-trace context minted by a coordinator: campaign
     /// identity, shard ordinal and the dispatching span's id. `None`
     /// (the wire's `null`) for direct submissions — the science is
@@ -155,7 +150,6 @@ impl JobSpec {
             priority: Priority::Normal,
             events_sample: 1,
             shard: None,
-            force_scalar: false,
             trace: None,
         }
     }
@@ -189,7 +183,7 @@ impl JobSpec {
                 ",\"injections\":{},\"seed\":{},\"tolerance_pct\":{}",
                 ",\"workers\":{},\"deadline_ms\":{}",
                 ",\"priority\":\"{}\",\"events_sample\":{}",
-                ",\"shard\":{},\"force_scalar\":{},\"trace\":{}}}"
+                ",\"shard\":{},\"trace\":{}}}"
             ),
             SPEC_VERSION,
             self.device.wire_name(),
@@ -207,7 +201,6 @@ impl JobSpec {
                 || "null".to_owned(),
                 |(start, end)| format!("[{start},{end}]")
             ),
-            self.force_scalar,
             self.trace.as_ref().map_or_else(
                 || "null".to_owned(),
                 |t| format!(
@@ -221,7 +214,9 @@ impl JobSpec {
     }
 
     /// Parses the wire form. Optional fields may be absent *or* `null`;
-    /// unknown versions and malformed fields are rejected.
+    /// unknown versions and malformed fields are rejected. Fields this
+    /// build does not read are ignored, so a spec an older build wrote
+    /// (one carrying the retired per-job scalar pin, say) still parses.
     ///
     /// # Errors
     ///
@@ -269,7 +264,6 @@ impl JobSpec {
                 .map_err(bad)?
                 .map_or(1, |v| v as u64),
             shard: opt_shard(obj).map_err(bad)?,
-            force_scalar: opt_bool(obj, "force_scalar").map_err(bad)?.unwrap_or(false),
             trace: opt_trace(obj).map_err(bad)?,
         };
         spec.validate()?;
@@ -372,16 +366,6 @@ fn opt_f64(obj: &[(String, Json)], key: &str) -> Result<Option<f64>, String> {
             .map(Some)
             .map_err(|_| format!("field {key:?} is not a float")),
         Ok(_) => Err(format!("field {key:?} is not a number or null")),
-    }
-}
-
-/// An optional boolean field: absent and `null` both read as `None`.
-fn opt_bool(obj: &[(String, Json)], key: &str) -> Result<Option<bool>, String> {
-    match json::get(obj, key) {
-        Err(_) => Ok(None),
-        Ok(Json::Null) => Ok(None),
-        Ok(Json::Bool(b)) => Ok(Some(*b)),
-        Ok(_) => Err(format!("field {key:?} is not a boolean or null")),
     }
 }
 

@@ -111,7 +111,6 @@ proptest! {
         seed in 0u64..u64::MAX,
         knobs in (tolerances(), 0usize..17, deadlines(), priorities(), 0u64..64),
         shard_entropy in (0usize..3, 0u64..u64::MAX, 0u64..u64::MAX),
-        force_scalar in prop_oneof![Just(false), Just(true)],
         trace in traces(),
     ) {
         let (tolerance_pct, workers, deadline_ms, priority, events_sample) = knobs;
@@ -128,7 +127,6 @@ proptest! {
             priority,
             events_sample,
             shard,
-            force_scalar,
             trace,
         };
         let wire = spec.to_json();
@@ -154,7 +152,6 @@ fn bad_specs_are_rejected() {
         good.replace("\"shard\":null", "\"shard\":[0,11]"),
         good.replace("\"shard\":null", "\"shard\":[3]"),
         good.replace("\"shard\":null", "\"shard\":\"0-5\""),
-        good.replace("\"force_scalar\":false", "\"force_scalar\":\"yes\""),
         good.replace("\"trace\":null", "\"trace\":[1]"),
         good.replace("\"trace\":null", "\"trace\":{\"campaign_id\":\"x\"}"),
         good.replace(
@@ -169,5 +166,22 @@ fn bad_specs_are_rejected() {
             ),
             "should reject: {bad}"
         );
+    }
+}
+
+/// A spec written before the retired per-job scalar pin still parses —
+/// daemon journals from then replay — and reads as the same spec without
+/// it: the field is ignored, whatever it held.
+#[test]
+fn specs_with_the_retired_force_scalar_field_still_parse() {
+    let spec = JobSpec::new(DeviceKind::K40, KernelSpec::Dgemm { n: 32 }, 10, 7);
+    let wire = spec.to_json();
+    for old in ["true", "false"] {
+        let line = wire.replace(
+            "\"shard\":null,",
+            &format!("\"shard\":null,\"force_scalar\":{old},"),
+        );
+        assert_ne!(line, wire);
+        assert_eq!(JobSpec::parse(&line).unwrap(), spec, "{line}");
     }
 }

@@ -32,8 +32,9 @@ use rand::SeedableRng;
 
 use radcrit::accel::engine::{Engine, RunScratch};
 use radcrit::accel::{DeviceConfig, SchedulerEffect, SnapshotPolicy, StrikeSpec, StrikeTarget};
-use radcrit::campaign::runner::{compare_with_logical_coords, compare_with_logical_coords_sparse};
 use radcrit::campaign::{Campaign, CampaignSummary, KernelSpec, RunOptions};
+use radcrit::core::compare::compare_mapped;
+use radcrit::core::exec;
 use radcrit::core::report::ErrorReport;
 use radcrit::obs::{CriticalityAggregator, MetricsRegistry};
 
@@ -153,13 +154,10 @@ fn forked_runs_equal_reference_runs_for_every_target() {
                 .dirty
                 .as_ref()
                 .expect("forked runs carry a dirty region");
-            let sparse = compare_with_logical_coords_sparse(
-                &golden.output,
-                &forked.output,
-                kernel.as_ref(),
-                dirty,
-            );
-            let dense = compare_with_logical_coords(&golden.output, &full.output, kernel.as_ref());
+            let shape = kernel.logical_shape();
+            let coord = |i| kernel.error_coord(i);
+            let sparse = compare_mapped(&golden.output, &forked.output, shape, Some(dirty), coord);
+            let dense = compare_mapped(&golden.output, &full.output, shape, None, coord);
             assert_eq!(mismatch_bits(&sparse), mismatch_bits(&dense), "diff: {ctx}");
         }
     }
@@ -184,12 +182,10 @@ fn forked_runs_equal_reference_runs_for_every_target() {
 #[test]
 fn scalar_pinned_campaign_equals_the_vectorized_one() {
     let vectorized = campaign().run().unwrap();
-    let pinned = campaign()
-        .run_with(&RunOptions {
-            force_scalar: true,
-            ..RunOptions::default()
-        })
-        .unwrap();
+    let pinned = {
+        let _scalar = exec::scalar_scope();
+        campaign().run().unwrap()
+    };
     assert_eq!(vectorized.records, pinned.records);
     assert_eq!(vectorized.summary().to_json(), pinned.summary().to_json());
 }
