@@ -23,8 +23,6 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-use radcrit_core::locality::SpatialClass;
-
 /// The verdict of one ABFT pass over a (possibly corrupted) product.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AbftOutcome {
@@ -41,14 +39,6 @@ pub enum AbftOutcome {
         /// Columns whose checksum failed.
         cols: Vec<usize>,
     },
-}
-
-impl AbftOutcome {
-    /// Whether the pass ended with a trustworthy matrix (clean or fully
-    /// corrected).
-    pub fn is_protected(&self) -> bool {
-        matches!(self, AbftOutcome::Clean | AbftOutcome::Corrected(_))
-    }
 }
 
 /// Checksum-based fault tolerance for one `n × n` multiplication.
@@ -177,12 +167,6 @@ impl AbftDgemm {
         }
     }
 
-    /// Whether ABFT is expected to correct an error of class `class`
-    /// (the paper's rule of thumb, §III).
-    pub fn class_correctable(class: SpatialClass) -> bool {
-        class.abft_correctable()
-    }
-
     fn close(&self, got: f64, expect: f64) -> bool {
         let scale = expect.abs().max(1.0);
         (got - expect).abs() <= self.rel_tol * scale
@@ -200,6 +184,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use radcrit_core::fit::{FitBreakdown, FitRate};
+    use radcrit_core::locality::SpatialClass;
 
     const N: usize = 16;
     const TOL: f64 = 1e-9;
@@ -296,14 +281,6 @@ mod tests {
         let abft = AbftDgemm::from_inputs(&a, &b, N, 1e-6);
         c[0] += 1e-10;
         assert_eq!(abft.check(&mut c), AbftOutcome::Clean);
-    }
-
-    #[test]
-    fn class_rule_matches_core() {
-        assert!(AbftDgemm::class_correctable(SpatialClass::Single));
-        assert!(AbftDgemm::class_correctable(SpatialClass::Line));
-        assert!(!AbftDgemm::class_correctable(SpatialClass::Square));
-        assert!(!AbftDgemm::class_correctable(SpatialClass::Random));
     }
 
     #[test]

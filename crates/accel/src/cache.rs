@@ -79,18 +79,8 @@ impl CacheGeometry {
     }
 
     /// Number of sets.
-    pub fn sets(&self) -> usize {
+    fn sets(&self) -> usize {
         self.size_bytes / (self.line_bytes * self.associativity)
-    }
-
-    /// Total number of lines.
-    pub fn total_lines(&self) -> usize {
-        self.size_bytes / self.line_bytes
-    }
-
-    /// Elements (f64) per line.
-    pub fn elems_per_line(&self) -> usize {
-        self.line_bytes / 8
     }
 }
 
@@ -913,16 +903,6 @@ impl CacheHierarchy {
         self.strike(None, rng, mask)
     }
 
-    /// Strikes a random resident line of `unit`'s L1.
-    pub fn strike_l1<R: Rng + ?Sized>(
-        &mut self,
-        unit: usize,
-        rng: &mut R,
-        mask: u64,
-    ) -> Option<StrikeInfo> {
-        self.strike(Some(unit), rng, mask)
-    }
-
     /// The line and byte offset a strike on `l1_unit`'s L1 (the L2 when
     /// `None`) flips: a uniformly random resident line, then a random
     /// element of it — `None` when the cache is empty. Read-only, so the
@@ -1254,8 +1234,6 @@ mod tests {
         assert!(CacheGeometry::new(1024, 60, 2).is_err()); // not f64 aligned
         let g = CacheGeometry::new(1024, 64, 2).unwrap();
         assert_eq!(g.sets(), 8);
-        assert_eq!(g.total_lines(), 16);
-        assert_eq!(g.elems_per_line(), 8);
     }
 
     #[test]
@@ -1289,7 +1267,7 @@ mod tests {
         let mut h = tiny_hierarchy();
         let mut rng = SmallRng::seed_from_u64(2);
         assert!(h.strike_l2(&mut rng, 1).is_none());
-        assert!(h.strike_l1(0, &mut rng, 1).is_none());
+        assert!(h.strike(Some(0), &mut rng, 1).is_none());
     }
 
     #[test]
@@ -1354,7 +1332,7 @@ mod tests {
         let mut h = tiny_hierarchy();
         let mut rng = SmallRng::seed_from_u64(7);
         access_span(&mut h, 0, 0, 8, false);
-        let info = h.strike_l1(0, &mut rng, 1 << 3).unwrap();
+        let info = h.strike(Some(0), &mut rng, 1 << 3).unwrap();
         assert_eq!(h.corruption_for(0, info.byte_addr), 1 << 3);
         assert_eq!(h.corruption_for(1, info.byte_addr), 0, "unit 1 unaffected");
     }
@@ -1364,7 +1342,7 @@ mod tests {
         let mut h = tiny_hierarchy();
         let mut rng = SmallRng::seed_from_u64(8);
         access_span(&mut h, 0, 0, 8, false);
-        let info = h.strike_l1(0, &mut rng, 1 << 9).unwrap();
+        let info = h.strike(Some(0), &mut rng, 1 << 9).unwrap();
         // L1 has 2 sets (256/64/2): lines 0, 2, 4... map to set 0.
         let set_stride = 2 * 64;
         access_span(&mut h, 0, set_stride, 8, false);

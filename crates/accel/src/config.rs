@@ -286,12 +286,6 @@ impl DeviceConfig {
         self.per_bit_sensitivity
     }
 
-    /// Software-managed local/shared memory per unit in bytes (0 = the
-    /// device has none).
-    pub fn shared_mem_per_unit(&self) -> usize {
-        self.shared_mem_per_unit
-    }
-
     /// How many tiles of `threads_per_tile` threads using
     /// `local_mem_per_tile` bytes of shared memory can be resident on the
     /// whole device at once — the engine's "wave" size.
@@ -408,12 +402,6 @@ impl DeviceConfigBuilder {
     /// Sets the relative per-bit process sensitivity.
     pub fn per_bit_sensitivity(mut self, s: f64) -> Self {
         self.cfg.per_bit_sensitivity = s;
-        self
-    }
-
-    /// Sets the shared/local memory per unit in bytes (0 = none).
-    pub fn shared_mem_per_unit(mut self, bytes: usize) -> Self {
-        self.cfg.shared_mem_per_unit = bytes;
         self
     }
 

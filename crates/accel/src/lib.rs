@@ -52,6 +52,6 @@ pub use error::AccelError;
 pub use memory::{BufferId, DeviceMemory};
 pub use profile::ExecutionProfile;
 pub use program::{TileCtx, TileId, TiledProgram};
-pub use snapshot::{SnapshotPolicy, SnapshotSet, DEFAULT_SNAPSHOT_BYTES};
+pub use snapshot::{SnapshotPolicy, SnapshotSet};
 pub use strike::{SchedulerEffect, StrikeSpec, StrikeTarget};
 pub use trace::{ExecutionTrace, TileTrace};

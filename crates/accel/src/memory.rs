@@ -163,17 +163,6 @@ impl DeviceMemory {
         Ok(&self.buffer(buf)?.data)
     }
 
-    /// Mutably borrows a whole buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccelError::UnknownBuffer`].
-    pub fn slice_mut(&mut self, buf: BufferId) -> Result<&mut [f64], AccelError> {
-        let b = self.buffer_mut(buf)?;
-        b.written = true;
-        Ok(&mut b.data)
-    }
-
     /// Copies a buffer out as an owned vector.
     ///
     /// # Errors
@@ -316,15 +305,6 @@ impl DeviceMemory {
         Ok(self.buffer(buf)?.data.len())
     }
 
-    /// The buffer's debug name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccelError::UnknownBuffer`].
-    pub fn name_of(&self, buf: BufferId) -> Result<&str, AccelError> {
-        Ok(&self.buffer(buf)?.name)
-    }
-
     /// One-lookup read window: the flat byte address of `start` plus the
     /// `len`-element slice beginning there. The bulk-load hot path's
     /// fused [`DeviceMemory::byte_addr`] + [`DeviceMemory::slice`].
@@ -405,11 +385,6 @@ impl DeviceMemory {
         None
     }
 
-    /// Number of allocations.
-    pub fn buffer_count(&self) -> usize {
-        self.buffers.len()
-    }
-
     fn buffer(&self, buf: BufferId) -> Result<&Buffer, AccelError> {
         self.buffers
             .get(buf.0)
@@ -436,7 +411,6 @@ mod tests {
         mem.write(b, 2, 7.5).unwrap();
         assert_eq!(mem.read(b, 2).unwrap(), 7.5);
         assert_eq!(mem.len_of(b).unwrap(), 4);
-        assert_eq!(mem.name_of(b).unwrap(), "b");
     }
 
     #[test]
@@ -574,7 +548,7 @@ mod tests {
         let a = template.alloc_init("a", &[3.0]);
         template.alloc("b", 2);
         mem.restore_from(&template);
-        assert_eq!(mem.buffer_count(), 2);
+        assert_eq!(mem.buffers.len(), 2);
         assert_eq!(mem.to_vec(a).unwrap(), vec![3.0]);
     }
 

@@ -685,18 +685,6 @@ impl<'a> TileCtx<'a> {
         }
     }
 
-    /// Loads a single element through the cache hierarchy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccelError::OutOfBounds`] when `index` exceeds the
-    /// buffer.
-    pub fn read_one(&mut self, buf: BufferId, index: usize) -> Result<f64, AccelError> {
-        let mut v = [0.0];
-        self.load(buf, index, &mut v)?;
-        Ok(v[0])
-    }
-
     /// Stores `src` to consecutive elements starting at `start` of `buf`
     /// through the cache hierarchy. An armed core-control fault makes the
     /// affected stores write stale store-queue data (the previously stored
@@ -967,8 +955,9 @@ mod tests {
         let info = caches.strike_l2(&mut rng, 1 << 63).unwrap();
         let victim = mem.elem_at_byte(info.byte_addr).unwrap();
         let mut ctx = TileCtx::new(&mut mem, &mut caches, 0, TileFault::none());
-        let got = ctx.read_one(buf, victim.index).unwrap();
-        assert_eq!(got, -1.0, "sign-flipped while resident");
+        let mut got = [0.0];
+        ctx.load(buf, victim.index, &mut got).unwrap();
+        assert_eq!(got[0], -1.0, "sign-flipped while resident");
         // Backing memory itself stays clean.
         assert_eq!(ctx.mem.read(buf, victim.index).unwrap(), 1.0);
     }
@@ -1004,7 +993,9 @@ mod tests {
         let victim = mem.elem_at_byte(info.byte_addr).unwrap();
         let mut ctx = TileCtx::new(&mut mem, &mut caches, 0, TileFault::none());
         ctx.write_one(buf, victim.index, 9.0).unwrap();
-        assert_eq!(ctx.read_one(buf, victim.index).unwrap(), 9.0);
+        let mut got = [0.0];
+        ctx.load(buf, victim.index, &mut got).unwrap();
+        assert_eq!(got[0], 9.0);
     }
 
     /// `load_rows` is a drop-in for one `load` per row: same bytes,

@@ -114,7 +114,7 @@ impl DispatchPlan {
     }
 
     /// Number of waves needed.
-    pub fn waves(&self) -> usize {
+    fn waves(&self) -> usize {
         self.tiles.div_ceil(self.wave_size.max(1))
     }
 

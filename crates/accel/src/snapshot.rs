@@ -17,7 +17,7 @@
 //! The same golden run also records a golden ledger: what every tile
 //! did (counters, cache statistics, L2 residency, which buffers it
 //! loaded and stored and which output spans it stored), the final
-//! output, and a [`LineIndex`]: the lines each tile touches and when
+//! output, and a `LineIndex`: the lines each tile touches and when
 //! each cache evicts a line. A fork whose fault is provably
 //! contained stops early and splices the golden suffix from it instead
 //! of executing it, and a value-only fork reads each cache flip's fate
@@ -33,7 +33,7 @@ use crate::program::MachineCounters;
 /// golden cache's default budget (64 MiB) so snapshot-carrying entries
 /// stay cacheable; deltas (not full images) make this budget admit a
 /// dense stride even for the largest paper kernels.
-pub const DEFAULT_SNAPSHOT_BYTES: usize = 32 * 1024 * 1024;
+const DEFAULT_SNAPSHOT_BYTES: usize = 32 * 1024 * 1024;
 
 /// Rough fixed overhead accounted per captured snapshot.
 const SNAPSHOT_OVERHEAD_BYTES: usize = 4096;
@@ -44,8 +44,8 @@ pub struct SnapshotPolicy {
     /// Tiles between snapshots; `0` derives the stride from the byte
     /// budget (as many evenly spaced snapshots as fit).
     pub stride: usize,
-    /// Byte budget for the whole set; `0` means
-    /// [`DEFAULT_SNAPSHOT_BYTES`].
+    /// Byte budget for the whole set; `0` means the default budget,
+    /// 32 MiB.
     pub max_bytes: usize,
 }
 

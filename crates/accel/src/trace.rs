@@ -56,7 +56,7 @@ impl ExecutionTrace {
     }
 
     /// Ops aggregated per unit.
-    pub fn ops_per_unit(&self) -> Vec<u64> {
+    fn ops_per_unit(&self) -> Vec<u64> {
         let units = self.tiles.iter().map(|t| t.unit).max().map_or(0, |u| u + 1);
         let mut out = vec![0u64; units];
         for t in &self.tiles {

@@ -44,7 +44,7 @@ use crate::config::Campaign;
 use crate::outcome::{InjectionOutcome, InjectionRecord, SdcDetail};
 
 /// Format version stamped into the header line.
-pub const FORMAT_VERSION: u32 = 1;
+const FORMAT_VERSION: u32 = 1;
 
 // ---------------------------------------------------------------------
 // Encoding
@@ -64,7 +64,7 @@ pub fn header_line(campaign: &Campaign) -> String {
 }
 
 /// One record as a single JSONL line (no trailing newline).
-pub fn record_line(r: &InjectionRecord) -> String {
+fn record_line(r: &InjectionRecord) -> String {
     let tile = r.at_tile.map_or_else(|| "null".into(), |t| t.to_string());
     let mut line = format!(
         "{{\"i\":{},\"site\":\"{}\",\"tile\":{tile},\"delivered\":{},\"outcome\":\"{}\"",

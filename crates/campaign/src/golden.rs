@@ -94,16 +94,6 @@ pub struct GoldenCacheStats {
 }
 
 impl GoldenCacheStats {
-    /// Hit fraction over all lookups so far (0 when none happened).
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// The counter deltas `self - earlier` (entries/bytes are taken from
     /// `self`): how a sweep or job batch used a shared cache.
     pub fn since(&self, earlier: &GoldenCacheStats) -> GoldenCacheStats {
@@ -337,7 +327,6 @@ mod tests {
         assert_eq!(hit.output.len(), 8);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-        assert!(s.hit_ratio() > 0.49 && s.hit_ratio() < 0.51);
     }
 
     #[test]

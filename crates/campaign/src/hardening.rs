@@ -63,16 +63,6 @@ impl HardeningAnalysis {
         }
     }
 
-    /// Per-site impact, keyed by site name.
-    pub fn per_site(&self) -> &BTreeMap<String, SiteImpact> {
-        &self.per_site
-    }
-
-    /// Critical SDCs across all sites.
-    pub fn total_critical(&self) -> usize {
-        self.total_critical
-    }
-
     /// Sites ranked by critical-SDC contribution, highest first — the
     /// hardening priority list.
     pub fn ranked_sites(&self) -> Vec<(&str, &SiteImpact)> {
@@ -172,9 +162,9 @@ mod tests {
     #[test]
     fn per_site_counts_sum_to_totals() {
         let a = analysis();
-        let critical: usize = a.per_site().values().map(|i| i.critical).sum();
-        assert_eq!(critical, a.total_critical());
-        assert!(a.total_critical() > 0, "campaign must see critical SDCs");
+        let critical: usize = a.per_site.values().map(|i| i.critical).sum();
+        assert_eq!(critical, a.total_critical);
+        assert!(a.total_critical > 0, "campaign must see critical SDCs");
     }
 
     #[test]
@@ -189,7 +179,7 @@ mod tests {
     #[test]
     fn hardening_everything_removes_everything() {
         let a = analysis();
-        let all: Vec<&str> = a.per_site().keys().map(String::as_str).collect();
+        let all: Vec<&str> = a.per_site.keys().map(String::as_str).collect();
         assert!((a.fit_reduction(&all) - 1.0).abs() < 1e-12);
         assert_eq!(a.fit_reduction(&[]), 0.0);
     }
@@ -230,7 +220,7 @@ mod tests {
     fn avf_is_a_probability_and_bounds_critical_avf() {
         let a = analysis();
         let mut some_site = false;
-        for site in a.per_site().keys() {
+        for site in a.per_site.keys() {
             if let Some(avf) = a.avf(site) {
                 some_site = true;
                 assert!((0.0..=1.0).contains(&avf), "{site}: {avf}");

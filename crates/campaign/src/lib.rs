@@ -38,7 +38,6 @@ pub mod outcome;
 pub mod presets;
 pub mod runner;
 pub mod summary;
-pub mod sweep;
 pub mod telemetry;
 
 pub use config::{Campaign, KernelSpec};
@@ -47,5 +46,4 @@ pub use hardening::HardeningAnalysis;
 pub use outcome::{InjectionOutcome, InjectionRecord, SdcDetail};
 pub use runner::{CampaignResult, RunOptions};
 pub use summary::CampaignSummary;
-pub use sweep::{Sweep, SweepResult};
 pub use telemetry::TelemetrySnapshot;

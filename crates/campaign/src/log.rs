@@ -19,7 +19,7 @@ use crate::runner::CampaignResult;
 ///      incorrect:12 mre:43.10 locality:line filt_incorrect:12 filt_mre:43.10
 ///      filt_locality:line
 /// ```
-pub fn event_line(result: &CampaignResult, record: &InjectionRecord) -> String {
+fn event_line(result: &CampaignResult, record: &InjectionRecord) -> String {
     let head = format!(
         "#{} kernel:{} device:{} input:{} site:{} tile:{} delivered:{}",
         record.outcome.tag(),

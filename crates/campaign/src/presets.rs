@@ -14,19 +14,12 @@
 //! | HotSpot | 1024² | 256², 512 iterations |
 //! | CLAMR | 512², 5000 steps | 128², 300 steps |
 
-use std::time::Duration;
-
 use radcrit_accel::config::DeviceConfig;
 
 use crate::config::{Campaign, KernelSpec};
 
 /// The storage-scaling divisor applied to both devices.
-pub const DEVICE_SCALE: usize = 8;
-
-/// The watchdog deadline [`Preset::hardened_campaign`] arms: generous
-/// enough for the slowest Standard-scale injection, yet it still caps a
-/// wedged run at minutes instead of a lost beam shift.
-pub const PRESET_DEADLINE: Duration = Duration::from_secs(120);
+const DEVICE_SCALE: usize = 8;
 
 /// How much compute to spend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,13 +59,6 @@ impl Preset {
     /// Turns the preset into a runnable campaign.
     pub fn campaign(&self, seed: u64) -> Campaign {
         Campaign::new(self.device.clone(), self.kernel, self.injections, seed)
-    }
-
-    /// Like [`Preset::campaign`], with the hang watchdog armed at
-    /// [`PRESET_DEADLINE`] — the configuration long unattended sweeps
-    /// should use.
-    pub fn hardened_campaign(&self, seed: u64) -> Campaign {
-        self.campaign(seed).with_deadline(PRESET_DEADLINE)
     }
 }
 
@@ -211,13 +197,6 @@ mod tests {
         let p = &dgemm(&k40(), Scale::Quick)[0];
         let result = p.campaign(3).run().unwrap();
         assert_eq!(result.records.len(), p.injections);
-    }
-
-    #[test]
-    fn hardened_campaign_arms_the_watchdog() {
-        let p = &dgemm(&k40(), Scale::Quick)[0];
-        assert_eq!(p.campaign(3).deadline, None);
-        assert_eq!(p.hardened_campaign(3).deadline, Some(PRESET_DEADLINE));
     }
 
     #[test]

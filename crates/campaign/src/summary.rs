@@ -53,7 +53,7 @@ pub struct CampaignSummary {
 }
 
 impl CampaignSummary {
-    /// Renders a [`CriticalityAggregator`] fold as a summary — of a
+    /// Renders a [`radcrit_obs::CriticalityAggregator`] fold as a summary — of a
     /// finished campaign's records (`CampaignResult::summary` is
     /// exactly that) or of its event stream.
     ///

@@ -9,7 +9,7 @@
 //!   target-feature requirements, runs everywhere.
 //! * [`Avx2`] — x86-64 AVX2 intrinsics, selected at runtime when
 //!   `is_x86_feature_detected!` reports AVX2 and FMA.
-//! * [`Neon`] — aarch64 NEON (always available on aarch64).
+//! * `Neon` — aarch64 NEON (always available on aarch64).
 //!
 //! The active ISA is detected **once** per process and cached; every
 //! dispatching free function (e.g. [`find_u64`], [`next_mismatch_f64`])

@@ -64,12 +64,6 @@ impl ToleranceFilter {
         }
     }
 
-    /// A zero-tolerance filter: every mismatch is kept. Corresponds to the
-    /// "All" bars of Figs. 3, 5 and 7.
-    pub fn keep_all() -> Self {
-        ToleranceFilter { threshold_pct: 0.0 }
-    }
-
     /// The threshold in percent.
     pub fn threshold_pct(&self) -> f64 {
         self.threshold_pct
@@ -78,7 +72,7 @@ impl ToleranceFilter {
     /// Produces a new report containing only the mismatches that exceed
     /// the threshold.
     ///
-    /// Note that with [`ToleranceFilter::keep_all`] a mismatch whose values
+    /// Note that with a zero threshold a mismatch whose values
     /// differ but whose *relative* error is exactly `0.0` cannot exist
     /// (zero relative error means equal magnitudes), except for the
     /// `-0.0`/`+0.0` pair, which compares equal upstream and never reaches
@@ -131,14 +125,12 @@ mod tests {
     }
 
     #[test]
-    fn keep_all_keeps_everything_nonzero() {
+    fn zero_threshold_keeps_every_mismatch() {
         let golden = [1.0, 1.0, 1.0];
         let observed = [1.0001, 1.5, 1.0];
         let r = compare_slices(&golden, &observed, OutputShape::d1(3)).unwrap();
-        assert_eq!(
-            ToleranceFilter::keep_all().apply(&r).incorrect_elements(),
-            2
-        );
+        let keep_all = ToleranceFilter::new(0.0).unwrap();
+        assert_eq!(keep_all.apply(&r).incorrect_elements(), 2);
     }
 
     #[test]

@@ -66,9 +66,6 @@ impl std::ops::Add for Fluence {
 }
 
 /// A FIT rate: expected failures per 10⁹ hours of natural operation.
-///
-/// Supports scaling into the arbitrary units of the paper's figures via
-/// [`FitRate::normalized_to`].
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
 pub struct FitRate(f64);
 
@@ -77,20 +74,15 @@ impl FitRate {
     pub const ZERO: FitRate = FitRate(0.0);
 
     /// Computes the FIT rate implied by observing `events` failures over an
-    /// accumulated beam `fluence`, scaled to `natural_flux` n/(cm²·h).
+    /// accumulated beam `fluence`, scaled to the JEDEC sea-level flux.
     ///
     /// `FIT = (events / fluence) × natural_flux × 10⁹`
     ///
     /// The first factor is the device/application cross-section in cm²; the
     /// remaining factors convert it to failures per 10⁹ h at ground level.
-    pub fn from_events(events: usize, fluence: Fluence, natural_flux_n_cm2_h: f64) -> Self {
-        let cross_section_cm2 = events as f64 / fluence.n_per_cm2();
-        FitRate(cross_section_cm2 * natural_flux_n_cm2_h * FIT_HOURS)
-    }
-
-    /// [`FitRate::from_events`] with the JEDEC sea-level flux.
     pub fn from_events_sea_level(events: usize, fluence: Fluence) -> Self {
-        Self::from_events(events, fluence, SEA_LEVEL_FLUX_N_CM2_H)
+        let cross_section_cm2 = events as f64 / fluence.n_per_cm2();
+        FitRate(cross_section_cm2 * SEA_LEVEL_FLUX_N_CM2_H * FIT_HOURS)
     }
 
     /// Creates a rate from a raw value (useful for a.u. data).
@@ -101,29 +93,6 @@ impl FitRate {
     /// The raw numeric value.
     pub fn value(&self) -> f64 {
         self.0
-    }
-
-    /// Expresses this rate in arbitrary units relative to `reference`,
-    /// which maps to 1.0. This is how the paper makes cross-comparisons
-    /// possible while hiding absolute FIT ("we use the same normalization
-    /// for each device and code", §V).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the reference rate is zero or non-finite.
-    pub fn normalized_to(&self, reference: FitRate) -> f64 {
-        assert!(
-            reference.0.is_finite() && reference.0 != 0.0,
-            "normalization reference must be finite and non-zero"
-        );
-        self.0 / reference.0
-    }
-
-    /// Multiplies the rate by a de-rating factor (§IV-D applies a distance
-    /// de-rating so devices at different distances from the source are
-    /// comparable).
-    pub fn derated(&self, factor: f64) -> FitRate {
-        FitRate(self.0 * factor)
     }
 }
 
@@ -152,16 +121,6 @@ impl FitBreakdown {
     /// Creates an empty break-down.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Builds a break-down from per-class event counts and the campaign
-    /// fluence, using the sea-level natural flux.
-    pub fn from_counts(counts: &BTreeMap<SpatialClass, usize>, fluence: Fluence) -> Self {
-        let by_class = counts
-            .iter()
-            .map(|(&class, &n)| (class, FitRate::from_events_sea_level(n, fluence)))
-            .collect();
-        FitBreakdown { by_class }
     }
 
     /// Adds `rate` to the bucket of `class`.
@@ -256,26 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn normalization_to_arbitrary_units() {
-        let a = FitRate::from_raw(50.0);
-        let b = FitRate::from_raw(25.0);
-        assert_eq!(b.normalized_to(a), 0.5);
-        assert_eq!(a.normalized_to(a), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "normalization reference")]
-    fn normalizing_by_zero_panics() {
-        FitRate::from_raw(1.0).normalized_to(FitRate::ZERO);
-    }
-
-    #[test]
-    fn derating_scales() {
-        let fit = FitRate::from_raw(100.0).derated(0.8);
-        assert!((fit.value() - 80.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn breakdown_total_and_fraction() {
         let mut b = FitBreakdown::new();
         b.add(SpatialClass::Single, FitRate::from_raw(10.0));
@@ -286,18 +225,6 @@ mod tests {
         assert!((b.fraction_of(&[SpatialClass::Single, SpatialClass::Line]) - 0.4).abs() < 1e-12);
         assert!((b.abft_correctable_fraction() - 0.4).abs() < 1e-12);
         assert_eq!(b.fraction(SpatialClass::Cubic), 0.0);
-    }
-
-    #[test]
-    fn breakdown_from_counts() {
-        let mut counts = BTreeMap::new();
-        counts.insert(SpatialClass::Single, 13usize);
-        counts.insert(SpatialClass::Random, 26usize);
-        // FIT = events / fluence × 13 × 1e9 = events × 1 for this fluence.
-        let fluence = Fluence::new(13.0e9).unwrap();
-        let b = FitBreakdown::from_counts(&counts, fluence);
-        assert!((b.rate(SpatialClass::Single).value() - 13.0).abs() < 1e-6);
-        assert!((b.rate(SpatialClass::Random).value() - 26.0).abs() < 1e-6);
     }
 
     #[test]

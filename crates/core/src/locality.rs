@@ -20,7 +20,7 @@
 //! The square/cubic-versus-random distinction requires a density notion:
 //! a block error produced by a corrupted shared structure fills its
 //! bounding box densely, while unrelated scattered corruption leaves the
-//! box almost empty. [`LocalityClassifier::density_threshold`] makes the
+//! box almost empty. [`LocalityClassifier::with_density_threshold`] makes the
 //! cut-off explicit and configurable (the paper does not publish its exact
 //! rule; the default of 0.05 reproduces its qualitative break-downs).
 
@@ -130,7 +130,7 @@ impl LocalityClassifier {
     /// produces a block that fills a sizeable fraction of its bounding
     /// box; unrelated scatter fills a vanishing fraction on realistic
     /// output sizes.
-    pub const DEFAULT_DENSITY_THRESHOLD: f64 = 0.05;
+    const DEFAULT_DENSITY_THRESHOLD: f64 = 0.05;
 
     /// Creates a classifier with an explicit density threshold in `(0, 1]`.
     ///
@@ -145,12 +145,6 @@ impl LocalityClassifier {
         LocalityClassifier { density_threshold }
     }
 
-    /// The bounding-box density below which multi-axis errors are tagged
-    /// random rather than square/cubic.
-    pub fn density_threshold(&self) -> f64 {
-        self.density_threshold
-    }
-
     /// Classifies a report's mismatch pattern.
     pub fn classify(&self, report: &ErrorReport) -> SpatialClass {
         let coords: Vec<[usize; 3]> = report.mismatches().iter().map(|m| m.coord()).collect();
@@ -159,7 +153,7 @@ impl LocalityClassifier {
 
     /// Classifies a raw coordinate set; exposed for callers that already
     /// extracted coordinates (e.g. log replay).
-    pub fn classify_coords(&self, coords: &[[usize; 3]]) -> SpatialClass {
+    fn classify_coords(&self, coords: &[[usize; 3]]) -> SpatialClass {
         match coords.len() {
             0 => return SpatialClass::None,
             1 => return SpatialClass::Single,

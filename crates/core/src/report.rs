@@ -80,14 +80,6 @@ impl ErrorReport {
         Some(sum / self.mismatches.len() as f64)
     }
 
-    /// The maximum per-element relative error, or `None` when empty.
-    pub fn max_relative_error(&self) -> Option<f64> {
-        self.mismatches
-            .iter()
-            .map(Mismatch::relative_error)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
-
     /// The fraction of output elements corrupted, in `[0, 1]`.
     pub fn corrupted_fraction(&self) -> f64 {
         self.mismatches.len() as f64 / self.shape.len() as f64
@@ -187,7 +179,6 @@ mod tests {
     fn empty_report_has_no_mean() {
         let r = ErrorReport::new(OutputShape::d1(4), vec![]);
         assert_eq!(r.mean_relative_error(), None);
-        assert_eq!(r.max_relative_error(), None);
         assert!(!r.is_sdc());
     }
 
@@ -198,7 +189,6 @@ mod tests {
         let r = report_from(&golden, &observed, OutputShape::d1(3));
         let mre = r.mean_relative_error().unwrap();
         assert!((mre - 20.0).abs() < 1e-9, "got {mre}");
-        assert!((r.max_relative_error().unwrap() - 30.0).abs() < 1e-9);
     }
 
     #[test]

@@ -40,8 +40,7 @@ impl OutputShape {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero; use [`OutputShape::try_d1`] for a fallible
-    /// constructor.
+    /// Panics if `n` is zero.
     pub fn d1(n: usize) -> Self {
         Self::try_d1(n).expect("dimension must be non-zero")
     }
@@ -69,7 +68,7 @@ impl OutputShape {
     /// # Errors
     ///
     /// Returns [`CoreError::EmptyShape`] if `n` is zero.
-    pub fn try_d1(n: usize) -> Result<Self, CoreError> {
+    fn try_d1(n: usize) -> Result<Self, CoreError> {
         if n == 0 {
             return Err(CoreError::EmptyShape);
         }
@@ -84,7 +83,7 @@ impl OutputShape {
     /// # Errors
     ///
     /// Returns [`CoreError::EmptyShape`] if either dimension is zero.
-    pub fn try_d2(rows: usize, cols: usize) -> Result<Self, CoreError> {
+    fn try_d2(rows: usize, cols: usize) -> Result<Self, CoreError> {
         if rows == 0 || cols == 0 {
             return Err(CoreError::EmptyShape);
         }
@@ -99,7 +98,7 @@ impl OutputShape {
     /// # Errors
     ///
     /// Returns [`CoreError::EmptyShape`] if any dimension is zero.
-    pub fn try_d3(x: usize, y: usize, z: usize) -> Result<Self, CoreError> {
+    fn try_d3(x: usize, y: usize, z: usize) -> Result<Self, CoreError> {
         if x == 0 || y == 0 || z == 0 {
             return Err(CoreError::EmptyShape);
         }

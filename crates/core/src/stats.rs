@@ -2,54 +2,8 @@
 //!
 //! Radiation campaigns observe counts of rare events (Poisson arrivals),
 //! so uncertainty is usually reported as a Poisson confidence interval on
-//! the event count. This module also provides the running summary
-//! statistics used by the scatter plots (Figs. 2, 4, 6 and 8).
-
-use serde::{Deserialize, Serialize};
-
-/// Summary statistics of a sample of `f64` values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    /// Number of values.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Minimum value.
-    pub min: f64,
-    /// Maximum value.
-    pub max: f64,
-    /// Sample standard deviation (n−1 denominator); 0 for n < 2.
-    pub std_dev: f64,
-}
-
-impl Summary {
-    /// Computes summary statistics over `values`.
-    ///
-    /// Returns `None` for an empty slice.
-    pub fn of(values: &[f64]) -> Option<Summary> {
-        if values.is_empty() {
-            return None;
-        }
-        let count = values.len();
-        let mean = values.iter().sum::<f64>() / count as f64;
-        let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let std_dev = if count < 2 {
-            0.0
-        } else {
-            let var =
-                values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (count - 1) as f64;
-            var.sqrt()
-        };
-        Some(Summary {
-            count,
-            mean,
-            min,
-            max,
-            std_dev,
-        })
-    }
-}
+//! the event count. This module also provides the linear-interpolation
+//! quantile that `repro` and the benchmark reports use.
 
 /// Returns the `q`-quantile (0 ≤ q ≤ 1) of `values` using linear
 /// interpolation between order statistics.
@@ -74,14 +28,6 @@ pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
     Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-}
-
-/// Fraction of values `v` satisfying `v <= bound`.
-pub fn fraction_at_most(values: &[f64], bound: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.iter().filter(|&&v| v <= bound).count() as f64 / values.len() as f64
 }
 
 /// Two-sided Poisson confidence interval on the expectation given an
@@ -124,7 +70,7 @@ fn chi_square_quantile(p: f64, df: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `p` is not in `(0, 1)`.
-pub fn standard_normal_quantile(p: f64) -> f64 {
+fn standard_normal_quantile(p: f64) -> f64 {
     assert!(p > 0.0 && p < 1.0, "probability must be in (0, 1), got {p}");
 
     const A: [f64; 6] = [
@@ -182,29 +128,6 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn summary_of_empty_is_none() {
-        assert!(Summary::of(&[]).is_none());
-    }
-
-    #[test]
-    fn summary_basics() {
-        let s = Summary::of(&[1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(s.count, 4);
-        assert!((s.mean - 2.5).abs() < 1e-12);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
-        // sample std dev of 1,2,3,4 = sqrt(5/3)
-        assert!((s.std_dev - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn single_value_summary_has_zero_std() {
-        let s = Summary::of(&[7.0]).unwrap();
-        assert_eq!(s.std_dev, 0.0);
-        assert_eq!(s.mean, 7.0);
-    }
-
-    #[test]
     fn quantile_endpoints_and_median() {
         let v = [3.0, 1.0, 2.0];
         assert_eq!(quantile(&v, 0.0), Some(1.0));
@@ -223,13 +146,6 @@ mod tests {
     #[should_panic(expected = "quantile")]
     fn quantile_out_of_range_panics() {
         quantile(&[1.0], 1.5);
-    }
-
-    #[test]
-    fn fraction_at_most_counts() {
-        let v = [1.0, 2.0, 3.0, 4.0];
-        assert!((fraction_at_most(&v, 2.0) - 0.5).abs() < 1e-12);
-        assert_eq!(fraction_at_most(&[], 1.0), 0.0);
     }
 
     #[test]
@@ -285,12 +201,6 @@ mod tests {
             let (lo99, hi99) = poisson_ci(n, 0.99);
             prop_assert!(lo99 <= lo90 + 1e-9);
             prop_assert!(hi99 >= hi90 - 1e-9);
-        }
-
-        #[test]
-        fn summary_mean_within_bounds(values in proptest::collection::vec(-1e9f64..1e9, 1..64)) {
-            let s = Summary::of(&values).unwrap();
-            prop_assert!(s.mean >= s.min - 1e-6 && s.mean <= s.max + 1e-6);
         }
     }
 }

@@ -14,7 +14,7 @@ use radcrit_obs::json::{self, escape};
 use radcrit_obs::AppendLog;
 
 /// Journal format version, written in the header line.
-pub const FABRIC_JOURNAL_VERSION: u64 = 1;
+const FABRIC_JOURNAL_VERSION: u64 = 1;
 
 /// Lifecycle state of one shard, as journaled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,27 +106,29 @@ pub struct FabricJournal {
 impl FabricJournal {
     /// Opens (or creates) the journal at `path` for the campaign whose
     /// canonical spec line is `campaign_json`, returning the journal,
-    /// the campaign's pinned shard count, and the latest replayed state
-    /// per shard (empty for a fresh file).
+    /// the campaign line its header pins (`campaign_json` for a fresh
+    /// file), the campaign's pinned shard count, and the latest replayed
+    /// state per shard (empty for a fresh file).
     ///
     /// A fresh journal writes `planned_shards` into its header; an
     /// existing journal returns the count *it* recorded, ignoring
     /// `planned_shards` — so a restarted coordinator re-derives exactly
     /// the split it first journaled even if the shard-count flag
     /// changed, and replayed records always line up with the plan by
-    /// ordinal. The torn final line is cut off; a journal written for a
-    /// *different* campaign is an error — re-dispatching another
-    /// campaign's shards would corrupt both.
+    /// ordinal. The torn final line is cut off. Whether the pinned
+    /// campaign is the caller's is the caller's decision: it owns the
+    /// spec format, and re-dispatching another campaign's shards would
+    /// corrupt both.
     ///
     /// # Errors
     ///
-    /// I/O failures, a bad header, a campaign mismatch, or a complete
-    /// record that does not decode.
+    /// I/O failures, a bad header, or a complete record that does not
+    /// decode.
     pub fn open(
         path: &Path,
         campaign_json: &str,
         planned_shards: usize,
-    ) -> Result<(Self, usize, Vec<ShardRecord>), String> {
+    ) -> Result<(Self, String, usize, Vec<ShardRecord>), String> {
         let header = format!(
             "{{\"radcrit_fabric_journal\":{FABRIC_JOURNAL_VERSION},\
              \"campaign\":\"{}\",\"shards\":{planned_shards}}}",
@@ -142,12 +144,7 @@ impl FabricJournal {
         if version as u64 != FABRIC_JOURNAL_VERSION {
             return Err(format!("unsupported fabric journal version {version}"));
         }
-        if json::get_str(obj, "campaign").map_err(bad)? != campaign_json {
-            return Err(format!(
-                "journal {} belongs to a different campaign",
-                path.display()
-            ));
-        }
+        let campaign = json::get_str(obj, "campaign").map_err(bad)?.to_owned();
         let shards = json::get_usize(obj, "shards").map_err(bad)?;
 
         let mut latest: BTreeMap<usize, ShardRecord> = BTreeMap::new();
@@ -158,6 +155,7 @@ impl FabricJournal {
         }
         Ok((
             FabricJournal { log },
+            campaign,
             shards,
             latest.into_values().collect(),
         ))
@@ -206,7 +204,7 @@ mod tests {
     fn replay_returns_the_latest_state_per_shard() {
         let path = temp_path("replay");
         {
-            let (mut j, shards, replayed) = FabricJournal::open(&path, CAMPAIGN, 4).unwrap();
+            let (mut j, _, shards, replayed) = FabricJournal::open(&path, CAMPAIGN, 4).unwrap();
             assert_eq!(shards, 4);
             assert!(replayed.is_empty());
             j.append(&rec(0, ShardState::Dispatched, "a:1", 0)).unwrap();
@@ -216,7 +214,7 @@ mod tests {
             j.append(&rec(1, ShardState::Redispatched, "a:1", 14))
                 .unwrap();
         }
-        let (_, _, replayed) = FabricJournal::open(&path, CAMPAIGN, 4).unwrap();
+        let (_, _, _, replayed) = FabricJournal::open(&path, CAMPAIGN, 4).unwrap();
         assert_eq!(replayed.len(), 2);
         assert_eq!(replayed[0].state, ShardState::Completed);
         assert_eq!(replayed[1].state, ShardState::Redispatched);
@@ -229,7 +227,7 @@ mod tests {
     fn torn_tail_is_truncated_and_appending_continues() {
         let path = temp_path("torn");
         {
-            let (mut j, _, _) = FabricJournal::open(&path, CAMPAIGN, 2).unwrap();
+            let (mut j, _, _, _) = FabricJournal::open(&path, CAMPAIGN, 2).unwrap();
             j.append(&rec(0, ShardState::Dispatched, "a:1", 0)).unwrap();
         }
         {
@@ -240,12 +238,12 @@ mod tests {
                 .unwrap();
             f.write_all(b"{\"shard\":1,\"start\":10,\"en").unwrap();
         }
-        let (mut j, _, replayed) = FabricJournal::open(&path, CAMPAIGN, 2).unwrap();
+        let (mut j, _, _, replayed) = FabricJournal::open(&path, CAMPAIGN, 2).unwrap();
         assert_eq!(replayed.len(), 1, "torn record dropped");
         j.append(&rec(1, ShardState::Dispatched, "b:2", 10))
             .unwrap();
         drop(j);
-        let (_, _, replayed) = FabricJournal::open(&path, CAMPAIGN, 2).unwrap();
+        let (_, _, _, replayed) = FabricJournal::open(&path, CAMPAIGN, 2).unwrap();
         assert_eq!(replayed.len(), 2);
         std::fs::remove_file(&path).ok();
     }
@@ -254,7 +252,7 @@ mod tests {
     fn a_damaged_complete_record_is_an_error_not_a_torn_tail() {
         let path = temp_path("damaged");
         {
-            let (mut j, _, _) = FabricJournal::open(&path, CAMPAIGN, 2).unwrap();
+            let (mut j, _, _, _) = FabricJournal::open(&path, CAMPAIGN, 2).unwrap();
             j.append(&rec(0, ShardState::Dispatched, "a:1", 0)).unwrap();
         }
         let text = std::fs::read_to_string(&path).unwrap();
@@ -272,23 +270,16 @@ mod tests {
     }
 
     #[test]
-    fn a_journal_for_another_campaign_is_rejected() {
-        let path = temp_path("mismatch");
-        drop(FabricJournal::open(&path, CAMPAIGN, 2).unwrap());
-        let err = FabricJournal::open(&path, r#"{"spec":1,"kernel":"lava"}"#, 2);
-        assert!(err.is_err(), "campaign mismatch must refuse to open");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn the_header_pins_the_shard_count_across_reopens() {
+    fn the_header_pins_the_campaign_and_shard_count_across_reopens() {
         let path = temp_path("pinned");
         drop(FabricJournal::open(&path, CAMPAIGN, 3).unwrap());
         // A restart with a different shard-count flag keeps the
         // journaled split — otherwise replayed ordinals would index a
-        // different plan.
-        let (_, shards, _) = FabricJournal::open(&path, CAMPAIGN, 7).unwrap();
-        assert_eq!(shards, 3);
+        // different plan. The pinned campaign line comes back as written
+        // for the caller to check against its own.
+        let other = r#"{"spec":1,"kernel":"lava"}"#;
+        let (_, campaign, shards, _) = FabricJournal::open(&path, other, 7).unwrap();
+        assert_eq!((campaign.as_str(), shards), (CAMPAIGN, 3));
         std::fs::remove_file(&path).ok();
     }
 
@@ -305,10 +296,10 @@ mod tests {
             resume_from: (1 << 40) + 3,
         };
         {
-            let (mut j, _, _) = FabricJournal::open(&path, CAMPAIGN, 1).unwrap();
+            let (mut j, _, _, _) = FabricJournal::open(&path, CAMPAIGN, 1).unwrap();
             j.append(&big).unwrap();
         }
-        let (_, _, replayed) = FabricJournal::open(&path, CAMPAIGN, 1).unwrap();
+        let (_, _, _, replayed) = FabricJournal::open(&path, CAMPAIGN, 1).unwrap();
         assert_eq!(replayed, vec![big]);
         std::fs::remove_file(&path).ok();
     }

@@ -178,11 +178,6 @@ impl MergedStream {
         self.covered.len() as u64
     }
 
-    /// Whether index `i` is covered.
-    pub fn is_covered(&self, i: u64) -> bool {
-        self.covered.contains(&i)
-    }
-
     /// Indices of `start..end` covered so far.
     pub fn covered_in(&self, start: u64, end: u64) -> u64 {
         (start..end).filter(|i| self.covered.contains(i)).count() as u64
@@ -298,7 +293,7 @@ mod tests {
         }
         let mut m = MergedStream::resume(3, &path).unwrap();
         assert_eq!(m.covered(), 1);
-        assert!(m.is_covered(0));
+        assert!(m.covered.contains(&0));
         assert_eq!(m.next_uncovered(0, 3), 1);
         m.ingest_line(&prov(1, "SDC")).unwrap();
         m.ingest_line(&prov(2, "MASKED")).unwrap();

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 /// Clock probes each worker keeps at most; older probes age out. The
 /// best (lowest-RTT) estimate wins, so a short recent history is
 /// enough while staying bounded on week-long campaigns.
-pub const PROBE_CAP: usize = 64;
+const PROBE_CAP: usize = 64;
 
 /// One heartbeat round-trip measurement against a worker's clock: the
 /// coordinator records the probe's RTT and the midpoint-method offset
@@ -46,7 +46,7 @@ pub struct Worker {
     pub last_seen: Instant,
     /// Whether the worker is currently considered alive.
     pub alive: bool,
-    /// Recent clock probes, oldest first (bounded by [`PROBE_CAP`]).
+    /// Recent clock probes, oldest first (at most 64, `PROBE_CAP`).
     pub probes: Vec<ClockProbe>,
     /// Alive→dead transitions this worker has suffered.
     pub deaths: u64,
@@ -94,7 +94,7 @@ impl WorkerRegistry {
     }
 
     /// Records one heartbeat clock probe for `addr` (no-op for unknown
-    /// addresses), keeping at most [`PROBE_CAP`] recent probes.
+    /// addresses), keeping at most 64 (`PROBE_CAP`) recent probes.
     pub fn record_probe(&mut self, addr: &str, probe: ClockProbe) {
         if let Some(w) = self.workers.iter_mut().find(|w| w.addr == addr) {
             if w.probes.len() >= PROBE_CAP {
@@ -180,11 +180,6 @@ impl WorkerRegistry {
         self.workers.iter().filter(|w| w.alive).count()
     }
 
-    /// Whether `addr` is registered and live.
-    pub fn is_alive(&self, addr: &str) -> bool {
-        self.workers.iter().any(|w| w.addr == addr && w.alive)
-    }
-
     /// All workers, live and dead, in registration order.
     pub fn workers(&self) -> &[Worker] {
         &self.workers
@@ -196,6 +191,10 @@ mod tests {
     use super::*;
 
     const T: Duration = Duration::from_secs(2);
+
+    fn is_alive(reg: &WorkerRegistry, addr: &str) -> bool {
+        reg.workers().iter().any(|w| w.addr == addr && w.alive)
+    }
 
     #[test]
     fn registration_is_idempotent_by_address() {
@@ -216,8 +215,8 @@ mod tests {
         reg.mark_seen("b:2", t0 + Duration::from_secs(3));
         let dead = reg.sweep_at(t0 + Duration::from_secs(4));
         assert_eq!(dead, ["a:1"], "only the silent worker dies");
-        assert!(!reg.is_alive("a:1"));
-        assert!(reg.is_alive("b:2"));
+        assert!(!is_alive(&reg, "a:1"));
+        assert!(is_alive(&reg, "b:2"));
         assert!(
             reg.sweep_at(t0 + Duration::from_secs(5)).is_empty(),
             "a dead worker is reported exactly once"
@@ -231,9 +230,9 @@ mod tests {
         reg.register("a:1", t0);
         reg.mark_dead("a:1");
         reg.mark_seen("a:1", t0 + Duration::from_secs(1));
-        assert!(!reg.is_alive("a:1"), "zombie heartbeat must not revive");
+        assert!(!is_alive(&reg, "a:1"), "zombie heartbeat must not revive");
         reg.register("a:1", t0 + Duration::from_secs(1));
-        assert!(reg.is_alive("a:1"), "explicit re-registration revives");
+        assert!(is_alive(&reg, "a:1"), "explicit re-registration revives");
         assert_eq!(reg.workers().len(), 1);
     }
 

@@ -7,7 +7,7 @@
 //! effective hours with two boards in parallel), equivalent to at least
 //! 8×10⁸ hours — about 91 000 years — of natural exposure.
 
-use radcrit_core::fit::{Fluence, SEA_LEVEL_FLUX_N_CM2_H};
+use radcrit_core::fit::Fluence;
 use serde::{Deserialize, Serialize};
 
 use crate::calib;
@@ -30,12 +30,6 @@ impl Facility {
             Facility::Lansce => 1.0e5,
             Facility::Isis => 2.5e6,
         }
-    }
-
-    /// Acceleration factor over the sea-level natural flux (§IV-D quotes
-    /// 6–8 orders of magnitude).
-    pub fn acceleration_factor(&self) -> f64 {
-        self.flux_n_cm2_s() * 3600.0 / SEA_LEVEL_FLUX_N_CM2_H
     }
 }
 
@@ -87,19 +81,9 @@ impl BeamSession {
         BeamSession::new(Facility::Lansce, 400.0, 2, 1.0)
     }
 
-    /// The facility used.
-    pub fn facility(&self) -> Facility {
-        self.facility
-    }
-
     /// Beam hours of the session.
     pub fn hours(&self) -> f64 {
         self.hours
-    }
-
-    /// Effective test hours (hours × boards, §IV-D).
-    pub fn effective_hours(&self) -> f64 {
-        self.hours * self.boards as f64
     }
 
     /// Accumulated fluence per board after de-rating, in n/cm².
@@ -116,11 +100,6 @@ impl BeamSession {
     pub fn total_fluence(&self) -> Fluence {
         Fluence::new(self.fluence().n_per_cm2() * self.boards as f64)
             .expect("positive fluence times positive boards")
-    }
-
-    /// Equivalent natural-exposure hours of the session.
-    pub fn natural_equivalent_hours(&self) -> f64 {
-        self.total_fluence().n_per_cm2() / SEA_LEVEL_FLUX_N_CM2_H
     }
 
     /// Expected strikes *hitting exposed state* during one execution of
@@ -176,6 +155,7 @@ pub fn fleet_mtbf_hours(fit: radcrit_core::fit::FitRate, devices: usize, altitud
 #[cfg(test)]
 mod tests {
     use super::*;
+    use radcrit_core::fit::SEA_LEVEL_FLUX_N_CM2_H;
 
     #[test]
     fn facility_fluxes_match_paper_range() {
@@ -186,7 +166,7 @@ mod tests {
     #[test]
     fn acceleration_is_six_to_eight_orders_of_magnitude() {
         for f in [Facility::Lansce, Facility::Isis] {
-            let acc = f.acceleration_factor();
+            let acc = f.flux_n_cm2_s() * 3600.0 / SEA_LEVEL_FLUX_N_CM2_H;
             assert!(
                 (1.0e6..1.0e9).contains(&acc),
                 "{f} acceleration {acc:.2e} outside the paper's 6-8 orders"
@@ -197,8 +177,8 @@ mod tests {
     #[test]
     fn paper_reference_campaign_covers_91000_years() {
         let s = BeamSession::paper_reference();
-        assert_eq!(s.effective_hours(), 800.0);
-        let years = s.natural_equivalent_hours() / (24.0 * 365.0);
+        assert_eq!(s.hours() * s.boards as f64, 800.0);
+        let years = s.total_fluence().n_per_cm2() / SEA_LEVEL_FLUX_N_CM2_H / (24.0 * 365.0);
         // §IV-D: "at least 8x10^8 hours ... about 91,000 years".
         assert!(years > 90_000.0, "only {years:.0} years");
     }

@@ -73,10 +73,6 @@ pub const CONTROL_AREA_PER_UNIT: f64 = 600.0;
 /// clocking): strikes here crash or hang the device.
 pub const FATAL_AREA_PER_UNIT: f64 = 900.0;
 
-/// Scale of one hardware-scheduler entry in byte-equivalents per managed
-/// warp (queue slot, dependency and dispatch state).
-pub const SCHED_ENTRY_FACTOR: f64 = 8.0;
-
 /// L1 strikes are less productive than L2 strikes (smaller, refilled
 /// constantly, write-through): relative factor on occupied L1 bytes.
 pub const L1_FACTOR: f64 = 0.5;
@@ -116,7 +112,7 @@ impl Protection {
     ///   cores with wide vector pipelines expose much more control state
     ///   per unit.
     /// * **Custom**: neutral factors.
-    pub fn for_device(kind: DeviceKind) -> Self {
+    fn for_device(kind: DeviceKind) -> Self {
         match kind {
             DeviceKind::KeplerK40 => Protection {
                 cache: 0.06,

@@ -25,18 +25,13 @@ use crate::sampler::InjectionPlan;
 use crate::site::{Site, SiteTable};
 
 /// Which sites a SASSIFI/GPU-Qin-class tool can reach.
-pub const INJECTABLE_SITES: [Site; 5] = [
+const INJECTABLE_SITES: [Site; 5] = [
     Site::CacheL2,
     Site::CacheL1,
     Site::RegisterFile,
     Site::VectorRegister,
     Site::Fpu,
 ];
-
-/// Whether a software injector can target `site`.
-pub fn injectable(site: Site) -> bool {
-    INJECTABLE_SITES.contains(&site)
-}
 
 /// A software fault injector: like [`crate::sampler::FaultSampler`], but
 /// restricted to the architecturally visible sites and — like real
@@ -181,15 +176,5 @@ mod tests {
         .map(|&s| table.share(s))
         .sum();
         assert!((frac + hidden - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn injectable_predicate_matches_list() {
-        assert!(injectable(Site::CacheL2));
-        assert!(injectable(Site::Fpu));
-        assert!(!injectable(Site::Scheduler));
-        assert!(!injectable(Site::Sfu));
-        assert!(!injectable(Site::CoreControl));
-        assert!(!injectable(Site::FatalLogic));
     }
 }

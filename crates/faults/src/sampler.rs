@@ -85,7 +85,7 @@ impl FaultSampler {
 
     /// Samples a plan conditioned on a given site (used by per-site
     /// studies and tests).
-    pub fn plan_for<R: Rng + ?Sized>(&self, site: Site, rng: &mut R) -> InjectionPlan {
+    fn plan_for<R: Rng + ?Sized>(&self, site: Site, rng: &mut R) -> InjectionPlan {
         let at_tile = rng.gen_range(0..self.tiles);
         match site {
             Site::FatalLogic => self.fatal(rng),

@@ -185,8 +185,8 @@ impl SiteTable {
             calib::CONTROL_AREA_PER_UNIT * units * sens * prot.control,
         );
 
-        // SCHED_ENTRY_FACTOR is already folded into ExposureModel's
-        // per-warp constant; prot.scheduler scales it per device.
+        // ExposureModel carries the per-warp scheduler constant;
+        // prot.scheduler scales it per device.
         push(Site::Scheduler, exposure.scheduler * sens * prot.scheduler);
 
         push(

@@ -27,7 +27,7 @@ use crate::Workload;
 
 /// Output-tile side length (threads compute 16 elements each, giving the
 /// paper's `side² / 16` thread count, Table II).
-pub const BLOCK: usize = 16;
+const BLOCK: usize = 16;
 
 /// Blocked dense matrix multiplication `C = A × B` on `N × N` doubles.
 ///
@@ -62,7 +62,7 @@ impl Dgemm {
     /// # Errors
     ///
     /// Returns [`AccelError::InvalidConfig`] unless `n` is a positive
-    /// multiple of [`BLOCK`].
+    /// multiple of the 16-element block (`BLOCK`).
     pub fn new(n: usize, seed: u64) -> Result<Self, AccelError> {
         if n == 0 || !n.is_multiple_of(BLOCK) {
             return Err(AccelError::InvalidConfig(format!(

@@ -41,7 +41,7 @@ pub fn in_range(seed: u64, index: u64, lo: f64, hi: f64) -> f64 {
 
 /// The global coordinate stride used so that an `N × N` matrix is a
 /// sub-matrix of every larger one (`N ≤ GLOBAL_SIDE`).
-pub const GLOBAL_SIDE: u64 = 1 << 13;
+const GLOBAL_SIDE: u64 = 1 << 13;
 
 /// Matrix element value at global coordinates `(row, col)`: a random
 /// mantissa spread over four octaves (`[0.5, 8)`), approximating the

@@ -32,7 +32,7 @@ use crate::Workload;
 
 /// Maximum particles per box the implementation supports (bounds local
 /// scratch arrays).
-pub const MAX_PARTICLES: usize = 192;
+const MAX_PARTICLES: usize = 192;
 
 /// LavaMD over a `grid³` box space with `particles` particles per box.
 ///
@@ -58,7 +58,7 @@ impl LavaMd {
     /// # Errors
     ///
     /// Returns [`AccelError::InvalidConfig`] when `grid` is zero or
-    /// `particles` is zero or exceeds [`MAX_PARTICLES`].
+    /// `particles` is zero or exceeds 192 (`MAX_PARTICLES`).
     pub fn new(grid: usize, particles: usize, seed: u64) -> Result<Self, AccelError> {
         if grid == 0 {
             return Err(AccelError::InvalidConfig("zero LavaMD grid".into()));

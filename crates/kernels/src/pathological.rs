@@ -23,13 +23,13 @@ use crate::Workload;
 ///
 /// The escape hatch keeps abandoned worker threads from outliving a test
 /// process; any watchdog deadline well below this still observes a hang.
-pub const HANG_ESCAPE: Duration = Duration::from_secs(20);
+const HANG_ESCAPE: Duration = Duration::from_secs(20);
 
 /// What a [`Pathological`] kernel does once its healthy executions are
 /// used up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Failure {
-    /// Spin inside `execute_tile` (bounded by [`HANG_ESCAPE`]).
+    /// Spin inside `execute_tile` (bounded by `HANG_ESCAPE`, 20 s).
     Hang,
     /// Panic inside `execute_tile`.
     Panic,

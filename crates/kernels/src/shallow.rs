@@ -37,7 +37,7 @@ pub const BLOCK_ROWS: usize = 8;
 /// Gravitational acceleration.
 pub const GRAVITY: f64 = 9.8;
 /// Time step (CFL-safe for the default depths with `dx = 1`).
-pub const DT: f64 = 0.1;
+const DT: f64 = 0.1;
 /// Undisturbed water depth.
 pub const H_LOW: f64 = 1.0;
 /// Depth inside the dam.
@@ -45,11 +45,11 @@ pub const H_HIGH: f64 = 2.5;
 /// Positivity floor for the depth (production shallow-water solvers
 /// apply a positivity limiter so dry/corrupted cells cannot divide by
 /// zero or go negative).
-pub const H_MIN: f64 = 1.0e-3;
+const H_MIN: f64 = 1.0e-3;
 /// Upper depth bound of the limiter.
-pub const H_MAX: f64 = 100.0;
+const H_MAX: f64 = 100.0;
 /// Momentum magnitude bound of the limiter (CFL protection).
-pub const MOMENTUM_MAX: f64 = 100.0;
+const MOMENTUM_MAX: f64 = 100.0;
 
 /// The positivity/boundedness limiter applied after every cell update.
 /// Fault-free dam-break states never reach the bounds, so the limiter is
@@ -58,7 +58,7 @@ pub const MOMENTUM_MAX: f64 = 100.0;
 /// production codes — a real hydro code would otherwise abort on the
 /// first NaN.
 #[inline]
-pub fn limit_state(h: f64, hu: f64, hv: f64) -> (f64, f64, f64) {
+fn limit_state(h: f64, hu: f64, hv: f64) -> (f64, f64, f64) {
     let h = if h.is_finite() {
         h.clamp(H_MIN, H_MAX)
     } else {

@@ -176,7 +176,7 @@ pub struct AlertEvent {
 
 impl AlertEvent {
     /// Renders the edge as one structured JSONL log line.
-    pub fn to_json_line(&self) -> String {
+    fn to_json_line(&self) -> String {
         format!(
             "{{\"radcrit_alert\":1,\"edge\":\"{}\",\"rule\":\"{}\",\"severity\":\"{}\",\
              \"at_us\":{},\"message\":\"{}\"}}",
@@ -371,7 +371,7 @@ impl AlertEngine {
     }
 
     /// Whether `rule` is currently firing.
-    pub fn is_active(&self, rule: AlertRule) -> bool {
+    fn is_active(&self, rule: AlertRule) -> bool {
         self.states[rule.index()].active
     }
 

@@ -220,7 +220,7 @@ impl CriticalityAggregator {
     /// # Errors
     ///
     /// As [`AnalyticSample::from_event`].
-    pub fn fold_event(&mut self, event: &Event) -> Result<(), String> {
+    fn fold_event(&mut self, event: &Event) -> Result<(), String> {
         match event.kind.as_str() {
             "run_begin" => {
                 let str_field = |k: &str| match event.field(k) {
@@ -401,21 +401,6 @@ impl CriticalityAggregator {
     /// Per-site SDC counts.
     pub fn sdc_by_site(&self) -> &BTreeMap<String, u64> {
         &self.sdc_by_site
-    }
-
-    /// Histogram of SDC mean relative errors (log2-bucketed percent).
-    pub fn mre_histogram(&self) -> &Log2Histogram {
-        &self.mre_hist
-    }
-
-    /// MRE histogram restricted to tolerance-surviving SDCs.
-    pub fn mre_filtered_histogram(&self) -> &Log2Histogram {
-        &self.mre_filtered_hist
-    }
-
-    /// Histogram of corrupted-element counts per SDC.
-    pub fn corrupted_elements_histogram(&self) -> &Log2Histogram {
-        &self.elems_hist
     }
 
     /// The FIT rate of `count` events at the current sample size: the
@@ -630,8 +615,8 @@ mod tests {
         assert!(lo < agg.fit_all().total().value());
         assert!(hi > agg.fit_all().total().value());
         assert!(agg.fit_ci_width() > 0.0);
-        assert_eq!(agg.corrupted_elements_histogram().count(), 2);
-        assert_eq!(agg.mre_filtered_histogram().count(), 1);
+        assert_eq!(agg.elems_hist.count(), 2);
+        assert_eq!(agg.mre_filtered_hist.count(), 1);
     }
 
     #[test]

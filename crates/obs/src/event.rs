@@ -285,11 +285,6 @@ impl EventBuilder<'_> {
     pub fn bool(self, key: &str, v: bool) -> Self {
         self.push(key, FieldValue::Bool(v))
     }
-
-    /// Attaches an array-of-integers field.
-    pub fn arr(self, key: &str, v: Vec<u64>) -> Self {
-        self.push(key, FieldValue::Arr(v))
-    }
 }
 
 impl Drop for EventBuilder<'_> {
@@ -359,7 +354,7 @@ mod tests {
             .str("class", "line")
             .f64("mre", 0.5)
             .bool("delivered", true)
-            .arr("tiles", vec![1, 4])
+            .push("tiles", FieldValue::Arr(vec![1, 4]))
             .i64("delta", -3);
         let events = buf.take();
         assert_eq!(
@@ -377,7 +372,7 @@ mod tests {
             .f64("inf_mre", f64::INFINITY)
             .i64("neg", -9)
             .bool("ok", false)
-            .arr("touched", vec![0, 5, 6]);
+            .push("touched", FieldValue::Arr(vec![0, 5, 6]));
         let original = buf.take().remove(0);
         let parsed = parse_event_line(&original.line()).unwrap();
         assert_eq!(parsed, original);

@@ -42,7 +42,7 @@ pub struct Log2Histogram {
 
 impl Log2Histogram {
     /// Number of buckets.
-    pub const BUCKETS: usize = 30;
+    const BUCKETS: usize = 30;
 
     /// An empty histogram.
     pub fn new() -> Self {

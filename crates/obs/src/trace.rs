@@ -14,9 +14,9 @@
 //! `ts = 0`. A daemon that runs many jobs can share one epoch across
 //! all of their recorders ([`TraceRecorder::with_epoch`]) so every
 //! job's spans live on one process-wide timebase. The span buffer is
-//! capped ([`TRACE_SPAN_CAP`]); spans beyond the cap are counted in
-//! `dropped_spans` (exported in the trace's top-level metadata) rather
-//! than growing without bound on very long campaigns.
+//! capped at 100,000 spans (`TRACE_SPAN_CAP`); spans beyond the cap are
+//! counted in `dropped_spans` (exported in the trace's top-level
+//! metadata) rather than growing without bound on very long campaigns.
 //!
 //! For federated campaigns, a [`TraceContext`] minted by the
 //! coordinator tags every span of a shard's recorder with the shard
@@ -35,7 +35,7 @@ use std::time::Instant;
 use crate::json::{self, escape, Json};
 
 /// Maximum number of spans one recorder buffers before dropping.
-pub const TRACE_SPAN_CAP: usize = 100_000;
+const TRACE_SPAN_CAP: usize = 100_000;
 
 /// The distributed trace identity a coordinator mints per dispatched
 /// shard and carries through the job-spec wire format into the worker:
@@ -113,7 +113,7 @@ impl TraceRecorder {
     }
 
     /// The attached distributed-trace context, if any.
-    pub fn context(&self) -> Option<&TraceContext> {
+    fn context(&self) -> Option<&TraceContext> {
         self.context.as_ref()
     }
 
@@ -175,7 +175,7 @@ impl TraceRecorder {
         self.len() == 0
     }
 
-    /// Spans dropped past [`TRACE_SPAN_CAP`].
+    /// Spans dropped past the 100,000-span cap (`TRACE_SPAN_CAP`).
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
@@ -338,11 +338,6 @@ impl FleetTrace {
     /// fetch, unparseable document) — surfaced in the output metadata.
     pub fn skip(&mut self, source: &str, reason: &str) {
         self.skipped.push((source.to_owned(), reason.to_owned()));
-    }
-
-    /// Spans merged so far.
-    pub fn span_count(&self) -> usize {
-        self.events.len()
     }
 
     /// Serializes the merged fleet timeline: `process_name` metadata
@@ -585,7 +580,7 @@ mod tests {
         fleet.add_trace(2, &whole, 0).unwrap();
         let err = fleet.add_trace(3, torn, 0).unwrap_err();
         fleet.skip("127.0.0.1:7199", &err);
-        assert_eq!(fleet.span_count(), 2);
+        assert_eq!(fleet.events.len(), 2);
         let json = fleet.to_chrome_json();
         assert!(
             json.contains("\"skipped_sources\":[\"127.0.0.1:7199:"),

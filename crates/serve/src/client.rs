@@ -16,54 +16,11 @@ use crate::http::{read_response, Response};
 use crate::spec::JobSpec;
 
 /// Default connection-establishment timeout.
-pub const DEFAULT_CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+const DEFAULT_CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Default per-read socket timeout. Live SSE streams stay under it
 /// because the server pings every 15 s.
-pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Runs `op` up to `attempts` times, sleeping `base`, `2·base`,
-/// `4·base`, … between tries, and retries **only** connection-level
-/// failures ([`ServeError::Unreachable`], [`ServeError::Io`]).
-/// Protocol and HTTP errors mean the server answered — retrying those
-/// would just repeat the answer — and they surface immediately.
-///
-/// Use this only around requests that are safe to repeat: an I/O error
-/// can strike *after* the server acted (e.g. a submit that was accepted
-/// but whose response was lost), so wrapping a non-idempotent POST can
-/// duplicate work.
-///
-/// # Errors
-///
-/// The last error once `attempts` are exhausted.
-///
-/// # Panics
-///
-/// When `attempts` is zero.
-pub fn retry_with_backoff<T>(
-    attempts: usize,
-    base: Duration,
-    mut op: impl FnMut() -> Result<T, ServeError>,
-) -> Result<T, ServeError> {
-    assert!(
-        attempts > 0,
-        "retry_with_backoff needs at least one attempt"
-    );
-    let mut delay = base;
-    let mut last = None;
-    for attempt in 0..attempts {
-        match op() {
-            Ok(v) => return Ok(v),
-            Err(e @ (ServeError::Io(_) | ServeError::Unreachable(_))) => last = Some(e),
-            Err(e) => return Err(e),
-        }
-        if attempt + 1 < attempts {
-            std::thread::sleep(delay);
-            delay = delay.saturating_mul(2);
-        }
-    }
-    Err(last.expect("at least one attempt ran"))
-}
+const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// One job's state as reported by `GET /jobs/:id`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -644,7 +601,6 @@ impl Client {
 mod tests {
     use super::*;
     use std::net::TcpListener;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn a_stalled_server_times_out_instead_of_hanging() {
@@ -688,48 +644,5 @@ mod tests {
             "a refused connection never reached the server"
         );
         assert!(started.elapsed() < Duration::from_secs(2));
-    }
-
-    #[test]
-    fn retry_recovers_from_transient_io_errors() {
-        let calls = AtomicUsize::new(0);
-        let result = retry_with_backoff(3, Duration::from_millis(1), || {
-            if calls.fetch_add(1, Ordering::Relaxed) < 2 {
-                Err(ServeError::Io("transient".into()))
-            } else {
-                Ok(42)
-            }
-        });
-        assert_eq!(result.unwrap(), 42);
-        assert_eq!(calls.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn retry_gives_up_after_the_attempt_budget() {
-        let calls = AtomicUsize::new(0);
-        let result: Result<(), _> = retry_with_backoff(3, Duration::from_millis(1), || {
-            calls.fetch_add(1, Ordering::Relaxed);
-            Err(ServeError::Io("down".into()))
-        });
-        assert!(matches!(result, Err(ServeError::Io(_))));
-        assert_eq!(calls.load(Ordering::Relaxed), 3, "bounded, not infinite");
-    }
-
-    #[test]
-    fn retry_does_not_repeat_requests_the_server_answered() {
-        let calls = AtomicUsize::new(0);
-        let result: Result<(), _> = retry_with_backoff(5, Duration::from_millis(1), || {
-            calls.fetch_add(1, Ordering::Relaxed);
-            Err(ServeError::Http {
-                status: 429,
-                body: "{\"error\":\"queue full\"}".into(),
-            })
-        });
-        assert!(matches!(result, Err(ServeError::Http { status: 429, .. })));
-        assert_eq!(
-            calls.load(Ordering::Relaxed),
-            1,
-            "an answered request must not be replayed"
-        );
     }
 }

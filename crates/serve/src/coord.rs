@@ -228,7 +228,7 @@ impl CoordinatorHandle {
     }
 
     /// Whether the merged campaign has completed.
-    pub fn is_done(&self) -> bool {
+    fn is_done(&self) -> bool {
         self.core.done.load(Ordering::SeqCst)
     }
 
@@ -302,12 +302,19 @@ pub fn start(config: CoordinatorConfig) -> Result<CoordinatorHandle, ServeError>
     } else {
         config.workers.len().max(1)
     };
-    let (journal, shard_count, replayed) = FabricJournal::open(
-        &config.data_dir.join("fabric.jsonl"),
-        &campaign_json,
-        requested_shards,
-    )
-    .map_err(ServeError::Protocol)?;
+    let journal_path = config.data_dir.join("fabric.jsonl");
+    let (journal, journaled, shard_count, replayed) =
+        FabricJournal::open(&journal_path, &campaign_json, requested_shards)
+            .map_err(ServeError::Protocol)?;
+    // The journal is this campaign's when its pinned spec parses to the
+    // same spec. Comparing rendered bytes would refuse a header written
+    // before a retired field (`force_scalar`) left the rendering.
+    if JobSpec::parse(&journaled).ok().as_ref() != Some(&config.spec) {
+        return Err(ServeError::Protocol(format!(
+            "journal {} belongs to a different campaign",
+            journal_path.display()
+        )));
+    }
 
     // The shard plan. The journal header pins the campaign's shard
     // count, so a restarted coordinator re-derives exactly the split it
@@ -1316,6 +1323,8 @@ fn get_healthz(core: &Arc<Core>, stream: &mut TcpStream) -> Result<(), ServeErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::DeviceKind;
+    use radcrit_campaign::KernelSpec;
 
     fn rec(shard: usize, start: u64, end: u64, state: ShardState) -> ShardRecord {
         ShardRecord {
@@ -1327,6 +1336,24 @@ mod tests {
             state,
             resume_from: start,
         }
+    }
+
+    #[test]
+    fn a_journal_for_another_campaign_is_rejected() {
+        let dir =
+            std::env::temp_dir().join(format!("radcrit_coord_mismatch_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = JobSpec::new(DeviceKind::K40, KernelSpec::Dgemm { n: 32 }, 40, 23);
+        let other = JobSpec {
+            seed: 24,
+            ..spec.clone()
+        };
+        drop(FabricJournal::open(&dir.join("fabric.jsonl"), &other.to_json(), 2).unwrap());
+        let mut config = CoordinatorConfig::new(spec);
+        config.data_dir = dir.clone();
+        let err = start(config).expect_err("campaign mismatch must refuse to start");
+        assert!(err.to_string().contains("different campaign"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! connect returns the blocked `accept`; the loop re-checks `running`
 //! after every accept and drops, unanswered, a connection that arrives
 //! once the server has stopped. Each other connection runs on its own
-//! short-lived thread: a 10 s read timeout, one [`read_request`] (a
+//! short-lived thread: a 10 s read timeout, one `read_request` (a
 //! malformed one is answered `400 {"error":"bad request"}`), the path
 //! split into segments with any `?query` dropped, then the server's
 //! route. A route matches its own `(method, segments)` pairs and hands
@@ -38,13 +38,13 @@ use crate::error::ServeError;
 
 /// Upper bound on accepted request bodies (a job spec is < 1 KiB; this
 /// leaves two orders of magnitude of slack).
-pub const MAX_BODY_BYTES: usize = 1 << 20;
+const MAX_BODY_BYTES: usize = 1 << 20;
 
 /// Upper bound on the request line + header section combined. This API
 /// uses no interesting headers, so 16 KiB is generous; the cap keeps one
 /// slow or malicious connection from holding a handler thread while
 /// growing an unbounded header buffer.
-pub const MAX_HEAD_BYTES: usize = 16 << 10;
+const MAX_HEAD_BYTES: usize = 16 << 10;
 
 /// Reads one `\n`-terminated line from `reader`, charging its bytes
 /// against `budget`.
@@ -109,7 +109,7 @@ impl Request {
 ///
 /// [`ServeError::Protocol`] on malformed framing, [`ServeError::Io`] on
 /// socket errors.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, ServeError> {
+fn read_request(stream: &mut TcpStream) -> Result<Request, ServeError> {
     let mut reader = BufReader::new(stream);
     let mut head_budget = MAX_HEAD_BYTES;
     let request_line = read_head_line(&mut reader, &mut head_budget)?;

@@ -20,7 +20,7 @@ use crate::error::ServeError;
 use crate::spec::{JobSpec, Priority};
 
 /// Journal format version accepted by this build.
-pub const JOURNAL_VERSION: usize = 1;
+const JOURNAL_VERSION: usize = 1;
 
 /// One job-state transition.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -53,7 +53,7 @@ use crate::http::{respond_chunked, Request};
 /// socket. Comment frames carry no `id:`, so line ordinals — and
 /// `Last-Event-ID` resume — are unaffected by however many pings a
 /// connection saw.
-pub const SSE_PING_INTERVAL: Duration = Duration::from_secs(15);
+const SSE_PING_INTERVAL: Duration = Duration::from_secs(15);
 
 /// Folds an event file into a [`CriticalityAggregator`].
 ///
@@ -83,7 +83,7 @@ pub fn fold_events_file(path: &Path) -> Result<CriticalityAggregator, ServeError
 ///
 /// [`ServeError::Disconnected`] when the client goes away mid-stream,
 /// [`ServeError::Io`] on file errors.
-pub fn stream_sse(
+fn stream_sse(
     stream: &mut TcpStream,
     events_path: &Path,
     resume_after: Option<u64>,
@@ -101,7 +101,7 @@ pub fn stream_sse(
 }
 
 /// Answers `req` with the SSE tail of `events_path`: resumes after the
-/// request's `Last-Event-ID`, runs [`stream_sse`] and reaps a client
+/// request's `Last-Event-ID`, runs `stream_sse` and reaps a client
 /// that went away as a normal end.
 ///
 /// # Errors
@@ -202,7 +202,7 @@ fn stream_sse_with_ping(
 /// Parses the `Last-Event-ID` header value (`None` when absent or not a
 /// number — a malformed value degrades to a full replay, never an
 /// error).
-pub fn parse_last_event_id(value: Option<&str>) -> Option<u64> {
+fn parse_last_event_id(value: Option<&str>) -> Option<u64> {
     value.and_then(|v| v.trim().parse().ok())
 }
 

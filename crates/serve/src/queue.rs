@@ -134,11 +134,6 @@ impl JobQueue {
         self.state.lock().expect("queue lock").closed = true;
         self.available.notify_all();
     }
-
-    /// Whether [`JobQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("queue lock").closed
-    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ use radcrit_obs::TraceContext;
 use crate::error::ServeError;
 
 /// Wire-format version accepted by this build.
-pub const SPEC_VERSION: usize = 1;
+const SPEC_VERSION: usize = 1;
 
 /// Which physical device preset a job simulates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

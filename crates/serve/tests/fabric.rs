@@ -72,7 +72,7 @@ fn a_federated_campaign_matches_the_single_node_summary() {
     let coordinator = coord::start(CoordinatorConfig {
         addr: "127.0.0.1:0".to_owned(),
         data_dir: base.join("coord"),
-        spec,
+        spec: spec.clone(),
         shards: 2,
         workers: Vec::new(),
         heartbeat_interval: Duration::from_millis(200),
@@ -121,8 +121,33 @@ fn a_federated_campaign_matches_the_single_node_summary() {
         assert_eq!(num(row, "redispatches"), 0);
     }
     assert!(client.healthz().unwrap().contains("\"done\":true"));
-
     coordinator.shutdown().unwrap();
+
+    // A journal header written while specs still rendered the retired
+    // `force_scalar` field names the same campaign: a coordinator
+    // restarted on it resumes to the same merged summary.
+    let journal = base.join("coord").join("fabric.jsonl");
+    let current = std::fs::read_to_string(&journal).unwrap();
+    let retired = current.replacen(
+        r#"\"shard\":null,\"trace\":null"#,
+        r#"\"shard\":null,\"force_scalar\":false,\"trace\":null"#,
+        1,
+    );
+    assert_ne!(
+        retired, current,
+        "the header renders the spec's shard and trace"
+    );
+    std::fs::write(&journal, retired).unwrap();
+    let restarted = coord::start(CoordinatorConfig {
+        data_dir: base.join("coord"),
+        ..CoordinatorConfig::new(spec)
+    })
+    .unwrap();
+    restarted.wait_done(WAIT).unwrap();
+    let restarted_client = Client::new(restarted.addr().to_string());
+    assert_eq!(restarted_client.result("merged").unwrap(), reference);
+    restarted.shutdown().unwrap();
+
     for (w, h) in [
         (Client::new(w0.addr().to_string()), w0),
         (Client::new(w1.addr().to_string()), w1),
