@@ -21,6 +21,7 @@
 //! isolates the strike.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use radcrit_core::exec::{self, KernelExecutor};
 use rand::Rng;
@@ -28,7 +29,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::DeviceConfig;
 use crate::error::AccelError;
-use crate::snapshot::{FlipEnd, LineIndex};
+use crate::snapshot::{FlipEnd, GoldenLedger, LedgerTile};
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -576,6 +577,27 @@ pub struct CacheStats {
     pub l2_resident_lines: usize,
 }
 
+impl CacheStats {
+    /// The hits and misses since `before`, with the residency now.
+    pub(crate) fn since(&self, before: &CacheStats) -> CacheStats {
+        CacheStats {
+            l1_hits: self.l1_hits - before.l1_hits,
+            l1_misses: self.l1_misses - before.l1_misses,
+            l2_hits: self.l2_hits - before.l2_hits,
+            l2_misses: self.l2_misses - before.l2_misses,
+            l2_resident_lines: self.l2_resident_lines,
+        }
+    }
+
+    /// Adds one tile's hit and miss deltas.
+    pub(crate) fn add_deltas(&mut self, d: &CacheStats) {
+        self.l1_hits += d.l1_hits;
+        self.l1_misses += d.l1_misses;
+        self.l2_hits += d.l2_hits;
+        self.l2_misses += d.l2_misses;
+    }
+}
+
 /// An L2 eviction as the golden line log records it: the dispatch
 /// position of the tile during which it happened, the touch ordinal
 /// within that tile (line touches counted from 0, one per line an access
@@ -669,7 +691,7 @@ impl CacheHierarchy {
     /// addressing uniform; both paper devices use a single line size per
     /// level anyway).
     pub fn new(cfg: &DeviceConfig) -> Self {
-        let line_bytes = cfg.l1().line_bytes.max(cfg.l2().line_bytes);
+        let line_bytes = Self::line_bytes_of(cfg);
         let l1_geom = CacheGeometry::new(cfg.l1().size_bytes, line_bytes, cfg.l1().associativity)
             .unwrap_or_else(|_| cfg.l1());
         let l2_geom = CacheGeometry::new(cfg.l2().size_bytes, line_bytes, cfg.l2().associativity)
@@ -687,6 +709,11 @@ impl CacheHierarchy {
             corruption_touched: false,
             history: None,
         }
+    }
+
+    /// The uniform line size of `cfg`'s hierarchy.
+    pub(crate) fn line_bytes_of(cfg: &DeviceConfig) -> usize {
+        cfg.l1().line_bytes.max(cfg.l2().line_bytes)
     }
 
     /// A copy of the machine state for a snapshot: everything but the
@@ -992,13 +1019,18 @@ pub(crate) struct OverlayFlip {
 /// tags, LRU or dirty state, so its caches equal golden's at every
 /// access; what they would add to the data is the flips alone. Each flip
 /// lives until golden's next eviction of its line (read off the golden
-/// [`LineIndex`](crate::snapshot::LineIndex) at delivery), counted in
-/// line touches within a tile, or until a store from a unit that sees it
-/// overwrites its element; a dirty L2 flip reaches memory at its end.
-/// Readers see it exactly as [`CacheHierarchy::corruption_for`] would.
+/// ledger's [`LineIndex`](crate::snapshot::LineIndex) at delivery),
+/// counted in line touches within a tile, or until a store from a unit
+/// that sees it overwrites its element; a dirty L2 flip reaches memory at
+/// its end. Readers see it exactly as [`CacheHierarchy::corruption_for`]
+/// would. The fork's cache statistics are golden's, tile by tile.
 #[derive(Debug)]
 pub(crate) struct Overlay {
     pub(crate) flips: Vec<OverlayFlip>,
+    /// The golden run the flips ride on.
+    pub(crate) ledger: Arc<GoldenLedger>,
+    /// The fork's cache statistics: golden's, tile by tile.
+    pub(crate) stats: CacheStats,
     line_bytes: usize,
     /// Dispatch position of the tile now executing.
     pos: usize,
@@ -1009,10 +1041,14 @@ pub(crate) struct Overlay {
 }
 
 impl Overlay {
-    pub(crate) fn new(line_bytes: usize) -> Self {
+    /// An overlay over `warm`, golden's caches at the fork's instant,
+    /// whose flips end where `ledger` says golden evicts their lines.
+    pub(crate) fn new(warm: &CacheHierarchy, ledger: Arc<GoldenLedger>) -> Self {
         Overlay {
             flips: Vec::new(),
-            line_bytes,
+            ledger,
+            stats: warm.stats(),
+            line_bytes: warm.line_bytes,
             pos: 0,
             ordinal: 0,
             touched: false,
@@ -1026,7 +1062,6 @@ impl Overlay {
     pub(crate) fn strike<R: Rng + ?Sized>(
         &mut self,
         warm: &CacheHierarchy,
-        lines: &LineIndex,
         l1_unit: Option<usize>,
         pos: usize,
         rng: &mut R,
@@ -1050,25 +1085,20 @@ impl Overlay {
                 line,
                 offset,
                 mask,
-                end: lines.end_of(l1_unit, line, pos),
+                end: self.ledger.lines.end_of(l1_unit, line, pos),
             }),
         }
         true
     }
 
-    /// Whether any flip is pending.
-    pub(crate) fn is_live(&self) -> bool {
-        !self.flips.is_empty()
-    }
-
-    /// Starts the tile at dispatch position `pos`.
-    pub(crate) fn begin_tile(&mut self, pos: usize) {
+    /// Starts the tile at dispatch position `pos`: adds golden's cache
+    /// deltas in it to the statistics and returns its golden ledger entry.
+    pub(crate) fn begin_tile(&mut self, pos: usize) -> LedgerTile {
         self.pos = pos;
         self.ordinal = 0;
-    }
-
-    fn addr(&self, f: &OverlayFlip) -> usize {
-        f.line as usize * self.line_bytes + f.offset
+        let t = self.ledger.tiles[pos];
+        self.stats.add_deltas(&t.cache);
+        t
     }
 
     /// One access of `len` bytes at `byte_addr`: counts its line
@@ -1082,40 +1112,36 @@ impl Overlay {
         let touches = self.ordinal..=self.ordinal + lines;
         self.ordinal += lines + 1;
         let pos = self.pos;
-        let mut i = 0;
-        while i < self.flips.len() {
-            let f = self.flips[i];
-            match f.end.at {
-                Some((tile, k)) if tile == pos && touches.contains(&k) => {
-                    self.end_flip(i, out);
-                }
-                _ => i += 1,
-            }
-        }
+        self.end_where(out, |at| {
+            at.is_some_and(|(t, k)| t == pos && touches.contains(&k))
+        });
     }
 
-    /// Removes flip `i` at its end: a dirty L2 line writes it back.
-    fn end_flip(&mut self, i: usize, out: &mut Vec<WriteBack>) {
-        let f = self.flips.remove(i);
-        if f.end.dirty {
-            out.push(WriteBack {
-                byte_addr: self.addr(&f),
-                mask: f.mask,
-            });
-        }
+    /// Removes the flips whose end `ends` picks, in order, appending a
+    /// dirty L2 line's write-back to `out`.
+    fn end_where(&mut self, out: &mut Vec<WriteBack>, ends: impl Fn(Option<(usize, u32)>) -> bool) {
+        let lb = self.line_bytes;
+        self.flips.retain(|f| {
+            let end = ends(f.end.at);
+            if end && f.end.dirty {
+                let byte_addr = f.line as usize * lb + f.offset;
+                out.push(WriteBack {
+                    byte_addr,
+                    mask: f.mask,
+                });
+            }
+            !end
+        });
     }
 
     /// Ends every flip whose eviction falls in the tile at `pos` (one
-    /// the fork skips rather than executes), write-backs into `out`.
-    pub(crate) fn end_in_tile(&mut self, pos: usize, out: &mut Vec<WriteBack>) {
-        let mut i = 0;
-        while i < self.flips.len() {
-            if self.flips[i].end.at.is_some_and(|(t, _)| t == pos) {
-                self.end_flip(i, out);
-            } else {
-                i += 1;
-            }
-        }
+    /// the fork skips rather than executes) and returns the write-backs,
+    /// which, as mid-tile ones do, mark corruption as escaped.
+    pub(crate) fn end_in_tile(&mut self, pos: usize) -> Vec<WriteBack> {
+        let mut out = Vec::new();
+        self.end_where(&mut out, |at| at.is_some_and(|(t, _)| t == pos));
+        self.touched |= !out.is_empty();
+        out
     }
 
     /// Walks the flips `unit` sees on the `len` elements at byte `base`:
@@ -1142,7 +1168,7 @@ impl Overlay {
         // combines them; only a non-zero result is observed.
         let mut masks: Vec<(usize, u64)> = Vec::new();
         for f in &self.flips {
-            let addr = self.addr(f);
+            let addr = f.line as usize * self.line_bytes + f.offset;
             if seen(f, addr) {
                 match masks.iter_mut().find(|(a, _)| *a == addr) {
                     Some((_, m)) => *m ^= f.mask,
@@ -1173,16 +1199,10 @@ impl Overlay {
     /// Settles every pending flip as the final flush (or a contained
     /// exit's flush) does: dirty L2 flips write back, in line order.
     pub(crate) fn flush(&mut self) -> Vec<WriteBack> {
-        let mut flips = std::mem::take(&mut self.flips);
-        flips.sort_by_key(|f| f.line);
-        flips
-            .iter()
-            .filter(|f| f.end.dirty)
-            .map(|f| WriteBack {
-                byte_addr: self.addr(f),
-                mask: f.mask,
-            })
-            .collect()
+        let mut out = Vec::new();
+        self.flips.sort_by_key(|f| f.line);
+        self.end_where(&mut out, |_| true);
+        out
     }
 }
 

@@ -7,20 +7,20 @@
 //! computes golden outputs "on the very same device used for
 //! experiments" for the same reason, §IV-D).
 //!
-//! There is one injection entry point, [`Engine::run`]. It starts either
-//! from tile 0 (the reference path) or from a [`WarmState`] — golden
-//! machine state restored from a snapshot and rolled forward to the
-//! strike instant — and the two starts are bit-identical by the
-//! resumability contract. A forked run also stops as soon as its fault is
-//! *contained* — spent, and never again loadable by a later tile — and
-//! splices the golden suffix from the bucket's [`SnapshotSet`] ledger
-//! instead of executing it; the outcome is the same bit for bit. A
-//! register-file strike changes no machine state before its victim tile,
-//! so its fork may also *start* there ([`Engine::fork_tile`]). A
-//! value-only fork — no skip or redirect strike, every cache strike at
-//! the warm state's instant — runs without the cache model: its flips
-//! live in an overlay that the golden line index ends, and it skips the
-//! tiles its fault cannot reach.
+//! The *golden driver* ([`Engine::golden`], [`Engine::golden_snapshotted`])
+//! runs fault-free from tile 0, takes no RNG and, when asked, captures
+//! snapshots and the golden ledger. The *injection driver*
+//! ([`Engine::run`]) sets up, runs one tile loop and ends. It starts from
+//! tile 0 or from a [`WarmState`] — golden state restored from a snapshot
+//! and rolled forward, bit-identical by the resumability contract — and a
+//! register strike's fork may start at its victim ([`Engine::fork_tile`]).
+//! A value-only fork (no skip or redirect strike, every cache strike at
+//! the warm instant) runs its flips in an overlay the golden line index
+//! ends. Per tile, the loop asks an exit policy whether to skip the tile
+//! and whether to stop after it: at a *dead* strike (nothing observable
+//! touched; the caller skips the compare) or, on a fork, a *contained*
+//! fault (the golden suffix is spliced). Every rule keeps the outcome the
+//! same bit for bit.
 
 use std::sync::Arc;
 
@@ -107,59 +107,37 @@ impl RunScratch {
         RunScratch::default()
     }
 
-    /// Runs `program.setup` once to populate the template (and the
-    /// program's buffer ids).
-    fn ensure_template<P: TiledProgram + ?Sized>(
-        &mut self,
-        program: &mut P,
-    ) -> Result<(), AccelError> {
-        if self.template.is_none() {
-            let mut m = DeviceMemory::new();
-            program.setup(&mut m)?;
-            self.template = Some(m);
-        }
-        Ok(())
-    }
-
     /// An owned memory image equal to `warm`'s, reusing the spare
     /// allocation from the previous fork. When the spare last synced to
     /// this same warm state, only buffers written on either side since
     /// can differ, so the rest of the image copy is skipped.
     fn memory_of(&mut self, warm: &WarmState) -> DeviceMemory {
-        match (self.spare_origin == Some(warm.gen), self.spare.take()) {
-            (true, Some(mut m)) => {
+        let synced = self.spare_origin.replace(warm.gen) == Some(warm.gen);
+        match self.spare.take() {
+            Some(mut m) if synced => {
                 m.restore_written_from(&warm.mem);
                 m
             }
-            (_, Some(mut m)) => {
-                self.spare_origin = Some(warm.gen);
+            Some(mut m) => {
                 m.restore_from(&warm.mem);
                 m
             }
-            (_, None) => {
-                self.spare_origin = Some(warm.gen);
-                warm.mem.clone()
-            }
+            None => warm.mem.clone(),
         }
     }
 
-    /// A cache hierarchy for a value-only fork's tiles to hold but never
-    /// touch (they run against an overlay): the spare as it is.
-    fn idle_caches(&mut self, cfg: &DeviceConfig) -> CacheHierarchy {
-        self.spare_caches
-            .take()
-            .unwrap_or_else(|| CacheHierarchy::new(cfg))
-    }
-
     /// An owned cache hierarchy equal to `src`, reusing the previous
-    /// run's allocations (set vectors, flip tables) when available.
-    fn caches_of(&mut self, src: &CacheHierarchy) -> CacheHierarchy {
-        match self.spare_caches.take() {
-            Some(mut c) => {
+    /// run's allocations (set vectors, flip tables) when available —
+    /// without `src`, for a value-only fork's tiles to hold but never
+    /// touch (they run against an overlay), the spare as it is.
+    fn caches_of(&mut self, cfg: &DeviceConfig, src: Option<&CacheHierarchy>) -> CacheHierarchy {
+        match (self.spare_caches.take(), src) {
+            (Some(mut c), Some(src)) => {
                 c.restore_from(src);
                 c
             }
-            None => src.clone(),
+            (c, None) => c.unwrap_or_else(|| CacheHierarchy::new(cfg)),
+            (None, Some(src)) => src.clone(),
         }
     }
 }
@@ -281,10 +259,7 @@ impl Engine {
         &self,
         program: &mut P,
     ) -> Result<RunOutcome, AccelError> {
-        // The RNG is never consulted without a strike.
-        Ok(self
-            .run_internal(program, &[], None, None, &mut NoRng, None)?
-            .0)
+        Ok(self.run_golden(program, None)?.0)
     }
 
     /// Like [`Engine::golden`], but additionally captures golden-prefix
@@ -302,7 +277,7 @@ impl Engine {
         program: &mut P,
         policy: &SnapshotPolicy,
     ) -> Result<(RunOutcome, SnapshotSet), AccelError> {
-        self.run_internal(program, &[], Some(*policy), None, &mut NoRng, None)
+        self.run_golden(program, Some(*policy))
     }
 
     /// Runs `program`, delivering each of `strikes` when dispatch reaches
@@ -348,15 +323,25 @@ impl Engine {
         strikes: &[StrikeSpec],
         rng: &mut R,
         fork: Option<(&WarmState, &mut RunScratch)>,
-        trace: Option<&mut ExecutionTrace>,
+        mut trace: Option<&mut ExecutionTrace>,
     ) -> Result<RunOutcome, AccelError>
     where
         P: TiledProgram + ?Sized,
         R: Rng + ?Sized,
     {
-        Ok(self
-            .run_internal(program, strikes, None, fork, rng, trace)?
-            .0)
+        let (warm, mut scratch) = fork.unzip();
+        let plan = self.plan_of(program);
+        let mut run =
+            self.start_injection(program, strikes, &plan, rng, warm, scratch.as_deref_mut())?;
+        let mut policy = ExitPolicy {
+            plan: &plan,
+            ledger: warm.map(|w| &*w.ledger),
+            last_strike: strikes.iter().map(|s| s.at_tile).max(),
+            resumable: program.resumable(),
+            tainted: 0,
+        };
+        let exit = self.inject_tiles(program, rng, &mut run, &mut policy, trace.as_deref_mut())?;
+        self.end_injection(program, &plan, run, exit, scratch, trace)
     }
 
     /// The first tile at which `strike` can change machine state: the
@@ -416,8 +401,14 @@ impl Engine {
         let Some(snap) = snapshots.resume_point(tile) else {
             return Ok(None);
         };
-        scratch.ensure_template(program)?;
-        let template = scratch.template.as_ref().expect("ensure_template ran");
+        // `program.setup` runs once per scratch, for the template (and the
+        // program's buffer ids).
+        if scratch.template.is_none() {
+            let mut m = DeviceMemory::new();
+            program.setup(&mut m)?;
+            scratch.template = Some(m);
+        }
+        let template = scratch.template.as_ref().expect("set above");
         let (mut mem, caches) = match reuse {
             Some(w) => {
                 let mut m = w.mem;
@@ -482,462 +473,397 @@ impl Engine {
         Ok(advanced)
     }
 
-    fn run_internal<P, R>(
+    /// The golden driver: a fault-free run from tile 0 that, with
+    /// `capture`, also records a resumable program's snapshots and golden
+    /// ledger (per tile its counters, cache deltas, buffers and output
+    /// spans, and the line log the line index is built from).
+    fn run_golden<P: TiledProgram + ?Sized>(
         &self,
         program: &mut P,
-        strikes: &[StrikeSpec],
         capture: Option<SnapshotPolicy>,
-        mut fork: Option<(&WarmState, &mut RunScratch)>,
-        rng: &mut R,
-        mut trace: Option<&mut ExecutionTrace>,
-    ) -> Result<(RunOutcome, SnapshotSet), AccelError>
-    where
-        P: TiledProgram + ?Sized,
-        R: Rng + ?Sized,
-    {
+    ) -> Result<(RunOutcome, SnapshotSet), AccelError> {
         let tiles = program.tile_count();
-        let launch_tiles = program.tiles_per_launch().min(tiles).max(1);
-        let threads_per_tile = program.threads_per_tile();
-        let local_mem = program.local_mem_per_tile();
-        for s in strikes {
-            if s.at_tile >= tiles {
-                return Err(AccelError::StrikeOutOfRange {
-                    tile: s.at_tile,
-                    tiles,
-                });
-            }
-            // A fork replays tiles from `next_tile` on; a strike before
-            // that instant could never be delivered — unless it only arms
-            // a later victim (checked at delivery below).
-            if let Some((w, _)) = &fork {
-                if s.at_tile < w.next_tile && !s.target.is_deferrable() {
-                    return Err(AccelError::StrikeOutOfRange {
-                        tile: s.at_tile,
-                        tiles: w.next_tile,
-                    });
-                }
-            }
-        }
-
-        let resumable = program.resumable();
-        // The fork's warm state on its own (`fork` hands the scratch back
-        // at the end).
-        let warm: Option<&WarmState> = fork.as_ref().map(|(w, _)| *w);
-        // A value-only fork — no strike changes the address stream, and
-        // every cache strike lands at the warm state's instant — runs
-        // against an overlay of its flips instead of a copy of the warm
-        // caches, whose statistics it takes from the golden ledger.
-        let mut overlay = warm
-            .filter(|w| {
-                strikes.iter().all(|s| match s.target {
-                    StrikeTarget::Scheduler(
-                        SchedulerEffect::SkipTile | SchedulerEffect::RedirectTile,
-                    ) => false,
-                    StrikeTarget::L1 { .. } | StrikeTarget::L2 { .. } => s.at_tile == w.next_tile,
-                    _ => true,
-                })
-            })
-            .map(|w| Overlay::new(w.caches.line_bytes()));
-        let mut overlay_stats = warm.filter(|_| overlay.is_some()).map(|w| w.caches.stats());
-
-        let (mut mem, mut caches, mut totals, mut l2_resident_samples, start_tile) =
-            match fork.as_mut() {
-                // Fork: copy the bucket's warm state into the scratch
-                // spares. The warm state already sits at `next_tile`,
-                // prefix replay included, so the fork starts right at
-                // the strike instant.
-                Some((w, sc)) => (
-                    sc.memory_of(w),
-                    match overlay {
-                        Some(_) => sc.idle_caches(&self.cfg),
-                        None => sc.caches_of(&w.caches),
-                    },
-                    w.counters,
-                    w.l2_resident_samples,
-                    w.next_tile,
-                ),
-                None => {
-                    let mut m = DeviceMemory::new();
-                    program.setup(&mut m)?;
-                    (
-                        m,
-                        CacheHierarchy::new(&self.cfg),
-                        MachineCounters::default(),
-                        0.0,
-                        0,
-                    )
-                }
-            };
         let plan = self.plan_of(program);
-
+        let mut mem = DeviceMemory::new();
+        program.setup(&mut mem)?;
+        let mut caches = CacheHierarchy::new(&self.cfg);
         if let Some(m) = self.metrics.as_deref() {
             m.counter_add("radcrit_engine_runs_total", &[], 1);
-            if fork.is_some() {
-                m.counter_add("radcrit_engine_forked_runs_total", &[], 1);
-            }
             plan.observe(m);
         }
-
-        // Snapshot capture plan: explicit stride, or as many evenly
-        // spaced snapshots as the byte budget admits (estimated from the
-        // memory image plus a bound on cache metadata — the hierarchy
-        // cannot hold more distinct lines than the memory footprint).
-        let mut set = SnapshotSet::default();
-        let capture_plan = capture.filter(|_| resumable && tiles > 0).map(|policy| {
-            let budget = policy.budget();
-            let stride = if policy.stride > 0 {
-                policy.stride
-            } else {
-                // Snapshots store only written buffers (≈ the output) plus
-                // cache metadata bounded by what can be resident at once.
-                let line = caches.line_bytes().max(1);
-                let out_bytes = mem.len_of(program.output()).unwrap_or(0) * 8;
-                let capacity =
-                    self.cfg.l2().size_bytes + self.cfg.units() * self.cfg.l1().size_bytes;
-                let resident = mem.total_bytes().min(capacity);
-                let est = out_bytes + caches.approx_heap_bytes() + resident / line * 48;
-                let max_snaps = (budget / est.max(1)).max(1);
-                tiles.div_ceil(max_snaps).max(1)
+        // The capture stride: explicit, or as many evenly spaced snapshots
+        // as the byte budget admits. A snapshot stores only written
+        // buffers (≈ the output) plus cache metadata, bounded by what can
+        // be resident at once: no more distinct lines than the footprint.
+        let capture = capture.filter(|_| program.resumable() && tiles > 0);
+        let capture = capture.map(|policy| {
+            let line = caches.line_bytes().max(1);
+            let out_bytes = mem.len_of(program.output()).unwrap_or(0) * 8;
+            let capacity = self.cfg.l2().size_bytes + self.cfg.units() * self.cfg.l1().size_bytes;
+            let resident = mem.total_bytes().min(capacity);
+            let est = out_bytes + caches.approx_heap_bytes() + resident / line * 48;
+            let max_snaps = (policy.budget() / est.max(1)).max(1);
+            let stride = match policy.stride {
+                0 => tiles.div_ceil(max_snaps).max(1),
+                stride => stride,
             };
-            (stride, budget)
-        });
-        if capture_plan.is_some() {
             // Delta tracking baseline: the post-setup image.
             mem.reset_write_tracking();
             caches.history = Some(Box::default());
-        }
-        // The golden ledger a capture records alongside its snapshots.
-        let mut ledger = capture_plan.map(|_| GoldenLedger::default());
-
-        // Record output-buffer stores when capturing (to know the golden
-        // suffix spans) and when forked (to know the faulty run's own
-        // dirty spans, including redirects landing before the resume
-        // point).
-        let mut store_log = if capture_plan.is_some() || fork.is_some() {
-            Some(StoreLog::new(program.output()))
-        } else {
-            None
-        };
-
-        let mut strike_delivered = false;
-        let mut resolutions: Vec<StrikeResolution> = Vec::new();
-
-        let mut pending = PendingFaults::default();
-
-        // Dead-strike early exit: once every strike tile has passed and
-        // no corruption is pending or was ever observed, and no core or
-        // scheduler fault was ever armed (the pending table is never
-        // drained; such runs are left to the contained exit below), the
-        // resumability contract guarantees the remaining tiles compute
-        // exactly the golden values. Stop executing; the caller skips
-        // the compare. Gated on resumable programs only (pathological
-        // kernels fail via cross-tile engine state this proof ignores).
-        let last_strike_tile = strikes.iter().map(|s| s.at_tile).max();
-        let mut golden_equivalent = false;
+            (stride, policy.budget())
+        });
+        let mut set = SnapshotSet::default();
+        // The ledger, and the output stores it attributes to each tile.
+        let mut ledger =
+            capture.map(|_| (GoldenLedger::default(), StoreLog::new(program.output())));
+        let mut totals = MachineCounters::default();
+        let mut l2_resident_samples = 0.0;
         let prof = profiling_enabled();
-
-        // Contained-fault exit (forks only). `tainted` is the set of
-        // buffers that may hold non-golden bytes. Once every fault is
-        // spent and no later golden tile loads a tainted buffer, every
-        // remaining tile would compute exactly its golden values — a
-        // resumable program derives addresses from the tile id alone, so
-        // cache tags and counters also track golden's — and the rest of
-        // the run is spliced from the bucket's golden ledger. Flips may
-        // still be pending then, on lines no later tile touches (see
-        // `flips_settled`): the exit's flush settles them.
-        let mut tainted = 0u64;
-        let mut contained_at: Option<usize> = None;
-        // Tiles a value-only fork skipped (see `skippable`).
-        let mut skipped = 0u64;
-
-        // Deferred start: register-file strikes before the fork's first
-        // tile, delivered in dispatch order with the draws delivery at
-        // their instant would make. Their victim must not have run yet.
-        let mut early: Vec<&StrikeSpec> =
-            strikes.iter().filter(|s| s.at_tile < start_tile).collect();
-        early.sort_by_key(|s| s.at_tile);
-        let deferred = !early.is_empty();
-        for s in early {
-            let resolution = pending.deliver(s, s.at_tile, &plan, rng, |unit, mask, rng| {
-                strike_cache(
-                    &mut caches,
-                    overlay.as_mut().zip(warm),
-                    unit,
-                    s.at_tile,
-                    rng,
-                    mask,
-                )
-            });
-            if let Some(victim) = resolution.victim_tile.filter(|&v| v < start_tile) {
-                return Err(AccelError::StrikeOutOfRange {
-                    tile: victim,
-                    tiles: start_tile,
-                });
+        for pos in 0..tiles {
+            if let Some((_, budget)) = capture.filter(|&(stride, _)| pos % stride == 0) {
+                let _scope = phase_if(prof, PhaseId::SnapshotCapture);
+                let snap = EngineSnapshot {
+                    at_tile: pos,
+                    mem_delta: mem.written_delta(),
+                    caches: caches.clone_state(),
+                    counters: totals,
+                    l2_resident_samples,
+                };
+                set.push(snap, budget);
             }
-            strike_delivered |= resolution.delivered;
-            resolutions.push(resolution);
-        }
-        if let (Some(m), true) = (self.metrics.as_deref(), deferred) {
-            m.counter_add("radcrit_bucket_deferred_forks_total", &[], 1);
-        }
-
-        for pos in start_tile..tiles {
-            if let Some((stride, budget)) = capture_plan {
-                if pos % stride == 0 {
-                    let _scope = phase_if(prof, PhaseId::SnapshotCapture);
-                    let captured = set.push(
-                        EngineSnapshot {
-                            at_tile: pos,
-                            mem_delta: mem.written_delta(),
-                            caches: caches.clone_state(),
-                            counters: totals,
-                            l2_resident_samples,
-                        },
-                        budget,
-                    );
-                    if !captured {
-                        if let Some(m) = self.metrics.as_deref() {
-                            m.counter_add("radcrit_snapshot_skipped_tiles_total", &[], 1);
-                        }
-                    }
-                }
-            }
-
-            for s in strikes {
-                if s.at_tile == pos {
-                    let resolution = pending.deliver(s, pos, &plan, rng, |unit, mask, rng| {
-                        strike_cache(
-                            &mut caches,
-                            overlay.as_mut().zip(warm),
-                            unit,
-                            pos,
-                            rng,
-                            mask,
-                        )
-                    });
-                    strike_delivered |= resolution.delivered;
-                    resolutions.push(resolution);
-                }
-            }
-
-            let Some((effective_tile, fault)) = pending.tile_at(pos, &plan) else {
-                continue;
-            };
-
             let unit = plan.unit_of(pos);
             if let Some(h) = caches.history.as_deref_mut() {
                 h.begin_tile(pos, unit);
             }
-            let carried = fault != TileFault::none();
-            // What golden's caches did in this tile, for a value-only fork.
-            let golden_tile = warm
-                .filter(|_| overlay.is_some())
-                .map(|w| w.ledger.tiles[pos]);
-            if let Some(o) = overlay.as_mut() {
-                o.begin_tile(pos);
+            let before = caches.stats();
+            let mut ctx = TileCtx::new(&mut mem, &mut caches, unit, TileFault::none());
+            if let Some((_, log)) = ledger.as_mut() {
+                ctx = ctx.with_store_log(log);
             }
-            let skip = match (golden_tile, warm, overlay.as_ref()) {
-                (Some(t), Some(w), Some(o))
-                    if !carried
-                        && effective_tile == pos
-                        && skippable(&t, o, &w.ledger.lines, pos, unit, tainted) =>
-                {
-                    Some((t, w))
+            {
+                let _scope = phase_if(prof, PhaseId::TileExecute);
+                program.execute_tile(TileId(pos), &mut ctx)?;
+            }
+            let counters = ctx.drain_counters();
+            let (loaded, stored) = (ctx.loaded, ctx.stored);
+            totals.add(counters);
+            if let Some((g, log)) = ledger.as_mut() {
+                let tile = LedgerTile {
+                    counters,
+                    cache: caches.stats().since(&before),
+                    loaded,
+                    stored,
+                    ..LedgerTile::default()
+                };
+                g.tiles.push(tile);
+                let p = pos as u32;
+                g.output_spans
+                    .extend(log.spans.drain(..).map(|(s, l)| (p, s as u32, l as u32)));
+            }
+            l2_resident_samples += caches.l2_resident_lines() as f64;
+        }
+        let lines = caches
+            .history
+            .take()
+            .map(|h| LineIndex::new(*h, caches.l2_dirty_lines()));
+        // Golden holds no flip, so the final flush would write nothing
+        // back; it would only empty the caches.
+        let mut cache = caches.stats();
+        cache.l2_resident_lines = 0;
+        let (output, profile) =
+            self.finish(program, &plan, &mut mem, totals, cache, l2_resident_samples)?;
+        if let (Some((mut g, _)), Some(lines)) = (ledger, lines) {
+            g.finish(&output, lines);
+            set.ledger = Arc::new(g);
+            if let Some(m) = self.metrics.as_deref() {
+                m.gauge_set("radcrit_snapshot_bytes", &[], set.cost_bytes() as f64);
+                if set.skipped_tiles > 0 {
+                    m.counter_add(
+                        "radcrit_snapshot_skipped_tiles_total",
+                        &[],
+                        set.skipped_tiles,
+                    );
                 }
-                _ => None,
+            }
+        }
+        let outcome = RunOutcome {
+            output,
+            profile,
+            strike_delivered: false,
+            resolutions: Vec::new(),
+            dirty: None,
+            golden_equivalent: false,
+        };
+        Ok((outcome, set))
+    }
+
+    /// The setup of an injected run: checks the strike instants, builds
+    /// the machine — from tile 0, or for a fork a copy of `warm` in
+    /// `scratch`'s spares, with an overlay in place of the caches when
+    /// the fork is value-only — and delivers a deferred start's strikes.
+    fn start_injection<'w, P, R>(
+        &self,
+        program: &mut P,
+        strikes: &'w [StrikeSpec],
+        plan: &DispatchPlan,
+        rng: &mut R,
+        warm: Option<&'w WarmState>,
+        scratch: Option<&mut RunScratch>,
+    ) -> Result<Injection<'w>, AccelError>
+    where
+        P: TiledProgram + ?Sized,
+        R: Rng + ?Sized,
+    {
+        let tiles = plan.tiles();
+        for s in strikes {
+            // A fork replays tiles from `next_tile` on; a strike before
+            // that instant could never be delivered — unless it only arms
+            // a later victim (checked at delivery below).
+            let front = warm.filter(|_| !s.target.is_deferrable());
+            let (tile, tiles) = match front.map_or(0, |w| w.next_tile) {
+                _ if s.at_tile >= tiles => (s.at_tile, tiles),
+                front if s.at_tile < front => (s.at_tile, front),
+                _ => continue,
             };
-            let (loaded, stored, written_back, observed) = match (skip, overlay.as_mut()) {
+            return Err(AccelError::StrikeOutOfRange { tile, tiles });
+        }
+        // A value-only fork — no strike changes the address stream, and
+        // every cache strike lands at the warm state's instant — runs
+        // against an overlay of its flips instead of a copy of the warm
+        // caches.
+        let value_only = |w: &&WarmState| {
+            strikes.iter().all(|s| match s.target {
+                StrikeTarget::Scheduler(
+                    SchedulerEffect::SkipTile | SchedulerEffect::RedirectTile,
+                ) => false,
+                StrikeTarget::L1 { .. } | StrikeTarget::L2 { .. } => s.at_tile == w.next_tile,
+                _ => true,
+            })
+        };
+        let overlay =
+            (warm.filter(value_only)).map(|w| Overlay::new(&w.caches, Arc::clone(&w.ledger)));
+        let (mem, caches, totals, l2_resident_samples) = match (warm, scratch) {
+            // Fork: copy the bucket's warm state into the scratch spares.
+            // It already sits at `next_tile`, prefix replay included.
+            (Some(w), Some(sc)) => (
+                sc.memory_of(w),
+                sc.caches_of(&self.cfg, overlay.is_none().then_some(&w.caches)),
+                w.counters,
+                w.l2_resident_samples,
+            ),
+            _ => {
+                let mut m = DeviceMemory::new();
+                program.setup(&mut m)?;
+                let caches = CacheHierarchy::new(&self.cfg);
+                (m, caches, MachineCounters::default(), 0.0)
+            }
+        };
+        if let Some(m) = self.metrics.as_deref() {
+            m.counter_add("radcrit_engine_runs_total", &[], 1);
+            if warm.is_some() {
+                m.counter_add("radcrit_engine_forked_runs_total", &[], 1);
+            }
+            plan.observe(m);
+        }
+        let mut run = Injection {
+            warm,
+            strikes,
+            mem,
+            caches,
+            overlay,
+            totals,
+            l2_resident_samples,
+            store_log: warm.map(|_| StoreLog::new(program.output())),
+            pending: PendingFaults::default(),
+            resolutions: Vec::new(),
+        };
+        // Deferred start: register-file strikes before the fork's first
+        // tile, delivered in dispatch order with the draws delivery at
+        // their instant would make. Their victim must not have run yet.
+        let start = warm.map_or(0, |w| w.next_tile);
+        let mut early: Vec<&StrikeSpec> = strikes.iter().filter(|s| s.at_tile < start).collect();
+        early.sort_by_key(|s| s.at_tile);
+        for s in &early {
+            if let Some(tile) = run.deliver(s, s.at_tile, plan, rng).filter(|&v| v < start) {
+                return Err(AccelError::StrikeOutOfRange { tile, tiles: start });
+            }
+        }
+        if let (Some(m), false) = (self.metrics.as_deref(), early.is_empty()) {
+            m.counter_add("radcrit_bucket_deferred_forks_total", &[], 1);
+        }
+        Ok(run)
+    }
+
+    /// The tile loop of an injected run: delivers each strike at its
+    /// instant and runs the tiles from the start on, asking `policy`
+    /// whether to skip each and whether the run may stop after it.
+    /// Returns the exit taken, with the tile it was taken after.
+    fn inject_tiles<P, R>(
+        &self,
+        program: &mut P,
+        rng: &mut R,
+        run: &mut Injection<'_>,
+        policy: &mut ExitPolicy<'_>,
+        mut trace: Option<&mut ExecutionTrace>,
+    ) -> Result<Option<(usize, Exit)>, AccelError>
+    where
+        P: TiledProgram + ?Sized,
+        R: Rng + ?Sized,
+    {
+        let plan = policy.plan;
+        let prof = profiling_enabled();
+        let mut skipped = 0u64;
+        let mut exit = None;
+        for pos in run.warm.map_or(0, |w| w.next_tile)..plan.tiles() {
+            for s in run.strikes.iter().filter(|s| s.at_tile == pos) {
+                run.deliver(s, pos, plan, rng);
+            }
+            let Some((effective_tile, fault)) = run.pending.tile_at(pos, plan) else {
+                continue;
+            };
+            let unit = plan.unit_of(pos);
+            let carried = fault != TileFault::none();
+            // What golden did in this tile, for a value-only fork.
+            let golden = run.overlay.as_mut().map(|o| o.begin_tile(pos));
+            let clean = !carried && effective_tile == pos;
+            let skip = clean && (run.overlay.as_ref()).is_some_and(|o| policy.skips(pos, unit, o));
+            let tile = match (golden.filter(|_| skip), run.overlay.as_mut()) {
                 // A skipped tile would compute golden's values: write its
                 // golden output spans, end the flips golden evicts during
-                // it, and add its golden counters, statistics and trace.
-                (Some((t, w)), Some(o)) => {
+                // it, and add its golden counters and trace.
+                (Some(t), Some(o)) => {
                     skipped += 1;
-                    let out = program.output();
-                    for (s, l) in w.ledger.spans_in(pos..pos + 1) {
-                        let (_, window) = mem.window_mut(out, s, l)?;
-                        window.copy_from_slice(&w.ledger.output[s..s + l]);
-                    }
-                    let mut wbs = Vec::new();
-                    o.end_in_tile(pos, &mut wbs);
-                    o.touched |= !wbs.is_empty();
-                    let written_back = apply_writebacks(&mut mem, &wbs, store_log.as_mut());
-                    totals.add(t.counters);
-                    if let Some(stats) = overlay_stats.as_mut() {
-                        add_cache_deltas(stats, &t.cache);
-                    }
+                    o.ledger
+                        .write_output(&mut run.mem, program.output(), pos..pos + 1)?;
+                    let wbs = o.end_in_tile(pos);
+                    let written_back = apply_writebacks(&mut run.mem, &wbs, run.store_log.as_mut());
+                    run.totals.add(t.counters);
                     if let Some(tr) = trace.as_deref_mut() {
-                        tr.push(tile_trace(pos, unit, &t));
+                        tr.push(tile_trace(pos, unit, &t.counters, &t.cache));
                     }
-                    (0, 0, written_back, false)
+                    TileEffects {
+                        written_back,
+                        ..TileEffects::default()
+                    }
                 }
-                (_, o) => {
-                    let stats_before = caches.stats();
-                    let mut ctx = TileCtx::new(&mut mem, &mut caches, unit, fault);
-                    if let Some(log) = store_log.as_mut() {
+                (_, overlay) => {
+                    let before = trace.is_some().then(|| run.caches.stats());
+                    let mut ctx = TileCtx::new(&mut run.mem, &mut run.caches, unit, fault);
+                    if let Some(log) = run.store_log.as_mut() {
                         ctx = ctx.with_store_log(log);
                     }
-                    if let Some(o) = o {
-                        ctx = ctx.with_overlay(o);
-                    }
+                    ctx.overlay = overlay;
                     {
                         let _scope = phase_if(prof, PhaseId::TileExecute);
                         program.execute_tile(TileId(effective_tile), &mut ctx)?;
                     }
-                    let c = ctx.drain_counters();
-                    let (loaded, stored, written_back, observed) =
-                        (ctx.loaded, ctx.stored, ctx.written_back, ctx.observed);
-                    totals.add(c);
-                    if let (Some(stats), Some(t)) = (overlay_stats.as_mut(), golden_tile) {
-                        add_cache_deltas(stats, &t.cache);
+                    let counters = ctx.drain_counters();
+                    let tile = TileEffects {
+                        carried,
+                        observed: ctx.observed,
+                        loaded: ctx.loaded,
+                        stored: ctx.stored,
+                        written_back: ctx.written_back,
+                    };
+                    run.totals.add(counters);
+                    if let (Some(tr), Some(before)) = (trace.as_deref_mut(), before) {
+                        let cache =
+                            golden.map_or_else(|| run.caches.stats().since(&before), |t| t.cache);
+                        tr.push(tile_trace(pos, unit, &counters, &cache));
                     }
-                    if trace.is_some() || ledger.is_some() {
-                        let after = caches.stats();
-                        let entry = LedgerTile {
-                            counters: c,
-                            cache: match golden_tile {
-                                Some(t) => t.cache,
-                                None => CacheStats {
-                                    l1_hits: after.l1_hits - stats_before.l1_hits,
-                                    l1_misses: after.l1_misses - stats_before.l1_misses,
-                                    l2_hits: after.l2_hits - stats_before.l2_hits,
-                                    l2_misses: after.l2_misses - stats_before.l2_misses,
-                                    l2_resident_lines: after.l2_resident_lines,
-                                },
-                            },
-                            // Set when the run ends, from later tiles' loads.
-                            loaded_after: 0,
-                            loaded,
-                            stored,
-                            overwritten: false,
-                        };
-                        if let Some(tr) = trace.as_deref_mut() {
-                            tr.push(tile_trace(pos, unit, &entry));
-                        }
-                        if let Some(g) = ledger.as_mut() {
-                            g.tiles.push(entry);
-                            // Attribute this tile's output stores for the
-                            // golden span index.
-                            if let Some(log) = store_log.as_mut() {
-                                for &(s, l) in &log.spans {
-                                    g.output_spans.push((pos as u32, s as u32, l as u32));
-                                }
-                                log.spans.clear();
-                            }
-                        }
-                    }
-                    (loaded, stored, written_back, observed)
+                    tile
                 }
             };
-
-            l2_resident_samples += match golden_tile {
+            run.l2_resident_samples += match golden {
                 Some(t) => t.cache.l2_resident_lines,
-                None => caches.l2_resident_lines(),
+                None => run.caches.l2_resident_lines(),
             } as f64;
-
-            let (touched, flips_pending) = match overlay.as_ref() {
-                Some(o) => (o.touched, o.is_live()),
-                None => (caches.corruption_touched(), caches.has_pending_corruption()),
+            let (c, p) = (&run.caches, &run.pending);
+            let after = match run.overlay.as_ref() {
+                Some(o) => {
+                    policy.after_tile(pos, tile, p, o.touched, !o.flips.is_empty(), o.flip_lines())
+                }
+                None => {
+                    let (touched, live) = (c.corruption_touched(), c.has_pending_corruption());
+                    policy.after_tile(pos, tile, p, touched, live, c.flip_lines())
+                }
             };
-            if let Some(last) = last_strike_tile {
-                if resumable && pos >= last && pending.is_empty() && !touched && !flips_pending {
-                    golden_equivalent = true;
-                    if let Some(m) = self.metrics.as_deref() {
-                        m.counter_add("radcrit_run_dead_strike_exits_total", &[], 1);
-                    }
-                    break;
-                }
-            }
-
-            if let Some(w) = warm {
-                // A tile that carried a fault, read a tainted buffer or
-                // observed a flipped bit may have stored non-golden
-                // bytes; a corrupted write-back taints its target.
-                if carried || observed || loaded & tainted != 0 {
-                    tainted |= stored;
-                }
-                tainted |= written_back;
-                // Spent: every strike delivered, every armed victim and
-                // unit-garble wave behind us, no change to the address
-                // stream, no flip a later tile can read.
-                if pos + 1 < tiles
-                    && w.ledger.tiles[pos].loaded_after & tainted == 0
-                    && last_strike_tile.is_none_or(|last| pos >= last)
-                    && pending.spent(pos, &plan)
-                    && match overlay.as_ref() {
-                        Some(o) => flips_settled(o.flip_lines(), touched, &w.ledger.lines, pos + 1),
-                        None => {
-                            flips_settled(caches.flip_lines(), touched, &w.ledger.lines, pos + 1)
-                        }
-                    }
-                {
-                    contained_at = Some(pos);
-                    if let Some(m) = self.metrics.as_deref() {
-                        m.counter_add("radcrit_run_contained_exits_total", &[], 1);
-                        if flips_pending {
-                            m.counter_add("radcrit_run_flip_exits_total", &[], 1);
-                        }
-                    }
-                    break;
-                }
+            if let Some(e) = after {
+                exit = Some((pos, e));
+                break;
             }
         }
-
-        if let (Some(m), true) = (self.metrics.as_deref(), skipped > 0) {
-            m.counter_add("radcrit_run_skipped_tiles_total", &[], skipped);
+        if let Some(m) = self.metrics.as_deref() {
+            if skipped > 0 {
+                m.counter_add("radcrit_run_skipped_tiles_total", &[], skipped);
+            }
+            match exit {
+                Some((_, Exit::Dead)) => {
+                    m.counter_add("radcrit_run_dead_strike_exits_total", &[], 1)
+                }
+                Some((_, Exit::Contained { flips })) => {
+                    m.counter_add("radcrit_run_contained_exits_total", &[], 1);
+                    if flips {
+                        m.counter_add("radcrit_run_flip_exits_total", &[], 1);
+                    }
+                }
+                None => {}
+            }
         }
+        Ok(exit)
+    }
 
-        let line_index = caches
-            .history
-            .take()
-            .map(|h| LineIndex::new(*h, caches.l2_dirty_lines()));
-
+    /// The end of an injected run: flushes, splices the golden suffix
+    /// after a contained exit and builds the outcome, handing a fork's
+    /// memory and caches back to `scratch` for the next fork to restore.
+    fn end_injection<P: TiledProgram + ?Sized>(
+        &self,
+        program: &mut P,
+        plan: &DispatchPlan,
+        mut run: Injection<'_>,
+        exit: Option<(usize, Exit)>,
+        scratch: Option<&mut RunScratch>,
+        mut trace: Option<&mut ExecutionTrace>,
+    ) -> Result<RunOutcome, AccelError> {
         // End of kernel: flush the hierarchy; dirty corrupted lines write
         // their corruption back to DRAM where the host reads the output.
-        let wbs = match overlay.as_mut() {
+        let wbs = match run.overlay.as_mut() {
             Some(o) => o.flush(),
-            None => caches.flush(),
+            None => run.caches.flush(),
         };
-        apply_writebacks(&mut mem, &wbs, store_log.as_mut());
-
-        let mut output = mem.take_vec(program.output())?;
-        program
-            .output_shape()
-            .check_len(output.len())
-            .map_err(|_| {
-                AccelError::InvalidConfig(format!(
-                    "program {} declares an output shape not matching its buffer",
-                    program.name()
-                ))
-            })?;
-
+        apply_writebacks(&mut run.mem, &wbs, run.store_log.as_mut());
+        let mut stats = run
+            .overlay
+            .as_ref()
+            .map_or_else(|| run.caches.stats(), |o| o.stats);
         // Flushed caches hold no lines.
-        let mut stats = match overlay_stats {
-            Some(s) => CacheStats {
-                l2_resident_lines: 0,
-                ..s
-            },
-            None => caches.stats(),
-        };
+        stats.l2_resident_lines = 0;
+        let contained_at = exit.filter(|&(_, e)| e != Exit::Dead).map(|(e, _)| e);
         // Splice the golden suffix after a contained exit at tile `e`:
         // every later tile would have run exactly as in golden, so its
         // output stores land golden final values and its counters, cache
         // statistics, residency sample (added one tile at a time, in
         // order, so the float sum matches) and trace record are golden's.
-        if let (Some(e), Some(w)) = (contained_at, warm) {
+        if let (Some(e), Some(w)) = (contained_at, run.warm) {
             let g = &w.ledger;
-            for (s, l) in g.spans_in(e + 1..tiles) {
-                output[s..s + l].copy_from_slice(&g.output[s..s + l]);
-            }
+            g.write_output(&mut run.mem, program.output(), e + 1..plan.tiles())?;
             for (t, entry) in g.tiles.iter().enumerate().skip(e + 1) {
-                totals.add(entry.counters);
-                add_cache_deltas(&mut stats, &entry.cache);
-                l2_resident_samples += entry.cache.l2_resident_lines as f64;
+                run.totals.add(entry.counters);
+                stats.add_deltas(&entry.cache);
+                run.l2_resident_samples += entry.cache.l2_resident_lines as f64;
                 if let Some(tr) = trace.as_deref_mut() {
-                    tr.push(tile_trace(t, plan.unit_of(t), entry));
+                    tr.push(tile_trace(
+                        t,
+                        plan.unit_of(t),
+                        &entry.counters,
+                        &entry.cache,
+                    ));
                 }
             }
         }
-
+        let samples = run.l2_resident_samples;
+        let (output, profile) =
+            self.finish(program, plan, &mut run.mem, run.totals, stats, samples)?;
         // The dirty output region of a forked run: elements this run
         // actually stored (plus corrupted write-backs) union the bucket's
         // golden spans of the tiles it executed — a tile the fault
@@ -947,13 +873,49 @@ impl Engine {
         // tile, but the golden stores in between are a subset of the
         // bucket's spans, so the union covers them either way. Spliced
         // tiles stored golden final values and add nothing.
-        let dirty = warm.map(|w| {
-            let end = contained_at.map_or(tiles, |e| e + 1);
-            let mut spans = store_log.map(|l| l.spans).unwrap_or_default();
+        let dirty = run.warm.map(|w| {
+            let end = contained_at.map_or(plan.tiles(), |e| e + 1);
+            let mut spans = run.store_log.map(|l| l.spans).unwrap_or_default();
             spans.extend(w.ledger.spans_in(w.resume_tile..end));
             DirtyRegion::from_spans(spans, output.len())
         });
-        let line_bytes = caches.line_bytes() as f64;
+        if let Some(sc) = scratch {
+            sc.spare = Some(run.mem);
+            sc.spare_caches = Some(run.caches);
+        }
+        Ok(RunOutcome {
+            output,
+            profile,
+            strike_delivered: run.resolutions.iter().any(|r| r.delivered),
+            resolutions: run.resolutions,
+            dirty,
+            golden_equivalent: matches!(exit, Some((_, Exit::Dead))),
+        })
+    }
+
+    /// The output of a finished run, checked against the program's
+    /// declared shape, and the run's profile from its counters, cache
+    /// statistics and per-tile L2 residency samples.
+    fn finish<P: TiledProgram + ?Sized>(
+        &self,
+        program: &P,
+        plan: &DispatchPlan,
+        mem: &mut DeviceMemory,
+        totals: MachineCounters,
+        cache: CacheStats,
+        l2_resident_samples: f64,
+    ) -> Result<(Vec<f64>, ExecutionProfile), AccelError> {
+        let output = mem.take_vec(program.output())?;
+        if program.output_shape().check_len(output.len()).is_err() {
+            let name = program.name();
+            let msg = format!("program {name} declares an output shape not matching its buffer");
+            return Err(AccelError::InvalidConfig(msg));
+        }
+        let tiles = plan.tiles();
+        let launch_tiles = program.tiles_per_launch().min(tiles).max(1);
+        let threads_per_tile = program.threads_per_tile();
+        let local_mem = program.local_mem_per_tile();
+        let line_bytes = CacheHierarchy::line_bytes_of(&self.cfg) as f64;
         let profile = ExecutionProfile {
             tiles,
             threads_per_tile,
@@ -968,7 +930,7 @@ impl Engine {
             transcendental_ops: totals.trans_ops,
             loads: totals.loads,
             stores: totals.stores,
-            cache: stats,
+            cache,
             l2_avg_resident_bytes: if tiles > 0 {
                 l2_resident_samples / tiles as f64 * line_bytes
             } else {
@@ -980,57 +942,52 @@ impl Engine {
                 l2_resident_samples / tiles.max(1) as f64 * line_bytes / self.cfg.units() as f64,
             ) * self.cfg.units() as f64,
         };
+        Ok((output, profile))
+    }
+}
 
-        // Hand the memory image and cache hierarchy back for the next
-        // fork to restore in place (the taken output buffer is the only
-        // reallocation).
-        if let Some((_, sc)) = fork {
-            sc.spare = Some(mem);
-            sc.spare_caches = Some(caches);
-        }
+/// An injected run between its setup and its end: the machine it runs
+/// on and the state of its strikes.
+#[derive(Debug)]
+struct Injection<'w> {
+    /// A fork's warm state; `None` for a run from tile 0.
+    warm: Option<&'w WarmState>,
+    strikes: &'w [StrikeSpec],
+    mem: DeviceMemory,
+    caches: CacheHierarchy,
+    /// A value-only fork's flips, run against instead of `caches`.
+    overlay: Option<Overlay>,
+    totals: MachineCounters,
+    l2_resident_samples: f64,
+    /// A fork's own output stores (corrupted write-backs and redirects
+    /// before the resume point included), for its dirty region.
+    store_log: Option<StoreLog>,
+    pending: PendingFaults,
+    resolutions: Vec<StrikeResolution>,
+}
 
-        if let Some(mut g) = ledger {
-            let mut after = 0;
-            for entry in g.tiles.iter_mut().rev() {
-                entry.loaded_after = after;
-                after |= entry.loaded;
-            }
-            // A tile's output spans are overwritten when a later tile
-            // stores over any of their elements.
-            let mut later = vec![false; output.len()];
-            let spans = &g.output_spans;
-            let mut hi = spans.len();
-            while hi > 0 {
-                let t = spans[hi - 1].0;
-                let lo = spans[..hi].partition_point(|&(u, _, _)| u < t);
-                let range = |&(_, s, l): &(u32, u32, u32)| s as usize..(s + l) as usize;
-                g.tiles[t as usize].overwritten = spans[lo..hi]
-                    .iter()
-                    .any(|sp| later[range(sp)].contains(&true));
-                for sp in &spans[lo..hi] {
-                    later[range(sp)].fill(true);
+impl Injection<'_> {
+    /// Delivers `strike` at dispatch position `pos` (see
+    /// [`PendingFaults::deliver`]) to the cache model or, in a value-only
+    /// fork, the overlay; returns its victim tile.
+    fn deliver<R: Rng + ?Sized>(
+        &mut self,
+        strike: &StrikeSpec,
+        pos: usize,
+        plan: &DispatchPlan,
+        rng: &mut R,
+    ) -> Option<usize> {
+        let (caches, overlay, warm) = (&mut self.caches, &mut self.overlay, self.warm);
+        let resolution = self
+            .pending
+            .deliver(strike, pos, plan, rng, |unit, mask, rng| {
+                match (overlay.as_mut(), warm) {
+                    (Some(o), Some(w)) => o.strike(&w.caches, unit, pos, rng, mask),
+                    _ => caches.strike(unit, rng, mask).is_some(),
                 }
-                hi = lo;
-            }
-            g.output.clone_from(&output);
-            g.lines = line_index.unwrap_or_default();
-            set.ledger = Arc::new(g);
-            if let Some(m) = self.metrics.as_deref() {
-                m.gauge_set("radcrit_snapshot_bytes", &[], set.cost_bytes() as f64);
-            }
-        }
-
-        Ok((
-            RunOutcome {
-                output,
-                profile,
-                strike_delivered,
-                resolutions,
-                dirty,
-                golden_equivalent,
-            },
-            set,
-        ))
+            });
+        self.resolutions.push(resolution);
+        resolution.victim_tile
     }
 }
 
@@ -1147,55 +1104,32 @@ impl PendingFaults {
     /// destination, or itself) and the fault armed on it — including a
     /// unit garble whose wave covers `pos`.
     fn tile_at(&self, pos: usize, plan: &DispatchPlan) -> Option<(usize, TileFault)> {
-        let at_pos = || self.0.iter().filter(move |&&(at, _)| at == pos);
-        if at_pos().any(|(_, e)| matches!(e, Pending::Skip)) {
-            return None;
+        let (mut tile, mut fault, mut garble) = (None, None, false);
+        for &(at, e) in &self.0 {
+            match e {
+                Pending::Skip if at == pos => return None,
+                Pending::Redirect(dest) if at == pos => _ = tile.get_or_insert(dest),
+                Pending::Armed(f) if at == pos => _ = fault.get_or_insert(f),
+                Pending::UnitGarble => garble |= plan.unit_garble_applies(at, pos),
+                _ => {}
+            }
         }
-        let tile = at_pos()
-            .find_map(|&(_, e)| match e {
-                Pending::Redirect(dest) => Some(dest),
-                _ => None,
-            })
-            .unwrap_or(pos);
-        let mut fault = at_pos()
-            .find_map(|&(_, e)| match e {
-                Pending::Armed(f) => Some(f),
-                _ => None,
-            })
-            .unwrap_or_else(TileFault::none);
-        if self.0.iter().any(|&(from, e)| {
-            matches!(e, Pending::UnitGarble) && plan.unit_garble_applies(from, pos)
-        }) {
-            fault.garble = true;
-        }
-        Some((tile, fault))
-    }
-
-    /// Whether no strike left any effect pending — with no pending flip
-    /// and no corruption ever touched, the dead-strike exit's test.
-    fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Whether a skip or redirect is pending: the run's address stream
-    /// may differ from golden's, so its cache state need not track
-    /// golden's tile for tile.
-    fn skip_or_redirect_pending(&self) -> bool {
-        self.0
-            .iter()
-            .any(|(_, e)| matches!(e, Pending::Skip | Pending::Redirect(_)))
+        let mut fault = fault.unwrap_or_else(TileFault::none);
+        fault.garble |= garble;
+        Some((tile.unwrap_or(pos), fault))
     }
 
     /// Whether every pending effect is spent once the tile at `pos` has
-    /// run — every armed victim behind, every unit-garble wave over, no
-    /// skip or redirect — the contained exit's test.
+    /// run — every armed victim behind, every unit-garble wave over — the
+    /// contained exit's test. A pending skip or redirect never is: the
+    /// run's address stream may differ from golden's, so its cache state
+    /// need not track golden's tile for tile.
     fn spent(&self, pos: usize, plan: &DispatchPlan) -> bool {
-        !self.skip_or_redirect_pending()
-            && self.0.iter().all(|&(at, e)| match e {
-                Pending::Armed(_) => at <= pos,
-                Pending::UnitGarble => plan.wave_of(pos + 1) != plan.wave_of(at),
-                Pending::Skip | Pending::Redirect(_) => true, // ruled out above
-            })
+        self.0.iter().all(|&(at, e)| match e {
+            Pending::Armed(_) => at <= pos,
+            Pending::UnitGarble => plan.wave_of(pos + 1) != plan.wave_of(at),
+            Pending::Skip | Pending::Redirect(_) => false,
+        })
     }
 }
 
@@ -1206,54 +1140,107 @@ fn draw_victim<R: Rng + ?Sized>(plan: &DispatchPlan, pos: usize, rng: &mut R) ->
     rng.gen_range(victims.start..victims.end)
 }
 
-/// Flips `mask` in a random resident line of `l1_unit`'s L1 (the L2
-/// when `None`) before the tile at `pos`: in `caches`, or in a value-only
-/// fork's overlay, drawn from its warm caches. Whether a line was
-/// resident.
-fn strike_cache<R: Rng + ?Sized>(
-    caches: &mut CacheHierarchy,
-    overlay: Option<(&mut Overlay, &WarmState)>,
-    l1_unit: Option<usize>,
-    pos: usize,
-    rng: &mut R,
-    mask: u64,
-) -> bool {
-    match overlay {
-        Some((o, w)) => o.strike(&w.caches, &w.ledger.lines, l1_unit, pos, rng, mask),
-        None => caches.strike(l1_unit, rng, mask).is_some(),
-    }
-}
-
-/// Whether a value-only fork may skip the tile `t` at dispatch position
-/// `pos`, running on `unit` with no fault armed: it touches no line a
-/// live flip sits on (for an L1 flip, only touches from its unit count),
-/// loads no `tainted` buffer, and its stores are final — no later tile
-/// loads a buffer it stores or stores over its output spans. Such a
-/// tile computes exactly golden's values, and nothing later can tell
-/// whether it ran or its golden output was written.
-fn skippable(
-    t: &LedgerTile,
-    overlay: &Overlay,
-    lines: &LineIndex,
-    pos: usize,
-    unit: usize,
+/// The rules by which an injected run skips tiles and stops early. Each
+/// is a proof that the tiles it spares compute golden's values.
+#[derive(Debug)]
+struct ExitPolicy<'a> {
+    plan: &'a DispatchPlan,
+    /// A fork's golden ledger; a run from tile 0 takes only the dead exit.
+    ledger: Option<&'a GoldenLedger>,
+    /// The last strike instant; `None` without strikes.
+    last_strike: Option<usize>,
+    /// The dead-strike proof needs a resumable program.
+    resumable: bool,
+    /// Buffers (`BufferId::bit` masks) that may hold non-golden bytes.
     tainted: u64,
-) -> bool {
-    t.loaded & tainted == 0
-        && t.stored & t.loaded_after == 0
-        && !t.overwritten
-        && overlay
-            .flips
-            .iter()
-            .all(|f| f.unit.is_some_and(|u| u != unit) || !lines.touched_by(f.line, pos))
 }
 
-/// Adds one tile's cache hit and miss deltas to `stats`.
-fn add_cache_deltas(stats: &mut CacheStats, d: &CacheStats) {
-    stats.l1_hits += d.l1_hits;
-    stats.l1_misses += d.l1_misses;
-    stats.l2_hits += d.l2_hits;
-    stats.l2_misses += d.l2_misses;
+/// An early stop of an injected run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Exit {
+    /// Every strike died without touching observable state: the output
+    /// would be golden's, and the caller skips the compare.
+    Dead,
+    /// The fault is contained and the golden suffix is spliced; `flips`
+    /// tells whether flips were still pending.
+    Contained { flips: bool },
+}
+
+/// What one tile did, as the exit rules read it.
+#[derive(Debug, Clone, Copy, Default)]
+struct TileEffects {
+    /// A fault was armed on it; a load observed a flipped bit.
+    carried: bool,
+    observed: bool,
+    /// Buffers (`BufferId::bit` masks) it loaded, stored, wrote back into.
+    loaded: u64,
+    stored: u64,
+    written_back: u64,
+}
+
+impl ExitPolicy<'_> {
+    /// Whether a value-only fork (`o`) may skip the tile at dispatch
+    /// position `pos`, on `unit`, running as itself with no fault armed:
+    /// it loads no tainted buffer, its stores are final — no later tile
+    /// loads a buffer it stores or stores over its output spans — and it
+    /// touches no line a live flip sits on (for an L1 flip, only touches
+    /// from its unit count). Such a tile computes exactly golden's values,
+    /// and nothing later can tell whether it ran.
+    fn skips(&self, pos: usize, unit: usize, o: &Overlay) -> bool {
+        let (t, g) = (&o.ledger.tiles[pos], &o.ledger);
+        t.loaded & self.tainted == 0
+            && t.stored & t.loaded_after == 0
+            && !t.overwritten
+            && (o.flips.iter())
+                .all(|f| f.unit.is_some_and(|u| u != unit) || !g.lines.touched_by(f.line, pos))
+    }
+
+    /// Takes in what the tile at `pos` did and whether the run may stop
+    /// after it; `touched`, `live` and `flips` tell whether corruption
+    /// ever escaped the flips, whether any is pending, and their lines.
+    /// Dead strike: every strike tile has passed, no corruption is
+    /// pending or was ever observed, and no core or scheduler fault was
+    /// ever armed (`pending` is never drained), so by the resumability
+    /// contract the remaining tiles compute exactly golden's values.
+    ///
+    /// Contained (forks only): every fault is spent and no later golden
+    /// tile loads a tainted buffer, so every remaining tile would compute
+    /// exactly its golden values — a resumable program derives addresses
+    /// from the tile id alone, so cache tags and counters also track
+    /// golden's. Flips may still be pending, on lines no later tile
+    /// touches (see [`flips_settled`]): the exit's flush settles them.
+    fn after_tile(
+        &mut self,
+        pos: usize,
+        tile: TileEffects,
+        pending: &PendingFaults,
+        touched: bool,
+        live: bool,
+        flips: impl Iterator<Item = FlipLine>,
+    ) -> Option<Exit> {
+        let struck = self.last_strike.is_none_or(|last| pos >= last);
+        let quiet = pending.0.is_empty() && !touched && !live;
+        if self.resumable && self.last_strike.is_some() && struck && quiet {
+            return Some(Exit::Dead);
+        }
+        let g = self.ledger?;
+        // A tile that carried a fault, read a tainted buffer or observed
+        // a flipped bit may have stored non-golden bytes; a corrupted
+        // write-back taints its target.
+        if tile.carried || tile.observed || tile.loaded & self.tainted != 0 {
+            self.tainted |= tile.stored;
+        }
+        self.tainted |= tile.written_back;
+        // Spent: every strike delivered, every armed victim and
+        // unit-garble wave behind us, no change to the address stream,
+        // no flip a later tile can read.
+        (pos + 1 < self.plan.tiles()
+            && g.tiles[pos].loaded_after & self.tainted == 0
+            && struck
+            && pending.spent(pos, self.plan)
+            && flips_settled(flips, touched, &g.lines, pos + 1))
+        .then_some(Exit::Contained { flips: live })
+    }
 }
 
 /// Whether every flip still pending (`flips`, in the cache hierarchy or
@@ -1292,39 +1279,16 @@ fn flips_settled(
 }
 
 /// The trace record of the tile at dispatch position `pos`.
-fn tile_trace(pos: usize, unit: usize, t: &LedgerTile) -> TileTrace {
+fn tile_trace(pos: usize, unit: usize, c: &MachineCounters, cache: &CacheStats) -> TileTrace {
     TileTrace {
         pos,
         unit,
-        ops: t.counters.ops,
-        trans_ops: t.counters.trans_ops,
-        loads: t.counters.loads,
-        stores: t.counters.stores,
-        l2_hits: t.cache.l2_hits,
-        l2_misses: t.cache.l2_misses,
-    }
-}
-
-/// An RNG that panics if consulted — used for golden runs, which must be
-/// deterministic and never sample anything.
-#[derive(Debug)]
-struct NoRng;
-
-impl rand::RngCore for NoRng {
-    fn next_u32(&mut self) -> u32 {
-        unreachable!("golden runs must not consume randomness")
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        unreachable!("golden runs must not consume randomness")
-    }
-
-    fn fill_bytes(&mut self, _dest: &mut [u8]) {
-        unreachable!("golden runs must not consume randomness")
-    }
-
-    fn try_fill_bytes(&mut self, _dest: &mut [u8]) -> Result<(), rand::Error> {
-        unreachable!("golden runs must not consume randomness")
+        ops: c.ops,
+        trans_ops: c.trans_ops,
+        loads: c.loads,
+        stores: c.stores,
+        l2_hits: cache.l2_hits,
+        l2_misses: cache.l2_misses,
     }
 }
 
@@ -2623,5 +2587,252 @@ mod tests {
         assert!(out.profile.cache.l2_misses > 0);
         assert!(out.profile.l2_avg_resident_bytes > 0.0);
         assert_eq!(out.profile.wave_size, 57); // 4-thread tiles, 4 hw threads/core... one tile per core
+    }
+
+    /// Two units with one tiny L1 each: tile `t` runs on unit `t % 2`.
+    fn two_unit_plan(tiles: usize) -> DispatchPlan {
+        let cfg = DeviceConfig::builder("tiny2")
+            .units(2)
+            .max_threads_per_unit(64)
+            .l1(crate::cache::CacheGeometry::new(256, 64, 2).unwrap())
+            .l2(crate::cache::CacheGeometry::new(512, 64, 2).unwrap())
+            .build()
+            .unwrap();
+        DispatchPlan::new(&cfg, tiles, tiles, 8, 0)
+    }
+
+    /// A synthetic golden ledger: `tiles`, and a line log in which tile
+    /// `t` touches the lines `touches[t]` and the L2 evicts each
+    /// `(line, tile)` of `evictions` clean.
+    fn synthetic_ledger(
+        tiles: Vec<LedgerTile>,
+        touches: &[&[u32]],
+        evictions: &[(u32, u32)],
+    ) -> GoldenLedger {
+        let mut log = crate::cache::LineLog::default();
+        for (t, lines) in touches.iter().enumerate() {
+            log.begin_tile(t, t % 2);
+            log.accesses.extend(lines.iter().map(|&l| (l, l)));
+        }
+        log.l2_evictions
+            .extend(evictions.iter().map(|&(line, tile)| {
+                let e = crate::cache::Eviction {
+                    tile,
+                    ordinal: 0,
+                    dirty: false,
+                };
+                (line, e)
+            }));
+        GoldenLedger {
+            tiles,
+            lines: LineIndex::new(log, Vec::new()),
+            ..GoldenLedger::default()
+        }
+    }
+
+    fn policy<'a>(
+        plan: &'a DispatchPlan,
+        ledger: Option<&'a GoldenLedger>,
+        tainted: u64,
+    ) -> ExitPolicy<'a> {
+        ExitPolicy {
+            plan,
+            ledger,
+            last_strike: Some(0),
+            resumable: true,
+            tainted,
+        }
+    }
+
+    /// A value-only fork's overlay over `ledger`, holding a flip on
+    /// `line` of `unit`'s L1 (the L2 when `None`) for each of `flips`.
+    fn overlay_with(ledger: &GoldenLedger, flips: &[(Option<usize>, u64)]) -> Overlay {
+        let caches = CacheHierarchy::new(&DeviceConfig::kepler_k40());
+        let mut o = Overlay::new(&caches, Arc::new(ledger.clone()));
+        o.flips
+            .extend(flips.iter().map(|&(unit, line)| crate::cache::OverlayFlip {
+                unit,
+                line,
+                offset: 0,
+                mask: 1,
+                end: crate::snapshot::FlipEnd {
+                    at: None,
+                    dirty: false,
+                },
+            }));
+        o
+    }
+
+    #[test]
+    fn a_value_only_fork_skips_only_tiles_with_final_stores_and_no_tainted_load() {
+        // Tile 0 (unit 0) loads buffer 0 and stores buffer 1, which no
+        // later tile loads.
+        let plan = two_unit_plan(2);
+        let tile = LedgerTile {
+            loaded: 0b01,
+            stored: 0b10,
+            loaded_after: 0b01,
+            ..LedgerTile::default()
+        };
+        let skips = |t: LedgerTile, tainted| {
+            let g = synthetic_ledger(vec![t; 2], &[&[5], &[6]], &[]);
+            policy(&plan, Some(&g), tainted).skips(0, 0, &overlay_with(&g, &[]))
+        };
+        assert!(skips(tile, 0));
+        assert!(!skips(tile, 0b01), "a tainted load");
+        assert!(skips(tile, 0b10), "a tainted buffer it only stores");
+        let read_later = LedgerTile {
+            loaded_after: 0b11,
+            ..tile
+        };
+        assert!(!skips(read_later, 0), "a store a later tile reads");
+        let overwritten = LedgerTile {
+            overwritten: true,
+            ..tile
+        };
+        assert!(
+            !skips(overwritten, 0),
+            "output spans a later tile stores over"
+        );
+    }
+
+    #[test]
+    fn a_live_flip_on_a_touched_line_blocks_the_skip_and_an_l1_flip_only_on_its_unit() {
+        // Tile 0 (unit 0) touches line 5, tile 1 (unit 1) line 6.
+        let plan = two_unit_plan(2);
+        let g = synthetic_ledger(vec![LedgerTile::default(); 2], &[&[5], &[6]], &[]);
+        let skips = |pos, flips: &[(Option<usize>, u64)]| {
+            policy(&plan, Some(&g), 0).skips(pos, pos % 2, &overlay_with(&g, flips))
+        };
+        assert!(!skips(0, &[(None, 5)]), "an L2 flip on a line it touches");
+        assert!(
+            skips(1, &[(None, 5)]),
+            "an L2 flip on a line it leaves alone"
+        );
+        assert!(!skips(0, &[(Some(0), 5)]), "its own unit's L1 flip");
+        assert!(skips(0, &[(Some(1), 5)]), "another unit's L1 flip");
+        assert!(!skips(0, &[(Some(1), 5), (None, 5)]));
+    }
+
+    #[test]
+    fn flips_settle_unless_a_later_tile_touches_their_line_or_the_run_may_yet_dead_exit() {
+        // Tile 1 touches line 2; the L2 evicts line 3 during tile 1.
+        let g = synthetic_ledger(vec![LedgerTile::default(); 2], &[&[1], &[2]], &[(3, 1)]);
+        let settled = |line, l2_dirty, touched| {
+            let f = FlipLine { line, l2_dirty };
+            flips_settled(std::iter::once(f), touched, &g.lines, 1)
+        };
+        assert!(flips_settled(std::iter::empty(), false, &g.lines, 1));
+        // A later tile touches the line: never settled.
+        assert!(!settled(2, Some(true), true));
+        assert!(!settled(2, None, true));
+        // A dirty L2 flip's XOR reaches memory: the run can never
+        // dead-exit.
+        assert!(settled(1, Some(true), false));
+        // Every flip stays to the end: the full run ends with it pending.
+        assert!(settled(1, Some(false), false));
+        // A clean L2 flip golden evicts later, or an L1 flip, may vanish
+        // unseen and the full run dead-exit, unless corruption escaped.
+        assert!(!settled(3, Some(false), false));
+        assert!(settled(3, Some(false), true));
+        assert!(!settled(1, None, false));
+        assert!(settled(1, None, true));
+    }
+
+    #[test]
+    fn the_contained_exit_waits_for_spent_faults_and_no_later_tainted_load() {
+        // Buffer 1 is loaded by tiles 1 and 2, buffer 2 by nobody.
+        let plan = two_unit_plan(4);
+        let later = |loaded_after| LedgerTile {
+            loaded_after,
+            ..LedgerTile::default()
+        };
+        let tiles = vec![later(0b10), later(0b10), later(0), later(0)];
+        let g = synthetic_ledger(tiles, &[&[], &[], &[], &[]], &[]);
+        let armed = |at| PendingFaults(vec![(at, Pending::Armed(TileFault::none()))]);
+        let mut p = policy(&plan, Some(&g), 0);
+        let step = |p: &mut ExitPolicy<'_>, pos, tile, pending: &PendingFaults| {
+            p.after_tile(pos, tile, pending, false, false, std::iter::empty())
+        };
+        // The faulted tile 0 stores buffer 1, which tile 1 loads.
+        let carried = TileEffects {
+            carried: true,
+            stored: 0b10,
+            ..TileEffects::default()
+        };
+        assert_eq!(step(&mut p, 0, carried, &armed(0)), None);
+        assert_eq!(p.tainted, 0b10);
+        // Tile 1 loads it and stores buffer 2: tainted too. An armed
+        // victim still ahead keeps the fault unspent.
+        let reader = TileEffects {
+            loaded: 0b10,
+            stored: 0b100,
+            ..TileEffects::default()
+        };
+        assert_eq!(step(&mut p, 1, reader, &armed(2)), None);
+        assert_eq!(p.tainted, 0b110);
+        // After tile 2 nothing loads a tainted buffer, and the victim is
+        // behind: contained.
+        let exit = step(&mut p, 2, TileEffects::default(), &armed(2));
+        assert_eq!(exit, Some(Exit::Contained { flips: false }));
+        // A pending skip is never spent; the last tile has no suffix.
+        let skip = PendingFaults(vec![(0, Pending::Skip)]);
+        assert_eq!(step(&mut p, 2, TileEffects::default(), &skip), None);
+        assert_eq!(step(&mut p, 3, TileEffects::default(), &armed(0)), None);
+        // A corrupted write-back taints its buffer even from a clean tile.
+        let mut q = policy(&plan, Some(&g), 0);
+        let written = TileEffects {
+            written_back: 0b10,
+            ..TileEffects::default()
+        };
+        assert_eq!(step(&mut q, 0, written, &armed(0)), None);
+        assert_eq!(q.tainted, 0b10);
+        // A run from tile 0 never takes it.
+        let mut r = policy(&plan, None, 0);
+        assert_eq!(step(&mut r, 2, TileEffects::default(), &armed(0)), None);
+    }
+
+    #[test]
+    fn the_dead_strike_exit_needs_every_strike_passed_and_nothing_touched_or_pending() {
+        let plan = two_unit_plan(4);
+        let mut p = ExitPolicy {
+            last_strike: Some(1),
+            ..policy(&plan, None, 0)
+        };
+        let none = PendingFaults::default();
+        let dead = |p: &mut ExitPolicy<'_>, pos, pending: &PendingFaults, touched, live| {
+            p.after_tile(
+                pos,
+                TileEffects::default(),
+                pending,
+                touched,
+                live,
+                std::iter::empty(),
+            )
+        };
+        assert_eq!(
+            dead(&mut p, 0, &none, false, false),
+            None,
+            "before the strike"
+        );
+        assert_eq!(dead(&mut p, 1, &none, false, false), Some(Exit::Dead));
+        assert_eq!(dead(&mut p, 3, &none, false, false), Some(Exit::Dead));
+        assert_eq!(
+            dead(&mut p, 1, &none, true, false),
+            None,
+            "corruption escaped"
+        );
+        assert_eq!(dead(&mut p, 1, &none, false, true), None, "a flip pending");
+        let garble = PendingFaults(vec![(0, Pending::UnitGarble)]);
+        assert_eq!(
+            dead(&mut p, 1, &garble, false, false),
+            None,
+            "a fault armed"
+        );
+        p.resumable = false;
+        assert_eq!(dead(&mut p, 1, &none, false, false), None, "not resumable");
+        p.resumable = true;
+        p.last_strike = None;
+        assert_eq!(dead(&mut p, 1, &none, false, false), None, "no strike");
     }
 }

@@ -272,13 +272,6 @@ impl<'a> TileCtx<'a> {
         self
     }
 
-    /// Runs the tile against a value-only fork's overlay instead of the
-    /// cache hierarchy.
-    pub(crate) fn with_overlay(mut self, overlay: &'a mut Overlay) -> Self {
-        self.overlay = Some(overlay);
-        self
-    }
-
     /// The execution unit (SM / core) running this tile.
     pub fn unit(&self) -> usize {
         self.unit
@@ -597,7 +590,7 @@ impl<'a> TileCtx<'a> {
     #[inline(always)]
     fn flips_pending(&self) -> bool {
         match self.overlay.as_deref() {
-            Some(o) => o.is_live(),
+            Some(o) => !o.flips.is_empty(),
             None => self.caches.has_pending_corruption(),
         }
     }

@@ -26,7 +26,8 @@
 use std::sync::{Arc, OnceLock};
 
 use crate::cache::{CacheHierarchy, CacheStats, Eviction, LineLog};
-use crate::memory::BufferId;
+use crate::error::AccelError;
+use crate::memory::{BufferId, DeviceMemory};
 use crate::program::MachineCounters;
 
 /// Default byte budget for one program's snapshot set. Kept below the
@@ -108,18 +109,11 @@ pub(crate) struct LedgerTile {
 /// golden run pays only the appends.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LineIndex {
-    /// Per tile: its unit.
-    units: Vec<u32>,
-    /// Tile `t`'s accesses, as `(first line, last line)`, are
-    /// `accesses[access_starts[t]..access_starts[t + 1]]`.
-    access_starts: Vec<u32>,
-    accesses: Vec<(u32, u32)>,
-    /// Tile `t`'s L1 evictions, as `(line, touch ordinal)`, are
-    /// `l1_evictions[l1_starts[t]..l1_starts[t + 1]]`.
-    l1_starts: Vec<u32>,
-    l1_evictions: Vec<(u32, u32)>,
-    /// L2 evictions as `(line, eviction)`, in execution order.
-    l2_evictions: Vec<(u32, Eviction)>,
+    /// The capture's log, each offset list closed by one past its last
+    /// entry: tile `t`'s accesses are
+    /// `accesses[access_starts[t]..access_starts[t + 1]]`, and likewise
+    /// its L1 evictions.
+    log: LineLog,
     /// Per line: one past the last tile during which the L2 evicts it.
     last_l2_evict: Vec<u32>,
     /// L2 lines resident and dirty at the final flush, ascending.
@@ -151,20 +145,11 @@ pub(crate) struct FlipEnd {
 impl LineIndex {
     /// Builds the index from a finished log; `flush_dirty` are the L2's
     /// dirty lines at the final flush.
-    pub(crate) fn new(log: LineLog, flush_dirty: Vec<u64>) -> Self {
-        let LineLog {
-            units,
-            mut access_starts,
-            mut l1_starts,
-            accesses,
-            l1_evictions,
-            l2_evictions,
-            ..
-        } = log;
-        access_starts.push(accesses.len() as u32);
-        l1_starts.push(l1_evictions.len() as u32);
+    pub(crate) fn new(mut log: LineLog, flush_dirty: Vec<u64>) -> Self {
+        log.access_starts.push(log.accesses.len() as u32);
+        log.l1_starts.push(log.l1_evictions.len() as u32);
         let mut last_l2_evict = Vec::new();
-        for &(line, e) in &l2_evictions {
+        for &(line, e) in &log.l2_evictions {
             let l = line as usize;
             if l >= last_l2_evict.len() {
                 last_l2_evict.resize(l + 1, 0);
@@ -172,12 +157,7 @@ impl LineIndex {
             last_l2_evict[l] = e.tile + 1;
         }
         LineIndex {
-            units,
-            access_starts,
-            accesses,
-            l1_starts,
-            l1_evictions,
-            l2_evictions,
+            log,
             last_l2_evict,
             flush_dirty,
             touches: OnceLock::new(),
@@ -194,7 +174,7 @@ impl LineIndex {
 
     fn touches(&self) -> &Touches {
         self.touches.get_or_init(|| {
-            let tiles = self.access_starts.len().saturating_sub(1);
+            let tiles = self.log.access_starts.len().saturating_sub(1);
             let mut t = Touches {
                 starts: vec![0],
                 lines: Vec::new(),
@@ -203,7 +183,9 @@ impl LineIndex {
             let mut tile_lines = Vec::new();
             for tile in 0..tiles {
                 tile_lines.clear();
-                for &(first, last) in Self::of_tile(&self.access_starts, &self.accesses, tile) {
+                for &(first, last) in
+                    Self::of_tile(&self.log.access_starts, &self.log.accesses, tile)
+                {
                     tile_lines.extend(first..=last);
                 }
                 tile_lines.sort_unstable();
@@ -259,19 +241,20 @@ impl LineIndex {
             };
         };
         let next = match unit {
-            Some(u) => (from..self.units.len())
-                .filter(|&t| self.units[t] as usize == u)
+            Some(u) => (from..self.log.units.len())
+                .filter(|&t| self.log.units[t] as usize == u)
                 .find_map(|t| {
-                    Self::of_tile(&self.l1_starts, &self.l1_evictions, t)
+                    Self::of_tile(&self.log.l1_starts, &self.log.l1_evictions, t)
                         .iter()
                         .find(|&&(l, _)| l == line32)
                         .map(|&(_, ordinal)| (t, ordinal, false))
                 }),
             None => {
                 let first = self
+                    .log
                     .l2_evictions
                     .partition_point(|(_, e)| (e.tile as usize) < from);
-                self.l2_evictions[first..]
+                self.log.l2_evictions[first..]
                     .iter()
                     .find(|&&(l, _)| l == line32)
                     .map(|&(_, e)| (e.tile as usize, e.ordinal, e.dirty))
@@ -292,13 +275,13 @@ impl LineIndex {
     /// Approximate bytes held; the touch sets derived on first use are
     /// charged at the size of the access log they come from.
     fn cost_bytes(&self) -> usize {
-        (self.units.len()
-            + self.access_starts.len()
-            + self.l1_starts.len()
+        (self.log.units.len()
+            + self.log.access_starts.len()
+            + self.log.l1_starts.len()
             + self.last_l2_evict.len())
             * 4
-            + (2 * self.accesses.len() + self.l1_evictions.len()) * 8
-            + self.l2_evictions.len() * std::mem::size_of::<(u32, Eviction)>()
+            + (2 * self.log.accesses.len() + self.log.l1_evictions.len()) * 8
+            + self.log.l2_evictions.len() * std::mem::size_of::<(u32, Eviction)>()
             + self.flush_dirty.len() * 8
     }
 }
@@ -334,6 +317,45 @@ impl GoldenLedger {
         self.output_spans[lo..hi]
             .iter()
             .map(|&(_, s, l)| (s as usize, l as usize))
+    }
+
+    /// Writes golden's final values of the output spans the tiles in
+    /// `tiles` store into `out`, the output buffer of `mem`.
+    pub(crate) fn write_output(
+        &self,
+        mem: &mut DeviceMemory,
+        out: BufferId,
+        tiles: std::ops::Range<usize>,
+    ) -> Result<(), AccelError> {
+        for (s, l) in self.spans_in(tiles) {
+            let (_, window) = mem.window_mut(out, s, l)?;
+            window.copy_from_slice(&self.output[s..s + l]);
+        }
+        Ok(())
+    }
+
+    /// Completes the ledger once the golden run has ended: each tile's
+    /// `loaded_after` and `overwritten`, the final `output` and the line
+    /// index.
+    pub(crate) fn finish(&mut self, output: &[f64], lines: LineIndex) {
+        let mut after = 0;
+        for entry in self.tiles.iter_mut().rev() {
+            entry.loaded_after = after;
+            after |= entry.loaded;
+        }
+        // A tile's output spans are overwritten when a later tile stores
+        // over any of their elements.
+        let mut later = vec![false; output.len()];
+        let range = |&(_, s, l): &(u32, u32, u32)| s as usize..(s + l) as usize;
+        for spans in self.output_spans.chunk_by(|a, b| a.0 == b.0).rev() {
+            let overwritten = spans.iter().any(|sp| later[range(sp)].contains(&true));
+            self.tiles[spans[0].0 as usize].overwritten = overwritten;
+            for sp in spans {
+                later[range(sp)].fill(true);
+            }
+        }
+        self.output = output.to_vec();
+        self.lines = lines;
     }
 
     fn cost_bytes(&self) -> usize {
