@@ -529,7 +529,11 @@ impl Engine {
                     counters: totals,
                     l2_resident_samples,
                 };
-                set.push(snap, budget);
+                if !set.push(snap, budget) {
+                    if let Some(m) = self.metrics.as_deref() {
+                        m.counter_add("radcrit_snapshot_skipped_tiles_total", &[], 1);
+                    }
+                }
             }
             let unit = plan.unit_of(pos);
             if let Some(h) = caches.history.as_deref_mut() {
@@ -577,13 +581,6 @@ impl Engine {
             set.ledger = Arc::new(g);
             if let Some(m) = self.metrics.as_deref() {
                 m.gauge_set("radcrit_snapshot_bytes", &[], set.cost_bytes() as f64);
-                if set.skipped_tiles > 0 {
-                    m.counter_add(
-                        "radcrit_snapshot_skipped_tiles_total",
-                        &[],
-                        set.skipped_tiles,
-                    );
-                }
             }
         }
         let outcome = RunOutcome {
@@ -631,17 +628,16 @@ impl Engine {
         // every cache strike lands at the warm state's instant — runs
         // against an overlay of its flips instead of a copy of the warm
         // caches.
+        use SchedulerEffect::{RedirectTile, SkipTile};
         let value_only = |w: &&WarmState| {
             strikes.iter().all(|s| match s.target {
-                StrikeTarget::Scheduler(
-                    SchedulerEffect::SkipTile | SchedulerEffect::RedirectTile,
-                ) => false,
+                StrikeTarget::Scheduler(SkipTile | RedirectTile) => false,
                 StrikeTarget::L1 { .. } | StrikeTarget::L2 { .. } => s.at_tile == w.next_tile,
                 _ => true,
             })
         };
-        let overlay =
-            (warm.filter(value_only)).map(|w| Overlay::new(&w.caches, Arc::clone(&w.ledger)));
+        let overlay = warm.filter(value_only);
+        let overlay = overlay.map(|w| Overlay::new(&w.caches, w.ledger.clone()));
         let (mem, caches, totals, l2_resident_samples) = match (warm, scratch) {
             // Fork: copy the bucket's warm state into the scratch spares.
             // It already sits at `next_tile`, prefix replay included.
@@ -726,7 +722,11 @@ impl Engine {
             // What golden did in this tile, for a value-only fork.
             let golden = run.overlay.as_mut().map(|o| o.begin_tile(pos));
             let clean = !carried && effective_tile == pos;
-            let skip = clean && (run.overlay.as_ref()).is_some_and(|o| policy.skips(pos, unit, o));
+            let skip = clean
+                && run
+                    .overlay
+                    .as_ref()
+                    .is_some_and(|o| policy.skips(pos, unit, o));
             let tile = match (golden.filter(|_| skip), run.overlay.as_mut()) {
                 // A skipped tile would compute golden's values: write its
                 // golden output spans, end the flips golden evicts during
@@ -978,14 +978,13 @@ impl Injection<'_> {
         rng: &mut R,
     ) -> Option<usize> {
         let (caches, overlay, warm) = (&mut self.caches, &mut self.overlay, self.warm);
-        let resolution = self
-            .pending
-            .deliver(strike, pos, plan, rng, |unit, mask, rng| {
-                match (overlay.as_mut(), warm) {
-                    (Some(o), Some(w)) => o.strike(&w.caches, unit, pos, rng, mask),
-                    _ => caches.strike(unit, rng, mask).is_some(),
-                }
-            });
+        let pending = &mut self.pending;
+        let resolution = pending.deliver(strike, pos, plan, rng, |unit, mask, rng| {
+            match (overlay.as_mut(), warm) {
+                (Some(o), Some(w)) => o.strike(&w.caches, unit, pos, rng, mask),
+                _ => caches.strike(unit, rng, mask).is_some(),
+            }
+        });
         self.resolutions.push(resolution);
         resolution.victim_tile
     }
@@ -1191,7 +1190,8 @@ impl ExitPolicy<'_> {
         t.loaded & self.tainted == 0
             && t.stored & t.loaded_after == 0
             && !t.overwritten
-            && (o.flips.iter())
+            && o.flips
+                .iter()
                 .all(|f| f.unit.is_some_and(|u| u != unit) || !g.lines.touched_by(f.line, pos))
     }
 
