@@ -280,3 +280,77 @@ fn provenance_breakdown_attributes_spatial_classes_to_sites() {
     assert!(table.contains("site"), "{table}");
     std::fs::remove_file(&events).ok();
 }
+
+#[test]
+fn a_resumed_stream_marks_checkpoint_only_records_with_exact_replay_lines() {
+    // The first run checkpoints without an event stream, so every
+    // record it produced reaches the resumed stream as a `replay`
+    // marker carrying the record's analytic fields.
+    let campaign = dgemm_campaign(24, 7, 2);
+    let checkpoint = temp_path("replay-ckpt");
+    let events = temp_path("replay-events");
+    campaign
+        .run_with(&RunOptions {
+            checkpoint: Some(checkpoint.clone()),
+            budget: Some(12),
+            ..RunOptions::default()
+        })
+        .unwrap();
+    campaign
+        .run_with(&RunOptions {
+            checkpoint: Some(checkpoint.clone()),
+            resume: true,
+            ..events_options(&events)
+        })
+        .unwrap();
+    let text = std::fs::read_to_string(&events).unwrap();
+    let replays: Vec<&str> = text
+        .lines()
+        .filter(|l| l.contains("\"e\":\"replay\""))
+        .collect();
+    assert_eq!(replays.len(), 12);
+    assert_eq!(
+        replays[1],
+        "{\"e\":\"replay\",\"i\":1,\"site\":\"unit_garble\",\"outcome\":\"SDC\",\
+         \"delivered\":true,\"mismatches\":256,\"class\":\"square\",\
+         \"mre\":99.15206551355692,\"critical\":true,\"fclass\":\"square\"}"
+    );
+    assert_eq!(
+        replays[2],
+        "{\"e\":\"replay\",\"i\":2,\"site\":\"fatal\",\"outcome\":\"CRASH\",\
+         \"delivered\":true,\"mismatches\":0,\"class\":\"none\"}"
+    );
+    std::fs::remove_file(&checkpoint).ok();
+    std::fs::remove_file(&events).ok();
+}
+
+#[test]
+fn bucket_counters_reach_the_registry_once_per_event() {
+    // One worker: restores depend on how workers interleave buckets.
+    let registry = Arc::new(MetricsRegistry::new());
+    Campaign::new(
+        DeviceConfig::kepler_k40(),
+        KernelSpec::Dgemm { n: 64 },
+        60,
+        7,
+    )
+    .with_workers(1)
+    .run_with(&RunOptions {
+        metrics: Some(Arc::clone(&registry)),
+        ..RunOptions::default()
+    })
+    .unwrap();
+    let snapshot = registry.snapshot();
+    let counter = |name: &str| snapshot.counter(name, &[]);
+    // DGEMM-64's snapshots cover every tile, so no fork advances; the
+    // advance counter still exists once a fork ran.
+    assert_eq!(
+        [
+            "radcrit_bucket_restores_total",
+            "radcrit_bucket_forks_total",
+            "radcrit_bucket_advance_tiles_total",
+        ]
+        .map(counter),
+        [Some(14), Some(45), Some(0)]
+    );
+}

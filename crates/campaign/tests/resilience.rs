@@ -104,8 +104,15 @@ fn hanging_injection_is_recorded_within_the_deadline() {
     .with_workers(1)
     .with_deadline(deadline);
 
+    let events = temp_path("hang-events");
     let t0 = Instant::now();
-    let result = campaign.run().unwrap();
+    let result = campaign
+        .run_with(&RunOptions {
+            events_out: Some(events.clone()),
+            events_sample: 1,
+            ..RunOptions::default()
+        })
+        .unwrap();
     let elapsed = t0.elapsed();
 
     assert!(result.is_complete(), "campaign must finish despite hangs");
@@ -127,6 +134,25 @@ fn hanging_injection_is_recorded_within_the_deadline() {
         watchdog_hangs.len(),
         "telemetry and records must agree"
     );
+    // The watchdog owns each hung index's provenance line: no strike
+    // facts, since the injection never finished.
+    let text = std::fs::read_to_string(&events).unwrap();
+    let lines: Vec<&str> = text
+        .lines()
+        .filter(|l| l.contains("\"site\":\"watchdog\""))
+        .collect();
+    let expected: Vec<String> = watchdog_hangs
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"e\":\"provenance\",\"i\":{},\"site\":\"watchdog\",\"delivered\":true,\
+                 \"touched\":[],\"outcome\":\"HANG\",\"mismatches\":0,\"class\":\"none\"}}",
+                r.index
+            )
+        })
+        .collect();
+    assert_eq!(lines, expected);
+    std::fs::remove_file(&events).ok();
     // Wall time is bounded by one deadline per hang plus scheduling
     // slack — nowhere near the kernel's 20 s escape hatch.
     assert!(
