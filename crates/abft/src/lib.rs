@@ -22,6 +22,7 @@
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
+#![warn(clippy::too_many_lines)]
 
 /// The verdict of one ABFT pass over a (possibly corrupted) product.
 #[derive(Debug, Clone, PartialEq)]

@@ -28,6 +28,7 @@
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
+#![warn(clippy::too_many_lines)]
 
 pub mod checkpoint;
 pub mod config;

@@ -2,7 +2,7 @@
 
 use radcrit_core::locality::SpatialClass;
 use radcrit_core::report::CriticalityReport;
-use radcrit_obs::AnalyticSample;
+use radcrit_obs::{AnalyticSample, ProvenanceRecord};
 use serde::{Deserialize, Serialize};
 
 /// The classification of one injected execution — the four §II-A
@@ -100,6 +100,16 @@ impl InjectionRecord {
             mre,
             critical,
             fclass,
+        }
+    }
+
+    /// The record's `provenance` line without strike facts — the whole
+    /// line for a fatal plan or a watchdog hang; a strike adds its
+    /// victim, unit, bit and touched tiles.
+    pub(crate) fn provenance(&self) -> ProvenanceRecord {
+        ProvenanceRecord {
+            at_tile: self.at_tile.map(|t| t as u64),
+            ..ProvenanceRecord::from_sample(self.analytic_sample(), self.delivered)
         }
     }
 }

@@ -1,58 +1,53 @@
-//! The campaign runner: golden run, cross sections, parallel injection —
-//! hardened with a hang watchdog, panic capture, streaming checkpoints
-//! and run telemetry.
+//! The campaign runner: one golden run, then one strike per execution,
+//! each compared against golden and classified into a per-injection
+//! record — hardened with a hang watchdog, panic capture, streaming
+//! checkpoints and run telemetry.
 //!
-//! ## Execution model
+//! [`Campaign::run_with`] runs five stages: the **sinks** (metrics,
+//! trace and profiler, and their three end-of-run artifact writes); the
+//! **golden** execution, looked up in a shared [`GoldenCache`] or
+//! computed; the **plan** (shard check, checkpoint replay, pending list,
+//! budget, bucket sort); the **event stream**, opened or resumed, with a
+//! `replay` marker for each replayed index it lacks; and the
+//! **collector**, which owns the receive, watchdog, fold and persist
+//! loop on the calling thread. Every collector exit — done, cancelled
+//! or failed — takes one shutdown: stop dispatch, export the latency and
+//! bucket counts once, wait for profiling stragglers.
 //!
-//! Worker threads claim injection indices from a shared cursor and send
-//! finished [`InjectionRecord`]s over a bounded channel to the collector
-//! (the calling thread), which appends them to the optional JSONL
-//! checkpoint, feeds the [`Telemetry`] accumulator, and prints the
-//! periodic progress line. Injection `i` always uses its own seeded RNG
-//! stream, so records are identical for any worker count — which is what
-//! lets [`Campaign::resume`] replay a killed campaign's checkpoint and
-//! finish with a bit-identical summary.
+//! Each worker thread owns an engine, a kernel instance, a run scratch
+//! and a warm bucket. It claims indices from a shared cursor over the
+//! plan, executes each strike (a fork off the warm bucket, or a run from
+//! tile 0 when no snapshot covers it), compares and classifies the
+//! output, and sends the finished [`InjectionRecord`] to the collector.
+//! Each record is built once, and its `provenance` line derives from it,
+//! for strikes, fatal plans and watchdog hangs alike. Injection `i`
+//! always uses its own seeded RNG stream, so records are identical for
+//! any worker count — which is what lets [`Campaign::resume`] replay a
+//! killed campaign's checkpoint and finish with a bit-identical summary.
 //!
-//! ## Failure containment
-//!
-//! * A panic inside an injection is caught ([`std::panic::catch_unwind`])
-//!   and surfaces as [`AccelError::WorkerPanic`] instead of aborting.
-//! * The first worker error wins and stops further dispatch; later
-//!   errors are dropped rather than overwriting it.
-//! * With [`Campaign::with_deadline`] armed, an injection still running
-//!   past the deadline is recorded as [`InjectionOutcome::Hang`]
-//!   (site `"watchdog"`), its worker is abandoned, and a replacement
-//!   worker keeps the campaign going. An abandoned worker that
-//!   eventually wakes up discards its stale result via a generation
-//!   check, so the synthesized record is never duplicated.
-//!
-//! ## Observability
+//! Failures are contained: a panicking injection surfaces as
+//! [`AccelError::WorkerPanic`]; the first worker error wins and stops
+//! dispatch; and with [`Campaign::with_deadline`] armed, an injection
+//! still running past the deadline is recorded as
+//! [`InjectionOutcome::Hang`] (site `"watchdog"`) while a replacement
+//! worker takes over — the abandoned one discards its late result by a
+//! generation check, so the record is never duplicated.
 //!
 //! With [`RunOptions::events_out`] set, every injection contributes a
-//! block of structured events — lifecycle spans, the sampled strike, its
-//! resolution against live machine state, the output diff, and a closing
-//! `provenance` record joining all three. Events carry only *logical*
-//! data (indices, sites, bits, classes — never wall-clock), and the
-//! [`radcrit_obs::EventWriter`] reorders worker-completion-order blocks
-//! back into injection-index order, so a fixed-seed campaign writes a
-//! byte-identical stream regardless of worker count. On resume, indices
-//! already present in the stream are skipped and checkpoint-replayed
-//! indices missing from it get a synthetic `replay` marker — the stream
-//! never duplicates and never loses an index across kill/resume cycles.
-//! Wall-clock quantities (injection latency, outcome counters) go to the
-//! [`radcrit_obs::MetricsRegistry`] instead and are written to
-//! [`RunOptions::metrics_out`] as JSON plus a Prometheus text rendering.
-//!
-//! Phase timing has one clock, the [`radcrit_obs::profile`] scopes: with
-//! any sink (a profile, a trace or metrics) every run thread profiles,
-//! and the profile tree, the Chrome timeline and the `radcrit_phase_*`
-//! counters are views of the same scopes.
+//! block of *logical* events (spans, the strike, its resolution, the
+//! output diff and a closing `provenance` record — never wall-clock),
+//! which the [`radcrit_obs::EventWriter`] reorders into index order, so
+//! a fixed-seed campaign writes a byte-identical stream for any worker
+//! count and across kill/resume cycles. Wall-clock quantities go to the
+//! [`radcrit_obs::MetricsRegistry`]. Phase timing has one clock, the
+//! [`radcrit_obs::profile`] scopes: the profile tree, the Chrome timeline
+//! and the `radcrit_phase_*` counters are views of the same scopes.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -60,19 +55,20 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use radcrit_accel::engine::{Engine, RunScratch, StrikeResolution, WarmState};
+use radcrit_accel::config::DeviceConfig;
+use radcrit_accel::engine::{Engine, RunOutcome, RunScratch, StrikeResolution, WarmState};
 use radcrit_accel::error::AccelError;
 use radcrit_accel::profile::ExecutionProfile;
 use radcrit_accel::snapshot::{SnapshotPolicy, SnapshotSet};
+use radcrit_accel::strike::StrikeSpec;
 use radcrit_accel::trace::ExecutionTrace;
 use radcrit_core::compare::compare_mapped;
-use radcrit_core::locality::SpatialClass;
 use radcrit_core::report::ErrorReport;
 use radcrit_faults::sampler::{FaultSampler, InjectionPlan};
 use radcrit_kernels::Workload;
 use radcrit_obs::profile::{self as phase_profile, Lane, PhaseId, ProfileCollector};
 use radcrit_obs::{
-    CriticalityAggregator, Event as ObsEvent, EventBuffer, EventWriter, FieldValue,
+    AppendLog, CriticalityAggregator, Event as ObsEvent, EventBuffer, EventWriter, FieldValue,
     MetricsRegistry, Notifier, ProvenanceRecord, Span, TraceRecorder,
 };
 
@@ -82,7 +78,6 @@ use crate::golden::{GoldenCache, GoldenEntry, GoldenKey};
 use crate::outcome::{InjectionOutcome, InjectionRecord, SdcDetail};
 use crate::summary::CampaignSummary;
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
-
 /// The site name of hang records synthesized by the watchdog.
 pub const WATCHDOG_SITE: &str = "watchdog";
 
@@ -194,13 +189,7 @@ impl CampaignResult {
     /// [`CriticalityAggregator`] the live analytics and the event-stream
     /// fold use, so there is one path from outcome to FIT.
     pub fn summary(&self) -> CampaignSummary {
-        let mut fold = CriticalityAggregator::with_context(
-            self.campaign.kernel.name(),
-            &self.campaign.kernel.input_label(),
-            &self.campaign.device.kind().to_string(),
-            self.campaign.injections as u64,
-            self.sigma_total,
-        );
+        let mut fold = aggregator(&self.campaign, self.sigma_total);
         for r in &self.records {
             fold.fold_sample(&r.analytic_sample());
         }
@@ -218,50 +207,15 @@ impl CampaignResult {
     }
 }
 
-/// State shared between the collector and the worker threads.
-struct Shared {
-    campaign: Campaign,
-    sampler: FaultSampler,
-    golden: Vec<f64>,
-    /// Golden-prefix snapshots injections fork from (empty for a
-    /// non-resumable kernel).
-    snapshots: Arc<SnapshotSet>,
-    /// Indices still to run (already filtered against the checkpoint).
-    pending: Vec<usize>,
-    /// Cursor into `pending`.
-    next: AtomicUsize,
-    /// Set on the first error; workers stop claiming new indices.
-    stop: AtomicBool,
-    /// Metrics registry shared with worker engines, when enabled.
-    metrics: Option<Arc<MetricsRegistry>>,
-    /// Detail-event sampling stride; `None` disables event collection.
-    events_sample: Option<u64>,
-    /// Bucket accounting of the batch scheduler.
-    buckets: BucketCounters,
-    /// Phase-profile merge point, when profiling is enabled. Workers
-    /// enable their thread-local accumulator on entry and drain into
-    /// this collector once, at exit.
-    profile: Option<Arc<ProfileCollector>>,
-}
-
-/// Live counters of the batch scheduler, shared between workers (who
-/// bump them) and the collector (whose progress line reports them).
-#[derive(Default)]
-struct BucketCounters {
-    /// Warm snapshot restores — one per (worker, bucket) pair.
-    restores: AtomicU64,
-    /// Forked injection executions off a warm bucket.
-    forks: AtomicU64,
-}
-
-/// Batch-scheduler context threaded through one worker's injections.
-struct BatchCtx<'a> {
-    counters: &'a BucketCounters,
-    metrics: Option<&'a MetricsRegistry>,
-    /// This worker's warm bucket: golden machine state restored from the
-    /// bucket's snapshot and advanced to the last fork's start
-    /// ([`Engine::fork_tile`]).
-    warm: Option<WarmState>,
+/// An empty fold in `campaign`'s context.
+fn aggregator(campaign: &Campaign, sigma_total: f64) -> CriticalityAggregator {
+    CriticalityAggregator::with_context(
+        campaign.kernel.name(),
+        &campaign.kernel.input_label(),
+        &campaign.device.kind().to_string(),
+        campaign.injections as u64,
+        sigma_total,
+    )
 }
 
 /// The per-injection RNG stream seed — a fixed function of `(campaign
@@ -270,49 +224,6 @@ struct BatchCtx<'a> {
 pub fn stream_seed(seed: u64, index: usize) -> u64 {
     seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(index as u64)
-}
-
-/// The progress line's `(restores, forks)` pair, when the kernel has
-/// snapshots to fork from.
-fn bucket_stats(shared: &Shared) -> Option<(u64, u64)> {
-    let b = &shared.buckets;
-    (!shared.snapshots.is_empty()).then(|| {
-        (
-            b.restores.load(Ordering::Relaxed),
-            b.forks.load(Ordering::Relaxed),
-        )
-    })
-}
-
-/// One worker's watchdog slot. The generation counter arbitrates between
-/// a worker finishing late and the watchdog having already given up on
-/// it: whoever still holds the generation owns the injection's record.
-struct Slot {
-    generation: u64,
-    /// The injection being executed and when it started.
-    current: Option<(usize, Instant)>,
-    retired: bool,
-}
-
-enum Event {
-    Done {
-        record: InjectionRecord,
-        latency: Duration,
-        /// The injection's structured events (empty when disabled).
-        events: Vec<ObsEvent>,
-    },
-    Failed {
-        error: AccelError,
-    },
-    Exited,
-}
-
-/// Per-injection observability context handed down to
-/// [`Campaign::run_one`]: the event sink plus whether this injection is
-/// on the detail-sampling stride.
-struct ObsCtx<'a> {
-    buf: &'a mut EventBuffer,
-    detail: bool,
 }
 
 impl Campaign {
@@ -356,148 +267,150 @@ impl Campaign {
     /// As [`Campaign::run`], plus [`AccelError::Corrupt`] for checkpoint
     /// I/O and validation failures.
     pub fn run_with(&self, options: &RunOptions) -> Result<CampaignResult, AccelError> {
-        // Shard bounds are validated before any expensive work: an
-        // empty or out-of-range shard is a caller bug, not a campaign.
-        let (shard_start, shard_end) = match options.shard {
-            Some((start, end)) => {
-                if start >= end || end > self.injections {
-                    return Err(AccelError::Corrupt(format!(
-                        "shard {start}..{end} out of range for {} injections",
-                        self.injections
-                    )));
-                }
-                (start, end)
-            }
-            None => (0, self.injections),
+        let range = self.shard_range(options.shard)?;
+        let sinks = Sinks::open(options);
+        let thread_profile = sinks.profile_thread(sinks.lane(0));
+        let engine = sinks.engine(&self.device);
+        let (kernel, golden) = self.golden(&engine, options, &sinks)?;
+        let sampler = FaultSampler::new(&self.device, &golden.profile);
+        let sigma_total = sampler.table().total();
+        let (replayed, checkpoint, pending) =
+            self.plan(options, range, &engine, kernel.as_ref(), &sampler, &golden)?;
+        let header = || run_begin_event(self, kernel.as_ref(), sigma_total);
+        let events = EventSink::open(options, range, header, &replayed)?;
+        let shared = Shared {
+            campaign: self.clone(),
+            sampler,
+            golden: Arc::clone(&golden),
+            pending,
+            next: AtomicUsize::new(0),
+            stop: AtomicBool::new(false),
+            sinks: sinks.clone(),
+            events_sample: options
+                .events_out
+                .is_some()
+                .then_some(options.events_sample.max(1)),
+            buckets: BucketCounters::default(),
         };
-        let metrics = options.metrics.clone().or_else(|| {
-            options
-                .metrics_out
-                .as_ref()
-                .map(|_| Arc::new(MetricsRegistry::new()))
-        });
-        if let Some(m) = &metrics {
-            m.gauge_set(
-                "radcrit_simd_isa",
-                &[("isa", radcrit_core::exec::active().name())],
-                1.0,
-            );
-        }
-        let mut engine = Engine::new(self.device.clone());
-        if let Some(m) = &metrics {
-            engine = engine.with_metrics(Arc::clone(m));
-        }
-        let trace = options.trace.clone().or_else(|| {
-            options
-                .trace_out
-                .as_ref()
-                .map(|_| Arc::new(TraceRecorder::new()))
-        });
-        // Phase profiling feeds every sink: per-thread accumulators
-        // merged into one collector, timeline lanes, phase counters. The
-        // collector thread (this one, lane 0) profiles the golden phase
-        // and checkpoint appends; workers profile injections. Disabled,
-        // every scope is a flag check.
-        let profiler = options.profile.clone().or_else(|| {
-            (options.profile_out.is_some() || trace.is_some() || metrics.is_some())
-                .then(|| Arc::new(ProfileCollector::new()))
-        });
-        let thread_profile = ThreadProfile::enable(
-            profiler.as_deref(),
-            metrics.as_deref(),
-            trace.clone().map(|t| (t, 0)),
-        );
+        let (records, telemetry) =
+            Collector::start(options, shared, replayed, checkpoint, events).run()?;
+        sinks.write(options, thread_profile, || {
+            trace_metadata(self, &golden.profile, sigma_total, records.len())
+        })?;
+        Ok(CampaignResult {
+            campaign: self.clone(),
+            profile: golden.profile.clone(),
+            sigma_total,
+            output_len: golden.output.len(),
+            records,
+            telemetry,
+            shard: options.shard,
+        })
+    }
 
-        // Golden execution: output, profile, cross sections and the
-        // golden-prefix snapshot set injections fork from. With a shared
-        // cache attached, runs agreeing on (kernel, device, seed) reuse
-        // one golden execution instead of recomputing it; cached entries
-        // carry their snapshot set, so later jobs fork from snapshots
-        // they never captured.
-        let compute_golden = |engine: &Engine,
-                              kernel: &mut (dyn Workload + Send)|
-         -> Result<GoldenEntry, AccelError> {
-            let (golden, set) = engine.golden_snapshotted(kernel, &SnapshotPolicy::default())?;
+    /// The injection range this run covers, validated before any
+    /// expensive work: an empty or out-of-range shard is a caller bug,
+    /// not a campaign.
+    fn shard_range(&self, shard: Option<(usize, usize)>) -> Result<(usize, usize), AccelError> {
+        match shard {
+            Some((start, end)) if start >= end || end > self.injections => {
+                Err(AccelError::Corrupt(format!(
+                    "shard {start}..{end} out of range for {} injections",
+                    self.injections
+                )))
+            }
+            Some(range) => Ok(range),
+            None => Ok((0, self.injections)),
+        }
+    }
+
+    /// The golden execution — output, profile and the golden-prefix
+    /// snapshot set injections fork from — plus the kernel instance the
+    /// planner samples fork tiles against. With a shared cache attached,
+    /// runs agreeing on (kernel, device, seed) reuse one golden execution
+    /// instead of recomputing it; cached entries carry their snapshot
+    /// set, so later jobs fork from snapshots they never captured.
+    fn golden(
+        &self,
+        engine: &Engine,
+        options: &RunOptions,
+        sinks: &Sinks,
+    ) -> Result<(Box<dyn Workload + Send>, Arc<GoldenEntry>), AccelError> {
+        let _scope = phase_profile::phase(PhaseId::Golden);
+        let mut kernel = self.kernel.build(self.seed)?;
+        let mut compute = || -> Result<GoldenEntry, AccelError> {
+            let (golden, set) =
+                engine.golden_snapshotted(kernel.as_mut(), &SnapshotPolicy::default())?;
             Ok(GoldenEntry {
                 output: golden.output,
                 profile: golden.profile,
                 snapshots: Arc::new(set),
             })
         };
-        let golden_scope = phase_profile::phase(PhaseId::Golden);
-        let mut golden_kernel = self.kernel.build(self.seed)?;
-        let golden = match &options.golden_cache {
+        let golden = match options.golden_cache.as_deref() {
+            None => Arc::new(compute()?),
             Some(cache) => {
                 let key = GoldenKey::for_campaign(self);
-                match cache.get(&key) {
-                    Some(hit) => {
-                        if let Some(m) = &metrics {
-                            m.counter_add("radcrit_golden_cache_hits_total", &[], 1);
-                        }
-                        hit
-                    }
-                    None => {
-                        if let Some(m) = &metrics {
-                            m.counter_add("radcrit_golden_cache_misses_total", &[], 1);
-                        }
-                        cache.insert(key, compute_golden(&engine, golden_kernel.as_mut())?)
-                    }
+                let hit = cache.get(&key);
+                if let Some(m) = &sinks.metrics {
+                    let name = match hit {
+                        Some(_) => "radcrit_golden_cache_hits_total",
+                        None => "radcrit_golden_cache_misses_total",
+                    };
+                    m.counter_add(name, &[], 1);
+                }
+                match hit {
+                    Some(hit) => hit,
+                    None => cache.insert(key, compute()?),
                 }
             }
-            None => Arc::new(compute_golden(&engine, golden_kernel.as_mut())?),
         };
-        let golden_profile = golden.profile.clone();
-        let snapshots = Arc::clone(&golden.snapshots);
-        drop(golden_scope);
-        let sampler = FaultSampler::new(&self.device, &golden_profile);
-        let sigma_total = sampler.table().total();
-        // The live analytics fold: the same aggregator that powers the
-        // daemon's analytics endpoints also feeds the progress line, so
-        // there is exactly one accumulation path from outcome to FIT.
-        let mut analytics = CriticalityAggregator::with_context(
-            self.kernel.name(),
-            &self.kernel.input_label(),
-            &self.device.kind().to_string(),
-            self.injections as u64,
-            sigma_total,
-        );
+        Ok((kernel, golden))
+    }
 
-        // Checkpoint: replay what a previous run already finished.
-        let mut writer = None;
-        let mut records: Vec<InjectionRecord> = Vec::new();
-        if let Some(path) = &options.checkpoint {
-            let (log, replayed) = checkpoint::open(path, self, options.resume)?;
-            writer = Some(log);
-            records = replayed;
+    /// What this run still has to do: the records a previous run already
+    /// checkpointed, the checkpoint to append to, and the rest of
+    /// `start..end` cut to the budget (so a budgeted run completes the
+    /// index prefix) and sorted into buckets.
+    ///
+    /// The prefix-sharing batch scheduler keys each index by resume
+    /// snapshot, then fork tile (the strike tile, or a register strike's
+    /// victim), so one warm restore serves a whole bucket of forks. Each
+    /// index's plan and fork tile are pre-sampled with its own RNG stream
+    /// — exactly the draws the executing worker repeats — so sorting
+    /// changes *execution order only*: record content, the event stream
+    /// and the summary equal an index-order run (the event writer
+    /// reorders by index, the checkpoint replay tolerates any completion
+    /// order). Fatal plans and strikes before the first snapshot have no
+    /// bucket and keep index order at the end of the plan.
+    fn plan(
+        &self,
+        options: &RunOptions,
+        (start, end): (usize, usize),
+        engine: &Engine,
+        kernel: &(dyn Workload + Send),
+        sampler: &FaultSampler,
+        golden: &GoldenEntry,
+    ) -> Result<Plan, AccelError> {
+        let (checkpoint, replayed) = match &options.checkpoint {
+            Some(path) => {
+                let (log, replayed) = checkpoint::open(path, self, options.resume)?;
+                (Some(log), replayed)
+            }
+            None => (None, Vec::new()),
+        };
+        let done: HashSet<usize> = replayed.iter().map(|r| r.index).collect();
+        let mut pending: Vec<usize> = (start..end).filter(|i| !done.contains(i)).collect();
+        if let Some(budget) = options.budget {
+            pending.truncate(budget);
         }
-        let done: HashSet<usize> = records.iter().map(|r| r.index).collect();
-        let mut pending: Vec<usize> = (shard_start..shard_end)
-            .filter(|i| !done.contains(i))
-            .collect();
-        let target = options
-            .budget
-            .map_or(pending.len(), |b| b.min(pending.len()));
-        pending.truncate(target);
-
-        // Prefix-sharing batch scheduler: sort the remaining plan into
-        // buckets keyed by resume snapshot, then fork tile (the strike
-        // tile, or a register strike's victim), so one warm restore
-        // serves a whole bucket of forks. Each index's plan and fork tile
-        // are pre-sampled here with its own RNG stream — exactly the
-        // draws the executing worker repeats — so sorting changes
-        // *execution order only*: record content, the event stream and
-        // the summary equal an index-order run (the event writer
-        // reorders by index, the checkpoint replay tolerates any
-        // completion order). Fatal plans and strikes before the first
-        // snapshot have no bucket and keep index order at the end of the
-        // plan. Budget truncation happens first, so a budgeted run
-        // completes the index prefix.
+        let snapshots: &SnapshotSet = &golden.snapshots;
         if !snapshots.is_empty() {
             pending.sort_by_cached_key(|&index| {
                 let mut rng = StdRng::seed_from_u64(stream_seed(self.seed, index));
                 match sampler.sample(&mut rng) {
                     InjectionPlan::Strike(spec) => {
-                        let start = engine.fork_tile(golden_kernel.as_ref(), &spec, &mut rng);
+                        let start = engine.fork_tile(kernel, &spec, &mut rng);
                         match snapshots.resume_tile(start) {
                             Some(resume) => (0u8, resume, start, index),
                             None => (1, 0, 0, index),
@@ -507,606 +420,126 @@ impl Campaign {
                 }
             });
         }
+        Ok((replayed, checkpoint, pending))
+    }
+}
 
-        // Event stream: resumed runs reopen the file, cut its torn tail,
-        // and learn which injection indices the stream already covers.
-        // A stream without its `run_begin` header (fresh, or cut inside
-        // it) starts with one.
-        let mut events: Option<(EventWriter, PathBuf)> = None;
-        let mut events_have: HashSet<u64> = HashSet::new();
-        if let Some(path) = &options.events_out {
-            let (start, end) = (shard_start as u64, shard_end as u64);
-            let sample = options.events_sample.max(1);
-            let w = if options.resume {
-                let (w, have) = EventWriter::resume_range(path, start, end, sample)
-                    .map_err(|e| events_corrupt(path, e))?;
-                events_have = have;
-                w
-            } else {
-                EventWriter::create_range(path, start, end, sample)
-                    .map_err(|e| events_corrupt(path, e))?
-            };
-            let mut w = w.with_notifier(options.notify.clone());
-            if w.is_empty() {
-                w.emit_top(&run_begin_event(self, golden_kernel.as_ref(), sigma_total))
-                    .map_err(|e| events_corrupt(path, e))?;
-            }
-            events = Some((w, path.clone()));
-        }
-        // Checkpoint-replayed indices whose events never reached the
-        // stream (the checkpoint flushes per record, the event writer
-        // buffers — a kill can separate them) get a synthetic `replay`
-        // marker so the stream still covers every finished index.
-        if let Some((w, path)) = events.as_mut() {
-            for r in &records {
-                if !events_have.contains(&(r.index as u64)) {
-                    w.submit(r.index as u64, &[replay_event(r)])
-                        .map_err(|e| events_corrupt(path, e))?;
-                }
-            }
-        }
+/// The plan stage's output: the replayed records, the checkpoint new
+/// records append to, and the indices still to run, in bucket order.
+type Plan = (Vec<InjectionRecord>, Option<AppendLog>, Vec<usize>);
 
-        for r in &records {
-            analytics.fold_sample(&r.analytic_sample());
-        }
-        let mut telemetry = Telemetry::new();
-        telemetry.note_replayed(records.len(), &analytics);
-        if let Some(m) = &metrics {
-            m.counter_add("radcrit_campaign_replayed_total", &[], records.len() as u64);
-        }
+/// The run's wall-clock sinks. Any of them turns phase profiling on for
+/// every run thread (the collector's lane 0 profiles the golden phase
+/// and checkpoint appends); with none, every scope is a flag check.
+#[derive(Clone)]
+struct Sinks {
+    metrics: Option<Arc<MetricsRegistry>>,
+    trace: Option<Arc<TraceRecorder>>,
+    profiler: Option<Arc<ProfileCollector>>,
+}
 
-        let workers = self.effective_workers().min(target.max(1));
-        let shared = Arc::new(Shared {
-            campaign: self.clone(),
-            sampler,
-            golden: golden.output.clone(),
-            snapshots,
-            pending,
-            next: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
-            metrics: metrics.clone(),
-            events_sample: options
-                .events_out
-                .as_ref()
-                .map(|_| options.events_sample.max(1)),
-            buckets: BucketCounters::default(),
-            profile: profiler.clone(),
+impl Sinks {
+    fn open(options: &RunOptions) -> Self {
+        let metrics = options.metrics.clone().or_else(|| {
+            options
+                .metrics_out
+                .is_some()
+                .then(|| Arc::new(MetricsRegistry::new()))
         });
-
-        // The collector keeps its own sender alive so the watchdog can
-        // hand it to replacement workers; termination is tracked via the
-        // `active` count rather than channel disconnection.
-        let (tx, rx) = mpsc::sync_channel::<Event>(workers * 2 + 4);
-        let mut slots: Vec<Arc<Mutex<Slot>>> = Vec::new();
-        let mut active = 0usize;
-        // Worker timeline ids: 0 is the collector's lane, workers (and
-        // watchdog replacements) get 1, 2, … in spawn order.
-        let mut next_tid = 1u64;
-        let lane = |tid| trace.clone().map(|t| (t, tid));
-        if target > 0 {
-            for _ in 0..workers {
-                slots.push(spawn_worker(&shared, &tx, lane(next_tid)));
-                next_tid += 1;
-                active += 1;
-            }
-        }
-
-        // The collector tick bounds both watchdog reaction time and
-        // progress-line cadence.
-        let mut tick = Duration::from_millis(200);
-        if let Some(deadline) = self.deadline {
-            tick = tick.min(deadline / 4);
-        }
-        if let Some(progress) = options.progress {
-            tick = tick.min(progress);
-        }
-        let tick = tick.max(Duration::from_millis(5));
-
-        let mut produced = 0usize;
-        let mut first_error: Option<AccelError> = None;
-        let mut last_progress = Instant::now();
-
-        while active > 0 && produced < target {
-            if let Some(cancel) = &options.cancel {
-                if cancel.load(Ordering::SeqCst) {
-                    // Stop dispatching; what was not collected is not
-                    // checkpointed either, so a later resume replays it.
-                    shared.stop.store(true, Ordering::SeqCst);
-                    break;
-                }
-            }
-            // Records finished this tick: `(record, latency, event block,
-            // synthesized by the watchdog)`.
-            let mut finished = Vec::new();
-            match rx.recv_timeout(tick) {
-                Ok(Event::Done {
-                    record,
-                    latency,
-                    events: block,
-                }) => finished.push((record, latency, block, false)),
-                Ok(Event::Failed { error }) => {
-                    // First error wins; later ones are victims of the
-                    // same shutdown, not the cause.
-                    if first_error.is_none() {
-                        first_error = Some(error);
-                    }
-                    shared.stop.store(true, Ordering::SeqCst);
-                }
-                Ok(Event::Exited) => active -= 1,
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-
-            if let Some(deadline) = self.deadline {
-                let mut hung_indices = Vec::new();
-                for slot in &slots {
-                    let mut s = slot.lock().expect("slot lock");
-                    if let Some((index, started)) = s.current {
-                        if started.elapsed() >= deadline {
-                            s.generation += 1;
-                            s.current = None;
-                            s.retired = true;
-                            hung_indices.push(index);
-                        }
-                    }
-                }
-                for index in hung_indices {
-                    active -= 1;
-                    let record = InjectionRecord {
-                        index,
-                        site: WATCHDOG_SITE.into(),
-                        at_tile: None,
-                        delivered: true,
-                        outcome: InjectionOutcome::Hang,
-                    };
-                    // The hung worker never submitted a block (its
-                    // generation was retired), so the watchdog owns this
-                    // index's provenance.
-                    let block = vec![watchdog_provenance(index).to_event()];
-                    finished.push((record, deadline, block, true));
-                    if produced + finished.len() < target && !shared.stop.load(Ordering::SeqCst) {
-                        // Keep the pool at strength: the hung worker is
-                        // abandoned, not joined.
-                        slots.push(spawn_worker(&shared, &tx, lane(next_tid)));
-                        next_tid += 1;
-                        active += 1;
-                    }
-                }
-                slots.retain(|s| !s.lock().expect("slot lock").retired);
-            }
-
-            for (record, latency, block, watchdog) in finished {
-                telemetry.record(latency, watchdog);
-                analytics.fold_sample(&record.analytic_sample());
-                if let Some(m) = &metrics {
-                    m.counter_add(
-                        "radcrit_campaign_outcomes_total",
-                        &[("outcome", record.outcome.tag())],
-                        1,
-                    );
-                    if watchdog {
-                        m.counter_add("radcrit_campaign_watchdog_hangs_total", &[], 1);
-                    }
-                }
-                if let Some(w) = writer.as_mut() {
-                    let _scope = phase_profile::phase(PhaseId::Checkpoint);
-                    if let Err(e) = checkpoint::append(w, &record) {
-                        shared.stop.store(true, Ordering::SeqCst);
-                        telemetry.export_latency(metrics.as_deref());
-                        return Err(e);
-                    }
-                }
-                if let Some((w, path)) = events.as_mut() {
-                    // Indices the stream already covers (events ahead of
-                    // the checkpoint after a kill) are skipped — never
-                    // duplicated.
-                    if !events_have.contains(&(record.index as u64)) {
-                        if let Err(e) = w.submit(record.index as u64, &block) {
-                            shared.stop.store(true, Ordering::SeqCst);
-                            telemetry.export_latency(metrics.as_deref());
-                            return Err(events_corrupt(path, e));
-                        }
-                    }
-                }
-                records.push(record);
-                produced += 1;
-            }
-
-            if let Some(interval) = options.progress {
-                if last_progress.elapsed() >= interval {
-                    eprintln!(
-                        "{}",
-                        telemetry.progress_line(target, &analytics, bucket_stats(&shared))
-                    );
-                    last_progress = Instant::now();
-                }
-            }
-        }
-        shared.stop.store(true, Ordering::SeqCst);
-        telemetry.export_latency(metrics.as_deref());
-
-        // Profiling: workers drain their accumulators into the collector
-        // right before their `Exited` event, so wait for the stragglers
-        // (bounded — a worker stuck in a hung kernel is abandoned, its
-        // thread-local profile with it).
-        if profiler.is_some() {
-            while active > 0 {
-                match rx.recv_timeout(Duration::from_secs(5)) {
-                    Ok(Event::Exited) => active -= 1,
-                    Ok(_) => {}
-                    Err(_) => break,
-                }
-            }
-        }
-
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        if options.progress.is_some() {
-            eprintln!(
-                "{}",
-                telemetry.progress_line(target, &analytics, bucket_stats(&shared))
+        if let Some(m) = &metrics {
+            m.gauge_set(
+                "radcrit_simd_isa",
+                &[("isa", radcrit_core::exec::active().name())],
+                1.0,
             );
         }
-        records.sort_by_key(|r| r.index);
-
-        if let Some((w, path)) = events.as_mut() {
-            // Flush gapped blocks first (a budget stop leaves holes), so
-            // run_end is the stream's final line.
-            w.finish().map_err(|e| events_corrupt(path, e))?;
-            w.emit_top(&run_end_event(&telemetry, &analytics))
-                .map_err(|e| events_corrupt(path, e))?;
-            w.finish().map_err(|e| events_corrupt(path, e))?;
+        let trace = options.trace.clone().or_else(|| {
+            options
+                .trace_out
+                .is_some()
+                .then(|| Arc::new(TraceRecorder::new()))
+        });
+        let profiler = options.profile.clone().or_else(|| {
+            (options.profile_out.is_some() || trace.is_some() || metrics.is_some())
+                .then(|| Arc::new(ProfileCollector::new()))
+        });
+        Sinks {
+            metrics,
+            trace,
+            profiler,
         }
-        if let (Some(tr), Some(path)) = (&trace, &options.trace_out) {
-            let json = tr.to_chrome_json(&trace_metadata(
-                self,
-                &golden_profile,
-                sigma_total,
-                records.len(),
-            ));
-            std::fs::write(path, json)
-                .map_err(|e| AccelError::Corrupt(format!("trace {}: {e}", path.display())))?;
+    }
+
+    /// An engine reporting into the run's metrics registry.
+    fn engine(&self, device: &DeviceConfig) -> Engine {
+        let engine = Engine::new(device.clone());
+        match &self.metrics {
+            Some(m) => engine.with_metrics(Arc::clone(m)),
+            None => engine,
+        }
+    }
+
+    /// Timeline lane `tid`, when the run is traced: 0 is the
+    /// collector's, workers get 1, 2, … in spawn order.
+    fn lane(&self, tid: u64) -> Option<Lane> {
+        self.trace.clone().map(|t| (t, tid))
+    }
+
+    /// Profiles the calling thread, on `lane`, until the guard drops.
+    fn profile_thread(&self, lane: Option<Lane>) -> ThreadProfile<'_> {
+        if self.profiler.is_some() {
+            phase_profile::enable_thread(lane);
+        }
+        ThreadProfile(self)
+    }
+
+    /// Writes the end-of-run artifacts: the Chrome trace, then — once the
+    /// calling thread's profile is merged — the profile tree and the
+    /// metrics snapshot.
+    fn write(
+        &self,
+        options: &RunOptions,
+        thread_profile: ThreadProfile<'_>,
+        trace_metadata: impl FnOnce() -> Vec<(&'static str, String)>,
+    ) -> Result<(), AccelError> {
+        if let (Some(tr), Some(path)) = (&self.trace, &options.trace_out) {
+            write_artifact("trace", path, tr.to_chrome_json(&trace_metadata()))?;
             // Capped drops are operational signal, not just trace
             // metadata: surface them on /metrics too.
-            if let Some(m) = &metrics {
+            if let Some(m) = &self.metrics {
                 tr.export_dropped(m);
             }
         }
         drop(thread_profile);
-        if let (Some(pc), Some(path)) = (&profiler, &options.profile_out) {
-            std::fs::write(path, pc.snapshot().to_json())
-                .map_err(|e| AccelError::Corrupt(format!("profile {}: {e}", path.display())))?;
+        if let (Some(pc), Some(path)) = (&self.profiler, &options.profile_out) {
+            write_artifact("profile", path, pc.snapshot().to_json())?;
         }
-        if let (Some(m), Some(path)) = (&metrics, &options.metrics_out) {
+        if let (Some(m), Some(path)) = (&self.metrics, &options.metrics_out) {
             let snap = m.snapshot();
-            std::fs::write(path, format!("{}\n", snap.to_json()))
-                .map_err(|e| AccelError::Corrupt(format!("metrics {}: {e}", path.display())))?;
             let prom = path.with_extension("prom");
-            std::fs::write(&prom, snap.to_prometheus())
-                .map_err(|e| AccelError::Corrupt(format!("metrics {}: {e}", prom.display())))?;
+            write_artifact("metrics", path, format!("{}\n", snap.to_json()))?;
+            write_artifact("metrics", &prom, snap.to_prometheus())?;
         }
-
-        Ok(CampaignResult {
-            campaign: self.clone(),
-            profile: golden_profile,
-            sigma_total,
-            output_len: golden.output.len(),
-            records,
-            telemetry: telemetry.snapshot(),
-            shard: options.shard,
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_one(
-        &self,
-        index: usize,
-        engine: &Engine,
-        kernel: &mut (dyn Workload + Send),
-        sampler: &FaultSampler,
-        golden: &[f64],
-        snapshots: &SnapshotSet,
-        scratch: &mut RunScratch,
-        obs: &mut ObsCtx<'_>,
-        batch: &mut BatchCtx<'_>,
-    ) -> Result<InjectionRecord, AccelError> {
-        // A per-injection RNG stream: reproducible independent of worker
-        // scheduling.
-        let mut rng = StdRng::seed_from_u64(stream_seed(self.seed, index));
-
-        let span = obs.detail.then(|| Span::enter(obs.buf, "injection"));
-        let scope = phase_profile::phase_with(PhaseId::Injection, &[("index", index as u64)]);
-        let result = self.run_one_inner(
-            index, engine, kernel, sampler, golden, snapshots, scratch, obs, batch, &mut rng,
-        );
-        drop(scope);
-        if let Some(span) = span {
-            span.exit(obs.buf);
-        }
-        result
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_one_inner(
-        &self,
-        index: usize,
-        engine: &Engine,
-        kernel: &mut (dyn Workload + Send),
-        sampler: &FaultSampler,
-        golden: &[f64],
-        snapshots: &SnapshotSet,
-        scratch: &mut RunScratch,
-        obs: &mut ObsCtx<'_>,
-        batch: &mut BatchCtx<'_>,
-        rng: &mut StdRng,
-    ) -> Result<InjectionRecord, AccelError> {
-        let plan = sampler.sample(rng);
-        let (record, prov) = match plan {
-            InjectionPlan::Crash | InjectionPlan::Hang => {
-                let outcome = if matches!(plan, InjectionPlan::Crash) {
-                    InjectionOutcome::Crash
-                } else {
-                    InjectionOutcome::Hang
-                };
-                if obs.detail {
-                    obs.buf.emit("fatal").str("mode", outcome.tag());
-                }
-                let prov = ProvenanceRecord {
-                    index: index as u64,
-                    site: "fatal".to_owned(),
-                    at_tile: None,
-                    victim_tile: None,
-                    unit: None,
-                    bit: None,
-                    delivered: true,
-                    touched_tiles: Vec::new(),
-                    outcome: outcome.tag().to_owned(),
-                    mismatches: 0,
-                    class: SpatialClass::None,
-                    mre: None,
-                    critical: false,
-                    fclass: None,
-                };
-                let record = InjectionRecord {
-                    index,
-                    site: "fatal".into(),
-                    at_tile: None,
-                    delivered: true,
-                    outcome,
-                };
-                (record, prov)
-            }
-            InjectionPlan::Strike(spec) => {
-                if obs.detail {
-                    obs.buf
-                        .emit("strike")
-                        .str("site", spec.target.site_name())
-                        .u64("at", spec.at_tile as u64)
-                        .opt_u64("bit", spec.target.bit_index().map(u64::from))
-                        .opt_u64("op", spec.target.op_index());
-                }
-                // The traced run consumes the RNG stream identically to
-                // the untraced one, so records match either way; the
-                // trace is only pulled when provenance needs it. The plan
-                // is in bucket order, so a strike a snapshot covers forks
-                // off this worker's warm bucket state at its fork tile —
-                // bit-identical to a run from tile 0 by construction. A
-                // strike no snapshot covers (non-resumable kernel) runs
-                // from tile 0.
-                let execute_scope = phase_profile::phase_with(
-                    PhaseId::Execute,
-                    &[("index", index as u64), ("at", spec.at_tile as u64)],
-                );
-                let mut trace = obs.buf.is_enabled().then(ExecutionTrace::new);
-                let strikes = std::slice::from_ref(&spec);
-                let start = engine.fork_tile(&*kernel, &spec, &mut rng.clone());
-                let run = match snapshots.resume_tile(start) {
-                    Some(resume) => {
-                        // A bucket is stale when it resumes from a
-                        // different snapshot or its golden front has
-                        // already advanced past this fork (possible when
-                        // workers interleave buckets off the shared
-                        // cursor).
-                        let stale = batch
-                            .warm
-                            .as_ref()
-                            .is_none_or(|w| w.resume_tile() != resume || w.next_tile() > start);
-                        if stale {
-                            let _scope = phase_profile::phase_with(
-                                PhaseId::BucketRestore,
-                                &[("resume", resume as u64)],
-                            );
-                            let reuse = batch.warm.take();
-                            batch.warm =
-                                engine.warm_restore(kernel, snapshots, start, scratch, reuse)?;
-                            batch.counters.restores.fetch_add(1, Ordering::Relaxed);
-                            if let Some(m) = batch.metrics {
-                                m.counter_add("radcrit_bucket_restores_total", &[], 1);
-                            }
-                        }
-                        let warm = batch
-                            .warm
-                            .as_mut()
-                            .expect("resume_tile implies a usable snapshot");
-                        let advanced = {
-                            let _scope = phase_profile::phase(PhaseId::WarmAdvance);
-                            engine.warm_advance(kernel, warm, start)?
-                        };
-                        batch.counters.forks.fetch_add(1, Ordering::Relaxed);
-                        if let Some(m) = batch.metrics {
-                            m.counter_add("radcrit_bucket_forks_total", &[], 1);
-                            m.counter_add(
-                                "radcrit_bucket_advance_tiles_total",
-                                &[],
-                                advanced as u64,
-                            );
-                        }
-                        let _scope = phase_profile::phase(PhaseId::Fork);
-                        engine.run(kernel, strikes, rng, Some((warm, scratch)), trace.as_mut())?
-                    }
-                    None => engine.run(kernel, strikes, rng, None, trace.as_mut())?,
-                };
-                drop(execute_scope);
-                let resolution = run.resolutions.first().copied();
-                if obs.detail {
-                    if let Some(r) = resolution {
-                        obs.buf
-                            .emit("resolution")
-                            .bool("delivered", r.delivered)
-                            .opt_u64("victim", r.victim_tile.map(|v| v as u64))
-                            .opt_u64("unit", r.unit.map(|u| u as u64))
-                            .opt_u64("redirect", r.redirect_dest.map(|d| d as u64));
-                    }
-                }
-
-                // A forked run knows which output elements *can*
-                // differ from golden (its dirty region); everything
-                // else is untouched golden-suffix state, so the diff
-                // only scans the dirty ranges.
-                let mut compare_scope =
-                    phase_profile::phase_with(PhaseId::Compare, &[("index", index as u64)]);
-                let report = if run.golden_equivalent {
-                    // The engine proved the strike died unobserved and
-                    // exited early: the completed run's output would be
-                    // bit-equal to golden, and the returned buffer may
-                    // hold stale bytes past the exit tile, so the diff
-                    // is both unnecessary and wrong to perform.
-                    ErrorReport::new(kernel.logical_shape(), Vec::new())
-                } else {
-                    // Mismatches land in the kernel's *logical*
-                    // coordinate space (e.g. LavaMD's box grid), which
-                    // is what the spatial-locality metric operates on.
-                    compare_mapped(
-                        golden,
-                        &run.output,
-                        kernel.logical_shape(),
-                        run.dirty.as_ref(),
-                        |i| kernel.error_coord(i),
-                    )
-                };
-                let mismatches = report.incorrect_elements() as u64;
-                if let Some(scope) = compare_scope.as_mut() {
-                    scope.arg("mismatches", mismatches);
-                }
-                drop(compare_scope);
-                let (outcome, class, mre, critical, fclass) = if report.is_sdc() {
-                    let criticality = report.criticality(&self.tolerance, &self.classifier);
-                    let class = criticality.locality;
-                    let mre = criticality.mean_relative_error;
-                    let critical = criticality.is_critical();
-                    let fclass = critical.then_some(criticality.filtered_locality);
-                    (
-                        InjectionOutcome::Sdc(SdcDetail {
-                            criticality,
-                            output_len: golden.len(),
-                        }),
-                        class,
-                        mre,
-                        critical,
-                        fclass,
-                    )
-                } else {
-                    (
-                        InjectionOutcome::Masked,
-                        SpatialClass::None,
-                        None,
-                        false,
-                        None,
-                    )
-                };
-                if obs.detail {
-                    let b = obs
-                        .buf
-                        .emit("diff")
-                        .u64("mismatches", mismatches)
-                        .str("class", &class.to_string());
-                    match mre {
-                        Some(v) => b.f64("mre", v),
-                        None => b,
-                    };
-                }
-
-                let touched_tiles = match (&resolution, &trace) {
-                    (Some(r), Some(t)) => touched_tiles(r, t),
-                    _ => Vec::new(),
-                };
-                let prov = ProvenanceRecord {
-                    index: index as u64,
-                    site: spec.target.site_name().to_owned(),
-                    at_tile: Some(spec.at_tile as u64),
-                    victim_tile: resolution.and_then(|r| r.victim_tile).map(|v| v as u64),
-                    unit: resolution.and_then(|r| r.unit).map(|u| u as u64),
-                    bit: spec.target.bit_index().map(u64::from),
-                    delivered: run.strike_delivered,
-                    touched_tiles,
-                    outcome: outcome.tag().to_owned(),
-                    mismatches,
-                    class,
-                    mre,
-                    critical,
-                    fclass,
-                };
-                let record = InjectionRecord {
-                    index,
-                    site: spec.target.site_name().to_owned(),
-                    at_tile: Some(spec.at_tile),
-                    delivered: run.strike_delivered,
-                    outcome,
-                };
-                (record, prov)
-            }
-        };
-        obs.buf.push(prov.to_event());
-        Ok(record)
+        Ok(())
     }
 }
 
-fn spawn_worker(
-    shared: &Arc<Shared>,
-    tx: &SyncSender<Event>,
-    lane: Option<Lane>,
-) -> Arc<Mutex<Slot>> {
-    let slot = Arc::new(Mutex::new(Slot {
-        generation: 0,
-        current: None,
-        retired: false,
-    }));
-    let shared = Arc::clone(shared);
-    let slot_for_worker = Arc::clone(&slot);
-    let tx = tx.clone();
-    thread::spawn(move || worker_loop(shared, slot_for_worker, tx, lane));
-    slot
+fn write_artifact(what: &str, path: &Path, contents: impl AsRef<[u8]>) -> Result<(), AccelError> {
+    std::fs::write(path, contents)
+        .map_err(|e| AccelError::Corrupt(format!("{what} {}: {e}", path.display())))
 }
 
-/// A run thread's profiling: enabled, on the thread's timeline lane,
-/// while the guard lives, and drained into the collector and the phase
-/// counters when it drops — by any path, including error returns and
-/// the early returns a retired slot takes (the watchdog abandoned us;
-/// our timings are still real work worth counting).
-struct ThreadProfile<'a> {
-    collector: Option<&'a ProfileCollector>,
-    metrics: Option<&'a MetricsRegistry>,
-}
-
-impl<'a> ThreadProfile<'a> {
-    fn enable(
-        collector: Option<&'a ProfileCollector>,
-        metrics: Option<&'a MetricsRegistry>,
-        lane: Option<Lane>,
-    ) -> Self {
-        if collector.is_some() {
-            phase_profile::enable_thread(lane);
-        }
-        ThreadProfile { collector, metrics }
-    }
-}
+/// A run thread's profiling guard: dropped by any path — error returns
+/// and a worker the watchdog abandoned included, whose timings are
+/// still real work — it drains the thread's profile into the collector
+/// and the phase counters.
+struct ThreadProfile<'a>(&'a Sinks);
 
 impl Drop for ThreadProfile<'_> {
     fn drop(&mut self) {
-        if let Some(pc) = self.collector {
+        if let Some(pc) = &self.0.profiler {
             let tree = phase_profile::drain_thread();
-            if let Some(m) = self.metrics {
+            if let Some(m) = &self.0.metrics {
                 tree.export_metrics(m);
             }
             pc.merge(&tree);
@@ -1114,137 +547,718 @@ impl Drop for ThreadProfile<'_> {
     }
 }
 
-fn worker_loop(
-    shared: Arc<Shared>,
-    slot: Arc<Mutex<Slot>>,
-    tx: SyncSender<Event>,
-    lane: Option<Lane>,
-) {
-    let thread_profile =
-        ThreadProfile::enable(shared.profile.as_deref(), shared.metrics.as_deref(), lane);
-    let mut kernel = match shared.campaign.kernel.build(shared.campaign.seed) {
-        Ok(k) => k,
-        Err(e) => {
-            shared.stop.store(true, Ordering::SeqCst);
-            let _ = tx.send(Event::Failed { error: e });
-            let _ = tx.send(Event::Exited);
-            return;
+/// The event stream of a run with [`RunOptions::events_out`], plus the
+/// indices it covered before this run started. Those (events ahead of
+/// the checkpoint after a kill) are skipped — never duplicated.
+struct EventSink {
+    writer: EventWriter,
+    path: PathBuf,
+    have: HashSet<u64>,
+}
+
+impl EventSink {
+    /// Opens the stream — a resume cuts the torn tail and learns which
+    /// indices it covers; a stream without its header starts with
+    /// `header()` — and marks each replayed index it lacks (the
+    /// checkpoint flushes per record, the event writer buffers, so a kill
+    /// can separate them) with a `replay` line.
+    fn open(
+        options: &RunOptions,
+        (start, end): (usize, usize),
+        header: impl FnOnce() -> ObsEvent,
+        replayed: &[InjectionRecord],
+    ) -> Result<Option<Self>, AccelError> {
+        let Some(path) = &options.events_out else {
+            return Ok(None);
+        };
+        let (start, end) = (start as u64, end as u64);
+        let sample = options.events_sample.max(1);
+        let (writer, have) = if options.resume {
+            EventWriter::resume_range(path, start, end, sample)
+        } else {
+            EventWriter::create_range(path, start, end, sample).map(|w| (w, HashSet::new()))
         }
-    };
-    let mut engine = Engine::new(shared.campaign.device.clone());
-    if let Some(m) = &shared.metrics {
-        engine = engine.with_metrics(Arc::clone(m));
+        .map_err(|e| events_corrupt(path, e))?;
+        let mut sink = EventSink {
+            writer: writer.with_notifier(options.notify.clone()),
+            path: path.clone(),
+            have,
+        };
+        if sink.writer.is_empty() {
+            sink.writer
+                .emit_top(&header())
+                .map_err(|e| events_corrupt(path, e))?;
+        }
+        for r in replayed {
+            sink.submit(r.index, &[replay_event(r)])?;
+        }
+        Ok(Some(sink))
     }
-    // Per-worker scratch: the kernel's setup runs once and later
-    // injections restore device memory in place instead of re-running
-    // it and reallocating every buffer.
-    let mut scratch = RunScratch::new();
-    // Batch-scheduler context: this worker's warm bucket (if any) plus
-    // the run-wide bucket counters.
-    let mut batch = BatchCtx {
-        counters: &shared.buckets,
-        metrics: shared.metrics.as_deref(),
-        warm: None,
-    };
 
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
+    fn submit(&mut self, index: usize, block: &[ObsEvent]) -> Result<(), AccelError> {
+        if self.have.contains(&(index as u64)) {
+            return Ok(());
         }
-        let cursor = shared.next.fetch_add(1, Ordering::SeqCst);
-        let Some(&index) = shared.pending.get(cursor) else {
-            break;
-        };
-
-        let my_generation = {
-            let mut s = slot.lock().expect("slot lock");
-            if s.retired {
-                return;
-            }
-            s.current = Some((index, Instant::now()));
-            s.generation
-        };
-
-        let mut buf = match shared.events_sample {
-            Some(_) => EventBuffer::for_injection(index as u64),
-            None => EventBuffer::disabled(),
-        };
-        let detail = shared
-            .events_sample
-            .is_some_and(|s| (index as u64).is_multiple_of(s));
-
-        let started = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            shared.campaign.run_one(
-                index,
-                &engine,
-                kernel.as_mut(),
-                &shared.sampler,
-                &shared.golden,
-                &shared.snapshots,
-                &mut scratch,
-                &mut ObsCtx {
-                    buf: &mut buf,
-                    detail,
-                },
-                &mut batch,
-            )
-        }));
-        let latency = started.elapsed();
-        let events = buf.take();
-
-        // Never send while holding the slot lock: the collector both
-        // drains the channel and takes this lock in its watchdog scan.
-        let still_owner = {
-            let mut s = slot.lock().expect("slot lock");
-            if s.generation == my_generation {
-                s.current = None;
-                true
-            } else {
-                false
-            }
-        };
-        if !still_owner {
-            // The watchdog recorded this injection as a hang and moved
-            // on; our late result would be a duplicate.
-            return;
-        }
-
-        match outcome {
-            Ok(Ok(record)) => {
-                if tx
-                    .send(Event::Done {
-                        record,
-                        latency,
-                        events,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            Ok(Err(error)) => {
-                shared.stop.store(true, Ordering::SeqCst);
-                let _ = tx.send(Event::Failed { error });
-                break;
-            }
-            Err(payload) => {
-                shared.stop.store(true, Ordering::SeqCst);
-                let _ = tx.send(Event::Failed {
-                    error: AccelError::WorkerPanic(panic_message(payload)),
-                });
-                break;
-            }
-        }
+        self.writer
+            .submit(index as u64, block)
+            .map_err(|e| events_corrupt(&self.path, e))
     }
-    // Merge before `Exited`: the collector snapshots the profile as soon
-    // as the last worker is accounted for.
-    drop(thread_profile);
-    let _ = tx.send(Event::Exited);
+
+    /// Flushes the gapped blocks first (a budget stop leaves holes), so
+    /// `trailer` is the stream's final line.
+    fn finish(&mut self, trailer: &ObsEvent) -> Result<(), AccelError> {
+        let w = &mut self.writer;
+        w.finish()
+            .and_then(|()| w.emit_top(trailer))
+            .and_then(|()| w.finish())
+            .map_err(|e| events_corrupt(&self.path, e))
+    }
 }
 
 fn events_corrupt(path: &Path, e: impl std::fmt::Display) -> AccelError {
     AccelError::Corrupt(format!("event stream {}: {e}", path.display()))
+}
+
+/// State shared between the collector and the worker threads.
+struct Shared {
+    campaign: Campaign,
+    sampler: FaultSampler,
+    /// Golden output and the golden-prefix snapshots injections fork
+    /// from (empty for a non-resumable kernel).
+    golden: Arc<GoldenEntry>,
+    /// Indices still to run (already filtered against the checkpoint).
+    pending: Vec<usize>,
+    /// Cursor into `pending`.
+    next: AtomicUsize,
+    /// Set on the first error; workers stop claiming new indices.
+    stop: AtomicBool,
+    sinks: Sinks,
+    /// Detail-event sampling stride; `None` disables event collection.
+    events_sample: Option<u64>,
+    buckets: BucketCounters,
+}
+
+/// The batch scheduler's bucket accounting. Workers count each restore,
+/// fork and advanced tile once, here; the progress line reads the counts
+/// live, and the collector exports them to the metrics registry once,
+/// at shutdown.
+#[derive(Default)]
+struct BucketCounters {
+    /// Warm snapshot restores — one per (worker, bucket) pair.
+    restores: AtomicU64,
+    /// Forked injection executions off a warm bucket.
+    forks: AtomicU64,
+    /// Golden tiles warm buckets advanced through to reach their forks.
+    advance_tiles: AtomicU64,
+}
+
+impl BucketCounters {
+    fn count_fork(&self, advanced: usize) {
+        self.forks.fetch_add(1, Ordering::Relaxed);
+        self.advance_tiles
+            .fetch_add(advanced as u64, Ordering::Relaxed);
+    }
+
+    /// The progress line's `(restores, forks)` pair.
+    fn stats(&self) -> (u64, u64) {
+        (
+            self.restores.load(Ordering::Relaxed),
+            self.forks.load(Ordering::Relaxed),
+        )
+    }
+
+    /// Adds the counts to `radcrit_bucket_{restores,forks,
+    /// advance_tiles}_total`: no series for what never happened, but the
+    /// advance series once a fork ran, even at zero tiles advanced.
+    fn export(&self, m: &MetricsRegistry) {
+        let (restores, forks) = self.stats();
+        if restores > 0 {
+            m.counter_add("radcrit_bucket_restores_total", &[], restores);
+        }
+        if forks > 0 {
+            m.counter_add("radcrit_bucket_forks_total", &[], forks);
+            let advance = self.advance_tiles.load(Ordering::Relaxed);
+            m.counter_add("radcrit_bucket_advance_tiles_total", &[], advance);
+        }
+    }
+}
+
+/// One worker's watchdog slot. The generation counter arbitrates between
+/// a worker finishing late and the watchdog having already given up on
+/// it: whoever still holds the generation owns the injection's record.
+#[derive(Default)]
+struct Slot {
+    generation: u64,
+    /// The injection being executed and when it started.
+    current: Option<(usize, Instant)>,
+}
+
+enum Event {
+    /// A finished record, its latency and its event block (empty when
+    /// events are off).
+    Done(InjectionRecord, Duration, Vec<ObsEvent>),
+    Failed(AccelError),
+    Exited,
+}
+
+/// The collector: the calling thread's receive, watchdog, fold and
+/// persist loop over the worker pool it starts.
+struct Collector<'r> {
+    options: &'r RunOptions,
+    shared: Arc<Shared>,
+    /// Kept alive for watchdog replacements: termination is tracked by
+    /// `active` (workers neither exited nor retired), not disconnection.
+    tx: SyncSender<Event>,
+    rx: Receiver<Event>,
+    slots: Vec<Arc<Mutex<Slot>>>,
+    active: usize,
+    next_lane: u64,
+    /// Records this run is to produce.
+    target: usize,
+    telemetry: Telemetry,
+    /// The live fold — the aggregator behind the daemon's analytics
+    /// endpoints — feeding the progress line and the `run_end` trailer.
+    analytics: CriticalityAggregator,
+    /// The replayed records, then every record folded.
+    records: Vec<InjectionRecord>,
+    checkpoint: Option<AppendLog>,
+    events: Option<EventSink>,
+    /// The first worker error; later ones are victims of the same
+    /// shutdown, not the cause.
+    first_error: Option<AccelError>,
+}
+
+impl<'r> Collector<'r> {
+    /// Folds the replayed records and starts the worker pool.
+    fn start(
+        options: &'r RunOptions,
+        shared: Shared,
+        replayed: Vec<InjectionRecord>,
+        checkpoint: Option<AppendLog>,
+        events: Option<EventSink>,
+    ) -> Self {
+        let mut analytics = aggregator(&shared.campaign, shared.sampler.table().total());
+        for r in &replayed {
+            analytics.fold_sample(&r.analytic_sample());
+        }
+        let mut telemetry = Telemetry::new();
+        telemetry.note_replayed(replayed.len(), &analytics);
+        if let Some(m) = &shared.sinks.metrics {
+            let n = replayed.len() as u64;
+            m.counter_add("radcrit_campaign_replayed_total", &[], n);
+        }
+        let target = shared.pending.len();
+        let workers = shared.campaign.effective_workers().min(target);
+        let (tx, rx) = mpsc::sync_channel(workers * 2 + 4);
+        let mut collector = Collector {
+            options,
+            shared: Arc::new(shared),
+            tx,
+            rx,
+            slots: Vec::new(),
+            active: 0,
+            next_lane: 1,
+            target,
+            telemetry,
+            analytics,
+            records: replayed,
+            checkpoint,
+            events,
+            first_error: None,
+        };
+        for _ in 0..workers {
+            collector.spawn();
+        }
+        collector
+    }
+
+    fn spawn(&mut self) {
+        let lane = self.shared.sinks.lane(self.next_lane);
+        self.slots.push(Worker::spawn(&self.shared, &self.tx, lane));
+        self.next_lane += 1;
+        self.active += 1;
+    }
+
+    /// Collects until the plan is done, the run is cancelled or no worker
+    /// is left, shuts the pool down, and closes the event stream. Returns
+    /// the records in index order and the run's telemetry.
+    fn run(mut self) -> Result<(Vec<InjectionRecord>, TelemetrySnapshot), AccelError> {
+        let collected = self.collect();
+        self.shutdown();
+        collected?;
+        if let Some(e) = self.first_error.take() {
+            return Err(e);
+        }
+        if self.options.progress.is_some() {
+            self.progress();
+        }
+        self.records.sort_by_key(|r| r.index);
+        if let Some(events) = self.events.as_mut() {
+            events.finish(&run_end_event(&self.telemetry, &self.analytics))?;
+        }
+        Ok((self.records, self.telemetry.snapshot()))
+    }
+
+    /// The receive loop. Its error is a failed checkpoint or event-stream
+    /// write; a worker's error is kept in `first_error` while the loop
+    /// goes on collecting what the other workers finish.
+    fn collect(&mut self) -> Result<(), AccelError> {
+        // The tick bounds both watchdog reaction time and progress-line
+        // cadence.
+        let deadline = self.shared.campaign.deadline;
+        let tick = [deadline.map(|d| d / 4), self.options.progress]
+            .into_iter()
+            .flatten()
+            .fold(Duration::from_millis(200), Duration::min)
+            .max(Duration::from_millis(5));
+        let cancel = self.options.cancel.as_deref();
+        let mut last_progress = Instant::now();
+        while self.active > 0 && self.telemetry.completed() < self.target {
+            // On cancel, stop dispatching: what was not collected is not
+            // checkpointed either, so a later resume replays it.
+            if cancel.is_some_and(|c| c.load(Ordering::SeqCst)) {
+                break;
+            }
+            match self.rx.recv_timeout(tick) {
+                Ok(Event::Done(record, latency, block)) => {
+                    self.fold(record, latency, &block, false)?
+                }
+                Ok(Event::Failed(error)) => {
+                    self.first_error.get_or_insert(error);
+                    self.shared.stop.store(true, Ordering::SeqCst);
+                }
+                Ok(Event::Exited) => self.active -= 1,
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
+            if let Some(deadline) = deadline {
+                self.watchdog(deadline)?;
+            }
+            if let Some(interval) = self.options.progress {
+                if last_progress.elapsed() >= interval {
+                    self.progress();
+                    last_progress = Instant::now();
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Retires every worker whose injection has outlived `deadline`,
+    /// records that injection as a hang, and keeps the pool at strength:
+    /// the hung worker is abandoned, not joined.
+    fn watchdog(&mut self, deadline: Duration) -> Result<(), AccelError> {
+        let mut hung = Vec::new();
+        self.slots.retain(|slot| {
+            let mut s = slot.lock().expect("slot lock");
+            match s.current {
+                Some((index, started)) if started.elapsed() >= deadline => {
+                    s.generation += 1;
+                    s.current = None;
+                    hung.push(index);
+                    false
+                }
+                _ => true,
+            }
+        });
+        for index in hung {
+            self.active -= 1;
+            let record = InjectionRecord {
+                index,
+                site: WATCHDOG_SITE.into(),
+                at_tile: None,
+                delivered: true,
+                outcome: InjectionOutcome::Hang,
+            };
+            // The hung worker never submits a block (its generation was
+            // retired), so the watchdog owns this index's provenance.
+            let block = [record.provenance().to_event()];
+            self.fold(record, deadline, &block, true)?;
+            if self.telemetry.completed() < self.target && !self.shared.stop.load(Ordering::SeqCst)
+            {
+                self.spawn();
+            }
+        }
+        Ok(())
+    }
+
+    /// Folds one finished record into the telemetry, the analytics and
+    /// the metrics, then persists it to the checkpoint and the event
+    /// stream.
+    fn fold(
+        &mut self,
+        record: InjectionRecord,
+        latency: Duration,
+        block: &[ObsEvent],
+        watchdog: bool,
+    ) -> Result<(), AccelError> {
+        self.telemetry.record(latency, watchdog);
+        self.analytics.fold_sample(&record.analytic_sample());
+        if let Some(m) = &self.shared.sinks.metrics {
+            m.counter_add(
+                "radcrit_campaign_outcomes_total",
+                &[("outcome", record.outcome.tag())],
+                1,
+            );
+            if watchdog {
+                m.counter_add("radcrit_campaign_watchdog_hangs_total", &[], 1);
+            }
+        }
+        if let Some(log) = self.checkpoint.as_mut() {
+            let _scope = phase_profile::phase(PhaseId::Checkpoint);
+            checkpoint::append(log, &record)?;
+        }
+        if let Some(events) = self.events.as_mut() {
+            events.submit(record.index, block)?;
+        }
+        self.records.push(record);
+        Ok(())
+    }
+
+    fn progress(&self) {
+        let buckets =
+            (!self.shared.golden.snapshots.is_empty()).then(|| self.shared.buckets.stats());
+        let line = self
+            .telemetry
+            .progress_line(self.target, &self.analytics, buckets);
+        eprintln!("{line}");
+    }
+
+    /// The one shutdown every exit takes. Workers merge their profiles
+    /// right before `Exited`, so with profiling on it waits for the
+    /// stragglers (bounded — a worker stuck in a hung kernel is abandoned,
+    /// its profile with it) before the bucket counts, forks in flight at
+    /// a cancel included, are exported.
+    fn shutdown(&mut self) {
+        self.shared.stop.store(true, Ordering::SeqCst);
+        let metrics = self.shared.sinks.metrics.as_deref();
+        self.telemetry.export_latency(metrics);
+        if self.shared.sinks.profiler.is_some() {
+            while self.active > 0 {
+                match self.rx.recv_timeout(Duration::from_secs(5)) {
+                    Ok(Event::Exited) => self.active -= 1,
+                    Ok(_) => {}
+                    Err(_) => break,
+                }
+            }
+        }
+        if let Some(m) = metrics {
+            self.shared.buckets.export(m);
+        }
+    }
+}
+
+/// One worker thread's engine, kernel instance, warm bucket and run
+/// scratch (later injections restore device memory in place instead of
+/// re-running the kernel's setup).
+struct Worker {
+    shared: Arc<Shared>,
+    engine: Engine,
+    kernel: Box<dyn Workload + Send>,
+    scratch: RunScratch,
+    /// Golden machine state restored from the current bucket's snapshot
+    /// and advanced to the last fork's start ([`Engine::fork_tile`]).
+    warm: Option<WarmState>,
+}
+
+impl Worker {
+    /// Starts a worker thread on the shared plan; returns its watchdog
+    /// slot.
+    fn spawn(shared: &Arc<Shared>, tx: &SyncSender<Event>, lane: Option<Lane>) -> Arc<Mutex<Slot>> {
+        let slot = Arc::new(Mutex::new(Slot::default()));
+        let (shared, worker_slot, tx) = (Arc::clone(shared), Arc::clone(&slot), tx.clone());
+        thread::spawn(move || {
+            let profile = shared.sinks.profile_thread(lane);
+            let announce = match Worker::new(Arc::clone(&shared)) {
+                Ok(mut worker) => worker.serve(&worker_slot, &tx),
+                Err(error) => {
+                    shared.stop.store(true, Ordering::SeqCst);
+                    let _ = tx.send(Event::Failed(error));
+                    true
+                }
+            };
+            // Merge before `Exited`: the collector snapshots the profile
+            // as soon as the last worker is accounted for.
+            drop(profile);
+            if announce {
+                let _ = tx.send(Event::Exited);
+            }
+        });
+        slot
+    }
+
+    fn new(shared: Arc<Shared>) -> Result<Self, AccelError> {
+        let kernel = shared.campaign.kernel.build(shared.campaign.seed)?;
+        let engine = shared.sinks.engine(&shared.campaign.device);
+        Ok(Worker {
+            shared,
+            engine,
+            kernel,
+            scratch: RunScratch::new(),
+            warm: None,
+        })
+    }
+
+    /// Claims and runs injections until the plan is exhausted or the run
+    /// stops. Returns whether the collector still awaits this worker's
+    /// `Exited`: not when the watchdog retired it (the collector already
+    /// counted it out) or the collector is gone.
+    fn serve(&mut self, slot: &Mutex<Slot>, tx: &SyncSender<Event>) -> bool {
+        let shared = Arc::clone(&self.shared);
+        while !shared.stop.load(Ordering::SeqCst) {
+            let cursor = shared.next.fetch_add(1, Ordering::SeqCst);
+            let Some(&index) = shared.pending.get(cursor) else {
+                break;
+            };
+            let generation = {
+                let mut s = slot.lock().expect("slot lock");
+                s.current = Some((index, Instant::now()));
+                s.generation
+            };
+            let mut buf = match shared.events_sample {
+                Some(_) => EventBuffer::for_injection(index as u64),
+                None => EventBuffer::disabled(),
+            };
+            let detail = shared
+                .events_sample
+                .is_some_and(|s| (index as u64).is_multiple_of(s));
+
+            let started = Instant::now();
+            let outcome = catch_unwind(AssertUnwindSafe(|| self.inject(index, &mut buf, detail)));
+            let latency = started.elapsed();
+
+            // Never send while holding the slot lock: the collector both
+            // drains the channel and takes this lock in its watchdog scan.
+            {
+                let mut s = slot.lock().expect("slot lock");
+                if s.generation != generation {
+                    // The watchdog recorded this injection as a hang and
+                    // moved on; our late result would be a duplicate.
+                    return false;
+                }
+                s.current = None;
+            }
+            let error = match outcome {
+                Ok(Ok(record)) => {
+                    if tx.send(Event::Done(record, latency, buf.take())).is_err() {
+                        return false;
+                    }
+                    continue;
+                }
+                Ok(Err(error)) => error,
+                Err(payload) => AccelError::WorkerPanic(panic_message(payload)),
+            };
+            shared.stop.store(true, Ordering::SeqCst);
+            let _ = tx.send(Event::Failed(error));
+            break;
+        }
+        true
+    }
+
+    /// Runs injection `index` under its `injection` span and profile
+    /// scope. Its plan comes from the index's own RNG stream, so the
+    /// record does not depend on which worker runs it, or when.
+    fn inject(
+        &mut self,
+        index: usize,
+        buf: &mut EventBuffer,
+        detail: bool,
+    ) -> Result<InjectionRecord, AccelError> {
+        let mut rng = StdRng::seed_from_u64(stream_seed(self.shared.campaign.seed, index));
+        let span = detail.then(|| Span::enter(buf, "injection"));
+        let scope = phase_profile::phase_with(PhaseId::Injection, &[("index", index as u64)]);
+        let result = match self.shared.sampler.sample(&mut rng) {
+            InjectionPlan::Strike(spec) => self.strike(index, &spec, &mut rng, buf, detail),
+            fatal => {
+                let outcome = match fatal {
+                    InjectionPlan::Crash => InjectionOutcome::Crash,
+                    _ => InjectionOutcome::Hang,
+                };
+                if detail {
+                    buf.emit("fatal").str("mode", outcome.tag());
+                }
+                let record = InjectionRecord {
+                    index,
+                    site: "fatal".into(),
+                    at_tile: None,
+                    delivered: true,
+                    outcome,
+                };
+                if buf.is_enabled() {
+                    buf.push(record.provenance().to_event());
+                }
+                Ok(record)
+            }
+        };
+        drop(scope);
+        if let Some(span) = span {
+            span.exit(buf);
+        }
+        result
+    }
+
+    /// One strike: execute, then compare and classify. With events on,
+    /// the run is traced (the RNG stream is consumed the same either way)
+    /// for the provenance's touched tiles.
+    fn strike(
+        &mut self,
+        index: usize,
+        spec: &StrikeSpec,
+        rng: &mut StdRng,
+        buf: &mut EventBuffer,
+        detail: bool,
+    ) -> Result<InjectionRecord, AccelError> {
+        if detail {
+            buf.emit("strike")
+                .str("site", spec.target.site_name())
+                .u64("at", spec.at_tile as u64)
+                .opt_u64("bit", spec.target.bit_index().map(u64::from))
+                .opt_u64("op", spec.target.op_index());
+        }
+        let execute = phase_profile::phase_with(
+            PhaseId::Execute,
+            &[("index", index as u64), ("at", spec.at_tile as u64)],
+        );
+        let mut trace = buf.is_enabled().then(ExecutionTrace::new);
+        let run = self.execute(spec, rng, trace.as_mut())?;
+        drop(execute);
+        let resolution = run.resolutions.first().copied();
+        if let Some(r) = resolution.filter(|_| detail) {
+            buf.emit("resolution")
+                .bool("delivered", r.delivered)
+                .opt_u64("victim", r.victim_tile.map(|v| v as u64))
+                .opt_u64("unit", r.unit.map(|u| u as u64))
+                .opt_u64("redirect", r.redirect_dest.map(|d| d as u64));
+        }
+        let record = InjectionRecord {
+            index,
+            site: spec.target.site_name().to_owned(),
+            at_tile: Some(spec.at_tile),
+            delivered: run.strike_delivered,
+            outcome: self.classify(index, &run),
+        };
+        if let Some(trace) = &trace {
+            let prov = ProvenanceRecord {
+                victim_tile: resolution.and_then(|r| r.victim_tile).map(|v| v as u64),
+                unit: resolution.and_then(|r| r.unit).map(|u| u as u64),
+                bit: spec.target.bit_index().map(u64::from),
+                touched_tiles: resolution.map_or_else(Vec::new, |r| touched_tiles(&r, trace)),
+                ..record.provenance()
+            };
+            if detail {
+                let diff = buf
+                    .emit("diff")
+                    .u64("mismatches", prov.mismatches)
+                    .str("class", &prov.class.to_string());
+                match prov.mre {
+                    Some(v) => diff.f64("mre", v),
+                    None => diff,
+                };
+            }
+            buf.push(prov.to_event());
+        }
+        Ok(record)
+    }
+
+    /// Executes one strike: forked off the warm bucket at its fork tile
+    /// (bit-identical to a run from tile 0) when a snapshot covers it —
+    /// the plan is in bucket order, so one restore serves a bucket — and
+    /// from tile 0 otherwise (a non-resumable kernel).
+    fn execute(
+        &mut self,
+        spec: &StrikeSpec,
+        rng: &mut StdRng,
+        trace: Option<&mut ExecutionTrace>,
+    ) -> Result<RunOutcome, AccelError> {
+        let strikes = std::slice::from_ref(spec);
+        let snapshots: &SnapshotSet = &self.shared.golden.snapshots;
+        let start = self
+            .engine
+            .fork_tile(self.kernel.as_ref(), spec, &mut rng.clone());
+        let Some(resume) = snapshots.resume_tile(start) else {
+            return self
+                .engine
+                .run(self.kernel.as_mut(), strikes, rng, None, trace);
+        };
+        // A bucket is stale when it resumes from a different snapshot or
+        // its golden front has already advanced past this fork (possible
+        // when workers interleave buckets off the shared cursor).
+        let stale = self
+            .warm
+            .as_ref()
+            .is_none_or(|w| w.resume_tile() != resume || w.next_tile() > start);
+        if stale {
+            let _scope =
+                phase_profile::phase_with(PhaseId::BucketRestore, &[("resume", resume as u64)]);
+            let reuse = self.warm.take();
+            self.warm = self.engine.warm_restore(
+                self.kernel.as_mut(),
+                snapshots,
+                start,
+                &mut self.scratch,
+                reuse,
+            )?;
+            self.shared.buckets.restores.fetch_add(1, Ordering::Relaxed);
+        }
+        let warm = self
+            .warm
+            .as_mut()
+            .expect("resume_tile implies a usable snapshot");
+        let advanced = {
+            let _scope = phase_profile::phase(PhaseId::WarmAdvance);
+            self.engine
+                .warm_advance(self.kernel.as_mut(), warm, start)?
+        };
+        self.shared.buckets.count_fork(advanced);
+        let _scope = phase_profile::phase(PhaseId::Fork);
+        self.engine.run(
+            self.kernel.as_mut(),
+            strikes,
+            rng,
+            Some((warm, &mut self.scratch)),
+            trace,
+        )
+    }
+
+    /// Compares a run's output against golden — only its dirty region,
+    /// the elements that *can* differ — and classifies it: masked, or an
+    /// SDC with its §III criticality.
+    fn classify(&self, index: usize, run: &RunOutcome) -> InjectionOutcome {
+        let kernel = self.kernel.as_ref();
+        let golden = &self.shared.golden.output;
+        let mut scope = phase_profile::phase_with(PhaseId::Compare, &[("index", index as u64)]);
+        let report = if run.golden_equivalent {
+            // The engine proved the strike died unobserved and exited
+            // early: the completed run's output would be bit-equal to
+            // golden, and the returned buffer may hold stale bytes past
+            // the exit tile, so the diff is both unnecessary and wrong
+            // to perform.
+            ErrorReport::new(kernel.logical_shape(), Vec::new())
+        } else {
+            // Mismatches land in the kernel's *logical* coordinate space
+            // (e.g. LavaMD's box grid), which is what the
+            // spatial-locality metric operates on.
+            compare_mapped(
+                golden,
+                &run.output,
+                kernel.logical_shape(),
+                run.dirty.as_ref(),
+                |i| kernel.error_coord(i),
+            )
+        };
+        if let Some(scope) = scope.as_mut() {
+            scope.arg("mismatches", report.incorrect_elements() as u64);
+        }
+        drop(scope);
+        if !report.is_sdc() {
+            return InjectionOutcome::Masked;
+        }
+        let c = &self.shared.campaign;
+        InjectionOutcome::Sdc(SdcDetail {
+            criticality: report.criticality(&c.tolerance, &c.classifier),
+            output_len: golden.len(),
+        })
+    }
 }
 
 /// The stream's header: campaign identity plus the kernel's geometry
@@ -1252,11 +1266,9 @@ fn events_corrupt(path: &Path, e: impl std::fmt::Display) -> AccelError {
 /// stream fold can reproduce the summary's FIT scale without access to
 /// the fault-site table.
 fn run_begin_event(campaign: &Campaign, kernel: &(dyn Workload + Send), sigma: f64) -> ObsEvent {
+    let device = campaign.device.kind().to_string();
     let mut fields = vec![
-        (
-            "device".to_owned(),
-            FieldValue::Str(campaign.device.kind().to_string()),
-        ),
+        ("device".to_owned(), FieldValue::Str(device)),
         (
             "injections".to_owned(),
             FieldValue::U64(campaign.injections as u64),
@@ -1351,27 +1363,6 @@ fn run_end_event(telemetry: &Telemetry, analytics: &CriticalityAggregator) -> Ob
     }
 }
 
-/// Provenance of a watchdog-synthesized hang: no strike details exist
-/// because the injection never finished.
-fn watchdog_provenance(index: usize) -> ProvenanceRecord {
-    ProvenanceRecord {
-        index: index as u64,
-        site: WATCHDOG_SITE.to_owned(),
-        at_tile: None,
-        victim_tile: None,
-        unit: None,
-        bit: None,
-        delivered: true,
-        touched_tiles: Vec::new(),
-        outcome: InjectionOutcome::Hang.tag().to_owned(),
-        mismatches: 0,
-        class: SpatialClass::None,
-        mre: None,
-        critical: false,
-        fclass: None,
-    }
-}
-
 /// Cap on the `touched` tile list of a provenance event, bounding event
 /// line size on large L2-visibility fan-outs.
 const TOUCHED_TILES_CAP: usize = 64;
@@ -1410,12 +1401,12 @@ fn touched_tiles(res: &StrikeResolution, trace: &ExecutionTrace) -> Vec<u64> {
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".into()
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(p) => p
+            .downcast_ref::<&str>()
+            .map_or("non-string panic payload", |s| s)
+            .to_owned(),
     }
 }
 

@@ -49,6 +49,7 @@
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
+#![warn(clippy::too_many_lines)]
 
 pub mod compare;
 pub mod dirty;

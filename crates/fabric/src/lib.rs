@@ -24,6 +24,8 @@
 //! coordinator endpoints live in `radcrit-serve`, which composes these
 //! pieces.
 
+#![warn(clippy::too_many_lines)]
+
 pub mod journal;
 pub mod merge;
 pub mod plan;

@@ -19,6 +19,7 @@
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
+#![warn(clippy::too_many_lines)]
 
 pub mod beam;
 pub mod calib;

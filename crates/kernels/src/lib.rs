@@ -26,6 +26,7 @@
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
+#![warn(clippy::too_many_lines)]
 
 pub mod dgemm;
 pub mod hotspot;

@@ -15,6 +15,7 @@ use std::path::Path;
 
 use radcrit_core::locality::SpatialClass;
 
+use crate::analytics::AnalyticSample;
 use crate::event::{parse_event_line, Event, FieldValue};
 
 /// The full provenance of one injection: strike + execution + result.
@@ -56,6 +57,27 @@ pub struct ProvenanceRecord {
 }
 
 impl ProvenanceRecord {
+    /// A record carrying `sample`'s analytic fields and no strike facts
+    /// (no tiles, unit or bit).
+    pub fn from_sample(sample: AnalyticSample, delivered: bool) -> Self {
+        ProvenanceRecord {
+            index: sample.index,
+            site: sample.site,
+            at_tile: None,
+            victim_tile: None,
+            unit: None,
+            bit: None,
+            delivered,
+            touched_tiles: Vec::new(),
+            outcome: sample.outcome,
+            mismatches: sample.mismatches,
+            class: sample.class,
+            mre: sample.mre,
+            critical: sample.critical,
+            fclass: sample.fclass,
+        }
+    }
+
     /// Encodes the record as a `provenance` event.
     pub fn to_event(&self) -> Event {
         let mut fields = vec![("site".to_owned(), FieldValue::Str(self.site.clone()))];

@@ -38,6 +38,8 @@
 //! | 2 | configuration / usage error (bad flags, invalid spec) |
 //! | 130 | interrupted (e.g. `--wait` timed out before the job finished) |
 
+#![warn(clippy::too_many_lines)]
+
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};

@@ -60,6 +60,7 @@
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
+#![warn(clippy::too_many_lines)]
 
 pub mod client;
 pub mod coord;

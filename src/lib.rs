@@ -21,6 +21,8 @@
 //! See `DESIGN.md` for the system inventory and the per-experiment index,
 //! and `EXPERIMENTS.md` for paper-vs-measured results.
 
+#![warn(clippy::too_many_lines)]
+
 pub use radcrit_abft as abft;
 pub use radcrit_accel as accel;
 pub use radcrit_campaign as campaign;
