@@ -33,15 +33,12 @@
 //! worker takes over — the abandoned one discards its late result by a
 //! generation check, so the record is never duplicated.
 //!
-//! With [`RunOptions::events_out`] set, every injection contributes a
-//! block of *logical* events (spans, the strike, its resolution, the
-//! output diff and a closing `provenance` record — never wall-clock),
-//! which the [`radcrit_obs::EventWriter`] reorders into index order, so
-//! a fixed-seed campaign writes a byte-identical stream for any worker
-//! count and across kill/resume cycles. Wall-clock quantities go to the
-//! [`radcrit_obs::MetricsRegistry`]. Phase timing has one clock, the
-//! [`radcrit_obs::profile`] scopes: the profile tree, the Chrome timeline
-//! and the `radcrit_phase_*` counters are views of the same scopes.
+//! Event blocks carry only logical data and are written in index order
+//! (see [`RunOptions::events_out`]), so a fixed-seed stream is
+//! byte-identical for any worker count and across kill/resume cycles.
+//! Phase timing has one clock, the [`radcrit_obs::profile`] scopes, of
+//! which the profile tree, the Chrome trace and the phase counters are
+//! views.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -1015,13 +1012,11 @@ impl Worker {
                 s.current = Some((index, Instant::now()));
                 s.generation
             };
-            let mut buf = match shared.events_sample {
-                Some(_) => EventBuffer::for_injection(index as u64),
-                None => EventBuffer::disabled(),
-            };
-            let detail = shared
-                .events_sample
-                .is_some_and(|s| (index as u64).is_multiple_of(s));
+            let stride = shared.events_sample;
+            let mut buf = stride.map_or_else(EventBuffer::disabled, |_| {
+                EventBuffer::for_injection(index as u64)
+            });
+            let detail = stride.is_some_and(|s| (index as u64).is_multiple_of(s));
 
             let started = Instant::now();
             let outcome = catch_unwind(AssertUnwindSafe(|| self.inject(index, &mut buf, detail)));
@@ -1170,54 +1165,36 @@ impl Worker {
         rng: &mut StdRng,
         trace: Option<&mut ExecutionTrace>,
     ) -> Result<RunOutcome, AccelError> {
-        let strikes = std::slice::from_ref(spec);
-        let snapshots: &SnapshotSet = &self.shared.golden.snapshots;
-        let start = self
-            .engine
-            .fork_tile(self.kernel.as_ref(), spec, &mut rng.clone());
+        let (engine, kernel) = (&self.engine, self.kernel.as_mut());
+        let (strikes, snapshots) = (std::slice::from_ref(spec), &self.shared.golden.snapshots);
+        let start = engine.fork_tile(&*kernel, spec, &mut rng.clone());
         let Some(resume) = snapshots.resume_tile(start) else {
-            return self
-                .engine
-                .run(self.kernel.as_mut(), strikes, rng, None, trace);
+            return engine.run(kernel, strikes, rng, None, trace);
         };
         // A bucket is stale when it resumes from a different snapshot or
         // its golden front has already advanced past this fork (possible
         // when workers interleave buckets off the shared cursor).
-        let stale = self
-            .warm
+        let warm = &mut self.warm;
+        if warm
             .as_ref()
-            .is_none_or(|w| w.resume_tile() != resume || w.next_tile() > start);
-        if stale {
+            .is_none_or(|w| w.resume_tile() != resume || w.next_tile() > start)
+        {
             let _scope =
                 phase_profile::phase_with(PhaseId::BucketRestore, &[("resume", resume as u64)]);
-            let reuse = self.warm.take();
-            self.warm = self.engine.warm_restore(
-                self.kernel.as_mut(),
-                snapshots,
-                start,
-                &mut self.scratch,
-                reuse,
-            )?;
+            let reuse = warm.take();
+            *warm = engine.warm_restore(kernel, snapshots, start, &mut self.scratch, reuse)?;
             self.shared.buckets.restores.fetch_add(1, Ordering::Relaxed);
         }
-        let warm = self
-            .warm
+        let warm = warm
             .as_mut()
             .expect("resume_tile implies a usable snapshot");
         let advanced = {
             let _scope = phase_profile::phase(PhaseId::WarmAdvance);
-            self.engine
-                .warm_advance(self.kernel.as_mut(), warm, start)?
+            engine.warm_advance(kernel, warm, start)?
         };
         self.shared.buckets.count_fork(advanced);
         let _scope = phase_profile::phase(PhaseId::Fork);
-        self.engine.run(
-            self.kernel.as_mut(),
-            strikes,
-            rng,
-            Some((warm, &mut self.scratch)),
-            trace,
-        )
+        engine.run(kernel, strikes, rng, Some((warm, &mut self.scratch)), trace)
     }
 
     /// Compares a run's output against golden — only its dirty region,
@@ -1266,9 +1243,11 @@ impl Worker {
 /// stream fold can reproduce the summary's FIT scale without access to
 /// the fault-site table.
 fn run_begin_event(campaign: &Campaign, kernel: &(dyn Workload + Send), sigma: f64) -> ObsEvent {
-    let device = campaign.device.kind().to_string();
     let mut fields = vec![
-        ("device".to_owned(), FieldValue::Str(device)),
+        (
+            "device".to_owned(),
+            FieldValue::Str(campaign.device.kind().to_string()),
+        ),
         (
             "injections".to_owned(),
             FieldValue::U64(campaign.injections as u64),
@@ -1401,12 +1380,12 @@ fn touched_tiles(res: &StrikeResolution, trace: &ExecutionTrace) -> Vec<u64> {
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    match payload.downcast::<String>() {
-        Ok(s) => *s,
-        Err(p) => p
-            .downcast_ref::<&str>()
-            .map_or("non-string panic payload", |s| s)
-            .to_owned(),
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".into()
     }
 }
 
