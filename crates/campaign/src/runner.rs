@@ -6,24 +6,25 @@
 //! [`Campaign::run_with`] runs five stages: the **sinks** (metrics,
 //! trace and profiler, and their three end-of-run artifact writes); the
 //! **golden** execution, looked up in a shared [`GoldenCache`] or
-//! computed; the **plan** (shard check, checkpoint replay, pending list,
-//! budget, bucket sort); the **event stream**, opened or resumed, with a
-//! `replay` marker for each replayed index it lacks; and the
-//! **collector**, which owns the receive, watchdog, fold and persist
-//! loop on the calling thread. Every collector exit — done, cancelled
-//! or failed — takes one shutdown: stop dispatch, export the latency and
-//! bucket counts once, wait for profiling stragglers.
+//! computed; the **plan** (shard check, checkpoint replay, pending
+//! list, budget, bucket sort); the **event stream**, opened or resumed,
+//! with a `replay` marker for each replayed index it lacks; and the
+//! **collector** (`Collector`), which owns the receive, watchdog, fold
+//! and persist loop on the calling thread. Every collector exit — done,
+//! cancelled or failed — takes one shutdown: stop dispatch, export the
+//! latency and bucket counts once, wait for profiling stragglers.
 //!
-//! Each worker thread owns an engine, a kernel instance, a run scratch
-//! and a warm bucket. It claims indices from a shared cursor over the
-//! plan, executes each strike (a fork off the warm bucket, or a run from
-//! tile 0 when no snapshot covers it), compares and classifies the
-//! output, and sends the finished [`InjectionRecord`] to the collector.
-//! Each record is built once, and its `provenance` line derives from it,
-//! for strikes, fatal plans and watchdog hangs alike. Injection `i`
-//! always uses its own seeded RNG stream, so records are identical for
-//! any worker count — which is what lets [`Campaign::resume`] replay a
-//! killed campaign's checkpoint and finish with a bit-identical summary.
+//! Each worker thread (a `Worker`) owns an engine, a kernel instance, a
+//! run scratch and a warm bucket. It claims indices from a shared
+//! cursor over the plan, executes each strike (a fork off the warm
+//! bucket, or a run from tile 0 when no snapshot covers it), compares
+//! and classifies the output, and sends the finished
+//! [`InjectionRecord`] to the collector. Each record is built once, and
+//! its `provenance` line derives from it, for strikes, fatal plans and
+//! watchdog hangs alike. Injection `i` always uses its own seeded RNG
+//! stream, so records are identical for any worker count — which is
+//! what lets [`Campaign::resume`] replay a killed campaign's checkpoint
+//! and finish with a bit-identical summary.
 //!
 //! Failures are contained: a panicking injection surfaces as
 //! [`AccelError::WorkerPanic`]; the first worker error wins and stops
