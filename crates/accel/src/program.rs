@@ -7,11 +7,13 @@
 //! `step × tile` into the tile index and double-buffer their state.
 //!
 //! All data movement goes through [`TileCtx`] so the cache hierarchy sees
-//! every access, and all floating-point arithmetic goes through the
-//! `TileCtx` op wrappers ([`TileCtx::fma`], [`TileCtx::exp`], …) so that
-//! in-flight logic upsets can corrupt individual operations. The wrappers
-//! compile to plain arithmetic plus one predictable branch when no fault
-//! is armed.
+//! every access, and all floating-point arithmetic goes through a
+//! [`Lane`] so that in-flight logic upsets can corrupt individual
+//! operations. A kernel writes its tile body once, generic over the lane
+//! ([`TileBody`]), and [`dispatch`] picks ISA × lane once per tile: the
+//! [`Armed`] lane counts and checks every op in reference order, the
+//! [`Clean`] lane — every tile that carries no armed logic, SFU or garble
+//! fault — is plain IEEE arithmetic that adds its op counts in bulk.
 
 use radcrit_core::exec;
 use radcrit_core::shape::OutputShape;
@@ -99,6 +101,164 @@ pub trait TiledProgram {
     fn resumable(&self) -> bool {
         true
     }
+}
+
+/// How a tile body's arithmetic executes: the one generic parameter of a
+/// [`TileBody`], implemented by [`Armed`] and [`Clean`].
+///
+/// Both lanes compute the same IEEE results in the same order and leave
+/// the same `ops` / `trans_ops` counts at the end of a tile. [`Armed`]
+/// routes every operation through the [`TileCtx`] op wrappers
+/// ([`TileCtx::op`], [`TileCtx::exp`], …), which count it and apply the
+/// tile's armed fault at its op index; a body must call them in
+/// reference order. [`Clean`] is plain arithmetic, and the body reports
+/// its counts with [`Lane::count`] and [`Lane::count_trans`], which the
+/// armed lane ignores because its wrappers counted already.
+pub trait Lane {
+    /// Whether ops are counted one by one and checked against a fault.
+    const ARMED: bool;
+
+    /// One counted arithmetic op producing `value`.
+    #[inline(always)]
+    fn op(ctx: &mut TileCtx<'_>, value: f64) -> f64 {
+        if Self::ARMED {
+            ctx.op(value)
+        } else {
+            value
+        }
+    }
+
+    /// `a + b` as one op.
+    #[inline(always)]
+    fn add(ctx: &mut TileCtx<'_>, a: f64, b: f64) -> f64 {
+        Self::op(ctx, a + b)
+    }
+
+    /// `a * b` as one op.
+    #[inline(always)]
+    fn mul(ctx: &mut TileCtx<'_>, a: f64, b: f64) -> f64 {
+        Self::op(ctx, a * b)
+    }
+
+    /// `a / b` as one op.
+    #[inline(always)]
+    fn div(ctx: &mut TileCtx<'_>, a: f64, b: f64) -> f64 {
+        Self::op(ctx, a / b)
+    }
+
+    /// Fused `a * b + acc` as one op (see [`TileCtx::fma`]).
+    #[inline(always)]
+    fn fma(ctx: &mut TileCtx<'_>, a: f64, b: f64, acc: f64) -> f64 {
+        Self::op(ctx, a.mul_add(b, acc))
+    }
+
+    /// `exp(x)` as one transcendental op (see [`TileCtx::exp`]).
+    #[inline(always)]
+    fn exp(ctx: &mut TileCtx<'_>, x: f64) -> f64 {
+        if Self::ARMED {
+            ctx.exp(x)
+        } else {
+            x.exp()
+        }
+    }
+
+    /// Adds `ops` arithmetic ops the body ran through this lane since
+    /// its last count: once per row or per tile on the clean lane.
+    #[inline(always)]
+    fn count(ctx: &mut TileCtx<'_>, ops: u64) {
+        if !Self::ARMED {
+            ctx.ops += ops;
+        }
+    }
+
+    /// Adds `ops` transcendental ops, like [`Lane::count`].
+    #[inline(always)]
+    fn count_trans(ctx: &mut TileCtx<'_>, ops: u64) {
+        if !Self::ARMED {
+            ctx.trans_ops += ops;
+        }
+    }
+}
+
+/// The lane of a tile with an armed logic, SFU or garble fault: every op
+/// is counted and checked in reference order.
+#[derive(Debug)]
+pub enum Armed {}
+
+impl Lane for Armed {
+    const ARMED: bool = true;
+}
+
+/// The lane of every other tile (golden capture, warm advance, almost
+/// every fork tile): plain IEEE arithmetic the compiler may vectorize.
+#[derive(Debug)]
+pub enum Clean {}
+
+impl Lane for Clean {
+    const ARMED: bool = false;
+}
+
+/// A tile body written once, generic over its arithmetic [`Lane`]. A
+/// program implements [`TiledProgram::execute_tile`] as
+/// `program::dispatch(self, tile, ctx)`.
+pub trait TileBody {
+    /// Executes one tile with its arithmetic on lane `L`; otherwise as
+    /// [`TiledProgram::execute_tile`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates out-of-bounds accesses.
+    fn tile_body<L: Lane>(&mut self, tile: TileId, ctx: &mut TileCtx<'_>)
+        -> Result<(), AccelError>;
+}
+
+/// Runs `program`'s tile body for `tile`, picking ISA × lane once: the
+/// [`Armed`] lane when `ctx` carries an armed fault, else [`Clean`], and
+/// on an AVX2 host the whole body — arithmetic, row loads and stores —
+/// compiled as one AVX2+FMA region (fused hardware FMAs instead of libm
+/// calls, vectorized clean loops), bit-identical to the portable copy
+/// because every op is the same IEEE operation on every lowering.
+///
+/// # Errors
+///
+/// Propagates the body's errors.
+#[inline]
+pub fn dispatch<P: TileBody + ?Sized>(
+    program: &mut P,
+    tile: TileId,
+    ctx: &mut TileCtx<'_>,
+) -> Result<(), AccelError> {
+    let armed = ctx.fault_armed;
+    #[cfg(target_arch = "x86_64")]
+    if exec::active() == exec::Isa::Avx2 {
+        // SAFETY: `exec::active` only reports Avx2 after runtime
+        // detection confirmed AVX2 + FMA on this host.
+        return unsafe {
+            if armed {
+                body_avx2::<P, Armed>(program, tile, ctx)
+            } else {
+                body_avx2::<P, Clean>(program, tile, ctx)
+            }
+        };
+    }
+    if armed {
+        program.tile_body::<Armed>(tile, ctx)
+    } else {
+        program.tile_body::<Clean>(tile, ctx)
+    }
+}
+
+/// # Safety
+///
+/// The host must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn body_avx2<P: TileBody + ?Sized, L: Lane>(
+    program: &mut P,
+    tile: TileId,
+    ctx: &mut TileCtx<'_>,
+) -> Result<(), AccelError> {
+    program.tile_body::<L>(tile, ctx)
 }
 
 /// An in-flight fault armed on one tile by the engine.
@@ -278,8 +438,10 @@ impl<'a> TileCtx<'a> {
     }
 
     /// Records one arithmetic operation and returns its (possibly
-    /// corrupted) result. The fast path — no fault armed on this tile —
-    /// is a counter increment and a predictable branch.
+    /// corrupted) result: the [`Armed`] lane's op. With no fault armed
+    /// it is a counter increment and a predictable branch, which is what
+    /// a program that calls it directly pays per op; a [`TileBody`] runs
+    /// unarmed tiles on the [`Clean`] lane instead.
     #[inline(always)]
     pub fn op(&mut self, value: f64) -> f64 {
         let idx = self.ops;
@@ -337,67 +499,64 @@ impl<'a> TileCtx<'a> {
         self.op(a.mul_add(b, acc))
     }
 
-    /// Block fused multiply-add: `acc[r][c] = fma(a[r][k], b[k][c],
-    /// acc[r][c])` accumulated over `k` in ascending order — one counted
-    /// op per element-update, semantically identical to calling
-    /// [`TileCtx::fma`] in the loop `for r { for k { for c { … } } }`.
+    /// Block fused multiply-add on lane `L`: `acc[r][c] = fma(a[r][k],
+    /// b[k][c], acc[r][c])` accumulated over `k` in ascending order — one
+    /// op per element update, semantically identical to calling
+    /// [`Lane::fma`] in the loop `for r { for k { for c { … } } }`.
     ///
-    /// The unarmed fast path processes two output rows at a time with
-    /// the accumulators held in locals across the whole `k` loop, so in
-    /// a multiversioned AVX2 tile body the compiler keeps them in
-    /// vector registers instead of re-loading `acc` once per `k` — the
-    /// difference between a memory-bound and an FMA-bound inner kernel.
-    /// Per-element accumulation order over `k` is unchanged, so results
-    /// are bit-identical to the reference loop.
+    /// One loop, `fma_rows`, runs `W` output rows at a time with their
+    /// accumulators held in locals across the whole `k` loop, so in an
+    /// AVX2 tile body the compiler keeps them in vector registers
+    /// instead of re-loading `acc` once per `k` — the difference between
+    /// a memory-bound and an FMA-bound inner kernel.
+    /// The clean lane takes two rows per pass, sharing each `b` row. The
+    /// armed lane takes one, which is the reference order itself: its
+    /// ops reach `TileCtx::op` at index `r·N² + k·N + c` (plus the
+    /// tile's earlier ops), and a garble's per-op sequence — which
+    /// follows call order, not the index — matches the reference too.
+    /// Per-element accumulation order over `k` is the same on both
+    /// lanes, so results are bit-identical.
     #[inline(always)]
-    pub fn fma_block<const N: usize>(
+    pub fn fma_block<L: Lane, const N: usize>(
         &mut self,
         a: &[[f64; N]; N],
         b: &[[f64; N]; N],
         acc: &mut [[f64; N]; N],
     ) {
-        if self.fault_armed {
-            // Exact reference order (r, k, c): op indices match the
-            // row-by-row formulation element for element.
-            for r in 0..N {
-                for k in 0..N {
-                    let ark = a[r][k];
-                    for c in 0..N {
-                        acc[r][c] = self.fma(ark, b[k][c], acc[r][c]);
-                    }
+        let paired = if L::ARMED { 0 } else { N / 2 * 2 };
+        for r in (0..paired).step_by(2) {
+            self.fma_rows::<L, N, 2>(a, b, acc, r);
+        }
+        for r in paired..N {
+            self.fma_rows::<L, N, 1>(a, b, acc, r);
+        }
+        L::count(self, (N * N * N) as u64);
+    }
+
+    /// Output rows `r..r + W` of [`TileCtx::fma_block`], `W`-way
+    /// interleaved per column.
+    #[inline(always)]
+    fn fma_rows<L: Lane, const N: usize, const W: usize>(
+        &mut self,
+        a: &[[f64; N]; N],
+        b: &[[f64; N]; N],
+        acc: &mut [[f64; N]; N],
+        r: usize,
+    ) {
+        let mut rows = [[0.0; N]; W];
+        rows.copy_from_slice(&acc[r..r + W]);
+        for (k, brow) in b.iter().enumerate() {
+            let mut ak = [0.0; W];
+            for (w, x) in ak.iter_mut().enumerate() {
+                *x = a[r + w][k];
+            }
+            for (c, &bkc) in brow.iter().enumerate() {
+                for (row, &awk) in rows.iter_mut().zip(&ak) {
+                    row[c] = L::fma(self, awk, bkc, row[c]);
                 }
             }
-            return;
         }
-        let mut r = 0;
-        while r + 2 <= N {
-            let mut acc0 = acc[r];
-            let mut acc1 = acc[r + 1];
-            for k in 0..N {
-                let a0 = a[r][k];
-                let a1 = a[r + 1][k];
-                let brow = &b[k];
-                for c in 0..N {
-                    acc0[c] = a0.mul_add(brow[c], acc0[c]);
-                    acc1[c] = a1.mul_add(brow[c], acc1[c]);
-                }
-            }
-            acc[r] = acc0;
-            acc[r + 1] = acc1;
-            r += 2;
-        }
-        if r < N {
-            let mut acc0 = acc[r];
-            for k in 0..N {
-                let a0 = a[r][k];
-                let brow = &b[k];
-                for c in 0..N {
-                    acc0[c] = a0.mul_add(brow[c], acc0[c]);
-                }
-            }
-            acc[r] = acc0;
-        }
-        self.ops += (N * N * N) as u64;
+        acc[r..r + W].copy_from_slice(&rows);
     }
 
     /// Addition routed through the op counter.
@@ -1085,12 +1244,13 @@ mod tests {
         }
     }
 
-    /// `fma_block` equals the row-by-row reference loop bit for bit,
-    /// counts one op per element update, and lands an armed logic
-    /// fault on exactly the same op index as the reference.
+    /// `fma_block` equals the row-by-row reference loop bit for bit on
+    /// both lanes (an odd side exercises the clean lane's one-row tail),
+    /// counts one op per element update, and lands an armed logic fault
+    /// and a garble's per-op sequence on exactly the reference's ops.
     #[test]
     fn fma_block_matches_reference_loop() {
-        const N: usize = 4;
+        const N: usize = 5;
         let mut a = [[0.0; N]; N];
         let mut b = [[0.0; N]; N];
         for r in 0..N {
@@ -1116,7 +1276,11 @@ mod tests {
             let (mut mem, mut caches) = machine();
             let mut ctx = TileCtx::new(&mut mem, &mut caches, 0, fault);
             let mut acc = [[0.5; N]; N];
-            ctx.fma_block(&a, &b, &mut acc);
+            if fault.is_armed() {
+                ctx.fma_block::<Armed, N>(&a, &b, &mut acc);
+            } else {
+                ctx.fma_block::<Clean, N>(&a, &b, &mut acc);
+            }
             (acc, ctx.ops)
         };
         let faults = {
@@ -1124,7 +1288,12 @@ mod tests {
             mid.logic_at = (N * N * N / 2) as u64;
             mid.logic_lanes = 3;
             mid.logic_mask = 1 << 63;
-            [TileFault::none(), mid]
+            let masked = TileFault::logic(0, 1, 0);
+            let garble = TileFault {
+                garble: true,
+                ..TileFault::none()
+            };
+            [TileFault::none(), mid, masked, garble]
         };
         for fault in faults {
             let (ref_acc, ref_ops) = reference(fault);

@@ -339,28 +339,8 @@ fn forked_runs_are_bit_identical_to_reference_runs_everywhere() {
                             );
                         }
                         let victim = forked.resolutions[0].victim_tile;
-                        match (spec, target) {
-                            (
-                                _,
-                                StrikeTarget::Scheduler(
-                                    SchedulerEffect::SkipTile | SchedulerEffect::RedirectTile,
-                                ),
-                            ) => assert_eq!(exited, 0, "address-stream faults never exit: {ctx}"),
-                            (KernelSpec::HotSpot { .. }, _) if at_tile < last_launch => {
-                                assert_eq!(exited, 0, "tainted ping-pong buffer is reloaded: {ctx}")
-                            }
-                            (KernelSpec::Dgemm { .. } | KernelSpec::LavaMd { .. }, target)
-                                if single_tile_target(target) =>
-                            {
-                                let victim = victim.expect("single-tile faults name a victim");
-                                assert_eq!(
-                                    exited == 1,
-                                    victim + 1 < tiles,
-                                    "exit after victim tile {victim} iff a suffix is left: {ctx}"
-                                );
-                            }
-                            _ => {}
-                        }
+                        let late = at_tile >= last_launch;
+                        assert_exit_rule(&ctx, spec, target, exited, victim, tiles, late);
                         assert_eq!(w.next_tile(), start, "{ctx}");
                         assert_fork_matches(
                             &ctx,
@@ -376,26 +356,15 @@ fn forked_runs_are_bit_identical_to_reference_runs_everywhere() {
                     }
                     if start != at_tile {
                         deferred_forks += 1;
-                        // One tile past the victim the fault can no
-                        // longer land: the fork is refused.
                         let w = warm.as_mut().expect("the deferred fork left its state");
-                        engine
-                            .warm_advance(kernel.as_mut(), w, start + 1)
-                            .expect("advance");
-                        let err = engine.run(
+                        assert_refused_past_victim(
+                            &engine,
                             kernel.as_mut(),
-                            &[strike],
-                            &mut StdRng::seed_from_u64(seed),
-                            Some((w, &mut scratch)),
-                            None,
-                        );
-                        assert!(
-                            matches!(
-                                err,
-                                Err(AccelError::StrikeOutOfRange { tile, tiles })
-                                    if tile == start && tiles == start + 1
-                            ),
-                            "past the victim: {err:?}"
+                            w,
+                            strike,
+                            start,
+                            seed,
+                            &mut scratch,
                         );
                     }
                 }
@@ -418,6 +387,71 @@ fn forked_runs_are_bit_identical_to_reference_runs_everywhere() {
     assert!(
         deferred_forks > 0,
         "no register strike forked at its victim"
+    );
+}
+
+/// When a fork may take the contained exit (`exited` is 0 or 1):
+/// never for a skipped or redirected tile, never for a HotSpot strike
+/// before the last iteration (`late`), and for a single-tile fault on
+/// DGEMM or LavaMD exactly when a suffix is left after its victim.
+fn assert_exit_rule(
+    ctx: &str,
+    spec: KernelSpec,
+    target: StrikeTarget,
+    exited: u64,
+    victim: Option<usize>,
+    tiles: usize,
+    late: bool,
+) {
+    match (spec, target) {
+        (_, StrikeTarget::Scheduler(SchedulerEffect::SkipTile | SchedulerEffect::RedirectTile)) => {
+            assert_eq!(exited, 0, "address-stream faults never exit: {ctx}")
+        }
+        (KernelSpec::HotSpot { .. }, _) if !late => {
+            assert_eq!(exited, 0, "tainted ping-pong buffer is reloaded: {ctx}")
+        }
+        (KernelSpec::Dgemm { .. } | KernelSpec::LavaMd { .. }, target)
+            if single_tile_target(target) =>
+        {
+            let victim = victim.expect("single-tile faults name a victim");
+            assert_eq!(
+                exited == 1,
+                victim + 1 < tiles,
+                "exit after victim tile {victim} iff a suffix is left: {ctx}"
+            );
+        }
+        _ => {}
+    }
+}
+
+/// One tile past a register strike's victim (`start`) the fault can no
+/// longer land: a fork from `warm` advanced there is refused.
+fn assert_refused_past_victim(
+    engine: &Engine,
+    kernel: &mut (dyn Workload + Send),
+    warm: &mut WarmState,
+    strike: StrikeSpec,
+    start: usize,
+    seed: u64,
+    scratch: &mut RunScratch,
+) {
+    engine
+        .warm_advance(kernel, warm, start + 1)
+        .expect("advance");
+    let err = engine.run(
+        kernel,
+        &[strike],
+        &mut StdRng::seed_from_u64(seed),
+        Some((warm, scratch)),
+        None,
+    );
+    assert!(
+        matches!(
+            err,
+            Err(AccelError::StrikeOutOfRange { tile, tiles })
+                if tile == start && tiles == start + 1
+        ),
+        "past the victim: {err:?}"
     );
 }
 

@@ -17,8 +17,7 @@
 
 use radcrit_accel::error::AccelError;
 use radcrit_accel::memory::{BufferId, DeviceMemory};
-use radcrit_accel::program::{TileCtx, TileId, TiledProgram};
-use radcrit_core::exec;
+use radcrit_accel::program::{self, Lane, TileBody, TileCtx, TileId, TiledProgram};
 use radcrit_core::shape::{Coord, OutputShape};
 
 use crate::input::matrix_value;
@@ -156,18 +155,7 @@ impl TiledProgram for Dgemm {
     }
 
     fn execute_tile(&mut self, tile: TileId, ctx: &mut TileCtx<'_>) -> Result<(), AccelError> {
-        // Multiversioned tile body: on an AVX2 host the whole body —
-        // row loads, the `fma_block` inner product, the C store —
-        // compiles as one AVX2+FMA region (fused hardware FMAs, the
-        // cache way scan and window copies inlined), bit-identical to
-        // the portable copy because FMA rounds once on every lowering.
-        #[cfg(target_arch = "x86_64")]
-        if exec::active() == exec::Isa::Avx2 {
-            // Safety: `exec::active` only reports Avx2 after runtime
-            // detection confirmed AVX2 + FMA on this host.
-            return unsafe { self.tile_avx2(tile, ctx) };
-        }
-        self.tile_body(tile, ctx)
+        program::dispatch(self, tile, ctx)
     }
 
     fn output(&self) -> BufferId {
@@ -179,15 +167,17 @@ impl TiledProgram for Dgemm {
     }
 }
 
-impl Dgemm {
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn tile_avx2(&mut self, tile: TileId, ctx: &mut TileCtx<'_>) -> Result<(), AccelError> {
-        self.tile_body(tile, ctx)
-    }
-
+impl TileBody for Dgemm {
+    /// Row loads, the `fma_block` inner product and the C store; on an
+    /// AVX2 host [`program::dispatch`] compiles the whole body as one
+    /// AVX2+FMA region (fused hardware FMAs, the cache way scan and
+    /// window copies inlined).
     #[inline(always)]
-    fn tile_body(&mut self, tile: TileId, ctx: &mut TileCtx<'_>) -> Result<(), AccelError> {
+    fn tile_body<L: Lane>(
+        &mut self,
+        tile: TileId,
+        ctx: &mut TileCtx<'_>,
+    ) -> Result<(), AccelError> {
         let n = self.n;
         let grid = n / BLOCK;
         let t = tile.index();
@@ -218,7 +208,7 @@ impl Dgemm {
                 BLOCK,
                 b_blk.as_flattened_mut(),
             )?;
-            ctx.fma_block(&a_blk, &b_blk, &mut acc);
+            ctx.fma_block::<L, BLOCK>(&a_blk, &b_blk, &mut acc);
         }
 
         for (r, accr) in acc.iter().enumerate() {

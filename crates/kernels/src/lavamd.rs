@@ -22,8 +22,7 @@
 
 use radcrit_accel::error::AccelError;
 use radcrit_accel::memory::{BufferId, DeviceMemory};
-use radcrit_accel::program::{TileCtx, TileId, TiledProgram};
-use radcrit_core::exec;
+use radcrit_accel::program::{self, Lane, TileBody, TileCtx, TileId, TiledProgram};
 use radcrit_core::shape::{Coord, OutputShape};
 
 use crate::input::fraction;
@@ -215,17 +214,7 @@ impl TiledProgram for LavaMd {
     }
 
     fn execute_tile(&mut self, tile: TileId, ctx: &mut TileCtx<'_>) -> Result<(), AccelError> {
-        // Multiversioned tile body (see `Dgemm::execute_tile`): the
-        // particle-pair force loop — a chain of per-op FMAs — compiles
-        // to fused hardware FMAs on an AVX2 host instead of libm
-        // calls, bit-identical because FMA rounds once everywhere.
-        #[cfg(target_arch = "x86_64")]
-        if exec::active() == exec::Isa::Avx2 {
-            // Safety: `exec::active` only reports Avx2 after runtime
-            // detection confirmed AVX2 + FMA on this host.
-            return unsafe { self.tile_avx2(tile, ctx) };
-        }
-        self.tile_body(tile, ctx)
+        program::dispatch(self, tile, ctx)
     }
 
     fn output(&self) -> BufferId {
@@ -237,15 +226,17 @@ impl TiledProgram for LavaMd {
     }
 }
 
-impl LavaMd {
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn tile_avx2(&mut self, tile: TileId, ctx: &mut TileCtx<'_>) -> Result<(), AccelError> {
-        self.tile_body(tile, ctx)
-    }
-
+impl TileBody for LavaMd {
+    /// The particle-pair force loop — a chain of per-op FMAs — compiles
+    /// to fused hardware FMAs on an AVX2 host instead of libm calls.
+    /// The clean lane counts each neighbour box's `9·p²` ops and `p²`
+    /// exponentials once.
     #[inline(always)]
-    fn tile_body(&mut self, tile: TileId, ctx: &mut TileCtx<'_>) -> Result<(), AccelError> {
+    fn tile_body<L: Lane>(
+        &mut self,
+        tile: TileId,
+        ctx: &mut TileCtx<'_>,
+    ) -> Result<(), AccelError> {
         let p = self.particles;
         let a2 = 2.0 * self.alpha * self.alpha;
         let home = tile.index();
@@ -269,23 +260,26 @@ impl LavaMd {
                 for j in 0..p {
                     let (rbv, rbx, rby, rbz) =
                         (rb[j * 4], rb[j * 4 + 1], rb[j * 4 + 2], rb[j * 4 + 3]);
-                    let mut dot = ctx.fma(raz, rbz, 0.0);
-                    dot = ctx.fma(ray, rby, dot);
-                    dot = ctx.fma(rax, rbx, dot);
-                    let r2 = ctx.add(rav, rbv - dot);
-                    let u2 = ctx.mul(a2, r2);
-                    let vij = ctx.exp(-u2);
+                    let mut dot = L::fma(ctx, raz, rbz, 0.0);
+                    dot = L::fma(ctx, ray, rby, dot);
+                    dot = L::fma(ctx, rax, rbx, dot);
+                    let r2 = L::add(ctx, rav, rbv - dot);
+                    let u2 = L::mul(ctx, a2, r2);
+                    let vij = L::exp(ctx, -u2);
                     let fs = 2.0 * vij;
                     let dx = rax - rbx;
                     let dy = ray - rby;
                     let dz = raz - rbz;
                     let q = qb[j];
-                    fa[i * 4] = ctx.fma(q, vij, fa[i * 4]);
-                    fa[i * 4 + 1] = ctx.fma(q, fs * dx, fa[i * 4 + 1]);
-                    fa[i * 4 + 2] = ctx.fma(q, fs * dy, fa[i * 4 + 2]);
-                    fa[i * 4 + 3] = ctx.fma(q, fs * dz, fa[i * 4 + 3]);
+                    fa[i * 4] = L::fma(ctx, q, vij, fa[i * 4]);
+                    fa[i * 4 + 1] = L::fma(ctx, q, fs * dx, fa[i * 4 + 1]);
+                    fa[i * 4 + 2] = L::fma(ctx, q, fs * dy, fa[i * 4 + 2]);
+                    fa[i * 4 + 3] = L::fma(ctx, q, fs * dz, fa[i * 4 + 3]);
                 }
             }
+            let pairs = (p * p) as u64;
+            L::count(ctx, 9 * pairs);
+            L::count_trans(ctx, pairs);
         }
         ctx.store(fv_buf, home * p * 4, &fa)
     }

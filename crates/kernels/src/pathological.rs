@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use radcrit_accel::error::AccelError;
 use radcrit_accel::memory::{BufferId, DeviceMemory};
-use radcrit_accel::program::{TileCtx, TileId, TiledProgram};
+use radcrit_accel::program::{self, Lane, TileBody, TileCtx, TileId, TiledProgram};
 use radcrit_core::shape::{Coord, OutputShape};
 use serde::{Deserialize, Serialize};
 
@@ -109,7 +109,32 @@ impl TiledProgram for Pathological {
         Ok(())
     }
 
-    fn execute_tile(&mut self, _tile: TileId, ctx: &mut TileCtx<'_>) -> Result<(), AccelError> {
+    fn execute_tile(&mut self, tile: TileId, ctx: &mut TileCtx<'_>) -> Result<(), AccelError> {
+        program::dispatch(self, tile, ctx)
+    }
+
+    fn output(&self) -> BufferId {
+        self.out_buf.expect("setup ran")
+    }
+
+    fn output_shape(&self) -> OutputShape {
+        OutputShape::d1(self.n)
+    }
+
+    /// `setup` counts executions and `execute_tile` reads the count to
+    /// decide when to fail — observable per-run state, so the engine
+    /// must never skip setup or resume this program from a snapshot.
+    fn resumable(&self) -> bool {
+        false
+    }
+}
+
+impl TileBody for Pathological {
+    fn tile_body<L: Lane>(
+        &mut self,
+        _tile: TileId,
+        ctx: &mut TileCtx<'_>,
+    ) -> Result<(), AccelError> {
         if self.executions > self.after {
             match self.mode {
                 Failure::Hang => {
@@ -131,24 +156,10 @@ impl TiledProgram for Pathological {
         let mut vals = vec![0.0; self.n];
         ctx.load(in_buf, 0, &mut vals)?;
         for v in &mut vals {
-            *v = ctx.fma(*v, 2.0, 0.0);
+            *v = L::fma(ctx, *v, 2.0, 0.0);
         }
+        L::count(ctx, self.n as u64);
         ctx.store(out_buf, 0, &vals)
-    }
-
-    fn output(&self) -> BufferId {
-        self.out_buf.expect("setup ran")
-    }
-
-    fn output_shape(&self) -> OutputShape {
-        OutputShape::d1(self.n)
-    }
-
-    /// `setup` counts executions and `execute_tile` reads the count to
-    /// decide when to fail — observable per-run state, so the engine
-    /// must never skip setup or resume this program from a snapshot.
-    fn resumable(&self) -> bool {
-        false
     }
 }
 

@@ -25,8 +25,7 @@
 
 use radcrit_accel::error::AccelError;
 use radcrit_accel::memory::{BufferId, DeviceMemory};
-use radcrit_accel::program::{TileCtx, TileId, TiledProgram};
-use radcrit_core::exec;
+use radcrit_accel::program::{self, Lane, TileBody, TileCtx, TileId, TiledProgram};
 use radcrit_core::shape::{Coord, OutputShape};
 
 use crate::profile::KernelClass;
@@ -89,6 +88,7 @@ pub struct ShallowWater {
     schedule: Vec<(usize, usize, usize)>,
     h0: Vec<f64>,
     bufs: Option<Buffers>,
+    scratch: Scratch,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -96,6 +96,19 @@ struct Buffers {
     h: [BufferId; 2],
     hu: [BufferId; 2],
     hv: [BufferId; 2],
+}
+
+/// A tile's working rows, kept across tiles so a tile allocates
+/// nothing: the halo'd `h`, `hu`, `hv` rows and one output row of each.
+/// Every tile overwrites what it reads.
+#[derive(Debug)]
+struct Scratch {
+    lh: Vec<f64>,
+    lhu: Vec<f64>,
+    lhv: Vec<f64>,
+    oh: Vec<f64>,
+    ohu: Vec<f64>,
+    ohv: Vec<f64>,
 }
 
 impl ShallowWater {
@@ -130,6 +143,14 @@ impl ShallowWater {
             schedule,
             h0,
             bufs: None,
+            scratch: Scratch {
+                lh: vec![0.0; (BLOCK_ROWS + 2) * cols],
+                lhu: vec![0.0; (BLOCK_ROWS + 2) * cols],
+                lhv: vec![0.0; (BLOCK_ROWS + 2) * cols],
+                oh: vec![0.0; cols],
+                ohu: vec![0.0; cols],
+                ohv: vec![0.0; cols],
+            },
         })
     }
 
@@ -350,17 +371,7 @@ impl TiledProgram for ShallowWater {
     }
 
     fn execute_tile(&mut self, tile: TileId, ctx: &mut TileCtx<'_>) -> Result<(), AccelError> {
-        // Multiversioned tile body (see `Dgemm::execute_tile`): the
-        // Lax–Friedrichs flux arithmetic compiles as one AVX2+FMA
-        // region on hosts that have it, bit-identical to the portable
-        // copy.
-        #[cfg(target_arch = "x86_64")]
-        if exec::active() == exec::Isa::Avx2 {
-            // Safety: `exec::active` only reports Avx2 after runtime
-            // detection confirmed AVX2 + FMA on this host.
-            return unsafe { self.tile_avx2(tile, ctx) };
-        }
-        self.tile_body(tile, ctx)
+        program::dispatch(self, tile, ctx)
     }
 
     fn output(&self) -> BufferId {
@@ -373,98 +384,154 @@ impl TiledProgram for ShallowWater {
     }
 }
 
-impl ShallowWater {
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn tile_avx2(&mut self, tile: TileId, ctx: &mut TileCtx<'_>) -> Result<(), AccelError> {
-        self.tile_body(tile, ctx)
-    }
-
+impl TileBody for ShallowWater {
+    /// One scheduled row block of one time step. Each grid row updates
+    /// from its north and south rows, or the reflective wall on the
+    /// grid's first and last row (`update_row`); on the clean lane the
+    /// row's `18·cols` ops are counted once.
     #[inline(always)]
-    fn tile_body(&mut self, tile: TileId, ctx: &mut TileCtx<'_>) -> Result<(), AccelError> {
+    fn tile_body<L: Lane>(
+        &mut self,
+        tile: TileId,
+        ctx: &mut TileCtx<'_>,
+    ) -> Result<(), AccelError> {
         let (rows, c) = (self.rows, self.cols);
         let (step, row0, nrows) = self.schedule[tile.index()];
         let bufs = self.bufs.expect("setup ran");
         let src = step % 2;
         let dst = 1 - src;
+        let Scratch {
+            lh,
+            lhu,
+            lhv,
+            oh,
+            ohu,
+            ohv,
+        } = &mut self.scratch;
 
         // Load the tile rows plus one halo row on each side, clamped.
         let halo_top = row0.saturating_sub(1);
         let halo_bot = (row0 + nrows).min(rows - 1);
-        let span = halo_bot - halo_top + 1;
-        let mut lh = vec![0.0; span * c];
-        let mut lhu = vec![0.0; span * c];
-        let mut lhv = vec![0.0; span * c];
-        ctx.load(bufs.h[src], halo_top * c, &mut lh)?;
-        ctx.load(bufs.hu[src], halo_top * c, &mut lhu)?;
-        ctx.load(bufs.hv[src], halo_top * c, &mut lhv)?;
+        let span = (halo_bot - halo_top + 1) * c;
+        let (lh, lhu, lhv) = (&mut lh[..span], &mut lhu[..span], &mut lhv[..span]);
+        ctx.load(bufs.h[src], halo_top * c, lh)?;
+        ctx.load(bufs.hu[src], halo_top * c, lhu)?;
+        ctx.load(bufs.hv[src], halo_top * c, lhv)?;
 
-        let mut oh = vec![0.0; c];
-        let mut ohu = vec![0.0; c];
-        let mut ohv = vec![0.0; c];
-
-        for bi in 0..nrows {
-            let i = row0 + bi;
-            let li = i - halo_top;
-            for j in 0..c {
-                // Neighbour states with reflective walls, from the local
-                // window.
-                let state = |lii: isize, jj: isize, flip_u: bool, flip_v: bool| {
-                    if lii < 0
-                        || (halo_top as isize + lii) >= rows as isize
-                        || jj < 0
-                        || jj >= c as isize
-                    {
-                        let m = li * c + j;
-                        let fu = if flip_u { -1.0 } else { 1.0 };
-                        let fv = if flip_v { -1.0 } else { 1.0 };
-                        (lh[m], fu * lhu[m], fv * lhv[m])
-                    } else {
-                        let m = lii as usize * c + jj as usize;
-                        (lh[m], lhu[m], lhv[m])
-                    }
-                };
-                let e = state(li as isize, j as isize + 1, true, false);
-                let w = state(li as isize, j as isize - 1, true, false);
-                let n = state(li as isize - 1, j as isize, false, true);
-                let s = state(li as isize + 1, j as isize, false, true);
-
-                let fx = |ctx: &mut TileCtx<'_>, (hh, huu, hvv): (f64, f64, f64)| {
-                    let u = ctx.div(huu, hh);
-                    let f1 = ctx.fma(huu, u, 0.5 * GRAVITY * hh * hh);
-                    let f2 = ctx.mul(hvv, u);
-                    (huu, f1, f2)
-                };
-                let fy = |ctx: &mut TileCtx<'_>, (hh, huu, hvv): (f64, f64, f64)| {
-                    let v = ctx.div(hvv, hh);
-                    let f1 = ctx.mul(huu, v);
-                    let f2 = ctx.fma(hvv, v, 0.5 * GRAVITY * hh * hh);
-                    (hvv, f1, f2)
-                };
-
-                let (fe0, fe1, fe2) = fx(ctx, e);
-                let (fw0, fw1, fw2) = fx(ctx, w);
-                let (fn0, fn1, fn2) = fy(ctx, n);
-                let (fs0, fs1, fs2) = fy(ctx, s);
-
-                let k = DT / 2.0;
-                let a0 = ctx.op(0.25 * (e.0 + w.0 + n.0 + s.0));
-                let a1 = ctx.op(0.25 * (e.1 + w.1 + n.1 + s.1));
-                let a2 = ctx.op(0.25 * (e.2 + w.2 + n.2 + s.2));
-                let uh = ctx.op(a0 - k * (fe0 - fw0) - k * (fs0 - fn0));
-                let uhu = ctx.op(a1 - k * (fe1 - fw1) - k * (fs1 - fn1));
-                let uhv = ctx.op(a2 - k * (fe2 - fw2) - k * (fs2 - fn2));
-                let (lh2, lhu2, lhv2) = limit_state(uh, uhu, uhv);
-                oh[j] = lh2;
-                ohu[j] = lhu2;
-                ohv[j] = lhv2;
+        let row = |i: usize| {
+            let at = (i - halo_top) * c;
+            Row {
+                h: &lh[at..at + c],
+                hu: &lhu[at..at + c],
+                hv: &lhv[at..at + c],
             }
-            ctx.store(bufs.h[dst], i * c, &oh)?;
-            ctx.store(bufs.hu[dst], i * c, &ohu)?;
-            ctx.store(bufs.hv[dst], i * c, &ohv)?;
+        };
+        for i in row0..row0 + nrows {
+            let out = [&mut oh[..], &mut ohu[..], &mut ohv[..]];
+            if i == 0 {
+                update_row::<L, true, false>(ctx, [row(i), row(i), row(i + 1)], out);
+            } else if i == rows - 1 {
+                update_row::<L, false, true>(ctx, [row(i - 1), row(i), row(i)], out);
+            } else {
+                update_row::<L, false, false>(ctx, [row(i - 1), row(i), row(i + 1)], out);
+            }
+            L::count(ctx, 18 * c as u64);
+            ctx.store(bufs.h[dst], i * c, oh)?;
+            ctx.store(bufs.hu[dst], i * c, ohu)?;
+            ctx.store(bufs.hv[dst], i * c, ohv)?;
         }
         Ok(())
     }
+}
+
+/// One cell's `(h, hu, hv)`.
+type State = (f64, f64, f64);
+
+/// One grid row of the three state planes.
+#[derive(Debug, Clone, Copy)]
+struct Row<'a> {
+    h: &'a [f64],
+    hu: &'a [f64],
+    hv: &'a [f64],
+}
+
+impl Row<'_> {
+    #[inline(always)]
+    fn at(&self, j: usize) -> State {
+        (self.h[j], self.hu[j], self.hv[j])
+    }
+
+    /// The ghost beyond an east or west wall next to cell `j`: the
+    /// cell's depth, its x momentum negated.
+    #[inline(always)]
+    fn wall_x(&self, j: usize) -> State {
+        (self.h[j], -self.hu[j], self.hv[j])
+    }
+
+    /// The ghost beyond a north or south wall next to cell `j`: the
+    /// cell's depth, its y momentum negated.
+    #[inline(always)]
+    fn wall_y(&self, j: usize) -> State {
+        (self.h[j], self.hu[j], -self.hv[j])
+    }
+}
+
+/// Updates one grid row from its `[north, own, south]` rows into the
+/// `[h, hu, hv]` output rows, cells in ascending column order. A
+/// `N_WALL` / `S_WALL` row reflects at the grid's north / south wall
+/// instead of reading that neighbour row. The west and east wall cells
+/// are peeled off, so the interior loop has no index branches.
+#[inline(always)]
+fn update_row<L: Lane, const N_WALL: bool, const S_WALL: bool>(
+    ctx: &mut TileCtx<'_>,
+    [north, own, south]: [Row<'_>; 3],
+    [oh, ohu, ohv]: [&mut [f64]; 3],
+) {
+    let c = own.h.len();
+    let (oh, ohu, ohv) = (&mut oh[..c], &mut ohu[..c], &mut ohv[..c]);
+    let mut cell = |ctx: &mut TileCtx<'_>, j: usize, e: State, w: State| {
+        let n = if N_WALL { own.wall_y(j) } else { north.at(j) };
+        let s = if S_WALL { own.wall_y(j) } else { south.at(j) };
+        (oh[j], ohu[j], ohv[j]) = update_cell::<L>(ctx, e, w, n, s);
+    };
+    cell(ctx, 0, own.at(1), own.wall_x(0));
+    for j in 1..c - 1 {
+        cell(ctx, j, own.at(j + 1), own.at(j - 1));
+    }
+    cell(ctx, c - 1, own.wall_x(c - 1), own.at(c - 2));
+}
+
+/// The Lax–Friedrichs update of one cell from its east, west, north and
+/// south neighbour states, limited: 18 ops, in the order of
+/// [`lax_friedrichs_cell`].
+#[inline(always)]
+fn update_cell<L: Lane>(ctx: &mut TileCtx<'_>, e: State, w: State, n: State, s: State) -> State {
+    let fx = |ctx: &mut TileCtx<'_>, (hh, huu, hvv): State| {
+        let u = L::div(ctx, huu, hh);
+        let f1 = L::fma(ctx, huu, u, 0.5 * GRAVITY * hh * hh);
+        let f2 = L::mul(ctx, hvv, u);
+        (huu, f1, f2)
+    };
+    let fy = |ctx: &mut TileCtx<'_>, (hh, huu, hvv): State| {
+        let v = L::div(ctx, hvv, hh);
+        let f1 = L::mul(ctx, huu, v);
+        let f2 = L::fma(ctx, hvv, v, 0.5 * GRAVITY * hh * hh);
+        (hvv, f1, f2)
+    };
+
+    let (fe0, fe1, fe2) = fx(ctx, e);
+    let (fw0, fw1, fw2) = fx(ctx, w);
+    let (fn0, fn1, fn2) = fy(ctx, n);
+    let (fs0, fs1, fs2) = fy(ctx, s);
+
+    let k = DT / 2.0;
+    let a0 = L::op(ctx, 0.25 * (e.0 + w.0 + n.0 + s.0));
+    let a1 = L::op(ctx, 0.25 * (e.1 + w.1 + n.1 + s.1));
+    let a2 = L::op(ctx, 0.25 * (e.2 + w.2 + n.2 + s.2));
+    let uh = L::op(ctx, a0 - k * (fe0 - fw0) - k * (fs0 - fn0));
+    let uhu = L::op(ctx, a1 - k * (fe1 - fw1) - k * (fs1 - fn1));
+    let uhv = L::op(ctx, a2 - k * (fe2 - fw2) - k * (fs2 - fn2));
+    limit_state(uh, uhu, uhv)
 }
 
 impl Workload for ShallowWater {
@@ -509,6 +576,23 @@ mod tests {
         let mut k = ShallowWater::new(32, 32, 6).unwrap();
         let golden = engine.golden(&mut k).unwrap();
         assert_eq!(golden.output, k.host_reference());
+    }
+
+    /// The smallest legal grids: one row block walled north and south,
+    /// four or five columns walled east and west.
+    #[test]
+    fn smallest_grids_match_host_reference_bitwise() {
+        let engine = Engine::new(DeviceConfig::kepler_k40());
+        for cols in [4, 5] {
+            let mut k = ShallowWater::new(8, cols, 6).unwrap();
+            let golden = engine.golden(&mut k).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&golden.output),
+                bits(&k.host_reference()),
+                "cols={cols}"
+            );
+        }
     }
 
     #[test]
