@@ -13,7 +13,10 @@
 //! ([`TileBody`]), and [`dispatch`] picks ISA × lane once per tile: the
 //! [`Armed`] lane counts and checks every op in reference order, the
 //! [`Clean`] lane — every tile that carries no armed logic, SFU or garble
-//! fault — is plain IEEE arithmetic that adds its op counts in bulk.
+//! fault — is plain IEEE arithmetic that adds its op counts in bulk. An
+//! armed tile's body asks [`Lane::clean_span`] once per span (a block,
+//! a row, a neighbour box) and runs every span its fault cannot reach on
+//! [`Clean`] too.
 
 use radcrit_core::exec;
 use radcrit_core::shape::OutputShape;
@@ -107,13 +110,19 @@ pub trait TiledProgram {
 /// [`TileBody`], implemented by [`Armed`] and [`Clean`].
 ///
 /// Both lanes compute the same IEEE results in the same order and leave
-/// the same `ops` / `trans_ops` counts at the end of a tile. [`Armed`]
+/// the same `ops` / `trans_ops` counts at the end of a span. [`Armed`]
 /// routes every operation through the [`TileCtx`] op wrappers
 /// ([`TileCtx::op`], [`TileCtx::exp`], …), which count it and apply the
 /// tile's armed fault at its op index; a body must call them in
 /// reference order. [`Clean`] is plain arithmetic, and the body reports
 /// its counts with [`Lane::count`] and [`Lane::count_trans`], which the
 /// armed lane ignores because its wrappers counted already.
+///
+/// A body split into spans (each with a fixed count of ops) asks
+/// [`Lane::clean_span`] before each one and runs the span on [`Clean`]
+/// when it answers true — on an armed tile, every span outside the
+/// fault's window — else on `L`. Lanes then switch mid-tile, so every
+/// span must leave the counts the other lane would.
 pub trait Lane {
     /// Whether ops are counted one by one and checked against a fault.
     const ARMED: bool;
@@ -178,10 +187,22 @@ pub trait Lane {
             ctx.trans_ops += ops;
         }
     }
+
+    /// Whether the body's next span — `ops` arithmetic and `trans`
+    /// transcendental ops — runs on [`Clean`]: always on the clean lane,
+    /// and on the armed lane when the tile is not garbled and the span
+    /// holds neither an op of its logic window nor its SFU fault's op.
+    #[inline(always)]
+    fn clean_span(ctx: &TileCtx<'_>, ops: u64, trans: u64) -> bool {
+        !Self::ARMED || ctx.clean_span(ops, trans)
+    }
 }
 
 /// The lane of a tile with an armed logic, SFU or garble fault: every op
-/// is counted and checked in reference order.
+/// is counted and checked in reference order. A logic or SFU fault
+/// corrupts a known window of ops, so only the spans that window reaches
+/// run here; the tile's other spans run on [`Clean`]. A garble's per-op
+/// sequence follows call order, so a garbled tile runs here throughout.
 #[derive(Debug)]
 pub enum Armed {}
 
@@ -190,7 +211,8 @@ impl Lane for Armed {
 }
 
 /// The lane of every other tile (golden capture, warm advance, almost
-/// every fork tile): plain IEEE arithmetic the compiler may vectorize.
+/// every fork tile) and of an armed tile's spans outside its fault
+/// window: plain IEEE arithmetic the compiler may vectorize.
 #[derive(Debug)]
 pub enum Clean {}
 
@@ -213,11 +235,12 @@ pub trait TileBody {
 }
 
 /// Runs `program`'s tile body for `tile`, picking ISA × lane once: the
-/// [`Armed`] lane when `ctx` carries an armed fault, else [`Clean`], and
-/// on an AVX2 host the whole body — arithmetic, row loads and stores —
-/// compiled as one AVX2+FMA region (fused hardware FMAs instead of libm
-/// calls, vectorized clean loops), bit-identical to the portable copy
-/// because every op is the same IEEE operation on every lowering.
+/// [`Armed`] lane when `ctx` carries an armed fault (whose body still runs
+/// the spans [`Lane::clean_span`] clears on [`Clean`]), else [`Clean`],
+/// and on an AVX2 host the whole body — arithmetic, row loads and stores
+/// — compiled as one AVX2+FMA region (fused hardware FMAs instead of
+/// libm calls, vectorized clean loops), bit-identical to the portable
+/// copy because every op is the same IEEE operation on every lowering.
 ///
 /// # Errors
 ///
@@ -228,7 +251,7 @@ pub fn dispatch<P: TileBody + ?Sized>(
     tile: TileId,
     ctx: &mut TileCtx<'_>,
 ) -> Result<(), AccelError> {
-    let armed = ctx.fault_armed;
+    let armed = ctx.fault.is_armed();
     #[cfg(target_arch = "x86_64")]
     if exec::active() == exec::Isa::Avx2 {
         // SAFETY: `exec::active` only reports Avx2 after runtime
@@ -367,7 +390,6 @@ pub struct TileCtx<'a> {
     pub(crate) overlay: Option<&'a mut Overlay>,
     pub(crate) unit: usize,
     pub(crate) fault: TileFault,
-    pub(crate) fault_armed: bool,
     pub(crate) store_log: Option<&'a mut StoreLog>,
     // Per-tile counters (reset each tile).
     pub(crate) ops: u64,
@@ -376,7 +398,6 @@ pub struct TileCtx<'a> {
     pub(crate) stores: u64,
     pub(crate) store_ops: u64,
     pub(crate) last_store: f64,
-    pub(crate) last_op: f64,
     pub(crate) garble_anchor: Option<f64>,
     pub(crate) garble_state: u64,
     // Which buffers this tile loaded, stored and had corrupted lines
@@ -399,14 +420,12 @@ impl<'a> TileCtx<'a> {
         unit: usize,
         fault: TileFault,
     ) -> Self {
-        let fault_armed = fault.is_armed();
         TileCtx {
             mem,
             caches,
             overlay: None,
             unit,
             fault,
-            fault_armed,
             store_log: None,
             ops: 0,
             trans_ops: 0,
@@ -414,7 +433,6 @@ impl<'a> TileCtx<'a> {
             stores: 0,
             store_ops: 0,
             last_store: 0.0,
-            last_op: 0.0,
             garble_anchor: None,
             garble_state: 0x9E37_79B9_7F4A_7C15,
             loaded: 0,
@@ -438,51 +456,64 @@ impl<'a> TileCtx<'a> {
     }
 
     /// Records one arithmetic operation and returns its (possibly
-    /// corrupted) result: the [`Armed`] lane's op. With no fault armed
-    /// it is a counter increment and a predictable branch, which is what
-    /// a program that calls it directly pays per op; a [`TileBody`] runs
-    /// unarmed tiles on the [`Clean`] lane instead.
+    /// corrupted) result: the [`Armed`] lane's op. Outside a garble it is
+    /// a counter increment and one inline window check — ops
+    /// `logic_at..logic_at + logic_lanes`, which an unarmed tile's empty
+    /// window never matches — which is what a program that calls it
+    /// directly pays per op; a [`TileBody`] runs unarmed tiles and spans
+    /// on the [`Clean`] lane instead.
     #[inline(always)]
     pub fn op(&mut self, value: f64) -> f64 {
         let idx = self.ops;
         self.ops += 1;
-        if self.fault_armed {
-            self.op_faulty(idx, value)
-        } else {
-            value
-        }
-    }
-
-    #[cold]
-    fn op_faulty(&mut self, idx: u64, value: f64) -> f64 {
         if self.fault.garble {
-            // Garbled dispatch/task state makes the unit compute with
-            // wrong operands — data fetched from wrong addresses or
-            // phases. The result is a *plausible-magnitude* wrong value
-            // (an in-flight result from when the state was corrupted),
-            // not a random bit pattern: replay the value latched at
-            // corruption time, perturbed per op so outputs are not all
-            // identical.
-            let mut x = self.garble_state;
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            self.garble_state = x;
-            if self.garble_anchor.is_none() {
-                self.garble_anchor = Some(value);
-            }
-            let anchor = self.garble_anchor.expect("just set");
-            // A small per-op wobble (±25 %) around the stale anchor.
-            let wobble = 0.75 + (x >> 40) as f64 / (1u64 << 24) as f64 * 0.5;
-            // Occasionally let the correct value through (some lanes
-            // still hit the right data).
-            return if x & 0xF == 0 { value } else { anchor * wobble };
+            return self.op_garble(value);
         }
-        self.last_op = value;
-        if idx >= self.fault.logic_at && idx < self.fault.logic_at + self.fault.logic_lanes {
+        if idx.wrapping_sub(self.fault.logic_at) < self.fault.logic_lanes {
             return f64::from_bits(value.to_bits() ^ self.fault.logic_mask);
         }
         value
+    }
+
+    /// Whether the tile's next `ops` arithmetic ops and next `trans`
+    /// transcendental ops lie wholly outside its armed fault: no op of the
+    /// logic window among them, not the SFU fault's op, and no garble.
+    /// Such a span computes the same bits on [`Clean`] as on [`Armed`];
+    /// a body asks through [`Lane::clean_span`].
+    #[inline(always)]
+    pub(crate) fn clean_span(&self, ops: u64, trans: u64) -> bool {
+        let f = &self.fault;
+        // Two index ranges (on the wrapping `u64` circle, like the window
+        // check in `op`) meet iff one starts inside the other.
+        let logic = (ops > 0 && self.ops.wrapping_sub(f.logic_at) < f.logic_lanes)
+            || (f.logic_lanes > 0 && f.logic_at.wrapping_sub(self.ops) < ops);
+        let sfu = f.sfu_at.wrapping_sub(self.trans_ops) < trans;
+        !(f.garble || logic || sfu)
+    }
+
+    /// The op of a garbled tile. Garbled dispatch/task state makes the
+    /// unit compute with wrong operands — data fetched from wrong
+    /// addresses or phases. The result is a *plausible-magnitude* wrong
+    /// value (an in-flight result from when the state was corrupted), not
+    /// a random bit pattern: replay the value latched at corruption time,
+    /// perturbed per op so outputs are not all identical.
+    #[cold]
+    fn op_garble(&mut self, value: f64) -> f64 {
+        let mut x = self.garble_state;
+        x ^= x >> 12;
+        x ^= x << 25;
+        x ^= x >> 27;
+        self.garble_state = x;
+        let anchor = *self.garble_anchor.get_or_insert(value);
+        // A small per-op wobble (±25 %) around the stale anchor.
+        let wobble = 0.75 + (x >> 40) as f64 / (1u64 << 24) as f64 * 0.5;
+        // Occasionally let the correct value through (some lanes still
+        // hit the right data).
+        if x & 0xF == 0 {
+            value
+        } else {
+            anchor * wobble
+        }
     }
 
     /// Fused multiply-add routed through the op counter: `a * b + acc`
@@ -509,6 +540,8 @@ impl<'a> TileCtx<'a> {
     /// AVX2 tile body the compiler keeps them in vector registers
     /// instead of re-loading `acc` once per `k` — the difference between
     /// a memory-bound and an FMA-bound inner kernel.
+    /// The block is one span: it runs on the clean lane unless
+    /// [`Lane::clean_span`] finds the tile's fault inside its `N³` ops.
     /// The clean lane takes two rows per pass, sharing each `b` row. The
     /// armed lane takes one, which is the reference order itself: its
     /// ops reach `TileCtx::op` at index `r·N² + k·N + c` (plus the
@@ -523,14 +556,21 @@ impl<'a> TileCtx<'a> {
         b: &[[f64; N]; N],
         acc: &mut [[f64; N]; N],
     ) {
-        let paired = if L::ARMED { 0 } else { N / 2 * 2 };
-        for r in (0..paired).step_by(2) {
-            self.fma_rows::<L, N, 2>(a, b, acc, r);
+        let ops = (N * N * N) as u64;
+        if L::clean_span(self, ops, 0) {
+            let paired = N / 2 * 2;
+            for r in (0..paired).step_by(2) {
+                self.fma_rows::<Clean, N, 2>(a, b, acc, r);
+            }
+            for r in paired..N {
+                self.fma_rows::<Clean, N, 1>(a, b, acc, r);
+            }
+            Clean::count(self, ops);
+        } else {
+            for r in 0..N {
+                self.fma_rows::<L, N, 1>(a, b, acc, r);
+            }
         }
-        for r in paired..N {
-            self.fma_rows::<L, N, 1>(a, b, acc, r);
-        }
-        L::count(self, (N * N * N) as u64);
     }
 
     /// Output rows `r..r + W` of [`TileCtx::fma_block`], `W`-way
@@ -584,7 +624,7 @@ impl<'a> TileCtx<'a> {
     pub fn exp(&mut self, x: f64) -> f64 {
         let idx = self.trans_ops;
         self.trans_ops += 1;
-        let x = if self.fault_armed && idx == self.fault.sfu_at {
+        let x = if idx == self.fault.sfu_at {
             x * self.fault.sfu_scale
         } else {
             x
@@ -598,7 +638,7 @@ impl<'a> TileCtx<'a> {
     pub fn sqrt(&mut self, x: f64) -> f64 {
         let idx = self.trans_ops;
         self.trans_ops += 1;
-        let x = if self.fault_armed && idx == self.fault.sfu_at {
+        let x = if idx == self.fault.sfu_at {
             x * self.fault.sfu_scale
         } else {
             x
@@ -1031,6 +1071,77 @@ mod tests {
         assert!(corrupted > 1e13, "exp(32) expected, got {corrupted}");
         let clean = ctx.exp(-1.0); // only trans op 0 was armed
         assert!((clean - (-1.0f64).exp()).abs() < 1e-18);
+    }
+
+    /// `clean_span` over a 50-op, 5-`exp` span (ops 100..150, `exp`s
+    /// 10..15): clear exactly when the fault's window misses the span.
+    #[test]
+    fn clean_span_clears_only_spans_the_fault_misses() {
+        let (mut mem, mut caches) = machine();
+        let mut clean = |fault: TileFault, ops: u64, trans: u64| {
+            let mut ctx = TileCtx::new(&mut mem, &mut caches, 0, fault);
+            (ctx.ops, ctx.trans_ops) = (100, 10);
+            ctx.clean_span(ops, trans)
+        };
+        let logic = |at, lanes| TileFault::logic(at, lanes, 1 << 63);
+        let cases = [
+            (logic(90, 10), true, "window before the span"),
+            (logic(120, 3), false, "window inside"),
+            (logic(150, 4), true, "window after"),
+            (logic(95, 10), false, "window straddling the first op"),
+            (logic(145, 10), false, "window straddling the last op"),
+            (logic(100, 1), false, "the first op"),
+            (logic(149, 1), false, "the last op"),
+            (logic(50, 200), false, "window around the span"),
+            (logic(120, 0), true, "no lanes"),
+            (TileFault::none(), true, "no fault"),
+        ];
+        for (fault, want, what) in cases {
+            assert_eq!(clean(fault, 50, 5), want, "{what}");
+        }
+        let sfu = |at| TileFault {
+            sfu_at: at,
+            sfu_scale: 2.0,
+            ..TileFault::none()
+        };
+        for (at, want) in [(9, true), (10, false), (14, false), (15, true)] {
+            assert_eq!(clean(sfu(at), 50, 5), want, "sfu_at {at}");
+        }
+        assert!(clean(sfu(10), 50, 0), "a span without `exp`s");
+        assert!(clean(logic(100, 1), 0, 5), "a span without ops");
+        let garble = TileFault {
+            garble: true,
+            ..TileFault::none()
+        };
+        assert!(!clean(garble, 50, 5) && !clean(garble, 0, 0), "a garble");
+    }
+
+    /// The span query's logic test agrees with `op`'s window check on
+    /// every op of the span, near zero and where the index wraps.
+    #[test]
+    fn clean_span_agrees_with_the_op_window() {
+        let (mut mem, mut caches) = machine();
+        for base in [0, u64::MAX - 12] {
+            for at in (0..20).map(|d| base.wrapping_add(d)) {
+                for lanes in 0..5 {
+                    for start in (0..16).map(|d| base.wrapping_add(d)) {
+                        // The op counter itself never wraps.
+                        for ops in (0..6).filter(|&n| start.checked_add(n).is_some()) {
+                            let fault = TileFault::logic(at, lanes, 1);
+                            let mut ctx = TileCtx::new(&mut mem, &mut caches, 0, fault);
+                            ctx.ops = start;
+                            let clear = ctx.clean_span(ops, 0);
+                            let hit = (0..ops).any(|i| {
+                                let v = ctx.op(0.0);
+                                assert_eq!(ctx.ops, start + i + 1);
+                                v != 0.0
+                            });
+                            assert_eq!(clear, !hit, "window {at}+{lanes}, span {start}+{ops}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use radcrit_accel::error::AccelError;
 use radcrit_accel::memory::{BufferId, DeviceMemory};
-use radcrit_accel::program::{self, Lane, TileBody, TileCtx, TileId, TiledProgram};
+use radcrit_accel::program::{self, Clean, Lane, TileBody, TileCtx, TileId, TiledProgram};
 use radcrit_core::shape::{Coord, OutputShape};
 
 use crate::input::in_range;
@@ -239,8 +239,9 @@ impl TiledProgram for HotSpot {
 
 impl TileBody for HotSpot {
     /// One row block of one iteration. Each grid row updates from its
-    /// clamped north and south rows (`update_row`); on the clean lane
-    /// the row's `7·cols` ops are counted once and its interior
+    /// clamped north and south rows (`update_row`) and is one span of
+    /// `7·cols` ops: on the clean lane — where an armed tile runs every
+    /// row its fault misses — the row is counted once and its interior
     /// vectorizes.
     #[inline(always)]
     fn tile_body<L: Lane>(
@@ -280,8 +281,13 @@ impl TileBody for HotSpot {
             let i = row0 + bi;
             let up = if i == 0 { i } else { i - 1 };
             let dn = if i == r - 1 { i } else { i + 1 };
-            update_row::<L>(ctx, [row(up), row(i), row(dn)], pw, out);
-            L::count(ctx, 7 * c as u64);
+            let rows = [row(up), row(i), row(dn)];
+            if L::clean_span(ctx, 7 * c as u64, 0) {
+                update_row::<Clean>(ctx, rows, pw, out);
+                Clean::count(ctx, 7 * c as u64);
+            } else {
+                update_row::<L>(ctx, rows, pw, out);
+            }
             ctx.store(dst, i * c, out)?;
         }
         Ok(())

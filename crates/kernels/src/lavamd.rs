@@ -22,7 +22,7 @@
 
 use radcrit_accel::error::AccelError;
 use radcrit_accel::memory::{BufferId, DeviceMemory};
-use radcrit_accel::program::{self, Lane, TileBody, TileCtx, TileId, TiledProgram};
+use radcrit_accel::program::{self, Clean, Lane, TileBody, TileCtx, TileId, TiledProgram};
 use radcrit_core::shape::{Coord, OutputShape};
 
 use crate::input::fraction;
@@ -229,8 +229,9 @@ impl TiledProgram for LavaMd {
 impl TileBody for LavaMd {
     /// The particle-pair force loop — a chain of per-op FMAs — compiles
     /// to fused hardware FMAs on an AVX2 host instead of libm calls.
-    /// The clean lane counts each neighbour box's `9·p²` ops and `p²`
-    /// exponentials once.
+    /// Each neighbour box is one span of `9·p²` ops and `p²`
+    /// exponentials: the clean lane counts it once, and an armed tile
+    /// runs it on the clean lane unless its fault falls inside.
     #[inline(always)]
     fn tile_body<L: Lane>(
         &mut self,
@@ -251,37 +252,54 @@ impl TileBody for LavaMd {
 
         let mut rb = vec![0.0f64; p * 4];
         let mut qb = vec![0.0f64; p];
+        let pairs = (p * p) as u64;
         for (nx, ny, nz) in neighbor_coords(hx, hy, hz, self.grid) {
             let nb = self.box_index(nx, ny, nz);
             ctx.load(rv_buf, nb * p * 4, &mut rb)?;
             ctx.load(qv_buf, nb * p, &mut qb)?;
-            for i in 0..p {
-                let (rav, rax, ray, raz) = (ra[i * 4], ra[i * 4 + 1], ra[i * 4 + 2], ra[i * 4 + 3]);
-                for j in 0..p {
-                    let (rbv, rbx, rby, rbz) =
-                        (rb[j * 4], rb[j * 4 + 1], rb[j * 4 + 2], rb[j * 4 + 3]);
-                    let mut dot = L::fma(ctx, raz, rbz, 0.0);
-                    dot = L::fma(ctx, ray, rby, dot);
-                    dot = L::fma(ctx, rax, rbx, dot);
-                    let r2 = L::add(ctx, rav, rbv - dot);
-                    let u2 = L::mul(ctx, a2, r2);
-                    let vij = L::exp(ctx, -u2);
-                    let fs = 2.0 * vij;
-                    let dx = rax - rbx;
-                    let dy = ray - rby;
-                    let dz = raz - rbz;
-                    let q = qb[j];
-                    fa[i * 4] = L::fma(ctx, q, vij, fa[i * 4]);
-                    fa[i * 4 + 1] = L::fma(ctx, q, fs * dx, fa[i * 4 + 1]);
-                    fa[i * 4 + 2] = L::fma(ctx, q, fs * dy, fa[i * 4 + 2]);
-                    fa[i * 4 + 3] = L::fma(ctx, q, fs * dz, fa[i * 4 + 3]);
-                }
+            if L::clean_span(ctx, 9 * pairs, pairs) {
+                neighbour_forces::<Clean>(ctx, a2, &ra, &rb, &qb, &mut fa);
+                Clean::count(ctx, 9 * pairs);
+                Clean::count_trans(ctx, pairs);
+            } else {
+                neighbour_forces::<L>(ctx, a2, &ra, &rb, &qb, &mut fa);
             }
-            let pairs = (p * p) as u64;
-            L::count(ctx, 9 * pairs);
-            L::count_trans(ctx, pairs);
         }
         ctx.store(fv_buf, home * p * 4, &fa)
+    }
+}
+
+/// Accumulates into the home box's forces `fa` every home particle's
+/// interaction with every particle of one neighbour box (positions `rb`,
+/// charges `qb`): `9·p²` ops and `p²` exponentials in reference order.
+#[inline(always)]
+fn neighbour_forces<L: Lane>(
+    ctx: &mut TileCtx<'_>,
+    a2: f64,
+    ra: &[f64],
+    rb: &[f64],
+    qb: &[f64],
+    fa: &mut [f64],
+) {
+    for (rai, fai) in ra.chunks_exact(4).zip(fa.chunks_exact_mut(4)) {
+        let (rav, rax, ray, raz) = (rai[0], rai[1], rai[2], rai[3]);
+        for (rbj, &q) in rb.chunks_exact(4).zip(qb) {
+            let (rbv, rbx, rby, rbz) = (rbj[0], rbj[1], rbj[2], rbj[3]);
+            let mut dot = L::fma(ctx, raz, rbz, 0.0);
+            dot = L::fma(ctx, ray, rby, dot);
+            dot = L::fma(ctx, rax, rbx, dot);
+            let r2 = L::add(ctx, rav, rbv - dot);
+            let u2 = L::mul(ctx, a2, r2);
+            let vij = L::exp(ctx, -u2);
+            let fs = 2.0 * vij;
+            let dx = rax - rbx;
+            let dy = ray - rby;
+            let dz = raz - rbz;
+            fai[0] = L::fma(ctx, q, vij, fai[0]);
+            fai[1] = L::fma(ctx, q, fs * dx, fai[1]);
+            fai[2] = L::fma(ctx, q, fs * dy, fai[2]);
+            fai[3] = L::fma(ctx, q, fs * dz, fai[3]);
+        }
     }
 }
 

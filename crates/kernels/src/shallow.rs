@@ -25,7 +25,7 @@
 
 use radcrit_accel::error::AccelError;
 use radcrit_accel::memory::{BufferId, DeviceMemory};
-use radcrit_accel::program::{self, Lane, TileBody, TileCtx, TileId, TiledProgram};
+use radcrit_accel::program::{self, Clean, Lane, TileBody, TileCtx, TileId, TiledProgram};
 use radcrit_core::shape::{Coord, OutputShape};
 
 use crate::profile::KernelClass;
@@ -387,8 +387,9 @@ impl TiledProgram for ShallowWater {
 impl TileBody for ShallowWater {
     /// One scheduled row block of one time step. Each grid row updates
     /// from its north and south rows, or the reflective wall on the
-    /// grid's first and last row (`update_row`); on the clean lane the
-    /// row's `18·cols` ops are counted once.
+    /// grid's first and last row (`update_row`), and is one span of
+    /// `18·cols` ops: the clean lane — where an armed tile runs every row
+    /// its fault misses — counts it once.
     #[inline(always)]
     fn tile_body<L: Lane>(
         &mut self,
@@ -428,14 +429,12 @@ impl TileBody for ShallowWater {
         };
         for i in row0..row0 + nrows {
             let out = [&mut oh[..], &mut ohu[..], &mut ohv[..]];
-            if i == 0 {
-                update_row::<L, true, false>(ctx, [row(i), row(i), row(i + 1)], out);
-            } else if i == rows - 1 {
-                update_row::<L, false, true>(ctx, [row(i - 1), row(i), row(i)], out);
+            if L::clean_span(ctx, 18 * c as u64, 0) {
+                update_walled_row::<Clean>(ctx, i, rows, &row, out);
+                Clean::count(ctx, 18 * c as u64);
             } else {
-                update_row::<L, false, false>(ctx, [row(i - 1), row(i), row(i + 1)], out);
+                update_walled_row::<L>(ctx, i, rows, &row, out);
             }
-            L::count(ctx, 18 * c as u64);
             ctx.store(bufs.h[dst], i * c, oh)?;
             ctx.store(bufs.hu[dst], i * c, ohu)?;
             ctx.store(bufs.hv[dst], i * c, ohv)?;
@@ -473,6 +472,26 @@ impl Row<'_> {
     #[inline(always)]
     fn wall_y(&self, j: usize) -> State {
         (self.h[j], self.hu[j], -self.hv[j])
+    }
+}
+
+/// Updates grid row `i` of a `rows`-row grid, `row` reading the tile's
+/// halo'd rows: reflecting at the north wall on the first row and at the
+/// south wall on the last.
+#[inline(always)]
+fn update_walled_row<'a, L: Lane>(
+    ctx: &mut TileCtx<'_>,
+    i: usize,
+    rows: usize,
+    row: &impl Fn(usize) -> Row<'a>,
+    out: [&mut [f64]; 3],
+) {
+    if i == 0 {
+        update_row::<L, true, false>(ctx, [row(i), row(i), row(i + 1)], out);
+    } else if i == rows - 1 {
+        update_row::<L, false, true>(ctx, [row(i - 1), row(i), row(i)], out);
+    } else {
+        update_row::<L, false, false>(ctx, [row(i - 1), row(i), row(i + 1)], out);
     }
 }
 
