@@ -12,11 +12,15 @@
 //! operations. A kernel writes its tile body once, generic over the lane
 //! ([`TileBody`]), and [`dispatch`] picks ISA × lane once per tile: the
 //! [`Armed`] lane counts and checks every op in reference order, the
-//! [`Clean`] lane — every tile that carries no armed logic, SFU or garble
-//! fault — is plain IEEE arithmetic that adds its op counts in bulk. An
-//! armed tile's body asks [`Lane::clean_span`] once per span (a block,
-//! a row, a neighbour box) and runs every span its fault cannot reach on
-//! [`Clean`] too.
+//! [`Garbled`] lane blends each op of a garbled tile with the garble
+//! sequence at the op's index, and the [`Clean`] lane — every tile that
+//! carries no armed logic, SFU or garble fault — is plain IEEE
+//! arithmetic that adds its op counts in bulk. A body asks
+//! [`Lane::clean_span`] once per span (a block, a row, a neighbour box):
+//! an armed tile runs every span its fault cannot reach on [`Clean`], and
+//! a garbled tile runs each span in the clean lane's order.
+
+use std::cell::Cell;
 
 use radcrit_core::exec;
 use radcrit_core::shape::OutputShape;
@@ -107,16 +111,23 @@ pub trait TiledProgram {
 }
 
 /// How a tile body's arithmetic executes: the one generic parameter of a
-/// [`TileBody`], implemented by [`Armed`] and [`Clean`].
+/// [`TileBody`], implemented by [`Armed`], [`Garbled`] and [`Clean`].
 ///
-/// Both lanes compute the same IEEE results in the same order and leave
-/// the same `ops` / `trans_ops` counts at the end of a span. [`Armed`]
-/// routes every operation through the [`TileCtx`] op wrappers
-/// ([`TileCtx::op`], [`TileCtx::exp`], …), which count it and apply the
-/// tile's armed fault at its op index; a body must call them in
-/// reference order. [`Clean`] is plain arithmetic, and the body reports
-/// its counts with [`Lane::count`] and [`Lane::count_trans`], which the
-/// armed lane ignores because its wrappers counted already.
+/// Every lane computes the same IEEE results and leaves the same `ops` /
+/// `trans_ops` counts at the end of a span. [`Armed`] routes every
+/// operation through the [`TileCtx`] op wrappers ([`TileCtx::op`],
+/// [`TileCtx::exp`], …), which count it and apply the tile's armed fault
+/// at its op index; a body must call them in reference order. [`Clean`]
+/// is plain arithmetic, and [`Garbled`] plain arithmetic blended with the
+/// garble sequence; on both the body reports its counts with
+/// [`Lane::count`] and [`Lane::count_trans`], which the armed lane
+/// ignores because its wrappers counted already.
+///
+/// Each op takes its index `i` within the span — the ops (or, for
+/// [`Lane::exp`], the transcendental ops) the span ran before it in
+/// reference order — which the body knows from its loop indices. Only
+/// [`Garbled`] reads it, so the body may run a span's ops in any order
+/// that keeps their data flow.
 ///
 /// A body split into spans (each with a fixed count of ops) asks
 /// [`Lane::clean_span`] before each one and runs the span on [`Clean`]
@@ -127,52 +138,61 @@ pub trait Lane {
     /// Whether ops are counted one by one and checked against a fault.
     const ARMED: bool;
 
-    /// One counted arithmetic op producing `value`.
+    /// Whether ops blend with the garble sequence at their index.
+    const GARBLED: bool = false;
+
+    /// One counted arithmetic op, the span's `i`-th, producing `value`.
     #[inline(always)]
-    fn op(ctx: &mut TileCtx<'_>, value: f64) -> f64 {
+    fn op(ctx: &mut TileCtx<'_>, i: usize, value: f64) -> f64 {
         if Self::ARMED {
             ctx.op(value)
+        } else if Self::GARBLED {
+            ctx.garbled_op(i, value)
         } else {
             value
         }
     }
 
-    /// `a + b` as one op.
+    /// `a + b` as op `i`.
     #[inline(always)]
-    fn add(ctx: &mut TileCtx<'_>, a: f64, b: f64) -> f64 {
-        Self::op(ctx, a + b)
+    fn add(ctx: &mut TileCtx<'_>, i: usize, a: f64, b: f64) -> f64 {
+        Self::op(ctx, i, a + b)
     }
 
-    /// `a * b` as one op.
+    /// `a * b` as op `i`.
     #[inline(always)]
-    fn mul(ctx: &mut TileCtx<'_>, a: f64, b: f64) -> f64 {
-        Self::op(ctx, a * b)
+    fn mul(ctx: &mut TileCtx<'_>, i: usize, a: f64, b: f64) -> f64 {
+        Self::op(ctx, i, a * b)
     }
 
-    /// `a / b` as one op.
+    /// `a / b` as op `i`.
     #[inline(always)]
-    fn div(ctx: &mut TileCtx<'_>, a: f64, b: f64) -> f64 {
-        Self::op(ctx, a / b)
+    fn div(ctx: &mut TileCtx<'_>, i: usize, a: f64, b: f64) -> f64 {
+        Self::op(ctx, i, a / b)
     }
 
-    /// Fused `a * b + acc` as one op (see [`TileCtx::fma`]).
+    /// Fused `a * b + acc` as op `i` (see [`TileCtx::fma`]).
     #[inline(always)]
-    fn fma(ctx: &mut TileCtx<'_>, a: f64, b: f64, acc: f64) -> f64 {
-        Self::op(ctx, a.mul_add(b, acc))
+    fn fma(ctx: &mut TileCtx<'_>, i: usize, a: f64, b: f64, acc: f64) -> f64 {
+        Self::op(ctx, i, a.mul_add(b, acc))
     }
 
-    /// `exp(x)` as one transcendental op (see [`TileCtx::exp`]).
+    /// `exp(x)` as the span's `i`-th transcendental op (see
+    /// [`TileCtx::exp`]).
     #[inline(always)]
-    fn exp(ctx: &mut TileCtx<'_>, x: f64) -> f64 {
+    fn exp(ctx: &mut TileCtx<'_>, i: usize, x: f64) -> f64 {
         if Self::ARMED {
             ctx.exp(x)
+        } else if Self::GARBLED {
+            ctx.sfu(ctx.trans_ops + i as u64, x).exp()
         } else {
             x.exp()
         }
     }
 
     /// Adds `ops` arithmetic ops the body ran through this lane since
-    /// its last count: once per row or per tile on the clean lane.
+    /// its last count: once per span on a lane that does not count op
+    /// by op.
     #[inline(always)]
     fn count(ctx: &mut TileCtx<'_>, ops: u64) {
         if !Self::ARMED {
@@ -190,24 +210,50 @@ pub trait Lane {
 
     /// Whether the body's next span — `ops` arithmetic and `trans`
     /// transcendental ops — runs on [`Clean`]: always on the clean lane,
-    /// and on the armed lane when the tile is not garbled and the span
-    /// holds neither an op of its logic window nor its SFU fault's op.
+    /// never on the garbled one, and on the armed lane when the span
+    /// holds neither an op of the tile's logic window nor its SFU
+    /// fault's op. The garbled lane readies the span instead: the garble
+    /// sequence covers its ops, and when the span starts the tile the
+    /// anchor is `first()`, the value its op 0 computes.
     #[inline(always)]
-    fn clean_span(ctx: &TileCtx<'_>, ops: u64, trans: u64) -> bool {
-        !Self::ARMED || ctx.clean_span(ops, trans)
+    fn clean_span(
+        ctx: &mut TileCtx<'_>,
+        ops: u64,
+        trans: u64,
+        first: impl FnOnce() -> f64,
+    ) -> bool {
+        if Self::GARBLED {
+            ctx.garble_span(ops, first);
+            false
+        } else {
+            !Self::ARMED || ctx.clean_span(ops, trans)
+        }
     }
 }
 
-/// The lane of a tile with an armed logic, SFU or garble fault: every op
-/// is counted and checked in reference order. A logic or SFU fault
-/// corrupts a known window of ops, so only the spans that window reaches
-/// run here; the tile's other spans run on [`Clean`]. A garble's per-op
-/// sequence follows call order, so a garbled tile runs here throughout.
+/// The lane of a tile with an armed logic or SFU fault: every op is
+/// counted and checked in reference order. The fault corrupts a known
+/// window of ops, so only the spans that window reaches run here; the
+/// tile's other spans run on [`Clean`].
 #[derive(Debug)]
 pub enum Armed {}
 
 impl Lane for Armed {
     const ARMED: bool = true;
+}
+
+/// The lane of a garbled tile, in the clean lane's order and vector
+/// width: op `i` of a span yields the computed value where the garble
+/// sequence lets it through and the tile's stale anchor times the
+/// sequence's wobble elsewhere, read at the op's index in the tile. An
+/// SFU fault still scales its `exp`; a logic fault is lost in the
+/// garble, as on [`TileCtx::op`].
+#[derive(Debug)]
+pub enum Garbled {}
+
+impl Lane for Garbled {
+    const ARMED: bool = false;
+    const GARBLED: bool = true;
 }
 
 /// The lane of every other tile (golden capture, warm advance, almost
@@ -234,13 +280,21 @@ pub trait TileBody {
         -> Result<(), AccelError>;
 }
 
+thread_local! {
+    /// This thread's garble sequence, lent to each garbled tile it
+    /// dispatches: it grows to the longest garbled tile and is never
+    /// shrunk.
+    static GARBLE_SEQ: Cell<GarbleSeq> = const { Cell::new(GarbleSeq::new()) };
+}
+
 /// Runs `program`'s tile body for `tile`, picking ISA × lane once: the
-/// [`Armed`] lane when `ctx` carries an armed fault (whose body still runs
-/// the spans [`Lane::clean_span`] clears on [`Clean`]), else [`Clean`],
-/// and on an AVX2 host the whole body — arithmetic, row loads and stores
-/// — compiled as one AVX2+FMA region (fused hardware FMAs instead of
-/// libm calls, vectorized clean loops), bit-identical to the portable
-/// copy because every op is the same IEEE operation on every lowering.
+/// [`Garbled`] lane when `ctx` carries a garble, the [`Armed`] lane when
+/// it carries another armed fault (whose body still runs the spans
+/// [`Lane::clean_span`] clears on [`Clean`]), else [`Clean`], and on an
+/// AVX2 host the whole body — arithmetic, row loads and stores —
+/// compiled as one AVX2+FMA region (fused hardware FMAs instead of libm
+/// calls, vectorized clean loops), bit-identical to the portable copy
+/// because every op is the same IEEE operation on every lowering.
 ///
 /// # Errors
 ///
@@ -251,24 +305,32 @@ pub fn dispatch<P: TileBody + ?Sized>(
     tile: TileId,
     ctx: &mut TileCtx<'_>,
 ) -> Result<(), AccelError> {
-    let armed = ctx.fault.is_armed();
+    if ctx.fault.garble {
+        ctx.garble_seq = GARBLE_SEQ.take();
+        let result = run_body::<P, Garbled>(program, tile, ctx);
+        GARBLE_SEQ.set(std::mem::take(&mut ctx.garble_seq));
+        result
+    } else if ctx.fault.is_armed() {
+        run_body::<P, Armed>(program, tile, ctx)
+    } else {
+        run_body::<P, Clean>(program, tile, ctx)
+    }
+}
+
+/// The body on lane `L`, as one AVX2+FMA region on an AVX2 host.
+#[inline(always)]
+fn run_body<P: TileBody + ?Sized, L: Lane>(
+    program: &mut P,
+    tile: TileId,
+    ctx: &mut TileCtx<'_>,
+) -> Result<(), AccelError> {
     #[cfg(target_arch = "x86_64")]
     if exec::active() == exec::Isa::Avx2 {
         // SAFETY: `exec::active` only reports Avx2 after runtime
         // detection confirmed AVX2 + FMA on this host.
-        return unsafe {
-            if armed {
-                body_avx2::<P, Armed>(program, tile, ctx)
-            } else {
-                body_avx2::<P, Clean>(program, tile, ctx)
-            }
-        };
+        return unsafe { body_avx2::<P, L>(program, tile, ctx) };
     }
-    if armed {
-        program.tile_body::<Armed>(tile, ctx)
-    } else {
-        program.tile_body::<Clean>(tile, ctx)
-    }
+    program.tile_body::<L>(tile, ctx)
 }
 
 /// # Safety
@@ -303,7 +365,7 @@ pub(crate) struct TileFault {
     pub store_at: u64,
     /// Number of consecutive stale stores.
     pub store_len: u64,
-    /// Garble: corrupt every op with a pseudo-random mask.
+    /// Garble: every op replays a stale value (see [`GarbleSeq`]).
     pub garble: bool,
 }
 
@@ -334,6 +396,70 @@ impl TileFault {
 
     pub(crate) fn is_armed(&self) -> bool {
         self.garble || self.logic_at != u64::MAX || self.sfu_at != u64::MAX
+    }
+}
+
+/// Seed of the garble sequence: every garbled tile replays the same one.
+const GARBLE_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The garble sequence indexed by op: entry `i` packs the `i + 1`-th
+/// state `x` of one xorshift64 sequence from [`GARBLE_SEED`] into 4
+/// bytes — `-1` when `x & 0xF == 0` (op `i` keeps its computed value),
+/// else the 24-bit `m = x >> 40` of the wobble `0.75 + m · 2⁻²⁵`, exact
+/// in an `f64`, that scales the stale anchor. Op `i` of every garbled
+/// tile sees entry `i`, whatever order its lane runs the ops in. Grown on
+/// demand, never shrunk.
+#[derive(Debug)]
+pub(crate) struct GarbleSeq {
+    entries: Vec<i32>,
+    /// The xorshift state behind the last entry.
+    state: u64,
+}
+
+impl Default for GarbleSeq {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl GarbleSeq {
+    const fn new() -> Self {
+        GarbleSeq {
+            entries: Vec::new(),
+            state: GARBLE_SEED,
+        }
+    }
+
+    /// Extends the sequence to at least `len` entries.
+    fn cover(&mut self, len: usize) {
+        let Some(more) = len.checked_sub(self.entries.len()) else {
+            return;
+        };
+        self.entries.reserve(more);
+        let mut x = self.state;
+        self.entries.extend((0..more).map(|_| {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            if x & 0xF == 0 {
+                -1
+            } else {
+                (x >> 40) as i32
+            }
+        }));
+        self.state = x;
+    }
+
+    /// The result of an op with sequence entry `entry`: its computed
+    /// `value` where the entry lets it through, else `anchor` times the
+    /// entry's wobble.
+    #[inline(always)]
+    fn blend(entry: i32, value: f64, anchor: f64) -> f64 {
+        if entry < 0 {
+            value
+        } else {
+            anchor * (0.75 + f64::from(entry) * 2f64.powi(-25))
+        }
     }
 }
 
@@ -398,8 +524,9 @@ pub struct TileCtx<'a> {
     pub(crate) stores: u64,
     pub(crate) store_ops: u64,
     pub(crate) last_store: f64,
+    /// A garbled tile's stale value: its op 0's computed result.
     pub(crate) garble_anchor: Option<f64>,
-    pub(crate) garble_state: u64,
+    pub(crate) garble_seq: GarbleSeq,
     // Which buffers this tile loaded, stored and had corrupted lines
     // written back into (`BufferId::bit` sets), and whether a load
     // observed a non-zero corruption mask: the engine's taint inputs.
@@ -434,7 +561,7 @@ impl<'a> TileCtx<'a> {
             store_ops: 0,
             last_store: 0.0,
             garble_anchor: None,
-            garble_state: 0x9E37_79B9_7F4A_7C15,
+            garble_seq: GarbleSeq::new(),
             loaded: 0,
             stored: 0,
             written_back: 0,
@@ -467,7 +594,7 @@ impl<'a> TileCtx<'a> {
         let idx = self.ops;
         self.ops += 1;
         if self.fault.garble {
-            return self.op_garble(value);
+            return self.op_garble(idx, value);
         }
         if idx.wrapping_sub(self.fault.logic_at) < self.fault.logic_lanes {
             return f64::from_bits(value.to_bits() ^ self.fault.logic_mask);
@@ -491,28 +618,38 @@ impl<'a> TileCtx<'a> {
         !(f.garble || logic || sfu)
     }
 
-    /// The op of a garbled tile. Garbled dispatch/task state makes the
+    /// Op `idx` of a garbled tile. Garbled dispatch/task state makes the
     /// unit compute with wrong operands — data fetched from wrong
     /// addresses or phases. The result is a *plausible-magnitude* wrong
     /// value (an in-flight result from when the state was corrupted), not
-    /// a random bit pattern: replay the value latched at corruption time,
-    /// perturbed per op so outputs are not all identical.
+    /// a random bit pattern: replay the value latched at corruption time
+    /// (op 0's), perturbed per op by a small wobble (±25 %) so outputs
+    /// are not all identical, and occasionally let the correct value
+    /// through (some lanes still hit the right data).
     #[cold]
-    fn op_garble(&mut self, value: f64) -> f64 {
-        let mut x = self.garble_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.garble_state = x;
+    fn op_garble(&mut self, idx: u64, value: f64) -> f64 {
+        let idx = idx as usize;
+        self.garble_seq.cover(idx + 1);
         let anchor = *self.garble_anchor.get_or_insert(value);
-        // A small per-op wobble (±25 %) around the stale anchor.
-        let wobble = 0.75 + (x >> 40) as f64 / (1u64 << 24) as f64 * 0.5;
-        // Occasionally let the correct value through (some lanes still
-        // hit the right data).
-        if x & 0xF == 0 {
-            value
-        } else {
-            anchor * wobble
+        GarbleSeq::blend(self.garble_seq.entries[idx], value, anchor)
+    }
+
+    /// Op `i` of the current span on the [`Garbled`] lane: the garbled
+    /// op at index `self.ops + i`, which [`Lane::clean_span`] covered.
+    #[inline(always)]
+    fn garbled_op(&self, i: usize, value: f64) -> f64 {
+        let entry = self.garble_seq.entries[self.ops as usize + i];
+        GarbleSeq::blend(entry, value, self.garble_anchor.unwrap_or(f64::NAN))
+    }
+
+    /// Readies a garbled span of `ops` ops from `self.ops`: covers them in
+    /// the garble sequence and, when the span starts the tile, latches the
+    /// anchor from `first`, before any op of the span runs.
+    #[inline(always)]
+    fn garble_span(&mut self, ops: u64, first: impl FnOnce() -> f64) {
+        self.garble_seq.cover((self.ops + ops) as usize);
+        if self.ops == 0 && ops > 0 {
+            self.garble_anchor = Some(first());
         }
     }
 
@@ -540,15 +677,13 @@ impl<'a> TileCtx<'a> {
     /// AVX2 tile body the compiler keeps them in vector registers
     /// instead of re-loading `acc` once per `k` — the difference between
     /// a memory-bound and an FMA-bound inner kernel.
-    /// The block is one span: it runs on the clean lane unless
-    /// [`Lane::clean_span`] finds the tile's fault inside its `N³` ops.
-    /// The clean lane takes two rows per pass, sharing each `b` row. The
-    /// armed lane takes one, which is the reference order itself: its
-    /// ops reach `TileCtx::op` at index `r·N² + k·N + c` (plus the
-    /// tile's earlier ops), and a garble's per-op sequence — which
-    /// follows call order, not the index — matches the reference too.
-    /// Per-element accumulation order over `k` is the same on both
-    /// lanes, so results are bit-identical.
+    /// The block is one span of `N³` ops, op `r·N² + k·N + c` updating
+    /// `acc[r][c]` with `a[r][k]`: it runs on the clean lane unless
+    /// [`Lane::clean_span`] finds the tile's fault inside it. The clean
+    /// and garbled lanes take two rows per pass, sharing each `b` row;
+    /// the armed lane takes one, which is the reference order itself.
+    /// Per-element accumulation order over `k` is the same on every
+    /// lane, so results are bit-identical.
     #[inline(always)]
     pub fn fma_block<L: Lane, const N: usize>(
         &mut self,
@@ -557,19 +692,33 @@ impl<'a> TileCtx<'a> {
         acc: &mut [[f64; N]; N],
     ) {
         let ops = (N * N * N) as u64;
-        if L::clean_span(self, ops, 0) {
-            let paired = N / 2 * 2;
-            for r in (0..paired).step_by(2) {
-                self.fma_rows::<Clean, N, 2>(a, b, acc, r);
-            }
-            for r in paired..N {
-                self.fma_rows::<Clean, N, 1>(a, b, acc, r);
-            }
+        if L::clean_span(self, ops, 0, || a[0][0].mul_add(b[0][0], acc[0][0])) {
+            self.fma_pairs::<Clean, N>(a, b, acc);
             Clean::count(self, ops);
-        } else {
+        } else if L::ARMED {
             for r in 0..N {
                 self.fma_rows::<L, N, 1>(a, b, acc, r);
             }
+        } else {
+            self.fma_pairs::<L, N>(a, b, acc);
+            L::count(self, ops);
+        }
+    }
+
+    /// Every row of [`TileCtx::fma_block`], two per pass.
+    #[inline(always)]
+    fn fma_pairs<L: Lane, const N: usize>(
+        &mut self,
+        a: &[[f64; N]; N],
+        b: &[[f64; N]; N],
+        acc: &mut [[f64; N]; N],
+    ) {
+        let paired = N / 2 * 2;
+        for r in (0..paired).step_by(2) {
+            self.fma_rows::<L, N, 2>(a, b, acc, r);
+        }
+        for r in paired..N {
+            self.fma_rows::<L, N, 1>(a, b, acc, r);
         }
     }
 
@@ -590,9 +739,28 @@ impl<'a> TileCtx<'a> {
             for (w, x) in ak.iter_mut().enumerate() {
                 *x = a[r + w][k];
             }
+            if L::GARBLED {
+                // Each row's ops at this `k` are `N` consecutive entries of
+                // the garble sequence: sliced once, they need no per-op
+                // bounds check, and the loop vectorizes.
+                let at = self.ops as usize + r * N * N + k * N;
+                let seq: [&[i32; N]; W] = std::array::from_fn(|w| {
+                    self.garble_seq.entries[at + w * N * N..]
+                        .first_chunk()
+                        .expect("the span is covered")
+                });
+                let anchor = self.garble_anchor.unwrap_or(f64::NAN);
+                for (c, &bkc) in brow.iter().enumerate() {
+                    for ((row, &awk), seq) in rows.iter_mut().zip(&ak).zip(seq) {
+                        row[c] = GarbleSeq::blend(seq[c], awk.mul_add(bkc, row[c]), anchor);
+                    }
+                }
+                continue;
+            }
             for (c, &bkc) in brow.iter().enumerate() {
-                for (row, &awk) in rows.iter_mut().zip(&ak) {
-                    row[c] = L::fma(self, awk, bkc, row[c]);
+                for (w, (row, &awk)) in rows.iter_mut().zip(&ak).enumerate() {
+                    let i = (r + w) * N * N + k * N + c;
+                    row[c] = L::fma(self, i, awk, bkc, row[c]);
                 }
             }
         }
@@ -624,12 +792,7 @@ impl<'a> TileCtx<'a> {
     pub fn exp(&mut self, x: f64) -> f64 {
         let idx = self.trans_ops;
         self.trans_ops += 1;
-        let x = if idx == self.fault.sfu_at {
-            x * self.fault.sfu_scale
-        } else {
-            x
-        };
-        x.exp()
+        self.sfu(idx, x).exp()
     }
 
     /// Square root through the transcendental unit (same fault model as
@@ -638,12 +801,18 @@ impl<'a> TileCtx<'a> {
     pub fn sqrt(&mut self, x: f64) -> f64 {
         let idx = self.trans_ops;
         self.trans_ops += 1;
-        let x = if idx == self.fault.sfu_at {
+        self.sfu(idx, x).sqrt()
+    }
+
+    /// The argument transcendental op `idx` sees: `x`, scaled when the
+    /// tile's SFU fault sits on that op.
+    #[inline(always)]
+    fn sfu(&self, idx: u64, x: f64) -> f64 {
+        if idx == self.fault.sfu_at {
             x * self.fault.sfu_scale
         } else {
             x
-        };
-        x.sqrt()
+        }
     }
 
     /// Loads `dst.len()` consecutive elements starting at `start` from
@@ -1164,6 +1333,42 @@ mod tests {
         }
     }
 
+    /// The indexed garble sequence replays the per-op xorshift64 steps it
+    /// replaced — pass bit and wobble — across the boundaries where it
+    /// grew, and a garbled op reads it by index, not by call order.
+    #[test]
+    fn garble_seq_matches_the_xorshift_steps() {
+        let mut seq = GarbleSeq::new();
+        for len in [1, 7, 4096, 4097, 70_000] {
+            seq.cover(len);
+            assert_eq!(seq.entries.len(), len);
+        }
+        seq.cover(10);
+        assert_eq!(seq.entries.len(), 70_000, "the sequence never shrinks");
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        for i in 0..70_000 {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            let wobble = 0.75 + (x >> 40) as f64 / (1u64 << 24) as f64 * 0.5;
+            let want = if x & 0xF == 0 { 3.0 } else { 2.0 * wobble };
+            let got = GarbleSeq::blend(seq.entries[i], 3.0, 2.0);
+            assert_eq!(got.to_bits(), want.to_bits(), "op {i}");
+        }
+        // Ops 4096 and 5 of a garbled tile, out of call order.
+        let (mut mem, mut caches) = machine();
+        let fault = TileFault {
+            garble: true,
+            ..TileFault::none()
+        };
+        let mut ctx = TileCtx::new(&mut mem, &mut caches, 0, fault);
+        ctx.garble_anchor = Some(2.0);
+        ctx.ops = 4096;
+        assert_eq!(ctx.op(3.0), GarbleSeq::blend(seq.entries[4096], 3.0, 2.0));
+        ctx.ops = 5;
+        assert_eq!(ctx.op(3.0), GarbleSeq::blend(seq.entries[5], 3.0, 2.0));
+    }
+
     #[test]
     fn load_store_roundtrip_through_caches() {
         let (mut mem, mut caches) = machine();
@@ -1356,7 +1561,7 @@ mod tests {
     }
 
     /// `fma_block` equals the row-by-row reference loop bit for bit on
-    /// both lanes (an odd side exercises the clean lane's one-row tail),
+    /// every lane (an odd side exercises the paired lanes' one-row tail),
     /// counts one op per element update, and lands an armed logic fault
     /// and a garble's per-op sequence on exactly the reference's ops.
     #[test]
@@ -1387,7 +1592,9 @@ mod tests {
             let (mut mem, mut caches) = machine();
             let mut ctx = TileCtx::new(&mut mem, &mut caches, 0, fault);
             let mut acc = [[0.5; N]; N];
-            if fault.is_armed() {
+            if fault.garble {
+                ctx.fma_block::<Garbled, N>(&a, &b, &mut acc);
+            } else if fault.is_armed() {
                 ctx.fma_block::<Armed, N>(&a, &b, &mut acc);
             } else {
                 ctx.fma_block::<Clean, N>(&a, &b, &mut acc);

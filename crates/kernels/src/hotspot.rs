@@ -241,8 +241,8 @@ impl TileBody for HotSpot {
     /// One row block of one iteration. Each grid row updates from its
     /// clamped north and south rows (`update_row`) and is one span of
     /// `7·cols` ops: on the clean lane — where an armed tile runs every
-    /// row its fault misses — the row is counted once and its interior
-    /// vectorizes.
+    /// row its fault misses — and on the garbled lane the row is counted
+    /// once and its interior vectorizes.
     #[inline(always)]
     fn tile_body<L: Lane>(
         &mut self,
@@ -282,11 +282,13 @@ impl TileBody for HotSpot {
             let up = if i == 0 { i } else { i - 1 };
             let dn = if i == r - 1 { i } else { i + 1 };
             let rows = [row(up), row(i), row(dn)];
-            if L::clean_span(ctx, 7 * c as u64, 0) {
+            let first = || h_lap(rows[1], 0, 0, usize::from(c > 1));
+            if L::clean_span(ctx, 7 * c as u64, 0, first) {
                 update_row::<Clean>(ctx, rows, pw, out);
                 Clean::count(ctx, 7 * c as u64);
             } else {
                 update_row::<L>(ctx, rows, pw, out);
+                L::count(ctx, 7 * c as u64);
             }
             ctx.store(dst, i * c, out)?;
         }
@@ -294,10 +296,18 @@ impl TileBody for HotSpot {
     }
 }
 
+/// The value of cell `j`'s first op: its east–west Laplacian, `lf` and
+/// `rt` its west and east neighbours in row `mid`.
+#[inline(always)]
+fn h_lap(mid: &[f64], j: usize, lf: usize, rt: usize) -> f64 {
+    mid[rt] + mid[lf] - 2.0 * mid[j]
+}
+
 /// Updates one grid row `out` from its north, own and south rows and its
-/// power row, cells in ascending column order. The clamped west and east
-/// border cells are peeled off, so the interior loop has no index
-/// branches (one column clamps on both sides).
+/// power row, cells in ascending column order, cell `j` running the row's
+/// ops `7·j..7·j + 7`. The clamped west and east border cells are peeled
+/// off, so the interior loop has no index branches (one column clamps on
+/// both sides).
 #[inline(always)]
 fn update_row<L: Lane>(
     ctx: &mut TileCtx<'_>,
@@ -309,14 +319,14 @@ fn update_row<L: Lane>(
     let (up, dn, pw, out) = (&up[..c], &dn[..c], &pw[..c], &mut out[..c]);
     // One cell: `lf` and `rt` are its west and east neighbours.
     let mut cell = |ctx: &mut TileCtx<'_>, j: usize, lf: usize, rt: usize| {
-        let t = mid[j];
-        let h_lap = L::op(ctx, mid[rt] + mid[lf] - 2.0 * t);
-        let horiz = L::mul(ctx, CX, h_lap);
-        let v_lap = L::op(ctx, up[j] + dn[j] - 2.0 * t);
-        let vert = L::mul(ctx, CY, v_lap);
-        let sink = L::mul(ctx, CZ, AMB - t);
-        let delta = L::op(ctx, pw[j] + horiz + vert + sink);
-        out[j] = L::fma(ctx, CAP, delta, t);
+        let (t, at) = (mid[j], 7 * j);
+        let h_lap = L::op(ctx, at, h_lap(mid, j, lf, rt));
+        let horiz = L::mul(ctx, at + 1, CX, h_lap);
+        let v_lap = L::op(ctx, at + 2, up[j] + dn[j] - 2.0 * t);
+        let vert = L::mul(ctx, at + 3, CY, v_lap);
+        let sink = L::mul(ctx, at + 4, CZ, AMB - t);
+        let delta = L::op(ctx, at + 5, pw[j] + horiz + vert + sink);
+        out[j] = L::fma(ctx, at + 6, CAP, delta, t);
     };
     if c == 1 {
         cell(ctx, 0, 0, 0);

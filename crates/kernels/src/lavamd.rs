@@ -230,8 +230,9 @@ impl TileBody for LavaMd {
     /// The particle-pair force loop — a chain of per-op FMAs — compiles
     /// to fused hardware FMAs on an AVX2 host instead of libm calls.
     /// Each neighbour box is one span of `9·p²` ops and `p²`
-    /// exponentials: the clean lane counts it once, and an armed tile
-    /// runs it on the clean lane unless its fault falls inside.
+    /// exponentials: the clean and garbled lanes count it once, and an
+    /// armed tile runs it on the clean lane unless its fault falls
+    /// inside.
     #[inline(always)]
     fn tile_body<L: Lane>(
         &mut self,
@@ -257,12 +258,15 @@ impl TileBody for LavaMd {
             let nb = self.box_index(nx, ny, nz);
             ctx.load(rv_buf, nb * p * 4, &mut rb)?;
             ctx.load(qv_buf, nb * p, &mut qb)?;
-            if L::clean_span(ctx, 9 * pairs, pairs) {
+            let first = || ra[3].mul_add(rb[3], 0.0);
+            if L::clean_span(ctx, 9 * pairs, pairs, first) {
                 neighbour_forces::<Clean>(ctx, a2, &ra, &rb, &qb, &mut fa);
                 Clean::count(ctx, 9 * pairs);
                 Clean::count_trans(ctx, pairs);
             } else {
                 neighbour_forces::<L>(ctx, a2, &ra, &rb, &qb, &mut fa);
+                L::count(ctx, 9 * pairs);
+                L::count_trans(ctx, pairs);
             }
         }
         ctx.store(fv_buf, home * p * 4, &fa)
@@ -271,7 +275,9 @@ impl TileBody for LavaMd {
 
 /// Accumulates into the home box's forces `fa` every home particle's
 /// interaction with every particle of one neighbour box (positions `rb`,
-/// charges `qb`): `9·p²` ops and `p²` exponentials in reference order.
+/// charges `qb`): `9·p²` ops and `p²` exponentials in reference order,
+/// pair `n` (home particle `n / p`, neighbour particle `n % p`) running
+/// ops `9·n..9·n + 9` and exponential `n`.
 #[inline(always)]
 fn neighbour_forces<L: Lane>(
     ctx: &mut TileCtx<'_>,
@@ -281,24 +287,27 @@ fn neighbour_forces<L: Lane>(
     qb: &[f64],
     fa: &mut [f64],
 ) {
-    for (rai, fai) in ra.chunks_exact(4).zip(fa.chunks_exact_mut(4)) {
+    let p = qb.len();
+    for (i, (rai, fai)) in ra.chunks_exact(4).zip(fa.chunks_exact_mut(4)).enumerate() {
         let (rav, rax, ray, raz) = (rai[0], rai[1], rai[2], rai[3]);
-        for (rbj, &q) in rb.chunks_exact(4).zip(qb) {
+        for (j, (rbj, &q)) in rb.chunks_exact(4).zip(qb).enumerate() {
             let (rbv, rbx, rby, rbz) = (rbj[0], rbj[1], rbj[2], rbj[3]);
-            let mut dot = L::fma(ctx, raz, rbz, 0.0);
-            dot = L::fma(ctx, ray, rby, dot);
-            dot = L::fma(ctx, rax, rbx, dot);
-            let r2 = L::add(ctx, rav, rbv - dot);
-            let u2 = L::mul(ctx, a2, r2);
-            let vij = L::exp(ctx, -u2);
+            let n = i * p + j;
+            let at = 9 * n;
+            let mut dot = L::fma(ctx, at, raz, rbz, 0.0);
+            dot = L::fma(ctx, at + 1, ray, rby, dot);
+            dot = L::fma(ctx, at + 2, rax, rbx, dot);
+            let r2 = L::add(ctx, at + 3, rav, rbv - dot);
+            let u2 = L::mul(ctx, at + 4, a2, r2);
+            let vij = L::exp(ctx, n, -u2);
             let fs = 2.0 * vij;
             let dx = rax - rbx;
             let dy = ray - rby;
             let dz = raz - rbz;
-            fai[0] = L::fma(ctx, q, vij, fai[0]);
-            fai[1] = L::fma(ctx, q, fs * dx, fai[1]);
-            fai[2] = L::fma(ctx, q, fs * dy, fai[2]);
-            fai[3] = L::fma(ctx, q, fs * dz, fai[3]);
+            fai[0] = L::fma(ctx, at + 5, q, vij, fai[0]);
+            fai[1] = L::fma(ctx, at + 6, q, fs * dx, fai[1]);
+            fai[2] = L::fma(ctx, at + 7, q, fs * dy, fai[2]);
+            fai[3] = L::fma(ctx, at + 8, q, fs * dz, fai[3]);
         }
     }
 }

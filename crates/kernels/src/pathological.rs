@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use radcrit_accel::error::AccelError;
 use radcrit_accel::memory::{BufferId, DeviceMemory};
-use radcrit_accel::program::{self, Lane, TileBody, TileCtx, TileId, TiledProgram};
+use radcrit_accel::program::{self, Clean, Lane, TileBody, TileCtx, TileId, TiledProgram};
 use radcrit_core::shape::{Coord, OutputShape};
 use serde::{Deserialize, Serialize};
 
@@ -155,11 +155,24 @@ impl TileBody for Pathological {
         let out_buf = self.out_buf.expect("setup ran");
         let mut vals = vec![0.0; self.n];
         ctx.load(in_buf, 0, &mut vals)?;
-        for v in &mut vals {
-            *v = L::fma(ctx, *v, 2.0, 0.0);
+        // One span: op `i` doubles element `i`.
+        let ops = self.n as u64;
+        if L::clean_span(ctx, ops, 0, || vals[0].mul_add(2.0, 0.0)) {
+            double::<Clean>(ctx, &mut vals);
+            Clean::count(ctx, ops);
+        } else {
+            double::<L>(ctx, &mut vals);
+            L::count(ctx, ops);
         }
-        L::count(ctx, self.n as u64);
         ctx.store(out_buf, 0, &vals)
+    }
+}
+
+/// Doubles every element of `vals`, op `i` doubling element `i`.
+#[inline(always)]
+fn double<L: Lane>(ctx: &mut TileCtx<'_>, vals: &mut [f64]) {
+    for (i, v) in vals.iter_mut().enumerate() {
+        *v = L::fma(ctx, i, *v, 2.0, 0.0);
     }
 }
 

@@ -389,7 +389,7 @@ impl TileBody for ShallowWater {
     /// from its north and south rows, or the reflective wall on the
     /// grid's first and last row (`update_row`), and is one span of
     /// `18·cols` ops: the clean lane — where an armed tile runs every row
-    /// its fault misses — counts it once.
+    /// its fault misses — and the garbled lane count it once.
     #[inline(always)]
     fn tile_body<L: Lane>(
         &mut self,
@@ -429,11 +429,14 @@ impl TileBody for ShallowWater {
         };
         for i in row0..row0 + nrows {
             let out = [&mut oh[..], &mut ohu[..], &mut ohv[..]];
-            if L::clean_span(ctx, 18 * c as u64, 0) {
+            // Cell 0's first op: its east neighbour's x velocity.
+            let first = || row(i).hu[1] / row(i).h[1];
+            if L::clean_span(ctx, 18 * c as u64, 0, first) {
                 update_walled_row::<Clean>(ctx, i, rows, &row, out);
                 Clean::count(ctx, 18 * c as u64);
             } else {
                 update_walled_row::<L>(ctx, i, rows, &row, out);
+                L::count(ctx, 18 * c as u64);
             }
             ctx.store(bufs.h[dst], i * c, oh)?;
             ctx.store(bufs.hu[dst], i * c, ohu)?;
@@ -496,7 +499,8 @@ fn update_walled_row<'a, L: Lane>(
 }
 
 /// Updates one grid row from its `[north, own, south]` rows into the
-/// `[h, hu, hv]` output rows, cells in ascending column order. A
+/// `[h, hu, hv]` output rows, cells in ascending column order, cell `j`
+/// running the row's ops `18·j..18·j + 18`. A
 /// `N_WALL` / `S_WALL` row reflects at the grid's north / south wall
 /// instead of reading that neighbour row. The west and east wall cells
 /// are peeled off, so the interior loop has no index branches.
@@ -511,7 +515,7 @@ fn update_row<L: Lane, const N_WALL: bool, const S_WALL: bool>(
     let mut cell = |ctx: &mut TileCtx<'_>, j: usize, e: State, w: State| {
         let n = if N_WALL { own.wall_y(j) } else { north.at(j) };
         let s = if S_WALL { own.wall_y(j) } else { south.at(j) };
-        (oh[j], ohu[j], ohv[j]) = update_cell::<L>(ctx, e, w, n, s);
+        (oh[j], ohu[j], ohv[j]) = update_cell::<L>(ctx, 18 * j, [e, w, n, s]);
     };
     cell(ctx, 0, own.at(1), own.wall_x(0));
     for j in 1..c - 1 {
@@ -521,35 +525,35 @@ fn update_row<L: Lane, const N_WALL: bool, const S_WALL: bool>(
 }
 
 /// The Lax–Friedrichs update of one cell from its east, west, north and
-/// south neighbour states, limited: 18 ops, in the order of
-/// [`lax_friedrichs_cell`].
+/// south neighbour states, limited: the span's 18 ops from `at`, in the
+/// order of [`lax_friedrichs_cell`].
 #[inline(always)]
-fn update_cell<L: Lane>(ctx: &mut TileCtx<'_>, e: State, w: State, n: State, s: State) -> State {
-    let fx = |ctx: &mut TileCtx<'_>, (hh, huu, hvv): State| {
-        let u = L::div(ctx, huu, hh);
-        let f1 = L::fma(ctx, huu, u, 0.5 * GRAVITY * hh * hh);
-        let f2 = L::mul(ctx, hvv, u);
+fn update_cell<L: Lane>(ctx: &mut TileCtx<'_>, at: usize, [e, w, n, s]: [State; 4]) -> State {
+    let fx = |ctx: &mut TileCtx<'_>, at: usize, (hh, huu, hvv): State| {
+        let u = L::div(ctx, at, huu, hh);
+        let f1 = L::fma(ctx, at + 1, huu, u, 0.5 * GRAVITY * hh * hh);
+        let f2 = L::mul(ctx, at + 2, hvv, u);
         (huu, f1, f2)
     };
-    let fy = |ctx: &mut TileCtx<'_>, (hh, huu, hvv): State| {
-        let v = L::div(ctx, hvv, hh);
-        let f1 = L::mul(ctx, huu, v);
-        let f2 = L::fma(ctx, hvv, v, 0.5 * GRAVITY * hh * hh);
+    let fy = |ctx: &mut TileCtx<'_>, at: usize, (hh, huu, hvv): State| {
+        let v = L::div(ctx, at, hvv, hh);
+        let f1 = L::mul(ctx, at + 1, huu, v);
+        let f2 = L::fma(ctx, at + 2, hvv, v, 0.5 * GRAVITY * hh * hh);
         (hvv, f1, f2)
     };
 
-    let (fe0, fe1, fe2) = fx(ctx, e);
-    let (fw0, fw1, fw2) = fx(ctx, w);
-    let (fn0, fn1, fn2) = fy(ctx, n);
-    let (fs0, fs1, fs2) = fy(ctx, s);
+    let (fe0, fe1, fe2) = fx(ctx, at, e);
+    let (fw0, fw1, fw2) = fx(ctx, at + 3, w);
+    let (fn0, fn1, fn2) = fy(ctx, at + 6, n);
+    let (fs0, fs1, fs2) = fy(ctx, at + 9, s);
 
     let k = DT / 2.0;
-    let a0 = L::op(ctx, 0.25 * (e.0 + w.0 + n.0 + s.0));
-    let a1 = L::op(ctx, 0.25 * (e.1 + w.1 + n.1 + s.1));
-    let a2 = L::op(ctx, 0.25 * (e.2 + w.2 + n.2 + s.2));
-    let uh = L::op(ctx, a0 - k * (fe0 - fw0) - k * (fs0 - fn0));
-    let uhu = L::op(ctx, a1 - k * (fe1 - fw1) - k * (fs1 - fn1));
-    let uhv = L::op(ctx, a2 - k * (fe2 - fw2) - k * (fs2 - fn2));
+    let a0 = L::op(ctx, at + 12, 0.25 * (e.0 + w.0 + n.0 + s.0));
+    let a1 = L::op(ctx, at + 13, 0.25 * (e.1 + w.1 + n.1 + s.1));
+    let a2 = L::op(ctx, at + 14, 0.25 * (e.2 + w.2 + n.2 + s.2));
+    let uh = L::op(ctx, at + 15, a0 - k * (fe0 - fw0) - k * (fs0 - fn0));
+    let uhu = L::op(ctx, at + 16, a1 - k * (fe1 - fw1) - k * (fs1 - fn1));
+    let uhv = L::op(ctx, at + 17, a2 - k * (fe2 - fw2) - k * (fs2 - fn2));
     limit_state(uh, uhu, uhv)
 }
 

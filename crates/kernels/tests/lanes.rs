@@ -1,5 +1,5 @@
 //! Every kernel's one tile body gives the same bits and the same counts
-//! on both arithmetic lanes, and its span boundaries stay where they are.
+//! on every arithmetic lane, and its span boundaries stay where they are.
 //!
 //! A golden run executes every tile on the clean lane. An armed tile
 //! runs on the armed lane — op by op in reference order — only the spans
@@ -9,17 +9,27 @@
 //! tile with a fault that cannot change a bit — an FPU flip with a zero
 //! mask on the span's first op, or an SFU scale of 1 on its first `exp` —
 //! and every such run must agree with golden on the output bits and on
-//! every tile's trace. Live faults on either side of a span boundary are
-//! pinned by the FNV-1a digest of the output, so a boundary that moved
-//! by one op fails. The scalar CI step (`RADCRIT_FORCE_SCALAR=1 cargo
-//! test --release -p radcrit-accel -p radcrit-kernels`) runs this on the
-//! portable arm, a plain run on the host's.
+//! every tile's trace. A garbled tile runs every span on the garbled
+//! lane, in the clean lane's order with each op blended at its index; a
+//! garble of each tile in turn must agree with the same tile body run
+//! on the armed lane throughout. Live faults on either side of a span
+//! boundary, and garbles, are pinned by the FNV-1a digest of the output,
+//! so a boundary that moved by one op fails. The scalar CI step
+//! (`RADCRIT_FORCE_SCALAR=1 cargo test --release -p radcrit-accel -p
+//! radcrit-kernels`) runs this on the portable arm, a plain run on the
+//! host's.
+
+use std::cell::RefCell;
+use std::marker::PhantomData;
 
 use radcrit_accel::config::DeviceConfig;
 use radcrit_accel::engine::Engine;
-use radcrit_accel::program::TiledProgram;
+use radcrit_accel::error::AccelError;
+use radcrit_accel::memory::{BufferId, DeviceMemory};
+use radcrit_accel::program::{Armed, Lane, TileBody, TileCtx, TileId, TiledProgram};
 use radcrit_accel::strike::{SchedulerEffect, StrikeSpec, StrikeTarget};
 use radcrit_accel::ExecutionTrace;
+use radcrit_core::shape::OutputShape;
 use radcrit_kernels::dgemm::Dgemm;
 use radcrit_kernels::hotspot::HotSpot;
 use radcrit_kernels::lavamd::LavaMd;
@@ -119,7 +129,7 @@ fn straddle(op_index: u64) -> StrikeTarget {
     }
 }
 
-/// A garbled tile, which runs armed throughout.
+/// A garbled tile: every op replays a stale value, on the garbled lane.
 const GARBLE: StrikeTarget = StrikeTarget::Scheduler(SchedulerEffect::GarbleTile);
 
 /// A live SFU fault on transcendental op `op_index`.
@@ -245,4 +255,306 @@ fn span_boundaries_are_pinned() {
         (0, GARBLE, 0xdd73_9355_8cc7_48a2),
     ];
     assert_pinned("pathological", &mut k, &pins);
+}
+
+/// `P` with every tile body on lane `L`, starting a [`TileRecord`] per
+/// tile. On [`Armed`], a garbled tile runs op by op in reference order
+/// through `TileCtx::op`, which reads the garble sequence at the op
+/// counter — the reference the garbled lane must match.
+struct OnLane<'a, P, L>(&'a mut P, PhantomData<L>);
+
+fn on_lane<P, L>(program: &mut P) -> OnLane<'_, P, L> {
+    OnLane(program, PhantomData)
+}
+
+impl<P: TiledProgram + TileBody, L: Lane> TiledProgram for OnLane<'_, P, L> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn tile_count(&self) -> usize {
+        self.0.tile_count()
+    }
+
+    fn tiles_per_launch(&self) -> usize {
+        self.0.tiles_per_launch()
+    }
+
+    fn threads_per_tile(&self) -> usize {
+        self.0.threads_per_tile()
+    }
+
+    fn local_mem_per_tile(&self) -> usize {
+        self.0.local_mem_per_tile()
+    }
+
+    fn setup(&mut self, mem: &mut DeviceMemory) -> Result<(), AccelError> {
+        self.0.setup(mem)
+    }
+
+    fn execute_tile(&mut self, tile: TileId, ctx: &mut TileCtx<'_>) -> Result<(), AccelError> {
+        RECORDS.with_borrow_mut(|r| r.push(TileRecord::default()));
+        self.0.tile_body::<L>(tile, ctx)
+    }
+
+    fn output(&self) -> BufferId {
+        self.0.output()
+    }
+
+    fn output_shape(&self) -> OutputShape {
+        self.0.output_shape()
+    }
+
+    fn resumable(&self) -> bool {
+        self.0.resumable()
+    }
+}
+
+/// Asserts that a garble of each tile in turn, and each strike set of
+/// `co_armed`, gives the same output bits and per-tile trace as the
+/// tile body on the armed lane throughout.
+fn assert_garbles_match_armed<P: TiledProgram + TileBody>(
+    name: &str,
+    program: &mut P,
+    co_armed: &[&[(usize, StrikeTarget)]],
+) {
+    let golden = run(program, &[]).0;
+    let garbles = (0..program.tile_count()).map(|t| vec![StrikeSpec::new(t, GARBLE)]);
+    let co_armed = co_armed.iter().map(|set| {
+        set.iter()
+            .map(|&(t, target)| StrikeSpec::new(t, target))
+            .collect()
+    });
+    for strikes in garbles.chain(co_armed) {
+        let (bits, trace) = run(program, &strikes);
+        let (want, want_trace) = run(&mut on_lane::<_, Armed>(program), &strikes);
+        assert!(bits != golden, "{name}: {strikes:?} changes the output");
+        assert!(
+            bits == want,
+            "{name}: {strikes:?}: garbled-lane bits differ"
+        );
+        assert_eq!(trace.tiles(), want_trace.tiles(), "{name}: {strikes:?}");
+    }
+}
+
+thread_local! {
+    /// One record per tile an [`OnLane`] program ran.
+    static RECORDS: RefCell<Vec<TileRecord>> = const { RefCell::new(Vec::new()) };
+}
+
+/// What a recording lane saw in one tile: the bits of each op's value
+/// and each `exp`'s argument by op index, and each span's op 0 with the
+/// bits its `first()` computed.
+#[derive(Debug, Default)]
+struct TileRecord {
+    ops: Vec<Option<u64>>,
+    trans: Vec<Option<u64>>,
+    /// Where the current span and the next one start: (op, `exp`).
+    span: (usize, usize),
+    next: (usize, usize),
+    firsts: Vec<(usize, u64)>,
+}
+
+/// Files `bits` in the current tile's record by `slots`.
+fn record(
+    bits: u64,
+    slots: impl FnOnce(&mut TileRecord) -> (&mut Vec<Option<u64>>, Option<usize>),
+) {
+    RECORDS.with_borrow_mut(|r| {
+        let (slots, at) = slots(r.last_mut().expect("a tile is running"));
+        match at {
+            None => slots.push(Some(bits)),
+            Some(at) => {
+                if slots.len() <= at {
+                    slots.resize(at + 1, None);
+                }
+                assert!(slots[at].replace(bits).is_none(), "op {at} ran twice");
+            }
+        }
+    });
+}
+
+/// A lane that records every op in the order the body calls it. It is
+/// armed and clears no span, so the body runs the reference order.
+enum InOrder {}
+
+impl Lane for InOrder {
+    const ARMED: bool = true;
+
+    fn op(_: &mut TileCtx<'_>, _: usize, value: f64) -> f64 {
+        record(value.to_bits(), |t| (&mut t.ops, None));
+        value
+    }
+
+    fn exp(_: &mut TileCtx<'_>, _: usize, x: f64) -> f64 {
+        record(x.to_bits(), |t| (&mut t.trans, None));
+        x.exp()
+    }
+
+    fn clean_span(_: &mut TileCtx<'_>, _: u64, _: u64, _: impl FnOnce() -> f64) -> bool {
+        false
+    }
+}
+
+/// A lane that records every op at the index it names — the span's
+/// start plus its in-span index — in the clean lane's order, and each
+/// span's `first()`.
+enum ByIndex {}
+
+impl Lane for ByIndex {
+    const ARMED: bool = false;
+
+    fn op(_: &mut TileCtx<'_>, i: usize, value: f64) -> f64 {
+        record(value.to_bits(), |t| (&mut t.ops, Some(t.span.0 + i)));
+        value
+    }
+
+    fn exp(_: &mut TileCtx<'_>, i: usize, x: f64) -> f64 {
+        record(x.to_bits(), |t| (&mut t.trans, Some(t.span.1 + i)));
+        x.exp()
+    }
+
+    fn clean_span(_: &mut TileCtx<'_>, ops: u64, trans: u64, first: impl FnOnce() -> f64) -> bool {
+        let first = (ops > 0).then(first);
+        RECORDS.with_borrow_mut(|r| {
+            let t = r.last_mut().expect("a tile is running");
+            t.span = t.next;
+            t.next = (t.span.0 + ops as usize, t.span.1 + trans as usize);
+            if let Some(first) = first {
+                t.firsts.push((t.span.0, first.to_bits()));
+            }
+        });
+        false
+    }
+}
+
+/// Asserts that every op's index names the op the reference order runs
+/// there: filed by index, every tile's op values and `exp` arguments
+/// equal the reference order's, one per index, and every span's
+/// `first()` equals its op 0's value. A wrong index that a garble's
+/// masking hides from the output digests fails here.
+fn assert_indices_name_reference_ops<P: TiledProgram + TileBody>(name: &str, program: &mut P) {
+    let records = |program: &mut dyn TiledProgram| {
+        RECORDS.take();
+        run(program, &[]);
+        RECORDS.take()
+    };
+    let reference = records(&mut on_lane::<_, InOrder>(program));
+    let indexed = records(&mut on_lane::<_, ByIndex>(program));
+    assert_eq!(
+        reference.len(),
+        program.tile_count(),
+        "{name}: every tile ran"
+    );
+    assert_eq!(indexed.len(), reference.len(), "{name}: every tile ran");
+    for (t, (want, got)) in reference.iter().zip(&indexed).enumerate() {
+        for (what, want, got) in [
+            ("op", &want.ops, &got.ops),
+            ("exp", &want.trans, &got.trans),
+        ] {
+            assert_eq!(got.len(), want.len(), "{name}: tile {t}: {what}s");
+            let wrong = want.iter().zip(got).position(|(w, g)| w != g);
+            assert_eq!(wrong, None, "{name}: tile {t}: first wrong {what}");
+        }
+        for &(at, bits) in &got.firsts {
+            assert_eq!(
+                want.ops[at],
+                Some(bits),
+                "{name}: tile {t}: first() at {at}"
+            );
+        }
+    }
+}
+
+#[test]
+fn op_indices_name_the_reference_ops() {
+    for (rows, cols) in [(8, 1), (16, 3), (16, 9)] {
+        let mut k = HotSpot::new(rows, cols, 3, 3).expect("valid");
+        assert_indices_name_reference_ops(&format!("hotspot {rows}x{cols}"), &mut k);
+    }
+    let mut k = ShallowWater::new(32, 8, 4).expect("valid");
+    assert_indices_name_reference_ops("shallow", &mut k);
+    let mut k = LavaMd::new(2, 5, 1).expect("valid");
+    assert_indices_name_reference_ops("lavamd", &mut k);
+    let mut k = Dgemm::new(48, 7).expect("valid");
+    assert_indices_name_reference_ops("dgemm", &mut k);
+    let mut k = Pathological::new(24, usize::MAX, Failure::Panic).expect("valid");
+    assert_indices_name_reference_ops("pathological", &mut k);
+}
+
+#[test]
+fn garbles_match_the_armed_lane() {
+    for (rows, cols) in [(8, 1), (8, 2), (16, 3), (16, 9)] {
+        let mut k = HotSpot::new(rows, cols, 3, 3).expect("valid");
+        assert_garbles_match_armed(&format!("hotspot {rows}x{cols}"), &mut k, &[]);
+    }
+    for (rows, cols) in [(8, 4), (32, 8)] {
+        let mut k = ShallowWater::new(rows, cols, 4).expect("valid");
+        assert_garbles_match_armed(&format!("shallow {rows}x{cols}"), &mut k, &[]);
+    }
+    let mut k = LavaMd::new(2, 5, 1).expect("valid");
+    assert_garbles_match_armed("lavamd 2x5", &mut k, &[]);
+    let mut k = LavaMd::new(3, 8, 1).expect("valid");
+    let co_armed = [(13, StrikeTarget::UnitGarble), (13, scale(1703))];
+    assert_garbles_match_armed("lavamd 3x8", &mut k, &[&co_armed]);
+    let mut k = Dgemm::new(32, 7).expect("valid");
+    assert_garbles_match_armed("dgemm 32", &mut k, &[]);
+    let mut k = Dgemm::new(48, 7).expect("valid");
+    let co_armed = [(4, StrikeTarget::UnitGarble), (4, flip(5000))];
+    assert_garbles_match_armed("dgemm 48", &mut k, &[&co_armed]);
+    let mut k = Pathological::new(24, usize::MAX, Failure::Panic).expect("valid");
+    assert_garbles_match_armed("pathological", &mut k, &[]);
+}
+
+/// Garbles of tiles and grids the boundary pins do not cover — DGEMM's
+/// first and last tile of three blocks each, one- to three-column
+/// HotSpot rows, a shallow-water tile and an interior LavaMD box — and a
+/// unit garble co-armed with a live fault on the same tile, each give
+/// the digest computed before the garbled lane existed. The SFU fault
+/// still scales its `exp` under the garble; the FPU flip is lost in it.
+#[test]
+fn garbles_are_pinned() {
+    let mut k = Dgemm::new(48, 7).expect("valid");
+    let pins = [
+        (0, GARBLE, 0x77d6_9fe0_5624_5471),
+        (8, GARBLE, 0x7f0f_d30f_8cf8_c7a3),
+    ];
+    assert_pinned("dgemm 48", &mut k, &pins);
+    let co_armed = [
+        StrikeSpec::new(4, StrikeTarget::UnitGarble),
+        StrikeSpec::new(4, flip(5000)),
+    ];
+    let garbled = fnv1a(&run(&mut k, &[StrikeSpec::new(4, GARBLE)]).0);
+    assert_eq!(
+        fnv1a(&run(&mut k, &co_armed).0),
+        garbled,
+        "the flip is lost"
+    );
+    assert_eq!(garbled, 0x519d_d94d_2f5c_0702);
+    for (rows, cols, tile, digest) in [
+        (8, 1, 1, 0x1bc4_36b9_8a82_0c97),
+        (8, 2, 1, 0x3026_96d1_f16e_0e76),
+        (16, 3, 3, 0xcfb3_fda1_fdfb_ec97),
+    ] {
+        let mut k = HotSpot::new(rows, cols, 3, 3).expect("valid");
+        assert_pinned(
+            &format!("hotspot {rows}x{cols}"),
+            &mut k,
+            &[(tile, GARBLE, digest)],
+        );
+    }
+    let mut k = ShallowWater::new(8, 4, 4).expect("valid");
+    assert_pinned("shallow 8x4", &mut k, &[(2, GARBLE, 0x5c8d_62d5_372a_5979)]);
+    // Box 13 is the interior box of the 3³ grid.
+    let mut k = LavaMd::new(3, 8, 1).expect("valid");
+    assert_pinned("lavamd 3x8", &mut k, &[(13, GARBLE, 0x7d00_875c_177b_f2c8)]);
+    let co_armed = [
+        StrikeSpec::new(13, StrikeTarget::UnitGarble),
+        StrikeSpec::new(13, scale(1703)),
+    ];
+    assert_eq!(
+        fnv1a(&run(&mut k, &co_armed).0),
+        0x8cad_4b53_e8e2_0e90,
+        "the SFU fault shows through the garble"
+    );
 }
