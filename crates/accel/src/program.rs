@@ -20,7 +20,7 @@
 //! an armed tile runs every span its fault cannot reach on [`Clean`], and
 //! a garbled tile runs each span in the clean lane's order.
 
-use std::cell::Cell;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use radcrit_core::exec;
 use radcrit_core::shape::OutputShape;
@@ -280,13 +280,6 @@ pub trait TileBody {
         -> Result<(), AccelError>;
 }
 
-thread_local! {
-    /// This thread's garble sequence, lent to each garbled tile it
-    /// dispatches: it grows to the longest garbled tile and is never
-    /// shrunk.
-    static GARBLE_SEQ: Cell<GarbleSeq> = const { Cell::new(GarbleSeq::new()) };
-}
-
 /// Runs `program`'s tile body for `tile`, picking ISA × lane once: the
 /// [`Garbled`] lane when `ctx` carries a garble, the [`Armed`] lane when
 /// it carries another armed fault (whose body still runs the spans
@@ -306,10 +299,7 @@ pub fn dispatch<P: TileBody + ?Sized>(
     ctx: &mut TileCtx<'_>,
 ) -> Result<(), AccelError> {
     if ctx.fault.garble {
-        ctx.garble_seq = GARBLE_SEQ.take();
-        let result = run_body::<P, Garbled>(program, tile, ctx);
-        GARBLE_SEQ.set(std::mem::take(&mut ctx.garble_seq));
-        result
+        run_body::<P, Garbled>(program, tile, ctx)
     } else if ctx.fault.is_armed() {
         run_body::<P, Armed>(program, tile, ctx)
     } else {
@@ -407,20 +397,19 @@ const GARBLE_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 /// bytes — `-1` when `x & 0xF == 0` (op `i` keeps its computed value),
 /// else the 24-bit `m = x >> 40` of the wobble `0.75 + m · 2⁻²⁵`, exact
 /// in an `f64`, that scales the stale anchor. Op `i` of every garbled
-/// tile sees entry `i`, whatever order its lane runs the ops in. Grown on
-/// demand, never shrunk.
-#[derive(Debug)]
+/// tile sees entry `i`, whatever order its lane runs the ops in. The
+/// process holds one, shared by every garbled tile ([`GarbleSeq::shared`]).
+#[derive(Debug, Clone)]
 pub(crate) struct GarbleSeq {
     entries: Vec<i32>,
     /// The xorshift state behind the last entry.
     state: u64,
 }
 
-impl Default for GarbleSeq {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// The process's garble sequence: grown by the first tile that needs more
+/// entries, never shrunk. A tile holds the `Arc` it read, so growing
+/// swaps in a longer copy without disturbing a tile that runs on the old.
+static GARBLE_SEQ: RwLock<Option<Arc<GarbleSeq>>> = RwLock::new(None);
 
 impl GarbleSeq {
     const fn new() -> Self {
@@ -450,6 +439,28 @@ impl GarbleSeq {
         self.state = x;
     }
 
+    /// The process's sequence, grown to at least `len` entries — to at
+    /// least twice its length, so that a tile covering one op at a time
+    /// takes the write lock a logarithmic number of times.
+    fn shared(len: usize) -> Arc<GarbleSeq> {
+        let covers = |s: &&Arc<GarbleSeq>| s.entries.len() >= len;
+        let read = GARBLE_SEQ.read().unwrap_or_else(PoisonError::into_inner);
+        if let Some(seq) = read.as_ref().filter(covers) {
+            return Arc::clone(seq);
+        }
+        drop(read);
+        let mut slot = GARBLE_SEQ.write().unwrap_or_else(PoisonError::into_inner);
+        // Another thread may have grown it in between.
+        if let Some(seq) = slot.as_ref().filter(covers) {
+            return Arc::clone(seq);
+        }
+        let mut seq = slot.as_deref().cloned().unwrap_or_else(GarbleSeq::new);
+        seq.cover(len.max(2 * seq.entries.len()));
+        let seq = Arc::new(seq);
+        *slot = Some(Arc::clone(&seq));
+        seq
+    }
+
     /// The result of an op with sequence entry `entry`: its computed
     /// `value` where the entry lets it through, else `anchor` times the
     /// entry's wobble.
@@ -460,6 +471,42 @@ impl GarbleSeq {
         } else {
             anchor * (0.75 + f64::from(entry) * 2f64.powi(-25))
         }
+    }
+}
+
+/// A garbled span's ops with their garble entries sliced once (see
+/// [`TileCtx::garbled_span`]).
+#[derive(Debug, Clone, Copy)]
+pub struct GarbledSpan<'a> {
+    entries: &'a [i32],
+    anchor: f64,
+}
+
+impl GarbledSpan<'_> {
+    /// Op `i` of the span, producing `value`: the [`Garbled`] lane's
+    /// [`Lane::op`].
+    #[inline(always)]
+    pub fn op(&self, i: usize, value: f64) -> f64 {
+        self.blend(self.entries[i], value)
+    }
+
+    /// The entries of the span's ops `at..at + N`, for a body that runs
+    /// them as one group: with `N` known, reading an entry by a constant
+    /// index needs no bounds check.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the span holds fewer than `at + N` ops.
+    #[inline(always)]
+    pub fn group<const N: usize>(&self, at: usize) -> &[i32; N] {
+        self.entries[at..].first_chunk().expect("the group lies in the span")
+    }
+
+    /// The result of an op with garble entry `entry`, one of the span's:
+    /// its computed `value` or the anchor's wobble.
+    #[inline(always)]
+    pub fn blend(&self, entry: i32, value: f64) -> f64 {
+        GarbleSeq::blend(entry, value, self.anchor)
     }
 }
 
@@ -526,7 +573,8 @@ pub struct TileCtx<'a> {
     pub(crate) last_store: f64,
     /// A garbled tile's stale value: its op 0's computed result.
     pub(crate) garble_anchor: Option<f64>,
-    pub(crate) garble_seq: GarbleSeq,
+    /// The process's garble sequence as this garbled tile last read it.
+    garble_seq: Option<Arc<GarbleSeq>>,
     // Which buffers this tile loaded, stored and had corrupted lines
     // written back into (`BufferId::bit` sets), and whether a load
     // observed a non-zero corruption mask: the engine's taint inputs.
@@ -561,7 +609,7 @@ impl<'a> TileCtx<'a> {
             store_ops: 0,
             last_store: 0.0,
             garble_anchor: None,
-            garble_seq: GarbleSeq::new(),
+            garble_seq: None,
             loaded: 0,
             stored: 0,
             written_back: 0,
@@ -629,17 +677,50 @@ impl<'a> TileCtx<'a> {
     #[cold]
     fn op_garble(&mut self, idx: u64, value: f64) -> f64 {
         let idx = idx as usize;
-        self.garble_seq.cover(idx + 1);
+        let entry = self.cover_garble(idx + 1)[idx];
         let anchor = *self.garble_anchor.get_or_insert(value);
-        GarbleSeq::blend(self.garble_seq.entries[idx], value, anchor)
+        GarbleSeq::blend(entry, value, anchor)
+    }
+
+    /// The garble sequence's first `len` entries or more, reading the
+    /// process's sequence again when this tile's copy is shorter.
+    fn cover_garble(&mut self, len: usize) -> &[i32] {
+        if self.garble_seq.as_ref().is_none_or(|s| s.entries.len() < len) {
+            self.garble_seq = Some(GarbleSeq::shared(len));
+        }
+        &self.garble_seq.as_deref().expect("covered above").entries
+    }
+
+    /// The garble entries of the current span's `ops` ops, from
+    /// `self.ops`, which [`Lane::clean_span`] covered.
+    #[inline(always)]
+    fn garble_entries(&self, ops: usize) -> &[i32] {
+        let seq = self.garble_seq.as_deref().expect("the span is covered");
+        &seq.entries[self.ops as usize..][..ops]
     }
 
     /// Op `i` of the current span on the [`Garbled`] lane: the garbled
     /// op at index `self.ops + i`, which [`Lane::clean_span`] covered.
     #[inline(always)]
     fn garbled_op(&self, i: usize, value: f64) -> f64 {
-        let entry = self.garble_seq.entries[self.ops as usize + i];
-        GarbleSeq::blend(entry, value, self.garble_anchor.unwrap_or(f64::NAN))
+        self.garbled_span(i + 1).op(i, value)
+    }
+
+    /// The current span's first `ops` ops on the [`Garbled`] lane, their
+    /// garble entries sliced once: a body that runs a span's ops in bulk
+    /// reads them through [`GarbledSpan::op`] instead of [`Lane::op`],
+    /// with no per-op lookup through the context. The span must be
+    /// readied by [`Lane::clean_span`] first.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no span of at least `ops` ops was readied.
+    #[inline(always)]
+    pub fn garbled_span(&self, ops: usize) -> GarbledSpan<'_> {
+        GarbledSpan {
+            entries: self.garble_entries(ops),
+            anchor: self.garble_anchor.unwrap_or(f64::NAN),
+        }
     }
 
     /// Readies a garbled span of `ops` ops from `self.ops`: covers them in
@@ -647,7 +728,7 @@ impl<'a> TileCtx<'a> {
     /// anchor from `first`, before any op of the span runs.
     #[inline(always)]
     fn garble_span(&mut self, ops: u64, first: impl FnOnce() -> f64) {
-        self.garble_seq.cover((self.ops + ops) as usize);
+        self.cover_garble((self.ops + ops) as usize);
         if self.ops == 0 && ops > 0 {
             self.garble_anchor = Some(first());
         }
@@ -743,16 +824,15 @@ impl<'a> TileCtx<'a> {
                 // Each row's ops at this `k` are `N` consecutive entries of
                 // the garble sequence: sliced once, they need no per-op
                 // bounds check, and the loop vectorizes.
-                let at = self.ops as usize + r * N * N + k * N;
+                let span = self.garbled_span((r + W - 1) * N * N + (k + 1) * N);
                 let seq: [&[i32; N]; W] = std::array::from_fn(|w| {
-                    self.garble_seq.entries[at + w * N * N..]
+                    span.entries[(r + w) * N * N + k * N..]
                         .first_chunk()
                         .expect("the span is covered")
                 });
-                let anchor = self.garble_anchor.unwrap_or(f64::NAN);
                 for (c, &bkc) in brow.iter().enumerate() {
                     for ((row, &awk), seq) in rows.iter_mut().zip(&ak).zip(seq) {
-                        row[c] = GarbleSeq::blend(seq[c], awk.mul_add(bkc, row[c]), anchor);
+                        row[c] = span.blend(seq[c], awk.mul_add(bkc, row[c]));
                     }
                 }
                 continue;
@@ -1367,6 +1447,22 @@ mod tests {
         assert_eq!(ctx.op(3.0), GarbleSeq::blend(seq.entries[4096], 3.0, 2.0));
         ctx.ops = 5;
         assert_eq!(ctx.op(3.0), GarbleSeq::blend(seq.entries[5], 3.0, 2.0));
+    }
+
+    /// The process holds one garble sequence: a tile that needs no more
+    /// entries shares it, and growing at least doubles it, keeping the
+    /// entries every tile already read.
+    #[test]
+    fn the_shared_garble_seq_is_one_grow_only_table() {
+        let a = GarbleSeq::shared(100);
+        let b = GarbleSeq::shared(a.entries.len());
+        assert!(Arc::ptr_eq(&a, &b), "a covered request shares the table");
+        let grown = GarbleSeq::shared(a.entries.len() + 1);
+        assert!(grown.entries.len() >= 2 * a.entries.len());
+        assert_eq!(grown.entries[..a.entries.len()], a.entries[..]);
+        let mut local = GarbleSeq::new();
+        local.cover(grown.entries.len());
+        assert_eq!(local.entries, grown.entries, "the xorshift sequence");
     }
 
     #[test]

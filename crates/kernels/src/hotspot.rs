@@ -307,7 +307,8 @@ fn h_lap(mid: &[f64], j: usize, lf: usize, rt: usize) -> f64 {
 /// power row, cells in ascending column order, cell `j` running the row's
 /// ops `7·j..7·j + 7`. The clamped west and east border cells are peeled
 /// off, so the interior loop has no index branches (one column clamps on
-/// both sides).
+/// both sides). The garbled lane slices the row's garble entries once and
+/// hands each cell its seven, so its ops read them by constant index.
 #[inline(always)]
 fn update_row<L: Lane>(
     ctx: &mut TileCtx<'_>,
@@ -316,27 +317,56 @@ fn update_row<L: Lane>(
     out: &mut [f64],
 ) {
     let c = mid.len();
-    let (up, dn, pw, out) = (&up[..c], &dn[..c], &pw[..c], &mut out[..c]);
-    // One cell: `lf` and `rt` are its west and east neighbours.
-    let mut cell = |ctx: &mut TileCtx<'_>, j: usize, lf: usize, rt: usize| {
-        let (t, at) = (mid[j], 7 * j);
-        let h_lap = L::op(ctx, at, h_lap(mid, j, lf, rt));
-        let horiz = L::mul(ctx, at + 1, CX, h_lap);
-        let v_lap = L::op(ctx, at + 2, up[j] + dn[j] - 2.0 * t);
-        let vert = L::mul(ctx, at + 3, CY, v_lap);
-        let sink = L::mul(ctx, at + 4, CZ, AMB - t);
-        let delta = L::op(ctx, at + 5, pw[j] + horiz + vert + sink);
-        out[j] = L::fma(ctx, at + 6, CAP, delta, t);
-    };
+    let rows = [&up[..c], mid, &dn[..c]];
+    let (pw, out) = (&pw[..c], &mut out[..c]);
+    if L::GARBLED {
+        let span = ctx.garbled_span(7 * c);
+        for_cells(c, |j, lf, rt| {
+            let entries = span.group::<7>(7 * j);
+            out[j] = cell(rows, pw, j, lf, rt, |k, v| span.blend(entries[k], v));
+        });
+    } else {
+        for_cells(c, |j, lf, rt| {
+            out[j] = cell(rows, pw, j, lf, rt, |k, v| L::op(ctx, 7 * j + k, v));
+        });
+    }
+}
+
+/// Cell `j`'s new temperature, `lf` and `rt` its west and east
+/// neighbours; `op(k, value)` is the cell's `k`-th op on the lane.
+#[inline(always)]
+fn cell(
+    [up, mid, dn]: [&[f64]; 3],
+    pw: &[f64],
+    j: usize,
+    lf: usize,
+    rt: usize,
+    mut op: impl FnMut(usize, f64) -> f64,
+) -> f64 {
+    let t = mid[j];
+    let h_lap = op(0, h_lap(mid, j, lf, rt));
+    let horiz = op(1, CX * h_lap);
+    let v_lap = op(2, up[j] + dn[j] - 2.0 * t);
+    let vert = op(3, CY * v_lap);
+    let sink = op(4, CZ * (AMB - t));
+    let delta = op(5, pw[j] + horiz + vert + sink);
+    op(6, CAP.mul_add(delta, t))
+}
+
+/// Runs `cell(j, lf, rt)` for the `c` cells of a row in ascending order,
+/// `lf` and `rt` the clamped west and east neighbours, with the border
+/// cells peeled off the interior loop.
+#[inline(always)]
+fn for_cells(c: usize, mut cell: impl FnMut(usize, usize, usize)) {
     if c == 1 {
-        cell(ctx, 0, 0, 0);
+        cell(0, 0, 0);
         return;
     }
-    cell(ctx, 0, 0, 1);
+    cell(0, 0, 1);
     for j in 1..c - 1 {
-        cell(ctx, j, j - 1, j + 1);
+        cell(j, j - 1, j + 1);
     }
-    cell(ctx, c - 1, c - 2, c - 1);
+    cell(c - 1, c - 2, c - 1);
 }
 
 impl Workload for HotSpot {
