@@ -625,7 +625,8 @@ pub(crate) struct LineLog {
     pub(crate) units: Vec<u32>,
     pub(crate) access_starts: Vec<u32>,
     pub(crate) l1_starts: Vec<u32>,
-    /// Accesses as `(first line, last line)`, tile after tile.
+    /// Accesses as `(first line, last line)`, tile after tile, the last
+    /// line of a store or-ed with [`LineLog::WRITE`].
     pub(crate) accesses: Vec<(u32, u32)>,
     /// L1 evictions as `(line, touch ordinal)`, tile after tile.
     pub(crate) l1_evictions: Vec<(u32, u32)>,
@@ -634,6 +635,9 @@ pub(crate) struct LineLog {
 }
 
 impl LineLog {
+    /// The flag of a store in an access's last line.
+    pub(crate) const WRITE: u32 = 1 << 31;
+
     /// Starts logging the tile at dispatch position `pos`, run by `unit`.
     pub(crate) fn begin_tile(&mut self, pos: usize, unit: usize) {
         self.tile = pos as u32;
@@ -821,7 +825,8 @@ impl CacheHierarchy {
         let last = self.line_of(byte_addr + len - 1);
         if let Some(mut h) = self.history.take() {
             // Golden capture: the same touches, logged.
-            h.accesses.push((first as u32, last as u32));
+            let flag = if write { LineLog::WRITE } else { 0 };
+            h.accesses.push((first as u32, last as u32 | flag));
             for line in first..=last {
                 if let Some((ev_line, _, _)) = self.l1[unit].touch::<E>(line, false) {
                     h.l1_evictions.push((ev_line as u32, h.ordinal));

@@ -16,11 +16,15 @@
 //! register strike's fork may start at its victim ([`Engine::fork_tile`]).
 //! A value-only fork (no skip or redirect strike, every cache strike at
 //! the warm instant) runs its flips in an overlay the golden line index
-//! ends. Per tile, the loop asks an exit policy whether to skip the tile
-//! and whether to stop after it: at a *dead* strike (nothing observable
-//! touched; the caller skips the compare) or, on a fork, a *contained*
-//! fault (the golden suffix is spliced). Every rule keeps the outcome the
-//! same bit for bit.
+//! ends. A fork tracks, element by element, where its memory may differ
+//! from golden's: each tile's stores are compared with the golden
+//! ledger's values at the same instant. Per tile, the loop asks an exit
+//! policy whether to skip the tile (a value-only fork replays a tile that
+//! loads only golden values by writing its golden stores) and whether to
+//! stop after it: at a *dead* strike (nothing observable touched; the
+//! caller skips the compare) or, on a fork, a *contained* fault (the
+//! golden suffix is spliced). Every rule keeps the outcome the same bit
+//! for bit.
 
 use std::sync::Arc;
 
@@ -37,12 +41,14 @@ use crate::memory::DeviceMemory;
 use crate::profile::ExecutionProfile;
 use crate::program::{
     apply_writebacks, MachineCounters, StoreLog, TileCtx, TileFault, TileId, TiledProgram,
+    WrittenBack,
 };
 use crate::scheduler::DispatchPlan;
 use crate::snapshot::{
     EngineSnapshot, GoldenLedger, LedgerTile, LineIndex, SnapshotPolicy, SnapshotSet,
 };
 use crate::strike::{SchedulerEffect, StrikeSpec, StrikeTarget};
+use crate::taint::TaintSet;
 use crate::trace::{ExecutionTrace, TileTrace};
 
 /// The result of one engine run.
@@ -84,8 +90,9 @@ pub struct RunOutcome {
 
 /// Reusable per-worker state for repeated forks of one program on one
 /// engine: the post-setup memory template (so `setup` runs once, not per
-/// bucket) and the previous fork's memory image and cache tables (so
-/// buffers are restored in place instead of reallocated).
+/// bucket), the previous fork's memory image and cache tables (so
+/// buffers are restored in place instead of reallocated) and its taint
+/// set, emptied between forks.
 ///
 /// A scratch is only valid for the `(engine, program)` pair it was first
 /// used with; use a fresh one per campaign worker.
@@ -99,6 +106,7 @@ pub struct RunScratch {
     /// the buffers either side has written since that sync instead of
     /// every buffer.
     spare_origin: Option<u64>,
+    taint: TaintSet,
 }
 
 impl RunScratch {
@@ -338,10 +346,18 @@ impl Engine {
             ledger: warm.map(|w| &*w.ledger),
             last_strike: strikes.iter().map(|s| s.at_tile).max(),
             resumable: program.resumable(),
-            tainted: 0,
+            taint: scratch
+                .as_deref_mut()
+                .map(|sc| std::mem::take(&mut sc.taint))
+                .unwrap_or_default(),
+            line_elems: CacheHierarchy::line_bytes_of(&self.cfg) / 8,
         };
-        let exit = self.inject_tiles(program, rng, &mut run, &mut policy, trace.as_deref_mut())?;
-        self.end_injection(program, &plan, run, exit, scratch, trace)
+        let exit = self.inject_tiles(program, rng, &mut run, &mut policy, trace.as_deref_mut());
+        if let Some(sc) = scratch.as_deref_mut() {
+            policy.taint.reset();
+            sc.taint = policy.taint;
+        }
+        self.end_injection(program, &plan, run, exit?, scratch, trace)
     }
 
     /// The first tile at which `strike` can change machine state: the
@@ -513,9 +529,8 @@ impl Engine {
             (stride, policy.budget())
         });
         let mut set = SnapshotSet::default();
-        // The ledger, and the output stores it attributes to each tile.
-        let mut ledger =
-            capture.map(|_| (GoldenLedger::default(), StoreLog::new(program.output())));
+        // The ledger, and the stores it attributes to each tile.
+        let mut ledger = capture.map(|_| (GoldenLedger::default(), StoreLog::new(None)));
         let mut totals = MachineCounters::default();
         let mut l2_resident_samples = 0.0;
         let prof = profiling_enabled();
@@ -549,20 +564,18 @@ impl Engine {
                 program.execute_tile(TileId(pos), &mut ctx)?;
             }
             let counters = ctx.drain_counters();
-            let (loaded, stored) = (ctx.loaded, ctx.stored);
+            let loaded = ctx.loaded;
             totals.add(counters);
-            if let Some((g, log)) = ledger.as_mut() {
+            if let (Some((g, log)), Some((_, budget))) = (ledger.as_mut(), capture) {
                 let tile = LedgerTile {
                     counters,
                     cache: caches.stats().since(&before),
                     loaded,
-                    stored,
                     ..LedgerTile::default()
                 };
-                g.tiles.push(tile);
-                let p = pos as u32;
-                g.output_spans
-                    .extend(log.spans.drain(..).map(|(s, l)| (p, s as u32, l as u32)));
+                // The journal takes what the snapshots leave of the budget.
+                let room = budget.saturating_sub(set.bytes);
+                g.push_tile(tile, log.spans.drain(..), &mem, room)?;
             }
             l2_resident_samples += caches.l2_resident_lines() as f64;
         }
@@ -576,8 +589,9 @@ impl Engine {
         cache.l2_resident_lines = 0;
         let (output, profile) =
             self.finish(program, &plan, &mut mem, totals, cache, l2_resident_samples)?;
-        if let (Some((mut g, _)), Some(lines)) = (ledger, lines) {
-            g.finish(&output, lines);
+        if let (Some((mut g, _)), Some(lines), Some((_, budget))) = (ledger, lines, capture) {
+            let room = budget.saturating_sub(set.bytes);
+            g.finish(&output, program.output(), room, lines);
             set.ledger = Arc::new(g);
             if let Some(m) = self.metrics.as_deref() {
                 m.gauge_set("radcrit_snapshot_bytes", &[], set.cost_bytes() as f64);
@@ -669,7 +683,7 @@ impl Engine {
             overlay,
             totals,
             l2_resident_samples,
-            store_log: warm.map(|_| StoreLog::new(program.output())),
+            store_log: warm.map(|_| StoreLog::new(Some(program.output()))),
             pending: PendingFaults::default(),
             resolutions: Vec::new(),
         };
@@ -727,24 +741,22 @@ impl Engine {
                     .overlay
                     .as_ref()
                     .is_some_and(|o| policy.skips(pos, unit, o));
-            let tile = match (golden.filter(|_| skip), run.overlay.as_mut()) {
+            let mut written_back = Vec::new();
+            match (golden.filter(|_| skip), run.overlay.as_mut()) {
                 // A skipped tile would compute golden's values: write its
-                // golden output spans, end the flips golden evicts during
-                // it, and add its golden counters and trace.
+                // golden stores, end the flips golden evicts during it, and
+                // add its golden counters and trace.
                 (Some(t), Some(o)) => {
                     skipped += 1;
-                    o.ledger
-                        .write_output(&mut run.mem, program.output(), pos..pos + 1)?;
+                    o.ledger.write_stores(&mut run.mem, pos)?;
                     let wbs = o.end_in_tile(pos);
-                    let written_back = apply_writebacks(&mut run.mem, &wbs, run.store_log.as_mut());
+                    let log = run.store_log.as_mut();
+                    apply_writebacks(&mut run.mem, &wbs, log, &mut written_back);
                     run.totals.add(t.counters);
                     if let Some(tr) = trace.as_deref_mut() {
                         tr.push(tile_trace(pos, unit, &t.counters, &t.cache));
                     }
-                    TileEffects {
-                        written_back,
-                        ..TileEffects::default()
-                    }
+                    policy.after_stores(pos, None, &run.pending, &run.mem, &written_back)?;
                 }
                 (_, overlay) => {
                     let before = trace.is_some().then(|| run.caches.stats());
@@ -758,34 +770,28 @@ impl Engine {
                         program.execute_tile(TileId(effective_tile), &mut ctx)?;
                     }
                     let counters = ctx.drain_counters();
-                    let tile = TileEffects {
-                        carried,
-                        observed: ctx.observed,
-                        loaded: ctx.loaded,
-                        stored: ctx.stored,
-                        written_back: ctx.written_back,
-                    };
+                    let dirty = carried || ctx.observed;
+                    written_back = std::mem::take(&mut ctx.written_back);
                     run.totals.add(counters);
                     if let (Some(tr), Some(before)) = (trace.as_deref_mut(), before) {
                         let cache =
                             golden.map_or_else(|| run.caches.stats().since(&before), |t| t.cache);
                         tr.push(tile_trace(pos, unit, &counters, &cache));
                     }
-                    tile
+                    let mem = &run.mem;
+                    policy.after_stores(pos, Some(dirty), &run.pending, mem, &written_back)?;
                 }
-            };
+            }
             run.l2_resident_samples += match golden {
                 Some(t) => t.cache.l2_resident_lines,
                 None => run.caches.l2_resident_lines(),
             } as f64;
             let (c, p) = (&run.caches, &run.pending);
             let after = match run.overlay.as_ref() {
-                Some(o) => {
-                    policy.after_tile(pos, tile, p, o.touched, !o.flips.is_empty(), o.flip_lines())
-                }
+                Some(o) => policy.after_tile(pos, p, o.touched, !o.flips.is_empty(), o.flip_lines()),
                 None => {
                     let (touched, live) = (c.corruption_touched(), c.has_pending_corruption());
-                    policy.after_tile(pos, tile, p, touched, live, c.flip_lines())
+                    policy.after_tile(pos, p, touched, live, c.flip_lines())
                 }
             };
             if let Some(e) = after {
@@ -831,7 +837,7 @@ impl Engine {
             Some(o) => o.flush(),
             None => run.caches.flush(),
         };
-        apply_writebacks(&mut run.mem, &wbs, run.store_log.as_mut());
+        apply_writebacks(&mut run.mem, &wbs, run.store_log.as_mut(), &mut Vec::new());
         let mut stats = run
             .overlay
             .as_ref()
@@ -875,7 +881,8 @@ impl Engine {
         // tiles stored golden final values and add nothing.
         let dirty = run.warm.map(|w| {
             let end = contained_at.map_or(plan.tiles(), |e| e + 1);
-            let mut spans = run.store_log.map(|l| l.spans).unwrap_or_default();
+            let logged = run.store_log.iter().flat_map(|l| &l.spans);
+            let mut spans: Vec<_> = logged.map(|s| (s.start, s.len)).collect();
             spans.extend(w.ledger.spans_in(w.resume_tile..end));
             DirtyRegion::from_spans(spans, output.len())
         });
@@ -1118,6 +1125,12 @@ impl PendingFaults {
         Some((tile.unwrap_or(pos), fault))
     }
 
+    /// Whether a skip or redirect is pending: the run's address stream
+    /// may no longer be golden's.
+    fn reroutes(&self) -> bool {
+        (self.0.iter()).any(|&(_, e)| matches!(e, Pending::Skip | Pending::Redirect(_)))
+    }
+
     /// Whether every pending effect is spent once the tile at `pos` has
     /// run — every armed victim behind, every unit-garble wave over — the
     /// contained exit's test. A pending skip or redirect never is: the
@@ -1150,8 +1163,11 @@ struct ExitPolicy<'a> {
     last_strike: Option<usize>,
     /// The dead-strike proof needs a resumable program.
     resumable: bool,
-    /// Buffers (`BufferId::bit` masks) that may hold non-golden bytes.
-    tainted: u64,
+    /// A fork's elements that may hold non-golden bits.
+    taint: TaintSet,
+    /// Elements per cache line: a line `l` holds the global elements
+    /// `l · line_elems ..` of the taint set.
+    line_elems: usize,
 }
 
 /// An early stop of an injected run.
@@ -1165,54 +1181,87 @@ enum Exit {
     Contained { flips: bool },
 }
 
-/// What one tile did, as the exit rules read it.
-#[derive(Debug, Clone, Copy, Default)]
-struct TileEffects {
-    /// A fault was armed on it; a load observed a flipped bit.
-    carried: bool,
-    observed: bool,
-    /// Buffers (`BufferId::bit` masks) it loaded, stored, wrote back into.
-    loaded: u64,
-    stored: u64,
-    written_back: u64,
-}
-
 impl ExitPolicy<'_> {
+    /// Whether the tile at `pos` loads a line holding a tainted element:
+    /// whether it may read a non-golden value.
+    fn loads_taint(&self, g: &GoldenLedger, pos: usize) -> bool {
+        let le = self.line_elems;
+        g.tiles[pos].loaded & self.taint.buffers() != 0
+            && (g.lines.loads_of(pos))
+                .any(|(first, last)| self.taint.any(first as usize * le..(last as usize + 1) * le))
+    }
+
     /// Whether a value-only fork (`o`) may skip the tile at dispatch
     /// position `pos`, on `unit`, running as itself with no fault armed:
-    /// it loads no tainted buffer, its stores are final — no later tile
-    /// loads a buffer it stores or stores over its output spans — and it
-    /// touches no line a live flip sits on (for an L1 flip, only touches
-    /// from its unit count). Such a tile computes exactly golden's values,
-    /// and nothing later can tell whether it ran.
+    /// the ledger holds the golden values of each of its stores (it is
+    /// replayable), it loads no tainted element, and it touches no line a
+    /// live flip sits on (for an L1 flip, only touches from its unit
+    /// count). Such a tile computes exactly golden's values, which the
+    /// fork writes in its place.
     fn skips(&self, pos: usize, unit: usize, o: &Overlay) -> bool {
-        let (t, g) = (&o.ledger.tiles[pos], &o.ledger);
-        t.loaded & self.tainted == 0
-            && t.stored & t.loaded_after == 0
-            && !t.overwritten
+        let g = &*o.ledger;
+        g.tiles[pos].replayable
+            && !self.loads_taint(g, pos)
             && o.flips
                 .iter()
                 .all(|f| f.unit.is_some_and(|u| u != unit) || !g.lines.touched_by(f.line, pos))
     }
 
-    /// Takes in what the tile at `pos` did and whether the run may stop
-    /// after it; `touched`, `live` and `flips` tell whether corruption
-    /// ever escaped the flips, whether any is pending, and their lines.
+    /// Takes in the stores of the tile at `pos`, skipped (`ran` is
+    /// `None`: memory holds its golden values) or executed (`ran` tells
+    /// whether it carried a fault or observed a flipped bit), and the
+    /// elements corrupted write-backs landed on during it. A tile that
+    /// carried nothing, observed nothing and loaded no tainted element
+    /// stored golden's values; any other has each span compared with
+    /// golden's values at the same instant, or, when the ledger holds
+    /// none, tainted whole. A run whose address stream is not golden's
+    /// (a pending skip or redirect) never skips or exits, and keeps no
+    /// taint.
+    fn after_stores(
+        &mut self,
+        pos: usize,
+        ran: Option<bool>,
+        pending: &PendingFaults,
+        mem: &DeviceMemory,
+        written_back: &[WrittenBack],
+    ) -> Result<(), AccelError> {
+        let Some(g) = self.ledger.filter(|_| !pending.reroutes()) else {
+            return Ok(());
+        };
+        let dirty = ran.is_some_and(|observed| observed || self.loads_taint(g, pos));
+        for span in g.stores_of(pos) {
+            match g.golden_of(span).filter(|_| dirty) {
+                Some(golden) => {
+                    let (_, actual) = mem.window(span.buf, span.start as usize, golden.len())?;
+                    self.taint.compare(span.buf, span.at as usize, actual, golden);
+                }
+                None => self.taint.fill(span.buf, span.elems(), dirty),
+            }
+        }
+        for &(buf, e) in written_back {
+            self.taint.fill(buf, e..e + 1, true);
+        }
+        Ok(())
+    }
+
+    /// Whether the run may stop after the tile at `pos`; `touched`,
+    /// `live` and `flips` tell whether corruption ever escaped the flips,
+    /// whether any is pending, and their lines.
     /// Dead strike: every strike tile has passed, no corruption is
     /// pending or was ever observed, and no core or scheduler fault was
     /// ever armed (`pending` is never drained), so by the resumability
     /// contract the remaining tiles compute exactly golden's values.
     ///
     /// Contained (forks only): every fault is spent and no later golden
-    /// tile loads a tainted buffer, so every remaining tile would compute
-    /// exactly its golden values — a resumable program derives addresses
-    /// from the tile id alone, so cache tags and counters also track
-    /// golden's. Flips may still be pending, on lines no later tile
-    /// touches (see [`flips_settled`]): the exit's flush settles them.
+    /// tile loads a buffer holding a tainted element — in particular,
+    /// the taint is empty — so every remaining tile would compute exactly
+    /// its golden values; a resumable program derives addresses from the
+    /// tile id alone, so cache tags and counters also track golden's.
+    /// Flips may still be pending, on lines no later tile touches (see
+    /// [`flips_settled`]): the exit's flush settles them.
     fn after_tile(
-        &mut self,
+        &self,
         pos: usize,
-        tile: TileEffects,
         pending: &PendingFaults,
         touched: bool,
         live: bool,
@@ -1224,18 +1273,11 @@ impl ExitPolicy<'_> {
             return Some(Exit::Dead);
         }
         let g = self.ledger?;
-        // A tile that carried a fault, read a tainted buffer or observed
-        // a flipped bit may have stored non-golden bytes; a corrupted
-        // write-back taints its target.
-        if tile.carried || tile.observed || tile.loaded & self.tainted != 0 {
-            self.tainted |= tile.stored;
-        }
-        self.tainted |= tile.written_back;
         // Spent: every strike delivered, every armed victim and
         // unit-garble wave behind us, no change to the address stream,
         // no flip a later tile can read.
         (pos + 1 < self.plan.tiles()
-            && g.tiles[pos].loaded_after & self.tainted == 0
+            && g.tiles[pos].loaded_after & self.taint.buffers() == 0
             && struck
             && pending.spent(pos, self.plan)
             && flips_settled(flips, touched, &g.lines, pos + 1))
@@ -1300,6 +1342,7 @@ mod tests {
     use rand_chacha::ChaCha8Rng as SmallRng;
 
     use crate::memory::BufferId;
+    use crate::snapshot::StoreSpan;
 
     /// A minimal test program: out[i] = 2 * in[i] + 1, one tile per 8
     /// elements.
@@ -1711,10 +1754,13 @@ mod tests {
         assert_eq!(plain.profile, snapped.profile);
         assert!(!set.is_empty(), "default policy captures snapshots");
         assert!(set.cost_bytes() > 0);
-        assert!(
-            !set.ledger.output_spans.is_empty(),
+        assert_eq!(
+            set.ledger.spans_in(0..8).count(),
+            8,
             "golden stores to the output are indexed"
         );
+        assert_eq!(set.journal_bytes(), 0, "final output stores need no journal");
+        assert!((0..8).all(|t| set.ledger.tiles[t].replayable));
         // Tile 7 loads and stores the last lines; nothing evicts on a K40.
         let lines = &set.ledger.lines;
         assert!((0..4096).any(|l| !lines.untouched_after(l, 7)));
@@ -2602,8 +2648,9 @@ mod tests {
     }
 
     /// A synthetic golden ledger: `tiles`, and a line log in which tile
-    /// `t` touches the lines `touches[t]` and the L2 evicts each
-    /// `(line, tile)` of `evictions` clean.
+    /// `t` loads the lines `touches[t]` (stores those or-ed with
+    /// [`LineLog::WRITE`](crate::cache::LineLog::WRITE)) and the L2
+    /// evicts each `(line, tile)` of `evictions` clean.
     fn synthetic_ledger(
         tiles: Vec<LedgerTile>,
         touches: &[&[u32]],
@@ -2612,7 +2659,8 @@ mod tests {
         let mut log = crate::cache::LineLog::default();
         for (t, lines) in touches.iter().enumerate() {
             log.begin_tile(t, t % 2);
-            log.accesses.extend(lines.iter().map(|&l| (l, l)));
+            let write = crate::cache::LineLog::WRITE;
+            log.accesses.extend(lines.iter().map(|&l| (l & !write, l)));
         }
         log.l2_evictions
             .extend(evictions.iter().map(|&(line, tile)| {
@@ -2630,17 +2678,16 @@ mod tests {
         }
     }
 
-    fn policy<'a>(
-        plan: &'a DispatchPlan,
-        ledger: Option<&'a GoldenLedger>,
-        tainted: u64,
-    ) -> ExitPolicy<'a> {
+    /// The exit policy of a fork over `ledger` on [`two_unit_plan`]'s
+    /// device: 64-byte lines of 8 elements.
+    fn policy<'a>(plan: &'a DispatchPlan, ledger: Option<&'a GoldenLedger>) -> ExitPolicy<'a> {
         ExitPolicy {
             plan,
             ledger,
             last_strike: Some(0),
             resumable: true,
-            tainted,
+            taint: TaintSet::default(),
+            line_elems: 8,
         }
     }
 
@@ -2664,35 +2711,36 @@ mod tests {
     }
 
     #[test]
-    fn a_value_only_fork_skips_only_tiles_with_final_stores_and_no_tainted_load() {
-        // Tile 0 (unit 0) loads buffer 0 and stores buffer 1, which no
-        // later tile loads.
+    fn a_value_only_fork_skips_only_replayable_tiles_that_load_no_tainted_element() {
+        // Tile 0 (unit 0) loads line 5 of buffer 0 (elements 40..48) and
+        // stores line 7 (elements 56..64).
         let plan = two_unit_plan(2);
         let tile = LedgerTile {
             loaded: 0b01,
-            stored: 0b10,
-            loaded_after: 0b01,
+            replayable: true,
             ..LedgerTile::default()
         };
-        let skips = |t: LedgerTile, tainted| {
-            let g = synthetic_ledger(vec![t; 2], &[&[5], &[6]], &[]);
-            policy(&plan, Some(&g), tainted).skips(0, 0, &overlay_with(&g, &[]))
+        let store = 7 | crate::cache::LineLog::WRITE;
+        let skips = |t: LedgerTile, tainted: &[(usize, std::ops::Range<usize>)]| {
+            let g = synthetic_ledger(vec![t; 2], &[&[5, store], &[6]], &[]);
+            let mut p = policy(&plan, Some(&g));
+            for (b, r) in tainted {
+                p.taint.fill(BufferId(*b), r.clone(), true);
+            }
+            p.skips(0, 0, &overlay_with(&g, &[]))
         };
-        assert!(skips(tile, 0));
-        assert!(!skips(tile, 0b01), "a tainted load");
-        assert!(skips(tile, 0b10), "a tainted buffer it only stores");
-        let read_later = LedgerTile {
-            loaded_after: 0b11,
-            ..tile
-        };
-        assert!(!skips(read_later, 0), "a store a later tile reads");
-        let overwritten = LedgerTile {
-            overwritten: true,
+        assert!(skips(tile, &[]));
+        assert!(!skips(tile, &[(0, 47..48)]), "a tainted element it loads");
+        assert!(skips(tile, &[(0, 48..49)]), "one past the line it loads");
+        assert!(skips(tile, &[(0, 56..64)]), "elements it only stores");
+        assert!(skips(tile, &[(1, 200..201)]), "a buffer it does not load");
+        let unreplayable = LedgerTile {
+            replayable: false,
             ..tile
         };
         assert!(
-            !skips(overwritten, 0),
-            "output spans a later tile stores over"
+            !skips(unreplayable, &[]),
+            "a store the ledger holds no golden values of"
         );
     }
 
@@ -2700,9 +2748,13 @@ mod tests {
     fn a_live_flip_on_a_touched_line_blocks_the_skip_and_an_l1_flip_only_on_its_unit() {
         // Tile 0 (unit 0) touches line 5, tile 1 (unit 1) line 6.
         let plan = two_unit_plan(2);
-        let g = synthetic_ledger(vec![LedgerTile::default(); 2], &[&[5], &[6]], &[]);
+        let replayable = LedgerTile {
+            replayable: true,
+            ..LedgerTile::default()
+        };
+        let g = synthetic_ledger(vec![replayable; 2], &[&[5], &[6]], &[]);
         let skips = |pos, flips: &[(Option<usize>, u64)]| {
-            policy(&plan, Some(&g), 0).skips(pos, pos % 2, &overlay_with(&g, flips))
+            policy(&plan, Some(&g)).skips(pos, pos % 2, &overlay_with(&g, flips))
         };
         assert!(!skips(0, &[(None, 5)]), "an L2 flip on a line it touches");
         assert!(
@@ -2741,55 +2793,93 @@ mod tests {
 
     #[test]
     fn the_contained_exit_waits_for_spent_faults_and_no_later_tainted_load() {
-        // Buffer 1 is loaded by tiles 1 and 2, buffer 2 by nobody.
+        // Buffers `a` (elements 0..8, line 0), `b` (32..40, line 4) and
+        // `c` (64..72, line 8), golden 1.0 throughout. Tile 0 stores `b`
+        // (journaled), tile 1 loads `b` and stores `c` (final output),
+        // tile 2 loads `b`; tile 3 does nothing.
         let plan = two_unit_plan(4);
-        let later = |loaded_after| LedgerTile {
+        let mut mem = DeviceMemory::new();
+        let bufs = ["a", "b", "c"].map(|name| mem.alloc_init(name, &[1.0; 8]));
+        let [_, b, c] = bufs;
+        let later = |loaded, loaded_after| LedgerTile {
+            loaded,
             loaded_after,
+            replayable: true,
             ..LedgerTile::default()
         };
-        let tiles = vec![later(0b10), later(0b10), later(0), later(0)];
-        let g = synthetic_ledger(tiles, &[&[], &[], &[], &[]], &[]);
+        let tiles = vec![later(0, 0b10), later(0b10, 0b10), later(0b10, 0), later(0, 0)];
+        let span = |buf: BufferId, at, journal| crate::snapshot::StoreSpan {
+            buf,
+            start: 0,
+            len: 8,
+            at,
+            journal,
+        };
+        let g = GoldenLedger {
+            stores: vec![span(b, 32, 0), span(c, 64, StoreSpan::FINAL)],
+            store_starts: vec![0, 1, 2, 2, 2],
+            journal: vec![1.0; 8],
+            out_buf: Some(c),
+            output: vec![1.0; 8],
+            ..synthetic_ledger(tiles, &[&[], &[4], &[4], &[]], &[])
+        };
         let armed = |at| PendingFaults(vec![(at, Pending::Armed(TileFault::none()))]);
-        let mut p = policy(&plan, Some(&g), 0);
-        let step = |p: &mut ExitPolicy<'_>, pos, tile, pending: &PendingFaults| {
-            p.after_tile(pos, tile, pending, false, false, std::iter::empty())
+        let mut p = policy(&plan, Some(&g));
+        let quiet = |p: &ExitPolicy<'_>, pos, pending: &PendingFaults| {
+            p.after_tile(pos, pending, false, false, std::iter::empty())
         };
-        // The faulted tile 0 stores buffer 1, which tile 1 loads.
-        let carried = TileEffects {
-            carried: true,
-            stored: 0b10,
-            ..TileEffects::default()
-        };
-        assert_eq!(step(&mut p, 0, carried, &armed(0)), None);
-        assert_eq!(p.tainted, 0b10);
-        // Tile 1 loads it and stores buffer 2: tainted too. An armed
-        // victim still ahead keeps the fault unspent.
-        let reader = TileEffects {
-            loaded: 0b10,
-            stored: 0b100,
-            ..TileEffects::default()
-        };
-        assert_eq!(step(&mut p, 1, reader, &armed(2)), None);
-        assert_eq!(p.tainted, 0b110);
+        // The faulted tile 0 stores a wrong `b[3]`, which tile 1 loads.
+        mem.write(b, 3, 2.0).unwrap();
+        p.after_stores(0, Some(true), &armed(0), &mem, &[]).unwrap();
+        assert!(p.taint.any(35..36) && !p.taint.any(32..35) && !p.taint.any(36..40));
+        assert_eq!(quiet(&p, 0, &armed(0)), None);
+        // Tile 1 loads it, so its store to `c` is compared: `c[0]` comes
+        // out wrong. An armed victim still ahead keeps the fault unspent.
+        mem.write(c, 0, 3.0).unwrap();
+        p.after_stores(1, Some(false), &armed(2), &mem, &[]).unwrap();
+        assert_eq!(p.taint.buffers(), b.bit() | c.bit());
+        assert!(p.taint.any(64..65) && !p.taint.any(65..72));
+        assert_eq!(quiet(&p, 1, &armed(2)), None);
         // After tile 2 nothing loads a tainted buffer, and the victim is
         // behind: contained.
-        let exit = step(&mut p, 2, TileEffects::default(), &armed(2));
-        assert_eq!(exit, Some(Exit::Contained { flips: false }));
+        p.after_stores(2, Some(false), &armed(2), &mem, &[]).unwrap();
+        let contained = Some(Exit::Contained { flips: false });
+        assert_eq!(quiet(&p, 2, &armed(2)), contained);
         // A pending skip is never spent; the last tile has no suffix.
         let skip = PendingFaults(vec![(0, Pending::Skip)]);
-        assert_eq!(step(&mut p, 2, TileEffects::default(), &skip), None);
-        assert_eq!(step(&mut p, 3, TileEffects::default(), &armed(0)), None);
-        // A corrupted write-back taints its buffer even from a clean tile.
-        let mut q = policy(&plan, Some(&g), 0);
-        let written = TileEffects {
-            written_back: 0b10,
-            ..TileEffects::default()
+        assert_eq!(quiet(&p, 2, &skip), None);
+        assert_eq!(quiet(&p, 3, &armed(0)), None);
+
+        // A fault whose stores match golden's again leaves no taint: the
+        // fork exits after the victim although later tiles load `b`.
+        mem.write(b, 3, 1.0).unwrap();
+        let mut q = policy(&plan, Some(&g));
+        q.after_stores(0, Some(true), &armed(0), &mem, &[]).unwrap();
+        assert_eq!(q.taint.buffers(), 0);
+        assert_eq!(quiet(&q, 0, &armed(0)), contained);
+        // A corrupted write-back taints its element even from a clean
+        // tile, and a replayed tile clears what it stores.
+        let mut r = policy(&plan, Some(&g));
+        let written = [(b, 33), (bufs[0], 2)];
+        r.after_stores(0, Some(false), &armed(0), &mem, &written).unwrap();
+        assert!(r.taint.any(33..34) && r.taint.any(2..3));
+        assert_eq!(quiet(&r, 0, &armed(0)), None);
+        r.after_stores(0, None, &armed(0), &mem, &[]).unwrap();
+        assert_eq!(r.taint.buffers(), bufs[0].bit(), "the replay cleared `b`");
+        // A span the ledger holds no values of is tainted whole by a
+        // dirty tile, and a fork that reroutes keeps no taint.
+        let unjournaled = GoldenLedger {
+            stores: vec![span(b, 32, StoreSpan::NONE)],
+            store_starts: vec![0, 1, 1, 1, 1],
+            ..g.clone()
         };
-        assert_eq!(step(&mut q, 0, written, &armed(0)), None);
-        assert_eq!(q.tainted, 0b10);
-        // A run from tile 0 never takes it.
-        let mut r = policy(&plan, None, 0);
-        assert_eq!(step(&mut r, 2, TileEffects::default(), &armed(0)), None);
+        let mut u = policy(&plan, Some(&unjournaled));
+        u.after_stores(0, Some(true), &skip, &mem, &[]).unwrap();
+        assert_eq!(u.taint.buffers(), 0);
+        u.after_stores(0, Some(true), &armed(0), &mem, &[]).unwrap();
+        assert!((32..40).all(|e| u.taint.any(e..e + 1)));
+        // A run from tile 0 never takes the contained exit.
+        assert_eq!(quiet(&policy(&plan, None), 2, &armed(0)), None);
     }
 
     #[test]
@@ -2797,18 +2887,11 @@ mod tests {
         let plan = two_unit_plan(4);
         let mut p = ExitPolicy {
             last_strike: Some(1),
-            ..policy(&plan, None, 0)
+            ..policy(&plan, None)
         };
         let none = PendingFaults::default();
         let dead = |p: &mut ExitPolicy<'_>, pos, pending: &PendingFaults, touched, live| {
-            p.after_tile(
-                pos,
-                TileEffects::default(),
-                pending,
-                touched,
-                live,
-                std::iter::empty(),
-            )
+            p.after_tile(pos, pending, touched, live, std::iter::empty())
         };
         assert_eq!(
             dead(&mut p, 0, &none, false, false),

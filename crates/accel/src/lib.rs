@@ -44,6 +44,7 @@ pub mod program;
 pub mod scheduler;
 pub mod snapshot;
 pub mod strike;
+mod taint;
 pub mod trace;
 
 pub use cache::{CacheGeometry, CacheHierarchy};

@@ -528,26 +528,42 @@ impl MachineCounters {
     }
 }
 
-/// Records element spans written to one watched buffer — program stores
-/// plus corrupted write-backs — so differential runs know the candidate
-/// dirty region of the output without scanning it.
+/// Records the element spans a run writes — program stores plus
+/// corrupted write-backs — to one watched buffer, so differential runs
+/// know the candidate dirty region of the output without scanning it, or
+/// to every buffer, for the golden ledger's store spans.
 #[derive(Debug)]
 pub(crate) struct StoreLog {
-    watched: BufferId,
-    pub(crate) spans: Vec<(usize, usize)>,
+    /// The buffer whose writes are recorded; `None` records every buffer.
+    watched: Option<BufferId>,
+    pub(crate) spans: Vec<Stored>,
+}
+
+/// One span [`StoreLog`] recorded: `len` elements of `buf` from `start`,
+/// at global element address `at` (the byte address over 8).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Stored {
+    pub(crate) buf: BufferId,
+    pub(crate) start: usize,
+    pub(crate) len: usize,
+    pub(crate) at: usize,
 }
 
 impl StoreLog {
-    pub(crate) fn new(watched: BufferId) -> Self {
+    /// A log of the writes to `watched`, or to every buffer when `None`.
+    pub(crate) fn new(watched: Option<BufferId>) -> Self {
         StoreLog {
             watched,
             spans: Vec::new(),
         }
     }
 
-    pub(crate) fn record(&mut self, buf: BufferId, start: usize, len: usize) {
-        if buf == self.watched && len > 0 {
-            self.spans.push((start, len));
+    /// Records a write of `len` elements of `buf` from `start`, whose
+    /// first sits at byte address `byte_addr`.
+    pub(crate) fn record(&mut self, buf: BufferId, start: usize, len: usize, byte_addr: usize) {
+        if self.watched.is_none_or(|w| w == buf) && len > 0 {
+            let at = byte_addr / 8;
+            self.spans.push(Stored { buf, start, len, at });
         }
     }
 }
@@ -575,12 +591,11 @@ pub struct TileCtx<'a> {
     pub(crate) garble_anchor: Option<f64>,
     /// The process's garble sequence as this garbled tile last read it.
     garble_seq: Option<Arc<GarbleSeq>>,
-    // Which buffers this tile loaded, stored and had corrupted lines
-    // written back into (`BufferId::bit` sets), and whether a load
+    // Which buffers this tile loaded (a `BufferId::bit` set), the
+    // elements corrupted lines wrote back into, and whether a load
     // observed a non-zero corruption mask: the engine's taint inputs.
     pub(crate) loaded: u64,
-    pub(crate) stored: u64,
-    pub(crate) written_back: u64,
+    pub(crate) written_back: Vec<WrittenBack>,
     pub(crate) observed: bool,
     // Whether this tile's per-element memory phases are profiled:
     // decided once per tile (see `TILE_SAMPLE_STRIDE`) so the per-row
@@ -611,8 +626,7 @@ impl<'a> TileCtx<'a> {
             garble_anchor: None,
             garble_seq: None,
             loaded: 0,
-            stored: 0,
-            written_back: 0,
+            written_back: Vec::new(),
             observed: false,
             prof: tile_sample(),
         }
@@ -1077,7 +1091,8 @@ impl<'a> TileCtx<'a> {
             Some(o) => o.touched = true,
             None => self.caches.corruption_touched = true,
         }
-        self.written_back |= apply_writebacks(self.mem, wbs, self.store_log.as_deref_mut());
+        let log = self.store_log.as_deref_mut();
+        apply_writebacks(self.mem, wbs, log, &mut self.written_back);
         wbs.clear();
     }
 
@@ -1172,7 +1187,6 @@ impl<'a> TileCtx<'a> {
     ) -> Result<(), AccelError> {
         let _scope = phase_if(self.prof, PhaseId::MemStore);
         self.stores += src.len() as u64;
-        self.stored |= buf.bit();
         let fault_stores = self.fault.store_at != u64::MAX;
         let base = {
             let (base, window) = self.mem.window_mut(buf, start, src.len())?;
@@ -1199,7 +1213,7 @@ impl<'a> TileCtx<'a> {
             base
         };
         if let Some(log) = self.store_log.as_deref_mut() {
-            log.record(buf, start, src.len());
+            log.record(buf, start, src.len(), base);
         }
         let mut wbs = Vec::new();
         self.access::<E>(base, src.len() * 8, true, &mut wbs);
@@ -1229,27 +1243,30 @@ impl<'a> TileCtx<'a> {
     }
 }
 
+/// An element a corrupted write-back landed on: its buffer and global
+/// element address.
+pub(crate) type WrittenBack = (BufferId, usize);
+
 /// Applies corrupted write-backs (evicted dirty corrupted lines) to
-/// backing memory, recording touched elements of a watched buffer.
-/// Returns the set of buffers written into (`BufferId::bit` mask).
+/// backing memory, recording touched elements of a watched buffer, and
+/// appends each element written into to `written`.
 pub(crate) fn apply_writebacks(
     mem: &mut DeviceMemory,
     wbs: &[WriteBack],
     mut log: Option<&mut StoreLog>,
-) -> u64 {
-    let mut touched = 0;
+    written: &mut Vec<WrittenBack>,
+) {
     for wb in wbs {
         if let Some(addr) = mem.elem_at_byte(wb.byte_addr) {
             // Ignore failures: a write-back beyond any buffer means the
             // strike corrupted padding bytes, which no element observes.
             let _ = mem.flip_bits(addr.buffer, addr.index, wb.mask);
-            touched |= addr.buffer.bit();
+            written.push((addr.buffer, wb.byte_addr / 8));
             if let Some(l) = log.as_deref_mut() {
-                l.record(addr.buffer, addr.index, 1);
+                l.record(addr.buffer, addr.index, 1, wb.byte_addr);
             }
         }
     }
-    touched
 }
 
 #[cfg(test)]
@@ -1531,7 +1548,7 @@ mod tests {
         let (mut mem, mut caches) = machine();
         let out = mem.alloc("out", 32);
         let other = mem.alloc("other", 32);
-        let mut log = StoreLog::new(out);
+        let mut log = StoreLog::new(Some(out));
         {
             let mut ctx =
                 TileCtx::new(&mut mem, &mut caches, 0, TileFault::none()).with_store_log(&mut log);
@@ -1539,7 +1556,19 @@ mod tests {
             ctx.store(other, 0, &[2.0; 4]).unwrap();
             ctx.store(out, 20, &[3.0; 2]).unwrap();
         }
-        assert_eq!(log.spans, vec![(4, 8), (20, 2)]);
+        let spans: Vec<_> = log.spans.iter().map(|s| (s.start, s.len)).collect();
+        assert_eq!(spans, vec![(4, 8), (20, 2)]);
+        let mut all = StoreLog::new(None);
+        all.record(other, 3, 2, 1024);
+        assert_eq!(
+            all.spans,
+            [Stored {
+                buf: other,
+                start: 3,
+                len: 2,
+                at: 128
+            }]
+        );
     }
 
     #[test]
@@ -1630,11 +1659,14 @@ mod tests {
                     ctx.load(buf, 2 + r * stride, row).unwrap();
                 }
             }
-            let (loads, written_back) = (ctx.loads, ctx.written_back);
+            let (loads, written_back) = (ctx.loads, ctx.written_back.clone());
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
             let image = bits(&mem.to_vec(out).unwrap());
             if matches!(case, Case::FlipEvictedDirty) {
-                assert_eq!(written_back, out.bit(), "the struck line wrote back");
+                assert!(
+                    !written_back.is_empty() && written_back.iter().all(|&(b, _)| b == out),
+                    "the struck line wrote back"
+                );
                 assert!(image.iter().any(|&b| b != 4.0f64.to_bits()));
             }
             let touched = caches.corruption_touched();

@@ -16,19 +16,26 @@
 //!
 //! The same golden run also records a golden ledger: what every tile
 //! did (counters, cache statistics, L2 residency, which buffers it
-//! loaded and stored and which output spans it stored), the final
-//! output, and a `LineIndex`: the lines each tile touches and when
-//! each cache evicts a line. A fork whose fault is provably
-//! contained stops early and splices the golden suffix from it instead
-//! of executing it, and a value-only fork reads each cache flip's fate
+//! loaded and which element spans it stored), the final output, a
+//! `LineIndex` — the lines each tile loads and stores and when each
+//! cache evicts a line — and a store journal: each span's golden values
+//! at the end of its tile, except the output spans no later tile stores
+//! over, whose values are the final output's. A fork compares what it
+//! stores against those values to taint exactly the elements its fault
+//! changed, replays a tile that loads none of them by writing its golden
+//! values, and stops early, splicing the golden suffix, once its fault
+//! is provably contained; a value-only fork reads each cache flip's fate
 //! off the index instead of modelling the caches — see `Engine::run`.
+//! The journal is charged to the snapshot budget after the snapshots: a
+//! tile past what is left of it is replayable only when its stores are
+//! final.
 
 use std::sync::{Arc, OnceLock};
 
 use crate::cache::{CacheHierarchy, CacheStats, Eviction, LineLog};
 use crate::error::AccelError;
 use crate::memory::{BufferId, DeviceMemory};
-use crate::program::MachineCounters;
+use crate::program::{MachineCounters, Stored};
 
 /// Default byte budget for one program's snapshot set. Kept below the
 /// golden cache's default budget (64 MiB) so snapshot-carrying entries
@@ -89,13 +96,39 @@ pub(crate) struct LedgerTile {
     /// Buffers (as [`BufferId::bit`] masks) that any *later* tile loads:
     /// a tainted buffer outside this mask is never read again.
     pub(crate) loaded_after: u64,
-    /// Buffers the tile itself loads and stores.
+    /// Buffers the tile itself loads.
     pub(crate) loaded: u64,
-    pub(crate) stored: u64,
-    /// Whether a later tile stores over any of this tile's output spans:
-    /// only a tile whose spans hold their final values can be replaced
-    /// by writing the golden output.
-    pub(crate) overwritten: bool,
+    /// Whether the ledger holds the golden values of every span the tile
+    /// stores (journaled or final): a fork may then replay the tile by
+    /// writing them instead of executing it.
+    pub(crate) replayable: bool,
+}
+
+/// One golden store span: `len` elements of `buf` from `start`, at
+/// global element address `at` (its byte address over 8). Consecutive
+/// stores of one tile to one buffer are merged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct StoreSpan {
+    pub(crate) buf: BufferId,
+    pub(crate) start: u32,
+    pub(crate) len: u32,
+    pub(crate) at: u32,
+    /// Where the span's golden values at the end of its tile are:
+    /// [`StoreSpan::FINAL`] for an output span no later tile stores over
+    /// (the golden output holds them), [`StoreSpan::NONE`] when the
+    /// budget left no journal bytes for it, else its offset in the
+    /// journal.
+    pub(crate) journal: u32,
+}
+
+impl StoreSpan {
+    pub(crate) const FINAL: u32 = u32::MAX;
+    pub(crate) const NONE: u32 = u32::MAX - 1;
+
+    /// The span's elements as a global address range.
+    pub(crate) fn elems(&self) -> std::ops::Range<usize> {
+        self.at as usize..(self.at + self.len) as usize
+    }
 }
 
 /// The golden run's caches line by line, recorded once by
@@ -186,7 +219,7 @@ impl LineIndex {
                 for &(first, last) in
                     Self::of_tile(&self.log.access_starts, &self.log.accesses, tile)
                 {
-                    tile_lines.extend(first..=last);
+                    tile_lines.extend(first..=last & !LineLog::WRITE);
                 }
                 tile_lines.sort_unstable();
                 tile_lines.dedup();
@@ -202,6 +235,15 @@ impl LineIndex {
             }
             t
         })
+    }
+
+    /// The line ranges, `(first, last)` inclusive, of the loads of the
+    /// tile at dispatch position `tile`.
+    pub(crate) fn loads_of(&self, tile: usize) -> impl Iterator<Item = (u64, u64)> + '_ {
+        Self::of_tile(&self.log.access_starts, &self.log.accesses, tile)
+            .iter()
+            .filter(|&&(_, last)| last & LineLog::WRITE == 0)
+            .map(|&(first, last)| (u64::from(first), u64::from(last)))
     }
 
     /// Whether the tile at dispatch position `tile` touches `line`.
@@ -292,31 +334,48 @@ impl LineIndex {
 pub(crate) struct GoldenLedger {
     /// One entry per dispatch position.
     pub(crate) tiles: Vec<LedgerTile>,
-    /// Golden stores into the output buffer as `(tile, start, len)`
-    /// element spans, ascending by tile.
-    pub(crate) output_spans: Vec<(u32, u32, u32)>,
-    /// The golden final output.
+    /// Every golden store span, tile after tile: tile `t`'s are
+    /// `stores[store_starts[t]..store_starts[t + 1]]`.
+    pub(crate) stores: Vec<StoreSpan>,
+    pub(crate) store_starts: Vec<u32>,
+    /// The journaled spans' golden values, in span order.
+    pub(crate) journal: Vec<f64>,
+    /// The output buffer and its golden final contents.
+    pub(crate) out_buf: Option<BufferId>,
     pub(crate) output: Vec<f64>,
     /// The golden caches line by line.
     pub(crate) lines: LineIndex,
 }
 
 impl GoldenLedger {
+    /// The store spans of the tile at dispatch position `tile`.
+    pub(crate) fn stores_of(&self, tile: usize) -> &[StoreSpan] {
+        LineIndex::of_tile(&self.store_starts, &self.stores, tile)
+    }
+
     /// Golden output-store spans of tiles in `tiles`, as `(start, len)`
     /// element spans.
     pub(crate) fn spans_in(
         &self,
         tiles: std::ops::Range<usize>,
     ) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let lo = self
-            .output_spans
-            .partition_point(|&(t, _, _)| (t as usize) < tiles.start);
-        let hi = self
-            .output_spans
-            .partition_point(|&(t, _, _)| (t as usize) < tiles.end);
-        self.output_spans[lo..hi]
+        let at = |t: usize| self.store_starts.get(t).map_or(self.stores.len(), |&s| s as usize);
+        let spans = &self.stores[at(tiles.start).min(self.stores.len())..at(tiles.end)];
+        spans
             .iter()
-            .map(|&(_, s, l)| (s as usize, l as usize))
+            .filter(|sp| Some(sp.buf) == self.out_buf)
+            .map(|sp| (sp.start as usize, sp.len as usize))
+    }
+
+    /// The golden values of `span` at the end of its tile, when the
+    /// ledger holds them.
+    pub(crate) fn golden_of(&self, span: &StoreSpan) -> Option<&[f64]> {
+        let (start, len) = (span.start as usize, span.len as usize);
+        match span.journal {
+            StoreSpan::NONE => None,
+            StoreSpan::FINAL => self.output.get(start..start + len),
+            at => self.journal.get(at as usize..at as usize + len),
+        }
     }
 
     /// Writes golden's final values of the output spans the tiles in
@@ -334,33 +393,121 @@ impl GoldenLedger {
         Ok(())
     }
 
+    /// Replays the replayable tile at `tile`: writes the golden values
+    /// of every span it stores.
+    pub(crate) fn write_stores(&self, mem: &mut DeviceMemory, tile: usize) -> Result<(), AccelError> {
+        for span in self.stores_of(tile) {
+            let golden = self.golden_of(span).expect("a replayable tile's spans");
+            let (_, window) = mem.window_mut(span.buf, span.start as usize, golden.len())?;
+            window.copy_from_slice(golden);
+        }
+        Ok(())
+    }
+
+    /// Appends the golden tile at the next dispatch position, its store
+    /// spans `stored` (consecutive ones merged), and, while the journal
+    /// holds at most `room` bytes, their values in `mem` at its end.
+    pub(crate) fn push_tile(
+        &mut self,
+        tile: LedgerTile,
+        stored: impl Iterator<Item = Stored>,
+        mem: &DeviceMemory,
+        room: usize,
+    ) -> Result<(), AccelError> {
+        let first = self.stores.len();
+        self.store_starts.push(first as u32);
+        self.tiles.push(tile);
+        for s in stored {
+            let (start, len, at) = (s.start as u32, s.len as u32, s.at as u32);
+            match self.stores[first..].last_mut() {
+                Some(p) if p.buf == s.buf && p.start + p.len == start => p.len += len,
+                _ => self.stores.push(StoreSpan {
+                    buf: s.buf,
+                    start,
+                    len,
+                    at,
+                    journal: StoreSpan::NONE,
+                }),
+            }
+        }
+        for span in &mut self.stores[first..] {
+            let len = span.len as usize;
+            if (self.journal.len() + len) * 8 <= room {
+                span.journal = self.journal.len() as u32;
+                let (_, values) = mem.window(span.buf, span.start as usize, len)?;
+                self.journal.extend_from_slice(values);
+            }
+        }
+        Ok(())
+    }
+
     /// Completes the ledger once the golden run has ended: each tile's
-    /// `loaded_after` and `overwritten`, the final `output` and the line
-    /// index.
-    pub(crate) fn finish(&mut self, output: &[f64], lines: LineIndex) {
+    /// `loaded_after` and `replayable`, which output spans are final,
+    /// the journal cut to `room` bytes, the final `output` of `out_buf`
+    /// and the line index.
+    pub(crate) fn finish(
+        &mut self,
+        output: &[f64],
+        out_buf: BufferId,
+        mut room: usize,
+        lines: LineIndex,
+    ) {
+        self.store_starts.push(self.stores.len() as u32);
         let mut after = 0;
         for entry in self.tiles.iter_mut().rev() {
             entry.loaded_after = after;
             after |= entry.loaded;
         }
-        // A tile's output spans are overwritten when a later tile stores
-        // over any of their elements.
+        // An output span is final when no later tile stores over any of
+        // its elements; its values are then the golden output's.
         let mut later = vec![false; output.len()];
-        let range = |&(_, s, l): &(u32, u32, u32)| s as usize..(s + l) as usize;
-        for spans in self.output_spans.chunk_by(|a, b| a.0 == b.0).rev() {
-            let overwritten = spans.iter().any(|sp| later[range(sp)].contains(&true));
-            self.tiles[spans[0].0 as usize].overwritten = overwritten;
-            for sp in spans {
+        for t in (0..self.tiles.len()).rev() {
+            let (lo, hi) = (self.store_starts[t] as usize, self.store_starts[t + 1] as usize);
+            let range = |sp: &StoreSpan| sp.start as usize..(sp.start + sp.len) as usize;
+            for sp in self.stores[lo..hi].iter_mut().filter(|sp| sp.buf == out_buf) {
+                if !later[range(sp)].contains(&true) {
+                    sp.journal = StoreSpan::FINAL;
+                }
+            }
+            for sp in self.stores[lo..hi].iter().filter(|sp| sp.buf == out_buf) {
                 later[range(sp)].fill(true);
             }
         }
+        // Keep the journal of the spans that need one, tile after tile,
+        // while it fits: from the first that does not, none.
+        let mut kept = 0;
+        for sp in self.stores.iter_mut().filter(|sp| sp.journal != StoreSpan::FINAL) {
+            let (at, len) = (sp.journal as usize, sp.len as usize);
+            if sp.journal == StoreSpan::NONE || (kept + len) * 8 > room {
+                sp.journal = StoreSpan::NONE;
+                room = 0;
+                continue;
+            }
+            self.journal.copy_within(at..at + len, kept);
+            sp.journal = kept as u32;
+            kept += len;
+        }
+        self.journal.truncate(kept);
+        self.journal.shrink_to_fit();
+        for t in 0..self.tiles.len() {
+            let (lo, hi) = (self.store_starts[t] as usize, self.store_starts[t + 1] as usize);
+            self.tiles[t].replayable = self.stores[lo..hi].iter().all(|sp| sp.journal != StoreSpan::NONE);
+        }
+        self.out_buf = Some(out_buf);
         self.output = output.to_vec();
         self.lines = lines;
     }
 
+    /// Bytes the journal holds.
+    pub(crate) fn journal_bytes(&self) -> usize {
+        self.journal.len() * 8
+    }
+
     fn cost_bytes(&self) -> usize {
         self.tiles.len() * std::mem::size_of::<LedgerTile>()
-            + self.output_spans.len() * 12
+            + self.stores.len() * std::mem::size_of::<StoreSpan>()
+            + self.store_starts.len() * 4
+            + self.journal_bytes()
             + self.output.len() * 8
             + self.lines.cost_bytes()
     }
@@ -393,11 +540,20 @@ impl SnapshotSet {
     }
 
     /// Approximate bytes this set occupies, for cache accounting: the
-    /// snapshots plus the golden ledger (12 bytes per output span, one
-    /// entry per tile, a copy of the golden output and the line index).
+    /// snapshots plus the golden ledger (one entry per tile and per store
+    /// span, the store journal, a copy of the golden output and the line
+    /// index).
     #[must_use]
     pub fn cost_bytes(&self) -> usize {
         self.bytes + self.ledger.cost_bytes()
+    }
+
+    /// Bytes of the golden store journal, part of
+    /// [`SnapshotSet::cost_bytes`]: what the byte budget left after the
+    /// snapshots, at most.
+    #[must_use]
+    pub fn journal_bytes(&self) -> usize {
+        self.ledger.journal_bytes()
     }
 
     /// Capture points skipped because they would have exceeded the byte
@@ -488,9 +644,10 @@ mod tests {
     }
 
     #[test]
-    fn cost_bytes_charges_snapshots_once_plus_span_index() {
+    fn cost_bytes_charges_snapshots_once_plus_ledger_and_journal() {
         // `cost_bytes` = accumulated per-snapshot cost (each capture
-        // charged exactly once at push time) + 12 bytes per output span.
+        // charged exactly once at push time) + the ledger: its store
+        // spans, their tile offsets, the journal and the line index.
         let mut set = SnapshotSet::default();
         let mut per_push = Vec::new();
         for t in [0, 8] {
@@ -506,8 +663,17 @@ mod tests {
         log.accesses.push((0, 0));
         log.begin_tile(1, 0);
         log.accesses.push((2, 2));
+        let span = |start, journal| StoreSpan {
+            buf: BufferId(0),
+            start,
+            len: 8,
+            at: start,
+            journal,
+        };
         with_spans.ledger = Arc::new(GoldenLedger {
-            output_spans: vec![(0, 0, 8), (1, 8, 8)],
+            stores: vec![span(0, 0), span(8, StoreSpan::FINAL)],
+            store_starts: vec![0, 1, 2],
+            journal: vec![0.5; 8],
             lines: LineIndex::new(log, vec![2]),
             ..GoldenLedger::default()
         });
@@ -515,7 +681,76 @@ mod tests {
         // (charged twice: the log and the touch sets derived from it) and
         // one flushed line.
         let index_bytes = (2 + 3 + 3) * 4 + 2 * 2 * 8 + 8;
-        assert_eq!(with_spans.cost_bytes(), set.bytes + 2 * 12 + index_bytes);
+        let ledger_bytes = 2 * std::mem::size_of::<StoreSpan>() + 3 * 4 + 8 * 8;
+        assert_eq!(with_spans.journal_bytes(), 8 * 8);
+        assert_eq!(
+            with_spans.cost_bytes(),
+            set.bytes + ledger_bytes + index_bytes
+        );
+    }
+
+    /// A golden ledger built tile by tile: consecutive stores merge, each
+    /// span's values at the end of its tile are journaled while they fit,
+    /// and `finish` marks the output spans no later tile stores over
+    /// final, drops their journal, cuts the rest to the room left after
+    /// the snapshots — from the first span that does not fit, none — and
+    /// marks the tiles whose every span is journaled or final replayable.
+    #[test]
+    fn the_journal_holds_every_non_final_span_that_fits_tile_after_tile() {
+        let mut mem = DeviceMemory::new();
+        let state = mem.alloc_init("state", &[1.0; 16]);
+        let out = mem.alloc_init("out", &[2.0; 16]);
+        let stored = |buf: BufferId, start: usize, len: usize| {
+            let at = if buf == out { 32 } else { 0 } + start;
+            Stored { buf, start, len, at }
+        };
+        // Tile 0 stores state[0..8] in two merging halves and out[0..8];
+        // tile 1 out[8..16]; tile 2 state[8..16] and out[0..4] again.
+        let tiles: [&[Stored]; 3] = [
+            &[stored(state, 0, 4), stored(state, 4, 4), stored(out, 0, 8)],
+            &[stored(out, 8, 8)],
+            &[stored(state, 8, 8), stored(out, 0, 4)],
+        ];
+        let build = |room_capture: usize, room: usize| {
+            let mut g = GoldenLedger::default();
+            for spans in tiles {
+                let tile = LedgerTile::default();
+                g.push_tile(tile, spans.iter().copied(), &mem, room_capture)
+                    .unwrap();
+            }
+            g.finish(&[2.0; 16], out, room, LineIndex::default());
+            g
+        };
+        let g = build(usize::MAX, usize::MAX);
+        let spans: Vec<_> = g.stores.iter().map(|s| (s.buf, s.start, s.len)).collect();
+        assert_eq!(
+            spans,
+            [(state, 0, 8), (out, 0, 8), (out, 8, 8), (state, 8, 8), (out, 0, 4)]
+        );
+        let journal: Vec<u32> = g.stores.iter().map(|s| s.journal).collect();
+        let f = StoreSpan::FINAL;
+        assert_eq!(journal, [0, 8, f, 16, f], "out[0..8] is stored over later");
+        assert_eq!(g.journal_bytes(), 24 * 8);
+        assert_eq!(g.golden_of(&g.stores[1]), Some(&[2.0; 8][..]));
+        assert_eq!(g.golden_of(&g.stores[3]), Some(&[1.0; 8][..]));
+        assert!(g.tiles.iter().all(|t| t.replayable));
+        let out_spans: Vec<_> = g.spans_in(1..3).collect();
+        assert_eq!(out_spans, [(8, 8), (0, 4)]);
+
+        // Room for 20 elements: the first two spans fit, the third not.
+        let cut = build(usize::MAX, 20 * 8);
+        let journal: Vec<u32> = cut.stores.iter().map(|s| s.journal).collect();
+        let n = StoreSpan::NONE;
+        assert_eq!(journal, [0, 8, f, n, f]);
+        assert_eq!(cut.journal_bytes(), 16 * 8);
+        let replayable: Vec<bool> = cut.tiles.iter().map(|t| t.replayable).collect();
+        assert_eq!(replayable, [true, true, false]);
+        // A capture refused for want of room stops the journal there,
+        // whatever room is left at the end.
+        let refused = build(8 * 8, usize::MAX);
+        let journal: Vec<u32> = refused.stores.iter().map(|s| s.journal).collect();
+        assert_eq!(journal, [0, n, f, n, f]);
+        assert_eq!(refused.journal_bytes(), 8 * 8);
     }
 
     #[test]
@@ -573,8 +808,17 @@ mod tests {
 
     #[test]
     fn golden_spans_filtered_by_tile() {
+        let span = |buf, start| StoreSpan {
+            buf: BufferId(buf),
+            start,
+            len: 8,
+            at: start,
+            journal: StoreSpan::FINAL,
+        };
         let ledger = GoldenLedger {
-            output_spans: vec![(0, 0, 8), (1, 8, 8), (3, 24, 8)],
+            stores: vec![span(1, 0), span(1, 8), span(0, 0), span(1, 24)],
+            store_starts: vec![0, 1, 3, 3, 4],
+            out_buf: Some(BufferId(1)),
             ..GoldenLedger::default()
         };
         let from1: Vec<_> = ledger.spans_in(1..usize::MAX).collect();

@@ -241,12 +241,13 @@ fn assert_fork_matches(
 /// The contained-fault exit must not make this pass vacuously: on DGEMM
 /// and LavaMD (whose output nothing loads) a single-tile fault exits
 /// after its victim tile whenever a suffix is left to splice, and it
-/// never exits for a skipped or redirected tile, or for a HotSpot strike
-/// before the last iteration (the ping-pong buffer it taints is loaded
-/// again by every later iteration). On DGEMM/K40 some L2 strike exits
-/// with its flip still pending, and some L2 fork skips tiles its flip
-/// cannot reach; no skip or redirect fork ever skips a tile (its address
-/// stream is not golden's, so it keeps the cache model).
+/// never exits for a skipped or redirected tile. A HotSpot strike before
+/// the last iteration exits only once its taint is empty (the ping-pong
+/// buffer it perturbs is loaded again by every later iteration), so the
+/// run's output is golden's. On DGEMM/K40 some L2 strike exits with its
+/// flip still pending, and some L2 fork skips tiles its flip cannot
+/// reach; no skip or redirect fork ever skips a tile (its address stream
+/// is not golden's, so it keeps the cache model).
 #[test]
 fn forked_runs_are_bit_identical_to_reference_runs_everywhere() {
     // Contained exits per target over DGEMM and LavaMD on both devices.
@@ -339,8 +340,15 @@ fn forked_runs_are_bit_identical_to_reference_runs_everywhere() {
                             );
                         }
                         let victim = forked.resolutions[0].victim_tile;
-                        let late = at_tile >= last_launch;
-                        assert_exit_rule(&ctx, spec, target, exited, victim, tiles, late);
+                        // Late: struck in the last iteration. Reconverged:
+                        // the run's output is golden's, bar a flip left
+                        // pending at the exit.
+                        let flip_exited =
+                            counter(&metrics, "radcrit_run_flip_exits_total") > flips_before;
+                        let quiet = at_tile >= last_launch
+                            || flip_exited
+                            || bits(&full.output) == bits(&golden.output);
+                        assert_exit_rule(&ctx, spec, target, exited, victim, tiles, quiet);
                         assert_eq!(w.next_tile(), start, "{ctx}");
                         assert_fork_matches(
                             &ctx,
@@ -391,9 +399,11 @@ fn forked_runs_are_bit_identical_to_reference_runs_everywhere() {
 }
 
 /// When a fork may take the contained exit (`exited` is 0 or 1):
-/// never for a skipped or redirected tile, never for a HotSpot strike
-/// before the last iteration (`late`), and for a single-tile fault on
-/// DGEMM or LavaMD exactly when a suffix is left after its victim.
+/// never for a skipped or redirected tile, for a HotSpot strike only
+/// when its taint is empty and its faults are spent — then the run
+/// computes golden's output — unless it struck the last iteration
+/// (`quiet` holds either), and for a single-tile fault on DGEMM or
+/// LavaMD exactly when a suffix is left after its victim.
 fn assert_exit_rule(
     ctx: &str,
     spec: KernelSpec,
@@ -401,14 +411,14 @@ fn assert_exit_rule(
     exited: u64,
     victim: Option<usize>,
     tiles: usize,
-    late: bool,
+    quiet: bool,
 ) {
     match (spec, target) {
         (_, StrikeTarget::Scheduler(SchedulerEffect::SkipTile | SchedulerEffect::RedirectTile)) => {
             assert_eq!(exited, 0, "address-stream faults never exit: {ctx}")
         }
-        (KernelSpec::HotSpot { .. }, _) if !late => {
-            assert_eq!(exited, 0, "tainted ping-pong buffer is reloaded: {ctx}")
+        (KernelSpec::HotSpot { .. }, _) if exited == 1 => {
+            assert!(quiet, "exit with the ping-pong buffer tainted: {ctx}")
         }
         (KernelSpec::Dgemm { .. } | KernelSpec::LavaMd { .. }, target)
             if single_tile_target(target) =>
@@ -680,7 +690,7 @@ fn batched_campaigns_equal_the_reference_oracle_across_kernels() {
     ];
     let expected: [[u64; 8]; 3] = [
         [39, 38, 0, 1, 19, 0, 21, 0],
-        [39, 38, 0, 1, 1, 0, 0, 0],
+        [39, 38, 0, 1, 2, 0, 44, 0],
         [48, 47, 1, 0, 44, 0, 13, 0],
     ];
     for (spec, want_counts) in kernels().into_iter().zip(expected) {
