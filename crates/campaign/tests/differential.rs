@@ -21,6 +21,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use radcrit_accel::cache::CacheGeometry;
 use radcrit_accel::config::{DeviceConfig, DeviceKind};
 use radcrit_accel::engine::{Engine, RunOutcome, RunScratch, WarmState};
 use radcrit_accel::error::AccelError;
@@ -432,6 +433,221 @@ fn assert_exit_rule(
         }
         _ => {}
     }
+}
+
+/// Forks `strike` off `snaps` and runs it from tile 0, asserts the two
+/// match ([`assert_fork_matches`]) and returns the reference outcome with
+/// the fork's contained exits and skipped tiles.
+fn fork_and_match(
+    engine: &Engine,
+    metrics: &MetricsRegistry,
+    kernel: &mut (dyn Workload + Send),
+    snaps: &SnapshotSet,
+    golden: &[f64],
+    strike: StrikeSpec,
+    seed: u64,
+) -> (RunOutcome, u64, u64) {
+    let ctx = format!("{} {strike:?} seed {seed}", kernel.name());
+    let (full, full_trace) = reference(engine, kernel, strike, seed);
+    let start = engine.fork_tile(kernel, &strike, &mut StdRng::seed_from_u64(seed));
+    let (exits, skipped) = (
+        contained_exits(metrics),
+        counter(metrics, "radcrit_run_skipped_tiles_total"),
+    );
+    let mut scratch = RunScratch::new();
+    let (forked, _, forked_trace) =
+        fork(engine, kernel, snaps, strike, start, seed, &mut scratch, None);
+    let (exits, skipped) = (
+        contained_exits(metrics) - exits,
+        counter(metrics, "radcrit_run_skipped_tiles_total") - skipped,
+    );
+    assert_fork_matches(
+        &ctx,
+        kernel,
+        golden,
+        &full,
+        &full_trace,
+        &forked,
+        &forked_trace,
+        start,
+    );
+    (full, exits, skipped)
+}
+
+/// A stencil's perturbation can reconverge bitwise: an FPU strike on a
+/// low bit of an op near a stored value perturbs one cell, the fork
+/// compares every later store with golden's and skips the tiles that
+/// load none of the perturbed cells, and once the contraction has rounded
+/// the perturbation away the taint is empty and the fork exits, its
+/// output golden's. On HotSpot and on the shallow-water solver some fork
+/// does exactly that — it skipped tiles, so its taint outlived the
+/// victim — and every fork equals its reference run.
+#[test]
+fn stencil_forks_whose_perturbation_reconverges_match_the_reference() {
+    let specs = [
+        KernelSpec::HotSpot {
+            rows: 16,
+            cols: 16,
+            iterations: 12,
+        },
+        KernelSpec::Shallow {
+            rows: 16,
+            cols: 16,
+            steps: 12,
+        },
+    ];
+    for spec in specs {
+        let metrics = Arc::new(MetricsRegistry::new());
+        let engine = Engine::new(DeviceConfig::kepler_k40()).with_metrics(Arc::clone(&metrics));
+        let mut kernel = spec.build(7).expect("kernel builds");
+        let policy = SnapshotPolicy {
+            stride: 2,
+            max_bytes: 0,
+        };
+        let (golden, snaps) = engine
+            .golden_snapshotted(kernel.as_mut(), &policy)
+            .expect("golden run");
+        assert!(snaps.journal_bytes() > 0, "{spec:?} journals its stores");
+        let mut reconverged = 0;
+        for at_tile in [0, 2, 4] {
+            for op_index in [6, 13, 20, 111] {
+                for bit in 0..4 {
+                    let target = StrikeTarget::Fpu {
+                        mask: 1 << bit,
+                        op_index,
+                    };
+                    let strike = StrikeSpec::new(at_tile, target);
+                    let (full, exits, skipped) = fork_and_match(
+                        &engine,
+                        &metrics,
+                        kernel.as_mut(),
+                        &snaps,
+                        &golden.output,
+                        strike,
+                        at_tile as u64,
+                    );
+                    if exits == 1 && skipped > 0 && bits(&full.output) == bits(&golden.output) {
+                        reconverged += 1;
+                    }
+                }
+            }
+        }
+        assert!(reconverged > 0, "{spec:?}: no perturbation reconverged");
+    }
+}
+
+/// A flip that ends inside a skipped tile. The device's caches are so
+/// small (four 2-way sets of 64-byte lines) that every HotSpot tile
+/// evicts every line resident before it, so an L2 flip at a fork's warm
+/// instant ends inside the strike tile. A value-only fork skips that
+/// tile when it does not touch the flipped line: it applies the flip's
+/// end — a dirty line's XOR written back to memory — from the golden
+/// line index, and taints the element it lands on. Some fork skips tiles
+/// while its flip reaches the output that way, and every fork equals its
+/// reference run.
+#[test]
+fn a_flip_that_ends_inside_a_skipped_tile_matches_the_reference() {
+    let geometry = |bytes| CacheGeometry::new(bytes, 64, 2).expect("geometry");
+    let device = DeviceConfig::builder("tiny")
+        .units(2)
+        .max_threads_per_unit(64)
+        .l1(geometry(256))
+        .l2(geometry(512))
+        .build()
+        .expect("device");
+    let metrics = Arc::new(MetricsRegistry::new());
+    let engine = Engine::new(device).with_metrics(Arc::clone(&metrics));
+    let spec = KernelSpec::HotSpot {
+        rows: 16,
+        cols: 16,
+        iterations: 4,
+    };
+    let mut kernel = spec.build(7).expect("kernel builds");
+    let policy = SnapshotPolicy {
+        stride: 1,
+        max_bytes: 0,
+    };
+    let (golden, snaps) = engine
+        .golden_snapshotted(kernel.as_mut(), &policy)
+        .expect("golden run");
+    let mut written_back_past_a_skip = 0;
+    for at_tile in 1..kernel.tile_count() {
+        for seed in 0..6 {
+            let strike = StrikeSpec::new(at_tile, StrikeTarget::L2 { mask: 1 << 62 });
+            let (full, _, skipped) = fork_and_match(
+                &engine,
+                &metrics,
+                kernel.as_mut(),
+                &snaps,
+                &golden.output,
+                strike,
+                seed,
+            );
+            if skipped > 0 && full.strike_delivered && bits(&full.output) != bits(&golden.output)
+            {
+                written_back_past_a_skip += 1;
+            }
+        }
+    }
+    assert!(
+        written_back_past_a_skip > 0,
+        "no fork skipped a tile while its flip reached the output"
+    );
+}
+
+/// A snapshot budget that admits every snapshot but leaves no byte for
+/// the store journal: only tiles whose stores are final (HotSpot's last
+/// iteration) stay replayable, and every fork still equals its reference
+/// run — the journal-free case of the skip rule.
+#[test]
+fn a_budget_with_room_for_the_snapshots_but_no_journal_keeps_forks_exact() {
+    let metrics = Arc::new(MetricsRegistry::new());
+    let engine = Engine::new(DeviceConfig::kepler_k40()).with_metrics(Arc::clone(&metrics));
+    let spec = KernelSpec::HotSpot {
+        rows: 16,
+        cols: 16,
+        iterations: 4,
+    };
+    let mut kernel = spec.build(7).expect("kernel builds");
+    let capture = |kernel: &mut (dyn Workload + Send), max_bytes| {
+        let policy = SnapshotPolicy {
+            stride: 2,
+            max_bytes,
+        };
+        engine.golden_snapshotted(kernel, &policy).expect("golden run")
+    };
+    let (golden, full) = capture(kernel.as_mut(), 0);
+    assert!(full.journal_bytes() > 0);
+    // The smallest budget that still admits every snapshot.
+    let (mut lo, mut hi) = (1, 32 << 20);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if capture(kernel.as_mut(), mid).1.len() == full.len() {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    let (_, snaps) = capture(kernel.as_mut(), lo);
+    assert_eq!((snaps.len(), snaps.journal_bytes()), (full.len(), 0));
+    let tiles = kernel.tile_count();
+    let mut skipped_any = 0;
+    for (t, target) in all_targets().into_iter().enumerate() {
+        for at_tile in [0, tiles / 2, tiles - 2, tiles - 1] {
+            let strike = StrikeSpec::new(at_tile, target);
+            let (_, _, skipped) = fork_and_match(
+                &engine,
+                &metrics,
+                kernel.as_mut(),
+                &snaps,
+                &golden.output,
+                strike,
+                2000 + t as u64,
+            );
+            skipped_any += skipped;
+        }
+    }
+    assert!(skipped_any > 0, "final stores are replayable without a journal");
 }
 
 /// One tile past a register strike's victim (`start`) the fault can no
