@@ -788,7 +788,9 @@ impl Engine {
             } as f64;
             let (c, p) = (&run.caches, &run.pending);
             let after = match run.overlay.as_ref() {
-                Some(o) => policy.after_tile(pos, p, o.touched, !o.flips.is_empty(), o.flip_lines()),
+                Some(o) => {
+                    policy.after_tile(pos, p, o.touched, !o.flips.is_empty(), o.flip_lines())
+                }
                 None => {
                     let (touched, live) = (c.corruption_touched(), c.has_pending_corruption());
                     policy.after_tile(pos, p, touched, live, c.flip_lines())
@@ -1187,8 +1189,10 @@ impl ExitPolicy<'_> {
     fn loads_taint(&self, g: &GoldenLedger, pos: usize) -> bool {
         let le = self.line_elems;
         g.tiles[pos].loaded & self.taint.buffers() != 0
-            && (g.lines.loads_of(pos))
-                .any(|(first, last)| self.taint.any(first as usize * le..(last as usize + 1) * le))
+            && (g.lines.loads_of(pos)).any(|(first, last)| {
+                self.taint
+                    .any(first as usize * le..(last as usize + 1) * le)
+            })
     }
 
     /// Whether a value-only fork (`o`) may skip the tile at dispatch
@@ -1233,7 +1237,8 @@ impl ExitPolicy<'_> {
             match g.golden_of(span).filter(|_| dirty) {
                 Some(golden) => {
                     let (_, actual) = mem.window(span.buf, span.start as usize, golden.len())?;
-                    self.taint.compare(span.buf, span.at as usize, actual, golden);
+                    self.taint
+                        .compare(span.buf, span.at as usize, actual, golden);
                 }
                 None => self.taint.fill(span.buf, span.elems(), dirty),
             }
@@ -1759,7 +1764,11 @@ mod tests {
             8,
             "golden stores to the output are indexed"
         );
-        assert_eq!(set.journal_bytes(), 0, "final output stores need no journal");
+        assert_eq!(
+            set.journal_bytes(),
+            0,
+            "final output stores need no journal"
+        );
         assert!((0..8).all(|t| set.ledger.tiles[t].replayable));
         // Tile 7 loads and stores the last lines; nothing evicts on a K40.
         let lines = &set.ledger.lines;
@@ -2744,6 +2753,63 @@ mod tests {
         );
     }
 
+    /// The journal-free case of the skip rule: with no journal bytes, a
+    /// tile is replayable only when every span it stores is final.
+    #[test]
+    fn a_value_only_fork_skips_only_tiles_with_final_stores_and_no_tainted_load() {
+        let mut mem = DeviceMemory::new();
+        let input = mem.alloc_init("in", &[1.0; 8]);
+        let state = mem.alloc_init("state", &[1.0; 8]);
+        let out = mem.alloc_init("out", &[2.0; 16]);
+        // `in` is line 5 (elements 40..48), `state` line 6 and `out`
+        // lines 7 and 8.
+        let stored = |buf, start, len| crate::program::Stored {
+            buf,
+            start,
+            len,
+            at: if buf == out { 56 } else { 48 } + start,
+        };
+        // Tiles 0–2 load line 5 of `in`. Tile 0 stores
+        // out[0..8], tile 1 out[8..16], which tile 3 stores over, tile 2
+        // state[0..8] and tile 3 out[8..12].
+        let tiles: [&[crate::program::Stored]; 4] = [
+            &[stored(out, 0, 8)],
+            &[stored(out, 8, 8)],
+            &[stored(state, 0, 8)],
+            &[stored(out, 8, 4)],
+        ];
+        let loads = LedgerTile {
+            loaded: input.bit(),
+            ..LedgerTile::default()
+        };
+        let mut g = GoldenLedger::default();
+        for (t, spans) in tiles.iter().enumerate() {
+            let tile = if t < 3 { loads } else { LedgerTile::default() };
+            g.push_tile(tile, spans.iter().copied(), &mem, 0).unwrap();
+        }
+        let lines = synthetic_ledger(Vec::new(), &[&[5], &[5], &[5], &[]], &[]).lines;
+        g.finish(&[2.0; 16], out, 0, lines);
+        assert_eq!(g.journal_bytes(), 0);
+
+        let plan = two_unit_plan(4);
+        let skips = |pos, tainted: &[(BufferId, std::ops::Range<usize>)]| {
+            let mut p = policy(&plan, Some(&g));
+            for (b, r) in tainted {
+                p.taint.fill(*b, r.clone(), true);
+            }
+            p.skips(pos, pos % 2, &overlay_with(&g, &[]))
+        };
+        assert!(skips(0, &[]), "final stores");
+        assert!(!skips(0, &[(input, 47..48)]), "a tainted load");
+        assert!(
+            skips(0, &[(out, 56..64)]),
+            "tainted elements it only stores"
+        );
+        assert!(!skips(1, &[]), "output spans a later tile stores over");
+        assert!(!skips(2, &[]), "a store to a buffer other than the output");
+        assert!(skips(3, &[]), "the last store over an output span");
+    }
+
     #[test]
     fn a_live_flip_on_a_touched_line_blocks_the_skip_and_an_l1_flip_only_on_its_unit() {
         // Tile 0 (unit 0) touches line 5, tile 1 (unit 1) line 6.
@@ -2807,7 +2873,12 @@ mod tests {
             replayable: true,
             ..LedgerTile::default()
         };
-        let tiles = vec![later(0, 0b10), later(0b10, 0b10), later(0b10, 0), later(0, 0)];
+        let tiles = vec![
+            later(0, 0b10),
+            later(0b10, 0b10),
+            later(0b10, 0),
+            later(0, 0),
+        ];
         let span = |buf: BufferId, at, journal| crate::snapshot::StoreSpan {
             buf,
             start: 0,
@@ -2836,13 +2907,15 @@ mod tests {
         // Tile 1 loads it, so its store to `c` is compared: `c[0]` comes
         // out wrong. An armed victim still ahead keeps the fault unspent.
         mem.write(c, 0, 3.0).unwrap();
-        p.after_stores(1, Some(false), &armed(2), &mem, &[]).unwrap();
+        p.after_stores(1, Some(false), &armed(2), &mem, &[])
+            .unwrap();
         assert_eq!(p.taint.buffers(), b.bit() | c.bit());
         assert!(p.taint.any(64..65) && !p.taint.any(65..72));
         assert_eq!(quiet(&p, 1, &armed(2)), None);
         // After tile 2 nothing loads a tainted buffer, and the victim is
         // behind: contained.
-        p.after_stores(2, Some(false), &armed(2), &mem, &[]).unwrap();
+        p.after_stores(2, Some(false), &armed(2), &mem, &[])
+            .unwrap();
         let contained = Some(Exit::Contained { flips: false });
         assert_eq!(quiet(&p, 2, &armed(2)), contained);
         // A pending skip is never spent; the last tile has no suffix.
@@ -2861,7 +2934,8 @@ mod tests {
         // tile, and a replayed tile clears what it stores.
         let mut r = policy(&plan, Some(&g));
         let written = [(b, 33), (bufs[0], 2)];
-        r.after_stores(0, Some(false), &armed(0), &mem, &written).unwrap();
+        r.after_stores(0, Some(false), &armed(0), &mem, &written)
+            .unwrap();
         assert!(r.taint.any(33..34) && r.taint.any(2..3));
         assert_eq!(quiet(&r, 0, &armed(0)), None);
         r.after_stores(0, None, &armed(0), &mem, &[]).unwrap();

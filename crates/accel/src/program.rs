@@ -499,7 +499,9 @@ impl GarbledSpan<'_> {
     /// Panics when the span holds fewer than `at + N` ops.
     #[inline(always)]
     pub fn group<const N: usize>(&self, at: usize) -> &[i32; N] {
-        self.entries[at..].first_chunk().expect("the group lies in the span")
+        self.entries[at..]
+            .first_chunk()
+            .expect("the group lies in the span")
     }
 
     /// The result of an op with garble entry `entry`, one of the span's:
@@ -563,7 +565,12 @@ impl StoreLog {
     pub(crate) fn record(&mut self, buf: BufferId, start: usize, len: usize, byte_addr: usize) {
         if self.watched.is_none_or(|w| w == buf) && len > 0 {
             let at = byte_addr / 8;
-            self.spans.push(Stored { buf, start, len, at });
+            self.spans.push(Stored {
+                buf,
+                start,
+                len,
+                at,
+            });
         }
     }
 }
@@ -699,7 +706,11 @@ impl<'a> TileCtx<'a> {
     /// The garble sequence's first `len` entries or more, reading the
     /// process's sequence again when this tile's copy is shorter.
     fn cover_garble(&mut self, len: usize) -> &[i32] {
-        if self.garble_seq.as_ref().is_none_or(|s| s.entries.len() < len) {
+        if self
+            .garble_seq
+            .as_ref()
+            .is_none_or(|s| s.entries.len() < len)
+        {
             self.garble_seq = Some(GarbleSeq::shared(len));
         }
         &self.garble_seq.as_deref().expect("covered above").entries

@@ -359,7 +359,11 @@ impl GoldenLedger {
         &self,
         tiles: std::ops::Range<usize>,
     ) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let at = |t: usize| self.store_starts.get(t).map_or(self.stores.len(), |&s| s as usize);
+        let at = |t: usize| {
+            self.store_starts
+                .get(t)
+                .map_or(self.stores.len(), |&s| s as usize)
+        };
         let spans = &self.stores[at(tiles.start).min(self.stores.len())..at(tiles.end)];
         spans
             .iter()
@@ -395,7 +399,11 @@ impl GoldenLedger {
 
     /// Replays the replayable tile at `tile`: writes the golden values
     /// of every span it stores.
-    pub(crate) fn write_stores(&self, mem: &mut DeviceMemory, tile: usize) -> Result<(), AccelError> {
+    pub(crate) fn write_stores(
+        &self,
+        mem: &mut DeviceMemory,
+        tile: usize,
+    ) -> Result<(), AccelError> {
         for span in self.stores_of(tile) {
             let golden = self.golden_of(span).expect("a replayable tile's spans");
             let (_, window) = mem.window_mut(span.buf, span.start as usize, golden.len())?;
@@ -462,9 +470,15 @@ impl GoldenLedger {
         // its elements; its values are then the golden output's.
         let mut later = vec![false; output.len()];
         for t in (0..self.tiles.len()).rev() {
-            let (lo, hi) = (self.store_starts[t] as usize, self.store_starts[t + 1] as usize);
+            let (lo, hi) = (
+                self.store_starts[t] as usize,
+                self.store_starts[t + 1] as usize,
+            );
             let range = |sp: &StoreSpan| sp.start as usize..(sp.start + sp.len) as usize;
-            for sp in self.stores[lo..hi].iter_mut().filter(|sp| sp.buf == out_buf) {
+            for sp in self.stores[lo..hi]
+                .iter_mut()
+                .filter(|sp| sp.buf == out_buf)
+            {
                 if !later[range(sp)].contains(&true) {
                     sp.journal = StoreSpan::FINAL;
                 }
@@ -476,7 +490,11 @@ impl GoldenLedger {
         // Keep the journal of the spans that need one, tile after tile,
         // while it fits: from the first that does not, none.
         let mut kept = 0;
-        for sp in self.stores.iter_mut().filter(|sp| sp.journal != StoreSpan::FINAL) {
+        for sp in self
+            .stores
+            .iter_mut()
+            .filter(|sp| sp.journal != StoreSpan::FINAL)
+        {
             let (at, len) = (sp.journal as usize, sp.len as usize);
             if sp.journal == StoreSpan::NONE || (kept + len) * 8 > room {
                 sp.journal = StoreSpan::NONE;
@@ -490,8 +508,13 @@ impl GoldenLedger {
         self.journal.truncate(kept);
         self.journal.shrink_to_fit();
         for t in 0..self.tiles.len() {
-            let (lo, hi) = (self.store_starts[t] as usize, self.store_starts[t + 1] as usize);
-            self.tiles[t].replayable = self.stores[lo..hi].iter().all(|sp| sp.journal != StoreSpan::NONE);
+            let (lo, hi) = (
+                self.store_starts[t] as usize,
+                self.store_starts[t + 1] as usize,
+            );
+            self.tiles[t].replayable = self.stores[lo..hi]
+                .iter()
+                .all(|sp| sp.journal != StoreSpan::NONE);
         }
         self.out_buf = Some(out_buf);
         self.output = output.to_vec();
@@ -644,7 +667,7 @@ mod tests {
     }
 
     #[test]
-    fn cost_bytes_charges_snapshots_once_plus_ledger_and_journal() {
+    fn cost_bytes_charges_snapshots_once_plus_span_index() {
         // `cost_bytes` = accumulated per-snapshot cost (each capture
         // charged exactly once at push time) + the ledger: its store
         // spans, their tile offsets, the journal and the line index.
@@ -702,7 +725,12 @@ mod tests {
         let out = mem.alloc_init("out", &[2.0; 16]);
         let stored = |buf: BufferId, start: usize, len: usize| {
             let at = if buf == out { 32 } else { 0 } + start;
-            Stored { buf, start, len, at }
+            Stored {
+                buf,
+                start,
+                len,
+                at,
+            }
         };
         // Tile 0 stores state[0..8] in two merging halves and out[0..8];
         // tile 1 out[8..16]; tile 2 state[8..16] and out[0..4] again.
@@ -725,7 +753,13 @@ mod tests {
         let spans: Vec<_> = g.stores.iter().map(|s| (s.buf, s.start, s.len)).collect();
         assert_eq!(
             spans,
-            [(state, 0, 8), (out, 0, 8), (out, 8, 8), (state, 8, 8), (out, 0, 4)]
+            [
+                (state, 0, 8),
+                (out, 0, 8),
+                (out, 8, 8),
+                (state, 8, 8),
+                (out, 0, 4)
+            ]
         );
         let journal: Vec<u32> = g.stores.iter().map(|s| s.journal).collect();
         let f = StoreSpan::FINAL;

@@ -455,8 +455,16 @@ fn fork_and_match(
         counter(metrics, "radcrit_run_skipped_tiles_total"),
     );
     let mut scratch = RunScratch::new();
-    let (forked, _, forked_trace) =
-        fork(engine, kernel, snaps, strike, start, seed, &mut scratch, None);
+    let (forked, _, forked_trace) = fork(
+        engine,
+        kernel,
+        snaps,
+        strike,
+        start,
+        seed,
+        &mut scratch,
+        None,
+    );
     let (exits, skipped) = (
         contained_exits(metrics) - exits,
         counter(metrics, "radcrit_run_skipped_tiles_total") - skipped,
@@ -583,8 +591,7 @@ fn a_flip_that_ends_inside_a_skipped_tile_matches_the_reference() {
                 strike,
                 seed,
             );
-            if skipped > 0 && full.strike_delivered && bits(&full.output) != bits(&golden.output)
-            {
+            if skipped > 0 && full.strike_delivered && bits(&full.output) != bits(&golden.output) {
                 written_back_past_a_skip += 1;
             }
         }
@@ -614,7 +621,9 @@ fn a_budget_with_room_for_the_snapshots_but_no_journal_keeps_forks_exact() {
             stride: 2,
             max_bytes,
         };
-        engine.golden_snapshotted(kernel, &policy).expect("golden run")
+        engine
+            .golden_snapshotted(kernel, &policy)
+            .expect("golden run")
     };
     let (golden, full) = capture(kernel.as_mut(), 0);
     assert!(full.journal_bytes() > 0);
@@ -647,7 +656,10 @@ fn a_budget_with_room_for_the_snapshots_but_no_journal_keeps_forks_exact() {
             skipped_any += skipped;
         }
     }
-    assert!(skipped_any > 0, "final stores are replayable without a journal");
+    assert!(
+        skipped_any > 0,
+        "final stores are replayable without a journal"
+    );
 }
 
 /// One tile past a register strike's victim (`start`) the fault can no
