@@ -548,6 +548,9 @@ impl Engine {
                     if let Some(m) = self.metrics.as_deref() {
                         m.counter_add("radcrit_snapshot_skipped_tiles_total", &[], 1);
                     }
+                } else if let Some((g, _)) = ledger.as_mut() {
+                    // Snapshots come first: the journal keeps what is left.
+                    g.cut_journal(budget.saturating_sub(set.bytes));
                 }
             }
             let unit = plan.unit_of(pos);
@@ -1214,10 +1217,12 @@ impl ExitPolicy<'_> {
     /// Takes in the stores of the tile at `pos`, skipped (`ran` is
     /// `None`: memory holds its golden values) or executed (`ran` tells
     /// whether it carried a fault or observed a flipped bit), and the
-    /// elements corrupted write-backs landed on during it. A tile that
-    /// carried nothing, observed nothing and loaded no tainted element
-    /// stored golden's values; any other has each span compared with
-    /// golden's values at the same instant, or, when the ledger holds
+    /// elements corrupted write-backs landed on during it. Those are
+    /// tainted first: a flipped line written back mid-tile ends its flip
+    /// unobserved, and the tile may then load its corruption from memory.
+    /// A tile that carried nothing, observed nothing and loaded no tainted
+    /// element stored golden's values; any other has each span compared
+    /// with golden's values at the same instant, or, when the ledger holds
     /// none, tainted whole. A run whose address stream is not golden's
     /// (a pending skip or redirect) never skips or exits, and keeps no
     /// taint.
@@ -1232,6 +1237,13 @@ impl ExitPolicy<'_> {
         let Some(g) = self.ledger.filter(|_| !pending.reroutes()) else {
             return Ok(());
         };
+        for &(buf, e) in written_back {
+            self.taint.fill(buf, e..e + 1, true);
+        }
+        if ran != Some(true) && self.taint.is_empty() {
+            // Nothing to clear, and the tile stored golden's values.
+            return Ok(());
+        }
         let dirty = ran.is_some_and(|observed| observed || self.loads_taint(g, pos));
         for span in g.stores_of(pos) {
             match g.golden_of(span).filter(|_| dirty) {
@@ -2065,6 +2077,9 @@ mod tests {
         at: usize,
         to: usize,
         len: usize,
+        /// A load of `(buffer, at, len)` before the stage's own, whose
+        /// values are dropped.
+        first: Option<(usize, usize, usize)>,
     }
 
     impl Stage {
@@ -2076,11 +2091,17 @@ mod tests {
                 at,
                 to: at,
                 len,
+                first: None,
             }
         }
 
         fn to(self, to: usize) -> Self {
             Stage { to, ..self }
+        }
+
+        fn after_loading(self, buf: usize, at: usize, len: usize) -> Self {
+            let first = Some((buf, at, len));
+            Stage { first, ..self }
         }
     }
 
@@ -2121,6 +2142,9 @@ mod tests {
 
         fn execute_tile(&mut self, tile: TileId, ctx: &mut TileCtx<'_>) -> Result<(), AccelError> {
             let st = self.stages[tile.index()];
+            if let Some((buf, at, len)) = st.first {
+                ctx.load(self.bufs[buf], at, &mut vec![0.0; len])?;
+            }
             let mut x = vec![tile.index() as f64 + 0.5; st.len];
             if let Some(src) = st.src {
                 ctx.load(self.bufs[src], st.at, &mut x)?;
@@ -2451,6 +2475,39 @@ mod tests {
             assert!(diffs[1] >= 16, "seed {seed}: propagated to out line 10");
             assert_eq!(r.skipped, 1, "seed {seed}: tile 1 skipped");
             assert_fork_matches(&r, 1);
+        }
+    }
+
+    #[test]
+    fn a_flip_written_back_mid_tile_taints_what_the_tile_stores() {
+        // Tiny L2 (4 sets of 2 ways); buffers x (line 0), pad (lines
+        // 4..12), y (line 12) and out (line 16). Tile 0 stores x, the only
+        // L2 resident (dirty), so the strike at tile 1 flips it. Tile 1
+        // loads pad lines 4..9, whose line 8 evicts line 0 and writes the
+        // XOR back, then loads x from memory — the flip has ended, so the
+        // tile observes nothing — and stores y from it. Tile 2 loads y and
+        // is replayable: only the write-back tells the fork that tile 1's
+        // stores, and so tile 2's, are not golden's.
+        let mut p = Pipeline {
+            lens: vec![8, 64, 8, 8],
+            stages: vec![
+                Stage::new(None, Some(0), 0, 8),
+                Stage::new(Some(0), Some(2), 0, 8).after_loading(1, 0, 40),
+                Stage::new(Some(2), Some(3), 0, 8),
+            ],
+            bufs: Vec::new(),
+        };
+        for seed in 0..4 {
+            let s = StrikeSpec::new(1, StrikeTarget::L2 { mask: 1 << 62 });
+            let r = reference_and_fork(tiny_device(), &mut p, s, seed);
+            assert!(r.reference.strike_delivered, "seed {seed}");
+            assert_ne!(
+                bits(&r.reference.output),
+                bits(&r.golden.output),
+                "seed {seed}: the written-back flip reaches the output"
+            );
+            assert_fork_matches(&r, 1);
+            assert_eq!((r.skipped, r.exits), (0, 0), "seed {seed}");
         }
     }
 

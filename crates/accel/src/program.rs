@@ -225,6 +225,10 @@ pub trait Lane {
         if Self::GARBLED {
             ctx.garble_span(ops, first);
             false
+        } else if Self::ARMED && ctx.fault.garble {
+            // The span's garbled ops, one by one through `TileCtx::op`.
+            ctx.cover_garble((ctx.ops + ops) as usize);
+            false
         } else {
             !Self::ARMED || ctx.clean_span(ops, trans)
         }
@@ -392,6 +396,9 @@ impl TileFault {
 /// Seed of the garble sequence: every garbled tile replays the same one.
 const GARBLE_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// Entries an op outside a covered span grows the garble sequence by.
+const GARBLE_BLOCK: usize = 4096;
+
 /// The garble sequence indexed by op: entry `i` packs the `i + 1`-th
 /// state `x` of one xorshift64 sequence from [`GARBLE_SEED`] into 4
 /// bytes — `-1` when `x & 0xF == 0` (op `i` keeps its computed value),
@@ -439,9 +446,7 @@ impl GarbleSeq {
         self.state = x;
     }
 
-    /// The process's sequence, grown to at least `len` entries — to at
-    /// least twice its length, so that a tile covering one op at a time
-    /// takes the write lock a logarithmic number of times.
+    /// The process's sequence, grown to `len` entries when it is shorter.
     fn shared(len: usize) -> Arc<GarbleSeq> {
         let covers = |s: &&Arc<GarbleSeq>| s.entries.len() >= len;
         let read = GARBLE_SEQ.read().unwrap_or_else(PoisonError::into_inner);
@@ -455,7 +460,7 @@ impl GarbleSeq {
             return Arc::clone(seq);
         }
         let mut seq = slot.as_deref().cloned().unwrap_or_else(GarbleSeq::new);
-        seq.cover(len.max(2 * seq.entries.len()));
+        seq.cover(len);
         let seq = Arc::new(seq);
         *slot = Some(Arc::clone(&seq));
         seq
@@ -695,10 +700,18 @@ impl<'a> TileCtx<'a> {
     /// (op 0's), perturbed per op by a small wobble (±25 %) so outputs
     /// are not all identical, and occasionally let the correct value
     /// through (some lanes still hit the right data).
+    ///
+    /// A body's span is covered before its first op (see
+    /// [`Lane::clean_span`]); an op outside one covers a whole block of
+    /// [`GARBLE_BLOCK`] entries, so that a program calling `op` directly
+    /// grows the table once per block rather than once per op.
     #[cold]
     fn op_garble(&mut self, idx: u64, value: f64) -> f64 {
         let idx = idx as usize;
-        let entry = self.cover_garble(idx + 1)[idx];
+        let entry = match self.garble_seq.as_deref().and_then(|s| s.entries.get(idx)) {
+            Some(&entry) => entry,
+            None => self.cover_garble((idx + 1).next_multiple_of(GARBLE_BLOCK))[idx],
+        };
         let anchor = *self.garble_anchor.get_or_insert(value);
         GarbleSeq::blend(entry, value, anchor)
     }
@@ -1478,15 +1491,15 @@ mod tests {
     }
 
     /// The process holds one garble sequence: a tile that needs no more
-    /// entries shares it, and growing at least doubles it, keeping the
-    /// entries every tile already read.
+    /// entries shares it, and growing extends it, keeping the entries
+    /// every tile already read.
     #[test]
     fn the_shared_garble_seq_is_one_grow_only_table() {
         let a = GarbleSeq::shared(100);
         let b = GarbleSeq::shared(a.entries.len());
         assert!(Arc::ptr_eq(&a, &b), "a covered request shares the table");
         let grown = GarbleSeq::shared(a.entries.len() + 1);
-        assert!(grown.entries.len() >= 2 * a.entries.len());
+        assert!(grown.entries.len() > a.entries.len());
         assert_eq!(grown.entries[..a.entries.len()], a.entries[..]);
         let mut local = GarbleSeq::new();
         local.cover(grown.entries.len());

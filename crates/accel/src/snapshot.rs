@@ -414,7 +414,9 @@ impl GoldenLedger {
 
     /// Appends the golden tile at the next dispatch position, its store
     /// spans `stored` (consecutive ones merged), and, while the journal
-    /// holds at most `room` bytes, their values in `mem` at its end.
+    /// fits in `room` bytes, their values in `mem` at its end. The first
+    /// span that does not fit closes the journal: it and every later span
+    /// get none. The journal's allocation never exceeds `room` either.
     pub(crate) fn push_tile(
         &mut self,
         tile: LedgerTile,
@@ -423,6 +425,10 @@ impl GoldenLedger {
         room: usize,
     ) -> Result<(), AccelError> {
         let first = self.stores.len();
+        let mut closed = self
+            .stores
+            .last()
+            .is_some_and(|sp| sp.journal == StoreSpan::NONE);
         self.store_starts.push(first as u32);
         self.tiles.push(tile);
         for s in stored {
@@ -439,14 +445,40 @@ impl GoldenLedger {
             }
         }
         for span in &mut self.stores[first..] {
-            let len = span.len as usize;
-            if (self.journal.len() + len) * 8 <= room {
-                span.journal = self.journal.len() as u32;
-                let (_, values) = mem.window(span.buf, span.start as usize, len)?;
-                self.journal.extend_from_slice(values);
+            let need = self.journal.len() + span.len as usize;
+            closed |= need * 8 > room;
+            if closed {
+                continue;
             }
+            if need > self.journal.capacity() {
+                let cap = (2 * self.journal.capacity()).clamp(need, room / 8);
+                self.journal.reserve_exact(cap - self.journal.len());
+            }
+            span.journal = self.journal.len() as u32;
+            let (_, values) = mem.window(span.buf, span.start as usize, span.len as usize)?;
+            self.journal.extend_from_slice(values);
         }
         Ok(())
+    }
+
+    /// Cuts the journal, during capture, to the `room` bytes a snapshot
+    /// just left of the budget: the spans past it get none, which closes
+    /// the journal, and its allocation shrinks to fit.
+    pub(crate) fn cut_journal(&mut self, room: usize) {
+        let keep = room / 8;
+        if self.journal.len() > keep {
+            let mut end = 0;
+            for sp in self.stores.iter_mut().rev() {
+                let at = sp.journal as usize;
+                if sp.journal != StoreSpan::NONE && at + sp.len as usize <= keep {
+                    end = at + sp.len as usize;
+                    break;
+                }
+                sp.journal = StoreSpan::NONE;
+            }
+            self.journal.truncate(end);
+        }
+        self.journal.shrink_to(keep);
     }
 
     /// Completes the ledger once the golden run has ended: each tile's
@@ -785,6 +817,23 @@ mod tests {
         let journal: Vec<u32> = refused.stores.iter().map(|s| s.journal).collect();
         assert_eq!(journal, [0, n, f, n, f]);
         assert_eq!(refused.journal_bytes(), 8 * 8);
+        // A snapshot taken after tile 1 leaves room for 12 elements: the
+        // cut keeps state[0..8], drops out[0..8], closes the journal and
+        // shrinks its allocation to the room.
+        let mut cut = GoldenLedger::default();
+        for (t, spans) in tiles.iter().enumerate() {
+            if t == 2 {
+                cut.cut_journal(12 * 8);
+                assert!(cut.journal.capacity() <= 12 && cut.journal.len() == 8);
+            }
+            let tile = LedgerTile::default();
+            cut.push_tile(tile, spans.iter().copied(), &mem, usize::MAX)
+                .unwrap();
+        }
+        cut.finish(&[2.0; 16], out, usize::MAX, LineIndex::default());
+        let journal: Vec<u32> = cut.stores.iter().map(|s| s.journal).collect();
+        assert_eq!(journal, [0, n, f, n, f]);
+        assert_eq!(cut.journal_bytes(), 8 * 8);
     }
 
     #[test]

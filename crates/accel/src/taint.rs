@@ -12,13 +12,15 @@ use std::ops::Range;
 use crate::memory::BufferId;
 
 /// A set of global element addresses, one bit each, with a count of set
-/// elements per buffer. It grows to the highest element ever inserted
-/// and is reset, not freed, between forks.
+/// elements per buffer. It grows to the highest element ever tainted and
+/// is reset, not freed, between forks.
 #[derive(Debug, Default)]
 pub(crate) struct TaintSet {
     words: Vec<u64>,
     /// Set elements per buffer, by [`BufferId::index`].
     counts: Vec<usize>,
+    /// The buffers whose count is not zero, as a [`BufferId::bit`] set.
+    buffers: u64,
     /// Words outside `dirty` are zero.
     dirty: Range<usize>,
 }
@@ -26,9 +28,12 @@ pub(crate) struct TaintSet {
 impl TaintSet {
     /// The buffers holding a tainted element, as a [`BufferId::bit`] set.
     pub(crate) fn buffers(&self) -> u64 {
-        (self.counts.iter().enumerate())
-            .filter(|&(_, &c)| c > 0)
-            .fold(0, |m, (b, _)| m | BufferId(b).bit())
+        self.buffers
+    }
+
+    /// Whether no element is tainted.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.buffers == 0
     }
 
     /// Whether any element in `range` is tainted.
@@ -41,8 +46,14 @@ impl TaintSet {
     }
 
     /// Taints (`value`) or clears the elements in `range`, all in `buf`.
+    /// A clear touches only the words that may hold a set bit.
     pub(crate) fn fill(&mut self, buf: BufferId, range: Range<usize>, value: bool) {
-        self.assign(buf, range, |_, mask| if value { mask } else { 0 });
+        if value {
+            self.assign(buf, range, |_, mask| mask);
+        } else {
+            let (lo, hi) = (self.dirty.start * 64, self.dirty.end * 64);
+            self.assign(buf, range.start.max(lo)..range.end.min(hi), |_, _| 0);
+        }
     }
 
     /// Taints the elements of `buf` from global address `at` whose bits
@@ -64,6 +75,7 @@ impl TaintSet {
             words.fill(0);
         }
         self.counts.fill(0);
+        self.buffers = 0;
         self.dirty = 0..0;
     }
 
@@ -106,6 +118,11 @@ impl TaintSet {
             self.words[w] = new;
         }
         self.counts[buf.index()] = count;
+        if count == 0 {
+            self.buffers &= !buf.bit();
+        } else {
+            self.buffers |= buf.bit();
+        }
     }
 }
 
@@ -128,13 +145,16 @@ mod tests {
         assert!(!t.any(0..60) && t.any(59..61) && !t.any(70..190) && t.any(199..200));
         assert!(!t.any(200..100_000), "past the end");
         assert_eq!(t.buffers(), a.bit() | b.bit());
+        let words = t.words.len();
+        t.fill(b, 1000..100_000, false);
+        assert_eq!(t.words.len(), words, "a clear past the end grows nothing");
         t.fill(a, 63..65, false);
         assert!(!t.any(63..65) && t.any(62..63) && t.any(65..66));
         assert_eq!(t.counts[0], 8);
         t.fill(a, 0..128, false);
         assert_eq!(t.buffers(), b.bit());
         t.fill(b, 190..200, false);
-        assert!(t.buffers() == 0 && !t.any(0..1000));
+        assert!(t.is_empty() && t.buffers() == 0 && !t.any(0..1000));
     }
 
     /// A compare taints exactly the elements whose bits differ — a
@@ -155,7 +175,7 @@ mod tests {
         assert_eq!(set, [30, 93, 94]);
         assert_eq!(t.counts[1], 3);
         t.reset();
-        assert!(t.buffers() == 0 && !t.any(0..200));
+        assert!(t.is_empty() && !t.any(0..200));
         t.fill(buf, 5..6, true);
         assert_eq!((0..200).filter(|&e| t.any(e..e + 1)).count(), 1);
     }
