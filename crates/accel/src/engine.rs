@@ -529,8 +529,17 @@ impl Engine {
             (stride, policy.budget())
         });
         let mut set = SnapshotSet::default();
-        // The ledger, and the stores it attributes to each tile.
-        let mut ledger = capture.map(|_| (GoldenLedger::default(), StoreLog::new(None)));
+        // The ledger, and the stores it attributes to each tile. The
+        // journal starts with room for one output's values, so a kernel
+        // whose stores all land on its output never regrows it: growing it
+        // in small steps between snapshot captures doubled LavaMD's capture
+        // time.
+        let mut ledger = capture.map(|(_, budget)| {
+            let mut g = GoldenLedger::default();
+            let out = mem.len_of(program.output()).unwrap_or(0);
+            g.journal.reserve_exact(out.min(budget / 8));
+            (g, StoreLog::new(None))
+        });
         let mut totals = MachineCounters::default();
         let mut l2_resident_samples = 0.0;
         let prof = profiling_enabled();
