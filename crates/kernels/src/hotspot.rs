@@ -317,17 +317,19 @@ fn update_row<L: Lane>(
     out: &mut [f64],
 ) {
     let c = mid.len();
-    let rows = [&up[..c], mid, &dn[..c]];
-    let (pw, out) = (&pw[..c], &mut out[..c]);
+    let (up, dn, pw, out) = (&up[..c], &dn[..c], &pw[..c], &mut out[..c]);
     if L::GARBLED {
-        let span = ctx.garbled_span(7 * c);
-        for_cells(c, |j, lf, rt| {
+        for_cells(&mut ctx.garbled_span(7 * c), c, |span, j, lf, rt| {
             let entries = span.group::<7>(7 * j);
-            out[j] = cell(rows, pw, j, lf, rt, |k, v| span.blend(entries[k], v));
+            out[j] = cell([up, mid, dn], pw, j, lf, rt, |k, v| {
+                span.blend(entries[k], v)
+            });
         });
     } else {
-        for_cells(c, |j, lf, rt| {
-            out[j] = cell(rows, pw, j, lf, rt, |k, v| L::op(ctx, 7 * j + k, v));
+        for_cells(ctx, c, |ctx, j, lf, rt| {
+            out[j] = cell([up, mid, dn], pw, j, lf, rt, |k, v| {
+                L::op(ctx, 7 * j + k, v)
+            });
         });
     }
 }
@@ -353,20 +355,22 @@ fn cell(
     op(6, CAP.mul_add(delta, t))
 }
 
-/// Runs `cell(j, lf, rt)` for the `c` cells of a row in ascending order,
-/// `lf` and `rt` the clamped west and east neighbours, with the border
-/// cells peeled off the interior loop.
+/// Runs `cell(x, j, lf, rt)` for the `c` cells of a row in ascending
+/// order, `lf` and `rt` the clamped west and east neighbours, with the
+/// border cells peeled off the interior loop. The lane state `x` the ops
+/// read is passed to each cell, not captured: a clean row whose closure
+/// captured the context ran 25 % slower.
 #[inline(always)]
-fn for_cells(c: usize, mut cell: impl FnMut(usize, usize, usize)) {
+fn for_cells<X: ?Sized>(x: &mut X, c: usize, mut cell: impl FnMut(&mut X, usize, usize, usize)) {
     if c == 1 {
-        cell(0, 0, 0);
+        cell(x, 0, 0, 0);
         return;
     }
-    cell(0, 0, 1);
+    cell(x, 0, 0, 1);
     for j in 1..c - 1 {
-        cell(j, j - 1, j + 1);
+        cell(x, j, j - 1, j + 1);
     }
-    cell(c - 1, c - 2, c - 1);
+    cell(x, c - 1, c - 2, c - 1);
 }
 
 impl Workload for HotSpot {
