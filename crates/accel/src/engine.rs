@@ -529,17 +529,9 @@ impl Engine {
             (stride, policy.budget())
         });
         let mut set = SnapshotSet::default();
-        // The ledger, and the stores it attributes to each tile. The
-        // journal starts with room for one output's values, so a kernel
-        // whose stores all land on its output never regrows it: growing it
-        // in small steps between snapshot captures doubled LavaMD's capture
-        // time.
-        let mut ledger = capture.map(|(_, budget)| {
-            let mut g = GoldenLedger::default();
-            let out = mem.len_of(program.output()).unwrap_or(0);
-            g.journal.reserve_exact(out.min(budget / 8));
-            (g, StoreLog::new(None))
-        });
+        // The ledger, and the stores it attributes to each tile.
+        let mut ledger =
+            capture.map(|_| (GoldenLedger::new(program.output()), StoreLog::new(None)));
         let mut totals = MachineCounters::default();
         let mut l2_resident_samples = 0.0;
         let prof = profiling_enabled();
@@ -603,7 +595,7 @@ impl Engine {
             self.finish(program, &plan, &mut mem, totals, cache, l2_resident_samples)?;
         if let (Some((mut g, _)), Some(lines), Some((_, budget))) = (ledger, lines, capture) {
             let room = budget.saturating_sub(set.bytes);
-            g.finish(&output, program.output(), room, lines);
+            g.finish(&output, room, lines);
             set.ledger = Arc::new(g);
             if let Some(m) = self.metrics.as_deref() {
                 m.gauge_set("radcrit_snapshot_bytes", &[], set.cost_bytes() as f64);
@@ -2848,13 +2840,13 @@ mod tests {
             loaded: input.bit(),
             ..LedgerTile::default()
         };
-        let mut g = GoldenLedger::default();
+        let mut g = GoldenLedger::new(out);
         for (t, spans) in tiles.iter().enumerate() {
             let tile = if t < 3 { loads } else { LedgerTile::default() };
             g.push_tile(tile, spans.iter().copied(), &mem, 0).unwrap();
         }
         let lines = synthetic_ledger(Vec::new(), &[&[5], &[5], &[5], &[]], &[]).lines;
-        g.finish(&[2.0; 16], out, 0, lines);
+        g.finish(&[2.0; 16], 0, lines);
         assert_eq!(g.journal_bytes(), 0);
 
         let plan = two_unit_plan(4);

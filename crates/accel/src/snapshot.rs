@@ -116,14 +116,15 @@ pub(crate) struct StoreSpan {
     /// Where the span's golden values at the end of its tile are:
     /// [`StoreSpan::FINAL`] for an output span no later tile stores over
     /// (the golden output holds them), [`StoreSpan::NONE`] when the
-    /// budget left no journal bytes for it, else its offset in the
-    /// journal.
+    /// ledger holds none, else its offset in the journal. During capture,
+    /// [`StoreSpan::PRESUMED`] marks an output span presumed final.
     pub(crate) journal: u32,
 }
 
 impl StoreSpan {
     pub(crate) const FINAL: u32 = u32::MAX;
     pub(crate) const NONE: u32 = u32::MAX - 1;
+    pub(crate) const PRESUMED: u32 = u32::MAX - 2;
 
     /// The span's elements as a global address range.
     pub(crate) fn elems(&self) -> std::ops::Range<usize> {
@@ -345,9 +346,21 @@ pub(crate) struct GoldenLedger {
     pub(crate) output: Vec<f64>,
     /// The golden caches line by line.
     pub(crate) lines: LineIndex,
+    /// Capture state: the buffers (as [`BufferId::bit`] masks) the tiles
+    /// pushed so far load, and whether the journal has refused a span.
+    pub(crate) loaded: u64,
+    pub(crate) closed: bool,
 }
 
 impl GoldenLedger {
+    /// An empty ledger for a golden run whose output buffer is `out`.
+    pub(crate) fn new(out: BufferId) -> Self {
+        GoldenLedger {
+            out_buf: Some(out),
+            ..GoldenLedger::default()
+        }
+    }
+
     /// The store spans of the tile at dispatch position `tile`.
     pub(crate) fn stores_of(&self, tile: usize) -> &[StoreSpan] {
         LineIndex::of_tile(&self.store_starts, &self.stores, tile)
@@ -416,7 +429,15 @@ impl GoldenLedger {
     /// spans `stored` (consecutive ones merged), and, while the journal
     /// fits in `room` bytes, their values in `mem` at its end. The first
     /// span that does not fit closes the journal: it and every later span
-    /// get none. The journal's allocation never exceeds `room` either.
+    /// get none. The journal's allocation never exceeds `room` either;
+    /// its first holds one output's values, so that it rarely regrows
+    /// (growing it in small steps between snapshot captures doubled
+    /// LavaMD's capture time).
+    ///
+    /// An output span is presumed final, and not journaled, while no tile
+    /// has loaded the output buffer: a kernel that never reads its output
+    /// (DGEMM, LavaMD) copies none of it. A span the presumption gets
+    /// wrong — a later tile stores over it — gets no golden values.
     pub(crate) fn push_tile(
         &mut self,
         tile: LedgerTile,
@@ -425,10 +446,8 @@ impl GoldenLedger {
         room: usize,
     ) -> Result<(), AccelError> {
         let first = self.stores.len();
-        let mut closed = self
-            .stores
-            .last()
-            .is_some_and(|sp| sp.journal == StoreSpan::NONE);
+        self.loaded |= tile.loaded;
+        let presumed = self.out_buf.filter(|out| self.loaded & out.bit() == 0);
         self.store_starts.push(first as u32);
         self.tiles.push(tile);
         for s in stored {
@@ -445,14 +464,20 @@ impl GoldenLedger {
             }
         }
         for span in &mut self.stores[first..] {
+            if Some(span.buf) == presumed {
+                span.journal = StoreSpan::PRESUMED;
+                continue;
+            }
             let need = self.journal.len() + span.len as usize;
-            closed |= need * 8 > room;
-            if closed {
+            self.closed |= need * 8 > room;
+            if self.closed {
                 continue;
             }
             if need > self.journal.capacity() {
-                let cap = (2 * self.journal.capacity()).clamp(need, room / 8);
-                self.journal.reserve_exact(cap - self.journal.len());
+                let output = self.out_buf.map_or(0, |out| mem.len_of(out).unwrap_or(0));
+                let cap = (2 * self.journal.capacity()).max(output);
+                self.journal
+                    .reserve_exact(cap.clamp(need, room / 8) - self.journal.len());
             }
             span.journal = self.journal.len() as u32;
             let (_, values) = mem.window(span.buf, span.start as usize, span.len as usize)?;
@@ -470,28 +495,27 @@ impl GoldenLedger {
             let mut end = 0;
             for sp in self.stores.iter_mut().rev() {
                 let at = sp.journal as usize;
-                if sp.journal != StoreSpan::NONE && at + sp.len as usize <= keep {
-                    end = at + sp.len as usize;
-                    break;
+                match sp.journal {
+                    StoreSpan::PRESUMED | StoreSpan::NONE => {}
+                    _ if at + sp.len as usize <= keep => {
+                        end = at + sp.len as usize;
+                        break;
+                    }
+                    _ => sp.journal = StoreSpan::NONE,
                 }
-                sp.journal = StoreSpan::NONE;
             }
             self.journal.truncate(end);
+            self.closed = true;
         }
         self.journal.shrink_to(keep);
     }
 
     /// Completes the ledger once the golden run has ended: each tile's
     /// `loaded_after` and `replayable`, which output spans are final,
-    /// the journal cut to `room` bytes, the final `output` of `out_buf`
-    /// and the line index.
-    pub(crate) fn finish(
-        &mut self,
-        output: &[f64],
-        out_buf: BufferId,
-        mut room: usize,
-        lines: LineIndex,
-    ) {
+    /// the journal cut to `room` bytes, the final `output` and the line
+    /// index.
+    pub(crate) fn finish(&mut self, output: &[f64], mut room: usize, lines: LineIndex) {
+        let out_buf = self.out_buf.expect("a capture ledger names its output");
         self.store_starts.push(self.stores.len() as u32);
         let mut after = 0;
         for entry in self.tiles.iter_mut().rev() {
@@ -528,6 +552,11 @@ impl GoldenLedger {
             .filter(|sp| sp.journal != StoreSpan::FINAL)
         {
             let (at, len) = (sp.journal as usize, sp.len as usize);
+            if sp.journal == StoreSpan::PRESUMED {
+                // Presumed final, but a later tile stores over it.
+                sp.journal = StoreSpan::NONE;
+                continue;
+            }
             if sp.journal == StoreSpan::NONE || (kept + len) * 8 > room {
                 sp.journal = StoreSpan::NONE;
                 room = 0;
@@ -548,7 +577,6 @@ impl GoldenLedger {
                 .iter()
                 .all(|sp| sp.journal != StoreSpan::NONE);
         }
-        self.out_buf = Some(out_buf);
         self.output = output.to_vec();
         self.lines = lines;
     }
@@ -750,6 +778,8 @@ mod tests {
     /// final, drops their journal, cuts the rest to the room left after
     /// the snapshots — from the first span that does not fit, none — and
     /// marks the tiles whose every span is journaled or final replayable.
+    /// Output spans stored before any tile loads the output are presumed
+    /// final and never journaled.
     #[test]
     fn the_journal_holds_every_non_final_span_that_fits_tile_after_tile() {
         let mut mem = DeviceMemory::new();
@@ -771,16 +801,21 @@ mod tests {
             &[stored(out, 8, 8)],
             &[stored(state, 8, 8), stored(out, 0, 4)],
         ];
-        let build = |room_capture: usize, room: usize| {
-            let mut g = GoldenLedger::default();
-            for spans in tiles {
-                let tile = LedgerTile::default();
-                g.push_tile(tile, spans.iter().copied(), &mem, room_capture)
+        // Tile 0 loads the output, unless `presume`.
+        let tile = |t: usize, presume: bool| LedgerTile {
+            loaded: if t == 0 && !presume { out.bit() } else { 0 },
+            ..LedgerTile::default()
+        };
+        let build_with = |presume: bool, room_capture: usize, room: usize| {
+            let mut g = GoldenLedger::new(out);
+            for (t, spans) in tiles.iter().enumerate() {
+                g.push_tile(tile(t, presume), spans.iter().copied(), &mem, room_capture)
                     .unwrap();
             }
-            g.finish(&[2.0; 16], out, room, LineIndex::default());
+            g.finish(&[2.0; 16], room, LineIndex::default());
             g
         };
+        let build = |room_capture, room| build_with(false, room_capture, room);
         let g = build(usize::MAX, usize::MAX);
         let spans: Vec<_> = g.stores.iter().map(|s| (s.buf, s.start, s.len)).collect();
         assert_eq!(
@@ -820,20 +855,28 @@ mod tests {
         // A snapshot taken after tile 1 leaves room for 12 elements: the
         // cut keeps state[0..8], drops out[0..8], closes the journal and
         // shrinks its allocation to the room.
-        let mut cut = GoldenLedger::default();
+        let mut cut = GoldenLedger::new(out);
         for (t, spans) in tiles.iter().enumerate() {
             if t == 2 {
                 cut.cut_journal(12 * 8);
                 assert!(cut.journal.capacity() <= 12 && cut.journal.len() == 8);
             }
-            let tile = LedgerTile::default();
-            cut.push_tile(tile, spans.iter().copied(), &mem, usize::MAX)
+            cut.push_tile(tile(t, false), spans.iter().copied(), &mem, usize::MAX)
                 .unwrap();
         }
-        cut.finish(&[2.0; 16], out, usize::MAX, LineIndex::default());
+        cut.finish(&[2.0; 16], usize::MAX, LineIndex::default());
         let journal: Vec<u32> = cut.stores.iter().map(|s| s.journal).collect();
         assert_eq!(journal, [0, n, f, n, f]);
         assert_eq!(cut.journal_bytes(), 8 * 8);
+        // No tile loads the output: its spans are presumed final and copy
+        // nothing; out[0..8], stored over later, has no golden values, and
+        // the journal stays open for state[8..16].
+        let presumed = build_with(true, usize::MAX, usize::MAX);
+        let journal: Vec<u32> = presumed.stores.iter().map(|s| s.journal).collect();
+        assert_eq!(journal, [0, n, f, 8, f]);
+        assert_eq!(presumed.journal_bytes(), 16 * 8);
+        let replayable: Vec<bool> = presumed.tiles.iter().map(|t| t.replayable).collect();
+        assert_eq!(replayable, [false, true, true]);
     }
 
     #[test]
