@@ -30,6 +30,9 @@ use std::sync::Arc;
 
 use rand::Rng;
 
+use radcrit_core::compare::compare_mapped;
+use radcrit_core::report::ErrorReport;
+use radcrit_core::shape::{Coord, OutputShape};
 use radcrit_core::DirtyRegion;
 use radcrit_obs::profile::{phase_if, profiling_enabled, PhaseId};
 use radcrit_obs::MetricsRegistry;
@@ -86,6 +89,26 @@ pub struct RunOutcome {
     /// contained stops early too, on forks only, but splices the golden
     /// suffix and reports `false` here: its outcome is complete.)
     pub golden_equivalent: bool,
+}
+
+impl RunOutcome {
+    /// The one per-injection output compare: the run's mismatches
+    /// against `golden`, each at the coordinate `coord` maps its element
+    /// index to, labelled with `shape`. A golden-equivalent run reports
+    /// none without reading its buffer, which stops at the exit tile; any
+    /// other run is compared over its dirty region (the whole output for
+    /// a run from tile 0).
+    pub fn compare(
+        &self,
+        golden: &[f64],
+        shape: OutputShape,
+        coord: impl Fn(usize) -> Coord,
+    ) -> ErrorReport {
+        if self.golden_equivalent {
+            return ErrorReport::new(shape, Vec::new());
+        }
+        compare_mapped(golden, &self.output, shape, self.dirty.as_ref(), coord)
+    }
 }
 
 /// Reusable per-worker state for repeated forks of one program on one
@@ -1355,7 +1378,6 @@ fn tile_trace(pos: usize, unit: usize, c: &MachineCounters, cache: &CacheStats) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use radcrit_core::shape::OutputShape;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng as SmallRng;
 
@@ -1480,6 +1502,22 @@ mod tests {
         let diffs: Vec<usize> = (0..64).filter(|&i| out.output[i] != exp[i]).collect();
         assert_eq!(diffs, vec![3 * 8 + 2], "exactly op 2 of tile 3 corrupted");
         assert_eq!(out.output[26], -exp[26], "sign flip of the result");
+    }
+
+    #[test]
+    fn a_dead_exit_stops_its_buffer_early_and_compares_clean() {
+        let engine = Engine::new(DeviceConfig::kepler_k40());
+        let mut p = Affine::new(64);
+        let golden = engine.golden(&mut p).unwrap();
+        // Nothing is resident before tile 0: the L2 strike finds no
+        // line, and the run stops after its strike tile.
+        let s = StrikeSpec::new(0, StrikeTarget::L2 { mask: 1 << 62 });
+        let mut rng = SmallRng::seed_from_u64(3);
+        let out = engine.run(&mut p, &[s], &mut rng, None, None).unwrap();
+        assert!(out.golden_equivalent && !out.strike_delivered);
+        assert_ne!(bits(&out.output), bits(&golden.output), "a stale buffer");
+        let report = out.compare(&golden.output, p.output_shape(), |i| [i, 0, 0]);
+        assert!(!report.is_sdc(), "a golden-equivalent run is no SDC");
     }
 
     #[test]

@@ -29,11 +29,11 @@ use radcrit_campaign::log as clog;
 use radcrit_campaign::presets::{self, Preset, Scale};
 use radcrit_campaign::runner::CampaignResult;
 use radcrit_campaign::summary::CampaignSummary;
-use radcrit_core::compare::compare_mapped;
 use radcrit_faults::sampler::{FaultSampler, InjectionPlan};
 use radcrit_kernels::dgemm::Dgemm;
 use radcrit_kernels::profile::KernelClass;
 use radcrit_kernels::shallow::ShallowWater;
+use radcrit_kernels::Workload;
 
 fn main() {
     let mut scale = Scale::Standard;
@@ -776,13 +776,9 @@ fn fig9(ctx: &mut Ctx) {
             let run = engine
                 .run(kernel.as_mut(), &[spec], &mut rng, None, None)
                 .unwrap_or_else(|e| die(&format!("clamr run failed: {e}")));
-            let report = compare_mapped(
-                &golden.output,
-                &run.output,
-                kernel.logical_shape(),
-                None,
-                |i| kernel.error_coord(i),
-            );
+            let report = run.compare(&golden.output, kernel.logical_shape(), |i| {
+                kernel.error_coord(i)
+            });
             let n = report.incorrect_elements();
             if best.as_ref().is_none_or(|(bn, _)| n > *bn) {
                 best = Some((n, report));
@@ -850,7 +846,10 @@ fn abft(ctx: &mut Ctx) {
             let run = engine
                 .run(&mut kernel, &[spec], &mut rng, None, None)
                 .expect("dgemm run");
-            if run.output != golden.output {
+            let report = run.compare(&golden.output, kernel.logical_shape(), |i| {
+                kernel.error_coord(i)
+            });
+            if report.is_sdc() {
                 sdc_total += 1;
                 let mut c = run.output.clone();
                 match checker.check(&mut c) {
@@ -915,7 +914,10 @@ fn masscheck(ctx: &mut Ctx) {
             let run = engine
                 .run(kernel.as_mut(), &[spec], &mut rng, None, None)
                 .expect("clamr run");
-            if run.output != golden.output {
+            let report = run.compare(&golden.output, kernel.logical_shape(), |i| {
+                kernel.error_coord(i)
+            });
+            if report.is_sdc() {
                 sdc += 1;
                 let mass = ShallowWater::total_mass(&run.output);
                 if ((mass - golden_mass) / golden_mass).abs() > 1e-12 {
@@ -971,13 +973,9 @@ fn ablate(ctx: &mut Ctx) {
         let mut rng = StdRng::seed_from_u64(ctx.seed ^ (0xAB1A << 32) ^ i);
         if let InjectionPlan::Strike(spec) = sampler.sample(&mut rng) {
             if let Ok(run) = engine.run(kernel.as_mut(), &[spec], &mut rng, None, None) {
-                let report = compare_mapped(
-                    &golden.output,
-                    &run.output,
-                    kernel.logical_shape(),
-                    None,
-                    |i| kernel.error_coord(i),
-                );
+                let report = run.compare(&golden.output, kernel.logical_shape(), |i| {
+                    kernel.error_coord(i)
+                });
                 if report.is_sdc() {
                     reports.push(report);
                 }
@@ -1148,12 +1146,9 @@ fn injector(ctx: &mut Ctx) {
                     let run = engine
                         .run(&mut kernel, &[spec], &mut rng, None, None)
                         .expect("dgemm run");
-                    let report = radcrit_core::compare::compare_slices(
-                        &golden.output,
-                        &run.output,
-                        radcrit_core::shape::OutputShape::d2(n, n),
-                    )
-                    .expect("matching outputs");
+                    let report = run.compare(&golden.output, kernel.logical_shape(), |i| {
+                        kernel.error_coord(i)
+                    });
                     if report.is_sdc() {
                         sdc += 1;
                         mre_sum += report.mean_relative_error_capped(1e4).unwrap_or(0.0);
@@ -1269,12 +1264,9 @@ fn multistrike(ctx: &mut Ctx) {
                     let run = engine
                         .run(&mut kernel, &strikes, &mut rng, None, None)
                         .expect("multi-strike run");
-                    let report = radcrit_core::compare::compare_slices(
-                        &golden.output,
-                        &run.output,
-                        radcrit_core::shape::OutputShape::d2(n, n),
-                    )
-                    .expect("same shape");
+                    let report = run.compare(&golden.output, kernel.logical_shape(), |i| {
+                        kernel.error_coord(i)
+                    });
                     if report.is_sdc() {
                         sdc_runs += 1;
                         incorrect_sum += report.incorrect_elements();

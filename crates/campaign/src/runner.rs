@@ -60,8 +60,6 @@ use radcrit_accel::profile::ExecutionProfile;
 use radcrit_accel::snapshot::{SnapshotPolicy, SnapshotSet};
 use radcrit_accel::strike::StrikeSpec;
 use radcrit_accel::trace::ExecutionTrace;
-use radcrit_core::compare::compare_mapped;
-use radcrit_core::report::ErrorReport;
 use radcrit_faults::sampler::{FaultSampler, InjectionPlan};
 use radcrit_kernels::Workload;
 use radcrit_obs::profile::{self as phase_profile, Lane, PhaseId, ProfileCollector};
@@ -1205,25 +1203,10 @@ impl Worker {
         let kernel = self.kernel.as_ref();
         let golden = &self.shared.golden.output;
         let mut scope = phase_profile::phase_with(PhaseId::Compare, &[("index", index as u64)]);
-        let report = if run.golden_equivalent {
-            // The engine proved the strike died unobserved and exited
-            // early: the completed run's output would be bit-equal to
-            // golden, and the returned buffer may hold stale bytes past
-            // the exit tile, so the diff is both unnecessary and wrong
-            // to perform.
-            ErrorReport::new(kernel.logical_shape(), Vec::new())
-        } else {
-            // Mismatches land in the kernel's *logical* coordinate space
-            // (e.g. LavaMD's box grid), which is what the
-            // spatial-locality metric operates on.
-            compare_mapped(
-                golden,
-                &run.output,
-                kernel.logical_shape(),
-                run.dirty.as_ref(),
-                |i| kernel.error_coord(i),
-            )
-        };
+        // Mismatches land in the kernel's *logical* coordinate space
+        // (e.g. LavaMD's box grid), which is what the spatial-locality
+        // metric operates on.
+        let report = run.compare(golden, kernel.logical_shape(), |i| kernel.error_coord(i));
         if let Some(scope) = scope.as_mut() {
             scope.arg("mismatches", report.incorrect_elements() as u64);
         }

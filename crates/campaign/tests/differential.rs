@@ -826,20 +826,9 @@ fn oracle(campaign: &Campaign) -> CampaignResult {
             let run = engine
                 .run(kernel.as_mut(), &[spec], &mut rng, None, None)
                 .expect("reference run");
-            // A run the engine proved golden-equivalent stopped early and
-            // holds stale bytes past its exit tile: it is masked by the
-            // engine's contract, not by a compare.
-            let report = if run.golden_equivalent {
-                ErrorReport::new(kernel.logical_shape(), Vec::new())
-            } else {
-                compare_mapped(
-                    &golden.output,
-                    &run.output,
-                    kernel.logical_shape(),
-                    None,
-                    |i| kernel.error_coord(i),
-                )
-            };
+            let report = run.compare(&golden.output, kernel.logical_shape(), |i| {
+                kernel.error_coord(i)
+            });
             let outcome = if report.is_sdc() {
                 InjectionOutcome::Sdc(SdcDetail {
                     criticality: report.criticality(&campaign.tolerance, &campaign.classifier),

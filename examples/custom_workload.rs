@@ -18,7 +18,6 @@ use radcrit::accel::error::AccelError;
 use radcrit::accel::memory::{BufferId, DeviceMemory};
 use radcrit::accel::program::{TileCtx, TileId, TiledProgram};
 use radcrit::campaign::presets;
-use radcrit::core::compare::compare_slices;
 use radcrit::core::filter::ToleranceFilter;
 use radcrit::core::locality::LocalityClassifier;
 use radcrit::core::shape::OutputShape;
@@ -151,7 +150,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             InjectionPlan::Crash | InjectionPlan::Hang => fatal += 1,
             InjectionPlan::Strike(spec) => {
                 let run = engine.run(&mut kernel, &[spec], &mut rng, None, None)?;
-                let report = compare_slices(&golden.output, &run.output, shape)?;
+                let report = run.compare(&golden.output, shape, |i| shape.coord_of(i));
                 if !report.is_sdc() {
                     masked += 1;
                     continue;

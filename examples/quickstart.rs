@@ -9,7 +9,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use radcrit::accel::{config::DeviceConfig, engine::Engine};
-use radcrit::core::compare::compare_slices;
 use radcrit::core::{filter::ToleranceFilter, locality::LocalityClassifier, shape::OutputShape};
 use radcrit::faults::sampler::{FaultSampler, InjectionPlan};
 use radcrit::kernels::dgemm::Dgemm;
@@ -45,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             InjectionPlan::Hang => println!("attempt {attempt}: node hang"),
             InjectionPlan::Strike(spec) => {
                 let run = engine.run(&mut kernel, &[spec], &mut rng, None, None)?;
-                let report = compare_slices(&golden.output, &run.output, shape)?;
+                let report = run.compare(&golden.output, shape, |i| shape.coord_of(i));
                 if !report.is_sdc() {
                     println!(
                         "attempt {attempt}: strike on {} masked",

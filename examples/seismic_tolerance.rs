@@ -50,8 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             InjectionPlan::Hang => hang += 1,
             InjectionPlan::Strike(strike) => {
                 let run = engine.run(kernel.as_mut(), &[strike], &mut rng, None, None)?;
-                let report =
-                    radcrit::core::compare::compare_slices(&golden.output, &run.output, shape)?;
+                let report = run.compare(&golden.output, shape, |i| shape.coord_of(i));
                 if report.is_sdc() {
                     reports.push(report);
                 } else {
