@@ -9,12 +9,12 @@
 //!
 //! The *golden driver* ([`Engine::golden`], [`Engine::golden_snapshotted`])
 //! runs fault-free from tile 0, takes no RNG and, when asked, captures
-//! snapshots and the golden ledger. The *injection driver*
-//! ([`Engine::run`]) sets up, runs one tile loop and ends. It starts from
-//! tile 0 or from a [`WarmState`] — golden state restored from a snapshot
-//! and rolled forward, bit-identical by the resumability contract — and a
-//! register strike's fork may start at its victim ([`Engine::fork_tile`]).
-//! A value-only fork (no skip or redirect strike, every cache strike at
+//! snapshots and the golden ledger. The *injection driver* sets up, runs
+//! one tile loop and ends. [`Engine::run`] starts it from tile 0; a
+//! [`ForkCursor`], the one fork path, from a warm state — golden state
+//! restored from a snapshot and rolled forward, bit-identical by the
+//! resumability contract — and a register strike's fork may start at
+//! its victim. A value-only fork (no skip or redirect strike, every cache strike at
 //! the warm instant) runs its flips in an overlay the golden line index
 //! ends. A fork tracks, element by element, where its memory may differ
 //! from golden's: each tile's stores are compared with the golden
@@ -28,13 +28,14 @@
 
 use std::sync::Arc;
 
+use rand::rngs::StdRng;
 use rand::Rng;
 
 use radcrit_core::compare::compare_mapped;
 use radcrit_core::report::ErrorReport;
 use radcrit_core::shape::{Coord, OutputShape};
 use radcrit_core::DirtyRegion;
-use radcrit_obs::profile::{phase_if, profiling_enabled, PhaseId};
+use radcrit_obs::profile::{phase, phase_if, phase_with, profiling_enabled, PhaseId};
 use radcrit_obs::MetricsRegistry;
 
 use crate::cache::{CacheHierarchy, CacheStats, FlipLine, Overlay};
@@ -65,8 +66,9 @@ use crate::trace::{ExecutionTrace, TileTrace};
 /// victim).
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
-    /// The output buffer contents after the final cache flush.
-    pub output: Vec<f64>,
+    /// The output buffer after the final cache flush (stale for a
+    /// golden-equivalent run).
+    output: Vec<f64>,
     /// Dynamic profile of the run.
     pub profile: ExecutionProfile,
     /// Whether the strike corrupted any machine state.
@@ -83,21 +85,26 @@ pub struct RunOutcome {
     /// any observable state (no pending flips, no observed corrupted
     /// load, no write-back, no armed core or scheduler fault) and stopped
     /// executing early: by the resumability contract the finished run's
-    /// output would be bit-equal to golden, so callers must skip the
-    /// output compare — the returned buffer, profile and trace stop at
-    /// the exit tile. (A run whose fault *did* reach state but stayed
+    /// output would be bit-equal to golden, so [`RunOutcome::compare`]
+    /// reports no mismatch and [`RunOutcome::output`] no buffer — the
+    /// buffer, profile and trace stop at the exit tile. (A run whose fault *did* reach state but stayed
     /// contained stops early too, on forks only, but splices the golden
     /// suffix and reports `false` here: its outcome is complete.)
     pub golden_equivalent: bool,
 }
 
 impl RunOutcome {
-    /// The one per-injection output compare: the run's mismatches
-    /// against `golden`, each at the coordinate `coord` maps its element
-    /// index to, labelled with `shape`. A golden-equivalent run reports
-    /// none without reading its buffer, which stops at the exit tile; any
-    /// other run is compared over its dirty region (the whole output for
-    /// a run from tile 0).
+    /// The run's output, or `None` for a golden-equivalent run, whose
+    /// output is golden's.
+    #[must_use]
+    pub fn output(&self) -> Option<&[f64]> {
+        (!self.golden_equivalent).then_some(&self.output[..])
+    }
+
+    /// The one per-injection output compare: the run's mismatches against
+    /// `golden` at the coordinates `coord` maps element indices to, over
+    /// its dirty region (the whole output from tile 0) — none for a
+    /// golden-equivalent run, whose buffer is never read.
     pub fn compare(
         &self,
         golden: &[f64],
@@ -111,6 +118,15 @@ impl RunOutcome {
     }
 }
 
+/// The result of a golden (fault-free) run.
+#[derive(Debug, Clone)]
+pub struct GoldenRun {
+    /// The golden output buffer.
+    pub output: Vec<f64>,
+    /// Dynamic profile of the run: what a neutron can hit.
+    pub profile: ExecutionProfile,
+}
+
 /// Reusable per-worker state for repeated forks of one program on one
 /// engine: the post-setup memory template (so `setup` runs once, not per
 /// bucket), the previous fork's memory image and cache tables (so
@@ -118,9 +134,9 @@ impl RunOutcome {
 /// set, emptied between forks.
 ///
 /// A scratch is only valid for the `(engine, program)` pair it was first
-/// used with; use a fresh one per campaign worker.
+/// used with: each [`ForkCursor`] owns one.
 #[derive(Debug, Default)]
-pub struct RunScratch {
+struct RunScratch {
     template: Option<DeviceMemory>,
     spare: Option<DeviceMemory>,
     spare_caches: Option<CacheHierarchy>,
@@ -133,11 +149,6 @@ pub struct RunScratch {
 }
 
 impl RunScratch {
-    /// Creates an empty scratch.
-    pub fn new() -> Self {
-        RunScratch::default()
-    }
-
     /// An owned memory image equal to `warm`'s, reusing the spare
     /// allocation from the previous fork. When the spare last synced to
     /// this same warm state, only buffers written on either side since
@@ -178,17 +189,21 @@ impl RunScratch {
 ///
 /// Built once per bucket by [`Engine::warm_restore`], rolled forward
 /// tile by tile with [`Engine::warm_advance`], and forked (copied into
-/// the scratch spares, never mutated) per strike by [`Engine::run`].
+/// the scratch spares, never mutated) per strike by the injection driver
+/// — all three steps driven by a [`ForkCursor`].
 /// Because golden execution is deterministic, the warm state at tile `t`
 /// is bit-equal to a run from tile 0 at `t` — which is what makes forked
 /// runs bit-identical to reference runs.
 #[derive(Debug)]
-pub struct WarmState {
+struct WarmState {
     mem: DeviceMemory,
     caches: CacheHierarchy,
     counters: MachineCounters,
     l2_resident_samples: f64,
+    /// The next tile golden execution would run; strikes at
+    /// `>= next_tile` can fork from this state as-is.
     next_tile: usize,
+    /// The snapshot tile this state was restored from (the bucket key).
     resume_tile: usize,
     /// The golden run tile by tile: its output spans from `resume_tile`
     /// on, unioned with a fork's own store log, bound the fork's dirty
@@ -204,21 +219,6 @@ pub struct WarmState {
 /// Source of [`WarmState::gen`] values; never reused, so a scratch's
 /// `spare_origin` can only ever match the warm state it last synced to.
 static NEXT_WARM_GEN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-
-impl WarmState {
-    /// The snapshot tile this state was restored from (the bucket key).
-    #[must_use]
-    pub fn resume_tile(&self) -> usize {
-        self.resume_tile
-    }
-
-    /// The next tile golden execution would run; strikes at
-    /// `>= next_tile` can fork from this state as-is.
-    #[must_use]
-    pub fn next_tile(&self) -> usize {
-        self.next_tile
-    }
-}
 
 /// How one strike was resolved against live machine state — the piece of
 /// fault provenance only the engine knows, because victim selection
@@ -289,16 +289,15 @@ impl Engine {
     pub fn golden<P: TiledProgram + ?Sized>(
         &self,
         program: &mut P,
-    ) -> Result<RunOutcome, AccelError> {
+    ) -> Result<GoldenRun, AccelError> {
         Ok(self.run_golden(program, None)?.0)
     }
 
     /// Like [`Engine::golden`], but additionally captures golden-prefix
-    /// machine snapshots per `policy` for later forked injection runs
-    /// (see [`Engine::warm_restore`]). The returned outcome is
-    /// bit-identical to a plain golden run; the [`SnapshotSet`] is empty
-    /// when the program is not [`TiledProgram::resumable`] or the byte
-    /// budget admits no snapshot.
+    /// machine snapshots per `policy` for a [`ForkCursor`] to fork
+    /// injections from. The returned run is bit-identical to a plain
+    /// golden run; the [`SnapshotSet`] is empty when the program is not
+    /// [`TiledProgram::resumable`] or the byte budget admits no snapshot.
     ///
     /// # Errors
     ///
@@ -307,35 +306,20 @@ impl Engine {
         &self,
         program: &mut P,
         policy: &SnapshotPolicy,
-    ) -> Result<(RunOutcome, SnapshotSet), AccelError> {
+    ) -> Result<(GoldenRun, SnapshotSet), AccelError> {
         self.run_golden(program, Some(*policy))
     }
 
-    /// Runs `program`, delivering each of `strikes` when dispatch reaches
-    /// its instant. `rng` resolves strike targets against live machine
-    /// state (choice of resident line, victim tile, redirect
-    /// destination); an empty `strikes` never consults it.
-    ///
-    /// `fork` picks the start. `None` is the reference path: setup and
-    /// execution from tile 0, with no dirty region (the caller compares
-    /// the whole output). `Some((warm, scratch))` copies `warm` into the
-    /// scratch spares (`warm` itself is untouched) and runs only the
-    /// suffix from `warm.next_tile()`, or only until its fault is
-    /// contained, splicing the rest from the golden ledger. A strike's
-    /// instant must not precede `warm.next_tile()`, except a register
-    /// strike's, which is delivered before the first tile and may start
-    /// as late as its victim ([`Engine::fork_tile`]). The outcome
-    /// is bit-identical to the reference path — output, resolutions and
-    /// profile — and carries the dirty output region (the run's own
-    /// stores union the golden spans of the tiles it executed) for a
-    /// sparse compare.
+    /// Runs `program` from tile 0 — the reference path every fork
+    /// reproduces bit for bit — delivering each of `strikes` when
+    /// dispatch reaches its instant. `rng` resolves strike targets
+    /// against live machine state (choice of resident line, victim tile,
+    /// redirect destination); an empty `strikes` never consults it.
     ///
     /// `trace`, when given, receives one [`TileTrace`] per executed tile
     /// — the join between a strike and the tiles that touched struck
     /// state afterwards. Tracing never consults the RNG, so a traced run
-    /// resolves strikes exactly as an untraced one. A forked trace
-    /// covers only the suffix, which holds every tile a strike at or
-    /// after `warm.next_tile()` can touch.
+    /// resolves strikes exactly as an untraced one.
     ///
     /// Several strikes in one execution model the regime the paper's
     /// experimental design avoids (§IV-D keeps observed error rates below
@@ -345,10 +329,30 @@ impl Engine {
     /// # Errors
     ///
     /// [`AccelError::StrikeOutOfRange`] if a strike instant is past the
-    /// last tile or, for a fork, before `warm.next_tile()` (the fork
-    /// would replay past the delivery instant) — for a register strike,
-    /// if its victim is; propagates program errors.
+    /// last tile; propagates program errors.
     pub fn run<P, R>(
+        &self,
+        program: &mut P,
+        strikes: &[StrikeSpec],
+        rng: &mut R,
+        trace: Option<&mut ExecutionTrace>,
+    ) -> Result<RunOutcome, AccelError>
+    where
+        P: TiledProgram + ?Sized,
+        R: Rng + ?Sized,
+    {
+        self.inject(program, strikes, rng, None, trace)
+    }
+
+    /// The injection driver: from tile 0 without `fork`, else a copy of
+    /// the warm state in the scratch spares running the suffix from
+    /// `warm.next_tile` (or until its fault is contained, splicing the
+    /// rest from the golden ledger), bit-identical to the reference path
+    /// and with the dirty output region (its own stores union the golden
+    /// spans of the tiles it executed). A strike before `next_tile` is
+    /// [`AccelError::StrikeOutOfRange`], except a register strike whose
+    /// victim has not run: it is delivered before the first tile.
+    fn inject<P, R>(
         &self,
         program: &mut P,
         strikes: &[StrikeSpec],
@@ -383,24 +387,6 @@ impl Engine {
         self.end_injection(program, &plan, run, exit?, scratch, trace)
     }
 
-    /// The first tile at which `strike` can change machine state: the
-    /// victim of a register-file or vector-register strike (drawn from
-    /// `rng` exactly as delivery draws it — pass a clone of the stream
-    /// [`Engine::run`] will get), otherwise the strike instant. A fork
-    /// may start from a [`WarmState`] advanced anywhere up to this tile;
-    /// the tiles in between replay golden.
-    pub fn fork_tile<P, R>(&self, program: &P, strike: &StrikeSpec, rng: &mut R) -> usize
-    where
-        P: TiledProgram + ?Sized,
-        R: Rng + ?Sized,
-    {
-        if strike.target.is_deferrable() && strike.at_tile < program.tile_count() {
-            draw_victim(&self.plan_of(program), strike.at_tile, rng)
-        } else {
-            strike.at_tile
-        }
-    }
-
     /// The dispatch plan `program` runs under on this device.
     fn plan_of<P: TiledProgram + ?Sized>(&self, program: &P) -> DispatchPlan {
         let tiles = program.tile_count();
@@ -414,16 +400,11 @@ impl Engine {
     }
 
     /// Restores the nearest snapshot at or before `tile` into an owned
-    /// [`WarmState`] — the batch scheduler's once-per-bucket restore —
-    /// sharing the set's golden ledger. `reuse` recycles a previous
-    /// bucket's allocations (memory image, cache tables) instead of
-    /// cloning fresh ones. Returns `None` when the program is not
-    /// resumable or no snapshot covers `tile`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates program setup errors.
-    pub fn warm_restore<P>(
+    /// [`WarmState`] — a cursor's once-per-bucket restore — sharing the
+    /// set's golden ledger. `reuse` recycles a previous bucket's
+    /// allocations (memory image, cache tables). `None` when the program
+    /// is not resumable or no snapshot covers `tile`.
+    fn warm_restore<P>(
         &self,
         program: &mut P,
         snapshots: &SnapshotSet,
@@ -474,15 +455,10 @@ impl Engine {
         }))
     }
 
-    /// Rolls `warm` forward fault-free to `to_tile` (exclusive),
-    /// replaying the golden tiles in between — the shared prefix work a
-    /// bucket's strikes amortize. Returns how many tiles were executed
-    /// (`0` when already at or past `to_tile`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates program execution errors.
-    pub fn warm_advance<P>(
+    /// Rolls `warm` forward fault-free to `to_tile` (exclusive) — the
+    /// prefix work a bucket's strikes share — and returns how many tiles
+    /// it executed.
+    fn warm_advance<P>(
         &self,
         program: &mut P,
         warm: &mut WarmState,
@@ -520,7 +496,7 @@ impl Engine {
         &self,
         program: &mut P,
         capture: Option<SnapshotPolicy>,
-    ) -> Result<(RunOutcome, SnapshotSet), AccelError> {
+    ) -> Result<(GoldenRun, SnapshotSet), AccelError> {
         let tiles = program.tile_count();
         let plan = self.plan_of(program);
         let mut mem = DeviceMemory::new();
@@ -624,15 +600,7 @@ impl Engine {
                 m.gauge_set("radcrit_snapshot_bytes", &[], set.cost_bytes() as f64);
             }
         }
-        let outcome = RunOutcome {
-            output,
-            profile,
-            strike_delivered: false,
-            resolutions: Vec::new(),
-            dirty: None,
-            golden_equivalent: false,
-        };
-        Ok((outcome, set))
+        Ok((GoldenRun { output, profile }, set))
     }
 
     /// The setup of an injected run: checks the strike instants, builds
@@ -982,6 +950,115 @@ impl Engine {
     }
 }
 
+/// The one fork path: runs one program's injections off its golden
+/// snapshots, each forked off a warm bucket (golden state restored from
+/// the nearest snapshot at or before the fork's start and rolled forward)
+/// and bit-identical to the same strikes run from tile 0
+/// ([`Engine::run`]), or from tile 0 when no snapshot covers them. It
+/// restores only when a run resumes from another snapshot or starts
+/// before the warm front, so runs sorted by [`ForkCursor::bucket`] pay
+/// one restore per bucket, each under a `bucket-restore` profile scope
+/// (the advance and the fork: `warm-advance`, `fork`). Use one cursor
+/// per program instance.
+#[derive(Debug)]
+pub struct ForkCursor {
+    engine: Engine,
+    snapshots: Arc<SnapshotSet>,
+    warm: Option<WarmState>,
+    scratch: RunScratch,
+    counts: ForkCounts,
+}
+
+/// A [`ForkCursor`]'s work since its counts were last taken.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ForkCounts {
+    /// Warm-state restores from a snapshot.
+    pub restores: u64,
+    /// Runs forked off a warm state.
+    pub forks: u64,
+    /// Golden tiles advanced through to reach the forks.
+    pub advance_tiles: u64,
+}
+
+impl ForkCursor {
+    /// A cursor over the `snapshots` `engine` captured for the program.
+    pub fn new(engine: Engine, snapshots: Arc<SnapshotSet>) -> Self {
+        ForkCursor {
+            engine,
+            snapshots,
+            warm: None,
+            scratch: RunScratch::default(),
+            counts: ForkCounts::default(),
+        }
+    }
+
+    /// The bucket a run of `strikes` with `rng` forks from, as
+    /// `(resume, start)`: the snapshot tile it restores, and the earliest
+    /// strike instant or a lone register strike's victim. `None` when
+    /// the run goes from tile 0.
+    pub fn bucket(
+        &self,
+        program: &dyn TiledProgram,
+        strikes: &[StrikeSpec],
+        rng: &StdRng,
+    ) -> Option<(usize, usize)> {
+        if !program.resumable() {
+            return None;
+        }
+        // A register strike changes nothing before its victim, drawn as
+        // delivery draws it.
+        let start = match strikes {
+            [s] if s.target.is_deferrable() && s.at_tile < program.tile_count() => {
+                draw_victim(&self.engine.plan_of(program), s.at_tile, &mut rng.clone())
+            }
+            _ => strikes.iter().map(|s| s.at_tile).min()?,
+        };
+        Some((self.snapshots.resume_point(start)?.at_tile, start))
+    }
+
+    /// Runs `program` with `strikes` as [`Engine::run`] does, forked off
+    /// its bucket's warm state when it has one; a forked `trace` covers
+    /// the tiles from the fork's start on.
+    ///
+    /// # Errors
+    ///
+    /// As [`Engine::run`].
+    pub fn run(
+        &mut self,
+        program: &mut dyn TiledProgram,
+        strikes: &[StrikeSpec],
+        rng: &mut StdRng,
+        trace: Option<&mut ExecutionTrace>,
+    ) -> Result<RunOutcome, AccelError> {
+        let Some((resume, start)) = self.bucket(program, strikes, rng) else {
+            return self.engine.inject(program, strikes, rng, None, trace);
+        };
+        // Stale: another snapshot, or already advanced past this fork.
+        if (self.warm.as_ref()).is_none_or(|w| w.resume_tile != resume || w.next_tile > start) {
+            let _scope = phase_with(PhaseId::BucketRestore, &[("resume", resume as u64)]);
+            let (snaps, reuse) = (&self.snapshots, self.warm.take());
+            self.warm =
+                (self.engine).warm_restore(program, snaps, start, &mut self.scratch, reuse)?;
+            self.counts.restores += 1;
+        }
+        let warm = self.warm.as_mut().expect("a bucket has a usable snapshot");
+        let advanced = {
+            let _scope = phase(PhaseId::WarmAdvance);
+            self.engine.warm_advance(program, warm, start)?
+        };
+        self.counts.forks += 1;
+        self.counts.advance_tiles += advanced as u64;
+        let _scope = phase(PhaseId::Fork);
+        let fork = Some((&*warm, &mut self.scratch));
+        self.engine.inject(program, strikes, rng, fork, trace)
+    }
+
+    /// The restores, forks and advanced tiles since the last call.
+    pub fn take_counts(&mut self) -> ForkCounts {
+        std::mem::take(&mut self.counts)
+    }
+}
+
 /// An injected run between its setup and its end: the machine it runs
 /// on and the state of its strikes.
 #[derive(Debug)]
@@ -1175,7 +1252,7 @@ impl PendingFaults {
 }
 
 /// The victim of a register strike at `pos`: a tile still pending in
-/// the wave — the one RNG draw [`Engine::fork_tile`] and delivery share.
+/// the wave — the one RNG draw [`ForkCursor::bucket`] and delivery share.
 fn draw_victim<R: Rng + ?Sized>(plan: &DispatchPlan, pos: usize, rng: &mut R) -> usize {
     let victims = plan.pending_in_wave(pos);
     rng.gen_range(victims.start..victims.end)
@@ -1456,7 +1533,6 @@ mod tests {
         let b = engine.golden(&mut p).unwrap();
         assert_eq!(a.output, expected(64));
         assert_eq!(a.output, b.output);
-        assert!(!a.strike_delivered);
         assert_eq!(a.profile.tiles, 8);
         assert_eq!(a.profile.total_ops, 64);
         assert_eq!(a.profile.loads, 64);
@@ -1476,7 +1552,7 @@ mod tests {
             },
         );
         assert!(matches!(
-            engine.run(&mut p, &[s], &mut rng, None, None),
+            engine.run(&mut p, &[s], &mut rng, None),
             Err(AccelError::StrikeOutOfRange {
                 tile: 100,
                 tiles: 8
@@ -1496,7 +1572,7 @@ mod tests {
                 op_index: 2,
             },
         );
-        let out = engine.run(&mut p, &[s], &mut rng, None, None).unwrap();
+        let out = engine.run(&mut p, &[s], &mut rng, None).unwrap();
         assert!(out.strike_delivered);
         let exp = expected(64);
         let diffs: Vec<usize> = (0..64).filter(|&i| out.output[i] != exp[i]).collect();
@@ -1513,7 +1589,7 @@ mod tests {
         // line, and the run stops after its strike tile.
         let s = StrikeSpec::new(0, StrikeTarget::L2 { mask: 1 << 62 });
         let mut rng = SmallRng::seed_from_u64(3);
-        let out = engine.run(&mut p, &[s], &mut rng, None, None).unwrap();
+        let out = engine.run(&mut p, &[s], &mut rng, None).unwrap();
         assert!(out.golden_equivalent && !out.strike_delivered);
         assert_ne!(bits(&out.output), bits(&golden.output), "a stale buffer");
         let report = out.compare(&golden.output, p.output_shape(), |i| [i, 0, 0]);
@@ -1532,7 +1608,7 @@ mod tests {
                 op_index: 1000,
             },
         );
-        let out = engine.run(&mut p, &[s], &mut rng, None, None).unwrap();
+        let out = engine.run(&mut p, &[s], &mut rng, None).unwrap();
         assert_eq!(out.output, expected(64), "op index beyond work is masked");
     }
 
@@ -1549,7 +1625,7 @@ mod tests {
                 op_index: 0,
             },
         );
-        let out = engine.run(&mut p, &[s], &mut rng, None, None).unwrap();
+        let out = engine.run(&mut p, &[s], &mut rng, None).unwrap();
         let exp = expected(64);
         let diffs: Vec<usize> = (0..64).filter(|&i| out.output[i] != exp[i]).collect();
         assert_eq!(diffs.len(), 4, "four consecutive lanes corrupted");
@@ -1565,7 +1641,7 @@ mod tests {
         let mut p = Affine::new(64);
         let mut rng = SmallRng::seed_from_u64(4);
         let s = StrikeSpec::new(2, StrikeTarget::Scheduler(SchedulerEffect::SkipTile));
-        let out = engine.run(&mut p, &[s], &mut rng, None, None).unwrap();
+        let out = engine.run(&mut p, &[s], &mut rng, None).unwrap();
         let exp = expected(64);
         for (i, (&got, &want)) in out.output.iter().zip(&exp).enumerate() {
             if (16..24).contains(&i) {
@@ -1582,7 +1658,7 @@ mod tests {
         let mut p = Affine::new(64);
         let mut rng = SmallRng::seed_from_u64(5);
         let s = StrikeSpec::new(5, StrikeTarget::Scheduler(SchedulerEffect::GarbleTile));
-        let out = engine.run(&mut p, &[s], &mut rng, None, None).unwrap();
+        let out = engine.run(&mut p, &[s], &mut rng, None).unwrap();
         let exp = expected(64);
         let diffs = (40..48).filter(|&i| out.output[i] != exp[i]).count();
         // Stale-value garble lets the occasional op through correctly.
@@ -1599,7 +1675,7 @@ mod tests {
         let mut p = Affine::new(64);
         let mut rng = SmallRng::seed_from_u64(6);
         let s = StrikeSpec::new(1, StrikeTarget::Scheduler(SchedulerEffect::RedirectTile));
-        let out = engine.run(&mut p, &[s], &mut rng, None, None).unwrap();
+        let out = engine.run(&mut p, &[s], &mut rng, None).unwrap();
         let exp = expected(64);
         // Tile 1's own region was never written by tile 1: it is either
         // zero (stale) or correct (if the redirect destination was tile 1
@@ -1615,7 +1691,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(7);
         // Strike early so later tiles read corrupted input.
         let s = StrikeSpec::new(1, StrikeTarget::L2 { mask: 1 << 62 });
-        let out = engine.run(&mut p, &[s], &mut rng, None, None).unwrap();
+        let out = engine.run(&mut p, &[s], &mut rng, None).unwrap();
         assert!(out.strike_delivered);
         let exp = expected(64);
         let diffs = (0..64).filter(|&i| out.output[i] != exp[i]).count();
@@ -1650,7 +1726,7 @@ mod tests {
             ),
             StrikeSpec::new(6, StrikeTarget::Scheduler(SchedulerEffect::SkipTile)),
         ];
-        let out = engine.run(&mut p, &strikes, &mut rng, None, None).unwrap();
+        let out = engine.run(&mut p, &strikes, &mut rng, None).unwrap();
         let exp = expected(64);
         let diffs: Vec<usize> = (0..64).filter(|&i| out.output[i] != exp[i]).collect();
         // Two single-op flips plus one skipped 8-element tile.
@@ -1666,7 +1742,7 @@ mod tests {
         let mut p = Affine::new(64);
         let mut rng = SmallRng::seed_from_u64(23);
         let s = StrikeSpec::new(7, StrikeTarget::Scheduler(SchedulerEffect::SkipTile));
-        let out = engine.run(&mut p, &[s], &mut rng, None, None).unwrap();
+        let out = engine.run(&mut p, &[s], &mut rng, None).unwrap();
         let exp = expected(64);
         assert!((56..64).all(|i| out.output[i] == 0.0));
         assert!((0..56).all(|i| out.output[i] == exp[i]));
@@ -1681,7 +1757,7 @@ mod tests {
         let golden = engine.golden(&mut p).unwrap();
         let mut rng = SmallRng::seed_from_u64(24);
         let s = StrikeSpec::new(0, StrikeTarget::Scheduler(SchedulerEffect::SkipTile));
-        let faulty = engine.run(&mut p, &[s], &mut rng, None, None).unwrap();
+        let faulty = engine.run(&mut p, &[s], &mut rng, None).unwrap();
         assert_eq!(faulty.profile.tiles, golden.profile.tiles);
         assert_eq!(faulty.profile.wave_size, golden.profile.wave_size);
         assert_eq!(faulty.profile.total_ops, golden.profile.total_ops - 8);
@@ -1692,7 +1768,7 @@ mod tests {
         let engine = Engine::new(DeviceConfig::kepler_k40());
         let mut p = Affine::new(64);
         let mut rng = SmallRng::seed_from_u64(22);
-        let out = engine.run(&mut p, &[], &mut rng, None, None).unwrap();
+        let out = engine.run(&mut p, &[], &mut rng, None).unwrap();
         assert_eq!(out.output, expected(64));
         assert!(!out.strike_delivered);
     }
@@ -1709,7 +1785,7 @@ mod tests {
                 op_index: 2,
             },
         );
-        let out = engine.run(&mut p, &[s], &mut rng, None, None).unwrap();
+        let out = engine.run(&mut p, &[s], &mut rng, None).unwrap();
         assert_eq!(out.resolutions.len(), 1);
         let r = out.resolutions[0];
         assert_eq!(r.at_tile, 3);
@@ -1717,7 +1793,6 @@ mod tests {
         assert!(r.delivered);
         assert_eq!(r.victim_tile, Some(3));
         assert_eq!(r.redirect_dest, None);
-        assert!(engine.golden(&mut p).unwrap().resolutions.is_empty());
     }
 
     #[test]
@@ -1726,7 +1801,7 @@ mod tests {
         let mut p = Affine::new(64);
         let mut rng = SmallRng::seed_from_u64(6);
         let s = StrikeSpec::new(1, StrikeTarget::Scheduler(SchedulerEffect::RedirectTile));
-        let out = engine.run(&mut p, &[s], &mut rng, None, None).unwrap();
+        let out = engine.run(&mut p, &[s], &mut rng, None).unwrap();
         let r = out.resolutions[0];
         assert_eq!(r.site, "scheduler");
         let dest = r.redirect_dest.expect("redirect resolves a destination");
@@ -1749,7 +1824,7 @@ mod tests {
                 op_index: 0,
             },
         );
-        let out = engine.run(&mut p, &[s], &mut rng, None, None).unwrap();
+        let out = engine.run(&mut p, &[s], &mut rng, None).unwrap();
         let victim = out.resolutions[0].victim_tile.unwrap();
         let exp = expected(64);
         let diffs: Vec<usize> = (0..64).filter(|&i| out.output[i] != exp[i]).collect();
@@ -1771,11 +1846,11 @@ mod tests {
             },
         );
         let mut rng_a = SmallRng::seed_from_u64(42);
-        let plain = engine.run(&mut p, &[s], &mut rng_a, None, None).unwrap();
+        let plain = engine.run(&mut p, &[s], &mut rng_a, None).unwrap();
         let mut rng_b = SmallRng::seed_from_u64(42);
         let mut trace = ExecutionTrace::new();
         let traced = engine
-            .run(&mut p, &[s], &mut rng_b, None, Some(&mut trace))
+            .run(&mut p, &[s], &mut rng_b, Some(&mut trace))
             .unwrap();
         assert_eq!(plain.output, traced.output);
         assert_eq!(plain.resolutions, traced.resolutions);
@@ -1875,7 +1950,7 @@ mod tests {
         engine.warm_advance(p, &mut warm, s.at_tile).unwrap();
         let mut rng = SmallRng::seed_from_u64(seed);
         engine
-            .run(p, &[s], &mut rng, Some((&warm, scratch)), None)
+            .inject(p, &[s], &mut rng, Some((&warm, scratch)), None)
             .unwrap()
     }
 
@@ -1883,16 +1958,11 @@ mod tests {
     fn forked_run_is_bit_identical_to_reference_run() {
         let engine = Engine::new(DeviceConfig::kepler_k40());
         let mut p = Affine::new(64);
-        let (_, set) = engine
-            .golden_snapshotted(
-                &mut p,
-                &SnapshotPolicy {
-                    stride: 3,
-                    max_bytes: 0,
-                },
-            )
-            .unwrap();
-        let golden = engine.golden(&mut p).unwrap();
+        let policy = SnapshotPolicy {
+            stride: 3,
+            max_bytes: 0,
+        };
+        let (golden, set) = engine.golden_snapshotted(&mut p, &policy).unwrap();
         let targets = [
             StrikeTarget::L2 { mask: 1 << 62 },
             StrikeTarget::Fpu {
@@ -1903,39 +1973,27 @@ mod tests {
             StrikeTarget::Scheduler(SchedulerEffect::SkipTile),
             StrikeTarget::UnitGarble,
         ];
-        let mut scratch = RunScratch::new();
-        let mut warm: Option<WarmState> = None;
+        let mut cursor = ForkCursor::new(engine.clone(), Arc::new(set));
         for (i, target) in targets.iter().enumerate() {
             // Ascending strike tiles: the warm state advances
-            // monotonically like the batch scheduler drives it, and
-            // restores when a strike crosses into the next bucket.
+            // monotonically, as in bucket order, and restores when a
+            // strike crosses into the next bucket (snapshots at 0, 3, 6).
             for at_tile in [0, 3, 4, 5, 7] {
                 let s = StrikeSpec::new(at_tile, *target);
                 let seed = 300 + i as u64;
-                let mut rng_full = SmallRng::seed_from_u64(seed);
-                let full = engine.run(&mut p, &[s], &mut rng_full, None, None).unwrap();
-                assert!(full.dirty.is_none(), "reference runs have no dirty region");
-
-                let need_restore = warm.as_ref().is_none_or(|w| {
-                    w.resume_tile() != set.resume_tile(at_tile).unwrap() || w.next_tile() > at_tile
-                });
-                if need_restore {
-                    warm = engine
-                        .warm_restore(&mut p, &set, at_tile, &mut scratch, warm.take())
-                        .unwrap();
-                }
-                let w = warm.as_mut().unwrap();
-                engine.warm_advance(&mut p, w, at_tile).unwrap();
-                let mut rng_fork = SmallRng::seed_from_u64(seed);
-                let fork = engine
-                    .run(&mut p, &[s], &mut rng_fork, Some((w, &mut scratch)), None)
+                let full = engine
+                    .run(&mut p, &[s], &mut StdRng::seed_from_u64(seed), None)
                     .unwrap();
-
+                assert!(full.dirty.is_none(), "reference runs have no dirty region");
+                let mut rng = StdRng::seed_from_u64(seed);
                 assert_eq!(
-                    bits(&full.output),
-                    bits(&fork.output),
-                    "{target:?}@{at_tile}"
+                    cursor.bucket(&p, &[s], &rng),
+                    Some((at_tile / 3 * 3, at_tile))
                 );
+                let fork = cursor.run(&mut p, &[s], &mut rng, None).unwrap();
+
+                let ctx = format!("{target:?}@{at_tile}");
+                assert_eq!(bits(&full.output), bits(&fork.output), "{ctx}");
                 assert_eq!(full.resolutions, fork.resolutions);
                 assert_eq!(full.profile, fork.profile);
                 assert_eq!(full.strike_delivered, fork.strike_delivered);
@@ -1943,12 +2001,43 @@ mod tests {
                 let dirty = fork.dirty.expect("forked run reports its dirty region");
                 for idx in 0..full.output.len() {
                     if full.output[idx].to_bits() != golden.output[idx].to_bits() {
-                        assert!(dirty.contains(idx), "{target:?}@{at_tile}: idx {idx} dirty");
+                        assert!(dirty.contains(idx), "{ctx}: idx {idx} dirty");
                     }
                 }
             }
-            warm = None; // next target restarts the bucket
         }
+        // Three buckets per target, each entered once; one tile advanced
+        // for each strike past its bucket's snapshot.
+        let counts = ForkCounts {
+            restores: 15,
+            forks: 25,
+            advance_tiles: 15,
+        };
+        assert_eq!(cursor.take_counts(), counts);
+        assert_eq!(cursor.take_counts(), ForkCounts::default());
+    }
+
+    #[test]
+    fn cursor_runs_from_tile_0_without_a_covering_snapshot() {
+        let engine = Engine::new(DeviceConfig::kepler_k40());
+        let mut p = Affine::new(64);
+        let s = StrikeSpec::new(
+            5,
+            StrikeTarget::Fpu {
+                mask: 1 << 63,
+                op_index: 1,
+            },
+        );
+        let full = engine
+            .run(&mut p, &[s], &mut StdRng::seed_from_u64(1), None)
+            .unwrap();
+        let mut cursor = ForkCursor::new(engine, Arc::default());
+        let mut rng = StdRng::seed_from_u64(1);
+        assert_eq!(cursor.bucket(&p, &[s], &rng), None);
+        let run = cursor.run(&mut p, &[s], &mut rng, None).unwrap();
+        assert!(run.dirty.is_none(), "a run from tile 0");
+        assert_eq!(bits(&run.output), bits(&full.output));
+        assert_eq!(cursor.take_counts(), ForkCounts::default());
     }
 
     #[test]
@@ -1964,7 +2053,7 @@ mod tests {
                 },
             )
             .unwrap();
-        let mut scratch = RunScratch::new();
+        let mut scratch = RunScratch::default();
         let mut warm = engine
             .warm_restore(&mut p, &set, 6, &mut scratch, None)
             .unwrap()
@@ -1979,7 +2068,7 @@ mod tests {
         );
         let mut rng = SmallRng::seed_from_u64(0);
         assert!(matches!(
-            engine.run(&mut p, &[s], &mut rng, Some((&warm, &mut scratch)), None),
+            engine.inject(&mut p, &[s], &mut rng, Some((&warm, &mut scratch)), None),
             Err(AccelError::StrikeOutOfRange { tile: 5, tiles: 6 })
         ));
     }
@@ -1989,7 +2078,7 @@ mod tests {
         let engine = Engine::new(DeviceConfig::kepler_k40());
         let mut p = Affine::new(64);
         let set = SnapshotSet::default();
-        let mut scratch = RunScratch::new();
+        let mut scratch = RunScratch::default();
         assert!(engine
             .warm_restore(&mut p, &set, 7, &mut scratch, None)
             .unwrap()
@@ -2010,11 +2099,11 @@ mod tests {
                 op_index: 1,
             },
         );
-        let mut scratch = RunScratch::new();
+        let mut scratch = RunScratch::default();
         for _ in 0..3 {
             let a = fork_once(&engine, &mut p, &set, s, 9, &mut scratch);
             let mut rng_b = SmallRng::seed_from_u64(9);
-            let b = engine.run(&mut p, &[s], &mut rng_b, None, None).unwrap();
+            let b = engine.run(&mut p, &[s], &mut rng_b, None).unwrap();
             assert_eq!(bits(&a.output), bits(&b.output));
             assert_eq!(a.profile, b.profile);
         }
@@ -2068,7 +2157,7 @@ mod tests {
         let (_, donor_set) = engine
             .golden_snapshotted(&mut donor, &SnapshotPolicy::default())
             .unwrap();
-        let mut scratch = RunScratch::new();
+        let mut scratch = RunScratch::default();
         assert!(engine
             .warm_restore(&mut p, &donor_set, 7, &mut scratch, None)
             .unwrap()
@@ -2090,7 +2179,7 @@ mod tests {
                 op_index: 0,
             },
         );
-        fork_once(&engine, &mut p, &set, s, 4, &mut RunScratch::new());
+        fork_once(&engine, &mut p, &set, s, 4, &mut RunScratch::default());
         let snap = metrics.snapshot();
         assert_eq!(
             snap.counter("radcrit_engine_forked_runs_total", &[]),
@@ -2207,7 +2296,7 @@ mod tests {
     /// What [`reference_and_fork`] ran: the golden, reference and forked
     /// outcomes, both runs' traces, and the fork's exit counters.
     struct Forked {
-        golden: RunOutcome,
+        golden: GoldenRun,
         reference: RunOutcome,
         fork: RunOutcome,
         reference_trace: ExecutionTrace,
@@ -2231,12 +2320,12 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut reference_trace = ExecutionTrace::new();
         let reference = engine
-            .run(p, &[s], &mut rng, None, Some(&mut reference_trace))
+            .run(p, &[s], &mut rng, Some(&mut reference_trace))
             .unwrap();
         // Only the fork counts exits.
         let metrics = std::sync::Arc::new(MetricsRegistry::new());
         let engine = Engine::new(cfg).with_metrics(metrics.clone());
-        let mut scratch = RunScratch::new();
+        let mut scratch = RunScratch::default();
         let mut warm = engine
             .warm_restore(p, &set, s.at_tile, &mut scratch, None)
             .unwrap()
@@ -2245,7 +2334,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut fork_trace = ExecutionTrace::new();
         let fork = engine
-            .run(
+            .inject(
                 p,
                 &[s],
                 &mut rng,
@@ -2640,19 +2729,19 @@ mod tests {
                 },
             )
             .unwrap();
-        let mut scratch = RunScratch::new();
+        let mut scratch = RunScratch::default();
         let warm = engine
             .warm_restore(&mut p, &set, 0, &mut scratch, None)
             .unwrap()
             .unwrap();
-        assert_eq!(warm.next_tile(), 0);
+        assert_eq!(warm.next_tile, 0);
         for seed in 0..4 {
             let s = StrikeSpec::new(2, StrikeTarget::L2 { mask: 1 << 62 });
             let reference = engine
-                .run(&mut p, &[s], &mut SmallRng::seed_from_u64(seed), None, None)
+                .run(&mut p, &[s], &mut SmallRng::seed_from_u64(seed), None)
                 .unwrap();
             let fork = engine
-                .run(
+                .inject(
                     &mut p,
                     &[s],
                     &mut SmallRng::seed_from_u64(seed),
@@ -2692,25 +2781,31 @@ mod tests {
             },
         );
         let seed = 5;
-        let victim = engine.fork_tile(&p, &s, &mut SmallRng::seed_from_u64(seed));
+        let plan = engine.plan_of(&p);
+        let victim = draw_victim(&plan, s.at_tile, &mut SmallRng::seed_from_u64(seed));
         assert!(victim > s.at_tile, "seed {seed} draws a later victim");
         let mut rng = SmallRng::seed_from_u64(seed);
-        let reference = engine.run(&mut p, &[s], &mut rng, None, None).unwrap();
+        let reference = engine.run(&mut p, &[s], &mut rng, None).unwrap();
         assert_eq!(reference.resolutions[0].victim_tile, Some(victim));
 
-        let mut scratch = RunScratch::new();
+        // Forked at the strike tile, the strike is delivered in the tile
+        // loop; forked at its victim (a deferred fork, the one a cursor
+        // takes), before the first tile.
+        let mut scratch = RunScratch::default();
         let mut warm = engine
-            .warm_restore(&mut p, &set, victim, &mut scratch, None)
+            .warm_restore(&mut p, &set, s.at_tile, &mut scratch, None)
             .unwrap()
             .unwrap();
-        engine.warm_advance(&mut p, &mut warm, victim).unwrap();
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let fork = engine
-            .run(&mut p, &[s], &mut rng, Some((&warm, &mut scratch)), None)
-            .unwrap();
-        assert_eq!(bits(&fork.output), bits(&reference.output));
-        assert_eq!(fork.resolutions, reference.resolutions);
-        assert_eq!(fork.profile, reference.profile);
+        for start in [s.at_tile, victim] {
+            engine.warm_advance(&mut p, &mut warm, start).unwrap();
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let fork = engine
+                .inject(&mut p, &[s], &mut rng, Some((&warm, &mut scratch)), None)
+                .unwrap();
+            assert_eq!(bits(&fork.output), bits(&reference.output), "at {start}");
+            assert_eq!(fork.resolutions, reference.resolutions);
+            assert_eq!(fork.profile, reference.profile);
+        }
         assert_eq!(
             metrics
                 .snapshot()
@@ -2722,7 +2817,7 @@ mod tests {
         engine.warm_advance(&mut p, &mut warm, victim + 1).unwrap();
         let mut rng = SmallRng::seed_from_u64(seed);
         assert!(matches!(
-            engine.run(&mut p, &[s], &mut rng, Some((&warm, &mut scratch)), None),
+            engine.inject(&mut p, &[s], &mut rng, Some((&warm, &mut scratch)), None),
             Err(AccelError::StrikeOutOfRange { tile, tiles })
                 if tile == victim && tiles == victim + 1
         ));

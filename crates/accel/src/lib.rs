@@ -49,7 +49,7 @@ pub mod trace;
 
 pub use cache::{CacheGeometry, CacheHierarchy};
 pub use config::{DeviceConfig, DeviceKind, ResidencyPolicy, SchedulerKind};
-pub use engine::{Engine, RunOutcome, RunScratch, StrikeResolution};
+pub use engine::{Engine, ForkCounts, ForkCursor, GoldenRun, RunOutcome, StrikeResolution};
 pub use error::AccelError;
 pub use memory::{BufferId, DeviceMemory};
 pub use profile::ExecutionProfile;

@@ -7,7 +7,7 @@
 //! running counters) at a tile stride during the golden run; an
 //! injection then forks off the nearest snapshot at or before its
 //! strike tile instead of re-executing the whole prefix — see
-//! `Engine::warm_restore` and `Engine::run`.
+//! `ForkCursor`, the one fork path, in `engine`.
 //!
 //! Snapshots are byte-bounded: a [`SnapshotPolicy`] caps the whole set,
 //! and capture points that would exceed the budget are skipped (and
@@ -25,7 +25,8 @@
 //! changed, replays a tile that loads none of them by writing its golden
 //! values, and stops early, splicing the golden suffix, once its fault
 //! is provably contained; a value-only fork reads each cache flip's fate
-//! off the index instead of modelling the caches — see `Engine::run`.
+//! off the index instead of modelling the caches — see the injection
+//! driver in `engine`.
 //! The journal is charged to the snapshot budget after the snapshots: a
 //! tile past what is left of it is replayable only when its stores are
 //! final.
@@ -653,15 +654,6 @@ impl SnapshotSet {
         self.snaps[..i].last()
     }
 
-    /// The tile of the snapshot a strike at `tile` would resume from:
-    /// the greatest captured `at_tile <= tile`. This is the batch
-    /// scheduler's bucket key — strikes sharing a resume tile share one
-    /// warm restore.
-    #[must_use]
-    pub fn resume_tile(&self, tile: usize) -> Option<usize> {
-        self.resume_point(tile).map(|s| s.at_tile)
-    }
-
     pub(crate) fn push(&mut self, snap: EngineSnapshot, budget: usize) -> bool {
         let delta_bytes: usize = snap.mem_delta.iter().map(|(_, d)| d.len() * 8).sum();
         let cost = delta_bytes + snap.caches.approx_heap_bytes() + SNAPSHOT_OVERHEAD_BYTES;
@@ -723,7 +715,7 @@ mod tests {
         assert_eq!(set.skipped_tiles(), 4);
         assert_eq!(set.bytes, 0, "skipped captures must not be charged");
         assert_eq!(set.cost_bytes(), 0);
-        assert_eq!(set.resume_tile(100), None);
+        assert!(set.resume_point(100).is_none());
     }
 
     #[test]
@@ -885,10 +877,10 @@ mod tests {
         for t in [2, 8, 16] {
             assert!(set.push(snap(t), usize::MAX));
         }
-        assert_eq!(set.resume_tile(0), None);
-        assert_eq!(set.resume_tile(2), Some(2));
-        assert_eq!(set.resume_tile(9), Some(8));
-        assert_eq!(set.resume_tile(100), Some(16));
+        assert_eq!(set.resume_point(0).map(|s| s.at_tile), None);
+        assert_eq!(set.resume_point(2).map(|s| s.at_tile), Some(2));
+        assert_eq!(set.resume_point(9).map(|s| s.at_tile), Some(8));
+        assert_eq!(set.resume_point(100).map(|s| s.at_tile), Some(16));
     }
 
     #[test]

@@ -5,8 +5,11 @@
 //! repro [--quick] [--seed N] [--out DIR] [EXPERIMENT...]
 //!
 //! EXPERIMENT: table1 table2 ratios fig2 fig3 fig4 fig5 fig6 fig7
-//!             fig8 fig9 abft masscheck all (default: all)
+//!             fig8 fig9 abft masscheck ablate hardening injector
+//!             multistrike all (default: all)
 //! ```
+//!
+//! An unknown experiment name exits with status 2 before any runs.
 
 #![warn(clippy::too_many_lines)]
 
@@ -14,13 +17,16 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use radcrit_abft::{AbftDgemm, AbftOutcome};
 use radcrit_accel::config::DeviceConfig;
-use radcrit_accel::engine::Engine;
+use radcrit_accel::engine::{Engine, ForkCursor, GoldenRun, RunOutcome};
+use radcrit_accel::snapshot::SnapshotPolicy;
+use radcrit_accel::strike::StrikeSpec;
 use radcrit_bench::{
     fit_header, fit_row, scatter_grid, scatter_stats, shape_report, table, ShapeCheck,
 };
@@ -29,11 +35,35 @@ use radcrit_campaign::log as clog;
 use radcrit_campaign::presets::{self, Preset, Scale};
 use radcrit_campaign::runner::CampaignResult;
 use radcrit_campaign::summary::CampaignSummary;
+use radcrit_core::report::ErrorReport;
 use radcrit_faults::sampler::{FaultSampler, InjectionPlan};
 use radcrit_kernels::dgemm::Dgemm;
 use radcrit_kernels::profile::KernelClass;
 use radcrit_kernels::shallow::ShallowWater;
 use radcrit_kernels::Workload;
+
+/// Every experiment and its entry point, in the order `all` runs them.
+const EXPERIMENTS: [(&str, Experiment); 17] = [
+    ("table1", |_| table1()),
+    ("table2", table2),
+    ("ratios", ratios),
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("abft", abft),
+    ("masscheck", masscheck),
+    ("ablate", ablate),
+    ("hardening", hardening),
+    ("injector", injector),
+    ("multistrike", multistrike),
+];
+
+type Experiment = fn(&mut Ctx);
 
 fn main() {
     let mut scale = Scale::Standard;
@@ -59,61 +89,29 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "repro [--quick] [--seed N] [--out DIR] [EXPERIMENT...]\n\
-                     experiments: table1 table2 ratios fig2 fig3 fig4 fig5 fig6 fig7 \
-                     fig8 fig9 abft masscheck ablate hardening injector multistrike all"
+                     experiments: {} all",
+                    EXPERIMENTS.map(|(e, _)| e).join(" ")
                 );
                 return;
             }
             other => experiments.push(other.to_owned()),
         }
     }
-    if experiments.is_empty() || experiments.iter().any(|e| e == "all") {
-        experiments = [
-            "table1",
-            "table2",
-            "ratios",
-            "fig2",
-            "fig3",
-            "fig4",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "abft",
-            "masscheck",
-            "ablate",
-            "hardening",
-            "injector",
-            "multistrike",
-        ]
+    let find = |name: &str| EXPERIMENTS.iter().find(|(e, _)| *e == name).copied();
+    if let Some(e) = experiments
         .iter()
-        .map(|s| (*s).to_owned())
-        .collect();
+        .find(|e| *e != "all" && find(e).is_none())
+    {
+        die(&format!("unknown experiment: {e}"));
     }
-
+    let runs = if experiments.is_empty() || experiments.iter().any(|e| e == "all") {
+        EXPERIMENTS.to_vec()
+    } else {
+        experiments.iter().filter_map(|e| find(e)).collect()
+    };
     let mut ctx = Ctx::new(scale, seed, out_dir);
-    for e in &experiments {
-        match e.as_str() {
-            "table1" => table1(),
-            "table2" => table2(&mut ctx),
-            "ratios" => ratios(&mut ctx),
-            "fig2" => fig2(&mut ctx),
-            "fig3" => fig3(&mut ctx),
-            "fig4" => fig4(&mut ctx),
-            "fig5" => fig5(&mut ctx),
-            "fig6" => fig6(&mut ctx),
-            "fig7" => fig7(&mut ctx),
-            "fig8" => fig8(&mut ctx),
-            "fig9" => fig9(&mut ctx),
-            "abft" => abft(&mut ctx),
-            "masscheck" => masscheck(&mut ctx),
-            "ablate" => ablate(&mut ctx),
-            "hardening" => hardening(&mut ctx),
-            "injector" => injector(&mut ctx),
-            "multistrike" => multistrike(&mut ctx),
-            other => eprintln!("unknown experiment: {other}"),
-        }
+    for (_, run) in runs {
+        run(&mut ctx);
     }
     println!("\n==== overall: {} ====", ctx.tally());
 }
@@ -234,19 +232,19 @@ fn table1() {
             },
         ),
     ];
-    let engine = Engine::new(presets::k40());
+    // A cursor without snapshots runs from tile 0.
+    let mut cursor = ForkCursor::new(Engine::new(presets::k40()), Arc::default());
     let rows: Vec<Vec<String>> = specs
         .iter()
         .map(|(name, c, spec)| {
             let mut kernel = spec.build(1).expect("preset kernel");
             // No strikes: the RNG is never consulted.
             let mut trace = radcrit_accel::ExecutionTrace::new();
-            engine
+            cursor
                 .run(
                     kernel.as_mut(),
                     &[],
                     &mut StdRng::seed_from_u64(0),
-                    None,
                     Some(&mut trace),
                 )
                 .expect("traced golden run");
@@ -350,32 +348,28 @@ fn ratios(ctx: &mut Ctx) {
 
 // --------------------------------------------------------------- helpers
 
-fn dgemm_summaries(ctx: &mut Ctx, phi: bool) -> Vec<CampaignSummary> {
-    let device = if phi {
+fn device(phi: bool) -> DeviceConfig {
+    if phi {
         presets::xeon_phi()
     } else {
         presets::k40()
-    };
+    }
+}
+
+fn dgemm_summaries(ctx: &mut Ctx, phi: bool) -> Vec<CampaignSummary> {
+    let device = device(phi);
     let presets = presets::dgemm(&device, ctx.scale);
     ctx.summaries(&presets)
 }
 
 fn lavamd_summaries(ctx: &mut Ctx, phi: bool) -> Vec<CampaignSummary> {
-    let device = if phi {
-        presets::xeon_phi()
-    } else {
-        presets::k40()
-    };
+    let device = device(phi);
     let presets = presets::lavamd(&device, ctx.scale);
     ctx.summaries(&presets)
 }
 
 fn hotspot_summary(ctx: &mut Ctx, phi: bool) -> CampaignSummary {
-    let device = if phi {
-        presets::xeon_phi()
-    } else {
-        presets::k40()
-    };
+    let device = device(phi);
     let preset = presets::hotspot(&device, ctx.scale);
     ctx.run(&preset).summary()
 }
@@ -409,6 +403,86 @@ fn print_fit(title: &str, summaries: &[CampaignSummary]) {
 }
 
 // ------------------------------------------------------------ figures 2-3
+
+/// A kernel, its golden run and a fork cursor over its snapshots: the
+/// experiments below inject on the campaign runner's fork path, each run
+/// bit-identical to a run from tile 0.
+struct Harness {
+    kernel: Box<dyn Workload + Send>,
+    golden: GoldenRun,
+    sampler: FaultSampler,
+    cursor: ForkCursor,
+}
+
+impl Harness {
+    fn new(device: &DeviceConfig, mut kernel: Box<dyn Workload + Send>) -> Self {
+        let engine = Engine::new(device.clone());
+        let (golden, snapshots) = engine
+            .golden_snapshotted(kernel.as_mut(), &SnapshotPolicy::default())
+            .unwrap_or_else(|e| die(&format!("{} golden run failed: {e}", kernel.name())));
+        Harness {
+            kernel,
+            sampler: FaultSampler::new(device, &golden.profile),
+            golden,
+            cursor: ForkCursor::new(engine, Arc::new(snapshots)),
+        }
+    }
+
+    /// Runs `strikes` and compares the outcome with golden.
+    fn run(&mut self, strikes: &[StrikeSpec], rng: &mut StdRng) -> (ErrorReport, RunOutcome) {
+        let kernel = self.kernel.as_mut();
+        let run = (self.cursor.run(kernel, strikes, rng, None))
+            .unwrap_or_else(|e| die(&format!("{} run failed: {e}", kernel.name())));
+        let report = run.compare(&self.golden.output, kernel.logical_shape(), |i| {
+            kernel.error_coord(i)
+        });
+        (report, run)
+    }
+
+    /// Runs every plan — strikes and the RNG stream that resolves them —
+    /// in bucket order, as the campaign runner's plan does, so one warm
+    /// restore serves a bucket; returns `f` of each run in plan order.
+    fn sweep<T>(
+        &mut self,
+        plans: &[(Vec<StrikeSpec>, StdRng)],
+        mut f: impl FnMut(ErrorReport, &RunOutcome) -> T,
+    ) -> Vec<T> {
+        let mut order: Vec<usize> = (0..plans.len()).collect();
+        order.sort_by_cached_key(|&i| {
+            let (strikes, rng) = &plans[i];
+            let bucket = self.cursor.bucket(self.kernel.as_ref(), strikes, rng);
+            (bucket.is_none(), bucket, i)
+        });
+        let mut results: Vec<(usize, T)> = order
+            .into_iter()
+            .map(|i| {
+                let (strikes, rng) = &plans[i];
+                let (report, run) = self.run(strikes, &mut rng.clone());
+                (i, f(report, &run))
+            })
+            .collect();
+        results.sort_by_key(|&(i, _)| i);
+        results.into_iter().map(|(_, t)| t).collect()
+    }
+}
+
+/// The strike plans of injections `0..count`, injection `i` drawn by
+/// `sample` from a stream seeded with `seed ^ i`; fatal plans run nothing.
+fn strike_plans(
+    count: u64,
+    seed: u64,
+    sample: impl Fn(&mut StdRng) -> InjectionPlan,
+) -> Vec<(Vec<StrikeSpec>, StdRng)> {
+    (0..count)
+        .filter_map(|i| {
+            let mut rng = StdRng::seed_from_u64(seed ^ i);
+            match sample(&mut rng) {
+                InjectionPlan::Strike(spec) => Some((vec![spec], rng)),
+                _ => None,
+            }
+        })
+        .collect()
+}
 
 fn fig2(ctx: &mut Ctx) {
     heading("Fig. 2: DGEMM mean relative error vs incorrect elements");
@@ -759,33 +833,21 @@ fn fig9(ctx: &mut Ctx) {
     // sizeable footprint, then render its map like the paper's red-dot
     // plot.
     let preset = presets::clamr(&presets::xeon_phi(), ctx.scale);
-    let engine = Engine::new(preset.device.clone());
-    let mut kernel = preset
-        .kernel
-        .build(ctx.seed)
+    let kernel = (preset.kernel.build(ctx.seed))
         .unwrap_or_else(|e| die(&format!("clamr build failed: {e}")));
-    let golden = engine
-        .golden(kernel.as_mut())
-        .unwrap_or_else(|e| die(&format!("clamr golden failed: {e}")));
-    let sampler = FaultSampler::new(&preset.device, &golden.profile);
+    let mut h = Harness::new(&preset.device, kernel);
+    let plans = strike_plans(200, ctx.seed ^ (0xF19 << 32), |r| h.sampler.sample(r));
 
-    let mut best: Option<(usize, radcrit_core::report::ErrorReport)> = None;
-    for i in 0..200u64 {
-        let mut rng = StdRng::seed_from_u64(ctx.seed ^ (0xF19 << 32) ^ i);
-        if let InjectionPlan::Strike(spec) = sampler.sample(&mut rng) {
-            let run = engine
-                .run(kernel.as_mut(), &[spec], &mut rng, None, None)
-                .unwrap_or_else(|e| die(&format!("clamr run failed: {e}")));
-            let report = run.compare(&golden.output, kernel.logical_shape(), |i| {
-                kernel.error_coord(i)
-            });
-            let n = report.incorrect_elements();
-            if best.as_ref().is_none_or(|(bn, _)| n > *bn) {
-                best = Some((n, report));
-            }
-            if n > 400 {
-                break;
-            }
+    // Index order: the search stops at the first large footprint.
+    let mut best: Option<(usize, ErrorReport)> = None;
+    for (strikes, mut rng) in plans {
+        let (report, _) = h.run(&strikes, &mut rng);
+        let n = report.incorrect_elements();
+        if best.as_ref().is_none_or(|(bn, _)| n > *bn) {
+            best = Some((n, report));
+        }
+        if n > 400 {
+            break;
         }
     }
     match best {
@@ -833,42 +895,28 @@ fn abft(ctx: &mut Ctx) {
     // checksum checker.
     let n = 64;
     let device = presets::k40();
-    let engine = Engine::new(device.clone());
-    let mut kernel = Dgemm::new(n, ctx.seed).expect("valid dgemm");
-    let golden = engine.golden(&mut kernel).expect("golden dgemm");
-    let sampler = FaultSampler::new(&device, &golden.profile);
+    let kernel = Dgemm::new(n, ctx.seed).expect("valid dgemm");
+    let mut h = Harness::new(&device, Box::new(kernel));
     let (a, b) = dgemm_inputs(n, ctx.seed);
     let checker = AbftDgemm::from_inputs(&a, &b, n, 1e-7);
-    let (mut corrected, mut uncorrectable, mut undetected, mut sdc_total) = (0, 0, 0, 0);
-    for i in 0..400u64 {
-        let mut rng = StdRng::seed_from_u64(ctx.seed ^ (0xAB << 40) ^ i);
-        if let InjectionPlan::Strike(spec) = sampler.sample(&mut rng) {
-            let run = engine
-                .run(&mut kernel, &[spec], &mut rng, None, None)
-                .expect("dgemm run");
-            let report = run.compare(&golden.output, kernel.logical_shape(), |i| {
-                kernel.error_coord(i)
-            });
-            if report.is_sdc() {
-                sdc_total += 1;
-                let mut c = run.output.clone();
-                match checker.check(&mut c) {
-                    AbftOutcome::Corrected(_) => {
-                        if c.iter()
-                            .zip(&golden.output)
-                            .all(|(x, y)| (x - y).abs() <= 1e-6 * y.abs().max(1.0))
-                        {
-                            corrected += 1;
-                        } else {
-                            uncorrectable += 1;
-                        }
-                    }
-                    AbftOutcome::DetectedUncorrectable { .. } => uncorrectable += 1,
-                    AbftOutcome::Clean => undetected += 1,
-                }
-            }
+    let golden = h.golden.output.clone();
+    let plans = strike_plans(400, ctx.seed ^ (0xAB << 40), |r| h.sampler.sample(r));
+    let restored =
+        |c: &[f64]| (c.iter().zip(&golden)).all(|(x, y)| (x - y).abs() <= 1e-6 * y.abs().max(1.0));
+    // SDCs corrected, detected-uncorrectable and below tolerance.
+    let mut counts = [0usize; 3];
+    h.sweep(&plans, |report, run| {
+        if let Some(output) = run.output().filter(|_| report.is_sdc()) {
+            let mut c = output.to_vec();
+            counts[match checker.check(&mut c) {
+                AbftOutcome::Corrected(_) if restored(&c) => 0,
+                AbftOutcome::Corrected(_) | AbftOutcome::DetectedUncorrectable { .. } => 1,
+                AbftOutcome::Clean => 2,
+            }] += 1;
         }
-    }
+    });
+    let [corrected, uncorrectable, undetected] = counts;
+    let sdc_total = corrected + uncorrectable + undetected;
     println!(
         "live ABFT on {sdc_total} corrupted products: {corrected} corrected, \
          {uncorrectable} detected-uncorrectable, {undetected} below checksum tolerance"
@@ -902,30 +950,18 @@ fn masscheck(ctx: &mut Ctx) {
     let preset = presets::clamr(&presets::xeon_phi(), ctx.scale);
     let campaign_sdc = ctx.run(&preset).summary().sdc;
     // Recompute detection over fresh injections with output access.
-    let engine = Engine::new(preset.device.clone());
-    let mut kernel = preset.kernel.build(ctx.seed).expect("clamr builds");
-    let golden = engine.golden(kernel.as_mut()).expect("clamr golden");
-    let golden_mass = ShallowWater::total_mass(&golden.output);
-    let sampler = FaultSampler::new(&preset.device, &golden.profile);
+    let kernel = preset.kernel.build(ctx.seed).expect("clamr builds");
+    let mut h = Harness::new(&preset.device, kernel);
+    let golden_mass = ShallowWater::total_mass(&h.golden.output);
+    let plans = strike_plans(300, ctx.seed ^ (0x3A55 << 24), |r| h.sampler.sample(r));
     let (mut detected, mut sdc) = (0usize, 0usize);
-    for i in 0..300u64 {
-        let mut rng = StdRng::seed_from_u64(ctx.seed ^ (0x3A55 << 24) ^ i);
-        if let InjectionPlan::Strike(spec) = sampler.sample(&mut rng) {
-            let run = engine
-                .run(kernel.as_mut(), &[spec], &mut rng, None, None)
-                .expect("clamr run");
-            let report = run.compare(&golden.output, kernel.logical_shape(), |i| {
-                kernel.error_coord(i)
-            });
-            if report.is_sdc() {
-                sdc += 1;
-                let mass = ShallowWater::total_mass(&run.output);
-                if ((mass - golden_mass) / golden_mass).abs() > 1e-12 {
-                    detected += 1;
-                }
-            }
+    h.sweep(&plans, |report, run| {
+        if let Some(output) = run.output().filter(|_| report.is_sdc()) {
+            let mass = ShallowWater::total_mass(output);
+            sdc += 1;
+            detected += usize::from(((mass - golden_mass) / golden_mass).abs() > 1e-12);
         }
-    }
+    });
     let coverage = if sdc == 0 {
         0.0
     } else {
@@ -959,29 +995,15 @@ fn ablate(ctx: &mut Ctx) {
     // (A) Tolerance threshold: how the apparent SDC rate of HotSpot
     // changes with the accepted imprecision (§II-B's argument).
     let hotspot = presets::hotspot(&presets::k40(), ctx.scale);
-    let engine = Engine::new(hotspot.device.clone());
-    let mut kernel = hotspot
-        .kernel
-        .build(ctx.seed)
+    let kernel = (hotspot.kernel.build(ctx.seed))
         .unwrap_or_else(|e| die(&format!("hotspot build failed: {e}")));
-    let golden = engine
-        .golden(kernel.as_mut())
-        .unwrap_or_else(|e| die(&format!("hotspot golden failed: {e}")));
-    let sampler = FaultSampler::new(&hotspot.device, &golden.profile);
-    let mut reports = Vec::new();
-    for i in 0..120u64 {
-        let mut rng = StdRng::seed_from_u64(ctx.seed ^ (0xAB1A << 32) ^ i);
-        if let InjectionPlan::Strike(spec) = sampler.sample(&mut rng) {
-            if let Ok(run) = engine.run(kernel.as_mut(), &[spec], &mut rng, None, None) {
-                let report = run.compare(&golden.output, kernel.logical_shape(), |i| {
-                    kernel.error_coord(i)
-                });
-                if report.is_sdc() {
-                    reports.push(report);
-                }
-            }
-        }
-    }
+    let mut h = Harness::new(&hotspot.device, kernel);
+    let plans = strike_plans(120, ctx.seed ^ (0xAB1A << 32), |r| h.sampler.sample(r));
+    let reports: Vec<ErrorReport> = h
+        .sweep(&plans, |report, _| report.is_sdc().then_some(report))
+        .into_iter()
+        .flatten()
+        .collect();
     println!(
         "\n(A) tolerance sweep over {} corrupted HotSpot outputs:",
         reports.len()
@@ -1118,45 +1140,38 @@ fn injector(ctx: &mut Ctx) {
         Scale::Standard => 256,
     };
     let injections = match ctx.scale {
-        Scale::Quick => 60,
+        Scale::Quick => 60u64,
         Scale::Standard => 250,
     };
     let mut checks = Vec::new();
     for device in [presets::k40(), presets::xeon_phi()] {
-        let engine = Engine::new(device.clone());
-        let mut kernel = Dgemm::new(n, ctx.seed).expect("valid dgemm");
-        let golden = engine.golden(&mut kernel).expect("golden dgemm");
-        let beam = FaultSampler::new(&device, &golden.profile);
-        let tool = SoftwareInjector::new(&device, &golden.profile);
-        let visible = SoftwareInjector::visible_cross_section_fraction(beam.table());
+        let kernel = Dgemm::new(n, ctx.seed).expect("valid dgemm");
+        let mut h = Harness::new(&device, Box::new(kernel));
+        let tool = SoftwareInjector::new(&device, &h.golden.profile);
+        let visible = SoftwareInjector::visible_cross_section_fraction(h.sampler.table());
 
         // Identical analysis over both samplers.
         let classify = radcrit_core::locality::LocalityClassifier::default();
         let mut run_campaign = |use_tool: bool| -> (usize, usize, f64) {
             // (sdc, block_class_sdc, mean of per-run MRE capped)
+            let seed = ctx.seed ^ (0x17EC << 32);
+            let plans = if use_tool {
+                strike_plans(injections, seed, |r| tool.sample(r))
+            } else {
+                strike_plans(injections, seed, |r| h.sampler.sample(r))
+            };
+            let sdcs = h.sweep(&plans, |report, _| {
+                report.is_sdc().then(|| {
+                    let mre = report.mean_relative_error_capped(1e4).unwrap_or(0.0);
+                    (mre, classify.classify(&report))
+                })
+            });
             let (mut sdc, mut blocks, mut mre_sum) = (0usize, 0usize, 0.0f64);
-            for i in 0..injections as u64 {
-                let mut rng = StdRng::seed_from_u64(ctx.seed ^ (0x17EC << 32) ^ i);
-                let plan = if use_tool {
-                    tool.sample(&mut rng)
-                } else {
-                    beam.sample(&mut rng)
-                };
-                if let InjectionPlan::Strike(spec) = plan {
-                    let run = engine
-                        .run(&mut kernel, &[spec], &mut rng, None, None)
-                        .expect("dgemm run");
-                    let report = run.compare(&golden.output, kernel.logical_shape(), |i| {
-                        kernel.error_coord(i)
-                    });
-                    if report.is_sdc() {
-                        sdc += 1;
-                        mre_sum += report.mean_relative_error_capped(1e4).unwrap_or(0.0);
-                        let class = classify.classify(&report);
-                        if class == SpatialClass::Square || class == SpatialClass::Random {
-                            blocks += 1;
-                        }
-                    }
+            for (mre, class) in sdcs.into_iter().flatten() {
+                sdc += 1;
+                mre_sum += mre;
+                if class == SpatialClass::Square || class == SpatialClass::Random {
+                    blocks += 1;
                 }
             }
             (sdc, blocks, mre_sum / sdc.max(1) as f64)
@@ -1219,6 +1234,7 @@ fn injector(ctx: &mut Ctx) {
 /// patterns overlap.
 fn multistrike(ctx: &mut Ctx) {
     heading("Single-strike design rule: statistics vs strikes-per-execution (Section IV-D)");
+    use radcrit_core::locality::SpatialClass;
     use radcrit_faults::sampler::BurstPlan;
 
     let n = match ctx.scale {
@@ -1230,10 +1246,8 @@ fn multistrike(ctx: &mut Ctx) {
         Scale::Standard => 400,
     };
     let device = presets::k40();
-    let engine = Engine::new(device.clone());
-    let mut kernel = Dgemm::new(n, ctx.seed).expect("valid dgemm");
-    let golden = engine.golden(&mut kernel).expect("golden dgemm");
-    let sampler = FaultSampler::new(&device, &golden.profile);
+    let kernel = Dgemm::new(n, ctx.seed).expect("valid dgemm");
+    let mut h = Harness::new(&device, Box::new(kernel));
     let classifier = radcrit_core::locality::LocalityClassifier::default();
 
     let mut rows = Vec::new();
@@ -1242,10 +1256,8 @@ fn multistrike(ctx: &mut Ctx) {
         // The paper's regime strikes about one execution in a thousand:
         // draw until `runs` executions were struck, the rest quiet.
         let sparse = mean < 0.01;
-        let (mut strikes_total, mut sdc_runs, mut fatal, mut quiet) =
-            (0usize, 0usize, 0usize, 0usize);
-        let mut incorrect_sum = 0usize;
-        let mut multi_class = 0usize;
+        let (mut strikes_total, mut fatal, mut quiet) = (0usize, 0usize, 0usize);
+        let mut plans = Vec::new();
         for i in 0u64.. {
             let counted = if sparse {
                 i as usize - quiet
@@ -1256,28 +1268,23 @@ fn multistrike(ctx: &mut Ctx) {
                 break;
             }
             let mut rng = StdRng::seed_from_u64(ctx.seed ^ (0x3157 << 28) ^ i);
-            match sampler.sample_burst(&mut rng, mean) {
+            match h.sampler.sample_burst(&mut rng, mean) {
                 BurstPlan::Crash | BurstPlan::Hang => fatal += 1,
                 BurstPlan::Strikes(strikes) if strikes.is_empty() => quiet += 1,
                 BurstPlan::Strikes(strikes) => {
                     strikes_total += strikes.len();
-                    let run = engine
-                        .run(&mut kernel, &strikes, &mut rng, None, None)
-                        .expect("multi-strike run");
-                    let report = run.compare(&golden.output, kernel.logical_shape(), |i| {
-                        kernel.error_coord(i)
-                    });
-                    if report.is_sdc() {
-                        sdc_runs += 1;
-                        incorrect_sum += report.incorrect_elements();
-                        let class = classifier.classify(&report);
-                        if class == radcrit_core::locality::SpatialClass::Random {
-                            multi_class += 1;
-                        }
-                    }
+                    plans.push((strikes, rng));
                 }
             }
         }
+        let (mut sdc_runs, mut incorrect_sum, mut multi_class) = (0usize, 0usize, 0usize);
+        h.sweep(&plans, |report, _| {
+            if report.is_sdc() {
+                sdc_runs += 1;
+                incorrect_sum += report.incorrect_elements();
+                multi_class += usize::from(classifier.classify(&report) == SpatialClass::Random);
+            }
+        });
         let per_strike = if strikes_total == 0 {
             0.0
         } else {
@@ -1339,11 +1346,7 @@ fn multistrike(ctx: &mut Ctx) {
 fn hardening(ctx: &mut Ctx) {
     heading("Selective hardening: critical-SDC attribution by site (Section VI)");
     for phi in [false, true] {
-        let device = if phi {
-            presets::xeon_phi()
-        } else {
-            presets::k40()
-        };
+        let device = device(phi);
         let presets_list = presets::dgemm(&device, ctx.scale);
         let preset = presets_list.last().expect("at least one DGEMM size");
         let analysis = radcrit_campaign::HardeningAnalysis::of(ctx.run(preset));

@@ -14,10 +14,10 @@
 //! cancelled or failed — takes one shutdown: stop dispatch, export the
 //! latency and bucket counts once, wait for profiling stragglers.
 //!
-//! Each worker thread (a `Worker`) owns an engine, a kernel instance, a
-//! run scratch and a warm bucket. It claims indices from a shared
-//! cursor over the plan, executes each strike (a fork off the warm
-//! bucket, or a run from tile 0 when no snapshot covers it), compares
+//! Each worker thread (a `Worker`) owns a kernel instance and a fork
+//! cursor over the golden snapshots. It claims indices from a shared
+//! cursor over the plan, executes each strike (a fork off the cursor's
+//! warm bucket, or a run from tile 0 when no snapshot covers it), compares
 //! and classifies the output, and sends the finished
 //! [`InjectionRecord`] to the collector. Each record is built once, and
 //! its `provenance` line derives from it, for strikes, fatal plans and
@@ -54,10 +54,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use radcrit_accel::config::DeviceConfig;
-use radcrit_accel::engine::{Engine, RunOutcome, RunScratch, StrikeResolution, WarmState};
+use radcrit_accel::engine::{Engine, ForkCounts, ForkCursor, RunOutcome, StrikeResolution};
 use radcrit_accel::error::AccelError;
 use radcrit_accel::profile::ExecutionProfile;
-use radcrit_accel::snapshot::{SnapshotPolicy, SnapshotSet};
+use radcrit_accel::snapshot::SnapshotPolicy;
 use radcrit_accel::strike::StrikeSpec;
 use radcrit_accel::trace::ExecutionTrace;
 use radcrit_faults::sampler::{FaultSampler, InjectionPlan};
@@ -369,9 +369,9 @@ impl Campaign {
     /// `start..end` cut to the budget (so a budgeted run completes the
     /// index prefix) and sorted into buckets.
     ///
-    /// The prefix-sharing batch scheduler keys each index by resume
-    /// snapshot, then fork tile (the strike tile, or a register strike's
-    /// victim), so one warm restore serves a whole bucket of forks. Each
+    /// The prefix-sharing batch scheduler keys each index by its fork
+    /// cursor bucket ([`ForkCursor::bucket`]: resume snapshot, then fork
+    /// tile), so one warm restore serves a whole bucket of forks. Each
     /// index's plan and fork tile are pre-sampled with its own RNG stream
     /// — exactly the draws the executing worker repeats — so sorting
     /// changes *execution order only*: record content, the event stream
@@ -400,22 +400,15 @@ impl Campaign {
         if let Some(budget) = options.budget {
             pending.truncate(budget);
         }
-        let snapshots: &SnapshotSet = &golden.snapshots;
-        if !snapshots.is_empty() {
-            pending.sort_by_cached_key(|&index| {
-                let mut rng = StdRng::seed_from_u64(stream_seed(self.seed, index));
-                match sampler.sample(&mut rng) {
-                    InjectionPlan::Strike(spec) => {
-                        let start = engine.fork_tile(kernel, &spec, &mut rng);
-                        match snapshots.resume_tile(start) {
-                            Some(resume) => (0u8, resume, start, index),
-                            None => (1, 0, 0, index),
-                        }
-                    }
-                    _ => (1, 0, 0, index),
-                }
-            });
-        }
+        let cursor = ForkCursor::new(engine.clone(), Arc::clone(&golden.snapshots));
+        pending.sort_by_cached_key(|&index| {
+            let mut rng = StdRng::seed_from_u64(stream_seed(self.seed, index));
+            let bucket = match sampler.sample(&mut rng) {
+                InjectionPlan::Strike(spec) => cursor.bucket(kernel, &[spec], &rng),
+                _ => None,
+            };
+            (bucket.is_none(), bucket, index)
+        });
         Ok((replayed, checkpoint, pending))
     }
 }
@@ -649,10 +642,10 @@ struct BucketCounters {
 }
 
 impl BucketCounters {
-    fn count_fork(&self, advanced: usize) {
-        self.forks.fetch_add(1, Ordering::Relaxed);
-        self.advance_tiles
-            .fetch_add(advanced as u64, Ordering::Relaxed);
+    fn add(&self, counts: ForkCounts) {
+        self.restores.fetch_add(counts.restores, Ordering::Relaxed);
+        self.forks.fetch_add(counts.forks, Ordering::Relaxed);
+        (self.advance_tiles).fetch_add(counts.advance_tiles, Ordering::Relaxed);
     }
 
     /// The progress line's `(restores, forks)` pair.
@@ -944,17 +937,13 @@ impl<'r> Collector<'r> {
     }
 }
 
-/// One worker thread's engine, kernel instance, warm bucket and run
-/// scratch (later injections restore device memory in place instead of
-/// re-running the kernel's setup).
+/// One worker thread's kernel instance and fork cursor (its warm bucket
+/// and run scratch: later injections restore device memory in place
+/// instead of re-running the kernel's setup).
 struct Worker {
     shared: Arc<Shared>,
-    engine: Engine,
     kernel: Box<dyn Workload + Send>,
-    scratch: RunScratch,
-    /// Golden machine state restored from the current bucket's snapshot
-    /// and advanced to the last fork's start ([`Engine::fork_tile`]).
-    warm: Option<WarmState>,
+    cursor: ForkCursor,
 }
 
 impl Worker {
@@ -986,12 +975,11 @@ impl Worker {
     fn new(shared: Arc<Shared>) -> Result<Self, AccelError> {
         let kernel = shared.campaign.kernel.build(shared.campaign.seed)?;
         let engine = shared.sinks.engine(&shared.campaign.device);
+        let cursor = ForkCursor::new(engine, Arc::clone(&shared.golden.snapshots));
         Ok(Worker {
             shared,
-            engine,
             kernel,
-            scratch: RunScratch::new(),
-            warm: None,
+            cursor,
         })
     }
 
@@ -1113,8 +1101,14 @@ impl Worker {
             PhaseId::Execute,
             &[("index", index as u64), ("at", spec.at_tile as u64)],
         );
+        // The worker's fork cursor runs the strike off its warm bucket
+        // (the plan is in bucket order, so one restore serves a bucket),
+        // or from tile 0 when no snapshot covers it.
         let mut trace = buf.is_enabled().then(ExecutionTrace::new);
-        let run = self.execute(spec, rng, trace.as_mut())?;
+        let strikes = std::slice::from_ref(spec);
+        let run = (self.cursor).run(self.kernel.as_mut(), strikes, rng, trace.as_mut());
+        self.shared.buckets.add(self.cursor.take_counts());
+        let run = run?;
         drop(execute);
         let resolution = run.resolutions.first().copied();
         if let Some(r) = resolution.filter(|_| detail) {
@@ -1152,48 +1146,6 @@ impl Worker {
             buf.push(prov.to_event());
         }
         Ok(record)
-    }
-
-    /// Executes one strike: forked off the warm bucket at its fork tile
-    /// (bit-identical to a run from tile 0) when a snapshot covers it —
-    /// the plan is in bucket order, so one restore serves a bucket — and
-    /// from tile 0 otherwise (a non-resumable kernel).
-    fn execute(
-        &mut self,
-        spec: &StrikeSpec,
-        rng: &mut StdRng,
-        trace: Option<&mut ExecutionTrace>,
-    ) -> Result<RunOutcome, AccelError> {
-        let (engine, kernel) = (&self.engine, self.kernel.as_mut());
-        let (strikes, snapshots) = (std::slice::from_ref(spec), &self.shared.golden.snapshots);
-        let start = engine.fork_tile(&*kernel, spec, &mut rng.clone());
-        let Some(resume) = snapshots.resume_tile(start) else {
-            return engine.run(kernel, strikes, rng, None, trace);
-        };
-        // A bucket is stale when it resumes from a different snapshot or
-        // its golden front has already advanced past this fork (possible
-        // when workers interleave buckets off the shared cursor).
-        let warm = &mut self.warm;
-        if warm
-            .as_ref()
-            .is_none_or(|w| w.resume_tile() != resume || w.next_tile() > start)
-        {
-            let _scope =
-                phase_profile::phase_with(PhaseId::BucketRestore, &[("resume", resume as u64)]);
-            let reuse = warm.take();
-            *warm = engine.warm_restore(kernel, snapshots, start, &mut self.scratch, reuse)?;
-            self.shared.buckets.restores.fetch_add(1, Ordering::Relaxed);
-        }
-        let warm = warm
-            .as_mut()
-            .expect("resume_tile implies a usable snapshot");
-        let advanced = {
-            let _scope = phase_profile::phase(PhaseId::WarmAdvance);
-            engine.warm_advance(kernel, warm, start)?
-        };
-        self.shared.buckets.count_fork(advanced);
-        let _scope = phase_profile::phase(PhaseId::Fork);
-        engine.run(kernel, strikes, rng, Some((warm, &mut self.scratch)), trace)
     }
 
     /// Compares a run's output against golden — only its dirty region,

@@ -1,15 +1,17 @@
 //! The batched fork path must be invisible to the science. Full
 //! re-execution survives here, and only here, as the test oracle:
 //!
-//! * engine level — a strike forked off a warm golden-prefix bucket is
-//!   **bit-identical** to the same strike run from tile 0 (output,
-//!   strike resolutions, execution profile, trace) for every strike
-//!   target, on both paper devices, across the paper kernels, and the
-//!   dirty-region sparse diff produces the identical [`ErrorReport`] as a
-//!   dense diff — with the contained-fault exit proven to fire (it
-//!   splices the golden suffix) exactly where it may, with L2 flips
-//!   still pending too, and register strikes also forked from their
-//!   victim tile ([`Engine::fork_tile`]);
+//! * engine level — a strike forked off a warm golden-prefix bucket by a
+//!   [`ForkCursor`] (the runner's fork path) is **bit-identical** to the
+//!   same strike run from tile 0 (output, strike resolutions, execution
+//!   profile, trace) for every strike target, on both paper devices,
+//!   across the paper kernels, and the dirty-region sparse diff produces
+//!   the identical [`ErrorReport`] as a dense diff — with the
+//!   contained-fault exit proven to fire (it splices the golden suffix)
+//!   exactly where it may, with L2 flips still pending too, and register
+//!   strikes forked from their victim tile (the forks a cursor cannot
+//!   take — a register strike at its strike tile, one past its victim —
+//!   are `radcrit-accel`'s engine unit tests);
 //! * campaign level — every index replayed from tile 0 with a dense
 //!   compare ([`oracle`]) reproduces the batched campaign's records and
 //!   summary, for an uninterrupted run and across kill → resume.
@@ -23,9 +25,8 @@ use rand::SeedableRng;
 
 use radcrit_accel::cache::CacheGeometry;
 use radcrit_accel::config::{DeviceConfig, DeviceKind};
-use radcrit_accel::engine::{Engine, RunOutcome, RunScratch, WarmState};
-use radcrit_accel::error::AccelError;
-use radcrit_accel::snapshot::{SnapshotPolicy, SnapshotSet};
+use radcrit_accel::engine::{Engine, ForkCursor, RunOutcome};
+use radcrit_accel::snapshot::SnapshotPolicy;
 use radcrit_accel::strike::{SchedulerEffect, StrikeSpec, StrikeTarget};
 use radcrit_accel::trace::ExecutionTrace;
 use radcrit_campaign::runner::stream_seed;
@@ -33,7 +34,6 @@ use radcrit_campaign::telemetry::Telemetry;
 use radcrit_campaign::{
     Campaign, CampaignResult, InjectionOutcome, InjectionRecord, KernelSpec, RunOptions, SdcDetail,
 };
-use radcrit_core::compare::compare_mapped;
 use radcrit_core::exec;
 use radcrit_core::report::ErrorReport;
 use radcrit_faults::sampler::{FaultSampler, InjectionPlan};
@@ -107,41 +107,24 @@ fn mismatch_bits(report: &ErrorReport) -> Vec<([usize; 3], u64, u64)> {
         .collect()
 }
 
-/// Forks `strike` off a bucket restored from `snaps` and advanced to
-/// `start` (the strike tile, or up to a register strike's victim),
-/// recycling `reuse`'s allocations the way the runner does. Returns the
-/// outcome, the warm state for the next restore, and the fork's
-/// (suffix-only) execution trace.
-#[allow(clippy::too_many_arguments)]
+/// Forks `strike` through `cursor` — off its warm bucket, restored and
+/// advanced the way the runner's cursor does it. Returns the outcome,
+/// the tile the fork started at (the strike tile, or a register strike's
+/// victim) and the fork's (suffix-only) execution trace.
 fn fork(
-    engine: &Engine,
+    cursor: &mut ForkCursor,
     kernel: &mut (dyn Workload + Send),
-    snaps: &SnapshotSet,
     strike: StrikeSpec,
-    start: usize,
     seed: u64,
-    scratch: &mut RunScratch,
-    reuse: Option<WarmState>,
-) -> (RunOutcome, WarmState, ExecutionTrace) {
-    let mut warm = engine
-        .warm_restore(kernel, snaps, start, scratch, reuse)
-        .expect("restore")
-        .expect("a snapshot covers the strike");
-    engine
-        .warm_advance(kernel, &mut warm, start)
-        .expect("advance");
+) -> (RunOutcome, usize, ExecutionTrace) {
     let mut rng = StdRng::seed_from_u64(seed);
+    let (_, start) =
+        (cursor.bucket(kernel, &[strike], &rng)).expect("a snapshot covers the strike");
     let mut trace = ExecutionTrace::new();
-    let run = engine
-        .run(
-            kernel,
-            &[strike],
-            &mut rng,
-            Some((&warm, scratch)),
-            Some(&mut trace),
-        )
+    let run = cursor
+        .run(kernel, &[strike], &mut rng, Some(&mut trace))
         .expect("forked run");
-    (run, warm, trace)
+    (run, start, trace)
 }
 
 /// The strike run from tile 0 — the reference path — and its trace.
@@ -154,7 +137,7 @@ fn reference(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut trace = ExecutionTrace::new();
     let run = engine
-        .run(kernel, &[strike], &mut rng, None, Some(&mut trace))
+        .run(kernel, &[strike], &mut rng, Some(&mut trace))
         .expect("reference run");
     assert!(run.dirty.is_none(), "a run from tile 0 has no dirty region");
     (run, trace)
@@ -208,21 +191,22 @@ fn assert_fork_matches(
         .copied()
         .collect();
     assert_eq!(forked_trace.tiles(), &suffix[..], "trace: {ctx}");
-    assert_eq!(bits(&full.output), bits(&forked.output), "output: {ctx}");
+    let output = |run: &RunOutcome| run.output().map(bits);
+    assert_eq!(output(full), output(forked), "output: {ctx}");
     assert_eq!(full.resolutions, forked.resolutions, "resolutions: {ctx}");
     assert_eq!(full.profile, forked.profile, "profile: {ctx}");
     assert_eq!(
         full.strike_delivered, forked.strike_delivered,
         "delivery: {ctx}"
     );
-    let dirty = forked
-        .dirty
-        .as_ref()
-        .expect("forked run has a dirty region");
+    assert!(
+        forked.dirty.is_some(),
+        "forked run has a dirty region: {ctx}"
+    );
     let shape = kernel.logical_shape();
     let coord = |i| kernel.error_coord(i);
-    let sparse = compare_mapped(golden, &forked.output, shape, Some(dirty), coord);
-    let dense = compare_mapped(golden, &full.output, shape, None, coord);
+    let sparse = forked.compare(golden, shape, coord);
+    let dense = full.compare(golden, shape, coord);
     assert_eq!(
         mismatch_bits(&sparse),
         mismatch_bits(&dense),
@@ -235,9 +219,7 @@ fn assert_fork_matches(
 /// run from tile 0 produces — outputs compared bit for bit (so NaNs
 /// count), resolutions and profile by structural equality — and the
 /// dirty region drives a sparse diff equal to the dense diff. Register
-/// strikes fork twice: at the strike tile and at their victim (the
-/// runner's deferred start); one tile past the victim the fork is
-/// refused.
+/// strikes fork at their victim (the runner's deferred start).
 ///
 /// The contained-fault exit must not make this pass vacuously: on DGEMM
 /// and LavaMD (whose output nothing loads) a single-tile fault exits
@@ -275,107 +257,76 @@ fn forked_runs_are_bit_identical_to_reference_runs_everywhere() {
             );
             let tiles = kernel.tile_count();
             let last_launch = tiles - kernel.tiles_per_launch();
-            let mut scratch = RunScratch::new();
-            let mut warm = None;
+            let mut cursor = ForkCursor::new(engine.clone(), Arc::new(snaps));
             for (t, target) in all_targets().into_iter().enumerate() {
                 for at_tile in [0, tiles / 2, tiles - 1] {
                     let strike = StrikeSpec::new(at_tile, target);
                     let seed = 1000 + t as u64;
                     let (full, full_trace) = reference(&engine, kernel.as_mut(), strike, seed);
-                    let start = engine.fork_tile(
-                        kernel.as_ref(),
-                        &strike,
-                        &mut StdRng::seed_from_u64(seed),
-                    );
-                    let mut starts = vec![at_tile];
-                    if start != at_tile {
-                        starts.push(start);
-                    }
-                    for start in starts {
-                        let exits_before = contained_exits(&metrics);
-                        let flips_before = counter(&metrics, "radcrit_run_flip_exits_total");
-                        let skipped_before = counter(&metrics, "radcrit_run_skipped_tiles_total");
-                        let (forked, w, forked_trace) = fork(
-                            &engine,
-                            kernel.as_mut(),
-                            &snaps,
-                            strike,
-                            start,
-                            seed,
-                            &mut scratch,
-                            warm.take(),
-                        );
-                        let ctx = format!(
-                            "{spec:?} on {:?}, {target:?} at tile {at_tile} forked at {start}",
-                            device.kind()
-                        );
-                        let exited = contained_exits(&metrics) - exits_before;
-                        assert!(exited <= 1, "one exit per fork: {ctx}");
-                        if !matches!(spec, KernelSpec::HotSpot { .. }) {
-                            target_exits[t] += exited;
-                        }
-                        if matches!(
-                            (spec, target, device.kind()),
-                            (
-                                KernelSpec::Dgemm { .. },
-                                StrikeTarget::L2 { .. },
-                                DeviceKind::KeplerK40
-                            )
-                        ) {
-                            dgemm_k40_l2_flip_exits +=
-                                counter(&metrics, "radcrit_run_flip_exits_total") - flips_before;
-                            dgemm_k40_l2_skipped_tiles +=
-                                counter(&metrics, "radcrit_run_skipped_tiles_total")
-                                    - skipped_before;
-                        }
-                        if matches!(
-                            target,
-                            StrikeTarget::Scheduler(
-                                SchedulerEffect::SkipTile | SchedulerEffect::RedirectTile
-                            )
-                        ) {
-                            assert_eq!(
-                                counter(&metrics, "radcrit_run_skipped_tiles_total"),
-                                skipped_before,
-                                "address-stream faults skip no tile: {ctx}"
-                            );
-                        }
-                        let victim = forked.resolutions[0].victim_tile;
-                        // Late: struck in the last iteration. Reconverged:
-                        // the run's output is golden's, bar a flip left
-                        // pending at the exit.
-                        let flip_exited =
-                            counter(&metrics, "radcrit_run_flip_exits_total") > flips_before;
-                        let quiet = at_tile >= last_launch
-                            || flip_exited
-                            || bits(&full.output) == bits(&golden.output);
-                        assert_exit_rule(&ctx, spec, target, exited, victim, tiles, quiet);
-                        assert_eq!(w.next_tile(), start, "{ctx}");
-                        assert_fork_matches(
-                            &ctx,
-                            kernel.as_ref(),
-                            &golden.output,
-                            &full,
-                            &full_trace,
-                            &forked,
-                            &forked_trace,
-                            start,
-                        );
-                        warm = Some(w);
-                    }
+                    let exits_before = contained_exits(&metrics);
+                    let flips_before = counter(&metrics, "radcrit_run_flip_exits_total");
+                    let skipped_before = counter(&metrics, "radcrit_run_skipped_tiles_total");
+                    let (forked, start, forked_trace) =
+                        fork(&mut cursor, kernel.as_mut(), strike, seed);
                     if start != at_tile {
                         deferred_forks += 1;
-                        let w = warm.as_mut().expect("the deferred fork left its state");
-                        assert_refused_past_victim(
-                            &engine,
-                            kernel.as_mut(),
-                            w,
-                            strike,
-                            start,
-                            seed,
-                            &mut scratch,
+                    }
+                    let ctx = format!(
+                        "{spec:?} on {:?}, {target:?} at tile {at_tile} forked at {start}",
+                        device.kind()
+                    );
+                    let exited = contained_exits(&metrics) - exits_before;
+                    assert!(exited <= 1, "one exit per fork: {ctx}");
+                    if !matches!(spec, KernelSpec::HotSpot { .. }) {
+                        target_exits[t] += exited;
+                    }
+                    if matches!(
+                        (spec, target, device.kind()),
+                        (
+                            KernelSpec::Dgemm { .. },
+                            StrikeTarget::L2 { .. },
+                            DeviceKind::KeplerK40
+                        )
+                    ) {
+                        dgemm_k40_l2_flip_exits +=
+                            counter(&metrics, "radcrit_run_flip_exits_total") - flips_before;
+                        dgemm_k40_l2_skipped_tiles +=
+                            counter(&metrics, "radcrit_run_skipped_tiles_total") - skipped_before;
+                    }
+                    if matches!(
+                        target,
+                        StrikeTarget::Scheduler(
+                            SchedulerEffect::SkipTile | SchedulerEffect::RedirectTile
+                        )
+                    ) {
+                        assert_eq!(
+                            counter(&metrics, "radcrit_run_skipped_tiles_total"),
+                            skipped_before,
+                            "address-stream faults skip no tile: {ctx}"
                         );
                     }
+                    let victim = forked.resolutions[0].victim_tile;
+                    // Late: struck in the last iteration. Reconverged: the
+                    // run's output is golden's, bar a flip left pending at
+                    // the exit.
+                    let flip_exited =
+                        counter(&metrics, "radcrit_run_flip_exits_total") > flips_before;
+                    let quiet = at_tile >= last_launch
+                        || flip_exited
+                        || full
+                            .output()
+                            .is_none_or(|o| bits(o) == bits(&golden.output));
+                    assert_exit_rule(&ctx, spec, target, exited, victim, tiles, quiet);
+                    assert_fork_matches(
+                        &ctx,
+                        kernel.as_ref(),
+                        &golden.output,
+                        &full,
+                        &full_trace,
+                        &forked,
+                        &forked_trace,
+                        start,
+                    );
                 }
             }
         }
@@ -435,36 +386,25 @@ fn assert_exit_rule(
     }
 }
 
-/// Forks `strike` off `snaps` and runs it from tile 0, asserts the two
+/// Forks `strike` through `cursor` and runs it from tile 0, asserts the two
 /// match ([`assert_fork_matches`]) and returns the reference outcome with
 /// the fork's contained exits and skipped tiles.
 fn fork_and_match(
     engine: &Engine,
     metrics: &MetricsRegistry,
     kernel: &mut (dyn Workload + Send),
-    snaps: &SnapshotSet,
+    cursor: &mut ForkCursor,
     golden: &[f64],
     strike: StrikeSpec,
     seed: u64,
 ) -> (RunOutcome, u64, u64) {
     let ctx = format!("{} {strike:?} seed {seed}", kernel.name());
     let (full, full_trace) = reference(engine, kernel, strike, seed);
-    let start = engine.fork_tile(kernel, &strike, &mut StdRng::seed_from_u64(seed));
     let (exits, skipped) = (
         contained_exits(metrics),
         counter(metrics, "radcrit_run_skipped_tiles_total"),
     );
-    let mut scratch = RunScratch::new();
-    let (forked, _, forked_trace) = fork(
-        engine,
-        kernel,
-        snaps,
-        strike,
-        start,
-        seed,
-        &mut scratch,
-        None,
-    );
+    let (forked, start, forked_trace) = fork(cursor, kernel, strike, seed);
     let (exits, skipped) = (
         contained_exits(metrics) - exits,
         counter(metrics, "radcrit_run_skipped_tiles_total") - skipped,
@@ -516,6 +456,7 @@ fn stencil_forks_whose_perturbation_reconverges_match_the_reference() {
             .golden_snapshotted(kernel.as_mut(), &policy)
             .expect("golden run");
         assert!(snaps.journal_bytes() > 0, "{spec:?} journals its stores");
+        let mut cursor = ForkCursor::new(engine.clone(), Arc::new(snaps));
         let mut reconverged = 0;
         for at_tile in [0, 2, 4] {
             for op_index in [6, 13, 20, 111] {
@@ -529,12 +470,17 @@ fn stencil_forks_whose_perturbation_reconverges_match_the_reference() {
                         &engine,
                         &metrics,
                         kernel.as_mut(),
-                        &snaps,
+                        &mut cursor,
                         &golden.output,
                         strike,
                         at_tile as u64,
                     );
-                    if exits == 1 && skipped > 0 && bits(&full.output) == bits(&golden.output) {
+                    if exits == 1
+                        && skipped > 0
+                        && full
+                            .output()
+                            .is_some_and(|o| bits(o) == bits(&golden.output))
+                    {
                         reconverged += 1;
                     }
                 }
@@ -578,6 +524,7 @@ fn a_flip_that_ends_inside_a_skipped_tile_matches_the_reference() {
     let (golden, snaps) = engine
         .golden_snapshotted(kernel.as_mut(), &policy)
         .expect("golden run");
+    let mut cursor = ForkCursor::new(engine.clone(), Arc::new(snaps));
     let mut written_back_past_a_skip = 0;
     for at_tile in 1..kernel.tile_count() {
         for seed in 0..6 {
@@ -586,12 +533,17 @@ fn a_flip_that_ends_inside_a_skipped_tile_matches_the_reference() {
                 &engine,
                 &metrics,
                 kernel.as_mut(),
-                &snaps,
+                &mut cursor,
                 &golden.output,
                 strike,
                 seed,
             );
-            if skipped > 0 && full.strike_delivered && bits(&full.output) != bits(&golden.output) {
+            if skipped > 0
+                && full.strike_delivered
+                && full
+                    .output()
+                    .is_some_and(|o| bits(o) != bits(&golden.output))
+            {
                 written_back_past_a_skip += 1;
             }
         }
@@ -639,6 +591,7 @@ fn a_budget_with_room_for_the_snapshots_but_no_journal_keeps_forks_exact() {
     }
     let (_, snaps) = capture(kernel.as_mut(), lo);
     assert_eq!((snaps.len(), snaps.journal_bytes()), (full.len(), 0));
+    let mut cursor = ForkCursor::new(engine.clone(), Arc::new(snaps));
     let tiles = kernel.tile_count();
     let mut skipped_any = 0;
     for (t, target) in all_targets().into_iter().enumerate() {
@@ -648,7 +601,7 @@ fn a_budget_with_room_for_the_snapshots_but_no_journal_keeps_forks_exact() {
                 &engine,
                 &metrics,
                 kernel.as_mut(),
-                &snaps,
+                &mut cursor,
                 &golden.output,
                 strike,
                 2000 + t as u64,
@@ -659,37 +612,6 @@ fn a_budget_with_room_for_the_snapshots_but_no_journal_keeps_forks_exact() {
     assert!(
         skipped_any > 0,
         "final stores are replayable without a journal"
-    );
-}
-
-/// One tile past a register strike's victim (`start`) the fault can no
-/// longer land: a fork from `warm` advanced there is refused.
-fn assert_refused_past_victim(
-    engine: &Engine,
-    kernel: &mut (dyn Workload + Send),
-    warm: &mut WarmState,
-    strike: StrikeSpec,
-    start: usize,
-    seed: u64,
-    scratch: &mut RunScratch,
-) {
-    engine
-        .warm_advance(kernel, warm, start + 1)
-        .expect("advance");
-    let err = engine.run(
-        kernel,
-        &[strike],
-        &mut StdRng::seed_from_u64(seed),
-        Some((warm, scratch)),
-        None,
-    );
-    assert!(
-        matches!(
-            err,
-            Err(AccelError::StrikeOutOfRange { tile, tiles })
-                if tile == start && tiles == start + 1
-        ),
-        "past the victim: {err:?}"
     );
 }
 
@@ -720,18 +642,9 @@ proptest! {
         };
         let strike = StrikeSpec::new(at_tile, target);
         let (full, _) = reference(&engine, kernel.as_mut(), strike, seed);
-        let start = engine.fork_tile(kernel.as_ref(), &strike, &mut StdRng::seed_from_u64(seed));
-        let (forked, _, _) = fork(
-            &engine,
-            kernel.as_mut(),
-            &snaps,
-            strike,
-            start,
-            seed,
-            &mut RunScratch::new(),
-            None,
-        );
-        prop_assert_eq!(bits(&full.output), bits(&forked.output));
+        let mut cursor = ForkCursor::new(engine, Arc::new(snaps));
+        let (forked, _, _) = fork(&mut cursor, kernel.as_mut(), strike, seed);
+        prop_assert_eq!(full.output().map(bits), forked.output().map(bits));
         prop_assert_eq!(full.resolutions, forked.resolutions);
         prop_assert_eq!(full.profile, forked.profile);
     }
@@ -740,18 +653,18 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The batch scheduler's compare-setup reuse: one bucket's golden
-    /// suffix spans (indexed once by `warm_restore`) unioned with each
-    /// fork's own store log must make the sparse compare equivalent to
-    /// a full-buffer compare for *every* injection in the bucket —
-    /// random masks, sites and op indices.
+    /// The batch scheduler's compare-setup reuse: each bucket's golden
+    /// suffix spans unioned with each fork's own store log must make the
+    /// sparse compare equivalent to a full-buffer compare for *every*
+    /// injection in the bucket — random masks, sites and op indices —
+    /// with the strikes run in bucket order, one restore per bucket.
     #[test]
     fn bucket_dirty_union_makes_sparse_compare_exhaustive(
         seed in 0u64..1 << 32,
         bit in 0u32..64,
         target_kind in 0usize..3,
     ) {
-        use radcrit_core::compare::{compare_slices, compare_slices_sparse};
+        use radcrit_core::compare::compare_slices;
 
         let engine = Engine::new(DeviceConfig::kepler_k40());
         let mut kernel = KernelSpec::Dgemm { n: 32 }.build(7).expect("kernel builds");
@@ -759,38 +672,37 @@ proptest! {
         let (golden, snaps) = engine
             .golden_snapshotted(kernel.as_mut(), &policy)
             .expect("golden run");
-        let tiles = kernel.tile_count();
-        // One bucket: every strike tile sharing the snapshot nearest the
-        // middle of the run, executed fork-by-fork off one warm restore
-        // exactly as the runner does.
-        let resume = snaps.resume_tile(tiles / 2).expect("snapshot exists");
-        let mut scratch = RunScratch::new();
-        let mut warm = engine
-            .warm_restore(kernel.as_mut(), &snaps, tiles / 2, &mut scratch, None)
-            .expect("restore")
-            .expect("dgemm is resumable");
+        let mut cursor = ForkCursor::new(engine, Arc::new(snaps));
         let mask = 1u64 << bit;
-        for at_tile in resume..tiles {
-            let target = match target_kind {
-                0 => StrikeTarget::L2 { mask },
-                1 => StrikeTarget::Fpu { mask, op_index: seed % 200 },
-                _ => StrikeTarget::RegisterFile { mask, op_index: seed % 97 },
-            };
-            let strike = StrikeSpec::new(at_tile, target);
-            engine
-                .warm_advance(kernel.as_mut(), &mut warm, at_tile)
-                .expect("advance");
-            let mut rng = StdRng::seed_from_u64(seed ^ at_tile as u64);
-            let forked = engine
-                .run(kernel.as_mut(), &[strike], &mut rng, Some((&warm, &mut scratch)), None)
+        let mut plans: Vec<_> = (0..kernel.tile_count())
+            .map(|at_tile| {
+                let target = match target_kind {
+                    0 => StrikeTarget::L2 { mask },
+                    1 => StrikeTarget::Fpu { mask, op_index: seed % 200 },
+                    _ => StrikeTarget::RegisterFile { mask, op_index: seed % 97 },
+                };
+                let rng = StdRng::seed_from_u64(seed ^ at_tile as u64);
+                let strike = StrikeSpec::new(at_tile, target);
+                let bucket = cursor.bucket(kernel.as_ref(), &[strike], &rng);
+                (bucket.expect("snapshot exists"), strike, rng)
+            })
+            .collect();
+        plans.sort_by_key(|&(bucket, strike, _)| (bucket, strike.at_tile));
+        for (_, strike, mut rng) in plans.iter().cloned() {
+            let forked = cursor
+                .run(kernel.as_mut(), &[strike], &mut rng, None)
                 .expect("forked run");
-            let dirty = forked.dirty.as_ref().expect("forked run has a dirty region");
+            prop_assert!(forked.dirty.is_some(), "forked run has a dirty region");
             let shape = kernel.logical_shape();
-            let dense = compare_slices(&golden.output, &forked.output, shape).expect("dense");
-            let sparse = compare_slices_sparse(&golden.output, &forked.output, shape, dirty)
-                .expect("sparse");
-            prop_assert_eq!(mismatch_bits(&sparse), mismatch_bits(&dense));
+            let sparse = forked.compare(&golden.output, shape, |i| shape.coord_of(i));
+            if let Some(output) = forked.output() {
+                let dense = compare_slices(&golden.output, output, shape).expect("dense");
+                prop_assert_eq!(mismatch_bits(&sparse), mismatch_bits(&dense));
+            }
         }
+        let mut resumes: Vec<usize> = plans.iter().map(|&((resume, _), _, _)| resume).collect();
+        resumes.dedup();
+        prop_assert_eq!(cursor.take_counts().restores, resumes.len() as u64);
     }
 }
 
@@ -824,7 +736,7 @@ fn oracle(campaign: &Campaign) -> CampaignResult {
                 }
             };
             let run = engine
-                .run(kernel.as_mut(), &[spec], &mut rng, None, None)
+                .run(kernel.as_mut(), &[spec], &mut rng, None)
                 .expect("reference run");
             let report = run.compare(&golden.output, kernel.logical_shape(), |i| {
                 kernel.error_coord(i)
@@ -893,8 +805,8 @@ fn batched_campaigns_equal_the_reference_oracle_across_kernels() {
     // Every early exit is bit-identical by construction, so an engine
     // that stopped taking one would keep every record and show only as
     // lost speed: pin each kernel's per-injection engine counts. Restore
-    // and advance counts depend on how the workers interleave buckets
-    // and are left out.
+    // and advance counts depend on how the workers interleave buckets;
+    // `one_worker_campaigns_restore_once_per_bucket` pins them.
     const PINNED: [&str; 8] = [
         "radcrit_engine_runs_total",
         "radcrit_bucket_forks_total",
@@ -945,6 +857,32 @@ fn batched_campaigns_equal_the_reference_oracle_across_kernels() {
             want.summary(),
             "{spec:?} resumed summary"
         );
+    }
+}
+
+/// With one worker the plan runs strictly in bucket order, so the fork
+/// cursor's restores and advanced tiles are deterministic: pinned here,
+/// a cursor that restored more often than once per bucket fails instead
+/// of showing only as lost speed.
+#[test]
+fn one_worker_campaigns_restore_once_per_bucket() {
+    const PINNED: [&str; 3] = [
+        "radcrit_bucket_restores_total",
+        "radcrit_bucket_advance_tiles_total",
+        "radcrit_bucket_forks_total",
+    ];
+    let expected: [[u64; 3]; 3] = [[4, 0, 38], [8, 0, 38], [22, 0, 47]];
+    for (spec, want_counts) in kernels().into_iter().zip(expected) {
+        let metrics = Arc::new(MetricsRegistry::new());
+        Campaign::new(DeviceConfig::kepler_k40(), spec, 50, 7)
+            .with_workers(1)
+            .run_with(&RunOptions {
+                metrics: Some(Arc::clone(&metrics)),
+                ..RunOptions::default()
+            })
+            .unwrap();
+        let counts = PINNED.map(|name| counter(&metrics, name));
+        assert_eq!(counts, want_counts, "{spec:?} bucket counts {PINNED:?}");
     }
 }
 

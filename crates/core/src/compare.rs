@@ -49,28 +49,6 @@ pub fn compare_slices(
     }))
 }
 
-/// Sparse variant of [`compare_slices`] for differential execution:
-/// only elements inside `dirty` are compared. Elements outside the
-/// region are guaranteed byte-identical by the resume invariant (they
-/// are the golden prefix the run never re-executed), so the resulting
-/// [`ErrorReport`] is identical to a full comparison — at O(touched)
-/// instead of O(output) cost.
-///
-/// # Errors
-///
-/// Same conditions as [`compare_slices`].
-pub fn compare_slices_sparse(
-    golden: &[f64],
-    observed: &[f64],
-    shape: OutputShape,
-    dirty: &DirtyRegion,
-) -> Result<ErrorReport, CoreError> {
-    validate(golden.len(), observed.len(), shape)?;
-    Ok(compare_mapped(golden, observed, shape, Some(dirty), |i| {
-        shape.coord_of(i)
-    }))
-}
-
 fn validate(golden: usize, observed: usize, shape: OutputShape) -> Result<(), CoreError> {
     if golden != observed {
         return Err(CoreError::LengthMismatch { golden, observed });
@@ -204,7 +182,9 @@ mod tests {
         let shape = OutputShape::d2(2, 3);
         let full = compare_slices(&golden, &observed, shape).unwrap();
         let dirty = DirtyRegion::from_spans(vec![(0, 6)], 6);
-        let sparse = compare_slices_sparse(&golden, &observed, shape, &dirty).unwrap();
+        let sparse = compare_mapped(&golden, &observed, shape, Some(&dirty), |i| {
+            shape.coord_of(i)
+        });
         assert_eq!(full.mismatches(), sparse.mismatches());
     }
 
@@ -214,17 +194,11 @@ mod tests {
         let observed = [9.0, 1.0, 2.0, 7.0];
         let shape = OutputShape::d1(4);
         let dirty = DirtyRegion::from_spans(vec![(3, 1)], 4);
-        let report = compare_slices_sparse(&golden, &observed, shape, &dirty).unwrap();
+        let report = compare_mapped(&golden, &observed, shape, Some(&dirty), |i| {
+            shape.coord_of(i)
+        });
         assert_eq!(report.incorrect_elements(), 1);
         assert_eq!(report.mismatches()[0].coord(), [3, 0, 0]);
-    }
-
-    #[test]
-    fn sparse_compare_validates_lengths() {
-        let dirty = DirtyRegion::from_spans(vec![(0, 1)], 1);
-        let err =
-            compare_slices_sparse(&[1.0], &[1.0, 2.0], OutputShape::d1(1), &dirty).unwrap_err();
-        assert!(matches!(err, CoreError::LengthMismatch { .. }));
     }
 
     proptest! {
@@ -246,7 +220,7 @@ mod tests {
             let shape = OutputShape::d1(n);
             let dirty = DirtyRegion::from_spans(spans, n);
             let full = compare_slices(golden, &observed, shape).unwrap();
-            let sparse = compare_slices_sparse(golden, &observed, shape, &dirty).unwrap();
+            let sparse = compare_mapped(golden, &observed, shape, Some(&dirty), |i| shape.coord_of(i));
             prop_assert_eq!(full.mismatches(), sparse.mismatches());
         }
 

@@ -45,9 +45,10 @@ fn run(program: &mut dyn TiledProgram, strikes: &[StrikeSpec]) -> (Vec<u64>, Exe
     let mut rng = ChaCha8Rng::seed_from_u64(1);
     let mut trace = ExecutionTrace::new();
     let out = engine
-        .run(program, strikes, &mut rng, None, Some(&mut trace))
+        .run(program, strikes, &mut rng, Some(&mut trace))
         .expect("run");
-    (out.output.iter().map(|v| v.to_bits()).collect(), trace)
+    let output = out.output().expect("every strike here reaches the output");
+    (output.iter().map(|v| v.to_bits()).collect(), trace)
 }
 
 /// FNV-1a over the output bits, little-endian.

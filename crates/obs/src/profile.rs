@@ -65,13 +65,13 @@ pub enum PhaseId {
     /// An injection's engine execution: bucket restore, warm advance
     /// and the fork (or a from-scratch run).
     Execute = 2,
-    /// Warm-bucket state restore from a snapshot (`Engine::warm_restore`).
+    /// A fork cursor's warm-bucket restore from a snapshot.
     BucketRestore = 3,
-    /// Golden tile replay advancing a warm state to the bucket's resume
-    /// point (`Engine::warm_advance`).
+    /// A fork cursor's golden tile replay advancing its warm state to
+    /// the fork's start.
     WarmAdvance = 4,
-    /// A forked per-strike execution off a warm bucket state
-    /// (`Engine::run` with a warm state), including its state copy.
+    /// A fork cursor's per-strike execution off its warm state,
+    /// including the state copy.
     Fork = 5,
     /// One kernel tile body (`Program::execute_tile`).
     TileExecute = 6,

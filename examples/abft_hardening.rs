@@ -66,12 +66,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let InjectionPlan::Strike(spec) = sampler.sample(&mut rng) else {
             continue;
         };
-        let run = engine.run(&mut kernel, &[spec], &mut rng, None, None)?;
+        let run = engine.run(&mut kernel, &[spec], &mut rng, None)?;
         let shape = OutputShape::d2(n, n);
-        if !run.compare(&golden.output, shape, |i| shape.coord_of(i)).is_sdc() {
+        let report = run.compare(&golden.output, shape, |i| shape.coord_of(i));
+        let Some(output) = run.output().filter(|_| report.is_sdc()) else {
             continue;
-        }
-        let mut c = run.output.clone();
+        };
+        let mut c = output.to_vec();
         let verdict = checker.check(&mut c);
         match &verdict {
             AbftOutcome::Corrected(k) => {

@@ -149,7 +149,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         match sampler.sample(&mut rng) {
             InjectionPlan::Crash | InjectionPlan::Hang => fatal += 1,
             InjectionPlan::Strike(spec) => {
-                let run = engine.run(&mut kernel, &[spec], &mut rng, None, None)?;
+                let run = engine.run(&mut kernel, &[spec], &mut rng, None)?;
                 let report = run.compare(&golden.output, shape, |i| shape.coord_of(i));
                 if !report.is_sdc() {
                     masked += 1;

@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             InjectionPlan::Crash => println!("attempt {attempt}: application crash"),
             InjectionPlan::Hang => println!("attempt {attempt}: node hang"),
             InjectionPlan::Strike(spec) => {
-                let run = engine.run(&mut kernel, &[spec], &mut rng, None, None)?;
+                let run = engine.run(&mut kernel, &[spec], &mut rng, None)?;
                 let report = run.compare(&golden.output, shape, |i| shape.coord_of(i));
                 if !report.is_sdc() {
                     println!(

@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             InjectionPlan::Crash => crash += 1,
             InjectionPlan::Hang => hang += 1,
             InjectionPlan::Strike(strike) => {
-                let run = engine.run(kernel.as_mut(), &[strike], &mut rng, None, None)?;
+                let run = engine.run(kernel.as_mut(), &[strike], &mut rng, None)?;
                 let report = run.compare(&golden.output, shape, |i| shape.coord_of(i));
                 if report.is_sdc() {
                     reports.push(report);

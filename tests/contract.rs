@@ -5,8 +5,8 @@
 //!
 //! * (a) a strike forked off warm golden-prefix state ≡ the same strike
 //!   run from tile 0, for every strike target, including the sparse
-//!   dirty-region diff ≡ the dense diff. Each fork starts where the
-//!   runner starts it — at `Engine::fork_tile`, so some register strikes
+//!   dirty-region diff ≡ the dense diff. Each fork runs through a
+//!   `ForkCursor`, the runner's fork path, so some register strikes
 //!   start at their victim, past the strike tile — and some forks take
 //!   the contained-fault exit (stop once the spent fault can no longer
 //!   reach a loaded buffer, splice the golden suffix), some of them with
@@ -30,10 +30,9 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use radcrit::accel::engine::{Engine, RunScratch};
+use radcrit::accel::engine::{Engine, ForkCursor, RunOutcome};
 use radcrit::accel::{DeviceConfig, SchedulerEffect, SnapshotPolicy, StrikeSpec, StrikeTarget};
 use radcrit::campaign::{Campaign, CampaignSummary, KernelSpec, RunOptions};
-use radcrit::core::compare::compare_mapped;
 use radcrit::core::exec;
 use radcrit::core::report::ErrorReport;
 use radcrit::obs::{CriticalityAggregator, MetricsRegistry};
@@ -113,8 +112,7 @@ fn forked_runs_equal_reference_runs_for_every_target() {
         .golden_snapshotted(kernel.as_mut(), &policy)
         .expect("golden run");
     let tiles = kernel.tile_count();
-    let mut scratch = RunScratch::new();
-    let mut warm = None;
+    let mut cursor = ForkCursor::new(engine.clone(), Arc::new(snaps));
     for (t, target) in targets.into_iter().enumerate() {
         for at_tile in [0, tiles / 2, tiles - 1] {
             let strike = StrikeSpec::new(at_tile, target);
@@ -123,41 +121,25 @@ fn forked_runs_equal_reference_runs_for_every_target() {
 
             let mut rng = StdRng::seed_from_u64(seed);
             let full = engine
-                .run(kernel.as_mut(), &[strike], &mut rng, None, None)
+                .run(kernel.as_mut(), &[strike], &mut rng, None)
                 .expect("reference run");
-
-            let start =
-                engine.fork_tile(kernel.as_ref(), &strike, &mut StdRng::seed_from_u64(seed));
-            let mut w = engine
-                .warm_restore(kernel.as_mut(), &snaps, start, &mut scratch, warm.take())
-                .expect("restore")
-                .expect("a snapshot covers every tile");
-            engine
-                .warm_advance(kernel.as_mut(), &mut w, start)
-                .expect("advance");
             let mut rng = StdRng::seed_from_u64(seed);
-            let forked = engine
-                .run(
-                    kernel.as_mut(),
-                    &[strike],
-                    &mut rng,
-                    Some((&w, &mut scratch)),
-                    None,
-                )
+            let forked = cursor
+                .run(kernel.as_mut(), &[strike], &mut rng, None)
                 .expect("forked run");
-            warm = Some(w);
+            assert!(
+                forked.dirty.is_some(),
+                "a snapshot covers every tile: {ctx}"
+            );
 
-            assert_eq!(bits(&full.output), bits(&forked.output), "output: {ctx}");
+            let output = |run: &RunOutcome| run.output().map(bits);
+            assert_eq!(output(&full), output(&forked), "output: {ctx}");
             assert_eq!(full.resolutions, forked.resolutions, "resolutions: {ctx}");
             assert_eq!(full.profile, forked.profile, "profile: {ctx}");
-            let dirty = forked
-                .dirty
-                .as_ref()
-                .expect("forked runs carry a dirty region");
             let shape = kernel.logical_shape();
             let coord = |i| kernel.error_coord(i);
-            let sparse = compare_mapped(&golden.output, &forked.output, shape, Some(dirty), coord);
-            let dense = compare_mapped(&golden.output, &full.output, shape, None, coord);
+            let sparse = forked.compare(&golden.output, shape, coord);
+            let dense = full.compare(&golden.output, shape, coord);
             assert_eq!(mismatch_bits(&sparse), mismatch_bits(&dense), "diff: {ctx}");
         }
     }

@@ -14,13 +14,7 @@ use radcrit::campaign::KernelSpec;
 fn golden_trace<P: TiledProgram + ?Sized>(engine: &Engine, kernel: &mut P) -> ExecutionTrace {
     let mut trace = ExecutionTrace::new();
     engine
-        .run(
-            kernel,
-            &[],
-            &mut StdRng::seed_from_u64(0),
-            None,
-            Some(&mut trace),
-        )
+        .run(kernel, &[], &mut StdRng::seed_from_u64(0), Some(&mut trace))
         .expect("traced run");
     trace
 }
