@@ -140,11 +140,11 @@ struct RunScratch {
     template: Option<DeviceMemory>,
     spare: Option<DeviceMemory>,
     spare_caches: Option<CacheHierarchy>,
-    /// When the spare memory's written flags mirror a [`WarmState`]'s
-    /// (identified by its unique generation), a fork can restore only
-    /// the buffers either side has written since that sync instead of
-    /// every buffer.
-    spare_origin: Option<u64>,
+    /// Whether the spare memory synced to the warm state last restored
+    /// with this scratch (a cursor forks only off that one): then a fork
+    /// restores only the buffers either side has written since instead
+    /// of every buffer.
+    spare_synced: bool,
     taint: TaintSet,
 }
 
@@ -154,7 +154,7 @@ impl RunScratch {
     /// this same warm state, only buffers written on either side since
     /// can differ, so the rest of the image copy is skipped.
     fn memory_of(&mut self, warm: &WarmState) -> DeviceMemory {
-        let synced = self.spare_origin.replace(warm.gen) == Some(warm.gen);
+        let synced = std::mem::replace(&mut self.spare_synced, true);
         match self.spare.take() {
             Some(mut m) if synced => {
                 m.restore_written_from(&warm.mem);
@@ -209,16 +209,7 @@ struct WarmState {
     /// on, unioned with a fork's own store log, bound the fork's dirty
     /// output region, and a contained fork splices its suffix from it.
     ledger: Arc<GoldenLedger>,
-    /// Unique id for the dirty-only fork restore (see
-    /// [`RunScratch::spare_origin`]). `mem`'s write tracking is reset
-    /// when the state is built, so its written flags name exactly the
-    /// buffers golden advancement has touched since.
-    gen: u64,
 }
-
-/// Source of [`WarmState::gen`] values; never reused, so a scratch's
-/// `spare_origin` can only ever match the warm state it last synced to.
-static NEXT_WARM_GEN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
 /// How one strike was resolved against live machine state — the piece of
 /// fault provenance only the engine knows, because victim selection
@@ -443,6 +434,7 @@ impl Engine {
         // Baseline for the dirty-only fork restore: from here on the
         // written flags name the buffers golden advancement touches.
         mem.reset_write_tracking();
+        scratch.spare_synced = false;
         Ok(Some(WarmState {
             mem,
             caches,
@@ -451,7 +443,6 @@ impl Engine {
             next_tile: snap.at_tile,
             resume_tile: snap.at_tile,
             ledger: Arc::clone(&snapshots.ledger),
-            gen: NEXT_WARM_GEN.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         }))
     }
 
@@ -980,6 +971,14 @@ pub struct ForkCounts {
     pub advance_tiles: u64,
 }
 
+impl std::ops::AddAssign for ForkCounts {
+    fn add_assign(&mut self, other: ForkCounts) {
+        self.restores += other.restores;
+        self.forks += other.forks;
+        self.advance_tiles += other.advance_tiles;
+    }
+}
+
 impl ForkCursor {
     /// A cursor over the `snapshots` `engine` captured for the program.
     pub fn new(engine: Engine, snapshots: Arc<SnapshotSet>) -> Self {
@@ -1034,11 +1033,16 @@ impl ForkCursor {
             return self.engine.inject(program, strikes, rng, None, trace);
         };
         // Stale: another snapshot, or already advanced past this fork.
-        if (self.warm.as_ref()).is_none_or(|w| w.resume_tile != resume || w.next_tile > start) {
+        if self
+            .warm
+            .as_ref()
+            .is_none_or(|w| w.resume_tile != resume || w.next_tile > start)
+        {
             let _scope = phase_with(PhaseId::BucketRestore, &[("resume", resume as u64)]);
             let (snaps, reuse) = (&self.snapshots, self.warm.take());
             self.warm =
-                (self.engine).warm_restore(program, snaps, start, &mut self.scratch, reuse)?;
+                self.engine
+                    .warm_restore(program, snaps, start, &mut self.scratch, reuse)?;
             self.counts.restores += 1;
         }
         let warm = self.warm.as_mut().expect("a bucket has a usable snapshot");

@@ -431,7 +431,9 @@ impl Harness {
     /// Runs `strikes` and compares the outcome with golden.
     fn run(&mut self, strikes: &[StrikeSpec], rng: &mut StdRng) -> (ErrorReport, RunOutcome) {
         let kernel = self.kernel.as_mut();
-        let run = (self.cursor.run(kernel, strikes, rng, None))
+        let run = self
+            .cursor
+            .run(kernel, strikes, rng, None)
             .unwrap_or_else(|e| die(&format!("{} run failed: {e}", kernel.name())));
         let report = run.compare(&self.golden.output, kernel.logical_shape(), |i| {
             kernel.error_coord(i)
@@ -833,7 +835,9 @@ fn fig9(ctx: &mut Ctx) {
     // sizeable footprint, then render its map like the paper's red-dot
     // plot.
     let preset = presets::clamr(&presets::xeon_phi(), ctx.scale);
-    let kernel = (preset.kernel.build(ctx.seed))
+    let kernel = preset
+        .kernel
+        .build(ctx.seed)
         .unwrap_or_else(|e| die(&format!("clamr build failed: {e}")));
     let mut h = Harness::new(&preset.device, kernel);
     let plans = strike_plans(200, ctx.seed ^ (0xF19 << 32), |r| h.sampler.sample(r));
@@ -901,8 +905,11 @@ fn abft(ctx: &mut Ctx) {
     let checker = AbftDgemm::from_inputs(&a, &b, n, 1e-7);
     let golden = h.golden.output.clone();
     let plans = strike_plans(400, ctx.seed ^ (0xAB << 40), |r| h.sampler.sample(r));
-    let restored =
-        |c: &[f64]| (c.iter().zip(&golden)).all(|(x, y)| (x - y).abs() <= 1e-6 * y.abs().max(1.0));
+    let restored = |c: &[f64]| {
+        c.iter()
+            .zip(&golden)
+            .all(|(x, y)| (x - y).abs() <= 1e-6 * y.abs().max(1.0))
+    };
     // SDCs corrected, detected-uncorrectable and below tolerance.
     let mut counts = [0usize; 3];
     h.sweep(&plans, |report, run| {
@@ -995,7 +1002,9 @@ fn ablate(ctx: &mut Ctx) {
     // (A) Tolerance threshold: how the apparent SDC rate of HotSpot
     // changes with the accepted imprecision (§II-B's argument).
     let hotspot = presets::hotspot(&presets::k40(), ctx.scale);
-    let kernel = (hotspot.kernel.build(ctx.seed))
+    let kernel = hotspot
+        .kernel
+        .build(ctx.seed)
         .unwrap_or_else(|e| die(&format!("hotspot build failed: {e}")));
     let mut h = Harness::new(&hotspot.device, kernel);
     let plans = strike_plans(120, ctx.seed ^ (0xAB1A << 32), |r| h.sampler.sample(r));

@@ -44,7 +44,7 @@
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -286,7 +286,7 @@ impl Campaign {
                 .events_out
                 .is_some()
                 .then_some(options.events_sample.max(1)),
-            buckets: BucketCounters::default(),
+            buckets: Mutex::default(),
         };
         let (records, telemetry) =
             Collector::start(options, shared, replayed, checkpoint, events).run()?;
@@ -624,51 +624,23 @@ struct Shared {
     sinks: Sinks,
     /// Detail-event sampling stride; `None` disables event collection.
     events_sample: Option<u64>,
-    buckets: BucketCounters,
+    /// The workers' fork cursor counts, added after every strike: the
+    /// progress line reads them live, and the collector exports them to
+    /// the metrics registry once, at shutdown.
+    buckets: Mutex<ForkCounts>,
 }
 
-/// The batch scheduler's bucket accounting. Workers count each restore,
-/// fork and advanced tile once, here; the progress line reads the counts
-/// live, and the collector exports them to the metrics registry once,
-/// at shutdown.
-#[derive(Default)]
-struct BucketCounters {
-    /// Warm snapshot restores — one per (worker, bucket) pair.
-    restores: AtomicU64,
-    /// Forked injection executions off a warm bucket.
-    forks: AtomicU64,
-    /// Golden tiles warm buckets advanced through to reach their forks.
-    advance_tiles: AtomicU64,
-}
-
-impl BucketCounters {
-    fn add(&self, counts: ForkCounts) {
-        self.restores.fetch_add(counts.restores, Ordering::Relaxed);
-        self.forks.fetch_add(counts.forks, Ordering::Relaxed);
-        (self.advance_tiles).fetch_add(counts.advance_tiles, Ordering::Relaxed);
+/// Adds a run's bucket counts to `radcrit_bucket_{restores,forks,
+/// advance_tiles}_total`: no series for what never happened, but the
+/// advance series once a fork ran, even at zero tiles advanced.
+fn export_buckets(counts: ForkCounts, m: &MetricsRegistry) {
+    if counts.restores > 0 {
+        m.counter_add("radcrit_bucket_restores_total", &[], counts.restores);
     }
-
-    /// The progress line's `(restores, forks)` pair.
-    fn stats(&self) -> (u64, u64) {
-        (
-            self.restores.load(Ordering::Relaxed),
-            self.forks.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Adds the counts to `radcrit_bucket_{restores,forks,
-    /// advance_tiles}_total`: no series for what never happened, but the
-    /// advance series once a fork ran, even at zero tiles advanced.
-    fn export(&self, m: &MetricsRegistry) {
-        let (restores, forks) = self.stats();
-        if restores > 0 {
-            m.counter_add("radcrit_bucket_restores_total", &[], restores);
-        }
-        if forks > 0 {
-            m.counter_add("radcrit_bucket_forks_total", &[], forks);
-            let advance = self.advance_tiles.load(Ordering::Relaxed);
-            m.counter_add("radcrit_bucket_advance_tiles_total", &[], advance);
-        }
+    if counts.forks > 0 {
+        m.counter_add("radcrit_bucket_forks_total", &[], counts.forks);
+        let advance = counts.advance_tiles;
+        m.counter_add("radcrit_bucket_advance_tiles_total", &[], advance);
     }
 }
 
@@ -905,8 +877,10 @@ impl<'r> Collector<'r> {
     }
 
     fn progress(&self) {
-        let buckets =
-            (!self.shared.golden.snapshots.is_empty()).then(|| self.shared.buckets.stats());
+        let buckets = (!self.shared.golden.snapshots.is_empty()).then(|| {
+            let counts = *self.shared.buckets.lock().expect("bucket counts lock");
+            (counts.restores, counts.forks)
+        });
         let line = self
             .telemetry
             .progress_line(self.target, &self.analytics, buckets);
@@ -932,7 +906,7 @@ impl<'r> Collector<'r> {
             }
         }
         if let Some(m) = metrics {
-            self.shared.buckets.export(m);
+            export_buckets(*self.shared.buckets.lock().expect("bucket counts lock"), m);
         }
     }
 }
@@ -1106,8 +1080,10 @@ impl Worker {
         // or from tile 0 when no snapshot covers it.
         let mut trace = buf.is_enabled().then(ExecutionTrace::new);
         let strikes = std::slice::from_ref(spec);
-        let run = (self.cursor).run(self.kernel.as_mut(), strikes, rng, trace.as_mut());
-        self.shared.buckets.add(self.cursor.take_counts());
+        let run = self
+            .cursor
+            .run(self.kernel.as_mut(), strikes, rng, trace.as_mut());
+        *self.shared.buckets.lock().expect("bucket counts lock") += self.cursor.take_counts();
         let run = run?;
         drop(execute);
         let resolution = run.resolutions.first().copied();

@@ -118,8 +118,9 @@ fn fork(
     seed: u64,
 ) -> (RunOutcome, usize, ExecutionTrace) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let (_, start) =
-        (cursor.bucket(kernel, &[strike], &rng)).expect("a snapshot covers the strike");
+    let (_, start) = cursor
+        .bucket(kernel, &[strike], &rng)
+        .expect("a snapshot covers the strike");
     let mut trace = ExecutionTrace::new();
     let run = cursor
         .run(kernel, &[strike], &mut rng, Some(&mut trace))
