@@ -393,8 +393,8 @@ impl Engine {
     /// Restores the nearest snapshot at or before `tile` into an owned
     /// [`WarmState`] — a cursor's once-per-bucket restore — sharing the
     /// set's golden ledger. `reuse` recycles a previous bucket's
-    /// allocations (memory image, cache tables). `None` when the program
-    /// is not resumable or no snapshot covers `tile`.
+    /// allocations (memory image, cache tables). The program must be
+    /// resumable and a snapshot must cover `tile` (a cursor's bucket).
     fn warm_restore<P>(
         &self,
         program: &mut P,
@@ -402,16 +402,13 @@ impl Engine {
         tile: usize,
         scratch: &mut RunScratch,
         reuse: Option<WarmState>,
-    ) -> Result<Option<WarmState>, AccelError>
+    ) -> Result<WarmState, AccelError>
     where
         P: TiledProgram + ?Sized,
     {
-        if !program.resumable() {
-            return Ok(None);
-        }
-        let Some(snap) = snapshots.resume_point(tile) else {
-            return Ok(None);
-        };
+        let snap = snapshots
+            .resume_point(tile)
+            .expect("a snapshot covers the tile");
         // `program.setup` runs once per scratch, for the template (and the
         // program's buffer ids).
         if scratch.template.is_none() {
@@ -435,7 +432,7 @@ impl Engine {
         // written flags name the buffers golden advancement touches.
         mem.reset_write_tracking();
         scratch.spare_synced = false;
-        Ok(Some(WarmState {
+        Ok(WarmState {
             mem,
             caches,
             counters: snap.counters,
@@ -443,7 +440,7 @@ impl Engine {
             next_tile: snap.at_tile,
             resume_tile: snap.at_tile,
             ledger: Arc::clone(&snapshots.ledger),
-        }))
+        })
     }
 
     /// Rolls `warm` forward fault-free to `to_tile` (exclusive) — the
@@ -1033,19 +1030,19 @@ impl ForkCursor {
             return self.engine.inject(program, strikes, rng, None, trace);
         };
         // Stale: another snapshot, or already advanced past this fork.
-        if self
-            .warm
-            .as_ref()
-            .is_none_or(|w| w.resume_tile != resume || w.next_tile > start)
-        {
-            let _scope = phase_with(PhaseId::BucketRestore, &[("resume", resume as u64)]);
-            let (snaps, reuse) = (&self.snapshots, self.warm.take());
-            self.warm =
-                self.engine
-                    .warm_restore(program, snaps, start, &mut self.scratch, reuse)?;
-            self.counts.restores += 1;
-        }
-        let warm = self.warm.as_mut().expect("a bucket has a usable snapshot");
+        let warm = match self.warm.take() {
+            Some(w) if w.resume_tile == resume && w.next_tile <= start => w,
+            reuse => {
+                let _scope = phase_with(PhaseId::BucketRestore, &[("resume", resume as u64)]);
+                let (snaps, scratch) = (&self.snapshots, &mut self.scratch);
+                let warm = self
+                    .engine
+                    .warm_restore(program, snaps, start, scratch, reuse)?;
+                self.counts.restores += 1;
+                warm
+            }
+        };
+        let warm = self.warm.insert(warm);
         let advanced = {
             let _scope = phase(PhaseId::WarmAdvance);
             self.engine.warm_advance(program, warm, start)?
@@ -1949,8 +1946,7 @@ mod tests {
     ) -> RunOutcome {
         let mut warm = engine
             .warm_restore(p, set, s.at_tile, scratch, None)
-            .unwrap()
-            .expect("a snapshot covers the strike");
+            .unwrap();
         engine.warm_advance(p, &mut warm, s.at_tile).unwrap();
         let mut rng = SmallRng::seed_from_u64(seed);
         engine
@@ -2060,7 +2056,6 @@ mod tests {
         let mut scratch = RunScratch::default();
         let mut warm = engine
             .warm_restore(&mut p, &set, 6, &mut scratch, None)
-            .unwrap()
             .unwrap();
         engine.warm_advance(&mut p, &mut warm, 6).unwrap();
         let s = StrikeSpec::new(
@@ -2075,18 +2070,6 @@ mod tests {
             engine.inject(&mut p, &[s], &mut rng, Some((&warm, &mut scratch)), None),
             Err(AccelError::StrikeOutOfRange { tile: 5, tiles: 6 })
         ));
-    }
-
-    #[test]
-    fn warm_restore_refuses_non_covered_or_non_resumable() {
-        let engine = Engine::new(DeviceConfig::kepler_k40());
-        let mut p = Affine::new(64);
-        let set = SnapshotSet::default();
-        let mut scratch = RunScratch::default();
-        assert!(engine
-            .warm_restore(&mut p, &set, 7, &mut scratch, None)
-            .unwrap()
-            .is_none());
     }
 
     #[test]
@@ -2156,16 +2139,14 @@ mod tests {
             .unwrap();
         assert!(set.is_empty());
         assert_eq!(out.output, expected(64));
-        // A foreign snapshot set must not restore either.
+        // A foreign snapshot set must not fork it either.
         let mut donor = Affine::new(64);
         let (_, donor_set) = engine
             .golden_snapshotted(&mut donor, &SnapshotPolicy::default())
             .unwrap();
-        let mut scratch = RunScratch::default();
-        assert!(engine
-            .warm_restore(&mut p, &donor_set, 7, &mut scratch, None)
-            .unwrap()
-            .is_none());
+        let cursor = ForkCursor::new(engine, Arc::new(donor_set));
+        let s = StrikeSpec::new(7, StrikeTarget::L2 { mask: 1 });
+        assert_eq!(cursor.bucket(&p, &[s], &StdRng::seed_from_u64(0)), None);
     }
 
     #[test]
@@ -2332,7 +2313,6 @@ mod tests {
         let mut scratch = RunScratch::default();
         let mut warm = engine
             .warm_restore(p, &set, s.at_tile, &mut scratch, None)
-            .unwrap()
             .unwrap();
         engine.warm_advance(p, &mut warm, s.at_tile).unwrap();
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -2736,7 +2716,6 @@ mod tests {
         let mut scratch = RunScratch::default();
         let warm = engine
             .warm_restore(&mut p, &set, 0, &mut scratch, None)
-            .unwrap()
             .unwrap();
         assert_eq!(warm.next_tile, 0);
         for seed in 0..4 {
@@ -2798,7 +2777,6 @@ mod tests {
         let mut scratch = RunScratch::default();
         let mut warm = engine
             .warm_restore(&mut p, &set, s.at_tile, &mut scratch, None)
-            .unwrap()
             .unwrap();
         for start in [s.at_tile, victim] {
             engine.warm_advance(&mut p, &mut warm, start).unwrap();

@@ -37,7 +37,6 @@ use radcrit_campaign::runner::CampaignResult;
 use radcrit_campaign::summary::CampaignSummary;
 use radcrit_core::report::ErrorReport;
 use radcrit_faults::sampler::{FaultSampler, InjectionPlan};
-use radcrit_kernels::dgemm::Dgemm;
 use radcrit_kernels::profile::KernelClass;
 use radcrit_kernels::shallow::ShallowWater;
 use radcrit_kernels::Workload;
@@ -348,28 +347,32 @@ fn ratios(ctx: &mut Ctx) {
 
 // --------------------------------------------------------------- helpers
 
-fn device(phi: bool) -> DeviceConfig {
-    if phi {
+fn dgemm_summaries(ctx: &mut Ctx, phi: bool) -> Vec<CampaignSummary> {
+    let device = if phi {
         presets::xeon_phi()
     } else {
         presets::k40()
-    }
-}
-
-fn dgemm_summaries(ctx: &mut Ctx, phi: bool) -> Vec<CampaignSummary> {
-    let device = device(phi);
+    };
     let presets = presets::dgemm(&device, ctx.scale);
     ctx.summaries(&presets)
 }
 
 fn lavamd_summaries(ctx: &mut Ctx, phi: bool) -> Vec<CampaignSummary> {
-    let device = device(phi);
+    let device = if phi {
+        presets::xeon_phi()
+    } else {
+        presets::k40()
+    };
     let presets = presets::lavamd(&device, ctx.scale);
     ctx.summaries(&presets)
 }
 
 fn hotspot_summary(ctx: &mut Ctx, phi: bool) -> CampaignSummary {
-    let device = device(phi);
+    let device = if phi {
+        presets::xeon_phi()
+    } else {
+        presets::k40()
+    };
     let preset = presets::hotspot(&device, ctx.scale);
     ctx.run(&preset).summary()
 }
@@ -415,7 +418,10 @@ struct Harness {
 }
 
 impl Harness {
-    fn new(device: &DeviceConfig, mut kernel: Box<dyn Workload + Send>) -> Self {
+    fn new(device: &DeviceConfig, spec: KernelSpec, seed: u64) -> Self {
+        let mut kernel = spec
+            .build(seed)
+            .unwrap_or_else(|e| die(&format!("{} build failed: {e}", spec.name())));
         let engine = Engine::new(device.clone());
         let (golden, snapshots) = engine
             .golden_snapshotted(kernel.as_mut(), &SnapshotPolicy::default())
@@ -455,16 +461,12 @@ impl Harness {
             let bucket = self.cursor.bucket(self.kernel.as_ref(), strikes, rng);
             (bucket.is_none(), bucket, i)
         });
-        let mut results: Vec<(usize, T)> = order
-            .into_iter()
-            .map(|i| {
-                let (strikes, rng) = &plans[i];
-                let (report, run) = self.run(strikes, &mut rng.clone());
-                (i, f(report, &run))
-            })
-            .collect();
-        results.sort_by_key(|&(i, _)| i);
-        results.into_iter().map(|(_, t)| t).collect()
+        let mut results: Vec<Option<T>> = plans.iter().map(|_| None).collect();
+        for i in order {
+            let (report, run) = self.run(&plans[i].0, &mut plans[i].1.clone());
+            results[i] = Some(f(report, &run));
+        }
+        results.into_iter().flatten().collect()
     }
 }
 
@@ -835,11 +837,7 @@ fn fig9(ctx: &mut Ctx) {
     // sizeable footprint, then render its map like the paper's red-dot
     // plot.
     let preset = presets::clamr(&presets::xeon_phi(), ctx.scale);
-    let kernel = preset
-        .kernel
-        .build(ctx.seed)
-        .unwrap_or_else(|e| die(&format!("clamr build failed: {e}")));
-    let mut h = Harness::new(&preset.device, kernel);
+    let mut h = Harness::new(&preset.device, preset.kernel, ctx.seed);
     let plans = strike_plans(200, ctx.seed ^ (0xF19 << 32), |r| h.sampler.sample(r));
 
     // Index order: the search stops at the first large footprint.
@@ -899,8 +897,7 @@ fn abft(ctx: &mut Ctx) {
     // checksum checker.
     let n = 64;
     let device = presets::k40();
-    let kernel = Dgemm::new(n, ctx.seed).expect("valid dgemm");
-    let mut h = Harness::new(&device, Box::new(kernel));
+    let mut h = Harness::new(&device, KernelSpec::Dgemm { n }, ctx.seed);
     let (a, b) = dgemm_inputs(n, ctx.seed);
     let checker = AbftDgemm::from_inputs(&a, &b, n, 1e-7);
     let golden = h.golden.output.clone();
@@ -957,8 +954,7 @@ fn masscheck(ctx: &mut Ctx) {
     let preset = presets::clamr(&presets::xeon_phi(), ctx.scale);
     let campaign_sdc = ctx.run(&preset).summary().sdc;
     // Recompute detection over fresh injections with output access.
-    let kernel = preset.kernel.build(ctx.seed).expect("clamr builds");
-    let mut h = Harness::new(&preset.device, kernel);
+    let mut h = Harness::new(&preset.device, preset.kernel, ctx.seed);
     let golden_mass = ShallowWater::total_mass(&h.golden.output);
     let plans = strike_plans(300, ctx.seed ^ (0x3A55 << 24), |r| h.sampler.sample(r));
     let (mut detected, mut sdc) = (0usize, 0usize);
@@ -1002,11 +998,7 @@ fn ablate(ctx: &mut Ctx) {
     // (A) Tolerance threshold: how the apparent SDC rate of HotSpot
     // changes with the accepted imprecision (§II-B's argument).
     let hotspot = presets::hotspot(&presets::k40(), ctx.scale);
-    let kernel = hotspot
-        .kernel
-        .build(ctx.seed)
-        .unwrap_or_else(|e| die(&format!("hotspot build failed: {e}")));
-    let mut h = Harness::new(&hotspot.device, kernel);
+    let mut h = Harness::new(&hotspot.device, hotspot.kernel, ctx.seed);
     let plans = strike_plans(120, ctx.seed ^ (0xAB1A << 32), |r| h.sampler.sample(r));
     let reports: Vec<ErrorReport> = h
         .sweep(&plans, |report, _| report.is_sdc().then_some(report))
@@ -1154,8 +1146,7 @@ fn injector(ctx: &mut Ctx) {
     };
     let mut checks = Vec::new();
     for device in [presets::k40(), presets::xeon_phi()] {
-        let kernel = Dgemm::new(n, ctx.seed).expect("valid dgemm");
-        let mut h = Harness::new(&device, Box::new(kernel));
+        let mut h = Harness::new(&device, KernelSpec::Dgemm { n }, ctx.seed);
         let tool = SoftwareInjector::new(&device, &h.golden.profile);
         let visible = SoftwareInjector::visible_cross_section_fraction(h.sampler.table());
 
@@ -1255,8 +1246,7 @@ fn multistrike(ctx: &mut Ctx) {
         Scale::Standard => 400,
     };
     let device = presets::k40();
-    let kernel = Dgemm::new(n, ctx.seed).expect("valid dgemm");
-    let mut h = Harness::new(&device, Box::new(kernel));
+    let mut h = Harness::new(&device, KernelSpec::Dgemm { n }, ctx.seed);
     let classifier = radcrit_core::locality::LocalityClassifier::default();
 
     let mut rows = Vec::new();
@@ -1355,7 +1345,11 @@ fn multistrike(ctx: &mut Ctx) {
 fn hardening(ctx: &mut Ctx) {
     heading("Selective hardening: critical-SDC attribution by site (Section VI)");
     for phi in [false, true] {
-        let device = device(phi);
+        let device = if phi {
+            presets::xeon_phi()
+        } else {
+            presets::k40()
+        };
         let presets_list = presets::dgemm(&device, ctx.scale);
         let preset = presets_list.last().expect("at least one DGEMM size");
         let analysis = radcrit_campaign::HardeningAnalysis::of(ctx.run(preset));

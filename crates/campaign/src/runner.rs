@@ -639,8 +639,11 @@ fn export_buckets(counts: ForkCounts, m: &MetricsRegistry) {
     }
     if counts.forks > 0 {
         m.counter_add("radcrit_bucket_forks_total", &[], counts.forks);
-        let advance = counts.advance_tiles;
-        m.counter_add("radcrit_bucket_advance_tiles_total", &[], advance);
+        m.counter_add(
+            "radcrit_bucket_advance_tiles_total",
+            &[],
+            counts.advance_tiles,
+        );
     }
 }
 
